@@ -1,14 +1,20 @@
-"""Minimal sparse kernel: CSR storage, mat-vec, Jacobi-preconditioned CG.
+"""Minimal sparse kernel: padded-row storage, mat-vec, Jacobi-preconditioned CG.
 
-Everything at desk scale is float64 numpy. The only solver offered is
-conjugate gradients with a diagonal preconditioner; the step matrices this
-package produces are symmetric positive definite by construction, so CG is
-the right tool. A dense LDL-style fallback (`dense_solve`) exists purely as
-a test oracle.
+Everything at desk scale is float64 numpy. Matrices are built from CSR or
+COO arrays and stored as padded rows (ELLPACK): every operator this package
+assembles has at most 7 entries per row (the step matrix 7, A 3, D 4, D^T
+2), so a mat-vec is one gather and one row sum over a few slots, with no
+scatter. Each matrix computes its main diagonal once, at construction, and
+hands it out read-only, so the Jacobi preconditioner costs nothing per
+solve. The only solver offered is conjugate gradients with that diagonal
+preconditioner; the step matrices this package produces are symmetric
+positive definite by construction, so CG is the right tool. A dense
+fallback (`dense_solve`) exists purely as a test oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,64 +26,110 @@ class NonConvergence(RuntimeError):
 
 
 class CsrMatrix:
-    """Compressed sparse row matrix.
+    """Sparse matrix built from CSR arrays, stored as padded rows (ELLPACK).
 
-    Invariants enforced at construction: row offsets are monotone with
-    ``indptr[-1] == nnz``, and column indices are strictly increasing
-    inside each row (no duplicates). Instances are immutable by
-    convention and safe to share between concurrent readers.
+    Every operator this package builds has at most 7 entries per row, so
+    the rows are stored padded to the widest one: ``cols`` and ``vals`` are
+    (width, n_rows) arrays in which slot k of row i holds column
+    ``cols[k, i]`` and value ``vals[k, i]``. Slot-major order keeps each
+    slot contiguous, which is the fastest order for the numpy product in
+    ``spmv``. A row shorter than the width is padded with a column it
+    already stores and value 0, so padding neither reads outside the row's
+    own columns nor changes a sum; an empty row is padded with column 0.
+
+    The CSR view (``indptr``, ``indices``, ``data``, ``nnz``) stays
+    available; ``indices`` and ``data`` are rebuilt from the padded arrays
+    on each access. Invariants enforced at construction: row offsets are
+    monotone with ``indptr[-1] == nnz``, and column indices are strictly
+    increasing inside each row (no duplicates). The arrays and the main
+    diagonal, computed once here, are read-only, so instances are immutable
+    and safe to share between concurrent readers.
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape", "_row_of_entry")
+    __slots__ = ("indptr", "cols", "vals", "shape", "_empty_rows", "_diagonal")
 
     def __init__(self, indptr, indices, data, shape):
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        indptr = np.array(indptr, dtype=np.int64)  # a copy: it is frozen below
+        indices = np.ascontiguousarray(indices, dtype=np.int64)
+        data = np.ascontiguousarray(data, dtype=np.float64)
         self.shape = (int(shape[0]), int(shape[1]))
-        self._validate()
-        self._row_of_entry = np.repeat(
-            np.arange(self.shape[0], dtype=np.int64), np.diff(self.indptr)
-        )
+        _validate_csr(indptr, indices, data, self.shape)
+        n_rows = self.shape[0]
+        counts = np.diff(indptr)
+        width = int(counts.max()) if n_rows else 0
+        nonempty = counts > 0
+        pad = np.zeros(n_rows, dtype=np.int64)
+        pad[nonempty] = indices[indptr[:-1][nonempty]]
+        row = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
+        slot = np.arange(indices.size, dtype=np.int64) - indptr[row]
+        cols = np.repeat(pad[None, :], width, axis=0)
+        vals = np.zeros((width, n_rows))
+        cols[slot, row] = indices
+        vals[slot, row] = data
 
-    def _validate(self):
-        n_rows, n_cols = self.shape
-        if self.indptr.shape != (n_rows + 1,):
-            raise ValueError("indptr length must be n_rows + 1")
-        if self.indptr[0] != 0 or self.indptr[-1] != self.indices.size:
-            raise ValueError("indptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("row offsets must be monotone")
-        if self.indices.size != self.data.size:
-            raise ValueError("indices and data must have equal length")
-        if self.indices.size:
-            if self.indices.min() < 0 or self.indices.max() >= n_cols:
-                raise ValueError("column index out of range")
-            same_row = np.repeat(
-                np.arange(n_rows, dtype=np.int64), np.diff(self.indptr)
-            )
-            adjacent = same_row[1:] == same_row[:-1]
-            if np.any(self.indices[1:][adjacent] <= self.indices[:-1][adjacent]):
-                raise ValueError("column indices must increase strictly within rows")
+        k = min(self.shape)
+        on_diagonal = cols[:, :k] == np.arange(k)
+        diagonal = np.where(on_diagonal, vals[:, :k], 0.0).sum(axis=0)
+
+        for a in (indptr, cols, vals, diagonal):
+            a.flags.writeable = False
+        self.indptr, self.cols, self.vals, self._diagonal = indptr, cols, vals, diagonal
+        empty = np.flatnonzero(~nonempty)
+        self._empty_rows = empty if width and empty.size else None
 
     @property
     def nnz(self):
-        return self.indices.size
+        return int(self.indptr[-1])
+
+    @property
+    def indices(self):
+        return self.cols.T[self._stored()]
+
+    @property
+    def data(self):
+        return self.vals.T[self._stored()]
+
+    def _stored(self):
+        """(n_rows, width) mask of the slots that hold a stored entry."""
+        return np.arange(self.cols.shape[0]) < self.row_nnz()[:, None]
+
+    def _rows(self):
+        """Row index of every stored entry, in CSR order."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int64), self.row_nnz())
 
     def diagonal(self):
-        """Main diagonal as a dense vector (zeros where structurally absent)."""
-        d = np.zeros(min(self.shape))
-        hit = self.indices == self._row_of_entry
-        d[self._row_of_entry[hit]] = self.data[hit]
-        return d
+        """Main diagonal as a read-only dense vector (zeros where structurally absent).
+
+        Computed once at construction; every call returns the same array.
+        """
+        return self._diagonal
 
     def row_nnz(self):
         return np.diff(self.indptr)
 
     def todense(self):
         out = np.zeros(self.shape)
-        out[self._row_of_entry, self.indices] = self.data
+        out[self._rows(), self.indices] = self.data
         return out
+
+
+def _validate_csr(indptr, indices, data, shape):
+    n_rows, n_cols = shape
+    if indptr.shape != (n_rows + 1,):
+        raise ValueError("indptr length must be n_rows + 1")
+    if indptr[0] != 0 or indptr[-1] != indices.size:
+        raise ValueError("indptr must start at 0 and end at nnz")
+    if np.any(np.diff(indptr) < 0):
+        raise ValueError("row offsets must be monotone")
+    if indices.size != data.size:
+        raise ValueError("indices and data must have equal length")
+    if indices.size:
+        if indices.min() < 0 or indices.max() >= n_cols:
+            raise ValueError("column index out of range")
+        same_row = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
+        adjacent = same_row[1:] == same_row[:-1]
+        if np.any(indices[1:][adjacent] <= indices[:-1][adjacent]):
+            raise ValueError("column indices must increase strictly within rows")
 
 
 def csr_from_coo(rows, cols, vals, shape):
@@ -86,29 +138,23 @@ def csr_from_coo(rows, cols, vals, shape):
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.float64)
     if rows.size:
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        new_group = np.ones(rows.size, dtype=bool)
-        new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        # one int64 key per entry, row-major; a stable sort keeps duplicates
+        # in input order, so their sum does not depend on the sort
+        key = rows * shape[1] + cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        new_group = np.ones(key.size, dtype=bool)
+        new_group[1:] = key[1:] != key[:-1]
         group = np.cumsum(new_group) - 1
         vals = np.bincount(group, weights=vals)
-        rows, cols = rows[new_group], cols[new_group]
+        rows, cols = rows[order][new_group], cols[order][new_group]
     counts = np.bincount(rows, minlength=shape[0]) if rows.size else np.zeros(shape[0], dtype=np.int64)
     indptr = np.concatenate(([0], np.cumsum(counts)))
     return CsrMatrix(indptr, cols, vals, shape)
 
 
 def csr_transpose(M: CsrMatrix) -> CsrMatrix:
-    return csr_from_coo(M.indices, M._row_of_entry, M.data, (M.shape[1], M.shape[0]))
-
-
-def csr_add(A: CsrMatrix, B: CsrMatrix) -> CsrMatrix:
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    rows = np.concatenate([A._row_of_entry, B._row_of_entry])
-    cols = np.concatenate([A.indices, B.indices])
-    vals = np.concatenate([A.data, B.data])
-    return csr_from_coo(rows, cols, vals, A.shape)
+    return csr_from_coo(M.indices, M._rows(), M.data, (M.shape[1], M.shape[0]))
 
 
 def max_asymmetry(M: CsrMatrix) -> float:
@@ -126,7 +172,11 @@ def spmv(M: CsrMatrix, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.shape[1],):
         raise ValueError(f"dimension mismatch: matrix {M.shape}, vector {x.shape}")
-    return np.bincount(M._row_of_entry, weights=M.data * x[M.indices], minlength=M.shape[0])
+    y = np.einsum("ji,ji->i", M.vals, x[M.cols])
+    if M._empty_rows is not None:
+        # an empty row's padding reads column 0; a non-finite x[0] must not reach it
+        y[M._empty_rows] = 0.0
+    return y
 
 
 @dataclass(frozen=True)
@@ -156,9 +206,9 @@ def cg_solve(M: CsrMatrix, b, cfg: SolverConfig | None = None) -> CgResult:
     Jacobi-preconditioned conjugate gradients from a zero start. Stops when
     ||M x - b|| <= rel_tolerance * ||b||, with the true residual recomputed
     at the recursive stopping point so the guarantee is not a victim of
-    residual-recurrence drift. Raises NonConvergence when the iteration cap
-    is reached or a nonpositive curvature direction shows up (which means M
-    was not positive definite).
+    residual-recurrence drift. Raises ValueError when b is not finite, and
+    NonConvergence when the iteration cap is reached or a nonpositive
+    curvature direction shows up (which means M was not positive definite).
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -166,7 +216,9 @@ def cg_solve(M: CsrMatrix, b, cfg: SolverConfig | None = None) -> CgResult:
     n = M.shape[0]
     if M.shape[0] != M.shape[1] or b.shape != (n,):
         raise ValueError("cg_solve needs a square matrix and a matching vector")
-    norm_b = np.linalg.norm(b)
+    norm_b = math.sqrt(b @ b)
+    if not math.isfinite(norm_b):
+        raise ValueError("cg_solve: the right-hand side is not finite (its norm is NaN or inf)")
     x = np.zeros(n)
     if norm_b == 0.0:
         return CgResult(x, 0, 0.0)
@@ -174,9 +226,11 @@ def cg_solve(M: CsrMatrix, b, cfg: SolverConfig | None = None) -> CgResult:
     diag = M.diagonal()
     if np.any(diag <= 0):
         raise NonConvergence("nonpositive diagonal entry; matrix is not SPD")
+    inv_diag = 1.0 / diag
     r = b.copy()
-    z = r / diag
-    p = z
+    z = r * inv_diag
+    p = z.copy()
+    step = np.empty(n)
     rz = float(r @ z)
     cap = cfg.iteration_cap(n)
     for k in range(1, cap + 1):
@@ -185,20 +239,21 @@ def cg_solve(M: CsrMatrix, b, cfg: SolverConfig | None = None) -> CgResult:
         if pMp <= 0.0:
             raise NonConvergence(f"nonpositive curvature at iteration {k}; matrix is not SPD")
         alpha = rz / pMp
-        x = x + alpha * p
-        r = r - alpha * Mp
-        if np.linalg.norm(r) <= tol:
-            true_r = b - spmv(M, x)
-            if np.linalg.norm(true_r) <= tol:
-                return CgResult(x, k, float(np.linalg.norm(true_r)))
-            r = true_r
-            z = r / diag
-            p = z
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, Mp, out=Mp)
+        if math.sqrt(r @ r) <= tol:
+            r = b - spmv(M, x)
+            norm_r = math.sqrt(r @ r)
+            if norm_r <= tol:
+                return CgResult(x, k, norm_r)
+            np.multiply(r, inv_diag, out=z)
+            p[:] = z
             rz = float(r @ z)
             continue
-        z = r / diag
+        np.multiply(r, inv_diag, out=z)
         rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     raise NonConvergence(
         f"CG did not reach {cfg.rel_tolerance:g} relative residual in {cap} iterations"
@@ -219,20 +274,21 @@ def schur_matrix(A: CsrMatrix, D: CsrMatrix, Cdiag, coeff: float) -> CsrMatrix:
     if A.shape != (D.shape[1], D.shape[1]):
         raise ValueError("A must be square over the column space of D")
     if coeff == 0.0:
-        return CsrMatrix(A.indptr, A.indices, A.data.copy(), A.shape)
-    rows, cols, vals = [A._row_of_entry], [A.indices], [A.data]
-    for q in range(D.shape[0]):
-        lo, hi = D.indptr[q], D.indptr[q + 1]
-        idx = D.indices[lo:hi]
-        v = D.data[lo:hi]
-        k = idx.size
-        if k == 0:
-            continue
-        rows.append(np.repeat(idx, k))
-        cols.append(np.tile(idx, k))
-        vals.append((coeff / Cdiag[q]) * np.outer(v, v).ravel())
+        return CsrMatrix(A.indptr, A.indices, A.data, A.shape)
+    # Row q of D couples the columns it stores: its padded slots give one
+    # width x width outer product, pairs in row-major order as in a loop over
+    # the rows. A padding slot repeats a stored column with value 0, so it
+    # only adds zeros at positions the row's real pairs already hold. Empty
+    # rows of D add nothing and are dropped, so they leave no entry behind.
+    full = D.row_nnz() > 0
+    cols, vals = D.cols[:, full].T, D.vals[:, full].T
+    width = cols.shape[1]
+    outer = (coeff / Cdiag[full])[:, None, None] * (vals[:, :, None] * vals[:, None, :])
     return csr_from_coo(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), A.shape
+        np.concatenate([A._rows(), np.repeat(cols, width, axis=1).ravel()]),
+        np.concatenate([A.indices, np.tile(cols, (1, width)).ravel()]),
+        np.concatenate([A.data, outer.ravel()]),
+        A.shape,
     )
 
 

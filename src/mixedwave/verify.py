@@ -123,8 +123,8 @@ def mms_forced(omega: float) -> ManufacturedSolution:
     force coefficient vanishes and the standing wave is recovered. omega = 0
     freezes the field (u_t = 0).
     """
-    if omega < 0:
-        raise ValueError("omega must be nonnegative")
+    if not (math.isfinite(omega) and omega >= 0):
+        raise ValueError(f"omega must be finite and nonnegative, got {omega}")
     coeff = 2.0 * np.pi**2 - omega**2
 
     def u(x, y, t):
@@ -175,7 +175,7 @@ def residual_check(mms: ManufacturedSolution, n_samples=50, tol=1e-10, seed=2024
     """Verify the defining relations at random space-time samples.
 
     Checks rho*u_tt - grad p - f = 0 and p - lambda*div u = 0; raises when
-    the largest residual exceeds tol, otherwise returns it.
+    the largest residual exceeds tol or is NaN, otherwise returns it.
     """
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, n_samples)
@@ -186,8 +186,9 @@ def residual_check(mms: ManufacturedSolution, n_samples=50, tol=1e-10, seed=2024
     fx, fy = mms.f(x, y, t) if mms.f is not None else (0.0, 0.0)
     r1 = np.hypot(mms.rho * ax - gx - fx, mms.rho * ay - gy - fy)
     r2 = np.abs(mms.p(x, y, t) - mms.lam * mms.div_u(x, y, t))
-    worst = float(max(r1.max(), r2.max()))
-    if worst > tol:
+    # np.max propagates NaN; the negated test rejects it
+    worst = float(np.max(np.concatenate([np.ravel(r1), np.ravel(r2)])))
+    if not worst <= tol:
         raise ValueError(f"manufactured solution violates its equations: residual {worst:.3e}")
     return worst
 

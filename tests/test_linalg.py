@@ -13,9 +13,16 @@ from mixedwave.linalg import (
     schur_matrix,
     spmv,
 )
-from mixedwave.mesh import BoundaryPartition, build_rect_mesh
+from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.spaces import assemble_operators, material_field
 from mixedwave.scheme import ThetaConfig, step_matrix
+from oracles import dense_step_matrix
+
+DIR, NEU = BoundaryKind.DIRICHLET_P, BoundaryKind.NEUMANN_U
+ALL_PARTITIONS = [
+    BoundaryPartition(*[NEU if code >> side & 1 else DIR for side in range(4)])
+    for code in range(16)
+]
 
 
 def identity_csr(n):
@@ -33,6 +40,26 @@ def operators_on(nx, bc=None, rho=1.0, lam=1.0):
     mesh = build_rect_mesh(nx, nx)
     bc = bc or BoundaryPartition.all_dirichlet()
     return assemble_operators(mesh, bc, material_field(mesh, rho, lam))
+
+
+def hetero_operators(bc, nx=5, ny=3, seed=0):
+    """Operators on an nx-by-ny mesh with element-wise random rho and lambda."""
+    mesh = build_rect_mesh(nx, ny)
+    rng = np.random.default_rng(seed)
+    rho, lam = rng.uniform(0.25, 4.0, (2, mesh.n_elements))
+    return assemble_operators(mesh, bc, material_field(mesh, lambda x, y: rho, lambda x, y: lam))
+
+
+def uneven_csr():
+    """4x5 matrix with rows of 2, 0, 3 and 1 entries; the empty row is row 1."""
+    dense = np.array([
+        [0.0, 2.0, 0.0, -1.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [3.0, 0.0, 4.0, 0.0, 5.0],
+        [0.0, 0.0, 0.0, 0.0, -6.0],
+    ])
+    rows, cols = np.nonzero(dense)
+    return csr_from_coo(rows, cols, dense[rows, cols], dense.shape), dense
 
 
 class TestCsrMatrix:
@@ -53,6 +80,74 @@ class TestCsrMatrix:
         rng = np.random.default_rng(3)
         M, dense = random_sparse(rng, 15)
         assert np.array_equal(csr_transpose(M).todense(), dense.T)
+
+
+class TestPaddedRows:
+    def test_widths_of_the_package_operators(self):
+        ops = hetero_operators(BoundaryPartition.all_dirichlet())
+        S = step_matrix(ops, ThetaConfig.from_steps(1.0, 1.0, 4))
+        widths = [M.cols.shape[0] for M in (S, ops.A, ops.D, ops.DT)]
+        assert widths == [7, 3, 4, 2]
+
+    def test_uneven_rows_round_trip_and_pad_with_own_columns(self):
+        M, dense = uneven_csr()
+        assert M.cols.shape == M.vals.shape == (3, 4)
+        assert np.array_equal(M.indptr, [0, 2, 2, 5, 6])
+        assert np.array_equal(M.indices, [1, 3, 0, 2, 4, 4])
+        assert np.array_equal(M.data, [2.0, -1.0, 3.0, 4.0, 5.0, -6.0])
+        assert M.nnz == 6
+        assert np.array_equal(M.todense(), dense)
+        for i in (0, 2, 3):
+            stored = set(M.indices[M.indptr[i]:M.indptr[i + 1]])
+            assert set(M.cols[:, i]) == stored
+            assert M.vals[M.row_nnz()[i]:, i].tolist() == [0.0] * (3 - M.row_nnz()[i])
+
+    def test_uneven_rows_spmv(self):
+        M, dense = uneven_csr()
+        x = np.random.default_rng(1).standard_normal(5)
+        y = spmv(M, x)
+        assert np.abs(y - dense @ x).max() < 1e-13
+        assert y[1] == 0.0
+
+    def test_rows_of_a_matrix_without_columns_are_zero(self):
+        M = csr_from_coo([], [], [], (3, 0))
+        assert M.cols.shape == (0, 3)
+        assert np.array_equal(spmv(M, np.zeros(0)), np.zeros(3))
+
+    @pytest.mark.parametrize("col", range(5))
+    def test_inf_reaches_only_rows_storing_its_column(self, col):
+        M, dense = uneven_csr()
+        x = np.ones(5)
+        x[col] = np.inf
+        assert np.array_equal(~np.isfinite(spmv(M, x)), dense[:, col] != 0)
+
+    def test_inf_in_step_matrix_product(self):
+        ops = hetero_operators(ALL_PARTITIONS[5])
+        S = step_matrix(ops, ThetaConfig.from_steps(0.25, 1.0, 4))
+        dense = S.todense()
+        for col in (0, S.shape[1] // 2, S.shape[1] - 1):
+            x = np.ones(S.shape[1])
+            x[col] = np.inf
+            assert np.array_equal(~np.isfinite(spmv(S, x)), dense[:, col] != 0)
+
+    @pytest.mark.parametrize("bc", ALL_PARTITIONS)
+    def test_spmv_matches_dense_for_package_operators(self, bc):
+        ops = hetero_operators(bc)
+        S = step_matrix(ops, ThetaConfig.from_steps(0.5, 1.0, 3))
+        rng = np.random.default_rng(2)
+        for M in (ops.A, ops.D, ops.DT, S):
+            x = rng.standard_normal(M.shape[1])
+            assert np.abs(spmv(M, x) - M.todense() @ x).max() < 1e-13
+
+    def test_diagonal_is_cached_read_only_and_exact(self):
+        ops = hetero_operators(ALL_PARTITIONS[9])
+        S = step_matrix(ops, ThetaConfig.from_steps(1.0, 1.0, 4))
+        for M in (S, ops.A, ops.D, ops.DT, uneven_csr()[0]):
+            d = M.diagonal()
+            assert np.array_equal(d, np.diag(M.todense()))
+            assert M.diagonal() is d
+            with pytest.raises(ValueError):
+                d[0] = 1.0
 
 
 class TestSpmv:
@@ -96,6 +191,15 @@ class TestCg:
         x, _, res = cg_solve(S, b, SolverConfig(rel_tolerance=1e-12))
         assert res <= 1e-12 * np.linalg.norm(b)
         assert np.abs(x - dense_solve(S, b)).max() < 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rhs_raises_value_error(self, bad):
+        ops = operators_on(4)
+        S = step_matrix(ops, ThetaConfig.from_dt(0.25, 1.0, 0.01))
+        b = np.ones(S.shape[0])
+        b[3] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            cg_solve(S, b)
 
     def test_indefinite_matrix_raises(self):
         M = csr_from_coo([0, 1], [0, 1], [1.0, -1.0], (2, 2))
@@ -145,6 +249,15 @@ class TestSchurMatrix:
         ops = operators_on(5, bc=BoundaryPartition.all_neumann())
         S = schur_matrix(ops.A, ops.D, ops.Cdiag, 0.37)
         assert max_asymmetry(S) <= 1e-14
+
+    def test_matches_oracle_with_hetero_material_and_mixed_sides(self):
+        # pinned left and bottom sides leave D rows of 2 (corner), 3 and 4 entries
+        ops = hetero_operators(BoundaryPartition(NEU, DIR, NEU, DIR), seed=4)
+        assert set(ops.D.row_nnz()) == {2, 3, 4}
+        coeff = 0.37
+        S = schur_matrix(ops.A, ops.D, ops.Cdiag, coeff)
+        dense = dense_step_matrix(ops.A.todense(), ops.D.todense(), ops.Cdiag, coeff)
+        assert np.abs(S.todense() - dense).max() < 1e-12
 
     def test_rejects_nonpositive_mass(self):
         ops = operators_on(2)

@@ -120,6 +120,23 @@ class TestManufacturedSolutions:
         with pytest.raises(ValueError, match="residual"):
             residual_check(broken)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -1.0])
+    def test_forced_rejects_bad_frequency(self, omega):
+        with pytest.raises(ValueError, match="omega"):
+            mms_forced(omega)
+
+    @pytest.mark.parametrize("field", ["u_tt", "p"])
+    def test_residual_check_rejects_nan(self, field):
+        # u_tt feeds the first residual, p the second
+        from dataclasses import replace
+
+        def nan_field(x, y, t):
+            return np.full_like(x, np.nan) if field == "p" else (np.full_like(x, np.nan), 0.0 * y)
+
+        broken = replace(mms_standing_wave(), **{field: nan_field})
+        with pytest.raises(ValueError, match="residual nan"):
+            residual_check(broken)
+
 
 class TestInverseConstant:
     @pytest.mark.parametrize("nx", [2, 4])
