@@ -14,7 +14,6 @@ from .linalg import (
     SolverConfig,
     cg_solve,
     csr_from_coo,
-    dense_solve,
     schur_matrix,
     spmv,
 )
@@ -47,7 +46,6 @@ from .spaces import (
     material_field,
     project_pressure_p_h,
     project_velocity_pi_h,
-    rt0_basis_eval,
 )
 from .verify import (
     ConvergenceTable,

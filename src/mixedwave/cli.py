@@ -19,7 +19,6 @@ from .linalg import NonConvergence, SolverConfig
 from .scheme import ThetaConfig, run
 from .verify import (
     BLOWUP,
-    PowerIterationError,
     STABLE,
     StabilityEstimate,
     convergence_study,
@@ -69,7 +68,6 @@ class RunConfig:
     tol: float = 1e-12
     max_iter: int = 0  # 0 means the solver default cap
     out_dir: str = "out"
-    workers: int = 1
 
 
 def _parse_case(raw: str) -> str:
@@ -77,8 +75,8 @@ def _parse_case(raw: str) -> str:
         return raw
     if raw.startswith("forced:"):
         omega = float(raw.split(":", 1)[1])
-        if omega < 0:
-            raise ValueError("omega must be nonnegative")
+        if not (math.isfinite(omega) and omega >= 0):
+            raise ValueError("omega must be finite and nonnegative")
         return f"forced:{omega:.17g}"
     raise ValueError("expected 'standing-wave' or 'forced:<omega>'")
 
@@ -122,7 +120,6 @@ KEY_SPECS = {
     "solver.tol": ("tol", _positive_float),
     "solver.max_iter": ("max_iter", _nonnegative_int),
     "output.dir": ("out_dir", str),
-    "parallel.workers": ("workers", _positive_int),
 }
 
 
@@ -313,7 +310,7 @@ def cmd_stability(cfg: RunConfig) -> StudyReport:
     mms = _mms_for(cfg)
     rows = stability_sweep(
         mms, [cfg.theta], SWEEP_MULTIPLIERS, cfg.nx, cfg.ny,
-        num_steps=SWEEP_STEPS, solver=_solver(cfg), workers=cfg.workers,
+        num_steps=SWEEP_STEPS, solver=_solver(cfg),
     )
     table_rows = [[r.theta, r.dt, r.dt_over_dtmax, r.status, r.final_energy] for r in rows]
     # the bound is sufficient only: below it we demand stability, at 1.5x we
@@ -341,8 +338,7 @@ def cmd_converge(cfg: RunConfig) -> StudyReport:
     mms = _mms_for(cfg)
     sizes = [cfg.nx, 2 * cfg.nx, 4 * cfg.nx, 8 * cfg.nx]
     table = convergence_study(
-        mms, cfg.theta, sizes, lambda h: h / 4.0, cfg.T,
-        solver=_solver(cfg), workers=cfg.workers,
+        mms, cfg.theta, sizes, lambda h: h / 4.0, cfg.T, solver=_solver(cfg),
     )
     rows = [[r.nx, r.h, r.dt, r.err_u, r.err_p, r.rate_u, r.rate_p] for r in table.rows]
     ru, rp = table.finest_rates
@@ -360,7 +356,7 @@ def cmd_converge(cfg: RunConfig) -> StudyReport:
 def cmd_estimate_c0(cfg: RunConfig) -> StudyReport:
     mms = _mms_for(cfg)
     spec = make_problem(mms, cfg.nx, cfg.ny)
-    C0 = estimate_inverse_constant(spec.mesh, spec.bc, solver=_solver(cfg))
+    C0 = estimate_inverse_constant(spec.mesh, spec.bc)
     est = StabilityEstimate(C0, spec.mesh.h, rho0=mms.rho, lambda1=mms.lam)
     dtmax = est.dt_max(cfg.theta)
     notes = [
@@ -406,7 +402,7 @@ def main(argv=None) -> int:
     try:
         report = _DISPATCH[cfg.command](cfg)
         paths = emit_reports(report, cfg.out_dir)
-    except (NonConvergence, PowerIterationError, RuntimeError, ValueError, OSError) as exc:
+    except (NonConvergence, RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for name, ok, detail in report.verdicts:

@@ -8,8 +8,7 @@ scatter. Each matrix computes its main diagonal once, at construction, and
 hands it out read-only, so the Jacobi preconditioner costs nothing per
 solve. The only solver offered is conjugate gradients with that diagonal
 preconditioner; the step matrices this package produces are symmetric
-positive definite by construction, so CG is the right tool. A dense
-fallback (`dense_solve`) exists purely as a test oracle.
+positive definite by construction, so CG is the right tool.
 """
 
 from __future__ import annotations
@@ -290,8 +289,3 @@ def schur_matrix(A: CsrMatrix, D: CsrMatrix, Cdiag, coeff: float) -> CsrMatrix:
         np.concatenate([A.data, outer.ravel()]),
         A.shape,
     )
-
-
-def dense_solve(M: CsrMatrix, b) -> np.ndarray:
-    """Dense factorization fallback. Test oracle only; O(n^3)."""
-    return np.linalg.solve(M.todense(), np.asarray(b, dtype=np.float64))

@@ -90,9 +90,9 @@ class ProblemSpec:
     bc: BoundaryPartition
     material: MaterialField
     f: Optional[Callable] = None      # body force f(x, y, t) -> (fx, fy)
-    u0: Callable = None               # initial velocity field (x, y) -> (ux, uy)
-    v0: Callable = None               # initial time derivative of the velocity
-    p0: Callable = None               # initial pressure (x, y) -> p
+    u0: Optional[Callable] = None     # initial velocity field (x, y) -> (ux, uy)
+    v0: Optional[Callable] = None     # initial time derivative of the velocity
+    p0: Optional[Callable] = None     # initial pressure (x, y) -> p
     exact_u: Optional[Callable] = None  # (x, y, t) -> (ux, uy)
     exact_p: Optional[Callable] = None  # (x, y, t) -> p
 

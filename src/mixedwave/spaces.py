@@ -71,29 +71,6 @@ def material_field(mesh: RectMesh, rho, lam, rho_bounds=None, lambda_bounds=None
     return MaterialField(rho_e, lam_e, float(rb[0]), float(rb[1]), float(lb[0]), float(lb[1]))
 
 
-def rt0_basis_eval(mesh: RectMesh, element: int, local_edge: int, x, y):
-    """RT0 shape function of one element edge, evaluated at points inside it.
-
-    Normalized so the integrated flux through its own edge (along the global
-    normal) is 1 and through the other three edges is 0. Returns (vx, vy).
-    """
-    if local_edge not in (LEFT, RIGHT, BOTTOM, TOP):
-        raise ValueError(f"invalid local edge index {local_edge}")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    xl = mesh.element_x0[element]
-    yb = mesh.element_y0[element]
-    area = mesh.hx * mesh.hy
-    zero = np.zeros(np.broadcast(x, y).shape)
-    if local_edge == LEFT:
-        return (xl + mesh.hx - x) / area, zero
-    if local_edge == RIGHT:
-        return (x - xl) / area, zero
-    if local_edge == BOTTOM:
-        return zero, (yb + mesh.hy - y) / area
-    return zero, (y - yb) / area
-
-
 @dataclass(frozen=True)
 class MixedOperators:
     """Assembled bilinear forms over the free velocity dofs.
@@ -120,25 +97,13 @@ def assemble_operators(
     mesh: RectMesh,
     bc: BoundaryPartition,
     material: MaterialField,
-    element_order=None,
 ) -> MixedOperators:
-    """Assemble A, C, D with NEUMANN_U edge dofs eliminated.
-
-    ``element_order`` permutes the element-wise accumulation order; results
-    agree for any order up to floating-point addition reordering, which is
-    what makes a parallel element-wise reduction legitimate.
-    """
+    """Assemble A, C, D with NEUMANN_U edge dofs eliminated."""
     if material.rho_per_element.shape != (mesh.n_elements,):
         raise ValueError("material arrays must have one entry per element")
     cls = edge_classify(mesh, bc)
     ee = mesh.element_edges
     rho = material.rho_per_element
-    if element_order is not None:
-        order = np.asarray(element_order)
-        if np.any(np.sort(order) != np.arange(mesh.n_elements)):
-            raise ValueError("element_order must be a permutation of all elements")
-        ee = ee[order]
-        rho = rho[order]
 
     # closed-form element mass blocks; x- and y-oriented shapes never overlap
     ax_d = rho * mesh.hx / (3.0 * mesh.hy)
@@ -159,8 +124,6 @@ def assemble_operators(
     el = np.repeat(np.arange(n_el), 4)
     div_cols = cls.free_index[ee.ravel()]
     div_vals = np.tile(np.array([-1.0, 1.0, -1.0, 1.0]), n_el)
-    if element_order is not None:
-        el = np.repeat(order, 4)
     keep = div_cols >= 0
     D = csr_from_coo(el[keep], div_cols[keep], div_vals[keep], (n_el, n_free))
 

@@ -4,19 +4,22 @@ The workhorse test problem is a force-free standing wave on the unit square
 with zero normal velocity on the whole boundary. It exercises energy
 conservation and both error norms at once, and its continuous energy has the
 closed form pi^4 / 2.
+
+The inverse-inequality constant C0 behind the CFL bound is exact and closed
+form: on a uniform rectangle grid the RT0/P0 generalized eigenproblem splits
+into one 1-D problem per axis.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import SolverConfig, cg_solve, spmv
-from .mesh import BoundaryPartition, RectMesh, build_rect_mesh
+from .linalg import SolverConfig, spmv
+from .mesh import BoundaryKind, BoundaryPartition, RectMesh, build_rect_mesh
 from .scheme import (
     BLOWUP,
     ProblemSpec,
@@ -24,16 +27,12 @@ from .scheme import (
     ThetaConfig,
     run,
 )
-from .spaces import assemble_operators, material_field
+from .spaces import material_field
 
 STABLE = "Stable"
 DRIFT = "Drift"  # completed but the energy drifted beyond tolerance
 
 SQRT2_PI = math.sqrt(2.0) * math.pi
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration hit its cap without the Rayleigh quotient settling."""
 
 
 @dataclass(frozen=True)
@@ -65,55 +64,6 @@ def _spatial_profile(x, y):
     return -np.pi * np.sin(np.pi * x) * np.cos(np.pi * y), -np.pi * np.cos(
         np.pi * x
     ) * np.sin(np.pi * y)
-
-
-def mms_standing_wave() -> ManufacturedSolution:
-    """Force-free standing wave, rho = lambda = 1, u.n = 0 on the whole boundary.
-
-    u(x,y,t) = cos(sqrt(2) pi t) * (-pi sin(pi x) cos(pi y), -pi cos(pi x) sin(pi y))
-    p(x,y,t) = -2 pi^2 cos(sqrt(2) pi t) cos(pi x) cos(pi y)
-
-    The initial time derivative vanishes, and the continuous energy equals
-    pi^4 / 2 for all time.
-    """
-
-    def u(x, y, t):
-        g = np.cos(SQRT2_PI * t)
-        sx, sy = _spatial_profile(x, y)
-        return g * sx, g * sy
-
-    def u_t(x, y, t):
-        dg = -SQRT2_PI * np.sin(SQRT2_PI * t)
-        sx, sy = _spatial_profile(x, y)
-        return dg * sx, dg * sy
-
-    def u_tt(x, y, t):
-        ddg = -2.0 * np.pi**2 * np.cos(SQRT2_PI * t)
-        sx, sy = _spatial_profile(x, y)
-        return ddg * sx, ddg * sy
-
-    def p(x, y, t):
-        return -2.0 * np.pi**2 * np.cos(SQRT2_PI * t) * np.cos(np.pi * x) * np.cos(np.pi * y)
-
-    def grad_p(x, y, t):
-        g = np.cos(SQRT2_PI * t)
-        sx, sy = _spatial_profile(x, y)
-        return -2.0 * np.pi**2 * g * sx, -2.0 * np.pi**2 * g * sy
-
-    return ManufacturedSolution(
-        name="standing-wave",
-        rho=1.0,
-        lam=1.0,
-        bc=BoundaryPartition.all_neumann(),
-        u=u,
-        u_t=u_t,
-        p=p,
-        f=None,
-        u_tt=u_tt,
-        grad_p=grad_p,
-        div_u=p,  # lambda = 1, so div u and p coincide
-        energy=0.5 * np.pi**4,
-    )
 
 
 def mms_forced(omega: float) -> ManufacturedSolution:
@@ -171,6 +121,19 @@ def mms_forced(omega: float) -> ManufacturedSolution:
     )
 
 
+def mms_standing_wave() -> ManufacturedSolution:
+    """Force-free standing wave, rho = lambda = 1, u.n = 0 on the whole boundary.
+
+    u(x,y,t) = cos(sqrt(2) pi t) * (-pi sin(pi x) cos(pi y), -pi cos(pi x) sin(pi y))
+    p(x,y,t) = -2 pi^2 cos(sqrt(2) pi t) cos(pi x) cos(pi y)
+
+    This is ``mms_forced`` at omega = sqrt(2) pi, where the force vanishes.
+    The initial time derivative vanishes, and the continuous energy equals
+    pi^4 / 2 for all time.
+    """
+    return replace(mms_forced(SQRT2_PI), name="standing-wave", f=None, energy=0.5 * np.pi**4)
+
+
 def residual_check(mms: ManufacturedSolution, n_samples=50, tol=1e-10, seed=20240711) -> float:
     """Verify the defining relations at random space-time samples.
 
@@ -209,55 +172,32 @@ def make_problem(mms: ManufacturedSolution, nx: int, ny: int | None = None) -> P
     )
 
 
-def estimate_inverse_constant(
-    mesh: RectMesh,
-    bc: BoundaryPartition,
-    ops=None,
-    rel_tolerance: float = 1e-8,
-    max_iterations: int = 50000,
-    solver: SolverConfig | None = None,
-) -> float:
+def _axis_eigenvalue(n: int, s: float, pinned_ends: int) -> float:
+    """Largest eigenvalue mu of (v', w') = mu (v, w) along one axis.
+
+    v, w range over the 1-D RT0 space, continuous piecewise-linear functions
+    on n cells of size s, that vanish at the pinned (NEUMANN_U) ends;
+    pinned_ends is 0, 1 or 2.
+    """
+    c = (-1.0, math.cos((n - 0.5) * math.pi / n), math.cos((n - 1) * math.pi / n))[pinned_ends]
+    return 6.0 / s**2 * (1.0 - c) / (2.0 + c)
+
+
+def estimate_inverse_constant(mesh: RectMesh, bc: BoundaryPartition) -> float:
     """Constant C0 of the divergence inverse inequality ||div v|| <= C0/h ||v||.
 
-    Computed as h * sqrt(mu_max) where mu_max is the largest generalized
+    C0 = h * sqrt(mu_max), where mu_max is the largest generalized
     eigenvalue of (D^T M_p^{-1} D) v = mu M_u v over the free velocity dofs
-    with unit material, found by power iteration with the Rayleigh quotient
-    monitored for relative stagnation on two consecutive iterations.
-
-    ``ops`` may supply prebuilt operators; they must use rho = lambda = 1.
+    with unit material. On a uniform grid the problem separates by axis, so
+    mu_max = mu_1(nx, hx) + mu_1(ny, hy) with the 1-D closed form of
+    ``_axis_eigenvalue``; the result is exact up to rounding.
     """
-    if ops is None:
-        ops = assemble_operators(mesh, bc, material_field(mesh, 1.0, 1.0))
-    n = ops.n_velocity
-    if n == 0:
+    pinned = BoundaryKind.NEUMANN_U
+    mu = _axis_eigenvalue(mesh.nx, mesh.hx, (bc.left is pinned) + (bc.right is pinned))
+    mu += _axis_eigenvalue(mesh.ny, mesh.hy, (bc.bottom is pinned) + (bc.top is pinned))
+    if mu == 0.0:
         raise ValueError("mesh has no free velocity dofs; C0 is undefined")
-    if solver is None:
-        solver = SolverConfig()
-    rng = np.random.default_rng(1234)
-    v = rng.standard_normal(n)
-    v /= math.sqrt(v @ spmv(ops.A, v))
-    mu_prev = None
-    hits = 0
-    for _ in range(max_iterations):
-        Kv = spmv(ops.DT, spmv(ops.D, v) / ops.Cdiag)
-        mu = float(v @ Kv)
-        if mu_prev is not None and abs(mu - mu_prev) <= rel_tolerance * abs(mu):
-            hits += 1
-            if hits >= 2:
-                return mesh.h * math.sqrt(mu)
-        else:
-            hits = 0
-        mu_prev = mu
-        w = cg_solve(ops.A, Kv, solver).x
-        norm_w = math.sqrt(w @ spmv(ops.A, w))
-        if norm_w == 0.0:
-            v = rng.standard_normal(n)  # restarted from the kernel, vanishingly rare
-            norm_w = math.sqrt(v @ spmv(ops.A, v))
-            w = v
-        v = w / norm_w
-    raise PowerIterationError(
-        f"Rayleigh quotient did not settle to {rel_tolerance:g} in {max_iterations} iterations"
-    )
+    return mesh.h * math.sqrt(mu)
 
 
 def cfl_max_dt(theta: float, h: float, C0: float, rho0: float, lambda1: float) -> float:
@@ -353,7 +293,6 @@ def convergence_study(
     dt_rule,
     final_time: float,
     solver: SolverConfig | None = None,
-    workers: int = 1,
 ) -> ConvergenceTable:
     """Spatial refinement study against the exact solution.
 
@@ -374,11 +313,7 @@ def convergence_study(
         err_u, err_p = error_linf_l2(result)
         return spec.mesh.h, cfg.dt, err_u, err_p
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(level, mesh_sizes))
-    else:
-        results = [level(nx) for nx in mesh_sizes]
+    results = [level(nx) for nx in mesh_sizes]
     hs = [r[0] for r in results]
     return _build_table(
         mesh_sizes, hs, [r[1] for r in results],
@@ -468,7 +403,6 @@ def stability_sweep(
     num_steps: int = 500,
     drift_tol: float = 1e-8,
     solver: SolverConfig | None = None,
-    workers: int = 1,
 ) -> list:
     """Probe the stability boundary: run at multiples of the predicted dt_max.
 
@@ -482,8 +416,7 @@ def stability_sweep(
         raise ValueError("stability sweep expects a force-free manufactured solution")
     residual_check(mms)
     spec = make_problem(mms, nx, ny)
-    spec.exact_u = spec.exact_p = None
-    C0 = estimate_inverse_constant(spec.mesh, spec.bc, solver=solver)
+    C0 = estimate_inverse_constant(spec.mesh, spec.bc)
     est = StabilityEstimate(C0, spec.mesh.h, rho0=mms.rho, lambda1=mms.lam)
 
     def one(theta, m):
@@ -502,10 +435,5 @@ def stability_sweep(
             result.energies[-1].value, drift,
         )
 
-    combos = [(t, m) for t in thetas for m in multipliers]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(lambda c: one(*c), combos))
-    else:
-        out = [one(*c) for c in combos]
+    out = [one(t, m) for t in thetas for m in multipliers]
     return sorted(out, key=lambda r: (r.theta, r.multiplier))

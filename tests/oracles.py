@@ -10,10 +10,38 @@ import numpy as np
 import scipy.linalg
 
 from mixedwave.mesh import LEFT, RIGHT, BOTTOM, TOP, edge_classify
-from mixedwave.spaces import gauss_rule_1d, material_field, rt0_basis_eval
+from mixedwave.spaces import gauss_rule_1d, material_field
 
 # outward normal per local edge slot
 _OUTWARD = {LEFT: (-1.0, 0.0), RIGHT: (1.0, 0.0), BOTTOM: (0.0, -1.0), TOP: (0.0, 1.0)}
+
+
+def rt0_basis_eval(mesh, element, local_edge, x, y):
+    """RT0 shape function of one element edge, evaluated at points inside it.
+
+    Normalized so the integrated flux through its own edge (along the global
+    normal) is 1 and through the other three edges is 0. Returns (vx, vy).
+    """
+    if local_edge not in (LEFT, RIGHT, BOTTOM, TOP):
+        raise ValueError(f"invalid local edge index {local_edge}")
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    xl = mesh.element_x0[element]
+    yb = mesh.element_y0[element]
+    area = mesh.hx * mesh.hy
+    zero = np.zeros(np.broadcast(x, y).shape)
+    if local_edge == LEFT:
+        return (xl + mesh.hx - x) / area, zero
+    if local_edge == RIGHT:
+        return (x - xl) / area, zero
+    if local_edge == BOTTOM:
+        return zero, (yb + mesh.hy - y) / area
+    return zero, (y - yb) / area
+
+
+def dense_solve(M, b):
+    """Dense factorization of a sparse package matrix; O(n^3)."""
+    return np.linalg.solve(M.todense(), np.asarray(b, dtype=np.float64))
 
 
 def dense_operators(mesh, bc, material, rule=3):

@@ -197,7 +197,7 @@ def test_criterion_9_inverse_constant(mms):
     for nx in (2, 4):
         for bc in (BoundaryPartition.all_dirichlet(), BoundaryPartition.all_neumann()):
             mesh = build_rect_mesh(nx, nx)
-            got = estimate_inverse_constant(mesh, bc, solver=SOLVER)
+            got = estimate_inverse_constant(mesh, bc)
             ref = dense_inverse_constant(mesh, bc)
             worst_dense = max(worst_dense, abs(got - ref))
     # h-independence on the unconstrained space family
@@ -209,6 +209,6 @@ def test_criterion_9_inverse_constant(mms):
     verdict(
         9,
         worst_dense <= 1e-6 and spread <= 0.02,
-        f"power vs dense eigensolve: {worst_dense:.2e} (tolerance 1e-6); "
+        f"closed form vs dense eigensolve: {worst_dense:.2e} (tolerance 1e-6); "
         f"C0 spread over 4x4..16x16: {spread:.2e} (tolerance 2e-2)",
     )

@@ -66,7 +66,7 @@ class TestParsing:
     def test_round_trip(self):
         cfg = RunConfig(
             command="energy", nx=12, ny=10, theta=1 / 3, dt=0.0125, T=0.7,
-            case="forced:2.5", tol=3.5e-11, max_iter=77, out_dir="results", workers=2,
+            case="forced:2.5", tol=3.5e-11, max_iter=77, out_dir="results",
         )
         assert parse_config(format_config(cfg), {}, "energy") == cfg
 
@@ -134,6 +134,19 @@ class TestCommands:
         assert main(["energy", "--config", "/nonexistent/path.cfg"]) == 2
         assert main(["energy", "--time.dt", "0.3", "--time.T", "1.0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("omega", ["nan", "inf", "-inf"])
+    def test_non_finite_omega_is_a_usage_error(self, omega, tmp_path, capsys):
+        code = main(["run", "--problem.case", f"forced:{omega}", "--output.dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "invalid value for 'problem.case'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_workers_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text("parallel.workers = 2\n")
+        assert main(["stability", "--config", str(cfg)]) == 2
+        assert "unknown key 'parallel.workers'" in capsys.readouterr().err
 
     def test_help(self, capsys):
         assert main(["--help"]) == 0

@@ -8,7 +8,6 @@ from mixedwave.linalg import (
     cg_solve,
     csr_from_coo,
     csr_transpose,
-    dense_solve,
     max_asymmetry,
     schur_matrix,
     spmv,
@@ -16,7 +15,7 @@ from mixedwave.linalg import (
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.spaces import assemble_operators, material_field
 from mixedwave.scheme import ThetaConfig, step_matrix
-from oracles import dense_step_matrix
+from oracles import dense_solve, dense_step_matrix
 
 DIR, NEU = BoundaryKind.DIRICHLET_P, BoundaryKind.NEUMANN_U
 ALL_PARTITIONS = [

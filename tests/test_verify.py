@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy
 
-from mixedwave.mesh import BoundaryPartition, build_rect_mesh
+from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.scheme import ThetaConfig, run
 from mixedwave.spaces import project_pressure_p_h, project_velocity_pi_h
 from mixedwave.verify import (
@@ -138,7 +138,24 @@ class TestManufacturedSolutions:
             residual_check(broken)
 
 
+DIR, NEU = BoundaryKind.DIRICHLET_P, BoundaryKind.NEUMANN_U
+ALL_PARTITIONS = [
+    BoundaryPartition(*[NEU if code >> side & 1 else DIR for side in range(4)])
+    for code in range(16)
+]
+
+
 class TestInverseConstant:
+    @pytest.mark.parametrize("bc", ALL_PARTITIONS)
+    @pytest.mark.parametrize(
+        "nx,ny,extents", [(3, 5, (0.0, 1.0, 0.0, 1.0)), (5, 2, (-1.0, 2.0, 0.0, 0.5))]
+    )
+    def test_closed_form_matches_dense_on_every_partition(self, nx, ny, extents, bc):
+        mesh = build_rect_mesh(nx, ny, extents)
+        assert estimate_inverse_constant(mesh, bc) == pytest.approx(
+            dense_inverse_constant(mesh, bc), rel=1e-12, abs=0.0
+        )
+
     @pytest.mark.parametrize("nx", [2, 4])
     def test_matches_dense_eigensolve(self, nx):
         mesh = build_rect_mesh(nx, nx)
@@ -424,18 +441,3 @@ class TestStabilitySweep:
         )
         keys = [(r.theta, r.multiplier) for r in rows]
         assert keys == sorted(keys)
-
-    def test_worker_pool_gives_identical_rows(self):
-        serial = stability_sweep(mms_standing_wave(), [0.5], (0.5, 0.9), 4, num_steps=20)
-        pooled = stability_sweep(
-            mms_standing_wave(), [0.5], (0.5, 0.9), 4, num_steps=20, workers=2
-        )
-        assert serial == pooled
-
-
-class TestWorkerPool:
-    def test_convergence_study_worker_count_invariant(self):
-        mms = mms_standing_wave()
-        serial = convergence_study(mms, 0.25, (4, 8), lambda h: h / 2, 0.25)
-        pooled = convergence_study(mms, 0.25, (4, 8), lambda h: h / 2, 0.25, workers=2)
-        assert serial == pooled
