@@ -25,12 +25,14 @@ from .mesh import (
     build_rect_mesh,
     edge_classify,
 )
+from .multigrid import VCycle
 from .scheme import (
     CompatibilityWarning,
     EnergySample,
     ProblemSpec,
     RunResult,
     SchemeState,
+    StepSolver,
     ThetaConfig,
     discrete_energy,
     initialize,

@@ -90,8 +90,8 @@ def _positive_int(raw: str) -> int:
 
 def _positive_float(raw: str) -> float:
     v = float(raw)
-    if not v > 0:
-        raise ValueError("must be positive")
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError("must be positive and finite")
     return v
 
 
@@ -274,11 +274,16 @@ def _energy_table(result):
     return ["step", "t_half", "energy", "rel_drift"], rows
 
 
+def _cg_note(result) -> str:
+    iterations = result.cg_iterations
+    return f"cg_iterations total = {int(iterations.sum())}, max = {int(iterations.max())}"
+
+
 def cmd_run(cfg: RunConfig) -> StudyReport:
     mms = _mms_for(cfg)
     residual_check(mms)
     result = run(make_problem(mms, cfg.nx, cfg.ny), _time_config(cfg), solver=_solver(cfg))
-    notes = [f"status = {result.status}"]
+    notes = [f"status = {result.status}", _cg_note(result)]
     if result.error_u is not None:
         eu, ep = error_linf_l2(result)
         notes.append(f"err_u_linf_l2 = {fmt(eu)}")
@@ -302,7 +307,7 @@ def cmd_energy(cfg: RunConfig) -> StudyReport:
         [("energy conservation", ok,
           f"max relative drift {fmt(drift)} (tolerance {fmt(ENERGY_DRIFT_PASS)})")],
         {"energy.csv": _energy_table(result)},
-        [f"status = {result.status}"],
+        [f"status = {result.status}", _cg_note(result)],
     )
 
 

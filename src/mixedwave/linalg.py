@@ -1,4 +1,4 @@
-"""Minimal sparse kernel: padded-row storage, mat-vec, Jacobi-preconditioned CG.
+"""Minimal sparse kernel: padded-row storage, mat-vec, preconditioned CG.
 
 Everything at desk scale is float64 numpy. Matrices are built from CSR or
 COO arrays and stored as padded rows (ELLPACK): every operator this package
@@ -6,9 +6,11 @@ assembles has at most 7 entries per row (the step matrix 7, A 3, D 4, D^T
 2), so a mat-vec is one gather and one row sum over a few slots, with no
 scatter. Each matrix computes its main diagonal once, at construction, and
 hands it out read-only, so the Jacobi preconditioner costs nothing per
-solve. The only solver offered is conjugate gradients with that diagonal
-preconditioner; the step matrices this package produces are symmetric
-positive definite by construction, so CG is the right tool.
+solve. The solver is conjugate gradients, Jacobi-preconditioned by default
+or with a caller's symmetric positive definite preconditioner (the
+multigrid V-cycle of ``multigrid``); the step matrices this package
+produces are symmetric positive definite by construction, so CG is the
+right tool.
 """
 
 from __future__ import annotations
@@ -199,15 +201,18 @@ class CgResult(NamedTuple):
     residual: float
 
 
-def cg_solve(M: CsrMatrix, b, cfg: SolverConfig | None = None) -> CgResult:
+def cg_solve(M: CsrMatrix, b, cfg: SolverConfig | None = None, precondition=None) -> CgResult:
     """Solve M x = b for symmetric positive definite M.
 
-    Jacobi-preconditioned conjugate gradients from a zero start. Stops when
-    ||M x - b|| <= rel_tolerance * ||b||, with the true residual recomputed
-    at the recursive stopping point so the guarantee is not a victim of
-    residual-recurrence drift. Raises ValueError when b is not finite, and
-    NonConvergence when the iteration cap is reached or a nonpositive
-    curvature direction shows up (which means M was not positive definite).
+    Preconditioned conjugate gradients from a zero start. ``precondition``
+    is a callable ``precondition(r, out)`` that writes B r into ``out`` for a
+    fixed symmetric positive definite B; by default B is the inverse of M's
+    main diagonal (Jacobi). Stops when ||M x - b|| <= rel_tolerance * ||b||,
+    with the true residual recomputed at the recursive stopping point so the
+    guarantee is not a victim of residual-recurrence drift. Raises
+    ValueError when b is not finite, and NonConvergence when the iteration
+    cap is reached or a nonpositive curvature direction shows up (which
+    means M was not positive definite).
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -225,9 +230,15 @@ def cg_solve(M: CsrMatrix, b, cfg: SolverConfig | None = None) -> CgResult:
     diag = M.diagonal()
     if np.any(diag <= 0):
         raise NonConvergence("nonpositive diagonal entry; matrix is not SPD")
-    inv_diag = 1.0 / diag
+    if precondition is None:
+        inv_diag = 1.0 / diag
+
+        def precondition(r, out):
+            np.multiply(r, inv_diag, out=out)
+
     r = b.copy()
-    z = r * inv_diag
+    z = np.empty(n)
+    precondition(r, z)
     p = z.copy()
     step = np.empty(n)
     rz = float(r @ z)
@@ -245,11 +256,11 @@ def cg_solve(M: CsrMatrix, b, cfg: SolverConfig | None = None) -> CgResult:
             norm_r = math.sqrt(r @ r)
             if norm_r <= tol:
                 return CgResult(x, k, norm_r)
-            np.multiply(r, inv_diag, out=z)
+            precondition(r, z)
             p[:] = z
             rz = float(r @ z)
             continue
-        np.multiply(r, inv_diag, out=z)
+        precondition(r, z)
         rz_next = float(r @ z)
         p *= rz_next / rz
         p += z

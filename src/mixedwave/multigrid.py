@@ -1,0 +1,259 @@
+"""Geometric multigrid V-cycle for the step matrix on the nested uniform grids.
+
+The step matrix S = A + coeff * D^T C^{-1} D is ill-conditioned when the
+grad-div term dominates the mass term (large theta*dt^2): its kernel, the
+discretely divergence-free fluxes, is large, and point smoothers such as
+Jacobi do not reach it. The V-cycle here stays robust in coeff:
+
+- Hierarchy: halve nx and ny while both are even and the grid still has
+  more than ``COARSEST_DOFS`` free dofs; the coarsest grid is solved with a
+  dense inverse.
+- Coarse operators: ``assemble_operators`` and ``schur_matrix`` on the
+  coarse grid, with rho and lambda averaged over the 4 children of each
+  coarse element. For the RT0 prolongation below, D_fine P = Q D_coarse / 4
+  with Q copying an element value to its 4 children, so averaging lambda
+  makes the coarse grad-div term exactly the Galerkin product.
+- Transfers: the prolongation P is the RT0 embedding of integrated fluxes:
+  each half of a coarse edge carries half its flux, and each fine edge
+  inside a coarse element gets a quarter of each of the two parallel coarse
+  edges. Restriction is P^T.
+- Smoother: multiplicative vertex-patch Schwarz (Arnold, Falk & Winther,
+  "Preconditioning in H(div) and applications", Math. Comp. 66, 1997;
+  "Multigrid in H(div) and H(curl)", Numer. Math. 85, 2000). A patch is the
+  up to 4 free edges meeting at one vertex, solved exactly with a 4x4
+  inverse computed once. The patches are visited in 4 colours (i mod 2,
+  j mod 2) of their vertex (i, j): patches of one colour share no element,
+  so S does not couple them and one colour is updated at once. Pre-smoothing
+  visits colours 0..3 and post-smoothing 3..0, so the V-cycle is symmetric
+  positive definite and can precondition CG.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+
+from .linalg import CsrMatrix, csr_from_coo, csr_transpose, schur_matrix, spmv
+from .mesh import BoundaryKind, BoundaryPartition, RectMesh, build_rect_mesh
+from .spaces import MaterialField, MixedOperators, assemble_operators
+
+COARSEST_DOFS = 256  # largest grid solved by a dense inverse
+
+
+def free_dof_count(nx: int, ny: int, bc: BoundaryPartition) -> int:
+    """Free velocity dofs of an nx-by-ny grid: every edge minus the pinned sides."""
+    pinned = BoundaryKind.NEUMANN_U
+    pinned_edges = ny * ((bc.left is pinned) + (bc.right is pinned))
+    pinned_edges += nx * ((bc.bottom is pinned) + (bc.top is pinned))
+    return (nx + 1) * ny + nx * (ny + 1) - pinned_edges
+
+
+def grid_shapes(nx: int, ny: int, bc: BoundaryPartition) -> list:
+    """(nx, ny) of every level, fine first: halve while both are even and the
+    level has more than ``COARSEST_DOFS`` free dofs, never down to a grid
+    with none."""
+    shapes = [(nx, ny)]
+    while (
+        nx % 2 == 0
+        and ny % 2 == 0
+        and free_dof_count(nx, ny, bc) > COARSEST_DOFS
+        and free_dof_count(nx // 2, ny // 2, bc) > 0
+    ):
+        nx, ny = nx // 2, ny // 2
+        shapes.append((nx, ny))
+    return shapes
+
+
+def coarsens(mesh: RectMesh, bc: BoundaryPartition) -> bool:
+    """True when the grid halves at least once and ends at a dense-solvable size."""
+    shapes = grid_shapes(mesh.nx, mesh.ny, bc)
+    return len(shapes) > 1 and free_dof_count(*shapes[-1], bc) <= COARSEST_DOFS
+
+
+def coarse_material(mesh: RectMesh, material: MaterialField) -> MaterialField:
+    """rho and lambda averaged over the 4 children of each coarse element."""
+
+    def average(field):
+        return field.reshape(mesh.ny // 2, 2, mesh.nx // 2, 2).mean(axis=(1, 3))
+
+    return MaterialField(
+        average(material.rho_per_element).ravel(),
+        average(material.lambda_per_element).ravel(),
+        material.rho0,
+        material.rho1,
+        material.lambda0,
+        material.lambda1,
+    )
+
+
+def prolongation(fine: MixedOperators, coarse: MixedOperators) -> CsrMatrix:
+    """RT0 embedding of coarse fluxes into the fine grid, over free dofs."""
+    fm, cm = fine.mesh, coarse.mesh
+    I, J = (a.ravel() for a in np.meshgrid(np.arange(cm.nx + 1), np.arange(cm.ny + 1), indexing="xy"))
+    rows, cols, vals = [], [], []
+
+    def add(fine_edges, coarse_edges, weight, where):
+        rows.append(fine_edges[where])
+        cols.append(coarse_edges[where])
+        vals.append(np.full(int(where.sum()), weight))
+
+    has_row, has_col = J < cm.ny, I < cm.nx
+    # each half of a coarse edge carries half of its flux
+    for half in (0, 1):
+        add(fm.vedge_id(2 * I, 2 * J + half), cm.vedge_id(I, J), 0.5, has_row)
+        add(fm.hedge_id(2 * I + half, 2 * J), cm.hedge_id(I, J), 0.5, has_col)
+    # the fine edges inside a coarse element average its two parallel edges
+    inside = has_row & has_col
+    for half in (0, 1):
+        for side in (0, 1):
+            add(fm.vedge_id(2 * I + 1, 2 * J + half), cm.vedge_id(I + side, J), 0.25, inside)
+            add(fm.hedge_id(2 * I + half, 2 * J + 1), cm.hedge_id(I, J + side), 0.25, inside)
+    fi = fine.classification.free_index[np.concatenate(rows)]
+    ci = coarse.classification.free_index[np.concatenate(cols)]
+    keep = (fi >= 0) & (ci >= 0)
+    return csr_from_coo(fi[keep], ci[keep], np.concatenate(vals)[keep], (fine.n_velocity, coarse.n_velocity))
+
+
+class _Colour(NamedTuple):
+    """Vertex patches of one colour, laid out for ``_smooth``.
+
+    Per level the smoother works on z = [x, 0, b, 0], the iterate and the
+    right-hand side, each followed by a dummy dof that stays 0 and stands
+    for a missing or pinned edge. A patch's update
+
+        dx = S_pp^{-1} (b - S x)_p = S_pp^{-1} b_p - S_pp^{-1} S_pc x_c
+
+    reads x on the 12 edges c of the 2x2 elements around its vertex, which
+    hold every column of the patch's rows of S. ``cols`` (16, m) indexes z:
+    those 12 edges of x, then the 4 patch edges of b; ``weights``
+    (16, 4, m) holds -S_pp^{-1} S_pc and S_pp^{-1}; ``rows`` (4 * m,) are
+    the patch edges, slot-major. Dummy slots have weight 0.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+
+
+def _patch_colours(ops: MixedOperators, S: CsrMatrix) -> list:
+    """The 4 colours (i mod 2, j mod 2) of vertex patches, in visiting order."""
+    mesh, n, nx, ny = ops.mesh, ops.n_velocity, ops.mesh.nx, ops.mesh.ny
+    # full edge id -> dof; pinned edges and the sentinel edge n_edges, which
+    # stands for an edge outside the mesh, go to the dummy n
+    free = np.append(ops.classification.free_index, -1)
+    free[free < 0] = n
+
+    def vedge(i, j):
+        inside = (i >= 0) & (i <= nx) & (j >= 0) & (j < ny)
+        return free[np.where(inside, mesh.vedge_id(i, j), mesh.n_edges)]
+
+    def hedge(i, j):
+        inside = (i >= 0) & (i < nx) & (j >= 0) & (j <= ny)
+        return free[np.where(inside, mesh.hedge_id(i, j), mesh.n_edges)]
+
+    I, J = (g.ravel() for g in np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy"))
+    patch = np.column_stack([vedge(I, J - 1), vedge(I, J), hedge(I - 1, J), hedge(I, J)])
+    around = np.column_stack(
+        [vedge(I + di, J + dj) for dj in (-1, 0) for di in (-1, 0, 1)]
+        + [hedge(I + di, J + dj) for dj in (-1, 0, 1) for di in (-1, 0)]
+    )
+    colour = np.where((patch < n).any(axis=1), I % 2 + 2 * (J % 2), -1)
+    return [
+        _colour(ops, S, I[sel], J[sel], patch[sel], around[sel])
+        for sel in (colour == k for k in range(4))
+        if sel.any()
+    ]
+
+
+def _colour(ops: MixedOperators, S: CsrMatrix, I, J, patch, around) -> _Colour:
+    """Smoother data of the patches at vertices (I, J)."""
+    mesh, n, nx = ops.mesh, ops.n_velocity, ops.mesh.nx
+    # S_pc[p, a, c] = S[patch[p, a], around[p, c]]: every stored column of a
+    # patch row is an edge of the 2x2 elements around the vertex, and its
+    # position c in ``around`` follows from its offset to the vertex
+    width = S.cols.shape[0]
+    cols = np.hstack([S.cols, np.full((width, 1), n)])[:, patch]  # (width, patches, 4)
+    vals = np.hstack([S.vals, np.zeros((width, 1))])[:, patch]
+    edge = np.append(ops.classification.free_edges, 0)[cols]  # the dummy's value is 0
+    vertical = edge < mesh.n_vedges
+    h = edge - mesh.n_vedges
+    di = np.where(vertical, edge % (nx + 1), h % nx) - I[:, None]
+    dj = np.where(vertical, edge // (nx + 1), h // nx) - J[:, None]
+    slot = np.where(vertical, 3 * (dj + 1) + di + 1, 6 + 2 * (dj + 1) + di + 1)
+    slot[cols == n] = 0
+    slot += np.arange(patch.size).reshape(patch.shape) * 12
+    S_pc = np.bincount(slot.ravel(), vals.ravel(), minlength=12 * patch.size).reshape(-1, 4, 12)
+
+    # S_pp, the patch edges' columns of S_pc, gets a unit diagonal at dummy
+    # slots so that it inverts; their rows and columns of the inverse are 0
+    local = S_pc[:, :, [1, 4, 8, 9]]
+    local = 0.5 * (local + local.transpose(0, 2, 1))
+    p, s = np.nonzero(patch == n)
+    local[p, s, s] = 1.0
+    inverse = np.linalg.inv(local)
+    inverse = 0.5 * (inverse + inverse.transpose(0, 2, 1))
+    inverse[p, s, :] = 0.0
+    inverse[p, :, s] = 0.0
+    weights = np.concatenate([-inverse @ S_pc, inverse], axis=2)
+    return _Colour(
+        np.ascontiguousarray(patch.T).ravel(),
+        np.ascontiguousarray(np.hstack([around, patch + n + 1]).T),
+        np.ascontiguousarray(weights.transpose(2, 1, 0)),
+    )
+
+
+class _Level(NamedTuple):
+    S: CsrMatrix
+    colours: list
+    P: CsrMatrix
+    R: CsrMatrix
+
+
+class VCycle:
+    """Symmetric V-cycle B ~ S^{-1} for ``cg_solve(..., precondition=VCycle(...))``.
+
+    ``ops`` and ``S`` are the fine grid's operators and step matrix, with
+    S = A + coeff * D^T C^{-1} D. The grid must coarsen (``coarsens``).
+    """
+
+    def __init__(self, ops: MixedOperators, S: CsrMatrix, coeff: float):
+        shapes = grid_shapes(ops.mesh.nx, ops.mesh.ny, ops.bc)
+        self.levels = []
+        for nx, ny in shapes[1:]:
+            m = ops.mesh
+            coarse = assemble_operators(
+                build_rect_mesh(nx, ny, (m.x0, m.x1, m.y0, m.y1)), ops.bc, coarse_material(m, ops.material)
+            )
+            P = prolongation(ops, coarse)
+            self.levels.append(_Level(S, _patch_colours(ops, S), P, csr_transpose(P)))
+            ops, S = coarse, schur_matrix(coarse.A, coarse.D, coarse.Cdiag, coeff)
+        inverse = np.linalg.inv(S.todense())
+        self.coarsest = 0.5 * (inverse + inverse.T)
+
+    def __call__(self, r, out):
+        out[:] = self._cycle(0, r)
+
+    def _cycle(self, depth, b):
+        if depth == len(self.levels):
+            return self.coarsest @ b
+        level = self.levels[depth]
+        n = b.size
+        z = np.zeros(2 * n + 2)
+        z[n + 1 : 2 * n + 1] = b
+        for k, colour in enumerate(level.colours):
+            _smooth(colour, z, first=k == 0)
+        x = z[:n]
+        residual = b - spmv(level.S, x)
+        x += spmv(level.P, self._cycle(depth + 1, spmv(level.R, residual)))
+        for colour in reversed(level.colours):
+            _smooth(colour, z)
+        return x
+
+
+def _smooth(colour: _Colour, z, first=False):
+    """One colour of patch solves: x[patch] += S_pp^{-1} (b - S x)[patch]."""
+    cols, weights = colour.cols, colour.weights
+    if first:  # x is still zero: only the b part contributes
+        cols, weights = cols[12:], weights[12:]
+    z[colour.rows] += np.einsum("jip,jp->ip", weights, z[cols]).ravel()

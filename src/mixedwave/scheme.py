@@ -14,23 +14,34 @@ solve degenerates to a mass solve); theta >= 1/4 is unconditionally stable.
 
 The first step comes from a Taylor expansion of the initial state and uses
 the same SPD operator, so stepping never touches a saddle-point system.
+
+A run builds that operator once, with its preconditioner, as a
+``StepSolver``. Jacobi-CG needs more iterations the more the grad-div term
+outweighs the mass term; their ratio is bounded by
+kappa = theta dt^2 (lambda1 / rho0) mu_max, with mu_max the closed-form
+largest eigenvalue of the divergence problem. When kappa reaches
+``MULTIGRID_MIN_KAPPA`` and the grid coarsens, CG is preconditioned by the
+multigrid V-cycle instead.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import CsrMatrix, SolverConfig, cg_solve, schur_matrix, spmv
+from .linalg import CgResult, CsrMatrix, SolverConfig, cg_solve, schur_matrix, spmv
 from .mesh import BoundaryPartition, RectMesh
+from .multigrid import VCycle, coarsens
 from .spaces import (
     MaterialField,
     MixedOperators,
     assemble_load,
     assemble_operators,
+    max_divergence_eigenvalue,
     pressure_l2_error,
     project_pressure_p_h,
     project_velocity_pi_h,
@@ -38,6 +49,7 @@ from .spaces import (
 )
 
 BLOWUP_THRESHOLD = 1e12  # sup-norm guard on velocity coefficients
+MULTIGRID_MIN_KAPPA = 500.0  # measured crossover of Jacobi-CG and multigrid-CG run times
 
 COMPLETED = "Completed"
 BLOWUP = "BlowUp"
@@ -74,8 +86,10 @@ class ThetaConfig:
 
     @staticmethod
     def from_dt(theta, final_time, dt) -> "ThetaConfig":
-        n = max(1, round(final_time / dt))
-        return ThetaConfig(theta, dt, n, final_time)
+        steps = final_time / dt
+        if not math.isfinite(steps):
+            raise ValueError(f"final_time / dt is not finite ({final_time} / {dt})")
+        return ThetaConfig(theta, dt, max(1, round(steps)), final_time)
 
 
 @dataclass
@@ -99,13 +113,18 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SchemeState:
-    """Rolling pair of time levels (n-1, n) for both fields."""
+    """Rolling pair of time levels (n-1, n) for both fields.
+
+    ``cg_iterations`` counts the CG iterations of the solve that produced
+    U_curr (0 for a state built by hand).
+    """
 
     n: int
     U_prev: np.ndarray
     U_curr: np.ndarray
     P_prev: np.ndarray
     P_curr: np.ndarray
+    cg_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -140,10 +159,38 @@ class LoadCache:
         return self._cache[n]
 
 
-def _solve_with_guess(S, rhs, guess, solver: SolverConfig):
-    """CG on the defect system keeps the absolute accuracy tied to the increment."""
-    defect = rhs - spmv(S, guess)
-    return guess + cg_solve(S, defect, solver).x
+def grad_div_weight(ops: MixedOperators, cfg: ThetaConfig) -> float:
+    """kappa = theta dt^2 (lambda1 / rho0) mu_max.
+
+    An upper bound on the Rayleigh quotient of the grad-div term
+    theta dt^2 D^T C^{-1} D against the mass matrix A, so the step matrix
+    is the mass matrix plus a term up to kappa times larger. Jacobi-CG needs
+    more iterations as kappa grows; multigrid does not.
+    """
+    m = ops.material
+    return cfg.theta * cfg.dt**2 * (m.lambda1 / m.rho0) * max_divergence_eigenvalue(ops.mesh, ops.bc)
+
+
+class StepSolver:
+    """The step matrix S of a run and the preconditioner chosen for it.
+
+    Built once per run. ``preconditioner`` is the multigrid ``VCycle`` when
+    kappa (``grad_div_weight``) is at least ``MULTIGRID_MIN_KAPPA`` and the
+    grid coarsens, and None, which means Jacobi, otherwise.
+    """
+
+    def __init__(self, ops: MixedOperators, cfg: ThetaConfig):
+        self.S = step_matrix(ops, cfg)
+        self.preconditioner = None
+        if grad_div_weight(ops, cfg) >= MULTIGRID_MIN_KAPPA and coarsens(ops.mesh, ops.bc):
+            self.preconditioner = VCycle(ops, self.S, cfg.theta * cfg.dt**2)
+
+    def solve(self, rhs, guess, solver: SolverConfig) -> tuple[np.ndarray, CgResult]:
+        """Solve S U = rhs as CG on the defect system, which keeps the
+        absolute accuracy tied to the increment from ``guess``."""
+        defect = rhs - spmv(self.S, guess)
+        result = cg_solve(self.S, defect, solver, self.preconditioner)
+        return guess + result.x, result
 
 
 def initialize(
@@ -151,7 +198,7 @@ def initialize(
     ops: MixedOperators,
     cfg: ThetaConfig,
     solver: SolverConfig | None = None,
-    S: CsrMatrix | None = None,
+    stepper: StepSolver | None = None,
     loads: LoadCache | None = None,
 ) -> SchemeState:
     """Project initial data and take the Taylor first step; returns the state at n=1.
@@ -164,7 +211,8 @@ def initialize(
 
     after eliminating P1 through the divergence constraint. Warns when the
     initial data are incompatible (C P0 != D U0), which would otherwise leave
-    an alternating-sign defect in the pressure recursion.
+    an alternating-sign defect in the pressure recursion. ``stepper`` is the
+    run's ``StepSolver``; without one, a new one is built for this call.
     """
     if solver is None:
         solver = SolverConfig()
@@ -183,8 +231,8 @@ def initialize(
             stacklevel=2,
         )
 
-    if S is None:
-        S = step_matrix(ops, cfg)
+    if stepper is None:
+        stepper = StepSolver(ops, cfg)
     if loads is None:
         loads = LoadCache(spec, ops, cfg.dt)
     dt, theta = cfg.dt, cfg.theta
@@ -196,9 +244,9 @@ def initialize(
         + 0.5 * dt**2 * F0
         + theta * dt**2 * (F1 - F0)
     )
-    U1 = _solve_with_guess(S, rhs, U0 + dt * V0, solver)
+    U1, result = stepper.solve(rhs, U0 + dt * V0, solver)
     P1 = spmv(ops.D, U1) / ops.Cdiag
-    return SchemeState(1, U0, U1, P0, P1)
+    return SchemeState(1, U0, U1, P0, P1, result.iterations)
 
 
 def step(
@@ -207,14 +255,18 @@ def step(
     cfg: ThetaConfig,
     spec: ProblemSpec,
     solver: SolverConfig | None = None,
-    S: CsrMatrix | None = None,
+    stepper: StepSolver | None = None,
     loads: LoadCache | None = None,
 ) -> SchemeState:
-    """Advance one level: three-level velocity update, then the pressure division."""
+    """Advance one level: three-level velocity update, then the pressure division.
+
+    ``stepper`` is the run's ``StepSolver``; without one, a new one is built
+    for this call.
+    """
     if solver is None:
         solver = SolverConfig()
-    if S is None:
-        S = step_matrix(ops, cfg)
+    if stepper is None:
+        stepper = StepSolver(ops, cfg)
     if loads is None:
         loads = LoadCache(spec, ops, cfg.dt)
     n, dt, theta = state.n, cfg.dt, cfg.theta
@@ -229,9 +281,9 @@ def step(
         - dt**2 * spmv(ops.DT, (1.0 - 2.0 * theta) * state.P_curr + theta * state.P_prev)
         + dt**2 * F_theta
     )
-    U_next = _solve_with_guess(S, rhs, guess, solver)
+    U_next, result = stepper.solve(rhs, guess, solver)
     P_next = spmv(ops.D, U_next) / ops.Cdiag
-    return SchemeState(n + 1, state.U_curr, U_next, state.P_curr, P_next)
+    return SchemeState(n + 1, state.U_curr, U_next, state.P_curr, P_next, result.iterations)
 
 
 def discrete_energy(state: SchemeState, ops: MixedOperators, cfg: ThetaConfig) -> EnergySample:
@@ -258,7 +310,11 @@ def discrete_energy(state: SchemeState, ops: MixedOperators, cfg: ThetaConfig) -
 
 @dataclass
 class RunResult:
-    """Trajectory summary: energy series, final state, optional error series."""
+    """Trajectory summary: energy series, final state, optional error series.
+
+    ``cg_iterations`` holds the CG iteration count of every solve, the
+    initial step's first, as one int array.
+    """
 
     status: str
     energies: list
@@ -267,6 +323,7 @@ class RunResult:
     error_p: Optional[list] = None
     config: ThetaConfig = None
     operators: MixedOperators = None
+    cg_iterations: np.ndarray = None
 
     @property
     def completed(self):
@@ -294,7 +351,7 @@ def run(
     if solver is None:
         solver = SolverConfig()
     ops = assemble_operators(spec.mesh, spec.bc, spec.material)
-    S = step_matrix(ops, cfg)
+    stepper = StepSolver(ops, cfg)
     loads = LoadCache(spec, ops, cfg.dt)
     if record_errors is None:
         record_errors = spec.exact_u is not None and spec.exact_p is not None
@@ -324,7 +381,8 @@ def run(
         for probe in probes:
             probe(level, t, U, P)
 
-    state = initialize(spec, ops, cfg, solver, S, loads)
+    state = initialize(spec, ops, cfg, solver, stepper, loads)
+    iterations = [state.cg_iterations]
     energies = [discrete_energy(state, ops, cfg)]
     observe(0, state.U_prev, state.P_prev)
     observe(1, state.U_curr, state.P_curr)
@@ -333,10 +391,11 @@ def run(
         status = BLOWUP
     else:
         for _ in range(cfg.num_steps - 1):
-            state = step(state, ops, cfg, spec, solver, S, loads)
+            state = step(state, ops, cfg, spec, solver, stepper, loads)
+            iterations.append(state.cg_iterations)
             energies.append(discrete_energy(state, ops, cfg))
             if _blown_up(state.U_curr):
                 status = BLOWUP
                 break
             observe(state.n, state.U_curr, state.P_curr)
-    return RunResult(status, energies, state, err_u, err_p, cfg, ops)
+    return RunResult(status, energies, state, err_u, err_p, cfg, ops, np.array(iterations, dtype=np.int64))

@@ -14,16 +14,28 @@ projected to machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .linalg import CsrMatrix, csr_from_coo, csr_transpose
-from .mesh import LEFT, RIGHT, BOTTOM, TOP, BoundaryPartition, EdgeClassification, RectMesh, edge_classify
+from .mesh import (
+    LEFT,
+    RIGHT,
+    BOTTOM,
+    TOP,
+    BoundaryKind,
+    BoundaryPartition,
+    EdgeClassification,
+    RectMesh,
+    edge_classify,
+)
 
 ASSEMBLY_RULE = 3      # exact for all RT0/P0 products with constant coefficients
 PROJECTION_RULE = 7    # effectively exact for smooth data at desk scale
+PROJECTION_BLOCK = 1024  # elements per call of phi: bounds phi's scratch memory
 
 
 @lru_cache(maxsize=None)
@@ -143,6 +155,31 @@ def assemble_operators(
     )
 
 
+def _axis_eigenvalue(n: int, s: float, pinned_ends: int) -> float:
+    """Largest eigenvalue mu of (v', w') = mu (v, w) along one axis.
+
+    v, w range over the 1-D RT0 space, continuous piecewise-linear functions
+    on n cells of size s, that vanish at the pinned (NEUMANN_U) ends;
+    pinned_ends is 0, 1 or 2.
+    """
+    c = (-1.0, math.cos((n - 0.5) * math.pi / n), math.cos((n - 1) * math.pi / n))[pinned_ends]
+    return 6.0 / s**2 * (1.0 - c) / (2.0 + c)
+
+
+def max_divergence_eigenvalue(mesh: RectMesh, bc: BoundaryPartition) -> float:
+    """Largest mu of (D^T M_p^{-1} D) v = mu M_u v over the free dofs, unit material.
+
+    On a uniform grid the generalized eigenproblem separates by axis, so
+    mu_max = mu_1(nx, hx) + mu_1(ny, hy) with the 1-D closed form of
+    ``_axis_eigenvalue``; exact up to rounding. It is 0 exactly when no
+    velocity dof is free.
+    """
+    pinned = BoundaryKind.NEUMANN_U
+    mu = _axis_eigenvalue(mesh.nx, mesh.hx, (bc.left is pinned) + (bc.right is pinned))
+    mu += _axis_eigenvalue(mesh.ny, mesh.hy, (bc.bottom is pinned) + (bc.top is pinned))
+    return mu
+
+
 def _element_gauss_points(mesh: RectMesh, n: int):
     """Tensor Gauss points per element: arrays of shape (n_elements, n*n)."""
     xi, w = gauss_rule_1d(n)
@@ -207,10 +244,18 @@ def project_velocity_pi_h(mesh: RectMesh, bc: BoundaryPartition, z) -> np.ndarra
 
 
 def project_pressure_p_h(mesh: RectMesh, phi) -> np.ndarray:
-    """L2 projection onto piecewise constants: element averages of phi."""
+    """L2 projection onto piecewise constants: element averages of phi.
+
+    phi is evaluated on blocks of ``PROJECTION_BLOCK`` elements, 49 points
+    each, so the arrays it builds stay small on fine meshes.
+    """
     gx, gy, w, _, _ = _element_gauss_points(mesh, PROJECTION_RULE)
-    vals = np.broadcast_to(np.asarray(phi(gx, gy), dtype=np.float64), gx.shape)
-    return vals @ w
+    out = np.empty(mesh.n_elements)
+    for start in range(0, mesh.n_elements, PROJECTION_BLOCK):
+        block = slice(start, start + PROJECTION_BLOCK)
+        vals = np.broadcast_to(np.asarray(phi(gx[block], gy[block]), dtype=np.float64), gx[block].shape)
+        out[block] = vals @ w
+    return out
 
 
 def scatter_free(cls: EdgeClassification, free_values, n_edges: int) -> np.ndarray:

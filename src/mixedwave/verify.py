@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import SolverConfig, spmv
-from .mesh import BoundaryKind, BoundaryPartition, RectMesh, build_rect_mesh
+from .mesh import BoundaryPartition, RectMesh, build_rect_mesh
 from .scheme import (
     BLOWUP,
     ProblemSpec,
@@ -27,7 +27,7 @@ from .scheme import (
     ThetaConfig,
     run,
 )
-from .spaces import material_field
+from .spaces import material_field, max_divergence_eigenvalue
 
 STABLE = "Stable"
 DRIFT = "Drift"  # completed but the energy drifted beyond tolerance
@@ -172,29 +172,15 @@ def make_problem(mms: ManufacturedSolution, nx: int, ny: int | None = None) -> P
     )
 
 
-def _axis_eigenvalue(n: int, s: float, pinned_ends: int) -> float:
-    """Largest eigenvalue mu of (v', w') = mu (v, w) along one axis.
-
-    v, w range over the 1-D RT0 space, continuous piecewise-linear functions
-    on n cells of size s, that vanish at the pinned (NEUMANN_U) ends;
-    pinned_ends is 0, 1 or 2.
-    """
-    c = (-1.0, math.cos((n - 0.5) * math.pi / n), math.cos((n - 1) * math.pi / n))[pinned_ends]
-    return 6.0 / s**2 * (1.0 - c) / (2.0 + c)
-
-
 def estimate_inverse_constant(mesh: RectMesh, bc: BoundaryPartition) -> float:
     """Constant C0 of the divergence inverse inequality ||div v|| <= C0/h ||v||.
 
     C0 = h * sqrt(mu_max), where mu_max is the largest generalized
     eigenvalue of (D^T M_p^{-1} D) v = mu M_u v over the free velocity dofs
-    with unit material. On a uniform grid the problem separates by axis, so
-    mu_max = mu_1(nx, hx) + mu_1(ny, hy) with the 1-D closed form of
-    ``_axis_eigenvalue``; the result is exact up to rounding.
+    with unit material, in the closed form of
+    ``spaces.max_divergence_eigenvalue``; the result is exact up to rounding.
     """
-    pinned = BoundaryKind.NEUMANN_U
-    mu = _axis_eigenvalue(mesh.nx, mesh.hx, (bc.left is pinned) + (bc.right is pinned))
-    mu += _axis_eigenvalue(mesh.ny, mesh.hy, (bc.bottom is pinned) + (bc.top is pinned))
+    mu = max_divergence_eigenvalue(mesh, bc)
     if mu == 0.0:
         raise ValueError("mesh has no free velocity dofs; C0 is undefined")
     return mesh.h * math.sqrt(mu)

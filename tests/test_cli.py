@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,9 @@ class TestCommands:
         assert max(drifts) <= 1e-10
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert "PASS" in summary and "mesh.nx = 8" in summary
+        # 20 solves: the initial step and 19 steps
+        total, largest = re.search(r"cg_iterations total = (\d+), max = (\d+)", summary).groups()
+        assert 20 <= int(total) <= 20 * int(largest)
 
     def test_energy_study_fails_beyond_cfl(self, tmp_path):
         # dt far above the explicit stability bound: blow-up, exit code 1
@@ -127,6 +131,7 @@ class TestCommands:
         assert code == 0
         summary = (tmp_path / "out" / "summary.txt").read_text()
         assert "err_u_linf_l2" in summary
+        assert "cg_iterations total = " in summary
 
     def test_usage_error_exit_code(self, capsys):
         assert main([]) == 2
@@ -140,6 +145,14 @@ class TestCommands:
         code = main(["run", "--problem.case", f"forced:{omega}", "--output.dir", str(tmp_path / "out")])
         assert code == 2
         assert "invalid value for 'problem.case'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [("solver.tol", "inf"), ("time.T", "inf"), ("time.dt", "1e-320")])
+    def test_non_finite_or_overflowing_float_is_a_usage_error(self, key, value, tmp_path, capsys):
+        # T / dt overflows for dt = 1e-320, as it is infinite for T = inf
+        code = main(["run", f"--{key}", value, "--output.dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_removed_workers_key_is_unknown(self, tmp_path, capsys):

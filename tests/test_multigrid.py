@@ -1,0 +1,202 @@
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+import mixedwave.multigrid as multigrid
+from mixedwave.linalg import SolverConfig, cg_solve, schur_matrix, spmv
+from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
+from mixedwave.multigrid import VCycle, coarsens, grid_shapes, prolongation
+from mixedwave.scheme import (
+    MULTIGRID_MIN_KAPPA,
+    ProblemSpec,
+    StepSolver,
+    ThetaConfig,
+    grad_div_weight,
+    run,
+)
+from mixedwave.spaces import MaterialField, assemble_operators, material_field
+from mixedwave.verify import energy_drift, make_problem, mms_forced, mms_standing_wave
+
+from oracles import dense_solve
+
+PARTITIONS = [BoundaryPartition(*tags) for tags in itertools.product(tuple(BoundaryKind), repeat=4)]
+MIXED = BoundaryPartition(
+    BoundaryKind.DIRICHLET_P, BoundaryKind.DIRICHLET_P, BoundaryKind.NEUMANN_U, BoundaryKind.NEUMANN_U
+)
+
+
+def random_material(mesh, rng, lo=0.25, hi=4.0):
+    rho, lam = np.exp(rng.uniform(math.log(lo), math.log(hi), (2, mesh.n_elements)))
+    return MaterialField(rho, lam, lo, hi, lo, hi)
+
+
+def vcycle_matrix(vcycle, n):
+    out = np.empty(n)
+    columns = []
+    for e in np.eye(n):
+        vcycle(e, out)
+        columns.append(out.copy())
+    return np.column_stack(columns)
+
+
+class TestHierarchy:
+    def test_halves_while_even_and_large(self):
+        bc = MIXED
+        assert grid_shapes(64, 64, bc) == [(64, 64), (32, 32), (16, 16), (8, 8)]
+        assert grid_shapes(48, 24, bc)[-1] == (12, 6)
+        assert grid_shapes(63, 64, bc) == [(63, 64)]
+
+    def test_coarsens_needs_a_small_coarsest_grid(self):
+        bc = BoundaryPartition.all_dirichlet()
+        assert coarsens(build_rect_mesh(64, 64), bc)
+        assert not coarsens(build_rect_mesh(63, 63), bc)       # odd: no coarser grid
+        assert not coarsens(build_rect_mesh(66, 66), bc)       # 33 x 33 is too large
+        assert not coarsens(build_rect_mesh(8, 8), bc)         # small enough already
+
+    @pytest.mark.parametrize("bc", PARTITIONS[::5])
+    def test_prolongation_commutes_with_divergence(self, bc):
+        # D_fine P = Q D_coarse / 4, Q copying a coarse element value to its children
+        rng = np.random.default_rng(1)
+        fine_mesh = build_rect_mesh(6, 4, (0.0, 3.0, -1.0, 1.0))
+        fine = assemble_operators(fine_mesh, bc, random_material(fine_mesh, rng))
+        coarse = assemble_operators(build_rect_mesh(3, 2, (0.0, 3.0, -1.0, 1.0)), bc, multigrid.coarse_material(fine_mesh, fine.material))
+        P = prolongation(fine, coarse).todense()
+        Q = np.zeros((fine_mesh.n_elements, 6))
+        for e in range(fine_mesh.n_elements):
+            i, j = e % 6, e // 6
+            Q[e, (j // 2) * 3 + i // 2] = 1.0
+        assert np.array_equal(fine.D.todense() @ P, 0.25 * Q @ coarse.D.todense())
+        # averaged lambda makes the coarse grad-div term the Galerkin product
+        K_fine = fine.D.todense().T @ np.diag(1.0 / fine.Cdiag) @ fine.D.todense()
+        K_coarse = coarse.D.todense().T @ np.diag(1.0 / coarse.Cdiag) @ coarse.D.todense()
+        assert np.abs(P.T @ K_fine @ P - K_coarse).max() <= 1e-13 * np.abs(K_coarse).max()
+
+
+class TestVCycle:
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 8)])
+    def test_symmetric_positive_definite_on_every_partition(self, shape, monkeypatch):
+        monkeypatch.setattr(multigrid, "COARSEST_DOFS", 16)
+        rng = np.random.default_rng(5)
+        mesh = build_rect_mesh(*shape)
+        for bc in PARTITIONS:
+            ops = assemble_operators(mesh, bc, random_material(mesh, rng))
+            # kappa 60 and 6e4, ten times the large-step benchmark; rounding
+            # in the patch inverses makes B drift from symmetry as eps * kappa
+            for coeff in (1e-3, 1.0):
+                S = schur_matrix(ops.A, ops.D, ops.Cdiag, coeff)
+                vcycle = VCycle(ops, S, coeff)
+                assert len(vcycle.levels) >= 2
+                B = vcycle_matrix(vcycle, ops.n_velocity)
+                assert np.abs(B - B.T).max() <= 1e-12 * np.abs(B).max()
+                assert np.linalg.eigvalsh(0.5 * (B + B.T)).min() > 0
+
+    @pytest.mark.parametrize("bc", [MIXED, BoundaryPartition.all_neumann(), BoundaryPartition.all_dirichlet()])
+    def test_preconditioned_cg_matches_dense_solve(self, bc, monkeypatch):
+        monkeypatch.setattr(multigrid, "COARSEST_DOFS", 16)
+        rng = np.random.default_rng(7)
+        mesh = build_rect_mesh(16, 8, (0.0, 2.0, 0.0, 0.5))
+        ops = assemble_operators(mesh, bc, random_material(mesh, rng))
+        S = schur_matrix(ops.A, ops.D, ops.Cdiag, 0.5)
+        b = rng.standard_normal(ops.n_velocity)
+        x = cg_solve(S, b, SolverConfig(1e-13), VCycle(ops, S, 0.5)).x
+        ref = dense_solve(S, b)
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("nx", [16, 32, 64])
+    @pytest.mark.parametrize("dt_over_h", [1.0, 2.83, 10.0])
+    def test_iterations_flat_in_mesh_and_step(self, nx, dt_over_h):
+        rng = np.random.default_rng(nx)
+        mesh = build_rect_mesh(nx, nx)
+        ops = assemble_operators(mesh, MIXED, random_material(mesh, rng))
+        coeff = (dt_over_h * mesh.h) ** 2  # theta = 1
+        S = schur_matrix(ops.A, ops.D, ops.Cdiag, coeff)
+        result = cg_solve(S, rng.standard_normal(ops.n_velocity), SolverConfig(), VCycle(ops, S, coeff))
+        assert result.iterations <= 20
+
+
+def hetero_spec(nx, seed=3):
+    """Element-wise log-uniform material, mixed sides, compatible smooth data."""
+    rng = np.random.default_rng(seed)
+    mesh = build_rect_mesh(nx, nx)
+    material = random_material(mesh, rng)
+    lam = material.lambda_per_element
+
+    def u0(x, y):
+        return np.sin(np.pi * (x + 0.3)) * np.cos(np.pi * y), np.cos(2 * np.pi * x) * np.sin(np.pi * y)
+
+    def p0(x, y):
+        i = np.clip(((x - mesh.x0) // mesh.hx).astype(np.int64), 0, nx - 1)
+        j = np.clip(((y - mesh.y0) // mesh.hy).astype(np.int64), 0, nx - 1)
+        div = np.pi * np.cos(np.pi * (x + 0.3)) * np.cos(np.pi * y) + np.pi * np.cos(2 * np.pi * x) * np.cos(np.pi * y)
+        return lam[j * nx + i] * div
+
+    return ProblemSpec(mesh=mesh, bc=MIXED, material=material, u0=u0, v0=lambda x, y: (0.0 * x, 0.0 * y), p0=p0)
+
+
+class TestSelection:
+    def test_large_steps_on_a_coarsening_grid_use_multigrid(self):
+        spec = hetero_spec(64)
+        ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+        cfg = ThetaConfig.from_steps(1.0, 1.0, 16)  # dt = 2.83 h
+        assert grad_div_weight(ops, cfg) == pytest.approx(6.14e3, rel=1e-2)
+        assert isinstance(StepSolver(ops, cfg).preconditioner, VCycle)
+
+    def test_kappa_below_the_crossover_keeps_jacobi(self):
+        spec = hetero_spec(64)
+        ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+        dt = 0.99 * math.sqrt(MULTIGRID_MIN_KAPPA / grad_div_weight(ops, ThetaConfig.from_steps(1.0, 1.0, 1)))
+        cfg = ThetaConfig.from_steps(1.0, 4 * dt, 4)
+        assert grad_div_weight(ops, cfg) < MULTIGRID_MIN_KAPPA
+        assert StepSolver(ops, cfg).preconditioner is None
+
+    @pytest.mark.parametrize("nx", [63, 66])
+    def test_grids_that_do_not_coarsen_keep_jacobi(self, nx):
+        # 63 is odd; 66 halves once, to a 33 x 33 grid too large for a dense solve
+        mesh = build_rect_mesh(nx, nx)
+        ops = assemble_operators(mesh, MIXED, material_field(mesh, 0.25, 4.0))
+        cfg = ThetaConfig.from_steps(1.0, 1.0, 16)
+        assert grad_div_weight(ops, cfg) >= MULTIGRID_MIN_KAPPA
+        assert StepSolver(ops, cfg).preconditioner is None
+
+    @pytest.mark.parametrize(
+        "nx, theta, steps_per_unit_time",
+        [
+            (128, 0.25, 512),   # the standing-wave benchmark, dt = 0.18 h
+            (32, 0.0, 100),     # the explicit stability sweep: kappa = 0
+            (8, 0.25, None),    # converge at dt = h/4, its coarsest and finest grids
+            (64, 0.25, None),
+        ],
+    )
+    def test_small_steps_keep_jacobi(self, nx, theta, steps_per_unit_time):
+        spec = make_problem(mms_standing_wave(), nx)
+        ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+        steps = steps_per_unit_time or math.ceil(4.0 / spec.mesh.h)
+        cfg = ThetaConfig.from_steps(theta, 1.0, steps)
+        assert grad_div_weight(ops, cfg) < 1.0
+        assert StepSolver(ops, cfg).preconditioner is None
+
+
+class TestMultigridRun:
+    def test_large_step_run_conserves_energy_and_constraint(self):
+        spec = hetero_spec(32, seed=11)
+        cfg = ThetaConfig.from_steps(1.0, 16 * 2.8 * spec.mesh.h, 16)
+        result = run(spec, cfg)
+        assert result.completed
+        assert result.cg_iterations.shape == (16,)
+        assert result.cg_iterations.max() <= 20  # Jacobi-CG needs hundreds here
+        assert energy_drift(result) <= 1e-10
+        ops, state = result.operators, result.state
+        DU = spmv(ops.D, state.U_curr)
+        assert np.abs(ops.Cdiag * state.P_curr - DU).max() <= 1e-10 * np.abs(DU).max()
+
+    def test_forced_run_matches_jacobi_run(self, monkeypatch):
+        spec = make_problem(mms_forced(3.0), 32)
+        cfg = ThetaConfig.from_steps(1.0, 2.0, 8)  # kappa = 1.5e3
+        with_multigrid = run(spec, cfg)
+        monkeypatch.setattr("mixedwave.scheme.MULTIGRID_MIN_KAPPA", math.inf)
+        with_jacobi = run(spec, cfg)
+        assert with_multigrid.cg_iterations.max() < with_jacobi.cg_iterations.max()
+        U, U_ref = with_multigrid.state.U_curr, with_jacobi.state.U_curr
+        assert np.abs(U - U_ref).max() <= 1e-9 * np.abs(U_ref).max()

@@ -1,0 +1,113 @@
+"""Property tests of the invariants over random meshes, sides, material and steps.
+
+Meshes are small (nx, ny in 1..12) so the dense oracles stay cheap. The
+coarsest multigrid grid is lowered to 16 dofs here, so that large steps on
+even meshes take the multigrid path as they do on the fine meshes of a real
+run.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import mixedwave.multigrid as multigrid
+from mixedwave.linalg import SolverConfig
+from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
+from mixedwave.multigrid import free_dof_count
+from mixedwave.scheme import (
+    LoadCache,
+    ProblemSpec,
+    SchemeState,
+    StepSolver,
+    ThetaConfig,
+    discrete_energy,
+    step,
+    step_matrix,
+)
+from mixedwave.spaces import MaterialField, assemble_operators
+from mixedwave.verify import cfl_max_dt, estimate_inverse_constant
+
+from oracles import dense_theta_step, random_consistent_state
+
+TOL = 1e-12         # the solver default, for the energy drift
+ORACLE_TOL = 1e-14  # the oracle check measures the scheme, not the CG error
+STEPS = 8
+DRIFT_PER_STEP = 10.0  # relative drift per step, in units of the CG tolerance
+SETTINGS = settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def cases(draw):
+    """(spec, cfg, rng): a mesh, a boundary partition, material and a stable step."""
+    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    bc = BoundaryPartition(*draw(st.tuples(*[st.sampled_from(tuple(BoundaryKind))] * 4)))
+    if free_dof_count(nx, ny, bc) == 0:
+        bc = BoundaryPartition.all_dirichlet()
+    aspect = draw(st.floats(0.25, 4.0))
+    mesh = build_rect_mesh(nx, ny, (0.0, 1.0, 0.0, aspect))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho, lam = np.exp(rng.uniform(math.log(0.25), math.log(4.0), (2, mesh.n_elements)))
+    material = MaterialField(rho, lam, 0.25, 4.0, 0.25, 4.0)
+    theta = draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0))
+    if theta < 0.25:
+        C0 = estimate_inverse_constant(mesh, bc)
+        dt = draw(st.floats(0.1, 0.9)) * cfl_max_dt(theta, mesh.h, C0, 0.25, 4.0)
+    else:
+        dt = draw(st.floats(0.05, 10.0)) * mesh.h
+    spec = ProblemSpec(mesh=mesh, bc=bc, material=material)
+    return spec, ThetaConfig.from_steps(theta, STEPS * dt, STEPS), rng
+
+
+@pytest.fixture(autouse=True)
+def small_coarsest_grid():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multigrid, "COARSEST_DOFS", 16)
+        yield
+
+
+@SETTINGS
+@given(cases())
+def test_step_matrix_is_spd(case):
+    spec, cfg, _ = case
+    ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+    S = step_matrix(ops, cfg).todense()
+    assert np.abs(S - S.T).max() <= 1e-14 * np.abs(S).max()
+    assert np.linalg.eigvalsh(S).min() > 0
+
+
+@SETTINGS
+@given(cases())
+def test_energy_drift_is_bounded_by_the_solver_tolerance(case):
+    spec, cfg, rng = case
+    ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+    stepper, loads, solver = StepSolver(ops, cfg), LoadCache(spec, ops, cfg.dt), SolverConfig(TOL)
+    state = SchemeState(1, *random_consistent_state(ops, rng))
+    energies = [discrete_energy(state, ops, cfg).value]
+    for _ in range(STEPS):
+        state = step(state, ops, cfg, spec, solver, stepper, loads)
+        energies.append(discrete_energy(state, ops, cfg).value)
+    drift = np.abs(np.array(energies) / energies[0] - 1.0).max()
+    assert drift <= DRIFT_PER_STEP * STEPS * TOL
+
+
+@SETTINGS
+@given(cases())
+def test_one_step_matches_the_dense_oracle(case):
+    spec, cfg, rng = case
+    ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+    U_prev, U_curr, P_prev, P_curr = random_consistent_state(ops, rng)
+    out = step(SchemeState(1, U_prev, U_curr, P_prev, P_curr), ops, cfg, spec, SolverConfig(ORACLE_TOL))
+    U_ref, P_ref = dense_theta_step(
+        ops.A.todense(), ops.Cdiag, ops.D.todense(),
+        U_prev, U_curr, P_prev, P_curr, cfg.theta, cfg.dt, np.zeros(ops.n_velocity),
+    )
+    assert np.abs(out.U_curr - U_ref).max() <= 1e-10 * max(1.0, np.abs(U_ref).max())
+    assert np.abs(out.P_curr - P_ref).max() <= 1e-10 * max(1.0, np.abs(P_ref).max())

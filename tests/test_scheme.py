@@ -64,6 +64,12 @@ class TestThetaConfig:
         with pytest.raises(ValueError):
             ThetaConfig.from_dt(0.25, 1.0, 0.3)
 
+    @pytest.mark.parametrize("final_time, dt", [(1.0, 1e-320), (float("inf"), 0.1)])
+    def test_from_dt_rejects_a_non_finite_step_count(self, final_time, dt):
+        # round() of an infinite ratio raised OverflowError
+        with pytest.raises(ValueError, match="not finite"):
+            ThetaConfig.from_dt(0.25, final_time, dt)
+
 
 class TestInitialize:
     def test_zero_data_stays_zero(self):
@@ -298,6 +304,7 @@ class TestRun:
         res = run(spec, ThetaConfig(0.0, dt, 500, 500 * dt), record_errors=False)
         assert res.status == BLOWUP
         assert res.state.n < 400
+        assert res.cg_iterations.shape == (res.state.n,)  # every solve up to the blow-up
 
     def test_unconditional_stability_with_large_steps(self):
         spec = make_problem(mms_standing_wave(), 8)
@@ -305,6 +312,13 @@ class TestRun:
         res = run(spec, ThetaConfig(0.5, dt, 200, 200 * dt), record_errors=False)
         assert res.status == COMPLETED
         assert energy_drift(res) <= 1e-8
+
+    def test_records_the_iterations_of_every_solve(self):
+        spec = make_problem(mms_standing_wave(), 8)
+        res = run(spec, ThetaConfig.from_steps(0.25, 0.5, 64))
+        assert res.cg_iterations.dtype == np.int64
+        assert res.cg_iterations.shape == (64,)  # the initial step and 63 steps
+        assert res.cg_iterations.min() >= 1
 
     def test_probes_see_every_level(self):
         spec = zero_problem()
