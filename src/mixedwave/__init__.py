@@ -32,6 +32,7 @@ from .scheme import (
     ProblemSpec,
     RunResult,
     SchemeState,
+    SeparableSolution,
     StepSolver,
     ThetaConfig,
     discrete_energy,

@@ -274,6 +274,28 @@ def _energy_table(result):
     return ["step", "t_half", "energy", "rel_drift"], rows
 
 
+def _steps_table(result):
+    """One row per level: the CG iterations of the solve that produced it,
+    the energy sample that step completed (between levels n-1 and n), its
+    relative drift, and the errors when the run recorded them. Level 0 has
+    no solve and no energy sample, so those cells are blank."""
+    header = ["level", "t", "cg_iterations", "energy", "rel_drift"]
+    errors = result.error_u is not None
+    if errors:
+        header += ["err_u", "err_p"]
+    _, energy_rows = _energy_table(result)
+    rows = []
+    for level in range(len(result.cg_iterations) + 1):
+        row = [level, level * result.config.dt, None, None, None]
+        if level > 0:
+            row[2:] = [int(result.cg_iterations[level - 1]), *energy_rows[level - 1][2:]]
+        if errors:
+            recorded = level < len(result.error_u)
+            row += [result.error_u[level], result.error_p[level]] if recorded else [None, None]
+        rows.append(row)
+    return header, rows
+
+
 def _cg_note(result) -> str:
     iterations = result.cg_iterations
     return f"cg_iterations total = {int(iterations.sum())}, max = {int(iterations.max())}"
@@ -291,7 +313,7 @@ def cmd_run(cfg: RunConfig) -> StudyReport:
     return StudyReport(
         cfg,
         [("simulation completed", result.completed, f"status {result.status}")],
-        {"energy.csv": _energy_table(result)},
+        {"energy.csv": _energy_table(result), "steps.csv": _steps_table(result)},
         notes,
     )
 
@@ -306,7 +328,7 @@ def cmd_energy(cfg: RunConfig) -> StudyReport:
         cfg,
         [("energy conservation", ok,
           f"max relative drift {fmt(drift)} (tolerance {fmt(ENERGY_DRIFT_PASS)})")],
-        {"energy.csv": _energy_table(result)},
+        {"energy.csv": _energy_table(result), "steps.csv": _steps_table(result)},
         [f"status = {result.status}", _cg_note(result)],
     )
 

@@ -45,6 +45,7 @@ from .spaces import (
     pressure_l2_error,
     project_pressure_p_h,
     project_velocity_pi_h,
+    sample_exact,
     velocity_l2_error,
 )
 
@@ -92,9 +93,31 @@ class ThetaConfig:
         return ThetaConfig(theta, dt, max(1, round(steps)), final_time)
 
 
+@dataclass(frozen=True)
+class SeparableSolution:
+    """Exact fields u = g(t) s_u(x, y) and p = g(t) s_p(x, y).
+
+    Both fields share the time factor g because p = lambda div u. A run
+    evaluates the two spatial profiles once, at the quadrature points of its
+    error norms, and scales them by g(t) at every level.
+    """
+
+    time_factor: Callable       # t -> g(t)
+    velocity_profile: Callable  # (x, y) -> (sx, sy)
+    pressure_profile: Callable  # (x, y) -> sp
+
+    def u(self, x, y, t):
+        g = self.time_factor(t)
+        sx, sy = self.velocity_profile(x, y)
+        return g * sx, g * sy
+
+    def p(self, x, y, t):
+        return self.time_factor(t) * self.pressure_profile(x, y)
+
+
 @dataclass
 class ProblemSpec:
-    """Everything a run needs: geometry, material, data, optional exact fields.
+    """Everything a run needs: geometry, material, data, an optional exact solution.
 
     Callbacks are vectorized over point arrays. Vector fields return an
     (x-component, y-component) pair; time-dependent fields take (x, y, t).
@@ -107,8 +130,7 @@ class ProblemSpec:
     u0: Optional[Callable] = None     # initial velocity field (x, y) -> (ux, uy)
     v0: Optional[Callable] = None     # initial time derivative of the velocity
     p0: Optional[Callable] = None     # initial pressure (x, y) -> p
-    exact_u: Optional[Callable] = None  # (x, y, t) -> (ux, uy)
-    exact_p: Optional[Callable] = None  # (x, y, t) -> p
+    exact: Optional[SeparableSolution] = None  # errors are recorded against it
 
 
 @dataclass(frozen=True)
@@ -140,7 +162,11 @@ def step_matrix(ops: MixedOperators, cfg: ThetaConfig) -> CsrMatrix:
 
 
 class LoadCache:
-    """Per-level load vectors; each is consumed by three consecutive steps."""
+    """Per-level load vectors; each is consumed by three consecutive steps.
+
+    Every level uses the run's quadrature and edge classification, so a
+    level's load costs one evaluation of f.
+    """
 
     def __init__(self, spec: ProblemSpec, ops: MixedOperators, dt: float):
         self._spec = spec
@@ -153,7 +179,8 @@ class LoadCache:
         if self._zero is not None:
             return self._zero
         if n not in self._cache:
-            self._cache[n] = assemble_load(self._ops.mesh, self._ops.bc, self._spec.f, n * self._dt)
+            ops = self._ops
+            self._cache[n] = assemble_load(ops.quadrature, ops.classification, self._spec.f, n * self._dt)
             for stale in [k for k in self._cache if k < n - 2]:
                 del self._cache[stale]
         return self._cache[n]
@@ -345,43 +372,37 @@ def run(
     """Initialize, march N-1 steps, record the energy at every half level.
 
     Probes are callables probe(level, t, U, P) fired at every retained level
-    including 0 and 1. When exact fields are present (and record_errors is
-    not False) the weighted L2 errors against them are recorded per level.
+    including 0 and 1. When the spec has an exact solution (and
+    record_errors is not False) the weighted L2 errors against it are
+    recorded per level; its spatial profiles are evaluated once per run.
     """
     if solver is None:
         solver = SolverConfig()
+    if record_errors is None:
+        record_errors = spec.exact is not None
+    if record_errors and spec.exact is None:
+        raise ValueError("record_errors needs an exact solution (spec.exact)")
     ops = assemble_operators(spec.mesh, spec.bc, spec.material)
     stepper = StepSolver(ops, cfg)
     loads = LoadCache(spec, ops, cfg.dt)
-    if record_errors is None:
-        record_errors = spec.exact_u is not None and spec.exact_p is not None
     err_u = [] if record_errors else None
     err_p = [] if record_errors else None
+    exact, rho, lam = spec.exact, spec.material.rho_per_element, spec.material.lambda_per_element
+
+    state = initialize(spec, ops, cfg, solver, stepper, loads)
+    if record_errors:
+        # sampled after initialize, whose scratch arrays would otherwise stack on top
+        samples = sample_exact(ops.quadrature, ops.classification, exact.velocity_profile, exact.pressure_profile)
 
     def observe(level, U, P):
         t = level * cfg.dt
         if record_errors:
-            err_u.append(
-                velocity_l2_error(
-                    spec.mesh,
-                    ops.classification,
-                    spec.material.rho_per_element,
-                    U,
-                    lambda x, y: spec.exact_u(x, y, t),
-                )
-            )
-            err_p.append(
-                pressure_l2_error(
-                    spec.mesh,
-                    spec.material.lambda_per_element,
-                    P,
-                    lambda x, y: spec.exact_p(x, y, t),
-                )
-            )
+            g = exact.time_factor(t)
+            err_u.append(velocity_l2_error(samples, rho, g, U))
+            err_p.append(pressure_l2_error(samples, lam, g, P))
         for probe in probes:
             probe(level, t, U, P)
 
-    state = initialize(spec, ops, cfg, solver, stepper, loads)
     iterations = [state.cg_iterations]
     energies = [discrete_energy(state, ops, cfg)]
     observe(0, state.U_prev, state.P_prev)

@@ -7,7 +7,9 @@ mass matrix is diagonal, which the time stepper exploits.
 
 Assembly uses closed-form element integrals (exact for constant-per-element
 coefficients); the 3x3 Gauss rule appears only where genuinely smooth data
-must be integrated (loads, error norms). The interpolation operators use a
+must be integrated (loads, error norms); a run builds it once, as
+``MixedOperators.quadrature``, and evaluates the exact solution's spatial
+profiles there once (``sample_exact``). The interpolation operators use a
 7-point edge rule / 7x7 element rule so that smooth non-polynomial fields are
 projected to machine precision.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -104,6 +106,12 @@ class MixedOperators:
     classification: EdgeClassification
     material: MaterialField
 
+    @cached_property
+    def quadrature(self) -> ElementQuadrature:
+        """The 3x3 Gauss rule on every element, built at first use; a run's
+        loads and error norms share it."""
+        return element_quadrature(self.mesh)
+
 
 def assemble_operators(
     mesh: RectMesh,
@@ -180,32 +188,58 @@ def max_divergence_eigenvalue(mesh: RectMesh, bc: BoundaryPartition) -> float:
     return mu
 
 
-def _element_gauss_points(mesh: RectMesh, n: int):
-    """Tensor Gauss points per element: arrays of shape (n_elements, n*n)."""
-    xi, w = gauss_rule_1d(n)
-    gx = mesh.element_x0[:, None] + mesh.hx * np.repeat(xi, n)[None, :]
-    gy = mesh.element_y0[:, None] + mesh.hy * np.tile(xi, n)[None, :]
-    weights = (np.repeat(w, n) * np.tile(w, n))  # sums to 1
-    return gx, gy, weights, np.repeat(xi, n), np.tile(xi, n)
+@dataclass(frozen=True)
+class ElementQuadrature:
+    """Tensor Gauss rule with n points per axis on every element of a mesh.
+
+    Point k of an element sits at reference coordinates (xi[k], eta[k]) with
+    xi running slowest, so values at the points reshape to
+    (n_elements, n, n) with xi along axis 1 and eta along axis 2.
+    """
+
+    mesh: RectMesh
+    n: int
+    x: np.ndarray        # (n_elements, n*n) physical coordinates
+    y: np.ndarray
+    weights: np.ndarray  # (n*n,), sums to 1
+    xi: np.ndarray       # (n*n,) reference coordinates in [0, 1]
+    eta: np.ndarray
 
 
-def assemble_load(mesh: RectMesh, bc: BoundaryPartition, f, t: float) -> np.ndarray:
-    """Load vector (f(.,t), phi_i) over free velocity dofs; f=None means zero."""
-    cls = edge_classify(mesh, bc)
+def element_quadrature(mesh: RectMesh, n: int = ASSEMBLY_RULE) -> ElementQuadrature:
+    """Gauss points and weights of the n-by-n rule on every element."""
+    s, w = gauss_rule_1d(n)
+    xi, eta = np.repeat(s, n), np.tile(s, n)
+    return ElementQuadrature(
+        mesh=mesh,
+        n=n,
+        x=mesh.element_x0[:, None] + mesh.hx * xi[None, :],
+        y=mesh.element_y0[:, None] + mesh.hy * eta[None, :],
+        weights=np.repeat(w, n) * np.tile(w, n),
+        xi=xi,
+        eta=eta,
+    )
+
+
+def assemble_load(quad: ElementQuadrature, cls: EdgeClassification, f, t: float) -> np.ndarray:
+    """Load vector (f(.,t), phi_i) over free velocity dofs; f=None means zero.
+
+    ``quad`` and ``cls`` belong to the run (``MixedOperators.quadrature`` and
+    ``.classification``), so a call costs one evaluation of f.
+    """
     if f is None:
         return np.zeros(cls.n_free)
-    gx, gy, w, xi, eta = _element_gauss_points(mesh, ASSEMBLY_RULE)
-    fx, fy = f(gx, gy, t)
-    fx = np.broadcast_to(np.asarray(fx, dtype=np.float64), gx.shape)
-    fy = np.broadcast_to(np.asarray(fy, dtype=np.float64), gx.shape)
+    mesh, w, xi, eta = quad.mesh, quad.weights, quad.xi, quad.eta
+    fx, fy = f(quad.x, quad.y, t)
+    fx = np.broadcast_to(np.asarray(fx, dtype=np.float64), quad.x.shape)
+    fy = np.broadcast_to(np.asarray(fy, dtype=np.float64), quad.x.shape)
     # integral of f . phi over the element, one value per local slot
     contrib = np.empty((mesh.n_elements, 4))
     contrib[:, LEFT] = mesh.hx * (fx @ (w * (1.0 - xi)))
     contrib[:, RIGHT] = mesh.hx * (fx @ (w * xi))
     contrib[:, BOTTOM] = mesh.hy * (fy @ (w * (1.0 - eta)))
     contrib[:, TOP] = mesh.hy * (fy @ (w * eta))
-    full = np.zeros(mesh.n_edges)
-    np.add.at(full, mesh.element_edges.ravel(), contrib.ravel())
+    full = np.bincount(mesh.element_edges.ravel(), contrib.ravel(), minlength=mesh.n_edges)
     return full[cls.free_edges]
 
 
@@ -249,63 +283,82 @@ def project_pressure_p_h(mesh: RectMesh, phi) -> np.ndarray:
     phi is evaluated on blocks of ``PROJECTION_BLOCK`` elements, 49 points
     each, so the arrays it builds stay small on fine meshes.
     """
-    gx, gy, w, _, _ = _element_gauss_points(mesh, PROJECTION_RULE)
+    quad = element_quadrature(mesh, PROJECTION_RULE)
     out = np.empty(mesh.n_elements)
     for start in range(0, mesh.n_elements, PROJECTION_BLOCK):
         block = slice(start, start + PROJECTION_BLOCK)
-        vals = np.broadcast_to(np.asarray(phi(gx[block], gy[block]), dtype=np.float64), gx[block].shape)
-        out[block] = vals @ w
+        gx, gy = quad.x[block], quad.y[block]
+        vals = np.broadcast_to(np.asarray(phi(gx, gy), dtype=np.float64), gx.shape)
+        out[block] = vals @ quad.weights
     return out
 
 
-def scatter_free(cls: EdgeClassification, free_values, n_edges: int) -> np.ndarray:
-    """Expand free-dof values to the full edge set; constrained edges get 0."""
-    full = np.zeros(n_edges)
-    full[cls.free_edges] = free_values
-    return full
+@dataclass(frozen=True)
+class ExactSamples:
+    """Spatial profiles of a separable exact solution at the points of a quadrature.
 
-
-def velocity_values(mesh: RectMesh, edge_coeffs, xi, eta):
-    """Evaluate the RT0 field at fixed reference points in each element.
-
-    edge_coeffs is over all edges; xi, eta are reference coordinates in
-    [0,1] shared by every element. Returns (vx, vy) of shape (n_elements, npts).
+    Built once per run; every level's error is then g(t) times these values
+    minus the discrete field, at the same points. Arrays are point-major
+    (the element index last), so per-element values broadcast over points
+    along the long axis.
     """
-    c = edge_coeffs[mesh.element_edges]
-    vx = (c[:, [LEFT]] * (1.0 - xi)[None, :] + c[:, [RIGHT]] * xi[None, :]) / mesh.hy
-    vy = (c[:, [BOTTOM]] * (1.0 - eta)[None, :] + c[:, [TOP]] * eta[None, :]) / mesh.hx
-    return vx, vy
+
+    quad: ElementQuadrature
+    slots: np.ndarray  # (4, n_elements) free-dof index per local edge, -1 if constrained
+    ux: np.ndarray     # (n, n, n_elements): xi along axis 0, eta along axis 1
+    uy: np.ndarray
+    p: np.ndarray      # (n*n, n_elements)
 
 
-def velocity_l2_error(
-    mesh: RectMesh,
-    cls: EdgeClassification,
-    rho_per_element,
-    free_coeffs,
-    exact,
-    rule: int = ASSEMBLY_RULE,
-) -> float:
-    """Weighted L2 distance || rho^{1/2} (exact - U_h) || by element quadrature."""
-    gx, gy, w, xi, eta = _element_gauss_points(mesh, rule)
-    ux, uy = exact(gx, gy)
-    ux = np.broadcast_to(np.asarray(ux, dtype=np.float64), gx.shape)
-    uy = np.broadcast_to(np.asarray(uy, dtype=np.float64), gx.shape)
-    vx, vy = velocity_values(mesh, scatter_free(cls, free_coeffs, mesh.n_edges), xi, eta)
-    per_el = ((ux - vx) ** 2 + (uy - vy) ** 2) @ w
+def sample_exact(quad: ElementQuadrature, cls: EdgeClassification, velocity, pressure) -> ExactSamples:
+    """Evaluate the profiles velocity(x, y) -> (sx, sy) and pressure(x, y) once."""
+    n, shape = quad.n, quad.x.shape
+
+    def point_major(values):
+        return np.ascontiguousarray(np.broadcast_to(np.asarray(values, dtype=np.float64), shape).T)
+
+    ux, uy = velocity(quad.x, quad.y)
+    return ExactSamples(
+        quad=quad,
+        slots=np.ascontiguousarray(cls.free_index[quad.mesh.element_edges].T),
+        ux=point_major(ux).reshape(n, n, -1),
+        uy=point_major(uy).reshape(n, n, -1),
+        p=point_major(pressure(quad.x, quad.y)),
+    )
+
+
+def velocity_l2_error(samples: ExactSamples, rho_per_element, g: float, free_coeffs) -> float:
+    """Weighted L2 distance || rho^{1/2} (g s_u - U_h) || by element quadrature.
+
+    The x-component of the RT0 field varies only with xi and the
+    y-component only with eta, so each is evaluated at n points per element
+    and broadcast over the other axis.
+    """
+    quad = samples.quad
+    mesh = quad.mesh
+    s, _ = gauss_rule_1d(quad.n)
+    c = np.append(free_coeffs, 0.0)[samples.slots]  # slot -1 reads the appended 0
+    vx = (c[LEFT] * (1.0 - s)[:, None] + c[RIGHT] * s[:, None]) / mesh.hy
+    vy = (c[BOTTOM] * (1.0 - s)[:, None] + c[TOP] * s[:, None]) / mesh.hx
+    # in place: fresh arrays of this size cost more than the arithmetic
+    dx = g * samples.ux
+    dx -= vx[:, None, :]
+    dy = g * samples.uy
+    dy -= vy[None, :, :]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    per_el = quad.weights @ dx.reshape(quad.weights.size, -1)
     area = mesh.hx * mesh.hy
     return float(np.sqrt(area * np.sum(np.asarray(rho_per_element) * per_el)))
 
 
-def pressure_l2_error(
-    mesh: RectMesh,
-    lambda_per_element,
-    pressure_coeffs,
-    exact,
-    rule: int = ASSEMBLY_RULE,
-) -> float:
-    """Weighted L2 distance || lambda^{-1/2} (exact - P_h) ||."""
-    gx, gy, w, _, _ = _element_gauss_points(mesh, rule)
-    pv = np.broadcast_to(np.asarray(exact(gx, gy), dtype=np.float64), gx.shape)
-    per_el = (pv - np.asarray(pressure_coeffs)[:, None]) ** 2 @ w
+def pressure_l2_error(samples: ExactSamples, lambda_per_element, g: float, pressure_coeffs) -> float:
+    """Weighted L2 distance || lambda^{-1/2} (g s_p - P_h) ||."""
+    mesh = samples.quad.mesh
+    d = g * samples.p
+    d -= np.asarray(pressure_coeffs)[None, :]
+    d *= d
+    per_el = samples.quad.weights @ d
     area = mesh.hx * mesh.hy
     return float(np.sqrt(area * np.sum(per_el / np.asarray(lambda_per_element))))

@@ -24,6 +24,7 @@ from .scheme import (
     BLOWUP,
     ProblemSpec,
     RunResult,
+    SeparableSolution,
     ThetaConfig,
     run,
 )
@@ -42,7 +43,8 @@ class ManufacturedSolution:
     All callbacks are vectorized; vector fields return (x, y) component
     pairs. The derivative callbacks (u_tt, grad_p, div_u) exist so the
     defining relations rho*u_tt - grad p = f and p = lambda div u can be
-    checked pointwise to machine precision.
+    checked pointwise to machine precision. ``exact`` is the same u and p
+    in separable form, which a run records its errors against.
     """
 
     name: str
@@ -57,6 +59,7 @@ class ManufacturedSolution:
     grad_p: Callable
     div_u: Callable
     energy: Optional[float]  # continuous energy, constant when f = 0
+    exact: SeparableSolution
 
 
 def _spatial_profile(x, y):
@@ -64,6 +67,11 @@ def _spatial_profile(x, y):
     return -np.pi * np.sin(np.pi * x) * np.cos(np.pi * y), -np.pi * np.cos(
         np.pi * x
     ) * np.sin(np.pi * y)
+
+
+def _pressure_profile(x, y):
+    """Divergence of the velocity profile: -2 pi^2 cos(pi x) cos(pi y)."""
+    return -2.0 * np.pi**2 * np.cos(np.pi * x) * np.cos(np.pi * y)
 
 
 def mms_forced(omega: float) -> ManufacturedSolution:
@@ -76,11 +84,7 @@ def mms_forced(omega: float) -> ManufacturedSolution:
     if not (math.isfinite(omega) and omega >= 0):
         raise ValueError(f"omega must be finite and nonnegative, got {omega}")
     coeff = 2.0 * np.pi**2 - omega**2
-
-    def u(x, y, t):
-        g = np.cos(omega * t)
-        sx, sy = _spatial_profile(x, y)
-        return g * sx, g * sy
+    exact = SeparableSolution(lambda t: np.cos(omega * t), _spatial_profile, _pressure_profile)
 
     def u_t(x, y, t):
         dg = -omega * np.sin(omega * t)
@@ -91,9 +95,6 @@ def mms_forced(omega: float) -> ManufacturedSolution:
         ddg = -(omega**2) * np.cos(omega * t)
         sx, sy = _spatial_profile(x, y)
         return ddg * sx, ddg * sy
-
-    def p(x, y, t):
-        return -2.0 * np.pi**2 * np.cos(omega * t) * np.cos(np.pi * x) * np.cos(np.pi * y)
 
     def grad_p(x, y, t):
         g = np.cos(omega * t)
@@ -110,14 +111,15 @@ def mms_forced(omega: float) -> ManufacturedSolution:
         rho=1.0,
         lam=1.0,
         bc=BoundaryPartition.all_neumann(),
-        u=u,
+        u=exact.u,
         u_t=u_t,
-        p=p,
+        p=exact.p,
         f=f,
         u_tt=u_tt,
         grad_p=grad_p,
-        div_u=p,
+        div_u=exact.p,
         energy=None,
+        exact=exact,
     )
 
 
@@ -167,8 +169,7 @@ def make_problem(mms: ManufacturedSolution, nx: int, ny: int | None = None) -> P
         u0=lambda x, y: mms.u(x, y, 0.0),
         v0=lambda x, y: mms.u_t(x, y, 0.0),
         p0=lambda x, y: mms.p(x, y, 0.0),
-        exact_u=mms.u,
-        exact_p=mms.p,
+        exact=mms.exact,
     )
 
 

@@ -97,6 +97,41 @@ def dense_operators(mesh, bc, material, rule=3):
     return A, Cdiag, D
 
 
+def _gauss_points(mesh, rule):
+    """Physical Gauss points (n_elements, rule^2) and their weights, summing to 1."""
+    xi, w = gauss_rule_1d(rule)
+    gx = mesh.element_x0[:, None] + mesh.hx * np.repeat(xi, rule)[None, :]
+    gy = mesh.element_y0[:, None] + mesh.hy * np.tile(xi, rule)[None, :]
+    return gx, gy, np.repeat(w, rule) * np.tile(w, rule)
+
+
+def velocity_l2_error(mesh, bc, rho_per_element, free_coeffs, exact, rule=3):
+    """|| rho^{1/2} (exact - U_h) ||, evaluating exact(x, y) and U_h at every point.
+
+    U_h is evaluated in physical coordinates, as the flux-weighted sum of the
+    four shape functions of ``rt0_basis_eval``.
+    """
+    cls = edge_classify(mesh, bc)
+    full = np.zeros(mesh.n_edges)
+    full[cls.free_edges] = free_coeffs
+    c = full[mesh.element_edges]
+    gx, gy, w = _gauss_points(mesh, rule)
+    xl, yb = mesh.element_x0[:, None], mesh.element_y0[:, None]
+    area = mesh.hx * mesh.hy
+    vx = (c[:, [LEFT]] * (xl + mesh.hx - gx) + c[:, [RIGHT]] * (gx - xl)) / area
+    vy = (c[:, [BOTTOM]] * (yb + mesh.hy - gy) + c[:, [TOP]] * (gy - yb)) / area
+    ux, uy = (np.broadcast_to(v, gx.shape) for v in exact(gx, gy))
+    per_el = ((ux - vx) ** 2 + (uy - vy) ** 2) @ w
+    return float(np.sqrt(area * np.sum(rho_per_element * per_el)))
+
+
+def pressure_l2_error(mesh, lambda_per_element, pressure_coeffs, exact, rule=3):
+    """|| lambda^{-1/2} (exact - P_h) ||, evaluating exact(x, y) at every point."""
+    gx, gy, w = _gauss_points(mesh, rule)
+    per_el = (np.broadcast_to(exact(gx, gy), gx.shape) - np.asarray(pressure_coeffs)[:, None]) ** 2 @ w
+    return float(np.sqrt(mesh.hx * mesh.hy * np.sum(per_el / lambda_per_element)))
+
+
 def dense_step_matrix(A, D, Cdiag, coeff):
     return A + coeff * D.T @ np.diag(1.0 / Cdiag) @ D
 

@@ -133,6 +133,25 @@ class TestCommands:
         assert "err_u_linf_l2" in summary
         assert "cg_iterations total = " in summary
 
+    @pytest.mark.parametrize("command", ["run", "energy"])
+    def test_steps_csv_has_one_row_per_level(self, command, tmp_path, capsys):
+        code = main([
+            command, "--mesh.nx", "4", "--mesh.ny", "4",
+            "--time.dt", "0.05", "--time.T", "0.2",
+            "--output.dir", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        lines = (tmp_path / "out" / "steps.csv").read_text().splitlines()
+        assert lines[0] == "level,t,cg_iterations,energy,rel_drift,err_u,err_p"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == [0, 1, 2, 3, 4]
+        assert rows[0][2:5] == ["", "", ""]  # no solve and no energy sample before level 1
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        total = int(re.search(r"cg_iterations total = (\d+)", summary).group(1))
+        assert sum(int(r[2]) for r in rows[1:]) == total
+        energy = (tmp_path / "out" / "energy.csv").read_text().splitlines()[1:]
+        assert [r[3:5] for r in rows[1:]] == [line.split(",")[2:4] for line in energy]
+
     def test_usage_error_exit_code(self, capsys):
         assert main([]) == 2
         assert main(["energy", "--scheme.thetta", "0.2"]) == 2

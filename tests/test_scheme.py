@@ -1,14 +1,22 @@
+import math
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import mixedwave.spaces as spaces
 from mixedwave.linalg import SolverConfig, cg_solve, spmv
-from mixedwave.mesh import BoundaryPartition, build_rect_mesh
+from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.scheme import (
     BLOWUP,
     COMPLETED,
     CompatibilityWarning,
+    LoadCache,
     ProblemSpec,
     SchemeState,
+    SeparableSolution,
+    StepSolver,
     ThetaConfig,
     discrete_energy,
     initialize,
@@ -16,7 +24,7 @@ from mixedwave.scheme import (
     step,
     step_matrix,
 )
-from mixedwave.spaces import assemble_operators, material_field, project_velocity_pi_h
+from mixedwave.spaces import MaterialField, assemble_operators, material_field, project_velocity_pi_h
 from mixedwave.verify import (
     cfl_max_dt,
     energy_drift,
@@ -24,8 +32,11 @@ from mixedwave.verify import (
     make_problem,
     mms_forced,
     mms_standing_wave,
+    stability_sweep,
+    temporal_study,
 )
 
+import oracles
 from oracles import dense_theta_step, random_consistent_state
 
 ZERO_V = lambda x, y: (0.0 * x, 0.0 * y)
@@ -129,7 +140,7 @@ class TestInitialize:
         from mixedwave.spaces import assemble_load, project_pressure_p_h
 
         P0 = project_pressure_p_h(spec.mesh, spec.p0)
-        F0 = assemble_load(spec.mesh, spec.bc, mms.f, 0.0)
+        F0 = assemble_load(ops.quadrature, ops.classification, mms.f, 0.0)
         accel = cg_solve(ops.A, F0 - spmv(ops.DT, P0), SolverConfig(1e-14)).x
         expected = U0 + 0.5 * dt**2 * accel  # v0 = 0 at this frequency
         assert np.abs(state.U_curr - expected).max() < 1e-12
@@ -187,7 +198,7 @@ class TestStep:
         n = 3  # step from level 3 to 4: loads at t2, t3, t4
         out = step(SchemeState(n, U_prev, U_curr, P_prev, P_curr), ops, cfg, spec,
                    solver=SolverConfig(1e-13))
-        loads = [assemble_load(spec.mesh, spec.bc, spec.f, k * dt) for k in (n - 1, n, n + 1)]
+        loads = [assemble_load(ops.quadrature, ops.classification, spec.f, k * dt) for k in (n - 1, n, n + 1)]
         F_theta = theta * loads[2] + (1 - 2 * theta) * loads[1] + theta * loads[0]
         U_ref, P_ref = dense_theta_step(
             ops.A.todense(), ops.Cdiag, ops.D.todense(),
@@ -325,3 +336,135 @@ class TestRun:
         seen = []
         run(spec, ThetaConfig.from_steps(0.25, 1.0, 5), probes=((lambda n, t, U, P: seen.append(n)),))
         assert seen == [0, 1, 2, 3, 4, 5]
+
+
+def random_material(mesh, seed):
+    rng = np.random.default_rng(seed)
+    rho, lam = np.exp(rng.uniform(math.log(0.25), math.log(4.0), (2, mesh.n_elements)))
+    return MaterialField(rho, lam, 0.25, 4.0, 0.25, 4.0)
+
+
+def counting(exact):
+    """The same exact solution, with its two profiles counting their calls."""
+    calls = {"velocity": 0, "pressure": 0}
+
+    def velocity(x, y):
+        calls["velocity"] += 1
+        return exact.velocity_profile(x, y)
+
+    def pressure(x, y):
+        calls["pressure"] += 1
+        return exact.pressure_profile(x, y)
+
+    return SeparableSolution(exact.time_factor, velocity, pressure), calls
+
+
+class TestErrorRecording:
+    """run() samples the exact profiles once and scales them per level."""
+
+    @staticmethod
+    def standing_wave_16():
+        return make_problem(mms_standing_wave(), 16), ThetaConfig.from_steps(0.25, 0.25, 32)
+
+    @staticmethod
+    def forced_12_by_7():
+        return make_problem(mms_forced(1.0), 12, 7), ThetaConfig.from_steps(0.5, 0.3, 12)
+
+    @staticmethod
+    def random_weights():
+        spec = make_problem(mms_standing_wave(), 10, 6)
+        spec.material = random_material(spec.mesh, 8)
+        return spec, ThetaConfig.from_steps(0.25, 0.2, 10)
+
+    @pytest.mark.parametrize("case", ["standing_wave_16", "forced_12_by_7", "random_weights"])
+    def test_matches_the_per_call_norms_at_every_level(self, case):
+        spec, cfg = getattr(self, case)()
+        exact, m = spec.exact, spec.material
+        ref_u, ref_p = [], []
+
+        def reference(level, t, U, P):
+            ref_u.append(oracles.velocity_l2_error(
+                spec.mesh, spec.bc, m.rho_per_element, U, lambda x, y: exact.u(x, y, t)))
+            ref_p.append(oracles.pressure_l2_error(
+                spec.mesh, m.lambda_per_element, P, lambda x, y: exact.p(x, y, t)))
+
+        with warnings.catch_warnings():
+            # random lambda makes p0 incompatible with u0; the norms do not care
+            warnings.simplefilter("ignore", CompatibilityWarning)
+            res = run(spec, cfg, probes=(reference,))
+        assert len(res.error_u) == len(res.error_p) == cfg.num_steps + 1
+        np.testing.assert_allclose(res.error_u, ref_u, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res.error_p, ref_p, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("steps", [4, 40])
+    def test_profiles_are_evaluated_once_per_run(self, steps):
+        spec = make_problem(mms_standing_wave(), 6)
+        spec.exact, calls = counting(spec.exact)
+        res = run(spec, ThetaConfig.from_steps(0.25, steps / 64, steps))
+        assert len(res.error_u) == steps + 1
+        assert calls == {"velocity": 1, "pressure": 1}
+
+    def test_profiles_are_not_evaluated_without_error_recording(self):
+        spec = make_problem(mms_standing_wave(), 6)
+        spec.exact, calls = counting(spec.exact)
+        res = run(spec, ThetaConfig.from_steps(0.25, 0.125, 8), record_errors=False)
+        assert res.error_u is None and res.error_p is None
+        assert "quadrature" not in vars(res.operators)  # f is None: nothing needed it
+        mms = replace(mms_standing_wave(), exact=spec.exact)
+        stability_sweep(mms, [0.5], (0.9,), 4, num_steps=10)
+        temporal_study(mms, 0.25, 4, 0.25, divisors=(2, 4), ref_divisor=8)
+        assert calls == {"velocity": 0, "pressure": 0}
+
+    def test_recording_without_an_exact_solution_is_rejected(self):
+        with pytest.raises(ValueError, match="exact"):
+            run(zero_problem(), ThetaConfig.from_steps(0.25, 0.1, 4), record_errors=True)
+
+
+class TestLoadSetUp:
+    def test_a_run_classifies_edges_and_builds_its_load_rule_once(self, monkeypatch):
+        counts = {"edge_classify": 0, "rule 3": 0}
+        classify, quadrature = spaces.edge_classify, spaces.element_quadrature
+
+        def counted_classify(mesh, bc):
+            counts["edge_classify"] += 1
+            return classify(mesh, bc)
+
+        def counted_quadrature(mesh, n=spaces.ASSEMBLY_RULE):
+            counts["rule 3"] += n == spaces.ASSEMBLY_RULE
+            return quadrature(mesh, n)
+
+        monkeypatch.setattr(spaces, "edge_classify", counted_classify)
+        monkeypatch.setattr(spaces, "element_quadrature", counted_quadrature)
+        res = run(make_problem(mms_forced(1.0), 6), ThetaConfig.from_steps(0.25, 0.5, 20))
+        assert res.completed
+        # assemble_operators once, the two velocity projections of the initial data
+        assert counts == {"edge_classify": 3, "rule 3": 1}
+
+
+class TestLongHorizon:
+    STEPS = (250, 500, 1000, 2000)
+    TOL = 1e-12
+    DRIFT_PER_STEP = 1.0  # relative drift per step, in units of the CG tolerance
+
+    def test_energy_drift_grows_at_most_linearly_in_the_step_count(self):
+        # random consistent data on heterogeneous material and mixed sides, so
+        # CG does real work (about 22 iterations per solve) in every step
+        mesh = build_rect_mesh(8, 8)
+        dirichlet, neumann = BoundaryKind.DIRICHLET_P, BoundaryKind.NEUMANN_U
+        spec = ProblemSpec(
+            mesh=mesh,
+            bc=BoundaryPartition(dirichlet, dirichlet, neumann, neumann),
+            material=random_material(mesh, 0),
+        )
+        n = max(self.STEPS)
+        cfg = ThetaConfig.from_steps(0.25, n * mesh.h / 4, n)
+        ops = assemble_operators(mesh, spec.bc, spec.material)
+        stepper, loads, solver = StepSolver(ops, cfg), LoadCache(spec, ops, cfg.dt), SolverConfig(self.TOL)
+        state = SchemeState(1, *random_consistent_state(ops, np.random.default_rng(0)))
+        energies = [discrete_energy(state, ops, cfg).value]
+        for _ in range(n):
+            state = step(state, ops, cfg, spec, solver, stepper, loads)
+            energies.append(discrete_energy(state, ops, cfg).value)
+        deviation = np.abs(np.array(energies) / energies[0] - 1.0)
+        for steps in self.STEPS:  # the first `steps` steps are a run of that length
+            assert deviation[: steps + 1].max() <= self.DRIFT_PER_STEP * steps * self.TOL

@@ -7,15 +7,14 @@ from mixedwave.spaces import (
     assemble_load,
     assemble_operators,
     edge_fluxes,
+    element_quadrature,
     material_field,
-    pressure_l2_error,
     project_pressure_p_h,
     project_velocity_pi_h,
-    velocity_l2_error,
 )
 from mixedwave.verify import mms_forced
 
-from oracles import dense_operators, rt0_basis_eval
+from oracles import dense_operators, pressure_l2_error, rt0_basis_eval, velocity_l2_error
 
 ALL_D = BoundaryPartition.all_dirichlet()
 
@@ -104,17 +103,21 @@ class TestAssembly:
             material_field(mesh, -1.0, 1.0)
 
 
+def load(mesh, bc, f, t):
+    return assemble_load(element_quadrature(mesh), edge_classify(mesh, bc), f, t)
+
+
 class TestLoad:
     def test_zero_force(self):
         mesh = build_rect_mesh(3, 3)
-        F = assemble_load(mesh, ALL_D, lambda x, y, t: (0.0 * x, 0.0 * y), 0.0)
+        F = load(mesh, ALL_D, lambda x, y, t: (0.0 * x, 0.0 * y), 0.0)
         assert np.array_equal(F, np.zeros(F.size))
-        assert np.array_equal(assemble_load(mesh, ALL_D, None, 0.0), np.zeros(F.size))
+        assert np.array_equal(load(mesh, ALL_D, None, 0.0), np.zeros(F.size))
 
     def test_constant_force_unit_square(self):
         mesh = build_rect_mesh(1, 1)
         c = 3.7
-        F = assemble_load(mesh, ALL_D, lambda x, y, t: (c + 0.0 * x, 0.0 * y), 0.0)
+        F = load(mesh, ALL_D, lambda x, y, t: (c + 0.0 * x, 0.0 * y), 0.0)
         assert np.allclose(F[:2], c / 2)  # both vertical edges
         assert np.allclose(F[2:], 0.0)
 
@@ -122,7 +125,7 @@ class TestLoad:
         # at the resonant frequency the forcing coefficient cancels exactly
         mms = mms_forced(np.sqrt(2.0) * np.pi)
         mesh = build_rect_mesh(4, 4)
-        F = assemble_load(mesh, ALL_D, mms.f, 0.31)
+        F = load(mesh, ALL_D, mms.f, 0.31)
         assert np.abs(F).max() < 1e-12
 
 
@@ -216,9 +219,8 @@ class TestApproximationOrders:
         hs, errs = [], []
         for nx in (4, 8, 16, 32):
             mesh = build_rect_mesh(nx, nx)
-            cls = edge_classify(mesh, ALL_D)
             coeffs = project_velocity_pi_h(mesh, ALL_D, z)
-            err = velocity_l2_error(mesh, cls, np.ones(mesh.n_elements), coeffs, z, rule=7)
+            err = velocity_l2_error(mesh, ALL_D, np.ones(mesh.n_elements), coeffs, z, rule=7)
             hs.append(mesh.h)
             errs.append(err)
         assert np.all(np.diff(errs) < 0)

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
-from mixedwave.scheme import ThetaConfig, run
+from mixedwave.scheme import SeparableSolution, ThetaConfig, run
 from mixedwave.spaces import project_pressure_p_h, project_velocity_pi_h
 from mixedwave.verify import (
     BLOWUP,
@@ -215,8 +215,9 @@ class TestErrorNorms:
         spec = make_problem(mms_standing_wave(), 3)
         spec.u0 = spec.v0 = lambda x, y: (0.0 * x, 0.0 * y)
         spec.p0 = lambda x, y: 0.0 * x
-        spec.exact_u = lambda x, y, t: (0.0 * x, 0.0 * y)
-        spec.exact_p = lambda x, y, t: 0.0 * x
+        spec.exact = SeparableSolution(
+            lambda t: 1.0, lambda x, y: (0.0 * x, 0.0 * y), lambda x, y: 0.0 * x
+        )
         res = run(spec, ThetaConfig.from_steps(0.25, 0.1, 4))
         assert error_linf_l2(res) == (0.0, 0.0)
 
@@ -226,15 +227,19 @@ class TestErrorNorms:
         from mixedwave.spaces import (
             assemble_operators,
             pressure_l2_error,
+            sample_exact,
             velocity_l2_error,
         )
 
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
         U = project_velocity_pi_h(spec.mesh, spec.bc, spec.u0)
         P = project_pressure_p_h(spec.mesh, spec.p0)
-        eu = velocity_l2_error(spec.mesh, ops.classification,
-                               spec.material.rho_per_element, U, spec.u0)
-        ep = pressure_l2_error(spec.mesh, spec.material.lambda_per_element, P, spec.p0)
+        exact = spec.exact
+        samples = sample_exact(ops.quadrature, ops.classification,
+                               exact.velocity_profile, exact.pressure_profile)
+        g0 = exact.time_factor(0.0)
+        eu = velocity_l2_error(samples, spec.material.rho_per_element, g0, U)
+        ep = pressure_l2_error(samples, spec.material.lambda_per_element, g0, P)
         assert 0 < eu < 0.5 * spec.mesh.h * np.pi**2
         assert 0 < ep < 2.0 * spec.mesh.h * np.pi**2
 
@@ -351,10 +356,10 @@ def mms_mixed_sides():
             np.pi * x
         ) * np.sin(np.pi * y)
 
-    def u(x, y, t):
-        gx, gy = grad_psi(x, y)
-        g = np.cos(SQRT2_PI * t)
-        return g * gx, g * gy
+    def psi_laplacian(x, y):
+        return -2.0 * np.pi**2 * np.sin(np.pi * x) * np.cos(np.pi * y)
+
+    exact = SeparableSolution(lambda t: np.cos(SQRT2_PI * t), grad_psi, psi_laplacian)
 
     def u_t(x, y, t):
         gx, gy = grad_psi(x, y)
@@ -365,9 +370,6 @@ def mms_mixed_sides():
         gx, gy = grad_psi(x, y)
         ddg = -2.0 * np.pi**2 * np.cos(SQRT2_PI * t)
         return ddg * gx, ddg * gy
-
-    def p(x, y, t):
-        return -2.0 * np.pi**2 * np.cos(SQRT2_PI * t) * np.sin(np.pi * x) * np.cos(np.pi * y)
 
     def grad_p(x, y, t):
         gx, gy = grad_psi(x, y)
@@ -384,14 +386,15 @@ def mms_mixed_sides():
             bottom=BoundaryKind.NEUMANN_U,
             top=BoundaryKind.NEUMANN_U,
         ),
-        u=u,
+        u=exact.u,
         u_t=u_t,
-        p=p,
+        p=exact.p,
         f=None,
         u_tt=u_tt,
         grad_p=grad_p,
-        div_u=p,
+        div_u=exact.p,
         energy=0.5 * np.pi**4,
+        exact=exact,
     )
 
 
