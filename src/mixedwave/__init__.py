@@ -32,6 +32,7 @@ from .scheme import (
     ProblemSpec,
     RunResult,
     SchemeState,
+    SeparableForce,
     SeparableSolution,
     StepSolver,
     ThetaConfig,

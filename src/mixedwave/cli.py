@@ -290,8 +290,7 @@ def _steps_table(result):
         if level > 0:
             row[2:] = [int(result.cg_iterations[level - 1]), *energy_rows[level - 1][2:]]
         if errors:
-            recorded = level < len(result.error_u)
-            row += [result.error_u[level], result.error_p[level]] if recorded else [None, None]
+            row += [result.error_u[level], result.error_p[level]]
         rows.append(row)
     return header, rows
 

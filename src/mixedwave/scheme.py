@@ -1,16 +1,26 @@
 """Three-level theta time stepping for the displacement-pressure wave system.
 
-The update solves, once per step,
+The scheme advances the velocity by
 
-    (A + theta*dt^2 * D^T C^{-1} D) U[n+1]
-        = A (2 U[n] - U[n-1]) - dt^2 D^T ((1-2theta) P[n] + theta P[n-1])
-          + dt^2 (theta F[n+1] + (1-2theta) F[n] + theta F[n-1])
+    A (U[n+1] - 2 U[n] + U[n-1]) = dt^2 (F[n,theta] - D^T P[n,theta])
 
-and then recovers P[n+1] = C^{-1} D U[n+1] by explicit division: the
-half-sum constraint C P^{n+1/2} = D U^{n+1/2} telescopes to an equality at
-every level because the initial data are projected so that the defect
-C P0 - D U0 vanishes. theta = 0 gives the explicit leapfrog variant (the
-solve degenerates to a mass solve); theta >= 1/4 is unconditionally stable.
+with the theta-averages X[n,theta] = theta X[n+1] + (1-2theta) X[n] + theta X[n-1],
+and recovers P[n+1] = C^{-1} D U[n+1] by explicit division: the half-sum
+constraint C P^{n+1/2} = D U^{n+1/2} telescopes to an equality at every
+level because the initial data are projected so that the defect C P0 - D U0
+vanishes. theta = 0 gives the explicit leapfrog variant (the solve
+degenerates to a mass solve); theta >= 1/4 is unconditionally stable.
+
+Each step solves for the increment from the guess G = 2 U[n] - U[n-1]:
+
+    S (U[n+1] - G) = dt^2 (F[n,theta] - D^T P[n]),   S = A + theta dt^2 D^T C^{-1} D.
+
+Derivation: write P[n+1] = C^{-1} D U[n+1] in the theta-average and move its
+term to the left, which gives S U[n+1] = A G - dt^2 D^T ((1-2theta) P[n] +
+theta P[n-1]) + dt^2 F[n,theta]. Subtracting S G, the A G terms cancel and
+theta dt^2 D^T C^{-1} D G = theta dt^2 D^T (2 P[n] - P[n-1]) merges with the
+pressure term, because every level ends with P = C^{-1} D U. The defect is
+one D^T product, and it carries no cancellation of two large products.
 
 The first step comes from a Taylor expansion of the initial state and uses
 the same SPD operator, so stepping never touches a saddle-point system.
@@ -50,6 +60,7 @@ from .spaces import (
 )
 
 BLOWUP_THRESHOLD = 1e12  # sup-norm guard on velocity coefficients
+MAX_STEPS = 10**7  # longest run ThetaConfig accepts; a larger count means a mistyped dt
 MULTIGRID_MIN_KAPPA = 500.0  # measured crossover of Jacobi-CG and multigrid-CG run times
 
 COMPLETED = "Completed"
@@ -62,7 +73,11 @@ class CompatibilityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ThetaConfig:
-    """Time discretization: theta in [0,1], N steps of size dt up to T = N*dt."""
+    """Time discretization: theta in [0,1], N steps of size dt up to T = N*dt.
+
+    Rejects a dt whose square overflows (the step matrix scales by dt^2) and
+    more than ``MAX_STEPS`` steps, so such inputs fail before any work.
+    """
 
     theta: float
     dt: float
@@ -74,8 +89,12 @@ class ThetaConfig:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.dt * self.dt):
+            raise ValueError(f"dt^2 is not finite (dt = {self.dt})")
         if self.num_steps < 1:
             raise ValueError("need at least one step")
+        if self.num_steps > MAX_STEPS:
+            raise ValueError(f"{self.num_steps} steps exceed the cap of {MAX_STEPS}")
         if abs(self.num_steps * self.dt - self.final_time) > 1e-12 * abs(self.final_time):
             raise ValueError(
                 f"final_time must equal num_steps*dt: {self.final_time} vs {self.num_steps * self.dt}"
@@ -115,6 +134,23 @@ class SeparableSolution:
         return self.time_factor(t) * self.pressure_profile(x, y)
 
 
+@dataclass(frozen=True)
+class SeparableForce:
+    """Body force f = h(t) s_f(x, y), callable as f(x, y, t).
+
+    A run assembles the load of the spatial profile once and scales it by
+    h(t) at every level; a general callable f(x, y, t) is assembled per level.
+    """
+
+    time_factor: Callable  # t -> h(t)
+    profile: Callable      # (x, y) -> (sx, sy)
+
+    def __call__(self, x, y, t):
+        h = self.time_factor(t)
+        sx, sy = self.profile(x, y)
+        return h * sx, h * sy
+
+
 @dataclass
 class ProblemSpec:
     """Everything a run needs: geometry, material, data, an optional exact solution.
@@ -126,7 +162,7 @@ class ProblemSpec:
     mesh: RectMesh
     bc: BoundaryPartition
     material: MaterialField
-    f: Optional[Callable] = None      # body force f(x, y, t) -> (fx, fy)
+    f: Optional[Callable] = None      # body force f(x, y, t) -> (fx, fy), or a SeparableForce
     u0: Optional[Callable] = None     # initial velocity field (x, y) -> (ux, uy)
     v0: Optional[Callable] = None     # initial time derivative of the velocity
     p0: Optional[Callable] = None     # initial pressure (x, y) -> p
@@ -162,10 +198,12 @@ def step_matrix(ops: MixedOperators, cfg: ThetaConfig) -> CsrMatrix:
 
 
 class LoadCache:
-    """Per-level load vectors; each is consumed by three consecutive steps.
+    """Per-level load vectors of a run's body force.
 
-    Every level uses the run's quadrature and edge classification, so a
-    level's load costs one evaluation of f.
+    Every level uses the run's quadrature and edge classification. A
+    ``SeparableForce`` has its profile's load assembled once and scaled by
+    h(n dt) at every level. Any other f costs one evaluation per level, and
+    each level's vector is kept for the three consecutive steps that read it.
     """
 
     def __init__(self, spec: ProblemSpec, ops: MixedOperators, dt: float):
@@ -173,14 +211,19 @@ class LoadCache:
         self._ops = ops
         self._dt = dt
         self._cache = {}
-        self._zero = None if spec.f is not None else np.zeros(ops.n_velocity)
+        self._profile_load = None
 
     def at_level(self, n: int) -> np.ndarray:
-        if self._zero is not None:
-            return self._zero
+        f, ops = self._spec.f, self._ops
+        if isinstance(f, SeparableForce):
+            if self._profile_load is None:
+                profile = f.profile
+                self._profile_load = assemble_load(
+                    ops.quadrature, ops.classification, lambda x, y, t: profile(x, y), 0.0
+                )
+            return f.time_factor(n * self._dt) * self._profile_load
         if n not in self._cache:
-            ops = self._ops
-            self._cache[n] = assemble_load(ops.quadrature, ops.classification, self._spec.f, n * self._dt)
+            self._cache[n] = assemble_load(ops.quadrature, ops.classification, f, n * self._dt)
             for stale in [k for k in self._cache if k < n - 2]:
                 del self._cache[stale]
         return self._cache[n]
@@ -212,10 +255,12 @@ class StepSolver:
         if grad_div_weight(ops, cfg) >= MULTIGRID_MIN_KAPPA and coarsens(ops.mesh, ops.bc):
             self.preconditioner = VCycle(ops, self.S, cfg.theta * cfg.dt**2)
 
-    def solve(self, rhs, guess, solver: SolverConfig) -> tuple[np.ndarray, CgResult]:
-        """Solve S U = rhs as CG on the defect system, which keeps the
-        absolute accuracy tied to the increment from ``guess``."""
-        defect = rhs - spmv(self.S, guess)
+    def solve(self, defect, guess, solver: SolverConfig) -> tuple[np.ndarray, CgResult]:
+        """Return guess + delta with S delta = defect, and the CG result.
+
+        The caller passes the defect rhs - S guess in closed form, so the
+        absolute accuracy is tied to the increment from ``guess``.
+        """
         result = cg_solve(self.S, defect, solver, self.preconditioner)
         return guess + result.x, result
 
@@ -236,7 +281,12 @@ def initialize(
         (A + theta*dt^2 D^T C^{-1} D) U1 = A U0 + dt A V0
             + (theta - 1/2) dt^2 D^T P0 + dt^2/2 F0 + theta*dt^2 (F1 - F0)
 
-    after eliminating P1 through the divergence constraint. Warns when the
+    after eliminating P1 through the divergence constraint. With the guess
+    G = U0 + dt V0 the A terms cancel, so CG solves for U1 - G with the defect
+
+        dt^2 [F0/2 + theta (F1 - F0) - D^T ((1/2 - theta) P0 + theta C^{-1} D G)],
+
+    which assumes nothing about P0. Warns when the
     initial data are incompatible (C P0 != D U0), which would otherwise leave
     an alternating-sign defect in the pressure recursion. ``stepper`` is the
     run's ``StepSolver``; without one, a new one is built for this call.
@@ -263,15 +313,13 @@ def initialize(
     if loads is None:
         loads = LoadCache(spec, ops, cfg.dt)
     dt, theta = cfg.dt, cfg.theta
-    F0, F1 = loads.at_level(0), loads.at_level(1)
-    rhs = (
-        spmv(ops.A, U0)
-        + dt * spmv(ops.A, V0)
-        + (theta - 0.5) * dt**2 * spmv(ops.DT, P0)
-        + 0.5 * dt**2 * F0
-        + theta * dt**2 * (F1 - F0)
-    )
-    U1, result = stepper.solve(rhs, U0 + dt * V0, solver)
+    guess = U0 + dt * V0
+    pressure = (0.5 - theta) * P0 + theta * spmv(ops.D, guess) / ops.Cdiag
+    defect = -dt**2 * spmv(ops.DT, pressure)
+    if spec.f is not None:
+        F0, F1 = loads.at_level(0), loads.at_level(1)
+        defect += dt**2 * ((0.5 - theta) * F0 + theta * F1)
+    U1, result = stepper.solve(defect, guess, solver)
     P1 = spmv(ops.D, U1) / ops.Cdiag
     return SchemeState(1, U0, U1, P0, P1, result.iterations)
 
@@ -287,8 +335,12 @@ def step(
 ) -> SchemeState:
     """Advance one level: three-level velocity update, then the pressure division.
 
-    ``stepper`` is the run's ``StepSolver``; without one, a new one is built
-    for this call.
+    CG solves S (U[n+1] - G) = dt^2 (F[n,theta] - D^T P[n]) with the guess
+    G = 2 U[n] - U[n-1] (module docstring). The defect reads P[n] only; it
+    assumes P[n] = C^{-1} D U[n] and P[n-1] = C^{-1} D U[n-1], as every
+    level from ``initialize`` and ``step`` has. P[n-1] no longer enters the
+    velocity update; it still enters ``discrete_energy``. ``stepper`` is the
+    run's ``StepSolver``; without one, a new one is built for this call.
     """
     if solver is None:
         solver = SolverConfig()
@@ -297,18 +349,17 @@ def step(
     if loads is None:
         loads = LoadCache(spec, ops, cfg.dt)
     n, dt, theta = state.n, cfg.dt, cfg.theta
-    F_theta = (
-        theta * loads.at_level(n + 1)
-        + (1.0 - 2.0 * theta) * loads.at_level(n)
-        + theta * loads.at_level(n - 1)
-    )
+    defect = spmv(ops.DT, state.P_curr)
+    defect *= -dt**2
+    if spec.f is not None:
+        F_theta = (
+            theta * loads.at_level(n + 1)
+            + (1.0 - 2.0 * theta) * loads.at_level(n)
+            + theta * loads.at_level(n - 1)
+        )
+        defect += dt**2 * F_theta
     guess = 2.0 * state.U_curr - state.U_prev
-    rhs = (
-        spmv(ops.A, guess)
-        - dt**2 * spmv(ops.DT, (1.0 - 2.0 * theta) * state.P_curr + theta * state.P_prev)
-        + dt**2 * F_theta
-    )
-    U_next, result = stepper.solve(rhs, guess, solver)
+    U_next, result = stepper.solve(defect, guess, solver)
     P_next = spmv(ops.D, U_next) / ops.Cdiag
     return SchemeState(n + 1, state.U_curr, U_next, state.P_curr, P_next, result.iterations)
 
@@ -340,13 +391,15 @@ class RunResult:
     """Trajectory summary: energy series, final state, optional error series.
 
     ``cg_iterations`` holds the CG iteration count of every solve, the
-    initial step's first, as one int array.
+    initial step's first, as one int array. The error series hold one entry
+    per level 0..n of the final state, one more than ``energies``; on BlowUp
+    that includes the level whose step blew up.
     """
 
     status: str
     energies: list
     state: SchemeState
-    error_u: Optional[list] = None   # per retained level 0..N
+    error_u: Optional[list] = None   # per level 0..state.n
     error_p: Optional[list] = None
     config: ThetaConfig = None
     operators: MixedOperators = None
@@ -371,10 +424,10 @@ def run(
 ) -> RunResult:
     """Initialize, march N-1 steps, record the energy at every half level.
 
-    Probes are callables probe(level, t, U, P) fired at every retained level
-    including 0 and 1. When the spec has an exact solution (and
-    record_errors is not False) the weighted L2 errors against it are
-    recorded per level; its spatial profiles are evaluated once per run.
+    Probes are callables probe(level, t, U, P) fired at every level 0..n,
+    including a level whose step blew up. When the spec has an exact
+    solution (and record_errors is not False) the weighted L2 errors against
+    it are recorded per level; its spatial profiles are evaluated once per run.
     """
     if solver is None:
         solver = SolverConfig()
@@ -415,8 +468,8 @@ def run(
             state = step(state, ops, cfg, spec, solver, stepper, loads)
             iterations.append(state.cg_iterations)
             energies.append(discrete_energy(state, ops, cfg))
+            observe(state.n, state.U_curr, state.P_curr)
             if _blown_up(state.U_curr):
                 status = BLOWUP
                 break
-            observe(state.n, state.U_curr, state.P_curr)
     return RunResult(status, energies, state, err_u, err_p, cfg, ops, np.array(iterations, dtype=np.int64))

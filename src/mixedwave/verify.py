@@ -24,6 +24,7 @@ from .scheme import (
     BLOWUP,
     ProblemSpec,
     RunResult,
+    SeparableForce,
     SeparableSolution,
     ThetaConfig,
     run,
@@ -101,11 +102,6 @@ def mms_forced(omega: float) -> ManufacturedSolution:
         sx, sy = _spatial_profile(x, y)
         return -2.0 * np.pi**2 * g * sx, -2.0 * np.pi**2 * g * sy
 
-    def f(x, y, t):
-        g = np.cos(omega * t)
-        sx, sy = _spatial_profile(x, y)
-        return coeff * g * sx, coeff * g * sy
-
     return ManufacturedSolution(
         name=f"forced:{omega:g}",
         rho=1.0,
@@ -114,7 +110,7 @@ def mms_forced(omega: float) -> ManufacturedSolution:
         u=exact.u,
         u_t=u_t,
         p=exact.p,
-        f=f,
+        f=SeparableForce(lambda t: coeff * np.cos(omega * t), _spatial_profile),
         u_tt=u_tt,
         grad_p=grad_p,
         div_u=exact.p,

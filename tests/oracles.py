@@ -177,3 +177,35 @@ def random_consistent_state(ops, rng):
     U_curr = rng.standard_normal(ops.n_velocity)
     D = ops.D.todense()
     return U_prev, U_curr, (D @ U_prev) / ops.Cdiag, (D @ U_curr) / ops.Cdiag
+
+
+def reference_step_defect(A, D, S, U_prev, U_curr, P_prev, P_curr, theta, dt, F_theta):
+    """Defect rhs - S G of one step from the full right-hand side, G = 2 U_curr - U_prev.
+
+    The right-hand side A G - dt^2 D^T ((1-2theta) P_curr + theta P_prev) + dt^2 F
+    holds A G, which S G cancels again; returns the defect with ||A G||, the
+    size of the cancelling products and so the scale of its rounding error.
+    """
+    guess = 2.0 * U_curr - U_prev
+    rhs = (
+        A @ guess
+        - dt**2 * D.T @ ((1.0 - 2.0 * theta) * P_curr + theta * P_prev)
+        + dt**2 * F_theta
+    )
+    return rhs - S @ guess, np.linalg.norm(A @ guess)
+
+
+def reference_initial_defect(A, D, S, U0, V0, P0, F0, F1, theta, dt):
+    """Defect rhs - S G of the Taylor first step, G = U0 + dt V0, and ||A G||.
+
+    rhs = A U0 + dt A V0 + (theta - 1/2) dt^2 D^T P0 + dt^2/2 F0 + theta dt^2 (F1 - F0).
+    """
+    guess = U0 + dt * V0
+    rhs = (
+        A @ U0
+        + dt * A @ V0
+        + (theta - 0.5) * dt**2 * D.T @ P0
+        + 0.5 * dt**2 * F0
+        + theta * dt**2 * (F1 - F0)
+    )
+    return rhs - S @ guess, np.linalg.norm(A @ guess)

@@ -4,6 +4,8 @@ import re
 import numpy as np
 import pytest
 
+import mixedwave.cli as cli
+
 from mixedwave.cli import (
     MissingCommandError,
     RunConfig,
@@ -173,6 +175,29 @@ class TestCommands:
         assert code == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dt, T", [("1e200", "1e200"), ("1e-300", "1.0")])
+    def test_time_inputs_that_cannot_run_are_usage_errors(self, dt, T, tmp_path, capsys, monkeypatch):
+        # dt^2 overflows, or T / dt is about 1e300 steps
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        code = main(["run", "--time.dt", dt, "--time.T", T, "--output.dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "'time.dt'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_blown_up_level_has_its_errors(self, tmp_path, capsys):
+        code = main([
+            "energy", "--scheme.theta", "0", "--time.dt", "0.125", "--time.T", "5.0",
+            "--output.dir", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        lines = (tmp_path / "out" / "steps.csv").read_text().splitlines()
+        assert lines[0].endswith(",err_u,err_p")
+        assert len(lines) < 42  # blew up before the last of the 40 levels
+        assert all(cell != "" for cell in lines[-1].split(","))
 
     def test_removed_workers_key_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "study.cfg"

@@ -5,16 +5,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mixedwave.scheme as scheme
 import mixedwave.spaces as spaces
-from mixedwave.linalg import SolverConfig, cg_solve, spmv
+from mixedwave.linalg import CsrMatrix, SolverConfig, cg_solve, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.scheme import (
     BLOWUP,
     COMPLETED,
+    MAX_STEPS,
     CompatibilityWarning,
     LoadCache,
     ProblemSpec,
     SchemeState,
+    SeparableForce,
     SeparableSolution,
     StepSolver,
     ThetaConfig,
@@ -24,7 +27,14 @@ from mixedwave.scheme import (
     step,
     step_matrix,
 )
-from mixedwave.spaces import MaterialField, assemble_operators, material_field, project_velocity_pi_h
+from mixedwave.spaces import (
+    MaterialField,
+    assemble_load,
+    assemble_operators,
+    material_field,
+    project_pressure_p_h,
+    project_velocity_pi_h,
+)
 from mixedwave.verify import (
     cfl_max_dt,
     energy_drift,
@@ -80,6 +90,18 @@ class TestThetaConfig:
         # round() of an infinite ratio raised OverflowError
         with pytest.raises(ValueError, match="not finite"):
             ThetaConfig.from_dt(0.25, final_time, dt)
+
+    def test_rejects_a_dt_whose_square_overflows(self):
+        # the step matrix scales by dt^2
+        with pytest.raises(ValueError, match=r"dt\^2 is not finite"):
+            ThetaConfig.from_dt(0.25, 1e200, 1e200)
+
+    def test_rejects_more_steps_than_the_cap(self):
+        assert ThetaConfig(0.25, 1e-7, MAX_STEPS, MAX_STEPS * 1e-7).num_steps == MAX_STEPS
+        with pytest.raises(ValueError, match="exceed the cap"):
+            ThetaConfig(0.25, 1e-7, MAX_STEPS + 1, (MAX_STEPS + 1) * 1e-7)
+        with pytest.raises(ValueError, match="exceed the cap"):
+            ThetaConfig.from_dt(0.25, 1.0, 1e-300)  # about 1e300 steps
 
 
 class TestInitialize:
@@ -317,6 +339,17 @@ class TestRun:
         assert res.state.n < 400
         assert res.cg_iterations.shape == (res.state.n,)  # every solve up to the blow-up
 
+    def test_the_level_that_blew_up_is_observed(self):
+        # explicit leapfrog far beyond the CFL bound blows up within a few
+        # dozen levels; errors and probes must cover that last level too
+        seen = []
+        res = run(make_problem(mms_standing_wave(), 16), ThetaConfig.from_dt(0.0, 5.0, 0.125),
+                  probes=((lambda n, t, U, P: seen.append(n)),))
+        assert res.status == BLOWUP
+        assert len(res.error_u) == len(res.error_p) == len(res.energies) + 1
+        assert seen == list(range(res.state.n + 1))
+        assert np.abs(res.state.U_curr).max() > scheme.BLOWUP_THRESHOLD
+
     def test_unconditional_stability_with_large_steps(self):
         spec = make_problem(mms_standing_wave(), 8)
         dt = 10.0 * spec.mesh.h
@@ -468,3 +501,181 @@ class TestLongHorizon:
         deviation = np.abs(np.array(energies) / energies[0] - 1.0)
         for steps in self.STEPS:  # the first `steps` steps are a run of that length
             assert deviation[: steps + 1].max() <= self.DRIFT_PER_STEP * steps * self.TOL
+
+
+def mixed_sides():
+    dirichlet, neumann = BoundaryKind.DIRICHLET_P, BoundaryKind.NEUMANN_U
+    return BoundaryPartition(left=dirichlet, right=neumann, bottom=neumann, top=dirichlet)
+
+
+def general_force(x, y, t):
+    return np.sin(3 * t) * (1 + x), np.cos(2 * t) * y**2
+
+
+def separable_force():
+    return SeparableForce(lambda t: 0.5 + np.cos(2 * t), lambda x, y: (np.sin(3 * x) + y, x * y**2))
+
+
+FORCES = {"none": lambda: None, "general": lambda: general_force, "separable": separable_force}
+
+
+def recording_solves(stepper):
+    """Make ``stepper.solve`` keep a copy of every defect it is given."""
+    defects = []
+    solve = stepper.solve
+
+    def recording(defect, guess, solver):
+        defects.append(defect.copy())
+        return solve(defect, guess, solver)
+
+    stepper.solve = recording
+    return defects
+
+
+class TestClosedFormDefect:
+    """The defect passed to the solve equals rhs - S guess of the full right-hand side.
+
+    The full form cancels A guess against S guess, so the two agree to
+    rounding relative to ||A guess||.
+    """
+
+    RTOL = 1e-13
+
+    @staticmethod
+    def problem(force, seed):
+        mesh = build_rect_mesh(7, 5)
+        spec = ProblemSpec(
+            mesh=mesh,
+            bc=mixed_sides(),
+            material=random_material(mesh, seed),
+            f=FORCES[force](),
+            u0=lambda x, y: (np.sin(2 * x) * (1 + y), np.cos(x + 3 * y)),
+            v0=lambda x, y: (x * y, np.sin(y) - x),
+            p0=lambda x, y: np.cos(3 * x) * y,
+        )
+        return spec, assemble_operators(mesh, spec.bc, spec.material)
+
+    @staticmethod
+    def loads(spec, ops, dt, levels):
+        return [assemble_load(ops.quadrature, ops.classification, spec.f, k * dt) for k in levels]
+
+    @pytest.mark.parametrize("force", sorted(FORCES))
+    @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5, 1.0])
+    def test_step_defect_matches_the_full_right_hand_side(self, theta, force):
+        spec, ops = self.problem(force, seed=3)
+        dt = 0.6 * spec.mesh.h
+        cfg = ThetaConfig(theta, dt, 10, 10 * dt)
+        stepper = StepSolver(ops, cfg)
+        defects = recording_solves(stepper)
+        U_prev, U_curr, P_prev, P_curr = random_consistent_state(ops, np.random.default_rng(5))
+        n = 3
+        step(SchemeState(n, U_prev, U_curr, P_prev, P_curr), ops, cfg, spec,
+             stepper=stepper, loads=LoadCache(spec, ops, dt))
+        if spec.f is None:
+            F_theta = np.zeros(ops.n_velocity)
+        else:
+            F_prev, F_curr, F_next = self.loads(spec, ops, dt, (n - 1, n, n + 1))
+            F_theta = theta * F_next + (1 - 2 * theta) * F_curr + theta * F_prev
+        want, scale = oracles.reference_step_defect(
+            ops.A.todense(), ops.D.todense(), stepper.S.todense(),
+            U_prev, U_curr, P_prev, P_curr, theta, dt, F_theta,
+        )
+        assert len(defects) == 1
+        assert np.linalg.norm(defects[0] - want) <= self.RTOL * scale
+
+    @pytest.mark.parametrize("force", sorted(FORCES))
+    @pytest.mark.parametrize("theta", [0.0, 0.25, 0.5, 1.0])
+    def test_initial_defect_matches_the_full_right_hand_side(self, theta, force):
+        # random lambda makes p0 incompatible with u0: the initial defect
+        # must not assume C P0 = D U0
+        spec, ops = self.problem(force, seed=4)
+        dt = 0.6 * spec.mesh.h
+        cfg = ThetaConfig(theta, dt, 10, 10 * dt)
+        stepper = StepSolver(ops, cfg)
+        defects = recording_solves(stepper)
+        with pytest.warns(CompatibilityWarning):
+            initialize(spec, ops, cfg, stepper=stepper, loads=LoadCache(spec, ops, dt))
+        U0 = project_velocity_pi_h(spec.mesh, spec.bc, spec.u0)
+        V0 = project_velocity_pi_h(spec.mesh, spec.bc, spec.v0)
+        P0 = project_pressure_p_h(spec.mesh, spec.p0)
+        F0, F1 = self.loads(spec, ops, dt, (0, 1)) if spec.f is not None else (np.zeros(ops.n_velocity),) * 2
+        want, scale = oracles.reference_initial_defect(
+            ops.A.todense(), ops.D.todense(), stepper.S.todense(), U0, V0, P0, F0, F1, theta, dt,
+        )
+        assert len(defects) == 1
+        assert np.linalg.norm(defects[0] - want) <= self.RTOL * scale
+
+    @pytest.mark.parametrize("force", sorted(FORCES))
+    def test_a_step_makes_one_product_with_each_divergence_matrix(self, force, monkeypatch):
+        spec, ops = self.problem(force, seed=6)
+        cfg = ThetaConfig.from_steps(0.25, 0.5, 10)
+        stepper, loads = StepSolver(ops, cfg), LoadCache(spec, ops, cfg.dt)
+        products = []
+
+        def recording_spmv(M, x):
+            assert isinstance(M, CsrMatrix)  # a trace wrapper reads M.nnz
+            products.append(M)
+            return spmv(M, x)
+
+        monkeypatch.setattr(scheme, "spmv", recording_spmv)
+        state = SchemeState(2, *random_consistent_state(ops, np.random.default_rng(7)))
+        step(state, ops, cfg, spec, stepper=stepper, loads=loads)
+        count = lambda M: sum(P is M for P in products)
+        assert (count(ops.DT), count(ops.D)) == (1, 1)
+        assert count(ops.A) == count(stepper.S) == 0
+        assert len(products) == 2
+
+    def test_initialize_makes_no_product_with_the_mass_or_step_matrix(self, monkeypatch):
+        spec, ops = self.problem("separable", seed=6)
+        cfg = ThetaConfig.from_steps(0.25, 0.5, 10)
+        stepper = StepSolver(ops, cfg)
+        products = []
+
+        def recording_spmv(M, x):
+            assert isinstance(M, CsrMatrix)
+            products.append(M)
+            return spmv(M, x)
+
+        monkeypatch.setattr(scheme, "spmv", recording_spmv)
+        with pytest.warns(CompatibilityWarning):
+            initialize(spec, ops, cfg, stepper=stepper)
+        assert not any(P is ops.A or P is stepper.S for P in products)
+
+
+class TestSeparableForce:
+    def test_every_level_matches_the_general_load(self):
+        spec = make_problem(mms_forced(2.5), 9, 6)
+        spec.bc = mixed_sides()
+        ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+        dt = 0.05
+        loads = LoadCache(spec, ops, dt)
+        general = lambda x, y, t: spec.f(x, y, t)
+        for n in range(12):
+            want = assemble_load(ops.quadrature, ops.classification, general, n * dt)
+            assert np.abs(loads.at_level(n) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("steps", [4, 40])
+    def test_profile_is_evaluated_once_per_run(self, steps):
+        spec = make_problem(mms_forced(1.0), 6)
+        calls = []
+        profile = spec.f.profile
+
+        def counted(x, y):
+            calls.append(1)
+            return profile(x, y)
+
+        spec.f = SeparableForce(spec.f.time_factor, counted)
+        res = run(spec, ThetaConfig.from_steps(0.25, steps / 64, steps))
+        assert res.completed and res.state.n == steps
+        assert len(calls) == 1
+
+    def test_run_matches_the_general_callable(self):
+        spec = make_problem(mms_forced(1.0), 8)
+        cfg = ThetaConfig.from_steps(0.5, 0.25, 16)
+        separable = run(spec, cfg)
+        force = spec.f
+        spec.f = lambda x, y, t: force(x, y, t)
+        general = run(spec, cfg)
+        np.testing.assert_allclose([s.value for s in separable.energies],
+                                   [s.value for s in general.energies], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(separable.error_u, general.error_u, rtol=1e-9, atol=0.0)
