@@ -75,8 +75,7 @@ def _parse_case(raw: str) -> str:
         return raw
     if raw.startswith("forced:"):
         omega = float(raw.split(":", 1)[1])
-        if not (math.isfinite(omega) and omega >= 0):
-            raise ValueError("omega must be finite and nonnegative")
+        mms_forced(omega)  # raises ValueError for an omega it cannot run
         return f"forced:{omega:.17g}"
     raise ValueError("expected 'standing-wave' or 'forced:<omega>'")
 

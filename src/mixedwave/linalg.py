@@ -1,16 +1,16 @@
 """Minimal sparse kernel: padded-row storage, mat-vec, preconditioned CG.
 
-Everything at desk scale is float64 numpy. Matrices are built from CSR or
-COO arrays and stored as padded rows (ELLPACK): every operator this package
-assembles has at most 7 entries per row (the step matrix 7, A 3, D 4, D^T
-2), so a mat-vec is one gather and one row sum over a few slots, with no
-scatter. Each matrix computes its main diagonal once, at construction, and
-hands it out read-only, so the Jacobi preconditioner costs nothing per
-solve. The solver is conjugate gradients, Jacobi-preconditioned by default
-or with a caller's symmetric positive definite preconditioner (the
-multigrid V-cycle of ``multigrid``); the step matrices this package
-produces are symmetric positive definite by construction, so CG is the
-right tool.
+Everything at desk scale is float64 numpy. Matrices have one format,
+padded rows (ELLPACK), built from COO triplets by ``csr_from_coo``: every
+operator this package assembles has at most 7 entries per row (the step
+matrix 7, A 3, D 4, D^T 2), so a mat-vec is one gather and one row sum over
+a few slots, with no scatter. Each matrix computes its main diagonal once,
+at construction, and hands it out read-only, so the Jacobi preconditioner
+costs nothing per solve. The solver is conjugate gradients,
+Jacobi-preconditioned by default or with a caller's symmetric positive
+definite preconditioner (the multigrid V-cycle of ``multigrid``); the step
+matrices this package produces are symmetric positive definite by
+construction, so CG is the right tool.
 """
 
 from __future__ import annotations
@@ -27,76 +27,35 @@ class NonConvergence(RuntimeError):
 
 
 class CsrMatrix:
-    """Sparse matrix built from CSR arrays, stored as padded rows (ELLPACK).
+    """Sparse matrix stored as padded rows (ELLPACK); the name is historical.
 
-    Every operator this package builds has at most 7 entries per row, so
-    the rows are stored padded to the widest one: ``cols`` and ``vals`` are
-    (width, n_rows) arrays in which slot k of row i holds column
-    ``cols[k, i]`` and value ``vals[k, i]``. Slot-major order keeps each
-    slot contiguous, which is the fastest order for the numpy product in
-    ``spmv``. A row shorter than the width is padded with a column it
-    already stores and value 0, so padding neither reads outside the row's
-    own columns nor changes a sum; an empty row is padded with column 0.
-
-    The CSR view (``indptr``, ``indices``, ``data``, ``nnz``) stays
-    available; ``indices`` and ``data`` are rebuilt from the padded arrays
-    on each access. Invariants enforced at construction: row offsets are
-    monotone with ``indptr[-1] == nnz``, and column indices are strictly
-    increasing inside each row (no duplicates). The arrays and the main
-    diagonal, computed once here, are read-only, so instances are immutable
-    and safe to share between concurrent readers.
+    Build one with ``csr_from_coo``. Every operator this package builds has
+    at most 7 entries per row, so the rows are stored padded to the widest
+    one: ``cols`` and ``vals`` are (width, n_rows) arrays in which slot k of
+    row i holds column ``cols[k, i]`` and value ``vals[k, i]``. Slot-major
+    order keeps each slot contiguous, which is the fastest order for the
+    numpy product in ``spmv``. Row i stores ``row_nnz[i]`` entries in its
+    first slots, columns strictly increasing. A shorter row is padded with
+    its first stored column and value 0, so padding neither reads outside
+    the row's own columns nor changes a sum; an empty row is padded with
+    column 0. The arrays and the main diagonal, computed once here, are
+    read-only, so instances are immutable and safe to share between
+    concurrent readers.
     """
 
-    __slots__ = ("indptr", "cols", "vals", "shape", "_empty_rows", "_diagonal")
+    __slots__ = ("cols", "vals", "row_nnz", "nnz", "shape", "_empty_rows", "_diagonal")
 
-    def __init__(self, indptr, indices, data, shape):
-        indptr = np.array(indptr, dtype=np.int64)  # a copy: it is frozen below
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        self.shape = (int(shape[0]), int(shape[1]))
-        _validate_csr(indptr, indices, data, self.shape)
-        n_rows = self.shape[0]
-        counts = np.diff(indptr)
-        width = int(counts.max()) if n_rows else 0
-        nonempty = counts > 0
-        pad = np.zeros(n_rows, dtype=np.int64)
-        pad[nonempty] = indices[indptr[:-1][nonempty]]
-        row = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
-        slot = np.arange(indices.size, dtype=np.int64) - indptr[row]
-        cols = np.repeat(pad[None, :], width, axis=0)
-        vals = np.zeros((width, n_rows))
-        cols[slot, row] = indices
-        vals[slot, row] = data
-
-        k = min(self.shape)
+    def __init__(self, cols, vals, row_nnz, shape):
+        k = min(shape)
         on_diagonal = cols[:, :k] == np.arange(k)
         diagonal = np.where(on_diagonal, vals[:, :k], 0.0).sum(axis=0)
-
-        for a in (indptr, cols, vals, diagonal):
+        for a in (cols, vals, row_nnz, diagonal):
             a.flags.writeable = False
-        self.indptr, self.cols, self.vals, self._diagonal = indptr, cols, vals, diagonal
-        empty = np.flatnonzero(~nonempty)
-        self._empty_rows = empty if width and empty.size else None
-
-    @property
-    def nnz(self):
-        return int(self.indptr[-1])
-
-    @property
-    def indices(self):
-        return self.cols.T[self._stored()]
-
-    @property
-    def data(self):
-        return self.vals.T[self._stored()]
-
-    def _stored(self):
-        """(n_rows, width) mask of the slots that hold a stored entry."""
-        return np.arange(self.cols.shape[0]) < self.row_nnz()[:, None]
-
-    def _rows(self):
-        """Row index of every stored entry, in CSR order."""
-        return np.repeat(np.arange(self.shape[0], dtype=np.int64), self.row_nnz())
+        self.cols, self.vals, self.row_nnz, self._diagonal = cols, vals, row_nnz, diagonal
+        self.nnz = int(row_nnz.sum())
+        self.shape = shape
+        empty = np.flatnonzero(row_nnz == 0)
+        self._empty_rows = empty if cols.shape[0] and empty.size else None
 
     def diagonal(self):
         """Main diagonal as a read-only dense vector (zeros where structurally absent).
@@ -105,43 +64,37 @@ class CsrMatrix:
         """
         return self._diagonal
 
-    def row_nnz(self):
-        return np.diff(self.indptr)
+    def entries(self):
+        """(rows, cols, vals) of the stored entries, in row order."""
+        stored = np.arange(self.cols.shape[0]) < self.row_nnz[:, None]
+        rows = np.repeat(np.arange(self.shape[0], dtype=np.int64), self.row_nnz)
+        return rows, self.cols.T[stored], self.vals.T[stored]
 
     def todense(self):
         out = np.zeros(self.shape)
-        out[self._rows(), self.indices] = self.data
+        rows, cols, vals = self.entries()
+        out[rows, cols] = vals
         return out
 
 
-def _validate_csr(indptr, indices, data, shape):
-    n_rows, n_cols = shape
-    if indptr.shape != (n_rows + 1,):
-        raise ValueError("indptr length must be n_rows + 1")
-    if indptr[0] != 0 or indptr[-1] != indices.size:
-        raise ValueError("indptr must start at 0 and end at nnz")
-    if np.any(np.diff(indptr) < 0):
-        raise ValueError("row offsets must be monotone")
-    if indices.size != data.size:
-        raise ValueError("indices and data must have equal length")
-    if indices.size:
-        if indices.min() < 0 or indices.max() >= n_cols:
-            raise ValueError("column index out of range")
-        same_row = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(indptr))
-        adjacent = same_row[1:] == same_row[:-1]
-        if np.any(indices[1:][adjacent] <= indices[:-1][adjacent]):
-            raise ValueError("column indices must increase strictly within rows")
+def csr_from_coo(rows, cols, vals, shape) -> CsrMatrix:
+    """Coalesce COO triplets (duplicates summed) into padded rows.
 
-
-def csr_from_coo(rows, cols, vals, shape):
-    """Coalesce COO triplets (duplicates summed) into a CsrMatrix."""
+    Raises ValueError when the three arrays differ in length or an index
+    lies outside ``shape``.
+    """
+    n_rows, n_cols = int(shape[0]), int(shape[1])
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     vals = np.asarray(vals, dtype=np.float64)
+    if not rows.shape == cols.shape == vals.shape == (rows.size,):
+        raise ValueError("rows, cols and vals must be 1-D arrays of equal length")
     if rows.size:
+        if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
+            raise ValueError(f"COO index outside the {n_rows}x{n_cols} matrix")
         # one int64 key per entry, row-major; a stable sort keeps duplicates
         # in input order, so their sum does not depend on the sort
-        key = rows * shape[1] + cols
+        key = rows * n_cols + cols
         order = np.argsort(key, kind="stable")
         key, vals = key[order], vals[order]
         new_group = np.ones(key.size, dtype=bool)
@@ -149,23 +102,25 @@ def csr_from_coo(rows, cols, vals, shape):
         group = np.cumsum(new_group) - 1
         vals = np.bincount(group, weights=vals)
         rows, cols = rows[order][new_group], cols[order][new_group]
-    counts = np.bincount(rows, minlength=shape[0]) if rows.size else np.zeros(shape[0], dtype=np.int64)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    return CsrMatrix(indptr, cols, vals, shape)
+    # sorted and coalesced: each row's columns increase strictly, and an
+    # entry's slot is its index minus the index of its row's first entry
+    row_nnz = np.bincount(rows, minlength=n_rows)
+    first = np.cumsum(row_nnz) - row_nnz
+    width = int(row_nnz.max()) if n_rows else 0
+    nonempty = row_nnz > 0
+    pad = np.zeros(n_rows, dtype=np.int64)
+    pad[nonempty] = cols[first[nonempty]]
+    padded_cols = np.repeat(pad[None, :], width, axis=0)
+    padded_vals = np.zeros((width, n_rows))
+    slot = np.arange(rows.size, dtype=np.int64) - first[rows]
+    padded_cols[slot, rows] = cols
+    padded_vals[slot, rows] = vals
+    return CsrMatrix(padded_cols, padded_vals, row_nnz, (n_rows, n_cols))
 
 
 def csr_transpose(M: CsrMatrix) -> CsrMatrix:
-    return csr_from_coo(M.indices, M._rows(), M.data, (M.shape[1], M.shape[0]))
-
-
-def max_asymmetry(M: CsrMatrix) -> float:
-    """max |M - M^T| entrywise; requires a structurally symmetric pattern."""
-    T = csr_transpose(M)
-    if not (np.array_equal(M.indptr, T.indptr) and np.array_equal(M.indices, T.indices)):
-        raise ValueError("sparsity pattern is not symmetric")
-    if M.nnz == 0:
-        return 0.0
-    return float(np.abs(M.data - T.data).max())
+    rows, cols, vals = M.entries()
+    return csr_from_coo(cols, rows, vals, (M.shape[1], M.shape[0]))
 
 
 def spmv(M: CsrMatrix, x) -> np.ndarray:
@@ -284,19 +239,20 @@ def schur_matrix(A: CsrMatrix, D: CsrMatrix, Cdiag, coeff: float) -> CsrMatrix:
     if A.shape != (D.shape[1], D.shape[1]):
         raise ValueError("A must be square over the column space of D")
     if coeff == 0.0:
-        return CsrMatrix(A.indptr, A.indices, A.data, A.shape)
+        return A  # immutable, so sharing it is safe
     # Row q of D couples the columns it stores: its padded slots give one
     # width x width outer product, pairs in row-major order as in a loop over
     # the rows. A padding slot repeats a stored column with value 0, so it
     # only adds zeros at positions the row's real pairs already hold. Empty
     # rows of D add nothing and are dropped, so they leave no entry behind.
-    full = D.row_nnz() > 0
+    full = D.row_nnz > 0
     cols, vals = D.cols[:, full].T, D.vals[:, full].T
     width = cols.shape[1]
     outer = (coeff / Cdiag[full])[:, None, None] * (vals[:, :, None] * vals[:, None, :])
+    a_rows, a_cols, a_vals = A.entries()
     return csr_from_coo(
-        np.concatenate([A._rows(), np.repeat(cols, width, axis=1).ravel()]),
-        np.concatenate([A.indices, np.tile(cols, (1, width)).ravel()]),
-        np.concatenate([A.data, outer.ravel()]),
+        np.concatenate([a_rows, np.repeat(cols, width, axis=1).ravel()]),
+        np.concatenate([a_cols, np.tile(cols, (1, width)).ravel()]),
+        np.concatenate([a_vals, outer.ravel()]),
         A.shape,
     )

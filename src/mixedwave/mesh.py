@@ -16,9 +16,6 @@ import numpy as np
 # local edge slots within an element
 LEFT, RIGHT, BOTTOM, TOP = 0, 1, 2, 3
 
-# edge classification labels
-INTERIOR, ON_DIRICHLET, ON_NEUMANN = 0, 1, 2
-
 
 class BoundaryKind(Enum):
     """What a boundary side imposes on the trace of the solution."""
@@ -90,9 +87,6 @@ class RectMesh:
 
     # --- numbering -------------------------------------------------------
 
-    def element_id(self, i, j):
-        return j * self.nx + i
-
     def vedge_id(self, i, j):
         """Vertical edge at x = x0 + i*hx spanning row j. Normal +x."""
         return j * (self.nx + 1) + i
@@ -100,9 +94,6 @@ class RectMesh:
     def hedge_id(self, i, j):
         """Horizontal edge at y = y0 + j*hy spanning column i. Normal +y."""
         return self.n_vedges + j * self.nx + i
-
-    def is_vertical(self, edge):
-        return np.asarray(edge) < self.n_vedges
 
     def centroids(self):
         return self.element_x0 + 0.5 * self.hx, self.element_y0 + 0.5 * self.hy
@@ -122,14 +113,12 @@ def build_rect_mesh(nx: int, ny: int, extents=(0.0, 1.0, 0.0, 1.0)) -> RectMesh:
 
 @dataclass(frozen=True)
 class EdgeClassification:
-    """Per-edge labels and the free-dof numbering induced by the boundary tags.
+    """The free-dof numbering induced by the boundary tags.
 
     ``free_index[e]`` is the position of edge e among free velocity dofs, or
     -1 when the edge lies on a NEUMANN_U side (normal velocity pinned to 0).
     """
 
-    kind: np.ndarray        # INTERIOR / ON_DIRICHLET / ON_NEUMANN per edge
-    constrained: np.ndarray  # bool per edge
     free_index: np.ndarray
     free_edges: np.ndarray
 
@@ -139,21 +128,17 @@ class EdgeClassification:
 
 
 def edge_classify(mesh: RectMesh, bc: BoundaryPartition) -> EdgeClassification:
-    """Label each edge interior / Dirichlet-side / Neumann-side and number the free dofs."""
-    kind = np.full(mesh.n_edges, INTERIOR, dtype=np.int8)
-
-    def side_label(tag):
-        return ON_NEUMANN if tag is BoundaryKind.NEUMANN_U else ON_DIRICHLET
-
+    """Pin the edges of the NEUMANN_U sides and number the remaining free dofs."""
+    pinned = np.zeros(mesh.n_edges, dtype=bool)
+    neumann = BoundaryKind.NEUMANN_U
     jv = np.arange(mesh.ny)
-    kind[mesh.vedge_id(0, jv)] = side_label(bc.left)
-    kind[mesh.vedge_id(mesh.nx, jv)] = side_label(bc.right)
+    pinned[mesh.vedge_id(0, jv)] = bc.left is neumann
+    pinned[mesh.vedge_id(mesh.nx, jv)] = bc.right is neumann
     ih = np.arange(mesh.nx)
-    kind[mesh.hedge_id(ih, 0)] = side_label(bc.bottom)
-    kind[mesh.hedge_id(ih, mesh.ny)] = side_label(bc.top)
+    pinned[mesh.hedge_id(ih, 0)] = bc.bottom is neumann
+    pinned[mesh.hedge_id(ih, mesh.ny)] = bc.top is neumann
 
-    constrained = kind == ON_NEUMANN
     free_index = np.full(mesh.n_edges, -1, dtype=np.int64)
-    free_edges = np.flatnonzero(~constrained)
+    free_edges = np.flatnonzero(~pinned)
     free_index[free_edges] = np.arange(free_edges.size)
-    return EdgeClassification(kind, constrained, free_index, free_edges)
+    return EdgeClassification(free_index, free_edges)

@@ -293,9 +293,9 @@ def initialize(
     """
     if solver is None:
         solver = SolverConfig()
-    mesh, bc = ops.mesh, ops.bc
-    U0 = project_velocity_pi_h(mesh, bc, spec.u0)
-    V0 = project_velocity_pi_h(mesh, bc, spec.v0)
+    mesh, cls = ops.mesh, ops.classification
+    U0 = project_velocity_pi_h(mesh, cls, spec.u0)
+    V0 = project_velocity_pi_h(mesh, cls, spec.v0)
     P0 = project_pressure_p_h(mesh, spec.p0)
 
     defect = ops.Cdiag * P0 - spmv(ops.D, U0)

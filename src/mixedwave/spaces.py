@@ -222,13 +222,11 @@ def element_quadrature(mesh: RectMesh, n: int = ASSEMBLY_RULE) -> ElementQuadrat
 
 
 def assemble_load(quad: ElementQuadrature, cls: EdgeClassification, f, t: float) -> np.ndarray:
-    """Load vector (f(.,t), phi_i) over free velocity dofs; f=None means zero.
+    """Load vector (f(.,t), phi_i) over free velocity dofs.
 
     ``quad`` and ``cls`` belong to the run (``MixedOperators.quadrature`` and
     ``.classification``), so a call costs one evaluation of f.
     """
-    if f is None:
-        return np.zeros(cls.n_free)
     mesh, w, xi, eta = quad.mesh, quad.weights, quad.xi, quad.eta
     fx, fy = f(quad.x, quad.y, t)
     fx = np.broadcast_to(np.asarray(fx, dtype=np.float64), quad.x.shape)
@@ -266,14 +264,14 @@ def edge_fluxes(mesh: RectMesh, z) -> np.ndarray:
     return out
 
 
-def project_velocity_pi_h(mesh: RectMesh, bc: BoundaryPartition, z) -> np.ndarray:
+def project_velocity_pi_h(mesh: RectMesh, cls: EdgeClassification, z) -> np.ndarray:
     """Flux interpolant of z onto the velocity space, restricted to free dofs.
 
-    Its defining property is that element-wise divergence averages of the
-    interpolant match those of z, which keeps the initial pressure-velocity
+    ``cls`` is the run's edge classification (``MixedOperators.classification``).
+    The interpolant's defining property is that its element-wise divergence
+    averages match those of z, which keeps the initial pressure-velocity
     compatibility defect at zero.
     """
-    cls = edge_classify(mesh, bc)
     return edge_fluxes(mesh, z)[cls.free_edges]
 
 

@@ -82,8 +82,8 @@ def mms_forced(omega: float) -> ManufacturedSolution:
     force coefficient vanishes and the standing wave is recovered. omega = 0
     freezes the field (u_t = 0).
     """
-    if not (math.isfinite(omega) and omega >= 0):
-        raise ValueError(f"omega must be finite and nonnegative, got {omega}")
+    if not (math.isfinite(omega * omega) and omega >= 0):
+        raise ValueError(f"omega must be nonnegative with a finite square, got {omega}")
     coeff = 2.0 * np.pi**2 - omega**2
     exact = SeparableSolution(lambda t: np.cos(omega * t), _spatial_profile, _pressure_profile)
 

@@ -9,6 +9,7 @@ directly instead of eliminating the pressure.
 import numpy as np
 import scipy.linalg
 
+from mixedwave.linalg import csr_transpose
 from mixedwave.mesh import LEFT, RIGHT, BOTTOM, TOP, edge_classify
 from mixedwave.spaces import gauss_rule_1d, material_field
 
@@ -42,6 +43,15 @@ def rt0_basis_eval(mesh, element, local_edge, x, y):
 def dense_solve(M, b):
     """Dense factorization of a sparse package matrix; O(n^3)."""
     return np.linalg.solve(M.todense(), np.asarray(b, dtype=np.float64))
+
+
+def max_asymmetry(M):
+    """max |M - M^T| entrywise; requires a structurally symmetric pattern."""
+    rows, cols, vals = M.entries()
+    t_rows, t_cols, t_vals = csr_transpose(M).entries()
+    if not (np.array_equal(rows, t_rows) and np.array_equal(cols, t_cols)):
+        raise ValueError("sparsity pattern is not symmetric")
+    return float(np.abs(vals - t_vals).max()) if vals.size else 0.0
 
 
 def dense_operators(mesh, bc, material, rule=3):

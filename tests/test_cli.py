@@ -161,7 +161,7 @@ class TestCommands:
         assert main(["energy", "--time.dt", "0.3", "--time.T", "1.0"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("omega", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("omega", ["nan", "inf", "-inf", "1e200"])
     def test_non_finite_omega_is_a_usage_error(self, omega, tmp_path, capsys):
         code = main(["run", "--problem.case", f"forced:{omega}", "--output.dir", str(tmp_path / "out")])
         assert code == 2

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from mixedwave.mesh import (
-    INTERIOR,
-    ON_DIRICHLET,
-    ON_NEUMANN,
+    BoundaryKind,
     BoundaryPartition,
     build_rect_mesh,
     edge_classify,
@@ -46,7 +44,7 @@ def test_rejects_bad_inputs(nx, ny, extents):
 def test_all_neumann_single_element_has_no_free_dofs():
     mesh = build_rect_mesh(1, 1)
     cls = edge_classify(mesh, BoundaryPartition.all_neumann())
-    assert cls.constrained.all()
+    assert (cls.free_index == -1).all()
     assert cls.n_free == 0
 
 
@@ -55,21 +53,19 @@ def test_two_by_one_all_neumann_frees_only_interior_edge():
     cls = edge_classify(mesh, BoundaryPartition.all_neumann())
     assert cls.n_free == 1
     assert cls.free_edges[0] == mesh.vedge_id(1, 0)
-    assert cls.kind[cls.free_edges[0]] == INTERIOR
+    assert np.bincount(mesh.element_edges.ravel())[cls.free_edges[0]] == 2  # interior
 
 
 def test_all_dirichlet_frees_everything():
     mesh = build_rect_mesh(2, 2)
     cls = edge_classify(mesh, BoundaryPartition.all_dirichlet())
     assert cls.n_free == 12
-    assert not cls.constrained.any()
+    assert (cls.free_index >= 0).all()
     assert (np.sort(cls.free_index) == np.arange(12)).all()
 
 
 def test_mixed_sides_label_the_right_edges():
     mesh = build_rect_mesh(3, 2)
-    from mixedwave.mesh import BoundaryKind
-
     bc = BoundaryPartition(
         left=BoundaryKind.NEUMANN_U,
         right=BoundaryKind.DIRICHLET_P,
@@ -78,11 +74,13 @@ def test_mixed_sides_label_the_right_edges():
     )
     cls = edge_classify(mesh, bc)
     for j in range(mesh.ny):
-        assert cls.kind[mesh.vedge_id(0, j)] == ON_NEUMANN
-        assert cls.kind[mesh.vedge_id(mesh.nx, j)] == ON_DIRICHLET
+        assert cls.free_index[mesh.vedge_id(0, j)] == -1
+        assert cls.free_index[mesh.vedge_id(mesh.nx, j)] >= 0
     for i in range(mesh.nx):
-        assert cls.kind[mesh.hedge_id(i, 0)] == ON_DIRICHLET
-        assert cls.kind[mesh.hedge_id(i, mesh.ny)] == ON_NEUMANN
+        assert cls.free_index[mesh.hedge_id(i, 0)] >= 0
+        assert cls.free_index[mesh.hedge_id(i, mesh.ny)] == -1
+    # only the left and top sides are pinned
+    assert (cls.free_index == -1).sum() == mesh.ny + mesh.nx
 
 
 def test_edge_element_incidence_is_consistent():
@@ -90,8 +88,9 @@ def test_edge_element_incidence_is_consistent():
     counts = np.zeros(mesh.n_edges, dtype=int)
     for edges in mesh.element_edges:
         counts[edges] += 1
-    cls = edge_classify(mesh, BoundaryPartition.all_dirichlet())
-    interior = cls.kind == INTERIOR
+    # all NEUMANN_U pins exactly the boundary edges
+    cls = edge_classify(mesh, BoundaryPartition.all_neumann())
+    interior = cls.free_index >= 0
     assert (counts[interior] == 2).all()
     assert (counts[~interior] == 1).all()
 
@@ -99,9 +98,7 @@ def test_edge_element_incidence_is_consistent():
 def test_numbering_is_a_bijection():
     mesh = build_rect_mesh(4, 7)
     cls = edge_classify(mesh, BoundaryPartition.all_neumann())
-    per_class = [(cls.kind == k).sum() for k in (INTERIOR, ON_DIRICHLET, ON_NEUMANN)]
-    assert sum(per_class) == mesh.n_edges
-    assert cls.n_free + cls.constrained.sum() == mesh.n_edges
+    assert cls.n_free + (cls.free_index == -1).sum() == mesh.n_edges
     all_ids = np.concatenate(
         [
             [mesh.vedge_id(i, j) for j in range(mesh.ny) for i in range(mesh.nx + 1)],

@@ -119,8 +119,8 @@ class TestInitialize:
         dt = 1e-3
         cfg = ThetaConfig.from_dt(0.0, 1.0, dt)
         state = initialize(spec, ops, cfg)
-        U0 = project_velocity_pi_h(spec.mesh, spec.bc, spec.u0)
-        V0 = project_velocity_pi_h(spec.mesh, spec.bc, spec.v0)
+        U0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.u0)
+        V0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.v0)
         from mixedwave.spaces import project_pressure_p_h
 
         P0 = project_pressure_p_h(spec.mesh, spec.p0)
@@ -138,7 +138,7 @@ class TestInitialize:
         for dt in (1 / 64, 1 / 128):
             cfg = ThetaConfig.from_dt(0.25, 1.0, dt)
             state = initialize(spec, ops, cfg)
-            ref = project_velocity_pi_h(spec.mesh, spec.bc, lambda x, y: mms.u(x, y, dt))
+            ref = project_velocity_pi_h(spec.mesh, ops.classification, lambda x, y: mms.u(x, y, dt))
             d = state.U_curr - ref
             errs.append(np.sqrt(d @ spmv(ops.A, d)))
         assert errs[0] < 1e-4
@@ -158,7 +158,7 @@ class TestInitialize:
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
         dt = 1e-3
         state = initialize(spec, ops, ThetaConfig.from_dt(0.0, 1.0, dt))
-        U0 = project_velocity_pi_h(spec.mesh, spec.bc, spec.u0)
+        U0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.u0)
         from mixedwave.spaces import assemble_load, project_pressure_p_h
 
         P0 = project_pressure_p_h(spec.mesh, spec.p0)
@@ -240,7 +240,7 @@ class TestStep:
         Ad = ops.A.todense()
         K = ops.D.todense().T @ np.diag(1.0 / ops.Cdiag) @ ops.D.todense()
         mu, V = scipy.linalg.eigh(K, Ad)
-        U0 = project_velocity_pi_h(spec.mesh, spec.bc, spec.u0)
+        U0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.u0)
         c = V.T @ (Ad @ U0)
         T = 0.5
         exact = V @ (np.cos(np.sqrt(np.maximum(mu, 0.0)) * T) * c)
@@ -470,8 +470,8 @@ class TestLoadSetUp:
         monkeypatch.setattr(spaces, "element_quadrature", counted_quadrature)
         res = run(make_problem(mms_forced(1.0), 6), ThetaConfig.from_steps(0.25, 0.5, 20))
         assert res.completed
-        # assemble_operators once, the two velocity projections of the initial data
-        assert counts == {"edge_classify": 3, "rule 3": 1}
+        # assemble_operators once; the velocity projections reuse its classification
+        assert counts == {"edge_classify": 1, "rule 3": 1}
 
 
 class TestLongHorizon:
@@ -595,8 +595,8 @@ class TestClosedFormDefect:
         defects = recording_solves(stepper)
         with pytest.warns(CompatibilityWarning):
             initialize(spec, ops, cfg, stepper=stepper, loads=LoadCache(spec, ops, dt))
-        U0 = project_velocity_pi_h(spec.mesh, spec.bc, spec.u0)
-        V0 = project_velocity_pi_h(spec.mesh, spec.bc, spec.v0)
+        U0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.u0)
+        V0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.v0)
         P0 = project_pressure_p_h(spec.mesh, spec.p0)
         F0, F1 = self.loads(spec, ops, dt, (0, 1)) if spec.f is not None else (np.zeros(ops.n_velocity),) * 2
         want, scale = oracles.reference_initial_defect(

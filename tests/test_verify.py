@@ -1,12 +1,16 @@
+import copy
+import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
 import sympy
 
-from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
+import mixedwave.multigrid as multigrid
+from mixedwave.mesh import BoundaryKind, BoundaryPartition, RectMesh, build_rect_mesh
 from mixedwave.scheme import SeparableSolution, ThetaConfig, run
-from mixedwave.spaces import project_pressure_p_h, project_velocity_pi_h
+from mixedwave.spaces import assemble_operators, material_field, project_pressure_p_h, project_velocity_pi_h
 from mixedwave.verify import (
     BLOWUP,
     DRIFT,
@@ -120,7 +124,7 @@ class TestManufacturedSolutions:
         with pytest.raises(ValueError, match="residual"):
             residual_check(broken)
 
-    @pytest.mark.parametrize("omega", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -1.0, 1e200])
     def test_forced_rejects_bad_frequency(self, omega):
         with pytest.raises(ValueError, match="omega"):
             mms_forced(omega)
@@ -232,7 +236,7 @@ class TestErrorNorms:
         )
 
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
-        U = project_velocity_pi_h(spec.mesh, spec.bc, spec.u0)
+        U = project_velocity_pi_h(spec.mesh, ops.classification, spec.u0)
         P = project_pressure_p_h(spec.mesh, spec.p0)
         exact = spec.exact
         samples = sample_exact(ops.quadrature, ops.classification,
@@ -444,3 +448,67 @@ class TestStabilitySweep:
         )
         keys = [(r.theta, r.multiplier) for r in rows]
         assert keys == sorted(keys)
+
+
+def assert_same(before, after):
+    """Recursive equality of a deep copy taken before a call and the object after it.
+
+    Arrays compare by dtype and value, dataclasses and meshes field by field;
+    functions and scalars by ==, which for a deep-copied function is identity.
+    """
+    if isinstance(before, np.ndarray):
+        assert isinstance(after, np.ndarray) and before.dtype == after.dtype
+        assert np.array_equal(before, after)
+    elif dataclasses.is_dataclass(before):
+        assert type(before) is type(after)
+        for field in dataclasses.fields(before):
+            assert_same(getattr(before, field.name), getattr(after, field.name))
+    elif isinstance(before, types.MethodType):  # deepcopy copies a bound method's instance
+        assert before.__func__ is after.__func__
+        assert_same(before.__self__, after.__self__)
+    elif isinstance(before, RectMesh):
+        assert vars(before).keys() == vars(after).keys()
+        for name, value in vars(before).items():
+            assert_same(value, getattr(after, name))
+    else:
+        assert before == after
+
+
+class TestInputsAreLeftAlone:
+    """Library calls leave the ProblemSpec or ManufacturedSolution they are given unchanged."""
+
+    def hetero_spec(self, nx):
+        # the forced profile has u.n = 0 on every side, so any partition keeps C P0 = D U0
+        spec = make_problem(mms_forced(1.0), nx)
+        rho = np.random.default_rng(6).uniform(0.5, 2.0, spec.mesh.n_elements)
+        bc = BoundaryPartition(BoundaryKind.DIRICHLET_P, BoundaryKind.NEUMANN_U,
+                               BoundaryKind.NEUMANN_U, BoundaryKind.DIRICHLET_P)
+        return dataclasses.replace(spec, bc=bc, material=material_field(spec.mesh, lambda x, y: rho, 1.0))
+
+    @pytest.mark.parametrize("theta, dt_per_h", [(0.25, 0.2), (1.0, 3.0)])
+    def test_run(self, theta, dt_per_h, monkeypatch):
+        # a coarsest grid of 16 dofs sends the large step down the multigrid path
+        monkeypatch.setattr(multigrid, "COARSEST_DOFS", 16)
+        spec = self.hetero_spec(8)
+        before = copy.deepcopy(spec)
+        res = run(spec, ThetaConfig.from_steps(theta, 6 * dt_per_h * spec.mesh.h, 6))
+        assert res.completed and len(res.error_u) == 7
+        assert_same(before, spec)
+
+    def test_assemble_operators(self):
+        spec = self.hetero_spec(5)
+        before = copy.deepcopy(spec)
+        assemble_operators(spec.mesh, spec.bc, spec.material)
+        assert_same(before, spec)
+
+    @pytest.mark.parametrize("study", ["stability", "convergence", "temporal"])
+    def test_studies(self, study):
+        mms = mms_forced(1.0) if study == "convergence" else mms_standing_wave()
+        before = copy.deepcopy(mms)
+        if study == "stability":
+            stability_sweep(mms, [0.0, 0.25], (0.5,), 4, num_steps=10)
+        elif study == "convergence":
+            convergence_study(mms, 0.25, (4, 8), lambda h: h / 4, 0.1)
+        else:
+            temporal_study(mms, 0.25, 4, 0.1, divisors=(2, 4), ref_divisor=8)
+        assert_same(before, mms)
