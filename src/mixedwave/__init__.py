@@ -14,7 +14,6 @@ from .linalg import (
     SolverConfig,
     cg_solve,
     csr_from_coo,
-    schur_matrix,
     spmv,
 )
 from .mesh import (
@@ -50,6 +49,7 @@ from .spaces import (
     material_field,
     project_pressure_p_h,
     project_velocity_pi_h,
+    schur_matrix,
 )
 from .verify import (
     ConvergenceTable,

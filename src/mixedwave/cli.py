@@ -21,6 +21,7 @@ from .verify import (
     BLOWUP,
     STABLE,
     StabilityEstimate,
+    convergence_levels,
     convergence_study,
     energy_drift,
     error_linf_l2,
@@ -75,7 +76,7 @@ def _parse_case(raw: str) -> str:
         return raw
     if raw.startswith("forced:"):
         omega = float(raw.split(":", 1)[1])
-        mms_forced(omega)  # raises ValueError for an omega it cannot run
+        residual_check(mms_forced(omega))  # ValueError for an omega it cannot run
         return f"forced:{omega:.17g}"
     raise ValueError("expected 'standing-wave' or 'forced:<omega>'")
 
@@ -140,14 +141,9 @@ def parse_config(text: str, overrides=None, command: str | None = None) -> RunCo
     Unknown keys are rejected with their line number, as are values of the
     wrong type; a missing or unknown command is an error as well.
     """
-    if command is None:
-        raise MissingCommandError(
-            f"missing command; expected one of {', '.join(COMMANDS)}"
-        )
     if command not in COMMANDS:
-        raise MissingCommandError(
-            f"unknown command '{command}'; expected one of {', '.join(COMMANDS)}"
-        )
+        what = "missing command" if command is None else f"unknown command '{command}'"
+        raise MissingCommandError(f"{what}; expected one of {', '.join(COMMANDS)}")
     cfg = RunConfig(command=command)
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -173,9 +169,7 @@ def format_config(cfg: RunConfig) -> str:
 def parse_args(argv):
     """Split argv into (command, config path, override dict)."""
     if not argv:
-        raise MissingCommandError(
-            f"missing command; expected one of {', '.join(COMMANDS)}"
-        )
+        raise MissingCommandError(f"missing command; expected one of {', '.join(COMMANDS)}")
     command, rest = argv[0], list(argv[1:])
     config_path = None
     overrides = {}
@@ -198,10 +192,6 @@ def fmt(value) -> str:
     """Round-trip-exact text: floats at 17 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -264,6 +254,18 @@ def _time_config(cfg: RunConfig) -> ThetaConfig:
         raise ValueTypeError(f"'time.dt' = {fmt(cfg.dt)}: {exc}") from None
 
 
+def _converge_plan(cfg: RunConfig) -> tuple:
+    """(theta, mesh sizes, dt rule, final time) of converge: nx doubled 3 times, dt = h/4."""
+    return cfg.theta, [cfg.nx, 2 * cfg.nx, 4 * cfg.nx, 8 * cfg.nx], lambda h: h / 4.0, cfg.T
+
+
+def _check_converge_levels(cfg: RunConfig) -> None:
+    try:
+        convergence_levels(*_converge_plan(cfg))
+    except ValueError as exc:
+        raise ValueTypeError(f"'time.T' = {fmt(cfg.T)}: {exc}") from None
+
+
 def _energy_table(result):
     rows = []
     e0 = result.energies[0].value
@@ -300,8 +302,7 @@ def _cg_note(result) -> str:
 
 
 def cmd_run(cfg: RunConfig) -> StudyReport:
-    mms = _mms_for(cfg)
-    residual_check(mms)
+    mms = _mms_for(cfg)  # _parse_case has residual-checked a forced case
     result = run(make_problem(mms, cfg.nx, cfg.ny), _time_config(cfg), solver=_solver(cfg))
     notes = [f"status = {result.status}", _cg_note(result)]
     if result.error_u is not None:
@@ -318,7 +319,6 @@ def cmd_run(cfg: RunConfig) -> StudyReport:
 
 def cmd_energy(cfg: RunConfig) -> StudyReport:
     mms = _mms_for(cfg)
-    residual_check(mms)
     result = run(make_problem(mms, cfg.nx, cfg.ny), _time_config(cfg), solver=_solver(cfg))
     drift = energy_drift(result) if result.completed else math.inf
     ok = result.completed and drift <= ENERGY_DRIFT_PASS
@@ -361,10 +361,7 @@ def cmd_stability(cfg: RunConfig) -> StudyReport:
 
 def cmd_converge(cfg: RunConfig) -> StudyReport:
     mms = _mms_for(cfg)
-    sizes = [cfg.nx, 2 * cfg.nx, 4 * cfg.nx, 8 * cfg.nx]
-    table = convergence_study(
-        mms, cfg.theta, sizes, lambda h: h / 4.0, cfg.T, solver=_solver(cfg),
-    )
+    table = convergence_study(mms, *_converge_plan(cfg), solver=_solver(cfg))
     rows = [[r.nx, r.h, r.dt, r.err_u, r.err_p, r.rate_u, r.rate_p] for r in table.rows]
     ru, rp = table.finest_rates
     lo, hi = RATE_WINDOW
@@ -417,6 +414,8 @@ def main(argv=None) -> int:
         cfg = parse_config(text, overrides, command)
         if cfg.command in ("run", "energy"):
             _time_config(cfg)  # dt must divide T; reject before any work starts
+        elif cfg.command == "converge":
+            _check_converge_levels(cfg)  # every level's step count, before the first run
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("usage: mixedwave <command> [--config FILE] [--key value ...]", file=sys.stderr)

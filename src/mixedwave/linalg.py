@@ -2,15 +2,15 @@
 
 Everything at desk scale is float64 numpy. Matrices have one format,
 padded rows (ELLPACK), built from COO triplets by ``csr_from_coo``: every
-operator this package assembles has at most 7 entries per row (the step
-matrix 7, A 3, D 4, D^T 2), so a mat-vec is one gather and one row sum over
-a few slots, with no scatter. Each matrix computes its main diagonal once,
-at construction, and hands it out read-only, so the Jacobi preconditioner
-costs nothing per solve. The solver is conjugate gradients,
+operator the package assembles (in ``spaces``) has at most 7 entries per row
+(the step matrix 7, A 3, D 4, D^T 2), so a mat-vec is one gather and one row
+sum over a few slots, with no scatter. Each matrix computes its main diagonal
+once, at construction, and hands it out read-only, so the Jacobi
+preconditioner costs nothing per solve. The solver is conjugate gradients,
 Jacobi-preconditioned by default or with a caller's symmetric positive
 definite preconditioner (the multigrid V-cycle of ``multigrid``); the step
-matrices this package produces are symmetric positive definite by
-construction, so CG is the right tool.
+matrices are symmetric positive definite by construction, so CG is the
+right tool.
 """
 
 from __future__ import annotations
@@ -224,35 +224,3 @@ def cg_solve(M: CsrMatrix, b, cfg: SolverConfig | None = None, precondition=None
         f"CG did not reach {cfg.rel_tolerance:g} relative residual in {cap} iterations"
     )
 
-
-def schur_matrix(A: CsrMatrix, D: CsrMatrix, Cdiag, coeff: float) -> CsrMatrix:
-    """Assemble A + coeff * D^T diag(Cdiag)^{-1} D as a sparse matrix.
-
-    Cdiag must be strictly positive. The result is the implicit step
-    operator; it is SPD whenever A is and coeff >= 0.
-    """
-    Cdiag = np.asarray(Cdiag, dtype=np.float64)
-    if Cdiag.shape != (D.shape[0],):
-        raise ValueError("Cdiag length must match the row count of D")
-    if np.any(Cdiag <= 0):
-        raise ValueError("Cdiag entries must be strictly positive")
-    if A.shape != (D.shape[1], D.shape[1]):
-        raise ValueError("A must be square over the column space of D")
-    if coeff == 0.0:
-        return A  # immutable, so sharing it is safe
-    # Row q of D couples the columns it stores: its padded slots give one
-    # width x width outer product, pairs in row-major order as in a loop over
-    # the rows. A padding slot repeats a stored column with value 0, so it
-    # only adds zeros at positions the row's real pairs already hold. Empty
-    # rows of D add nothing and are dropped, so they leave no entry behind.
-    full = D.row_nnz > 0
-    cols, vals = D.cols[:, full].T, D.vals[:, full].T
-    width = cols.shape[1]
-    outer = (coeff / Cdiag[full])[:, None, None] * (vals[:, :, None] * vals[:, None, :])
-    a_rows, a_cols, a_vals = A.entries()
-    return csr_from_coo(
-        np.concatenate([a_rows, np.repeat(cols, width, axis=1).ravel()]),
-        np.concatenate([a_cols, np.tile(cols, (1, width)).ravel()]),
-        np.concatenate([a_vals, outer.ravel()]),
-        A.shape,
-    )

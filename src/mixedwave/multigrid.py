@@ -8,9 +8,9 @@ Jacobi do not reach it. The V-cycle here stays robust in coeff:
 - Hierarchy: halve nx and ny while both are even and the grid still has
   more than ``COARSEST_DOFS`` free dofs; the coarsest grid is solved with a
   dense inverse.
-- Coarse operators: ``assemble_operators`` and ``schur_matrix`` on the
-  coarse grid, with rho and lambda averaged over the 4 children of each
-  coarse element. For the RT0 prolongation below, D_fine P = Q D_coarse / 4
+- Coarse operators: a coarse grid builds only its step matrix
+  (``spaces.schur_matrix``), with rho and lambda averaged over the 4 children
+  of each coarse element. For the RT0 prolongation below, D_fine P = Q D_coarse / 4
   with Q copying an element value to its 4 children, so averaging lambda
   makes the coarse grad-div term exactly the Galerkin product.
 - Transfers: the prolongation P is the RT0 embedding of integrated fluxes:
@@ -30,13 +30,14 @@ Jacobi do not reach it. The V-cycle here stays robust in coeff:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import CsrMatrix, csr_from_coo, csr_transpose, schur_matrix, spmv
-from .mesh import BoundaryKind, BoundaryPartition, RectMesh, build_rect_mesh
-from .spaces import MaterialField, MixedOperators, assemble_operators
+from .linalg import CsrMatrix, csr_from_coo, csr_transpose, spmv
+from .mesh import BoundaryKind, BoundaryPartition, EdgeClassification, RectMesh, build_rect_mesh, edge_classify
+from .spaces import MaterialField, MixedOperators, schur_matrix
 
 COARSEST_DOFS = 256  # largest grid solved by a dense inverse
 
@@ -75,21 +76,17 @@ def coarse_material(mesh: RectMesh, material: MaterialField) -> MaterialField:
     """rho and lambda averaged over the 4 children of each coarse element."""
 
     def average(field):
-        return field.reshape(mesh.ny // 2, 2, mesh.nx // 2, 2).mean(axis=(1, 3))
+        return field.reshape(mesh.ny // 2, 2, mesh.nx // 2, 2).mean(axis=(1, 3)).ravel()
 
-    return MaterialField(
-        average(material.rho_per_element).ravel(),
-        average(material.lambda_per_element).ravel(),
-        material.rho0,
-        material.rho1,
-        material.lambda0,
-        material.lambda1,
+    return replace(
+        material,
+        rho_per_element=average(material.rho_per_element),
+        lambda_per_element=average(material.lambda_per_element),
     )
 
 
-def prolongation(fine: MixedOperators, coarse: MixedOperators) -> CsrMatrix:
-    """RT0 embedding of coarse fluxes into the fine grid, over free dofs."""
-    fm, cm = fine.mesh, coarse.mesh
+def prolongation(fm: RectMesh, fine: EdgeClassification, cm: RectMesh, coarse: EdgeClassification) -> CsrMatrix:
+    """RT0 embedding of the coarse grid cm's fluxes into the fine grid fm, over free dofs."""
     I, J = (a.ravel() for a in np.meshgrid(np.arange(cm.nx + 1), np.arange(cm.ny + 1), indexing="xy"))
     rows, cols, vals = [], [], []
 
@@ -109,10 +106,10 @@ def prolongation(fine: MixedOperators, coarse: MixedOperators) -> CsrMatrix:
         for side in (0, 1):
             add(fm.vedge_id(2 * I + 1, 2 * J + half), cm.vedge_id(I + side, J), 0.25, inside)
             add(fm.hedge_id(2 * I + half, 2 * J + 1), cm.hedge_id(I, J + side), 0.25, inside)
-    fi = fine.classification.free_index[np.concatenate(rows)]
-    ci = coarse.classification.free_index[np.concatenate(cols)]
+    fi = fine.free_index[np.concatenate(rows)]
+    ci = coarse.free_index[np.concatenate(cols)]
     keep = (fi >= 0) & (ci >= 0)
-    return csr_from_coo(fi[keep], ci[keep], np.concatenate(vals)[keep], (fine.n_velocity, coarse.n_velocity))
+    return csr_from_coo(fi[keep], ci[keep], np.concatenate(vals)[keep], (fine.n_free, coarse.n_free))
 
 
 class _Colour(NamedTuple):
@@ -136,12 +133,12 @@ class _Colour(NamedTuple):
     weights: np.ndarray
 
 
-def _patch_colours(ops: MixedOperators, S: CsrMatrix) -> list:
+def _patch_colours(mesh: RectMesh, cls: EdgeClassification, S: CsrMatrix) -> list:
     """The 4 colours (i mod 2, j mod 2) of vertex patches, in visiting order."""
-    mesh, n, nx, ny = ops.mesh, ops.n_velocity, ops.mesh.nx, ops.mesh.ny
+    n, nx, ny = cls.n_free, mesh.nx, mesh.ny
     # full edge id -> dof; pinned edges and the sentinel edge n_edges, which
     # stands for an edge outside the mesh, go to the dummy n
-    free = np.append(ops.classification.free_index, -1)
+    free = np.append(cls.free_index, -1)
     free[free < 0] = n
 
     def vedge(i, j):
@@ -160,22 +157,22 @@ def _patch_colours(ops: MixedOperators, S: CsrMatrix) -> list:
     )
     colour = np.where((patch < n).any(axis=1), I % 2 + 2 * (J % 2), -1)
     return [
-        _colour(ops, S, I[sel], J[sel], patch[sel], around[sel])
+        _colour(mesh, cls, S, I[sel], J[sel], patch[sel], around[sel])
         for sel in (colour == k for k in range(4))
         if sel.any()
     ]
 
 
-def _colour(ops: MixedOperators, S: CsrMatrix, I, J, patch, around) -> _Colour:
+def _colour(mesh: RectMesh, cls: EdgeClassification, S: CsrMatrix, I, J, patch, around) -> _Colour:
     """Smoother data of the patches at vertices (I, J)."""
-    mesh, n, nx = ops.mesh, ops.n_velocity, ops.mesh.nx
+    n, nx = cls.n_free, mesh.nx
     # S_pc[p, a, c] = S[patch[p, a], around[p, c]]: every stored column of a
     # patch row is an edge of the 2x2 elements around the vertex, and its
     # position c in ``around`` follows from its offset to the vertex
     width = S.cols.shape[0]
     cols = np.hstack([S.cols, np.full((width, 1), n)])[:, patch]  # (width, patches, 4)
     vals = np.hstack([S.vals, np.zeros((width, 1))])[:, patch]
-    edge = np.append(ops.classification.free_edges, 0)[cols]  # the dummy's value is 0
+    edge = np.append(cls.free_edges, 0)[cols]  # the dummy's value is 0
     vertical = edge < mesh.n_vedges
     h = edge - mesh.n_vedges
     di = np.where(vertical, edge % (nx + 1), h % nx) - I[:, None]
@@ -218,16 +215,16 @@ class VCycle:
     """
 
     def __init__(self, ops: MixedOperators, S: CsrMatrix, coeff: float):
-        shapes = grid_shapes(ops.mesh.nx, ops.mesh.ny, ops.bc)
+        mesh, cls, material = ops.mesh, ops.classification, ops.material
         self.levels = []
-        for nx, ny in shapes[1:]:
-            m = ops.mesh
-            coarse = assemble_operators(
-                build_rect_mesh(nx, ny, (m.x0, m.x1, m.y0, m.y1)), ops.bc, coarse_material(m, ops.material)
-            )
-            P = prolongation(ops, coarse)
-            self.levels.append(_Level(S, _patch_colours(ops, S), P, csr_transpose(P)))
-            ops, S = coarse, schur_matrix(coarse.A, coarse.D, coarse.Cdiag, coeff)
+        for nx, ny in grid_shapes(mesh.nx, mesh.ny, ops.bc)[1:]:
+            coarse = build_rect_mesh(nx, ny, (mesh.x0, mesh.x1, mesh.y0, mesh.y1))
+            coarse_cls = edge_classify(coarse, ops.bc)
+            P = prolongation(mesh, cls, coarse, coarse_cls)
+            self.levels.append(_Level(S, _patch_colours(mesh, cls, S), P, csr_transpose(P)))
+            material = coarse_material(mesh, material)
+            mesh, cls = coarse, coarse_cls
+            S = schur_matrix(mesh, cls, material, coeff)
         inverse = np.linalg.inv(S.todense())
         self.coarsest = 0.5 * (inverse + inverse.T)
 

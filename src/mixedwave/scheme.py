@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import CgResult, CsrMatrix, SolverConfig, cg_solve, schur_matrix, spmv
+from .linalg import CgResult, CsrMatrix, SolverConfig, cg_solve, spmv
 from .mesh import BoundaryPartition, RectMesh
 from .multigrid import VCycle, coarsens
 from .spaces import (
@@ -56,6 +56,7 @@ from .spaces import (
     project_pressure_p_h,
     project_velocity_pi_h,
     sample_exact,
+    schur_matrix,
     velocity_l2_error,
 )
 
@@ -194,7 +195,10 @@ class EnergySample:
 
 def step_matrix(ops: MixedOperators, cfg: ThetaConfig) -> CsrMatrix:
     """SPD operator of the implicit solve, A + theta*dt^2 * D^T C^{-1} D."""
-    return schur_matrix(ops.A, ops.D, ops.Cdiag, cfg.theta * cfg.dt**2)
+    coeff = cfg.theta * cfg.dt**2
+    if coeff == 0.0:
+        return ops.A  # immutable, so sharing it is safe
+    return schur_matrix(ops.mesh, ops.classification, ops.material, coeff)
 
 
 class LoadCache:

@@ -6,12 +6,13 @@ normalization every divergence-coupling entry is exactly +-1 and the pressure
 mass matrix is diagonal, which the time stepper exploits.
 
 Assembly uses closed-form element integrals (exact for constant-per-element
-coefficients); the 3x3 Gauss rule appears only where genuinely smooth data
-must be integrated (loads, error norms); a run builds it once, as
-``MixedOperators.quadrature``, and evaluates the exact solution's spatial
-profiles there once (``sample_exact``). The interpolation operators use a
-7-point edge rule / 7x7 element rule so that smooth non-polynomial fields are
-projected to machine precision.
+coefficients): the velocity mass A and the step matrix A + coeff D^T C^{-1} D
+are one sum of 4x4 element blocks (``schur_matrix``). The 3x3 Gauss rule
+appears only where genuinely smooth data must be integrated (loads, error
+norms); a run builds it once, as ``MixedOperators.quadrature``, and evaluates
+the exact solution's spatial profiles there once (``sample_exact``). The
+interpolation operators use a 7-point edge rule / 7x7 element rule so that
+smooth non-polynomial fields are projected to machine precision.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .mesh import (
 ASSEMBLY_RULE = 3      # exact for all RT0/P0 products with constant coefficients
 PROJECTION_RULE = 7    # effectively exact for smooth data at desk scale
 PROJECTION_BLOCK = 1024  # elements per call of phi: bounds phi's scratch memory
+DIVERGENCE_ROW = np.array([-1.0, 1.0, -1.0, 1.0])  # an element's row of D over (LEFT, RIGHT, BOTTOM, TOP)
 
 
 @lru_cache(maxsize=None)
@@ -113,48 +115,63 @@ class MixedOperators:
         return element_quadrature(self.mesh)
 
 
+def schur_matrix(mesh: RectMesh, cls: EdgeClassification, material: MaterialField, coeff: float) -> CsrMatrix:
+    """Step operator A + coeff * D^T C^{-1} D over the free velocity dofs.
+
+    On a uniform grid it is a sum of one 4x4 block per element over the
+    local edges (LEFT, RIGHT, BOTTOM, TOP): the element's closed-form
+    rho-mass block plus coeff * lambda_e / (hx hy) * s s^T, where s is the
+    element's row of D, ``DIVERGENCE_ROW``. Entries on NEUMANN_U edges are
+    dropped. coeff = 0 gives the mass matrix A; the result is SPD whenever
+    coeff >= 0.
+    """
+    if material.rho_per_element.shape != (mesh.n_elements,):
+        raise ValueError("material arrays must have one entry per element")
+    rho = material.rho_per_element
+    block = np.zeros((4, 4, mesh.n_elements))
+    block[LEFT, LEFT] = block[RIGHT, RIGHT] = rho * mesh.hx / (3.0 * mesh.hy)
+    block[LEFT, RIGHT] = block[RIGHT, LEFT] = rho * mesh.hx / (6.0 * mesh.hy)
+    block[BOTTOM, BOTTOM] = block[TOP, TOP] = rho * mesh.hy / (3.0 * mesh.hx)
+    block[BOTTOM, TOP] = block[TOP, BOTTOM] = rho * mesh.hy / (6.0 * mesh.hx)
+    pairs = np.ones((4, 4), dtype=bool)
+    if coeff:
+        Cdiag = mesh.hx * mesh.hy / material.lambda_per_element
+        block += np.outer(DIVERGENCE_ROW, DIVERGENCE_ROW)[:, :, None] * (coeff / Cdiag)
+    else:
+        # x- and y-oriented shapes never overlap: the mass couples only L-R and B-T
+        pairs[:2, 2:] = pairs[2:, :2] = False
+    local_i, local_j = np.nonzero(pairs)
+    free = cls.free_index[mesh.element_edges.T]  # (4, n_elements)
+    fi, fj = free[local_i], free[local_j]
+    keep = (fi >= 0) & (fj >= 0)
+    rows, cols, vals = fi[keep], fj[keep], block[local_i, local_j][keep]
+    del block, free, fi, fj, keep  # freed before csr_from_coo sorts copies: a lower peak
+    return csr_from_coo(rows, cols, vals, (cls.n_free, cls.n_free))
+
+
 def assemble_operators(
     mesh: RectMesh,
     bc: BoundaryPartition,
     material: MaterialField,
 ) -> MixedOperators:
     """Assemble A, C, D with NEUMANN_U edge dofs eliminated."""
-    if material.rho_per_element.shape != (mesh.n_elements,):
-        raise ValueError("material arrays must have one entry per element")
     cls = edge_classify(mesh, bc)
-    ee = mesh.element_edges
-    rho = material.rho_per_element
-
-    # closed-form element mass blocks; x- and y-oriented shapes never overlap
-    ax_d = rho * mesh.hx / (3.0 * mesh.hy)
-    ax_o = rho * mesh.hx / (6.0 * mesh.hy)
-    ay_d = rho * mesh.hy / (3.0 * mesh.hx)
-    ay_o = rho * mesh.hy / (6.0 * mesh.hx)
-    L, R, B, T = ee[:, LEFT], ee[:, RIGHT], ee[:, BOTTOM], ee[:, TOP]
-    rows = np.concatenate([L, L, R, R, B, B, T, T])
-    cols = np.concatenate([L, R, L, R, B, T, B, T])
-    vals = np.concatenate([ax_d, ax_o, ax_o, ax_d, ay_d, ay_o, ay_o, ay_d])
-    fi, fj = cls.free_index[rows], cls.free_index[cols]
-    keep = (fi >= 0) & (fj >= 0)
-    n_free = cls.n_free
-    A = csr_from_coo(fi[keep], fj[keep], vals[keep], (n_free, n_free))
+    A = schur_matrix(mesh, cls, material, 0.0)
 
     # divergence theorem with integrated-flux dofs: entries exactly +-1
     n_el = mesh.n_elements
     el = np.repeat(np.arange(n_el), 4)
-    div_cols = cls.free_index[ee.ravel()]
-    div_vals = np.tile(np.array([-1.0, 1.0, -1.0, 1.0]), n_el)
+    div_cols = cls.free_index[mesh.element_edges.ravel()]
+    div_vals = np.tile(DIVERGENCE_ROW, n_el)
     keep = div_cols >= 0
-    D = csr_from_coo(el[keep], div_cols[keep], div_vals[keep], (n_el, n_free))
-
-    Cdiag = mesh.hx * mesh.hy / material.lambda_per_element
+    D = csr_from_coo(el[keep], div_cols[keep], div_vals[keep], (n_el, cls.n_free))
 
     return MixedOperators(
         A=A,
-        Cdiag=Cdiag,
+        Cdiag=mesh.hx * mesh.hy / material.lambda_per_element,
         D=D,
         DT=csr_transpose(D),
-        n_velocity=n_free,
+        n_velocity=cls.n_free,
         n_pressure=n_el,
         mesh=mesh,
         bc=bc,

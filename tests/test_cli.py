@@ -1,10 +1,19 @@
+import contextlib
+import io
 import math
+import os
 import re
+import tempfile
+import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mixedwave.cli as cli
+import mixedwave.verify as verify
 
 from mixedwave.cli import (
     MissingCommandError,
@@ -161,11 +170,14 @@ class TestCommands:
         assert main(["energy", "--time.dt", "0.3", "--time.T", "1.0"]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("omega", ["nan", "inf", "-inf", "1e200"])
+    @pytest.mark.parametrize("omega", ["nan", "inf", "-inf", "1e200", "1e154"])
     def test_non_finite_omega_is_a_usage_error(self, omega, tmp_path, capsys):
+        # at 1e154 omega^2 is finite, but the residual check overflows to NaN
         code = main(["run", "--problem.case", f"forced:{omega}", "--output.dir", str(tmp_path / "out")])
         assert code == 2
-        assert "invalid value for 'problem.case'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid value for 'problem.case'" in err
+        assert "Warning" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("solver.tol", "inf"), ("time.T", "inf"), ("time.dt", "1e-320")])
@@ -186,6 +198,17 @@ class TestCommands:
         code = main(["run", "--time.dt", dt, "--time.T", T, "--output.dir", str(tmp_path / "out")])
         assert code == 2
         assert "'time.dt'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_converge_levels_that_cannot_run_are_usage_errors(self, tmp_path, capsys, monkeypatch):
+        # nx 8, 16 and 32 could run; nx 64 needs 18.1 M steps, above the cap
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(verify, "run", no_run)
+        code = main(["converge", "--mesh.nx", "8", "--time.T", "1e5", "--output.dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "'time.T'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_blown_up_level_has_its_errors(self, tmp_path, capsys):
@@ -275,3 +298,74 @@ class TestCommands:
         a = (tmp_path / "a" / "energy.csv").read_bytes()
         b = (tmp_path / "b" / "energy.csv").read_bytes()
         assert a == b
+
+
+# Valid values start only short work: nx <= 8 and at most 20 steps for run
+# and energy (T <= 0.5 at dt >= 0.05, or the default T = 1 at dt = 1/128 or
+# >= 0.05). Invalid time inputs are too large to run at all. JUNK holds no
+# digit and none of the letters of "nan" or "inf", so it never parses as a number.
+SIZE = st.integers(1, 8).map(str)
+VALID = {
+    "mesh.nx": SIZE,
+    "mesh.ny": SIZE,
+    "scheme.theta": st.sampled_from(["0", "0.1", "0.25", "1"]) | st.floats(0.0, 1.0).map(repr),
+    "time.dt": st.sampled_from(["0.05", "0.1", "0.125", "0.25"]),
+    "time.T": st.sampled_from(["0.25", "0.5"]),
+    "problem.case": st.sampled_from(["standing-wave", "forced:1", "forced:0", "forced:3.5"]),
+    "solver.tol": st.sampled_from(["1e-12", "1e-6", "1e-300"]),
+    "solver.max_iter": st.sampled_from(["0", "1", "5"]),
+}
+INVALID = {
+    "mesh.nx": ["0", "-3", "2.5", "9e99"],
+    "mesh.ny": ["0", "-3", "2.5", "9e99"],
+    "scheme.theta": ["1.5", "-0.1", "nan"],
+    "time.dt": ["0", "-1", "0.3", "1e-320", "1e200", "inf"],
+    "time.T": ["0", "-1", "nan", "inf", "1e300"],
+    "problem.case": ["forced:1e154", "forced:1e200", "forced:nan", "forced:-1", "forced:", "wave"],
+    "solver.tol": ["0", "-1", "inf"],
+    "solver.max_iter": ["-1", "2.5"],
+}
+JUNK = st.text(alphabet="abcxyz:=#-_. ", max_size=8)
+CLI_TIME_BOUND = 20.0  # seconds; the slowest draws (8x8 stability, converge from nx 8) take under 1 s
+
+
+@st.composite
+def cli_argv(draw):
+    """A command and --key value pairs, valid or with one fault of a kind the CLI must report."""
+    argv = [draw(st.sampled_from(cli.COMMANDS + cli.COMMANDS + ("plot", "", "--help")))]
+    optional = [key for key in VALID if not key.startswith("mesh.")]
+    keys = ["mesh.nx", "mesh.ny"] + draw(st.lists(st.sampled_from(optional), max_size=4, unique=True))
+    pairs = {key: draw(VALID[key]) for key in keys}
+    fault = draw(st.sampled_from(["none", "none", "none", "value", "junk", "key", "stray", "config"]))
+    if fault in ("value", "junk"):
+        key = draw(st.sampled_from(keys))
+        pairs[key] = draw(st.sampled_from(INVALID[key]) if fault == "value" else JUNK)
+    elif fault == "key":
+        pairs[draw(JUNK)] = draw(JUNK)
+    elif fault == "config":
+        pairs["config"] = "missing.cfg"
+    for key, value in pairs.items():
+        argv += [f"--{key}", value]
+    if fault == "stray":
+        argv.insert(draw(st.integers(1, len(argv))), draw(JUNK))
+    return argv
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_argv())
+def test_cli_exits_with_a_documented_code_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # numpy overflow and invalid-value warnings
+        os.chdir(tmp)  # reports go to the default ./out, or a stray token's directory, in here
+        start = time.perf_counter()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert elapsed < CLI_TIME_BOUND

@@ -7,13 +7,12 @@ from mixedwave.linalg import (
     cg_solve,
     csr_from_coo,
     csr_transpose,
-    schur_matrix,
     spmv,
 )
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
-from mixedwave.spaces import assemble_operators, material_field
+from mixedwave.spaces import assemble_operators, material_field, schur_matrix
 from mixedwave.scheme import ThetaConfig, step_matrix
-from oracles import dense_solve, dense_step_matrix, max_asymmetry
+from oracles import dense_operators, dense_solve, dense_step_matrix, max_asymmetry
 
 DIR, NEU = BoundaryKind.DIRICHLET_P, BoundaryKind.NEUMANN_U
 ALL_PARTITIONS = [
@@ -225,30 +224,33 @@ class TestCg:
 
 
 class TestSchurMatrix:
-    def test_zero_coeff_returns_a_exactly(self):
+    def test_step_matrix_at_theta_zero_is_the_mass_matrix_itself(self):
         ops = operators_on(3)
-        S = schur_matrix(ops.A, ops.D, ops.Cdiag, 0.0)
-        assert S is ops.A
+        assert step_matrix(ops, ThetaConfig.from_steps(0.0, 1.0, 4)) is ops.A
 
-    def test_pure_divergence_term(self):
-        ops = operators_on(2)
-        n = ops.n_velocity
-        zero_A = csr_from_coo([], [], [], (n, n))
-        S = schur_matrix(zero_A, ops.D, np.ones(ops.n_pressure), 1.0)
-        D = ops.D.todense()
-        assert np.abs(S.todense() - D.T @ D).max() < 1e-14
+    @pytest.mark.parametrize("bc", ALL_PARTITIONS)
+    def test_matches_dense_oracle_on_every_partition(self, bc):
+        ops = hetero_operators(bc, nx=5, ny=3, seed=4)
+        A_ref, C_ref, D_ref = dense_operators(ops.mesh, bc, ops.material)
+        A = schur_matrix(ops.mesh, ops.classification, ops.material, 0.0)
+        assert A.cols.shape[0] == 3  # only the mass pattern: L-R and B-T pairs
+        assert np.abs(A.todense() - A_ref).max() <= 1e-14 * np.abs(A_ref).max()
+        for coeff in (2.5e-5, 0.37):
+            S = schur_matrix(ops.mesh, ops.classification, ops.material, coeff)
+            dense = dense_step_matrix(A_ref, D_ref, C_ref, coeff)
+            assert np.abs(S.todense() - dense).max() <= 1e-14 * np.abs(dense).max()
 
     def test_matches_dense_triple_product(self):
         ops = operators_on(2)
         coeff = 2.5e-5
-        S = schur_matrix(ops.A, ops.D, ops.Cdiag, coeff)
+        S = schur_matrix(ops.mesh, ops.classification, ops.material, coeff)
         D = ops.D.todense()
         dense = ops.A.todense() + coeff * D.T @ np.diag(1.0 / ops.Cdiag) @ D
         assert np.abs(S.todense() - dense).max() < 1e-14
 
     def test_symmetry(self):
         ops = operators_on(5, bc=BoundaryPartition.all_neumann())
-        S = schur_matrix(ops.A, ops.D, ops.Cdiag, 0.37)
+        S = schur_matrix(ops.mesh, ops.classification, ops.material, 0.37)
         assert max_asymmetry(S) <= 1e-14
 
     def test_matches_oracle_with_hetero_material_and_mixed_sides(self):
@@ -256,16 +258,9 @@ class TestSchurMatrix:
         ops = hetero_operators(BoundaryPartition(NEU, DIR, NEU, DIR), seed=4)
         assert set(ops.D.row_nnz) == {2, 3, 4}
         coeff = 0.37
-        S = schur_matrix(ops.A, ops.D, ops.Cdiag, coeff)
+        S = schur_matrix(ops.mesh, ops.classification, ops.material, coeff)
         dense = dense_step_matrix(ops.A.todense(), ops.D.todense(), ops.Cdiag, coeff)
         assert np.abs(S.todense() - dense).max() < 1e-12
-
-    def test_rejects_nonpositive_mass(self):
-        ops = operators_on(2)
-        bad = np.ones(ops.n_pressure)
-        bad[0] = 0.0
-        with pytest.raises(ValueError):
-            schur_matrix(ops.A, ops.D, bad, 1.0)
 
 
 def test_solver_config_rejects_nonpositive_tolerance():

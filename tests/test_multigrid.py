@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import mixedwave.multigrid as multigrid
-from mixedwave.linalg import SolverConfig, cg_solve, schur_matrix, spmv
+import mixedwave.linalg as linalg
+import mixedwave.spaces as spaces
+from mixedwave.linalg import SolverConfig, cg_solve, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.multigrid import VCycle, coarsens, grid_shapes, prolongation
 from mixedwave.scheme import (
@@ -16,7 +18,7 @@ from mixedwave.scheme import (
     grad_div_weight,
     run,
 )
-from mixedwave.spaces import MaterialField, assemble_operators, material_field
+from mixedwave.spaces import MaterialField, assemble_operators, material_field, schur_matrix
 from mixedwave.verify import energy_drift, make_problem, mms_forced, mms_standing_wave
 
 from oracles import dense_solve
@@ -62,7 +64,7 @@ class TestHierarchy:
         fine_mesh = build_rect_mesh(6, 4, (0.0, 3.0, -1.0, 1.0))
         fine = assemble_operators(fine_mesh, bc, random_material(fine_mesh, rng))
         coarse = assemble_operators(build_rect_mesh(3, 2, (0.0, 3.0, -1.0, 1.0)), bc, multigrid.coarse_material(fine_mesh, fine.material))
-        P = prolongation(fine, coarse).todense()
+        P = prolongation(fine_mesh, fine.classification, coarse.mesh, coarse.classification).todense()
         Q = np.zeros((fine_mesh.n_elements, 6))
         for e in range(fine_mesh.n_elements):
             i, j = e % 6, e // 6
@@ -85,7 +87,7 @@ class TestVCycle:
             # kappa 60 and 6e4, ten times the large-step benchmark; rounding
             # in the patch inverses makes B drift from symmetry as eps * kappa
             for coeff in (1e-3, 1.0):
-                S = schur_matrix(ops.A, ops.D, ops.Cdiag, coeff)
+                S = schur_matrix(ops.mesh, ops.classification, ops.material, coeff)
                 vcycle = VCycle(ops, S, coeff)
                 assert len(vcycle.levels) >= 2
                 B = vcycle_matrix(vcycle, ops.n_velocity)
@@ -98,7 +100,7 @@ class TestVCycle:
         rng = np.random.default_rng(7)
         mesh = build_rect_mesh(16, 8, (0.0, 2.0, 0.0, 0.5))
         ops = assemble_operators(mesh, bc, random_material(mesh, rng))
-        S = schur_matrix(ops.A, ops.D, ops.Cdiag, 0.5)
+        S = schur_matrix(ops.mesh, ops.classification, ops.material, 0.5)
         b = rng.standard_normal(ops.n_velocity)
         x = cg_solve(S, b, SolverConfig(1e-13), VCycle(ops, S, 0.5)).x
         ref = dense_solve(S, b)
@@ -111,9 +113,29 @@ class TestVCycle:
         mesh = build_rect_mesh(nx, nx)
         ops = assemble_operators(mesh, MIXED, random_material(mesh, rng))
         coeff = (dt_over_h * mesh.h) ** 2  # theta = 1
-        S = schur_matrix(ops.A, ops.D, ops.Cdiag, coeff)
+        S = schur_matrix(ops.mesh, ops.classification, ops.material, coeff)
         result = cg_solve(S, rng.standard_normal(ops.n_velocity), SolverConfig(), VCycle(ops, S, coeff))
         assert result.iterations <= 20
+
+
+    def test_coarse_levels_build_only_their_step_matrix_and_transfers(self, monkeypatch):
+        mesh = build_rect_mesh(64, 64)
+        ops = assemble_operators(mesh, MIXED, random_material(mesh, np.random.default_rng(2)))
+        S = schur_matrix(ops.mesh, ops.classification, ops.material, 1.0)
+        calls = []
+        inner = linalg.csr_from_coo
+
+        def counted(*args):
+            calls.append(args[3])
+            return inner(*args)
+
+        for module in (linalg, spaces, multigrid):
+            monkeypatch.setattr(module, "csr_from_coo", counted)
+        vcycle = VCycle(ops, S, 1.0)
+        # P, R = P^T and S once per coarse grid (32, 16 and 8 square); no A, D or D^T
+        n = [multigrid.free_dof_count(k, k, MIXED) for k in (64, 32, 16, 8)]
+        assert len(vcycle.levels) == 3
+        assert calls == [shape for f, c in zip(n, n[1:]) for shape in ((f, c), (c, f), (c, c))]
 
 
 def hetero_spec(nx, seed=3):

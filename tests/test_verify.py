@@ -2,12 +2,14 @@ import copy
 import dataclasses
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
 import sympy
 
 import mixedwave.multigrid as multigrid
+import mixedwave.verify as verify
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, RectMesh, build_rect_mesh
 from mixedwave.scheme import SeparableSolution, ThetaConfig, run
 from mixedwave.spaces import assemble_operators, material_field, project_pressure_p_h, project_velocity_pi_h
@@ -128,6 +130,13 @@ class TestManufacturedSolutions:
     def test_forced_rejects_bad_frequency(self, omega):
         with pytest.raises(ValueError, match="omega"):
             mms_forced(omega)
+
+    def test_residual_check_reports_an_overflow_as_nan_without_warning(self):
+        # omega^2 = 1e308 is finite, but the residual overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="residual nan"):
+                residual_check(mms_forced(1e154))
 
     @pytest.mark.parametrize("field", ["u_tt", "p"])
     def test_residual_check_rejects_nan(self, field):
@@ -279,6 +288,15 @@ class TestConvergenceStudies:
         )
         assert table.rows[0].h > table.rows[1].h
         assert table.rows[1].rate_u == pytest.approx(1.0, abs=0.15)
+
+    def test_every_level_is_checked_before_the_first_run(self, monkeypatch):
+        # nx 8, 16 and 32 could run; nx 64 needs 18.1 M steps, above the cap
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(verify, "run", no_run)
+        with pytest.raises(ValueError, match="exceed the cap"):
+            convergence_study(mms_standing_wave(), 0.25, [8, 16, 32, 64], lambda h: h / 4, 1e5)
 
     def test_observed_rates_reference_formula(self):
         rates = observed_rates([0.2, 0.1], [1.0, 0.5])
