@@ -54,7 +54,6 @@ from .spaces import (
 from .verify import (
     ConvergenceTable,
     ManufacturedSolution,
-    StabilityEstimate,
     cfl_max_dt,
     convergence_study,
     energy_drift,

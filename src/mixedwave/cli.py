@@ -16,11 +16,12 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .linalg import NonConvergence, SolverConfig
+from .multigrid import free_dof_count
 from .scheme import ThetaConfig, run
 from .verify import (
     BLOWUP,
     STABLE,
-    StabilityEstimate,
+    cfl_max_dt,
     convergence_levels,
     convergence_study,
     energy_drift,
@@ -266,6 +267,24 @@ def _check_converge_levels(cfg: RunConfig) -> None:
         raise ValueTypeError(f"'time.T' = {fmt(cfg.T)}: {exc}") from None
 
 
+def _check_mesh(cfg: RunConfig) -> None:
+    """Reject a mesh the study cannot use.
+
+    estimate-c0 and stability need a free velocity dof for C0. On a mesh one
+    element wide the manufactured data project to zero, so energy and
+    stability would measure the relative drift of rounding noise.
+    """
+    where = f"'mesh.nx' = {cfg.nx}, 'mesh.ny' = {cfg.ny}"
+    no_free_dof = free_dof_count(cfg.nx, cfg.ny, _mms_for(cfg).bc) == 0
+    if cfg.command in ("estimate-c0", "stability") and no_free_dof:
+        raise ValueTypeError(f"{where}: the mesh has no free velocity dof, so C0 is undefined")
+    if cfg.command in ("energy", "stability") and min(cfg.nx, cfg.ny) == 1:
+        raise ValueTypeError(
+            f"{where}: on a mesh one element wide the manufactured data project to zero, "
+            "so the energy drift is rounding noise"
+        )
+
+
 def _energy_table(result):
     rows = []
     e0 = result.energies[0].value
@@ -379,8 +398,7 @@ def cmd_estimate_c0(cfg: RunConfig) -> StudyReport:
     mms = _mms_for(cfg)
     spec = make_problem(mms, cfg.nx, cfg.ny)
     C0 = estimate_inverse_constant(spec.mesh, spec.bc)
-    est = StabilityEstimate(C0, spec.mesh.h, rho0=mms.rho, lambda1=mms.lam)
-    dtmax = est.dt_max(cfg.theta)
+    dtmax = cfl_max_dt(cfg.theta, spec.mesh.h, C0, mms.rho, mms.lam)
     notes = [
         f"C0 = {fmt(C0)}",
         f"h = {fmt(spec.mesh.h)}",
@@ -416,6 +434,7 @@ def main(argv=None) -> int:
             _time_config(cfg)  # dt must divide T; reject before any work starts
         elif cfg.command == "converge":
             _check_converge_levels(cfg)  # every level's step count, before the first run
+        _check_mesh(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("usage: mixedwave <command> [--config FILE] [--key value ...]", file=sys.stderr)

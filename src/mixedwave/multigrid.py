@@ -21,11 +21,13 @@ Jacobi do not reach it. The V-cycle here stays robust in coeff:
   "Preconditioning in H(div) and applications", Math. Comp. 66, 1997;
   "Multigrid in H(div) and H(curl)", Numer. Math. 85, 2000). A patch is the
   up to 4 free edges meeting at one vertex, solved exactly with a 4x4
-  inverse computed once. The patches are visited in 4 colours (i mod 2,
-  j mod 2) of their vertex (i, j): patches of one colour share no element,
-  so S does not couple them and one colour is updated at once. Pre-smoothing
-  visits colours 0..3 and post-smoothing 3..0, so the V-cycle is symmetric
-  positive definite and can precondition CG.
+  inverse computed once. Its rows of S are summed from the element blocks
+  (``spaces.element_blocks``) of the 2x2 elements around the vertex, so the
+  smoother never reads the storage of S. The patches are visited in 4
+  colours (i mod 2, j mod 2) of their vertex (i, j): patches of one colour
+  share no element, so S does not couple them and one colour is updated at
+  once. Pre-smoothing visits colours 0..3 and post-smoothing 3..0, so the
+  V-cycle is symmetric positive definite and can precondition CG.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .linalg import CsrMatrix, csr_from_coo, csr_transpose, spmv
 from .mesh import BoundaryKind, BoundaryPartition, EdgeClassification, RectMesh, build_rect_mesh, edge_classify
-from .spaces import MaterialField, MixedOperators, schur_matrix
+from .spaces import MaterialField, MixedOperators, element_blocks, schur_matrix
 
 COARSEST_DOFS = 256  # largest grid solved by a dense inverse
 
@@ -133,58 +135,56 @@ class _Colour(NamedTuple):
     weights: np.ndarray
 
 
-def _patch_colours(mesh: RectMesh, cls: EdgeClassification, S: CsrMatrix) -> list:
-    """The 4 colours (i mod 2, j mod 2) of vertex patches, in visiting order."""
+# The 2x2 elements around vertex (i, j) by the offset of their lower-left
+# corner, and the slot in ``around`` of each one's edges (L, R, B, T):
+# vertical edge (i + a, j + b) is slot 3b + a + 4, horizontal 2b + a + 9.
+CORNERS = ((-1, -1), (0, -1), (-1, 0), (0, 0))
+CORNER_SLOTS = np.array([[0, 1, 6, 8], [1, 2, 7, 9], [3, 4, 8, 10], [4, 5, 9, 11]])
+PATCH_SLOTS = np.array([1, 4, 8, 9])  # edges (i, j - 1), (i, j) vertical, (i - 1, j), (i, j) horizontal
+
+
+def _patch_colours(mesh: RectMesh, cls: EdgeClassification, blocks) -> list:
+    """The 4 colours (i mod 2, j mod 2) of vertex patches, in visiting order;
+    ``blocks`` are the grid's element blocks of S (``spaces.element_blocks``)."""
     n, nx, ny = cls.n_free, mesh.nx, mesh.ny
-    # full edge id -> dof; pinned edges and the sentinel edge n_edges, which
-    # stands for an edge outside the mesh, go to the dummy n
-    free = np.append(cls.free_index, -1)
-    free[free < 0] = n
-
-    def vedge(i, j):
-        inside = (i >= 0) & (i <= nx) & (j >= 0) & (j < ny)
-        return free[np.where(inside, mesh.vedge_id(i, j), mesh.n_edges)]
-
-    def hedge(i, j):
-        inside = (i >= 0) & (i < nx) & (j >= 0) & (j <= ny)
-        return free[np.where(inside, mesh.hedge_id(i, j), mesh.n_edges)]
-
     I, J = (g.ravel() for g in np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy"))
-    patch = np.column_stack([vedge(I, J - 1), vedge(I, J), hedge(I - 1, J), hedge(I, J)])
-    around = np.column_stack(
-        [vedge(I + di, J + dj) for dj in (-1, 0) for di in (-1, 0, 1)]
-        + [hedge(I + di, J + dj) for dj in (-1, 0, 1) for di in (-1, 0)]
-    )
+    # each corner's element; n_elements stands for one outside the mesh
+    elements = np.column_stack([
+        np.where((0 <= i) & (i < nx) & (0 <= j) & (j < ny), j * nx + i, mesh.n_elements)
+        for i, j in ((I + di, J + dj) for di, dj in CORNERS)
+    ])
+    # element -> dofs of its edges; pinned edges and the outside element's
+    # go to the dummy n, which every real dof undercuts in the minimum below
+    dof = np.where(cls.free_index >= 0, cls.free_index, n)
+    edges = np.vstack([dof[mesh.element_edges], np.full(4, n)])
+    around = np.full((I.size, 12), n)
+    for corner, slots in zip(elements.T, CORNER_SLOTS):
+        around[:, slots] = np.minimum(around[:, slots], edges[corner])
+    patch = around[:, PATCH_SLOTS]
     colour = np.where((patch < n).any(axis=1), I % 2 + 2 * (J % 2), -1)
+    blocks = np.concatenate([blocks, np.zeros((4, 4, 1))], axis=2)  # the outside element's
     return [
-        _colour(mesh, cls, S, I[sel], J[sel], patch[sel], around[sel])
+        _colour(n, blocks, elements[sel], patch[sel], around[sel])
         for sel in (colour == k for k in range(4))
         if sel.any()
     ]
 
 
-def _colour(mesh: RectMesh, cls: EdgeClassification, S: CsrMatrix, I, J, patch, around) -> _Colour:
-    """Smoother data of the patches at vertices (I, J)."""
-    n, nx = cls.n_free, mesh.nx
-    # S_pc[p, a, c] = S[patch[p, a], around[p, c]]: every stored column of a
-    # patch row is an edge of the 2x2 elements around the vertex, and its
-    # position c in ``around`` follows from its offset to the vertex
-    width = S.cols.shape[0]
-    cols = np.hstack([S.cols, np.full((width, 1), n)])[:, patch]  # (width, patches, 4)
-    vals = np.hstack([S.vals, np.zeros((width, 1))])[:, patch]
-    edge = np.append(cls.free_edges, 0)[cols]  # the dummy's value is 0
-    vertical = edge < mesh.n_vedges
-    h = edge - mesh.n_vedges
-    di = np.where(vertical, edge % (nx + 1), h % nx) - I[:, None]
-    dj = np.where(vertical, edge // (nx + 1), h // nx) - J[:, None]
-    slot = np.where(vertical, 3 * (dj + 1) + di + 1, 6 + 2 * (dj + 1) + di + 1)
-    slot[cols == n] = 0
-    slot += np.arange(patch.size).reshape(patch.shape) * 12
-    S_pc = np.bincount(slot.ravel(), vals.ravel(), minlength=12 * patch.size).reshape(-1, 4, 12)
+def _colour(n: int, blocks, elements, patch, around) -> _Colour:
+    """Smoother data of the patches with corner elements ``elements``, over n free dofs."""
+    # S_pc[p, a, c] = S[patch[p, a], around[p, c]]: the sum of the corner
+    # blocks' rows of the two edges each corner has at the vertex
+    S_pc = np.zeros((patch.shape[0], 4, 12))
+    for corner, slots in zip(elements.T, CORNER_SLOTS):
+        at_vertex = np.isin(slots, PATCH_SLOTS)
+        rows = np.searchsorted(PATCH_SLOTS, slots[at_vertex])
+        S_pc[:, rows[:, None], slots] += blocks[at_vertex][:, :, corner].transpose(2, 0, 1)
+    S_pc[patch == n] = 0.0  # S has no row or column for a pinned edge
+    S_pc.transpose(0, 2, 1)[around == n] = 0.0
 
     # S_pp, the patch edges' columns of S_pc, gets a unit diagonal at dummy
     # slots so that it inverts; their rows and columns of the inverse are 0
-    local = S_pc[:, :, [1, 4, 8, 9]]
+    local = S_pc[:, :, PATCH_SLOTS]
     local = 0.5 * (local + local.transpose(0, 2, 1))
     p, s = np.nonzero(patch == n)
     local[p, s, s] = 1.0
@@ -221,7 +221,8 @@ class VCycle:
             coarse = build_rect_mesh(nx, ny, (mesh.x0, mesh.x1, mesh.y0, mesh.y1))
             coarse_cls = edge_classify(coarse, ops.bc)
             P = prolongation(mesh, cls, coarse, coarse_cls)
-            self.levels.append(_Level(S, _patch_colours(mesh, cls, S), P, csr_transpose(P)))
+            colours = _patch_colours(mesh, cls, element_blocks(mesh, material, coeff))
+            self.levels.append(_Level(S, colours, P, csr_transpose(P)))
             material = coarse_material(mesh, material)
             mesh, cls = coarse, coarse_cls
             S = schur_matrix(mesh, cls, material, coeff)

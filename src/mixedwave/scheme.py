@@ -25,13 +25,13 @@ one D^T product, and it carries no cancellation of two large products.
 The first step comes from a Taylor expansion of the initial state and uses
 the same SPD operator, so stepping never touches a saddle-point system.
 
-A run builds that operator once, with its preconditioner, as a
-``StepSolver``. Jacobi-CG needs more iterations the more the grad-div term
-outweighs the mass term; their ratio is bounded by
-kappa = theta dt^2 (lambda1 / rho0) mu_max, with mu_max the closed-form
-largest eigenvalue of the divergence problem. When kappa reaches
-``MULTIGRID_MIN_KAPPA`` and the grid coarsens, CG is preconditioned by the
-multigrid V-cycle instead.
+A run builds one ``StepSolver``, the context of ``initialize`` and ``step``:
+the operator with its preconditioner, the CG settings and the force's loads.
+Jacobi-CG needs more iterations the more the grad-div term outweighs the
+mass term; their ratio is bounded by kappa = theta dt^2 (lambda1 / rho0)
+mu_max, with mu_max the closed-form largest eigenvalue of the divergence
+problem. When kappa reaches ``MULTIGRID_MIN_KAPPA`` and the grid coarsens,
+CG is preconditioned by the multigrid V-cycle instead.
 """
 
 from __future__ import annotations
@@ -201,38 +201,6 @@ def step_matrix(ops: MixedOperators, cfg: ThetaConfig) -> CsrMatrix:
     return schur_matrix(ops.mesh, ops.classification, ops.material, coeff)
 
 
-class LoadCache:
-    """Per-level load vectors of a run's body force.
-
-    Every level uses the run's quadrature and edge classification. A
-    ``SeparableForce`` has its profile's load assembled once and scaled by
-    h(n dt) at every level. Any other f costs one evaluation per level, and
-    each level's vector is kept for the three consecutive steps that read it.
-    """
-
-    def __init__(self, spec: ProblemSpec, ops: MixedOperators, dt: float):
-        self._spec = spec
-        self._ops = ops
-        self._dt = dt
-        self._cache = {}
-        self._profile_load = None
-
-    def at_level(self, n: int) -> np.ndarray:
-        f, ops = self._spec.f, self._ops
-        if isinstance(f, SeparableForce):
-            if self._profile_load is None:
-                profile = f.profile
-                self._profile_load = assemble_load(
-                    ops.quadrature, ops.classification, lambda x, y, t: profile(x, y), 0.0
-                )
-            return f.time_factor(n * self._dt) * self._profile_load
-        if n not in self._cache:
-            self._cache[n] = assemble_load(ops.quadrature, ops.classification, f, n * self._dt)
-            for stale in [k for k in self._cache if k < n - 2]:
-                del self._cache[stale]
-        return self._cache[n]
-
-
 def grad_div_weight(ops: MixedOperators, cfg: ThetaConfig) -> float:
     """kappa = theta dt^2 (lambda1 / rho0) mu_max.
 
@@ -246,37 +214,55 @@ def grad_div_weight(ops: MixedOperators, cfg: ThetaConfig) -> float:
 
 
 class StepSolver:
-    """The step matrix S of a run and the preconditioner chosen for it.
+    """What every solve of a run shares: the step matrix S, its preconditioner,
+    the CG settings (``SolverConfig()`` when None) and the body-force loads.
 
     Built once per run. ``preconditioner`` is the multigrid ``VCycle`` when
     kappa (``grad_div_weight``) is at least ``MULTIGRID_MIN_KAPPA`` and the
     grid coarsens, and None, which means Jacobi, otherwise.
     """
 
-    def __init__(self, ops: MixedOperators, cfg: ThetaConfig):
+    def __init__(self, spec: ProblemSpec, ops: MixedOperators, cfg: ThetaConfig,
+                 solver: SolverConfig | None = None):
+        self.spec, self.ops, self.cfg = spec, ops, cfg
+        self.solver = SolverConfig() if solver is None else solver
         self.S = step_matrix(ops, cfg)
         self.preconditioner = None
         if grad_div_weight(ops, cfg) >= MULTIGRID_MIN_KAPPA and coarsens(ops.mesh, ops.bc):
             self.preconditioner = VCycle(ops, self.S, cfg.theta * cfg.dt**2)
+        self._loads = {}
+        self._profile_load = None
 
-    def solve(self, defect, guess, solver: SolverConfig) -> tuple[np.ndarray, CgResult]:
+    def load(self, n: int) -> np.ndarray:
+        """Load vector of the body force at level n, on the run's quadrature.
+
+        A ``SeparableForce`` has its profile's load assembled once and scaled
+        by h(n dt). Any other f costs one evaluation per level, and each
+        level's vector is kept for the three consecutive steps that read it.
+        """
+        f, ops = self.spec.f, self.ops
+        if isinstance(f, SeparableForce):
+            if self._profile_load is None:
+                static = lambda x, y, t: f.profile(x, y)
+                self._profile_load = assemble_load(ops.quadrature, ops.classification, static, 0.0)
+            return f.time_factor(n * self.cfg.dt) * self._profile_load
+        if n not in self._loads:
+            self._loads[n] = assemble_load(ops.quadrature, ops.classification, f, n * self.cfg.dt)
+            for stale in [k for k in self._loads if k < n - 2]:
+                del self._loads[stale]
+        return self._loads[n]
+
+    def solve(self, defect, guess) -> tuple[np.ndarray, CgResult]:
         """Return guess + delta with S delta = defect, and the CG result.
 
         The caller passes the defect rhs - S guess in closed form, so the
         absolute accuracy is tied to the increment from ``guess``.
         """
-        result = cg_solve(self.S, defect, solver, self.preconditioner)
+        result = cg_solve(self.S, defect, self.solver, self.preconditioner)
         return guess + result.x, result
 
 
-def initialize(
-    spec: ProblemSpec,
-    ops: MixedOperators,
-    cfg: ThetaConfig,
-    solver: SolverConfig | None = None,
-    stepper: StepSolver | None = None,
-    loads: LoadCache | None = None,
-) -> SchemeState:
+def initialize(stepper: StepSolver) -> SchemeState:
     """Project initial data and take the Taylor first step; returns the state at n=1.
 
     U0 is the flux interpolant of u0 and P0 the element-average projection of
@@ -292,11 +278,9 @@ def initialize(
 
     which assumes nothing about P0. Warns when the
     initial data are incompatible (C P0 != D U0), which would otherwise leave
-    an alternating-sign defect in the pressure recursion. ``stepper`` is the
-    run's ``StepSolver``; without one, a new one is built for this call.
+    an alternating-sign defect in the pressure recursion.
     """
-    if solver is None:
-        solver = SolverConfig()
+    spec, ops, cfg = stepper.spec, stepper.ops, stepper.cfg
     mesh, cls = ops.mesh, ops.classification
     U0 = project_velocity_pi_h(mesh, cls, spec.u0)
     V0 = project_velocity_pi_h(mesh, cls, spec.v0)
@@ -312,58 +296,40 @@ def initialize(
             stacklevel=2,
         )
 
-    if stepper is None:
-        stepper = StepSolver(ops, cfg)
-    if loads is None:
-        loads = LoadCache(spec, ops, cfg.dt)
     dt, theta = cfg.dt, cfg.theta
     guess = U0 + dt * V0
     pressure = (0.5 - theta) * P0 + theta * spmv(ops.D, guess) / ops.Cdiag
     defect = -dt**2 * spmv(ops.DT, pressure)
     if spec.f is not None:
-        F0, F1 = loads.at_level(0), loads.at_level(1)
+        F0, F1 = stepper.load(0), stepper.load(1)
         defect += dt**2 * ((0.5 - theta) * F0 + theta * F1)
-    U1, result = stepper.solve(defect, guess, solver)
+    U1, result = stepper.solve(defect, guess)
     P1 = spmv(ops.D, U1) / ops.Cdiag
     return SchemeState(1, U0, U1, P0, P1, result.iterations)
 
 
-def step(
-    state: SchemeState,
-    ops: MixedOperators,
-    cfg: ThetaConfig,
-    spec: ProblemSpec,
-    solver: SolverConfig | None = None,
-    stepper: StepSolver | None = None,
-    loads: LoadCache | None = None,
-) -> SchemeState:
+def step(state: SchemeState, stepper: StepSolver) -> SchemeState:
     """Advance one level: three-level velocity update, then the pressure division.
 
     CG solves S (U[n+1] - G) = dt^2 (F[n,theta] - D^T P[n]) with the guess
     G = 2 U[n] - U[n-1] (module docstring). The defect reads P[n] only; it
     assumes P[n] = C^{-1} D U[n] and P[n-1] = C^{-1} D U[n-1], as every
     level from ``initialize`` and ``step`` has. P[n-1] no longer enters the
-    velocity update; it still enters ``discrete_energy``. ``stepper`` is the
-    run's ``StepSolver``; without one, a new one is built for this call.
+    velocity update; it still enters ``discrete_energy``.
     """
-    if solver is None:
-        solver = SolverConfig()
-    if stepper is None:
-        stepper = StepSolver(ops, cfg)
-    if loads is None:
-        loads = LoadCache(spec, ops, cfg.dt)
+    ops, cfg = stepper.ops, stepper.cfg
     n, dt, theta = state.n, cfg.dt, cfg.theta
     defect = spmv(ops.DT, state.P_curr)
     defect *= -dt**2
-    if spec.f is not None:
+    if stepper.spec.f is not None:
         F_theta = (
-            theta * loads.at_level(n + 1)
-            + (1.0 - 2.0 * theta) * loads.at_level(n)
-            + theta * loads.at_level(n - 1)
+            theta * stepper.load(n + 1)
+            + (1.0 - 2.0 * theta) * stepper.load(n)
+            + theta * stepper.load(n - 1)
         )
         defect += dt**2 * F_theta
     guess = 2.0 * state.U_curr - state.U_prev
-    U_next, result = stepper.solve(defect, guess, solver)
+    U_next, result = stepper.solve(defect, guess)
     P_next = spmv(ops.D, U_next) / ops.Cdiag
     return SchemeState(n + 1, state.U_curr, U_next, state.P_curr, P_next, result.iterations)
 
@@ -433,20 +399,17 @@ def run(
     solution (and record_errors is not False) the weighted L2 errors against
     it are recorded per level; its spatial profiles are evaluated once per run.
     """
-    if solver is None:
-        solver = SolverConfig()
     if record_errors is None:
         record_errors = spec.exact is not None
     if record_errors and spec.exact is None:
         raise ValueError("record_errors needs an exact solution (spec.exact)")
     ops = assemble_operators(spec.mesh, spec.bc, spec.material)
-    stepper = StepSolver(ops, cfg)
-    loads = LoadCache(spec, ops, cfg.dt)
+    stepper = StepSolver(spec, ops, cfg, solver)
     err_u = [] if record_errors else None
     err_p = [] if record_errors else None
     exact, rho, lam = spec.exact, spec.material.rho_per_element, spec.material.lambda_per_element
 
-    state = initialize(spec, ops, cfg, solver, stepper, loads)
+    state = initialize(stepper)
     if record_errors:
         # sampled after initialize, whose scratch arrays would otherwise stack on top
         samples = sample_exact(ops.quadrature, ops.classification, exact.velocity_profile, exact.pressure_profile)
@@ -469,7 +432,7 @@ def run(
         status = BLOWUP
     else:
         for _ in range(cfg.num_steps - 1):
-            state = step(state, ops, cfg, spec, solver, stepper, loads)
+            state = step(state, stepper)
             iterations.append(state.cg_iterations)
             energies.append(discrete_energy(state, ops, cfg))
             observe(state.n, state.U_curr, state.P_curr)

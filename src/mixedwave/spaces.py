@@ -7,12 +7,13 @@ mass matrix is diagonal, which the time stepper exploits.
 
 Assembly uses closed-form element integrals (exact for constant-per-element
 coefficients): the velocity mass A and the step matrix A + coeff D^T C^{-1} D
-are one sum of 4x4 element blocks (``schur_matrix``). The 3x3 Gauss rule
-appears only where genuinely smooth data must be integrated (loads, error
-norms); a run builds it once, as ``MixedOperators.quadrature``, and evaluates
-the exact solution's spatial profiles there once (``sample_exact``). The
-interpolation operators use a 7-point edge rule / 7x7 element rule so that
-smooth non-polynomial fields are projected to machine precision.
+are one sum of 4x4 element blocks (``element_blocks``, summed by
+``schur_matrix``). The 3x3 Gauss rule appears only where genuinely smooth
+data must be integrated (loads, error norms); a run builds it once, as
+``MixedOperators.quadrature``, and evaluates the exact solution's spatial
+profiles there once (``sample_exact``). The interpolation operators use a
+7-point edge rule / 7x7 element rule so that smooth non-polynomial fields
+are projected to machine precision.
 """
 
 from __future__ import annotations
@@ -115,15 +116,12 @@ class MixedOperators:
         return element_quadrature(self.mesh)
 
 
-def schur_matrix(mesh: RectMesh, cls: EdgeClassification, material: MaterialField, coeff: float) -> CsrMatrix:
-    """Step operator A + coeff * D^T C^{-1} D over the free velocity dofs.
+def element_blocks(mesh: RectMesh, material: MaterialField, coeff: float) -> np.ndarray:
+    """(4, 4, n_elements) element blocks of A + coeff * D^T C^{-1} D.
 
-    On a uniform grid it is a sum of one 4x4 block per element over the
-    local edges (LEFT, RIGHT, BOTTOM, TOP): the element's closed-form
-    rho-mass block plus coeff * lambda_e / (hx hy) * s s^T, where s is the
-    element's row of D, ``DIVERGENCE_ROW``. Entries on NEUMANN_U edges are
-    dropped. coeff = 0 gives the mass matrix A; the result is SPD whenever
-    coeff >= 0.
+    Local edges are ordered (LEFT, RIGHT, BOTTOM, TOP). Each block is the
+    element's closed-form rho-mass block plus coeff * lambda_e / (hx hy) * s s^T,
+    where s is the element's row of D, ``DIVERGENCE_ROW``.
     """
     if material.rho_per_element.shape != (mesh.n_elements,):
         raise ValueError("material arrays must have one entry per element")
@@ -133,11 +131,22 @@ def schur_matrix(mesh: RectMesh, cls: EdgeClassification, material: MaterialFiel
     block[LEFT, RIGHT] = block[RIGHT, LEFT] = rho * mesh.hx / (6.0 * mesh.hy)
     block[BOTTOM, BOTTOM] = block[TOP, TOP] = rho * mesh.hy / (3.0 * mesh.hx)
     block[BOTTOM, TOP] = block[TOP, BOTTOM] = rho * mesh.hy / (6.0 * mesh.hx)
-    pairs = np.ones((4, 4), dtype=bool)
     if coeff:
         Cdiag = mesh.hx * mesh.hy / material.lambda_per_element
         block += np.outer(DIVERGENCE_ROW, DIVERGENCE_ROW)[:, :, None] * (coeff / Cdiag)
-    else:
+    return block
+
+
+def schur_matrix(mesh: RectMesh, cls: EdgeClassification, material: MaterialField, coeff: float) -> CsrMatrix:
+    """Step operator A + coeff * D^T C^{-1} D over the free velocity dofs.
+
+    On a uniform grid it is a sum of one 4x4 block per element
+    (``element_blocks``). Entries on NEUMANN_U edges are dropped. coeff = 0
+    gives the mass matrix A; the result is SPD whenever coeff >= 0.
+    """
+    block = element_blocks(mesh, material, coeff)
+    pairs = np.ones((4, 4), dtype=bool)
+    if not coeff:
         # x- and y-oriented shapes never overlap: the mass couples only L-R and B-T
         pairs[:2, 2:] = pairs[2:, :2] = False
     local_i, local_j = np.nonzero(pairs)

@@ -199,19 +199,6 @@ def cfl_max_dt(theta: float, h: float, C0: float, rho0: float, lambda1: float) -
     return (h / C0) * math.sqrt(rho0 / lambda1) / math.sqrt(0.25 - theta)
 
 
-@dataclass(frozen=True)
-class StabilityEstimate:
-    """Inverse-inequality constant plus the material data the CFL bound needs."""
-
-    C0: float
-    h: float
-    rho0: float
-    lambda1: float
-
-    def dt_max(self, theta: float) -> float:
-        return cfl_max_dt(theta, self.h, self.C0, self.rho0, self.lambda1)
-
-
 def error_linf_l2(result: RunResult):
     """Max-over-time of the weighted spatial L2 errors recorded by a run."""
     if result.error_u is None or result.error_p is None:
@@ -414,10 +401,9 @@ def stability_sweep(
     residual_check(mms)
     spec = make_problem(mms, nx, ny)
     C0 = estimate_inverse_constant(spec.mesh, spec.bc)
-    est = StabilityEstimate(C0, spec.mesh.h, rho0=mms.rho, lambda1=mms.lam)
 
     def one(theta, m):
-        dtmax = est.dt_max(theta)
+        dtmax = cfl_max_dt(theta, spec.mesh.h, C0, mms.rho, mms.lam)
         dt = m * dtmax if math.isfinite(dtmax) else m * 10.0 * spec.mesh.h
         cfg = ThetaConfig.from_steps(theta, dt * num_steps, num_steps)
         result = run(spec, cfg, solver=solver, record_errors=False)

@@ -18,6 +18,7 @@ from mixedwave.scheme import (
     BLOWUP,
     COMPLETED,
     SchemeState,
+    StepSolver,
     ThetaConfig,
     discrete_energy,
     initialize,
@@ -95,7 +96,7 @@ def test_criterion_2_energy_matches_continuous_value(mms):
     spec = make_problem(mms, 32)
     cfg = ThetaConfig.from_dt(0.25, 1.0, 1 / 256)
     ops = assemble_operators(spec.mesh, spec.bc, spec.material)
-    sample = discrete_energy(initialize(spec, ops, cfg, SOLVER), ops, cfg)
+    sample = discrete_energy(initialize(StepSolver(spec, ops, cfg, SOLVER)), ops, cfg)
     target = np.pi**4 / 2
     rel = abs(sample.value - target) / target
     verdict(2, rel <= 0.01, f"E_h(1/2) = {sample.value:.6f} vs pi^4/2 = {target:.6f} (rel {rel:.2e})")
@@ -180,8 +181,8 @@ def test_criterion_8_oracle_equivalence():
         U_prev, U_curr, P_prev, P_curr = random_consistent_state(ops, rng)
         spec = make_problem(mms_standing_wave(), 2)
         spec.bc = bc
-        out = step(SchemeState(1, U_prev, U_curr, P_prev, P_curr), ops, cfg, spec,
-                   solver=SolverConfig(1e-13))
+        out = step(SchemeState(1, U_prev, U_curr, P_prev, P_curr),
+                   StepSolver(spec, ops, cfg, SolverConfig(1e-13)))
         U_ref, P_ref = dense_theta_step(
             A_ref, C_ref, D_ref, U_prev, U_curr, P_prev, P_curr, theta, dt,
             np.zeros(ops.n_velocity),

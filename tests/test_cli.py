@@ -163,12 +163,31 @@ class TestCommands:
         energy = (tmp_path / "out" / "energy.csv").read_text().splitlines()[1:]
         assert [r[3:5] for r in rows[1:]] == [line.split(",")[2:4] for line in energy]
 
-    def test_usage_error_exit_code(self, capsys):
+    def test_usage_error_exit_code(self, tmp_path, capsys, monkeypatch):
         assert main([]) == 2
         assert main(["energy", "--scheme.thetta", "0.2"]) == 2
         assert main(["energy", "--config", "/nonexistent/path.cfg"]) == 2
         assert main(["energy", "--time.dt", "0.3", "--time.T", "1.0"]) == 2
         capsys.readouterr()
+
+        # meshes a study cannot use: no free velocity dof, or one element wide
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        monkeypatch.setattr(verify, "run", no_run)
+        out = str(tmp_path / "out")
+        for command, nx, ny, cause in [
+            ("estimate-c0", 1, 1, "no free velocity dof"),
+            ("stability", 1, 1, "no free velocity dof"),
+            ("energy", 1, 8, "one element wide"),
+            ("stability", 1, 8, "one element wide"),
+            ("stability", 8, 1, "one element wide"),
+        ]:
+            assert main([command, "--mesh.nx", str(nx), "--mesh.ny", str(ny), "--output.dir", out]) == 2
+            err = capsys.readouterr().err
+            assert "'mesh.nx'" in err and "'mesh.ny'" in err and cause in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("omega", ["nan", "inf", "-inf", "1e200", "1e154"])
     def test_non_finite_omega_is_a_usage_error(self, omega, tmp_path, capsys):

@@ -163,7 +163,7 @@ class TestSelection:
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
         cfg = ThetaConfig.from_steps(1.0, 1.0, 16)  # dt = 2.83 h
         assert grad_div_weight(ops, cfg) == pytest.approx(6.14e3, rel=1e-2)
-        assert isinstance(StepSolver(ops, cfg).preconditioner, VCycle)
+        assert isinstance(StepSolver(spec, ops, cfg).preconditioner, VCycle)
 
     def test_kappa_below_the_crossover_keeps_jacobi(self):
         spec = hetero_spec(64)
@@ -171,16 +171,17 @@ class TestSelection:
         dt = 0.99 * math.sqrt(MULTIGRID_MIN_KAPPA / grad_div_weight(ops, ThetaConfig.from_steps(1.0, 1.0, 1)))
         cfg = ThetaConfig.from_steps(1.0, 4 * dt, 4)
         assert grad_div_weight(ops, cfg) < MULTIGRID_MIN_KAPPA
-        assert StepSolver(ops, cfg).preconditioner is None
+        assert StepSolver(spec, ops, cfg).preconditioner is None
 
     @pytest.mark.parametrize("nx", [63, 66])
     def test_grids_that_do_not_coarsen_keep_jacobi(self, nx):
         # 63 is odd; 66 halves once, to a 33 x 33 grid too large for a dense solve
         mesh = build_rect_mesh(nx, nx)
-        ops = assemble_operators(mesh, MIXED, material_field(mesh, 0.25, 4.0))
+        spec = ProblemSpec(mesh=mesh, bc=MIXED, material=material_field(mesh, 0.25, 4.0))
+        ops = assemble_operators(mesh, spec.bc, spec.material)
         cfg = ThetaConfig.from_steps(1.0, 1.0, 16)
         assert grad_div_weight(ops, cfg) >= MULTIGRID_MIN_KAPPA
-        assert StepSolver(ops, cfg).preconditioner is None
+        assert StepSolver(spec, ops, cfg).preconditioner is None
 
     @pytest.mark.parametrize(
         "nx, theta, steps_per_unit_time",
@@ -197,7 +198,7 @@ class TestSelection:
         steps = steps_per_unit_time or math.ceil(4.0 / spec.mesh.h)
         cfg = ThetaConfig.from_steps(theta, 1.0, steps)
         assert grad_div_weight(ops, cfg) < 1.0
-        assert StepSolver(ops, cfg).preconditioner is None
+        assert StepSolver(spec, ops, cfg).preconditioner is None
 
 
 class TestMultigridRun:

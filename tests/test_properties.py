@@ -18,7 +18,6 @@ from mixedwave.linalg import SolverConfig
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.multigrid import free_dof_count
 from mixedwave.scheme import (
-    LoadCache,
     ProblemSpec,
     SchemeState,
     StepSolver,
@@ -88,11 +87,11 @@ def test_step_matrix_is_spd(case):
 def test_energy_drift_is_bounded_by_the_solver_tolerance(case):
     spec, cfg, rng = case
     ops = assemble_operators(spec.mesh, spec.bc, spec.material)
-    stepper, loads, solver = StepSolver(ops, cfg), LoadCache(spec, ops, cfg.dt), SolverConfig(TOL)
+    stepper = StepSolver(spec, ops, cfg, SolverConfig(TOL))
     state = SchemeState(1, *random_consistent_state(ops, rng))
     energies = [discrete_energy(state, ops, cfg).value]
     for _ in range(STEPS):
-        state = step(state, ops, cfg, spec, solver, stepper, loads)
+        state = step(state, stepper)
         energies.append(discrete_energy(state, ops, cfg).value)
     drift = np.abs(np.array(energies) / energies[0] - 1.0).max()
     assert drift <= DRIFT_PER_STEP * STEPS * TOL
@@ -104,7 +103,7 @@ def test_one_step_matches_the_dense_oracle(case):
     spec, cfg, rng = case
     ops = assemble_operators(spec.mesh, spec.bc, spec.material)
     U_prev, U_curr, P_prev, P_curr = random_consistent_state(ops, rng)
-    out = step(SchemeState(1, U_prev, U_curr, P_prev, P_curr), ops, cfg, spec, SolverConfig(ORACLE_TOL))
+    out = step(SchemeState(1, U_prev, U_curr, P_prev, P_curr), StepSolver(spec, ops, cfg, SolverConfig(ORACLE_TOL)))
     U_ref, P_ref = dense_theta_step(
         ops.A.todense(), ops.Cdiag, ops.D.todense(),
         U_prev, U_curr, P_prev, P_curr, cfg.theta, cfg.dt, np.zeros(ops.n_velocity),

@@ -7,14 +7,13 @@ import pytest
 
 import mixedwave.scheme as scheme
 import mixedwave.spaces as spaces
-from mixedwave.linalg import CsrMatrix, SolverConfig, cg_solve, spmv
+from mixedwave.linalg import CsrMatrix, NonConvergence, SolverConfig, cg_solve, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.scheme import (
     BLOWUP,
     COMPLETED,
     MAX_STEPS,
     CompatibilityWarning,
-    LoadCache,
     ProblemSpec,
     SchemeState,
     SeparableForce,
@@ -108,7 +107,7 @@ class TestInitialize:
     def test_zero_data_stays_zero(self):
         spec = zero_problem()
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
-        state = initialize(spec, ops, ThetaConfig.from_steps(0.25, 1.0, 100))
+        state = initialize(StepSolver(spec, ops, ThetaConfig.from_steps(0.25, 1.0, 100)))
         assert np.array_equal(state.U_curr, np.zeros(ops.n_velocity))
         assert np.array_equal(state.P_curr, np.zeros(ops.n_pressure))
 
@@ -118,7 +117,7 @@ class TestInitialize:
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
         dt = 1e-3
         cfg = ThetaConfig.from_dt(0.0, 1.0, dt)
-        state = initialize(spec, ops, cfg)
+        state = initialize(StepSolver(spec, ops, cfg))
         U0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.u0)
         V0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.v0)
         from mixedwave.spaces import project_pressure_p_h
@@ -137,7 +136,7 @@ class TestInitialize:
         errs = []
         for dt in (1 / 64, 1 / 128):
             cfg = ThetaConfig.from_dt(0.25, 1.0, dt)
-            state = initialize(spec, ops, cfg)
+            state = initialize(StepSolver(spec, ops, cfg))
             ref = project_velocity_pi_h(spec.mesh, ops.classification, lambda x, y: mms.u(x, y, dt))
             d = state.U_curr - ref
             errs.append(np.sqrt(d @ spmv(ops.A, d)))
@@ -150,14 +149,14 @@ class TestInitialize:
         spec.p0 = ZERO_S                      # but p0 = 0
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
         with pytest.warns(CompatibilityWarning):
-            initialize(spec, ops, ThetaConfig.from_steps(0.25, 1.0, 10))
+            initialize(StepSolver(spec, ops, ThetaConfig.from_steps(0.25, 1.0, 10)))
 
     def test_explicit_taylor_start_includes_force(self):
         mms = mms_forced(1.0)
         spec = make_problem(mms, 4)
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
         dt = 1e-3
-        state = initialize(spec, ops, ThetaConfig.from_dt(0.0, 1.0, dt))
+        state = initialize(StepSolver(spec, ops, ThetaConfig.from_dt(0.0, 1.0, dt)))
         U0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.u0)
         from mixedwave.spaces import assemble_load, project_pressure_p_h
 
@@ -175,7 +174,7 @@ class TestStep:
         cfg = ThetaConfig.from_steps(0.5, 1.0, 10)
         n = ops.n_velocity
         state = SchemeState(1, np.zeros(n), np.zeros(n), np.zeros(ops.n_pressure), np.zeros(ops.n_pressure))
-        out = step(state, ops, cfg, spec)
+        out = step(state, StepSolver(spec, ops, cfg))
         assert np.array_equal(out.U_curr, np.zeros(n))
         assert np.array_equal(out.P_curr, np.zeros(ops.n_pressure))
 
@@ -185,7 +184,7 @@ class TestStep:
         cfg = ThetaConfig.from_steps(0.0, 0.05, 10)
         rng = np.random.default_rng(2)
         U_prev, U_curr, P_prev, P_curr = random_consistent_state(ops, rng)
-        out = step(SchemeState(1, U_prev, U_curr, P_prev, P_curr), ops, cfg, spec)
+        out = step(SchemeState(1, U_prev, U_curr, P_prev, P_curr), StepSolver(spec, ops, cfg))
         rhs = spmv(ops.A, 2 * U_curr - U_prev) - cfg.dt**2 * spmv(ops.DT, P_curr)
         explicit = cg_solve(ops.A, rhs, SolverConfig(1e-14)).x
         assert np.abs(out.U_curr - explicit).max() < 1e-12
@@ -196,8 +195,8 @@ class TestStep:
         cfg = ThetaConfig.from_steps(0.25, 0.2, 10)
         rng = np.random.default_rng(4)
         U_prev, U_curr, P_prev, P_curr = random_consistent_state(ops, rng)
-        out = step(SchemeState(1, U_prev, U_curr, P_prev, P_curr), ops, cfg, spec,
-                   solver=SolverConfig(1e-13))
+        out = step(SchemeState(1, U_prev, U_curr, P_prev, P_curr),
+                   StepSolver(spec, ops, cfg, SolverConfig(1e-13)))
         U_ref, P_ref = dense_theta_step(
             ops.A.todense(), ops.Cdiag, ops.D.todense(),
             U_prev, U_curr, P_prev, P_curr, cfg.theta, cfg.dt,
@@ -218,8 +217,8 @@ class TestStep:
         rng = np.random.default_rng(6)
         U_prev, U_curr, P_prev, P_curr = random_consistent_state(ops, rng)
         n = 3  # step from level 3 to 4: loads at t2, t3, t4
-        out = step(SchemeState(n, U_prev, U_curr, P_prev, P_curr), ops, cfg, spec,
-                   solver=SolverConfig(1e-13))
+        out = step(SchemeState(n, U_prev, U_curr, P_prev, P_curr),
+                   StepSolver(spec, ops, cfg, SolverConfig(1e-13)))
         loads = [assemble_load(ops.quadrature, ops.classification, spec.f, k * dt) for k in (n - 1, n, n + 1)]
         F_theta = theta * loads[2] + (1 - 2 * theta) * loads[1] + theta * loads[0]
         U_ref, P_ref = dense_theta_step(
@@ -283,7 +282,7 @@ class TestDiscreteEnergy:
         spec = make_problem(mms, 16)
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
         cfg = ThetaConfig.from_dt(0.25, 1.0, 1 / 128)
-        state = initialize(spec, ops, cfg)
+        state = initialize(StepSolver(spec, ops, cfg))
         sample = discrete_energy(state, ops, cfg)
         assert sample.value == pytest.approx(np.pi**4 / 2, rel=0.02)
         assert sample.t_half == pytest.approx(cfg.dt / 2)
@@ -492,11 +491,11 @@ class TestLongHorizon:
         n = max(self.STEPS)
         cfg = ThetaConfig.from_steps(0.25, n * mesh.h / 4, n)
         ops = assemble_operators(mesh, spec.bc, spec.material)
-        stepper, loads, solver = StepSolver(ops, cfg), LoadCache(spec, ops, cfg.dt), SolverConfig(self.TOL)
+        stepper = StepSolver(spec, ops, cfg, SolverConfig(self.TOL))
         state = SchemeState(1, *random_consistent_state(ops, np.random.default_rng(0)))
         energies = [discrete_energy(state, ops, cfg).value]
         for _ in range(n):
-            state = step(state, ops, cfg, spec, solver, stepper, loads)
+            state = step(state, stepper)
             energies.append(discrete_energy(state, ops, cfg).value)
         deviation = np.abs(np.array(energies) / energies[0] - 1.0)
         for steps in self.STEPS:  # the first `steps` steps are a run of that length
@@ -524,9 +523,9 @@ def recording_solves(stepper):
     defects = []
     solve = stepper.solve
 
-    def recording(defect, guess, solver):
+    def recording(defect, guess):
         defects.append(defect.copy())
-        return solve(defect, guess, solver)
+        return solve(defect, guess)
 
     stepper.solve = recording
     return defects
@@ -565,12 +564,11 @@ class TestClosedFormDefect:
         spec, ops = self.problem(force, seed=3)
         dt = 0.6 * spec.mesh.h
         cfg = ThetaConfig(theta, dt, 10, 10 * dt)
-        stepper = StepSolver(ops, cfg)
+        stepper = StepSolver(spec, ops, cfg)
         defects = recording_solves(stepper)
         U_prev, U_curr, P_prev, P_curr = random_consistent_state(ops, np.random.default_rng(5))
         n = 3
-        step(SchemeState(n, U_prev, U_curr, P_prev, P_curr), ops, cfg, spec,
-             stepper=stepper, loads=LoadCache(spec, ops, dt))
+        step(SchemeState(n, U_prev, U_curr, P_prev, P_curr), stepper)
         if spec.f is None:
             F_theta = np.zeros(ops.n_velocity)
         else:
@@ -591,10 +589,10 @@ class TestClosedFormDefect:
         spec, ops = self.problem(force, seed=4)
         dt = 0.6 * spec.mesh.h
         cfg = ThetaConfig(theta, dt, 10, 10 * dt)
-        stepper = StepSolver(ops, cfg)
+        stepper = StepSolver(spec, ops, cfg)
         defects = recording_solves(stepper)
         with pytest.warns(CompatibilityWarning):
-            initialize(spec, ops, cfg, stepper=stepper, loads=LoadCache(spec, ops, dt))
+            initialize(stepper)
         U0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.u0)
         V0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.v0)
         P0 = project_pressure_p_h(spec.mesh, spec.p0)
@@ -609,7 +607,7 @@ class TestClosedFormDefect:
     def test_a_step_makes_one_product_with_each_divergence_matrix(self, force, monkeypatch):
         spec, ops = self.problem(force, seed=6)
         cfg = ThetaConfig.from_steps(0.25, 0.5, 10)
-        stepper, loads = StepSolver(ops, cfg), LoadCache(spec, ops, cfg.dt)
+        stepper = StepSolver(spec, ops, cfg)
         products = []
 
         def recording_spmv(M, x):
@@ -619,7 +617,7 @@ class TestClosedFormDefect:
 
         monkeypatch.setattr(scheme, "spmv", recording_spmv)
         state = SchemeState(2, *random_consistent_state(ops, np.random.default_rng(7)))
-        step(state, ops, cfg, spec, stepper=stepper, loads=loads)
+        step(state, stepper)
         count = lambda M: sum(P is M for P in products)
         assert (count(ops.DT), count(ops.D)) == (1, 1)
         assert count(ops.A) == count(stepper.S) == 0
@@ -628,7 +626,7 @@ class TestClosedFormDefect:
     def test_initialize_makes_no_product_with_the_mass_or_step_matrix(self, monkeypatch):
         spec, ops = self.problem("separable", seed=6)
         cfg = ThetaConfig.from_steps(0.25, 0.5, 10)
-        stepper = StepSolver(ops, cfg)
+        stepper = StepSolver(spec, ops, cfg)
         products = []
 
         def recording_spmv(M, x):
@@ -638,7 +636,7 @@ class TestClosedFormDefect:
 
         monkeypatch.setattr(scheme, "spmv", recording_spmv)
         with pytest.warns(CompatibilityWarning):
-            initialize(spec, ops, cfg, stepper=stepper)
+            initialize(stepper)
         assert not any(P is ops.A or P is stepper.S for P in products)
 
 
@@ -648,11 +646,11 @@ class TestSeparableForce:
         spec.bc = mixed_sides()
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
         dt = 0.05
-        loads = LoadCache(spec, ops, dt)
+        stepper = StepSolver(spec, ops, ThetaConfig(0.0, dt, 12, 12 * dt))
         general = lambda x, y, t: spec.f(x, y, t)
         for n in range(12):
             want = assemble_load(ops.quadrature, ops.classification, general, n * dt)
-            assert np.abs(loads.at_level(n) - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.abs(stepper.load(n) - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("steps", [4, 40])
     def test_profile_is_evaluated_once_per_run(self, steps):
@@ -679,3 +677,45 @@ class TestSeparableForce:
         np.testing.assert_allclose([s.value for s in separable.energies],
                                    [s.value for s in general.energies], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(separable.error_u, general.error_u, rtol=1e-9, atol=0.0)
+
+
+class TestRunSolverConfig:
+    """A run's SolverConfig reaches every solve, the Taylor start's included.
+
+    Heterogeneous rho with lambda = 1 keeps the standing wave's data
+    compatible while Jacobi-CG needs about 30 iterations per solve, so a cap
+    of one iteration must stop each solve.
+    """
+
+    CAPPED = SolverConfig(max_iterations=1)
+
+    @staticmethod
+    def case():
+        spec = make_problem(mms_standing_wave(), 8)
+        rho = np.exp(np.random.default_rng(0).uniform(-1.4, 1.4, spec.mesh.n_elements))
+        spec.material = material_field(spec.mesh, lambda x, y: rho, 1.0)
+        ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+        return spec, ops, ThetaConfig.from_steps(0.25, 0.5, 4)
+
+    def test_every_solve_needs_more_than_one_jacobi_iteration(self):
+        spec, ops, cfg = self.case()
+        stepper = StepSolver(spec, ops, cfg)
+        assert stepper.preconditioner is None
+        state = initialize(stepper)
+        assert state.cg_iterations > 1
+        assert step(state, stepper).cg_iterations > 1
+
+    def test_run_raises(self):
+        spec, _, cfg = self.case()
+        with pytest.raises(NonConvergence):
+            run(spec, cfg, solver=self.CAPPED)
+
+    def test_initialize_raises(self):
+        with pytest.raises(NonConvergence):
+            initialize(StepSolver(*self.case(), self.CAPPED))
+
+    def test_step_raises(self):
+        spec, ops, cfg = self.case()
+        state = initialize(StepSolver(spec, ops, cfg))
+        with pytest.raises(NonConvergence):
+            step(state, StepSolver(spec, ops, cfg, self.CAPPED))

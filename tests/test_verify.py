@@ -17,7 +17,6 @@ from mixedwave.verify import (
     BLOWUP,
     DRIFT,
     STABLE,
-    StabilityEstimate,
     cfl_max_dt,
     convergence_study,
     energy_drift,
@@ -216,11 +215,6 @@ class TestCflBound:
     def test_monotone_in_theta(self):
         vals = [cfl_max_dt(th, 0.1, 2.0, 1.0, 1.0) for th in (0.0, 0.1, 0.2, 0.24)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_estimate_wrapper(self):
-        est = StabilityEstimate(C0=2.0, h=0.1, rho0=1.0, lambda1=1.0)
-        assert est.dt_max(0.0) == pytest.approx(0.1)
-        assert est.dt_max(0.5) == math.inf
 
 
 class TestErrorNorms:
