@@ -46,6 +46,7 @@ from .spaces import (
     MixedOperators,
     assemble_load,
     assemble_operators,
+    element_blocks,
     material_field,
     project_pressure_p_h,
     project_velocity_pi_h,

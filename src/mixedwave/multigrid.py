@@ -8,11 +8,12 @@ Jacobi do not reach it. The V-cycle here stays robust in coeff:
 - Hierarchy: halve nx and ny while both are even and the grid still has
   more than ``COARSEST_DOFS`` free dofs; the coarsest grid is solved with a
   dense inverse.
-- Coarse operators: a coarse grid builds only its step matrix
-  (``spaces.schur_matrix``), with rho and lambda averaged over the 4 children
-  of each coarse element. For the RT0 prolongation below, D_fine P = Q D_coarse / 4
-  with Q copying an element value to its 4 children, so averaging lambda
-  makes the coarse grad-div term exactly the Galerkin product.
+- Coarse operators: a coarse grid builds only its element blocks and their
+  sum, the step matrix (``spaces.schur_matrix``), with rho and lambda
+  averaged over the 4 children of each coarse element. For the RT0
+  prolongation below, D_fine P = Q D_coarse / 4 with Q copying an element
+  value to its 4 children, so averaging lambda makes the coarse grad-div
+  term exactly the Galerkin product.
 - Transfers: the prolongation P is the RT0 embedding of integrated fluxes:
   each half of a coarse edge carries half its flux, and each fine edge
   inside a coarse element gets a quarter of each of the two parallel coarse
@@ -210,22 +211,24 @@ class _Level(NamedTuple):
 class VCycle:
     """Symmetric V-cycle B ~ S^{-1} for ``cg_solve(..., precondition=VCycle(...))``.
 
-    ``ops`` and ``S`` are the fine grid's operators and step matrix, with
-    S = A + coeff * D^T C^{-1} D. The grid must coarsen (``coarsens``).
+    ``ops`` are the fine grid's operators, ``blocks`` its element blocks of
+    S = A + coeff * D^T C^{-1} D (``spaces.element_blocks``) and S their sum
+    (``spaces.schur_matrix``). Every level sums S and its smoother from one
+    set of blocks. The grid must coarsen (``coarsens``).
     """
 
-    def __init__(self, ops: MixedOperators, S: CsrMatrix, coeff: float):
+    def __init__(self, ops: MixedOperators, S: CsrMatrix, blocks: np.ndarray, coeff: float):
         mesh, cls, material = ops.mesh, ops.classification, ops.material
         self.levels = []
         for nx, ny in grid_shapes(mesh.nx, mesh.ny, ops.bc)[1:]:
             coarse = build_rect_mesh(nx, ny, (mesh.x0, mesh.x1, mesh.y0, mesh.y1))
             coarse_cls = edge_classify(coarse, ops.bc)
             P = prolongation(mesh, cls, coarse, coarse_cls)
-            colours = _patch_colours(mesh, cls, element_blocks(mesh, material, coeff))
-            self.levels.append(_Level(S, colours, P, csr_transpose(P)))
+            self.levels.append(_Level(S, _patch_colours(mesh, cls, blocks), P, csr_transpose(P)))
             material = coarse_material(mesh, material)
             mesh, cls = coarse, coarse_cls
-            S = schur_matrix(mesh, cls, material, coeff)
+            blocks = element_blocks(mesh, material, coeff)
+            S = schur_matrix(mesh, cls, blocks)
         inverse = np.linalg.inv(S.todense())
         self.coarsest = 0.5 * (inverse + inverse.T)
 

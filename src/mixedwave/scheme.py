@@ -51,12 +51,14 @@ from .spaces import (
     MixedOperators,
     assemble_load,
     assemble_operators,
+    element_blocks,
     max_divergence_eigenvalue,
+    pressure_best_approximation,
     pressure_l2_error,
     project_pressure_p_h,
     project_velocity_pi_h,
-    sample_exact,
     schur_matrix,
+    velocity_best_approximation,
     velocity_l2_error,
 )
 
@@ -118,8 +120,8 @@ class SeparableSolution:
     """Exact fields u = g(t) s_u(x, y) and p = g(t) s_p(x, y).
 
     Both fields share the time factor g because p = lambda div u. A run
-    evaluates the two spatial profiles once, at the quadrature points of its
-    error norms, and scales them by g(t) at every level.
+    evaluates and projects the two spatial profiles once, on the quadrature
+    of its error norms, and scales the projections by g(t) at every level.
     """
 
     time_factor: Callable       # t -> g(t)
@@ -198,7 +200,7 @@ def step_matrix(ops: MixedOperators, cfg: ThetaConfig) -> CsrMatrix:
     coeff = cfg.theta * cfg.dt**2
     if coeff == 0.0:
         return ops.A  # immutable, so sharing it is safe
-    return schur_matrix(ops.mesh, ops.classification, ops.material, coeff)
+    return schur_matrix(ops.mesh, ops.classification, element_blocks(ops.mesh, ops.material, coeff))
 
 
 def grad_div_weight(ops: MixedOperators, cfg: ThetaConfig) -> float:
@@ -219,17 +221,21 @@ class StepSolver:
 
     Built once per run. ``preconditioner`` is the multigrid ``VCycle`` when
     kappa (``grad_div_weight``) is at least ``MULTIGRID_MIN_KAPPA`` and the
-    grid coarsens, and None, which means Jacobi, otherwise.
+    grid coarsens, and None, which means Jacobi, otherwise. S and the
+    V-cycle's fine smoother then share one set of element blocks.
     """
 
     def __init__(self, spec: ProblemSpec, ops: MixedOperators, cfg: ThetaConfig,
                  solver: SolverConfig | None = None):
         self.spec, self.ops, self.cfg = spec, ops, cfg
         self.solver = SolverConfig() if solver is None else solver
-        self.S = step_matrix(ops, cfg)
-        self.preconditioner = None
         if grad_div_weight(ops, cfg) >= MULTIGRID_MIN_KAPPA and coarsens(ops.mesh, ops.bc):
-            self.preconditioner = VCycle(ops, self.S, cfg.theta * cfg.dt**2)
+            coeff = cfg.theta * cfg.dt**2
+            blocks = element_blocks(ops.mesh, ops.material, coeff)
+            self.S = schur_matrix(ops.mesh, ops.classification, blocks)
+            self.preconditioner = VCycle(ops, self.S, blocks, coeff)
+        else:
+            self.S, self.preconditioner = step_matrix(ops, cfg), None
         self._loads = {}
         self._profile_load = None
 
@@ -397,7 +403,9 @@ def run(
     Probes are callables probe(level, t, U, P) fired at every level 0..n,
     including a level whose step blew up. When the spec has an exact
     solution (and record_errors is not False) the weighted L2 errors against
-    it are recorded per level; its spatial profiles are evaluated once per run.
+    it are recorded per level: its spatial profiles are evaluated and
+    projected once per run, and each level costs one product with A
+    (``spaces`` module docstring).
     """
     if record_errors is None:
         record_errors = spec.exact is not None
@@ -407,19 +415,19 @@ def run(
     stepper = StepSolver(spec, ops, cfg, solver)
     err_u = [] if record_errors else None
     err_p = [] if record_errors else None
-    exact, rho, lam = spec.exact, spec.material.rho_per_element, spec.material.lambda_per_element
+    exact = spec.exact
 
     state = initialize(stepper)
     if record_errors:
-        # sampled after initialize, whose scratch arrays would otherwise stack on top
-        samples = sample_exact(ops.quadrature, ops.classification, exact.velocity_profile, exact.pressure_profile)
+        Pi_u, beta_u = velocity_best_approximation(ops, exact.velocity_profile)
+        mean_p, beta_p = pressure_best_approximation(ops, exact.pressure_profile)
 
     def observe(level, U, P):
         t = level * cfg.dt
         if record_errors:
             g = exact.time_factor(t)
-            err_u.append(velocity_l2_error(samples, rho, g, U))
-            err_p.append(pressure_l2_error(samples, lam, g, P))
+            err_u.append(velocity_l2_error(ops.A, Pi_u, beta_u, g, U))
+            err_p.append(pressure_l2_error(ops.Cdiag, mean_p, beta_p, g, P))
         for probe in probes:
             probe(level, t, U, P)
 

@@ -8,12 +8,19 @@ mass matrix is diagonal, which the time stepper exploits.
 Assembly uses closed-form element integrals (exact for constant-per-element
 coefficients): the velocity mass A and the step matrix A + coeff D^T C^{-1} D
 are one sum of 4x4 element blocks (``element_blocks``, summed by
-``schur_matrix``). The 3x3 Gauss rule appears only where genuinely smooth
+``schur_matrix``). The 3x3 Gauss rule Q appears only where genuinely smooth
 data must be integrated (loads, error norms); a run builds it once, as
-``MixedOperators.quadrature``, and evaluates the exact solution's spatial
-profiles there once (``sample_exact``). The interpolation operators use a
-7-point edge rule / 7x7 element rule so that smooth non-polynomial fields
-are projected to machine precision.
+``MixedOperators.quadrature``.
+
+Q integrates every RT0 x RT0 product exactly, so A is Q's Gram matrix and
+the error norms follow from discrete Pythagoras. A run projects the exact
+solution's spatial profiles once (``velocity_best_approximation``,
+``pressure_best_approximation``); the error of a level is then the
+projection's own error, scaled by g(t)^2, plus one product with A or with
+the diagonal C (``velocity_l2_error``, ``pressure_l2_error``).
+
+The interpolation operators use a 7-point edge rule / 7x7 element rule so
+that smooth non-polynomial fields are projected to machine precision.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import CsrMatrix, csr_from_coo, csr_transpose
+from .linalg import CsrMatrix, SolverConfig, cg_solve, csr_from_coo, csr_transpose, spmv
 from .mesh import (
     LEFT,
     RIGHT,
@@ -37,9 +44,13 @@ from .mesh import (
     edge_classify,
 )
 
-ASSEMBLY_RULE = 3      # exact for all RT0/P0 products with constant coefficients
+# Exact for all RT0/P0 products with constant coefficients. The error norms
+# rely on it: A must be the Gram matrix of the run's quadrature, which needs
+# a rule of at least 2 points per axis.
+ASSEMBLY_RULE = 3
 PROJECTION_RULE = 7    # effectively exact for smooth data at desk scale
 PROJECTION_BLOCK = 1024  # elements per call of phi: bounds phi's scratch memory
+BEST_APPROXIMATION_RTOL = 1e-14  # CG tolerance of A Pi = b_u: its residual enters the error norms
 DIVERGENCE_ROW = np.array([-1.0, 1.0, -1.0, 1.0])  # an element's row of D over (LEFT, RIGHT, BOTTOM, TOP)
 
 
@@ -137,24 +148,23 @@ def element_blocks(mesh: RectMesh, material: MaterialField, coeff: float) -> np.
     return block
 
 
-def schur_matrix(mesh: RectMesh, cls: EdgeClassification, material: MaterialField, coeff: float) -> CsrMatrix:
-    """Step operator A + coeff * D^T C^{-1} D over the free velocity dofs.
+def schur_matrix(mesh: RectMesh, cls: EdgeClassification, blocks: np.ndarray) -> CsrMatrix:
+    """Sum of the (4, 4, n_elements) element blocks over the free velocity dofs.
 
-    On a uniform grid it is a sum of one 4x4 block per element
-    (``element_blocks``). Entries on NEUMANN_U edges are dropped. coeff = 0
-    gives the mass matrix A; the result is SPD whenever coeff >= 0.
+    With ``blocks = element_blocks(mesh, material, coeff)`` this is the step
+    operator A + coeff * D^T C^{-1} D: the mass matrix A at coeff = 0, SPD
+    whenever coeff >= 0. Entries on NEUMANN_U edges are dropped, and so are
+    local pairs that are zero in every block: x- and y-oriented shapes never
+    overlap, so the mass alone couples only L-R and B-T and has 3 entries a row.
     """
-    block = element_blocks(mesh, material, coeff)
-    pairs = np.ones((4, 4), dtype=bool)
-    if not coeff:
-        # x- and y-oriented shapes never overlap: the mass couples only L-R and B-T
-        pairs[:2, 2:] = pairs[2:, :2] = False
-    local_i, local_j = np.nonzero(pairs)
+    local_i, local_j = np.nonzero(blocks.any(axis=2))
     free = cls.free_index[mesh.element_edges.T]  # (4, n_elements)
     fi, fj = free[local_i], free[local_j]
     keep = (fi >= 0) & (fj >= 0)
-    rows, cols, vals = fi[keep], fj[keep], block[local_i, local_j][keep]
-    del block, free, fi, fj, keep  # freed before csr_from_coo sorts copies: a lower peak
+    rows, cols, vals = fi[keep], fj[keep], blocks[local_i, local_j][keep]
+    # freed before csr_from_coo sorts copies, a lower peak; blocks too when
+    # the caller passed them as a temporary
+    del blocks, free, fi, fj, keep
     return csr_from_coo(rows, cols, vals, (cls.n_free, cls.n_free))
 
 
@@ -165,7 +175,7 @@ def assemble_operators(
 ) -> MixedOperators:
     """Assemble A, C, D with NEUMANN_U edge dofs eliminated."""
     cls = edge_classify(mesh, bc)
-    A = schur_matrix(mesh, cls, material, 0.0)
+    A = schur_matrix(mesh, cls, element_blocks(mesh, material, 0.0))
 
     # divergence theorem with integrated-flux dofs: entries exactly +-1
     n_el = mesh.n_elements
@@ -224,7 +234,6 @@ class ElementQuadrature:
     """
 
     mesh: RectMesh
-    n: int
     x: np.ndarray        # (n_elements, n*n) physical coordinates
     y: np.ndarray
     weights: np.ndarray  # (n*n,), sums to 1
@@ -238,7 +247,6 @@ def element_quadrature(mesh: RectMesh, n: int = ASSEMBLY_RULE) -> ElementQuadrat
     xi, eta = np.repeat(s, n), np.tile(s, n)
     return ElementQuadrature(
         mesh=mesh,
-        n=n,
         x=mesh.element_x0[:, None] + mesh.hx * xi[None, :],
         y=mesh.element_y0[:, None] + mesh.hy * eta[None, :],
         weights=np.repeat(w, n) * np.tile(w, n),
@@ -317,72 +325,43 @@ def project_pressure_p_h(mesh: RectMesh, phi) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class ExactSamples:
-    """Spatial profiles of a separable exact solution at the points of a quadrature.
+def velocity_best_approximation(ops: MixedOperators, profile) -> tuple[np.ndarray, float]:
+    """Pi s_u over the free dofs and beta_u = || rho^{1/2} (s_u - Pi s_u) ||^2 on Q.
 
-    Built once per run; every level's error is then g(t) times these values
-    minus the discrete field, at the same points. Arrays are point-major
-    (the element index last), so per-element values broadcast over points
-    along the long axis.
+    Q is the run's quadrature (``ops.quadrature``) and Pi s_u the rho-weighted
+    Q-projection of the profile (x, y) -> (sx, sy) onto the free RT0 space:
+    A Pi = (rho s_u, phi_i)_Q. The profile is evaluated once, and beta_u is
+    summed from the pointwise defect, not taken as a difference of norms.
     """
-
-    quad: ElementQuadrature
-    slots: np.ndarray  # (4, n_elements) free-dof index per local edge, -1 if constrained
-    ux: np.ndarray     # (n, n, n_elements): xi along axis 0, eta along axis 1
-    uy: np.ndarray
-    p: np.ndarray      # (n*n, n_elements)
-
-
-def sample_exact(quad: ElementQuadrature, cls: EdgeClassification, velocity, pressure) -> ExactSamples:
-    """Evaluate the profiles velocity(x, y) -> (sx, sy) and pressure(x, y) once."""
-    n, shape = quad.n, quad.x.shape
-
-    def point_major(values):
-        return np.ascontiguousarray(np.broadcast_to(np.asarray(values, dtype=np.float64), shape).T)
-
-    ux, uy = velocity(quad.x, quad.y)
-    return ExactSamples(
-        quad=quad,
-        slots=np.ascontiguousarray(cls.free_index[quad.mesh.element_edges].T),
-        ux=point_major(ux).reshape(n, n, -1),
-        uy=point_major(uy).reshape(n, n, -1),
-        p=point_major(pressure(quad.x, quad.y)),
-    )
+    quad, mesh = ops.quadrature, ops.mesh
+    rho = ops.material.rho_per_element
+    sx, sy = (np.broadcast_to(np.asarray(v, dtype=np.float64), quad.x.shape) for v in profile(quad.x, quad.y))
+    load = assemble_load(quad, ops.classification, lambda x, y, t: (rho[:, None] * sx, rho[:, None] * sy), 0.0)
+    coeffs = cg_solve(ops.A, load, SolverConfig(BEST_APPROXIMATION_RTOL)).x
+    c = np.append(coeffs, 0.0)[ops.classification.free_index[mesh.element_edges]]  # pinned slots read the 0
+    vx = c[:, [LEFT, RIGHT]] @ (np.array([1.0 - quad.xi, quad.xi]) / mesh.hy)
+    vy = c[:, [BOTTOM, TOP]] @ (np.array([1.0 - quad.eta, quad.eta]) / mesh.hx)
+    per_el = ((sx - vx) ** 2 + (sy - vy) ** 2) @ quad.weights
+    return coeffs, float(mesh.hx * mesh.hy * np.sum(rho * per_el))
 
 
-def velocity_l2_error(samples: ExactSamples, rho_per_element, g: float, free_coeffs) -> float:
-    """Weighted L2 distance || rho^{1/2} (g s_u - U_h) || by element quadrature.
-
-    The x-component of the RT0 field varies only with xi and the
-    y-component only with eta, so each is evaluated at n points per element
-    and broadcast over the other axis.
-    """
-    quad = samples.quad
-    mesh = quad.mesh
-    s, _ = gauss_rule_1d(quad.n)
-    c = np.append(free_coeffs, 0.0)[samples.slots]  # slot -1 reads the appended 0
-    vx = (c[LEFT] * (1.0 - s)[:, None] + c[RIGHT] * s[:, None]) / mesh.hy
-    vy = (c[BOTTOM] * (1.0 - s)[:, None] + c[TOP] * s[:, None]) / mesh.hx
-    # in place: fresh arrays of this size cost more than the arithmetic
-    dx = g * samples.ux
-    dx -= vx[:, None, :]
-    dy = g * samples.uy
-    dy -= vy[None, :, :]
-    dx *= dx
-    dy *= dy
-    dx += dy
-    per_el = quad.weights @ dx.reshape(quad.weights.size, -1)
-    area = mesh.hx * mesh.hy
-    return float(np.sqrt(area * np.sum(np.asarray(rho_per_element) * per_el)))
+def pressure_best_approximation(ops: MixedOperators, profile) -> tuple[np.ndarray, float]:
+    """Element averages of s_p on Q and beta_p = || lambda^{-1/2} (s_p - averages) ||^2 on Q."""
+    quad, mesh = ops.quadrature, ops.mesh
+    values = np.broadcast_to(np.asarray(profile(quad.x, quad.y), dtype=np.float64), quad.x.shape)
+    averages = values @ quad.weights
+    per_el = (values - averages[:, None]) ** 2 @ quad.weights
+    return averages, float(mesh.hx * mesh.hy * np.sum(per_el / ops.material.lambda_per_element))
 
 
-def pressure_l2_error(samples: ExactSamples, lambda_per_element, g: float, pressure_coeffs) -> float:
-    """Weighted L2 distance || lambda^{-1/2} (g s_p - P_h) ||."""
-    mesh = samples.quad.mesh
-    d = g * samples.p
-    d -= np.asarray(pressure_coeffs)[None, :]
-    d *= d
-    per_el = samples.quad.weights @ d
-    area = mesh.hx * mesh.hy
-    return float(np.sqrt(area * np.sum(per_el / np.asarray(lambda_per_element))))
+def velocity_l2_error(A: CsrMatrix, projection, beta: float, g: float, free_coeffs) -> float:
+    """|| rho^{1/2} (g s_u - U_h) || on Q by discrete Pythagoras: g^2 beta_u + d^T A d,
+    d = g Pi s_u - U_h (``velocity_best_approximation``)."""
+    d = g * projection - free_coeffs
+    return math.sqrt(g * g * beta + float(d @ spmv(A, d)))
+
+
+def pressure_l2_error(Cdiag, averages, beta: float, g: float, pressure_coeffs) -> float:
+    """|| lambda^{-1/2} (g s_p - P_h) || on Q: g^2 beta_p + sum_e C_e (g average_e - P_e)^2."""
+    d = g * averages - pressure_coeffs
+    return math.sqrt(g * g * beta + float((Cdiag * d) @ d))

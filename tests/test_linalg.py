@@ -10,7 +10,7 @@ from mixedwave.linalg import (
     spmv,
 )
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
-from mixedwave.spaces import assemble_operators, material_field, schur_matrix
+from mixedwave.spaces import assemble_operators, element_blocks, material_field, schur_matrix
 from mixedwave.scheme import ThetaConfig, step_matrix
 from oracles import dense_operators, dense_solve, dense_step_matrix, max_asymmetry
 
@@ -232,25 +232,25 @@ class TestSchurMatrix:
     def test_matches_dense_oracle_on_every_partition(self, bc):
         ops = hetero_operators(bc, nx=5, ny=3, seed=4)
         A_ref, C_ref, D_ref = dense_operators(ops.mesh, bc, ops.material)
-        A = schur_matrix(ops.mesh, ops.classification, ops.material, 0.0)
+        A = schur_matrix(ops.mesh, ops.classification, element_blocks(ops.mesh, ops.material, 0.0))
         assert A.cols.shape[0] == 3  # only the mass pattern: L-R and B-T pairs
         assert np.abs(A.todense() - A_ref).max() <= 1e-14 * np.abs(A_ref).max()
         for coeff in (2.5e-5, 0.37):
-            S = schur_matrix(ops.mesh, ops.classification, ops.material, coeff)
+            S = schur_matrix(ops.mesh, ops.classification, element_blocks(ops.mesh, ops.material, coeff))
             dense = dense_step_matrix(A_ref, D_ref, C_ref, coeff)
             assert np.abs(S.todense() - dense).max() <= 1e-14 * np.abs(dense).max()
 
     def test_matches_dense_triple_product(self):
         ops = operators_on(2)
         coeff = 2.5e-5
-        S = schur_matrix(ops.mesh, ops.classification, ops.material, coeff)
+        S = schur_matrix(ops.mesh, ops.classification, element_blocks(ops.mesh, ops.material, coeff))
         D = ops.D.todense()
         dense = ops.A.todense() + coeff * D.T @ np.diag(1.0 / ops.Cdiag) @ D
         assert np.abs(S.todense() - dense).max() < 1e-14
 
     def test_symmetry(self):
         ops = operators_on(5, bc=BoundaryPartition.all_neumann())
-        S = schur_matrix(ops.mesh, ops.classification, ops.material, 0.37)
+        S = schur_matrix(ops.mesh, ops.classification, element_blocks(ops.mesh, ops.material, 0.37))
         assert max_asymmetry(S) <= 1e-14
 
     def test_matches_oracle_with_hetero_material_and_mixed_sides(self):
@@ -258,7 +258,7 @@ class TestSchurMatrix:
         ops = hetero_operators(BoundaryPartition(NEU, DIR, NEU, DIR), seed=4)
         assert set(ops.D.row_nnz) == {2, 3, 4}
         coeff = 0.37
-        S = schur_matrix(ops.mesh, ops.classification, ops.material, coeff)
+        S = schur_matrix(ops.mesh, ops.classification, element_blocks(ops.mesh, ops.material, coeff))
         dense = dense_step_matrix(ops.A.todense(), ops.D.todense(), ops.Cdiag, coeff)
         assert np.abs(S.todense() - dense).max() < 1e-12
 

@@ -6,6 +6,7 @@ import pytest
 
 import mixedwave.multigrid as multigrid
 import mixedwave.linalg as linalg
+import mixedwave.scheme as scheme
 import mixedwave.spaces as spaces
 from mixedwave.linalg import SolverConfig, cg_solve, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
@@ -18,7 +19,7 @@ from mixedwave.scheme import (
     grad_div_weight,
     run,
 )
-from mixedwave.spaces import MaterialField, assemble_operators, material_field, schur_matrix
+from mixedwave.spaces import MaterialField, assemble_operators, element_blocks, material_field, schur_matrix
 from mixedwave.verify import energy_drift, make_problem, mms_forced, mms_standing_wave
 
 from oracles import dense_solve
@@ -87,8 +88,9 @@ class TestVCycle:
             # kappa 60 and 6e4, ten times the large-step benchmark; rounding
             # in the patch inverses makes B drift from symmetry as eps * kappa
             for coeff in (1e-3, 1.0):
-                S = schur_matrix(ops.mesh, ops.classification, ops.material, coeff)
-                vcycle = VCycle(ops, S, coeff)
+                blocks = element_blocks(ops.mesh, ops.material, coeff)
+                S = schur_matrix(ops.mesh, ops.classification, blocks)
+                vcycle = VCycle(ops, S, blocks, coeff)
                 assert len(vcycle.levels) >= 2
                 B = vcycle_matrix(vcycle, ops.n_velocity)
                 assert np.abs(B - B.T).max() <= 1e-12 * np.abs(B).max()
@@ -100,9 +102,10 @@ class TestVCycle:
         rng = np.random.default_rng(7)
         mesh = build_rect_mesh(16, 8, (0.0, 2.0, 0.0, 0.5))
         ops = assemble_operators(mesh, bc, random_material(mesh, rng))
-        S = schur_matrix(ops.mesh, ops.classification, ops.material, 0.5)
+        blocks = element_blocks(ops.mesh, ops.material, 0.5)
+        S = schur_matrix(ops.mesh, ops.classification, blocks)
         b = rng.standard_normal(ops.n_velocity)
-        x = cg_solve(S, b, SolverConfig(1e-13), VCycle(ops, S, 0.5)).x
+        x = cg_solve(S, b, SolverConfig(1e-13), VCycle(ops, S, blocks, 0.5)).x
         ref = dense_solve(S, b)
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -113,15 +116,17 @@ class TestVCycle:
         mesh = build_rect_mesh(nx, nx)
         ops = assemble_operators(mesh, MIXED, random_material(mesh, rng))
         coeff = (dt_over_h * mesh.h) ** 2  # theta = 1
-        S = schur_matrix(ops.mesh, ops.classification, ops.material, coeff)
-        result = cg_solve(S, rng.standard_normal(ops.n_velocity), SolverConfig(), VCycle(ops, S, coeff))
+        blocks = element_blocks(ops.mesh, ops.material, coeff)
+        S = schur_matrix(ops.mesh, ops.classification, blocks)
+        result = cg_solve(S, rng.standard_normal(ops.n_velocity), SolverConfig(), VCycle(ops, S, blocks, coeff))
         assert result.iterations <= 20
 
 
     def test_coarse_levels_build_only_their_step_matrix_and_transfers(self, monkeypatch):
         mesh = build_rect_mesh(64, 64)
         ops = assemble_operators(mesh, MIXED, random_material(mesh, np.random.default_rng(2)))
-        S = schur_matrix(ops.mesh, ops.classification, ops.material, 1.0)
+        blocks = element_blocks(ops.mesh, ops.material, 1.0)
+        S = schur_matrix(ops.mesh, ops.classification, blocks)
         calls = []
         inner = linalg.csr_from_coo
 
@@ -131,11 +136,29 @@ class TestVCycle:
 
         for module in (linalg, spaces, multigrid):
             monkeypatch.setattr(module, "csr_from_coo", counted)
-        vcycle = VCycle(ops, S, 1.0)
+        vcycle = VCycle(ops, S, blocks, 1.0)
         # P, R = P^T and S once per coarse grid (32, 16 and 8 square); no A, D or D^T
         n = [multigrid.free_dof_count(k, k, MIXED) for k in (64, 32, 16, 8)]
         assert len(vcycle.levels) == 3
         assert calls == [shape for f, c in zip(n, n[1:]) for shape in ((f, c), (c, f), (c, c))]
+
+    def test_each_grid_computes_its_element_blocks_once(self, monkeypatch):
+        calls = []
+        inner = spaces.element_blocks
+
+        def counted(mesh, material, coeff):
+            calls.append((mesh.nx, coeff))
+            return inner(mesh, material, coeff)
+
+        for module in (spaces, multigrid, scheme):
+            monkeypatch.setattr(module, "element_blocks", counted)
+        spec = hetero_spec(64)
+        ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+        cfg = ThetaConfig.from_steps(1.0, 1.0, 16)  # dt = 2.83 h: multigrid
+        assert isinstance(StepSolver(spec, ops, cfg).preconditioner, VCycle)
+        # A, then one set per grid, shared by its S and its smoother
+        coeff = cfg.dt**2
+        assert calls == [(64, 0.0), (64, coeff), (32, coeff), (16, coeff), (8, coeff)]
 
 
 def hetero_spec(nx, seed=3):

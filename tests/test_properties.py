@@ -6,7 +6,10 @@ even meshes take the multigrid path as they do on the fine meshes of a real
 run.
 """
 
+import copy
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,18 +21,21 @@ from mixedwave.linalg import SolverConfig
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.multigrid import free_dof_count
 from mixedwave.scheme import (
+    CompatibilityWarning,
     ProblemSpec,
     SchemeState,
     StepSolver,
     ThetaConfig,
     discrete_energy,
+    run,
     step,
     step_matrix,
 )
 from mixedwave.spaces import MaterialField, assemble_operators
-from mixedwave.verify import cfl_max_dt, estimate_inverse_constant
+from mixedwave.verify import cfl_max_dt, estimate_inverse_constant, make_problem, mms_forced
 
 from oracles import dense_theta_step, random_consistent_state
+from test_verify import assert_same
 
 TOL = 1e-12         # the solver default, for the energy drift
 ORACLE_TOL = 1e-14  # the oracle check measures the scheme, not the CG error
@@ -44,9 +50,9 @@ SETTINGS = settings(
 
 
 @st.composite
-def cases(draw):
+def cases(draw, max_cells=12):
     """(spec, cfg, rng): a mesh, a boundary partition, material and a stable step."""
-    nx, ny = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    nx, ny = draw(st.integers(1, max_cells)), draw(st.integers(1, max_cells))
     bc = BoundaryPartition(*draw(st.tuples(*[st.sampled_from(tuple(BoundaryKind))] * 4)))
     if free_dof_count(nx, ny, bc) == 0:
         bc = BoundaryPartition.all_dirichlet()
@@ -110,3 +116,34 @@ def test_one_step_matches_the_dense_oracle(case):
     )
     assert np.abs(out.U_curr - U_ref).max() <= 1e-10 * max(1.0, np.abs(U_ref).max())
     assert np.abs(out.P_curr - P_ref).max() <= 1e-10 * max(1.0, np.abs(P_ref).max())
+
+
+@st.composite
+def recorded_runs(draw):
+    """(spec, cfg): a ``cases`` draw on at most 8 x 8 elements with the forced
+    manufactured data and its exact solution, so that ``run`` records errors."""
+    spec, cfg, _ = draw(cases(max_cells=8))
+    data = make_problem(mms_forced(1.0), 1)
+    return replace(data, mesh=spec.mesh, bc=spec.bc, material=spec.material), cfg
+
+
+@SETTINGS
+@given(recorded_runs())
+def test_run_leaves_its_inputs_unchanged(case):
+    spec, cfg = case
+    before = copy.deepcopy(spec)
+    with warnings.catch_warnings():
+        # random lambda makes p0 incompatible with u0; the run does not care
+        warnings.simplefilter("ignore", CompatibilityWarning)
+        res = run(spec, cfg, record_errors=True)
+    assert len(res.error_u) == len(res.error_p) == res.state.n + 1
+    assert_same(before, spec)
+
+
+@SETTINGS
+@given(cases(max_cells=8))
+def test_assemble_operators_leaves_its_inputs_unchanged(case):
+    spec, _, _ = case
+    before = copy.deepcopy(spec)
+    assemble_operators(spec.mesh, spec.bc, spec.material)
+    assert_same(before, spec)

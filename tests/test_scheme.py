@@ -408,7 +408,19 @@ class TestErrorRecording:
         spec.material = random_material(spec.mesh, 8)
         return spec, ThetaConfig.from_steps(0.25, 0.2, 10)
 
-    @pytest.mark.parametrize("case", ["standing_wave_16", "forced_12_by_7", "random_weights"])
+    @staticmethod
+    def mixed_sides_wide_weights():
+        # free boundary edges enter the projection; rho and lambda span 1e4
+        spec = make_problem(mms_forced(1.0), 9, 7)
+        spec.bc = mixed_sides()
+        rng = np.random.default_rng(9)
+        rho, lam = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), (2, spec.mesh.n_elements)))
+        spec.material = MaterialField(rho, lam, 1e-2, 1e2, 1e-2, 1e2)
+        return spec, ThetaConfig.from_steps(0.5, 0.3, 12)
+
+    @pytest.mark.parametrize(
+        "case", ["standing_wave_16", "forced_12_by_7", "random_weights", "mixed_sides_wide_weights"]
+    )
     def test_matches_the_per_call_norms_at_every_level(self, case):
         spec, cfg = getattr(self, case)()
         exact, m = spec.exact, spec.material
@@ -427,6 +439,8 @@ class TestErrorRecording:
         assert len(res.error_u) == len(res.error_p) == cfg.num_steps + 1
         np.testing.assert_allclose(res.error_u, ref_u, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(res.error_p, ref_p, rtol=1e-12, atol=0.0)
+        assert spaces.velocity_best_approximation(res.operators, exact.velocity_profile)[1] >= 0.0
+        assert spaces.pressure_best_approximation(res.operators, exact.pressure_profile)[1] >= 0.0
 
     @pytest.mark.parametrize("steps", [4, 40])
     def test_profiles_are_evaluated_once_per_run(self, steps):
