@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .linalg import NonConvergence, SolverConfig
 from .multigrid import free_dof_count
-from .scheme import ThetaConfig, run
+from .scheme import ThetaConfig, check_courant_number, run
 from .verify import (
     BLOWUP,
     STABLE,
@@ -255,6 +255,15 @@ def _time_config(cfg: RunConfig) -> ThetaConfig:
         raise ValueTypeError(f"'time.dt' = {fmt(cfg.dt)}: {exc}") from None
 
 
+def _check_time_step(cfg: RunConfig) -> None:
+    """Reject a dt that does not divide T or whose products would overflow."""
+    time_cfg = _time_config(cfg)
+    try:
+        check_courant_number(make_problem(_mms_for(cfg), cfg.nx, cfg.ny), time_cfg)
+    except ValueError as exc:
+        raise ValueTypeError(f"'time.dt' = {fmt(cfg.dt)}: {exc}") from None
+
+
 def _converge_plan(cfg: RunConfig) -> tuple:
     """(theta, mesh sizes, dt rule, final time) of converge: nx doubled 3 times, dt = h/4."""
     return cfg.theta, [cfg.nx, 2 * cfg.nx, 4 * cfg.nx, 8 * cfg.nx], lambda h: h / 4.0, cfg.T
@@ -295,20 +304,21 @@ def _energy_table(result):
 
 
 def _steps_table(result):
-    """One row per level: the CG iterations of the solve that produced it,
-    the energy sample that step completed (between levels n-1 and n), its
-    relative drift, and the errors when the run recorded them. Level 0 has
-    no solve and no energy sample, so those cells are blank."""
-    header = ["level", "t", "cg_iterations", "energy", "rel_drift"]
+    """One row per level: the CG iterations and final residual of the solve
+    that produced it, the energy sample that step completed (between levels
+    n-1 and n), its relative drift, and the errors when the run recorded
+    them. Level 0 has no solve and no energy sample, so those cells are blank."""
+    header = ["level", "t", "cg_iterations", "cg_residual", "energy", "rel_drift"]
     errors = result.error_u is not None
     if errors:
         header += ["err_u", "err_p"]
     _, energy_rows = _energy_table(result)
     rows = []
     for level in range(len(result.cg_iterations) + 1):
-        row = [level, level * result.config.dt, None, None, None]
+        row = [level, level * result.config.dt, None, None, None, None]
         if level > 0:
-            row[2:] = [int(result.cg_iterations[level - 1]), *energy_rows[level - 1][2:]]
+            solve = level - 1
+            row[2:] = [int(result.cg_iterations[solve]), result.cg_residuals[solve], *energy_rows[solve][2:]]
         if errors:
             row += [result.error_u[level], result.error_p[level]]
         rows.append(row)
@@ -431,7 +441,7 @@ def main(argv=None) -> int:
         text = Path(config_path).read_text(encoding="utf-8") if config_path else ""
         cfg = parse_config(text, overrides, command)
         if cfg.command in ("run", "energy"):
-            _time_config(cfg)  # dt must divide T; reject before any work starts
+            _check_time_step(cfg)  # reject before any work starts
         elif cfg.command == "converge":
             _check_converge_levels(cfg)  # every level's step count, before the first run
         _check_mesh(cfg)

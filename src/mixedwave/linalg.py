@@ -1,16 +1,27 @@
-"""Minimal sparse kernel: padded-row storage, mat-vec, preconditioned CG.
+"""Minimal sparse kernel: two operator formats, mat-vec, preconditioned CG.
 
-Everything at desk scale is float64 numpy. Matrices have one format,
-padded rows (ELLPACK), built from COO triplets by ``csr_from_coo``: every
-operator the package assembles (in ``spaces``) has at most 7 entries per row
-(the step matrix 7, A 3, D 4, D^T 2), so a mat-vec is one gather and one row
-sum over a few slots, with no scatter. Each matrix computes its main diagonal
-once, at construction, and hands it out read-only, so the Jacobi
-preconditioner costs nothing per solve. The solver is conjugate gradients,
-Jacobi-preconditioned by default or with a caller's symmetric positive
-definite preconditioner (the multigrid V-cycle of ``multigrid``); the step
-matrices are symmetric positive definite by construction, so CG is the
-right tool.
+Everything at desk scale is float64 numpy. Operators come in two formats,
+and ``spmv`` applies either:
+
+- Padded rows (ELLPACK, ``CsrMatrix``), built from COO triplets by
+  ``csr_from_coo``: every operator the package assembles (in ``spaces``) has
+  at most 7 entries per row (the step matrix 7, A 3, D 4, D^T 2), so a
+  mat-vec is one gather and one row sum over a few slots, with no scatter.
+- Edge-grid stencils (``GridStepMatrix``, ``GridDivergence``): on a uniform
+  grid a free-dof vector is two 2-D arrays of edge values (``EdgeGrid``), and
+  A, A + D^T diag(w) D, D and D^T are a few array-slice multiply-adds with
+  per-element coefficients. They store no entries and gather nothing.
+
+The gather costs more than the arithmetic on large grids and less than the
+slicing overhead on small ones, so ``spaces`` picks the format by the number
+of free dofs (``spaces.GRID_MIN_DOFS``, a measured crossover). Padded rows
+and the stencil step matrices compute their main diagonal once, at
+construction, and hand it out read-only, so the Jacobi preconditioner costs
+nothing per solve. The solver
+is conjugate gradients, Jacobi-preconditioned by default or with a caller's
+symmetric positive definite preconditioner (the multigrid V-cycle of
+``multigrid``); the step matrices are symmetric positive definite by
+construction, so CG is the right tool.
 """
 
 from __future__ import annotations
@@ -123,11 +134,193 @@ def csr_transpose(M: CsrMatrix) -> CsrMatrix:
     return csr_from_coo(cols, rows, vals, (M.shape[1], M.shape[0]))
 
 
-def spmv(M: CsrMatrix, x) -> np.ndarray:
-    """Sparse matrix-vector product M @ x."""
+class EdgeGrid(NamedTuple):
+    """The free velocity dofs of an nx-by-ny grid as two 2-D arrays.
+
+    Free dofs are numbered row-major, vertical edges first (``mesh``), and a
+    pinned (NEUMANN_U) side drops the first or last column or row of edges,
+    so a free-dof vector reshapes with no copy into the (ny, nx + 1 - left -
+    right) grid of free vertical edges followed by the (ny + 1 - bottom - top,
+    nx) grid of free horizontal edges. Each pinned flag is 0 or 1.
+    """
+
+    nx: int
+    ny: int
+    left: int
+    right: int
+    bottom: int
+    top: int
+
+    @property
+    def shapes(self):
+        """Shapes of the free vertical-edge and horizontal-edge grids."""
+        return (self.ny, self.nx + 1 - self.left - self.right), (self.ny + 1 - self.bottom - self.top, self.nx)
+
+    @property
+    def n_free(self):
+        (a, b), (c, d) = self.shapes
+        return a * b + c * d
+
+    def split(self, x):
+        """Views of a free-dof vector as the vertical-edge and horizontal-edge grids."""
+        vertical, horizontal = self.shapes
+        n = vertical[0] * vertical[1]
+        return x[:n].reshape(vertical), x[n:].reshape(horizontal)
+
+    def divergence(self, V, H) -> np.ndarray:
+        """(ny, nx) element rows of D applied to the edge grids V, H."""
+        out = np.empty((self.ny, self.nx))
+        _difference(out, V, self.left, self.right)
+        across = np.empty_like(out)
+        _difference(across.T, H.T, self.bottom, self.top)
+        out += across
+        return out
+
+    def add_divergence_transpose(self, z, yV, yH):
+        """yV, yH += D^T z, with z the (ny, nx) element values."""
+        _add_difference_transpose(yV, z, self.left, self.right)
+        _add_difference_transpose(yH.T, z.T, self.bottom, self.top)
+
+
+def _difference(out, X, lo, hi):
+    """out[..., i] = X at the far end of cell i minus X at its near end.
+
+    X holds the free values on the n + 1 edges around the n cells of out's
+    last axis; a pinned first (lo) or last (hi) edge is 0 and left out of X.
+    """
+    if X.shape[-1] == 0:
+        out[...] = 0.0
+        return
+    n = out.shape[-1]
+    np.subtract(X[..., 1:], X[..., :-1], out=out[..., lo : n - hi])
+    if lo:
+        out[..., 0] = X[..., 0]
+    if hi:
+        out[..., -1] = -X[..., -1]
+
+
+def _add_difference_transpose(y, z, lo, hi):
+    """y += the transpose of ``_difference`` applied to z: each free edge
+    gains z of the cell before it and loses z of the cell after it."""
+    n = z.shape[-1]
+    y[..., 1 - lo : n - lo] += z[..., :-1] - z[..., 1:]
+    if not lo:
+        y[..., 0] -= z[..., 0]
+    if not hi:
+        y[..., -1] += z[..., -1]
+
+
+def _edge_sum(cells, lo, hi):
+    """Per free edge, the sum of ``cells`` over the (up to two) cells it
+    bounds, along the last axis and in the memory order of ``cells``."""
+    n = cells.shape[-1]
+    out = np.zeros(cells.shape[:-1] + (n + 1,), order="C" if cells.flags.c_contiguous else "F")
+    out[..., :-1] += cells
+    out[..., 1:] += cells
+    return out[..., lo : n + 1 - hi]
+
+
+class GridStepMatrix:
+    """A + D^T diag(w) D on an ``EdgeGrid``, applied by array slices.
+
+    The mass matrix A couples the two x-normal edges of each element through
+    the element's 2x2 block [[a, b], [b, a]], ``mass_x`` = (a, b) as two
+    (ny, nx) arrays, and its two y-normal edges through ``mass_y``. The
+    weight w (ny, nx) scales each element's divergence; None means A alone.
+    ``nnz`` counts the entries the padded-row form of the same operator
+    stores. The main diagonal is computed once, here, and is read-only.
+
+    A's couplings are applied as two bands of the flat free-dof vector, with
+    zeros where a band crosses from one row of vertical edges to the next:
+    contiguous slices are faster than row-by-row ones. So unlike padded
+    rows, a non-finite x at the end of such a row also makes the product at
+    the start of the next row non-finite (0 * inf).
+    """
+
+    __slots__ = ("grid", "shape", "nnz", "_n_vertical", "_mass", "_bands", "_weight", "_diagonal")
+
+    def __init__(self, grid: EdgeGrid, mass_x, mass_y, weight=None):
+        g = grid
+        (ny, nv), (nh, nx) = g.shapes
+        # A in flat free-dof order: its diagonal, and bands at offset 1 in the
+        # vertical-edge grid (0 between rows) and nx in the horizontal one,
+        # each entry the b of the element two neighbours share
+        along_x = mass_x[1][:, g.left : g.nx - g.right]
+        along_y = mass_y[1][g.bottom : g.ny - g.top]
+        band_x = np.zeros((ny, nv))
+        band_x[:, :-1] = along_x
+        self._bands = (band_x.ravel()[:-1], along_y.ravel())
+        self._mass = np.concatenate([
+            _edge_sum(mass_x[0], g.left, g.right).ravel(),
+            _edge_sum(mass_y[0].T, g.bottom, g.top).T.ravel(),
+        ])
+        n = self._mass.size
+        nnz = n + 2 * along_x.size + 2 * along_y.size
+        diagonal = self._mass
+        if weight is not None:
+            diagonal = diagonal + np.concatenate([
+                _edge_sum(weight, g.left, g.right).ravel(),
+                _edge_sum(weight.T, g.bottom, g.top).T.ravel(),
+            ])
+            # every element couples each free x-normal edge with each free y-normal one
+            nnz += 2 * (2 * g.nx - g.left - g.right) * (2 * g.ny - g.bottom - g.top)
+        diagonal.flags.writeable = False
+        self.grid, self.shape, self.nnz, self._n_vertical = grid, (n, n), nnz, ny * nv
+        self._weight, self._diagonal = weight, diagonal
+
+    def diagonal(self):
+        """Main diagonal as a read-only dense vector; every call returns the same array."""
+        return self._diagonal
+
+    def _apply(self, x):
+        m = self._n_vertical
+        y = self._mass * x
+        _add_band(y[:m], x[:m], self._bands[0], 1)
+        _add_band(y[m:], x[m:], self._bands[1], self.grid.nx)
+        if self._weight is not None:
+            V, H = self.grid.split(x)
+            z = self.grid.divergence(V, H)
+            z *= self._weight
+            self.grid.add_divergence_transpose(z, *self.grid.split(y))
+        return y
+
+
+def _add_band(y, x, band, offset):
+    """y += B x for the symmetric B that holds ``band`` ``offset`` above and below its diagonal."""
+    k = band.size
+    y[offset:] += band * x[:k]
+    y[:k] += band * x[offset:]
+
+
+class GridDivergence:
+    """D (one row per element, one column per free dof) on an ``EdgeGrid``,
+    or D^T when ``transposed``; entries +-1, applied by array slices.
+    ``nnz`` counts the entries the padded-row form stores."""
+
+    __slots__ = ("grid", "transposed", "shape", "nnz")
+
+    def __init__(self, grid: EdgeGrid, transposed=False):
+        g = grid
+        n_el = g.nx * g.ny
+        self.grid, self.transposed = grid, transposed
+        self.shape = (g.n_free, n_el) if transposed else (n_el, g.n_free)
+        self.nnz = g.ny * (2 * g.nx - g.left - g.right) + g.nx * (2 * g.ny - g.bottom - g.top)
+
+    def _apply(self, x):
+        if self.transposed:
+            y = np.zeros(self.shape[0])
+            self.grid.add_divergence_transpose(x.reshape(self.grid.ny, self.grid.nx), *self.grid.split(y))
+            return y
+        return self.grid.divergence(*self.grid.split(x)).ravel()
+
+
+def spmv(M, x) -> np.ndarray:
+    """Matrix-vector product M @ x, for either operator format."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.shape[1],):
         raise ValueError(f"dimension mismatch: matrix {M.shape}, vector {x.shape}")
+    if not isinstance(M, CsrMatrix):
+        return M._apply(x)
     y = np.einsum("ji,ji->i", M.vals, x[M.cols])
     if M._empty_rows is not None:
         # an empty row's padding reads column 0; a non-finite x[0] must not reach it
@@ -156,7 +349,7 @@ class CgResult(NamedTuple):
     residual: float
 
 
-def cg_solve(M: CsrMatrix, b, cfg: SolverConfig | None = None, precondition=None) -> CgResult:
+def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResult:
     """Solve M x = b for symmetric positive definite M.
 
     Preconditioned conjugate gradients from a zero start. ``precondition``
@@ -164,10 +357,11 @@ def cg_solve(M: CsrMatrix, b, cfg: SolverConfig | None = None, precondition=None
     fixed symmetric positive definite B; by default B is the inverse of M's
     main diagonal (Jacobi). Stops when ||M x - b|| <= rel_tolerance * ||b||,
     with the true residual recomputed at the recursive stopping point so the
-    guarantee is not a victim of residual-recurrence drift. Raises
-    ValueError when b is not finite, and NonConvergence when the iteration
-    cap is reached or a nonpositive curvature direction shows up (which
-    means M was not positive definite).
+    guarantee is not a victim of residual-recurrence drift. A finite b whose
+    squared norm overflows is solved as b / max|b|, with x and the residual
+    scaled back. Raises ValueError when b is not finite, and NonConvergence
+    when the iteration cap is reached or a nonpositive curvature direction
+    shows up (which means M was not positive definite).
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -175,9 +369,16 @@ def cg_solve(M: CsrMatrix, b, cfg: SolverConfig | None = None, precondition=None
     n = M.shape[0]
     if M.shape[0] != M.shape[1] or b.shape != (n,):
         raise ValueError("cg_solve needs a square matrix and a matching vector")
-    norm_b = math.sqrt(b @ b)
+    # vdot is b @ b without numpy's floating-point checks, so an overflow
+    # returns inf with no warning and the finite case below can rescale
+    norm_b = math.sqrt(np.vdot(b, b))
     if not math.isfinite(norm_b):
-        raise ValueError("cg_solve: the right-hand side is not finite (its norm is NaN or inf)")
+        scale = float(np.abs(b).max())
+        if not math.isfinite(scale):
+            raise ValueError("cg_solve: the right-hand side is not finite (its norm is NaN or inf)")
+        # finite entries whose squares overflow: solve for b / max|b| instead
+        x, iterations, residual = cg_solve(M, b / scale, cfg, precondition)
+        return CgResult(scale * x, iterations, scale * residual)
     x = np.zeros(n)
     if norm_b == 0.0:
         return CgResult(x, 0, 0.0)

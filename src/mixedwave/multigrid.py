@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import CsrMatrix, csr_from_coo, csr_transpose, spmv
+from .linalg import CsrMatrix, GridStepMatrix, csr_from_coo, csr_transpose, spmv
 from .mesh import BoundaryKind, BoundaryPartition, EdgeClassification, RectMesh, build_rect_mesh, edge_classify
 from .spaces import MaterialField, MixedOperators, element_blocks, schur_matrix
 
@@ -202,7 +202,7 @@ def _colour(n: int, blocks, elements, patch, around) -> _Colour:
 
 
 class _Level(NamedTuple):
-    S: CsrMatrix
+    S: CsrMatrix | GridStepMatrix
     colours: list
     P: CsrMatrix
     R: CsrMatrix
@@ -217,7 +217,7 @@ class VCycle:
     set of blocks. The grid must coarsen (``coarsens``).
     """
 
-    def __init__(self, ops: MixedOperators, S: CsrMatrix, blocks: np.ndarray, coeff: float):
+    def __init__(self, ops: MixedOperators, S: CsrMatrix | GridStepMatrix, blocks: np.ndarray, coeff: float):
         mesh, cls, material = ops.mesh, ops.classification, ops.material
         self.levels = []
         for nx, ny in grid_shapes(mesh.nx, mesh.ny, ops.bc)[1:]:

@@ -43,7 +43,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import CgResult, CsrMatrix, SolverConfig, cg_solve, spmv
+from .linalg import CgResult, CsrMatrix, GridStepMatrix, SolverConfig, cg_solve, spmv
 from .mesh import BoundaryPartition, RectMesh
 from .multigrid import VCycle, coarsens
 from .spaces import (
@@ -65,6 +65,11 @@ from .spaces import (
 BLOWUP_THRESHOLD = 1e12  # sup-norm guard on velocity coefficients
 MAX_STEPS = 10**7  # longest run ThetaConfig accepts; a larger count means a mistyped dt
 MULTIGRID_MIN_KAPPA = 500.0  # measured crossover of Jacobi-CG and multigrid-CG run times
+# Largest dt^2 lambda1 / (rho0 hx hy), the squared Courant number, that a run
+# accepts. The grad-div term of the step matrix and the defect scale with it;
+# at 1e100 their squares in CG's inner products stay below 1e200, well inside
+# the float range (about 1.8e308).
+MAX_COURANT_SQUARED = 1e100
 
 COMPLETED = "Completed"
 BLOWUP = "BlowUp"
@@ -176,8 +181,9 @@ class ProblemSpec:
 class SchemeState:
     """Rolling pair of time levels (n-1, n) for both fields.
 
-    ``cg_iterations`` counts the CG iterations of the solve that produced
-    U_curr (0 for a state built by hand).
+    ``cg_iterations`` and ``cg_residual`` are the CG iterations and the
+    final true residual ||S x - b|| of the solve that produced U_curr (0 for
+    a state built by hand).
     """
 
     n: int
@@ -186,6 +192,7 @@ class SchemeState:
     P_prev: np.ndarray
     P_curr: np.ndarray
     cg_iterations: int = 0
+    cg_residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -195,7 +202,22 @@ class EnergySample:
     value: float
 
 
-def step_matrix(ops: MixedOperators, cfg: ThetaConfig) -> CsrMatrix:
+def check_courant_number(spec: ProblemSpec, cfg: ThetaConfig) -> None:
+    """Raise ValueError when dt^2 lambda1 / (rho0 hx hy) exceeds ``MAX_COURANT_SQUARED``.
+
+    ``run`` checks this before any assembly, so a dt whose products would
+    overflow fails at once instead of as a non-finite CG right-hand side.
+    """
+    mesh, m = spec.mesh, spec.material
+    courant_squared = cfg.dt**2 * m.lambda1 / (m.rho0 * mesh.hx * mesh.hy)
+    if not courant_squared <= MAX_COURANT_SQUARED:
+        raise ValueError(
+            f"dt^2 lambda1 / (rho0 hx hy) = {courant_squared:.3g} exceeds {MAX_COURANT_SQUARED:g} "
+            f"(dt = {cfg.dt:g}); its products would leave the float range"
+        )
+
+
+def step_matrix(ops: MixedOperators, cfg: ThetaConfig) -> CsrMatrix | GridStepMatrix:
     """SPD operator of the implicit solve, A + theta*dt^2 * D^T C^{-1} D."""
     coeff = cfg.theta * cfg.dt**2
     if coeff == 0.0:
@@ -311,7 +333,7 @@ def initialize(stepper: StepSolver) -> SchemeState:
         defect += dt**2 * ((0.5 - theta) * F0 + theta * F1)
     U1, result = stepper.solve(defect, guess)
     P1 = spmv(ops.D, U1) / ops.Cdiag
-    return SchemeState(1, U0, U1, P0, P1, result.iterations)
+    return SchemeState(1, U0, U1, P0, P1, result.iterations, result.residual)
 
 
 def step(state: SchemeState, stepper: StepSolver) -> SchemeState:
@@ -337,7 +359,7 @@ def step(state: SchemeState, stepper: StepSolver) -> SchemeState:
     guess = 2.0 * state.U_curr - state.U_prev
     U_next, result = stepper.solve(defect, guess)
     P_next = spmv(ops.D, U_next) / ops.Cdiag
-    return SchemeState(n + 1, state.U_curr, U_next, state.P_curr, P_next, result.iterations)
+    return SchemeState(n + 1, state.U_curr, U_next, state.P_curr, P_next, result.iterations, result.residual)
 
 
 def discrete_energy(state: SchemeState, ops: MixedOperators, cfg: ThetaConfig) -> EnergySample:
@@ -367,9 +389,11 @@ class RunResult:
     """Trajectory summary: energy series, final state, optional error series.
 
     ``cg_iterations`` holds the CG iteration count of every solve, the
-    initial step's first, as one int array. The error series hold one entry
-    per level 0..n of the final state, one more than ``energies``; on BlowUp
-    that includes the level whose step blew up.
+    initial step's first, as one int array, and ``cg_residuals`` the final
+    true residual ||S x - b|| of each, as a float array of the same shape.
+    The error series hold one entry per level 0..n of the final state, one
+    more than ``energies``; on BlowUp that includes the level whose step
+    blew up.
     """
 
     status: str
@@ -380,6 +404,7 @@ class RunResult:
     config: ThetaConfig = None
     operators: MixedOperators = None
     cg_iterations: np.ndarray = None
+    cg_residuals: np.ndarray = None
 
     @property
     def completed(self):
@@ -411,6 +436,7 @@ def run(
         record_errors = spec.exact is not None
     if record_errors and spec.exact is None:
         raise ValueError("record_errors needs an exact solution (spec.exact)")
+    check_courant_number(spec, cfg)
     ops = assemble_operators(spec.mesh, spec.bc, spec.material)
     stepper = StepSolver(spec, ops, cfg, solver)
     err_u = [] if record_errors else None
@@ -431,7 +457,7 @@ def run(
         for probe in probes:
             probe(level, t, U, P)
 
-    iterations = [state.cg_iterations]
+    iterations, residuals = [state.cg_iterations], [state.cg_residual]
     energies = [discrete_energy(state, ops, cfg)]
     observe(0, state.U_prev, state.P_prev)
     observe(1, state.U_curr, state.P_curr)
@@ -442,9 +468,13 @@ def run(
         for _ in range(cfg.num_steps - 1):
             state = step(state, stepper)
             iterations.append(state.cg_iterations)
+            residuals.append(state.cg_residual)
             energies.append(discrete_energy(state, ops, cfg))
             observe(state.n, state.U_curr, state.P_curr)
             if _blown_up(state.U_curr):
                 status = BLOWUP
                 break
-    return RunResult(status, energies, state, err_u, err_p, cfg, ops, np.array(iterations, dtype=np.int64))
+    return RunResult(
+        status, energies, state, err_u, err_p, cfg, ops,
+        np.array(iterations, dtype=np.int64), np.array(residuals, dtype=np.float64),
+    )

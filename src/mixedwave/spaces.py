@@ -12,6 +12,13 @@ are one sum of 4x4 element blocks (``element_blocks``, summed by
 data must be integrated (loads, error norms); a run builds it once, as
 ``MixedOperators.quadrature``.
 
+The operators come in one of the two formats of ``linalg``, picked by the
+number of free velocity dofs: padded rows below ``GRID_MIN_DOFS``, where
+the fancy-index gather is cheap, and edge-grid stencils from there on,
+where it costs more than the arithmetic. A stencil step matrix keeps its
+coefficients, taken from the element blocks, per element and per edge; no
+padded rows are built for it.
+
 Q integrates every RT0 x RT0 product exactly, so A is Q's Gram matrix and
 the error norms follow from discrete Pythagoras. A run projects the exact
 solution's spatial profiles once (``velocity_best_approximation``,
@@ -31,7 +38,17 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import CsrMatrix, SolverConfig, cg_solve, csr_from_coo, csr_transpose, spmv
+from .linalg import (
+    CsrMatrix,
+    EdgeGrid,
+    GridDivergence,
+    GridStepMatrix,
+    SolverConfig,
+    cg_solve,
+    csr_from_coo,
+    csr_transpose,
+    spmv,
+)
 from .mesh import (
     LEFT,
     RIGHT,
@@ -52,6 +69,13 @@ PROJECTION_RULE = 7    # effectively exact for smooth data at desk scale
 PROJECTION_BLOCK = 1024  # elements per call of phi: bounds phi's scratch memory
 BEST_APPROXIMATION_RTOL = 1e-14  # CG tolerance of A Pi = b_u: its residual enters the error norms
 DIVERGENCE_ROW = np.array([-1.0, 1.0, -1.0, 1.0])  # an element's row of D over (LEFT, RIGHT, BOTTOM, TOP)
+# From this many free velocity dofs on, A, S, D and D^T are edge-grid
+# stencils instead of padded rows. One stencil apply of S took 0.96-1.05 of
+# the padded-row time at nx 48 (4.5k-4.7k free dofs), 0.71-1.01 at nx 64
+# (8.1k-8.3k) and 0.47-0.55 at nx 80 (12.6k-13.0k) over three boundary kinds
+# and three runs of ``tools/operator_sweep.py`` (table in ROADMAP.md), so the
+# switch sits where the stencil won in every run.
+GRID_MIN_DOFS = 10_000
 
 
 @lru_cache(maxsize=None)
@@ -107,12 +131,15 @@ class MixedOperators:
     Cdiag : diagonal of the lambda^{-1}-weighted pressure mass, one entry per element
     D : divergence coupling, rows = elements, columns = free velocity dofs
     DT : D transposed, kept around because every step multiplies by it
+
+    A, D and DT are padded rows or edge-grid stencils (``assemble_operators``);
+    ``spmv`` applies either.
     """
 
-    A: CsrMatrix
+    A: CsrMatrix | GridStepMatrix
     Cdiag: np.ndarray
-    D: CsrMatrix
-    DT: CsrMatrix
+    D: CsrMatrix | GridDivergence
+    DT: CsrMatrix | GridDivergence
     n_velocity: int
     n_pressure: int
     mesh: RectMesh
@@ -148,7 +175,13 @@ def element_blocks(mesh: RectMesh, material: MaterialField, coeff: float) -> np.
     return block
 
 
-def schur_matrix(mesh: RectMesh, cls: EdgeClassification, blocks: np.ndarray) -> CsrMatrix:
+def edge_grid(mesh: RectMesh, cls: EdgeClassification) -> EdgeGrid:
+    """The free dofs of ``cls`` as edge grids; a side is pinned as a whole."""
+    corners = [mesh.vedge_id(0, 0), mesh.vedge_id(mesh.nx, 0), mesh.hedge_id(0, 0), mesh.hedge_id(0, mesh.ny)]
+    return EdgeGrid(mesh.nx, mesh.ny, *(int(i < 0) for i in cls.free_index[corners]))
+
+
+def schur_matrix(mesh: RectMesh, cls: EdgeClassification, blocks: np.ndarray) -> CsrMatrix | GridStepMatrix:
     """Sum of the (4, 4, n_elements) element blocks over the free velocity dofs.
 
     With ``blocks = element_blocks(mesh, material, coeff)`` this is the step
@@ -156,7 +189,21 @@ def schur_matrix(mesh: RectMesh, cls: EdgeClassification, blocks: np.ndarray) ->
     whenever coeff >= 0. Entries on NEUMANN_U edges are dropped, and so are
     local pairs that are zero in every block: x- and y-oriented shapes never
     overlap, so the mass alone couples only L-R and B-T and has 3 entries a row.
+
+    From ``GRID_MIN_DOFS`` free dofs on the sum is a ``GridStepMatrix``, which
+    keeps per element the weight w = block[L, B] of its divergence and its
+    mass entries block[L, L] - w, block[L, R] + w (and B, T alike); below, it
+    is padded rows.
     """
+    if cls.n_free >= GRID_MIN_DOFS:
+        entry = lambda i, j: blocks[i, j].reshape(mesh.ny, mesh.nx)
+        w = entry(LEFT, BOTTOM)
+        return GridStepMatrix(
+            edge_grid(mesh, cls),
+            (entry(LEFT, LEFT) - w, entry(LEFT, RIGHT) + w),
+            (entry(BOTTOM, BOTTOM) - w, entry(BOTTOM, TOP) + w),
+            w.copy() if w.any() else None,  # a copy, so that S does not keep the blocks alive
+        )
     local_i, local_j = np.nonzero(blocks.any(axis=2))
     free = cls.free_index[mesh.element_edges.T]  # (4, n_elements)
     fi, fj = free[local_i], free[local_j]
@@ -173,23 +220,32 @@ def assemble_operators(
     bc: BoundaryPartition,
     material: MaterialField,
 ) -> MixedOperators:
-    """Assemble A, C, D with NEUMANN_U edge dofs eliminated."""
+    """Assemble A, C, D with NEUMANN_U edge dofs eliminated.
+
+    A, D and D^T are padded rows below ``GRID_MIN_DOFS`` free dofs and
+    edge-grid stencils from there on.
+    """
     cls = edge_classify(mesh, bc)
     A = schur_matrix(mesh, cls, element_blocks(mesh, material, 0.0))
 
     # divergence theorem with integrated-flux dofs: entries exactly +-1
     n_el = mesh.n_elements
-    el = np.repeat(np.arange(n_el), 4)
-    div_cols = cls.free_index[mesh.element_edges.ravel()]
-    div_vals = np.tile(DIVERGENCE_ROW, n_el)
-    keep = div_cols >= 0
-    D = csr_from_coo(el[keep], div_cols[keep], div_vals[keep], (n_el, cls.n_free))
+    if cls.n_free >= GRID_MIN_DOFS:
+        grid = edge_grid(mesh, cls)
+        D, DT = GridDivergence(grid), GridDivergence(grid, transposed=True)
+    else:
+        el = np.repeat(np.arange(n_el), 4)
+        div_cols = cls.free_index[mesh.element_edges.ravel()]
+        div_vals = np.tile(DIVERGENCE_ROW, n_el)
+        keep = div_cols >= 0
+        D = csr_from_coo(el[keep], div_cols[keep], div_vals[keep], (n_el, cls.n_free))
+        DT = csr_transpose(D)
 
     return MixedOperators(
         A=A,
         Cdiag=mesh.hx * mesh.hy / material.lambda_per_element,
         D=D,
-        DT=csr_transpose(D),
+        DT=DT,
         n_velocity=cls.n_free,
         n_pressure=n_el,
         mesh=mesh,
@@ -354,7 +410,7 @@ def pressure_best_approximation(ops: MixedOperators, profile) -> tuple[np.ndarra
     return averages, float(mesh.hx * mesh.hy * np.sum(per_el / ops.material.lambda_per_element))
 
 
-def velocity_l2_error(A: CsrMatrix, projection, beta: float, g: float, free_coeffs) -> float:
+def velocity_l2_error(A: CsrMatrix | GridStepMatrix, projection, beta: float, g: float, free_coeffs) -> float:
     """|| rho^{1/2} (g s_u - U_h) || on Q by discrete Pythagoras: g^2 beta_u + d^T A d,
     d = g Pi s_u - U_h (``velocity_best_approximation``)."""
     d = g * projection - free_coeffs

@@ -153,15 +153,30 @@ class TestCommands:
         ])
         assert code == 0
         lines = (tmp_path / "out" / "steps.csv").read_text().splitlines()
-        assert lines[0] == "level,t,cg_iterations,energy,rel_drift,err_u,err_p"
+        assert lines[0] == "level,t,cg_iterations,cg_residual,energy,rel_drift,err_u,err_p"
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[0]) for r in rows] == [0, 1, 2, 3, 4]
-        assert rows[0][2:5] == ["", "", ""]  # no solve and no energy sample before level 1
+        assert rows[0][2:6] == ["", "", "", ""]  # no solve and no energy sample before level 1
         summary = (tmp_path / "out" / "summary.txt").read_text()
         total = int(re.search(r"cg_iterations total = (\d+)", summary).group(1))
         assert sum(int(r[2]) for r in rows[1:]) == total
+        assert all(float(r[3]) >= 0.0 for r in rows[1:])
         energy = (tmp_path / "out" / "energy.csv").read_text().splitlines()[1:]
-        assert [r[3:5] for r in rows[1:]] == [line.split(",")[2:4] for line in energy]
+        assert [r[4:6] for r in rows[1:]] == [line.split(",")[2:4] for line in energy]
+
+    @pytest.mark.parametrize("command", ["run", "energy"])
+    @pytest.mark.parametrize("args", [
+        ["--time.dt", "1e150", "--time.T", "1e150", "--mesh.nx", "64", "--mesh.ny", "64"],
+        ["--scheme.theta", "1", "--time.dt", "1e153", "--time.T", "1e153", "--mesh.nx", "8", "--mesh.ny", "8"],
+    ])
+    def test_a_dt_whose_products_overflow_is_a_usage_error(self, command, args, tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, *args, "--output.dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'time.dt'" in err and "Warning" not in err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self, tmp_path, capsys, monkeypatch):
         assert main([]) == 2

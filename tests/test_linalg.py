@@ -1,7 +1,12 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
+import mixedwave.spaces as spaces
 from mixedwave.linalg import (
+    CsrMatrix,
     NonConvergence,
     SolverConfig,
     cg_solve,
@@ -10,7 +15,7 @@ from mixedwave.linalg import (
     spmv,
 )
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
-from mixedwave.spaces import assemble_operators, element_blocks, material_field, schur_matrix
+from mixedwave.spaces import GRID_MIN_DOFS, assemble_operators, element_blocks, material_field, schur_matrix
 from mixedwave.scheme import ThetaConfig, step_matrix
 from oracles import dense_operators, dense_solve, dense_step_matrix, max_asymmetry
 
@@ -201,6 +206,17 @@ class TestCg:
         with pytest.raises(ValueError, match="not finite"):
             cg_solve(S, b)
 
+    def test_finite_rhs_whose_square_overflows_is_solved_scaled(self):
+        S = step_matrix(operators_on(4), ThetaConfig.from_dt(0.25, 1.0, 0.01))
+        v = np.random.default_rng(3).standard_normal(S.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            x, iters, res = cg_solve(S, 1e300 * v)
+        want = 1e300 * dense_solve(S, v)
+        assert iters >= 1
+        assert np.abs(x - want).max() <= 1e-9 * np.abs(want).max()
+        assert res <= 1e-12 * 1e300 * np.linalg.norm(v)
+
     def test_indefinite_matrix_raises(self):
         M = csr_from_coo([0, 1], [0, 1], [1.0, -1.0], (2, 2))
         with pytest.raises(NonConvergence):
@@ -266,3 +282,66 @@ class TestSchurMatrix:
 def test_solver_config_rejects_nonpositive_tolerance():
     with pytest.raises(ValueError):
         SolverConfig(rel_tolerance=0.0)
+
+
+def absolute(M: CsrMatrix) -> CsrMatrix:
+    """|M| entrywise, for rounding bounds |M| |x|."""
+    return CsrMatrix(M.cols, np.abs(M.vals), M.row_nnz, M.shape)
+
+
+class TestEdgeGridOperators:
+    """The edge-grid stencils apply the operators the padded rows store."""
+
+    COEFFS = (0.0, 0.37)  # S at coeff 0 is A summed by schur_matrix itself
+
+    @staticmethod
+    def both_formats(nx, ny, bc, monkeypatch, seed=0):
+        """[A, D, D^T, S(coeff) for COEFFS] as padded rows, then as stencils,
+        with rho and lambda log-uniform in [1/4, 4]."""
+        mesh = build_rect_mesh(nx, ny)
+        rho, lam = np.exp(np.random.default_rng(seed).uniform(-1.4, 1.4, (2, mesh.n_elements)))
+        material = material_field(mesh, lambda x, y: rho, lambda x, y: lam)
+        formats = []
+        for switch in (sys.maxsize, 0):
+            monkeypatch.setattr(spaces, "GRID_MIN_DOFS", switch)
+            ops = assemble_operators(mesh, bc, material)
+            steps = [schur_matrix(mesh, ops.classification, element_blocks(mesh, material, c)) for c in TestEdgeGridOperators.COEFFS]
+            formats.append([ops.A, ops.D, ops.DT, *steps])
+        return formats
+
+    @staticmethod
+    def assert_same_operators(padded, grid, seed=1):
+        rng = np.random.default_rng(seed)
+        for k, (P, G) in enumerate(zip(padded, grid)):
+            assert isinstance(P, CsrMatrix) and not isinstance(G, CsrMatrix)
+            assert G.shape == P.shape
+            assert G.nnz == P.nnz  # a trace wrapper reads M.nnz
+            for x in rng.standard_normal((3, P.shape[1])):
+                bound = 1e-14 * max(spmv(absolute(P), np.abs(x)).max(initial=0.0), 1e-300)
+                assert np.abs(spmv(G, x) - spmv(P, x)).max(initial=0.0) <= bound
+            if k in (0, 3, 4):  # the square operators CG reads the diagonal of
+                d = G.diagonal()
+                assert np.abs(d - P.diagonal()).max(initial=0.0) <= 1e-14 * np.abs(P.diagonal()).max(initial=0.0)
+                assert G.diagonal() is d
+                with pytest.raises(ValueError):
+                    d[0] = 1.0
+
+    @pytest.mark.parametrize("bc", ALL_PARTITIONS)
+    @pytest.mark.parametrize("nx,ny", [(9, 7), (1, 5), (4, 1)])
+    def test_match_padded_rows_on_small_grids(self, nx, ny, bc, monkeypatch):
+        self.assert_same_operators(*self.both_formats(nx, ny, bc, monkeypatch))
+
+    @pytest.mark.parametrize("bc", ALL_PARTITIONS)
+    @pytest.mark.parametrize("nx,ny", [(80, 80), (6000, 2)])
+    def test_match_padded_rows_above_the_switch(self, nx, ny, bc, monkeypatch):
+        padded, grid = self.both_formats(nx, ny, bc, monkeypatch, seed=5)
+        assert grid[0].shape[0] >= GRID_MIN_DOFS
+        self.assert_same_operators(padded, grid)
+
+    def test_format_follows_the_free_dof_count(self):
+        for nx, grid in ((64, False), (128, True)):
+            ops = operators_on(nx)  # all sides DIRICHLET_P: every edge is free
+            S = step_matrix(ops, ThetaConfig.from_dt(0.25, 1.0, 1 / 128))
+            assert (ops.n_velocity >= GRID_MIN_DOFS) == grid
+            for M in (ops.A, ops.D, ops.DT, S):
+                assert isinstance(M, CsrMatrix) != grid

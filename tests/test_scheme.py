@@ -7,7 +7,7 @@ import pytest
 
 import mixedwave.scheme as scheme
 import mixedwave.spaces as spaces
-from mixedwave.linalg import CsrMatrix, NonConvergence, SolverConfig, cg_solve, spmv
+from mixedwave.linalg import CsrMatrix, GridDivergence, GridStepMatrix, NonConvergence, SolverConfig, cg_solve, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.scheme import (
     BLOWUP,
@@ -363,6 +363,40 @@ class TestRun:
         assert res.cg_iterations.shape == (64,)  # the initial step and 63 steps
         assert res.cg_iterations.min() >= 1
 
+    @pytest.mark.parametrize("nx", [16, 128])  # below and above spaces.GRID_MIN_DOFS
+    def test_records_the_residual_of_every_solve(self, nx, monkeypatch):
+        spec = make_problem(mms_standing_wave(), nx)
+        rho = np.exp(np.random.default_rng(1).uniform(-1.0, 1.0, spec.mesh.n_elements))
+        spec.material = material_field(spec.mesh, lambda x, y: rho, 1.0)  # CG iterates
+        solver = SolverConfig(1e-9)
+        defect_norms, residuals = [], []
+
+        def recording_cg(M, b, cfg, precondition):
+            defect_norms.append(np.linalg.norm(b))
+            result = cg_solve(M, b, cfg, precondition)
+            residuals.append(result.residual)
+            return result
+
+        monkeypatch.setattr(scheme, "cg_solve", recording_cg)
+        res = run(spec, ThetaConfig.from_steps(0.25, 6 / (4 * nx), 6), solver=solver, record_errors=False)
+        assert isinstance(res.operators.A, GridStepMatrix) == (nx == 128)
+        assert res.cg_iterations.min() > 1
+        assert res.cg_residuals.dtype == np.float64
+        assert res.cg_residuals.shape == res.cg_iterations.shape == (6,)
+        assert np.array_equal(res.cg_residuals, residuals)
+        assert np.all(res.cg_residuals <= solver.rel_tolerance * np.array(defect_norms))
+
+    def test_rejects_a_dt_whose_products_overflow_before_assembly(self, monkeypatch):
+        def no_assembly(*args):
+            raise AssertionError("assembly started")
+
+        monkeypatch.setattr(scheme, "assemble_operators", no_assembly)
+        spec = make_problem(mms_standing_wave(), 8)
+        # dt^2 lambda1 / (rho0 hx hy) = 64 dt^2: 6.4e101 and 6.4e307
+        for theta, dt in ((0.25, 1e50), (1.0, 1e153)):
+            with pytest.raises(ValueError, match=r"dt\^2 lambda1 / \(rho0 hx hy\)"):
+                run(spec, ThetaConfig.from_dt(theta, dt, dt))
+
     def test_probes_see_every_level(self):
         spec = zero_problem()
         seen = []
@@ -625,7 +659,8 @@ class TestClosedFormDefect:
         products = []
 
         def recording_spmv(M, x):
-            assert isinstance(M, CsrMatrix)  # a trace wrapper reads M.nnz
+            assert isinstance(M, (CsrMatrix, GridStepMatrix, GridDivergence))
+            assert isinstance(M.nnz, int)  # a trace wrapper reads M.nnz
             products.append(M)
             return spmv(M, x)
 
@@ -644,7 +679,7 @@ class TestClosedFormDefect:
         products = []
 
         def recording_spmv(M, x):
-            assert isinstance(M, CsrMatrix)
+            assert isinstance(M, (CsrMatrix, GridStepMatrix, GridDivergence))
             products.append(M)
             return spmv(M, x)
 
