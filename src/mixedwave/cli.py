@@ -304,36 +304,43 @@ def _energy_table(result):
 
 
 def _steps_table(result):
-    """One row per level: the CG iterations and final residual of the solve
-    that produced it, the energy sample that step completed (between levels
-    n-1 and n), its relative drift, and the errors when the run recorded
-    them. Level 0 has no solve and no energy sample, so those cells are blank."""
-    header = ["level", "t", "cg_iterations", "cg_residual", "energy", "rel_drift"]
+    """One row per level: the CG iterations, final residual and defect norm
+    of the solve that produced it, the energy sample that step completed
+    (between levels n-1 and n), its relative drift, and the errors when the
+    run recorded them. Level 0 has no solve and no energy sample, so those
+    cells are blank."""
+    header = ["level", "t", "cg_iterations", "cg_residual", "defect_norm", "energy", "rel_drift"]
     errors = result.error_u is not None
     if errors:
         header += ["err_u", "err_p"]
     _, energy_rows = _energy_table(result)
     rows = []
     for level in range(len(result.cg_iterations) + 1):
-        row = [level, level * result.config.dt, None, None, None, None]
+        row = [level, level * result.config.dt, None, None, None, None, None]
         if level > 0:
             solve = level - 1
-            row[2:] = [int(result.cg_iterations[solve]), result.cg_residuals[solve], *energy_rows[solve][2:]]
+            row[2:] = [
+                int(result.cg_iterations[solve]), result.cg_residuals[solve], result.defect_norms[solve],
+                *energy_rows[solve][2:],
+            ]
         if errors:
             row += [result.error_u[level], result.error_p[level]]
         rows.append(row)
     return header, rows
 
 
-def _cg_note(result) -> str:
+def _solver_notes(result) -> list:
     iterations = result.cg_iterations
-    return f"cg_iterations total = {int(iterations.sum())}, max = {int(iterations.max())}"
+    return [
+        f"cg_iterations total = {int(iterations.sum())}, max = {int(iterations.max())}",
+        f"preconditioner = {result.preconditioner}",
+    ]
 
 
 def cmd_run(cfg: RunConfig) -> StudyReport:
     mms = _mms_for(cfg)  # _parse_case has residual-checked a forced case
     result = run(make_problem(mms, cfg.nx, cfg.ny), _time_config(cfg), solver=_solver(cfg))
-    notes = [f"status = {result.status}", _cg_note(result)]
+    notes = [f"status = {result.status}", *_solver_notes(result)]
     if result.error_u is not None:
         eu, ep = error_linf_l2(result)
         notes.append(f"err_u_linf_l2 = {fmt(eu)}")
@@ -356,7 +363,7 @@ def cmd_energy(cfg: RunConfig) -> StudyReport:
         [("energy conservation", ok,
           f"max relative drift {fmt(drift)} (tolerance {fmt(ENERGY_DRIFT_PASS)})")],
         {"energy.csv": _energy_table(result), "steps.csv": _steps_table(result)},
-        [f"status = {result.status}", _cg_note(result)],
+        [f"status = {result.status}", *_solver_notes(result)],
     )
 
 

@@ -346,7 +346,8 @@ class SolverConfig:
 class CgResult(NamedTuple):
     x: np.ndarray
     iterations: int
-    residual: float
+    residual: float  # the final true residual ||M x - b||
+    rhs_norm: float  # ||b||, the scale of the stopping test
 
 
 def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResult:
@@ -357,9 +358,10 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
     fixed symmetric positive definite B; by default B is the inverse of M's
     main diagonal (Jacobi). Stops when ||M x - b|| <= rel_tolerance * ||b||,
     with the true residual recomputed at the recursive stopping point so the
-    guarantee is not a victim of residual-recurrence drift. A finite b whose
-    squared norm overflows is solved as b / max|b|, with x and the residual
-    scaled back. Raises ValueError when b is not finite, and NonConvergence
+    guarantee is not a victim of residual-recurrence drift. The result holds
+    x, the iteration count, that true residual and ||b||. A finite b whose
+    squared norm overflows is solved as b / max|b|, with x, the residual
+    and ||b|| scaled back. Raises ValueError when b is not finite, and NonConvergence
     when the iteration cap is reached or a nonpositive curvature direction
     shows up (which means M was not positive definite).
     """
@@ -377,11 +379,11 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
         if not math.isfinite(scale):
             raise ValueError("cg_solve: the right-hand side is not finite (its norm is NaN or inf)")
         # finite entries whose squares overflow: solve for b / max|b| instead
-        x, iterations, residual = cg_solve(M, b / scale, cfg, precondition)
-        return CgResult(scale * x, iterations, scale * residual)
+        x, iterations, residual, rhs_norm = cg_solve(M, b / scale, cfg, precondition)
+        return CgResult(scale * x, iterations, scale * residual, scale * rhs_norm)
     x = np.zeros(n)
     if norm_b == 0.0:
-        return CgResult(x, 0, 0.0)
+        return CgResult(x, 0, 0.0, 0.0)
     tol = cfg.rel_tolerance * norm_b
     diag = M.diagonal()
     if np.any(diag <= 0):
@@ -411,7 +413,7 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
             r = b - spmv(M, x)
             norm_r = math.sqrt(r @ r)
             if norm_r <= tol:
-                return CgResult(x, k, norm_r)
+                return CgResult(x, k, norm_r, norm_b)
             precondition(r, z)
             p[:] = z
             rz = float(r @ z)

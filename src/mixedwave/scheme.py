@@ -163,17 +163,22 @@ class SeparableForce:
 class ProblemSpec:
     """Everything a run needs: geometry, material, data, an optional exact solution.
 
-    Callbacks are vectorized over point arrays. Vector fields return an
-    (x-component, y-component) pair; time-dependent fields take (x, y, t).
+    Callbacks receive coordinate arrays x and y that broadcast against each
+    other, sparse as ``np.ogrid`` makes them (``spaces.ElementQuadrature``),
+    and return values broadcastable to their common shape: built from numpy
+    ufuncs, a callable computes each factor of x or y once per distinct
+    coordinate. Vector fields return an (x-component, y-component) pair;
+    time-dependent fields take (x, y, t). A field left as None is zero and
+    is never evaluated.
     """
 
     mesh: RectMesh
     bc: BoundaryPartition
     material: MaterialField
     f: Optional[Callable] = None      # body force f(x, y, t) -> (fx, fy), or a SeparableForce
-    u0: Optional[Callable] = None     # initial velocity field (x, y) -> (ux, uy)
-    v0: Optional[Callable] = None     # initial time derivative of the velocity
-    p0: Optional[Callable] = None     # initial pressure (x, y) -> p
+    u0: Optional[Callable] = None     # initial velocity field (x, y) -> (ux, uy); None is zero
+    v0: Optional[Callable] = None     # initial time derivative of the velocity; None is zero
+    p0: Optional[Callable] = None     # initial pressure (x, y) -> p; None is zero
     exact: Optional[SeparableSolution] = None  # errors are recorded against it
 
 
@@ -181,9 +186,9 @@ class ProblemSpec:
 class SchemeState:
     """Rolling pair of time levels (n-1, n) for both fields.
 
-    ``cg_iterations`` and ``cg_residual`` are the CG iterations and the
-    final true residual ||S x - b|| of the solve that produced U_curr (0 for
-    a state built by hand).
+    ``cg_iterations``, ``cg_residual`` and ``defect_norm`` are the CG
+    iterations, the final true residual ||S x - b|| and the defect norm ||b||
+    of the solve that produced U_curr (0 for a state built by hand).
     """
 
     n: int
@@ -193,6 +198,7 @@ class SchemeState:
     P_curr: np.ndarray
     cg_iterations: int = 0
     cg_residual: float = 0.0
+    defect_norm: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -245,13 +251,23 @@ class StepSolver:
     kappa (``grad_div_weight``) is at least ``MULTIGRID_MIN_KAPPA`` and the
     grid coarsens, and None, which means Jacobi, otherwise. S and the
     V-cycle's fine smoother then share one set of element blocks.
+    ``choice`` names the preconditioner and the reason for it, as in
+    ``multigrid, kappa = 6.1e+03 >= 500``.
     """
 
     def __init__(self, spec: ProblemSpec, ops: MixedOperators, cfg: ThetaConfig,
                  solver: SolverConfig | None = None):
         self.spec, self.ops, self.cfg = spec, ops, cfg
         self.solver = SolverConfig() if solver is None else solver
-        if grad_div_weight(ops, cfg) >= MULTIGRID_MIN_KAPPA and coarsens(ops.mesh, ops.bc):
+        kappa = grad_div_weight(ops, cfg)
+        large = kappa >= MULTIGRID_MIN_KAPPA
+        multigrid = large and coarsens(ops.mesh, ops.bc)
+        self.choice = (
+            f"{'multigrid' if multigrid else 'jacobi'}, "
+            f"kappa = {kappa:.3g} {'>=' if large else '<'} {MULTIGRID_MIN_KAPPA:g}"
+            + (", but the grid does not coarsen" if large and not multigrid else "")
+        )
+        if multigrid:
             coeff = cfg.theta * cfg.dt**2
             blocks = element_blocks(ops.mesh, ops.material, coeff)
             self.S = schur_matrix(ops.mesh, ops.classification, blocks)
@@ -271,8 +287,7 @@ class StepSolver:
         f, ops = self.spec.f, self.ops
         if isinstance(f, SeparableForce):
             if self._profile_load is None:
-                static = lambda x, y, t: f.profile(x, y)
-                self._profile_load = assemble_load(ops.quadrature, ops.classification, static, 0.0)
+                self._profile_load = assemble_load(ops.quadrature, ops.classification, f.profile)
             return f.time_factor(n * self.cfg.dt) * self._profile_load
         if n not in self._loads:
             self._loads[n] = assemble_load(ops.quadrature, ops.classification, f, n * self.cfg.dt)
@@ -294,7 +309,8 @@ def initialize(stepper: StepSolver) -> SchemeState:
     """Project initial data and take the Taylor first step; returns the state at n=1.
 
     U0 is the flux interpolant of u0 and P0 the element-average projection of
-    p0; U1 solves
+    p0, and a datum left as None projects to zero without an evaluation; U1
+    solves
 
         (A + theta*dt^2 D^T C^{-1} D) U1 = A U0 + dt A V0
             + (theta - 1/2) dt^2 D^T P0 + dt^2/2 F0 + theta*dt^2 (F1 - F0)
@@ -310,9 +326,9 @@ def initialize(stepper: StepSolver) -> SchemeState:
     """
     spec, ops, cfg = stepper.spec, stepper.ops, stepper.cfg
     mesh, cls = ops.mesh, ops.classification
-    U0 = project_velocity_pi_h(mesh, cls, spec.u0)
-    V0 = project_velocity_pi_h(mesh, cls, spec.v0)
-    P0 = project_pressure_p_h(mesh, spec.p0)
+    U0 = np.zeros(ops.n_velocity) if spec.u0 is None else project_velocity_pi_h(mesh, cls, spec.u0)
+    V0 = np.zeros(ops.n_velocity) if spec.v0 is None else project_velocity_pi_h(mesh, cls, spec.v0)
+    P0 = np.zeros(ops.n_pressure) if spec.p0 is None else project_pressure_p_h(mesh, spec.p0)
 
     defect = ops.Cdiag * P0 - spmv(ops.D, U0)
     if defect.size and np.abs(defect).max() > 1e-10:
@@ -333,7 +349,7 @@ def initialize(stepper: StepSolver) -> SchemeState:
         defect += dt**2 * ((0.5 - theta) * F0 + theta * F1)
     U1, result = stepper.solve(defect, guess)
     P1 = spmv(ops.D, U1) / ops.Cdiag
-    return SchemeState(1, U0, U1, P0, P1, result.iterations, result.residual)
+    return SchemeState(1, U0, U1, P0, P1, result.iterations, result.residual, result.rhs_norm)
 
 
 def step(state: SchemeState, stepper: StepSolver) -> SchemeState:
@@ -359,7 +375,9 @@ def step(state: SchemeState, stepper: StepSolver) -> SchemeState:
     guess = 2.0 * state.U_curr - state.U_prev
     U_next, result = stepper.solve(defect, guess)
     P_next = spmv(ops.D, U_next) / ops.Cdiag
-    return SchemeState(n + 1, state.U_curr, U_next, state.P_curr, P_next, result.iterations, result.residual)
+    return SchemeState(
+        n + 1, state.U_curr, U_next, state.P_curr, P_next, result.iterations, result.residual, result.rhs_norm,
+    )
 
 
 def discrete_energy(state: SchemeState, ops: MixedOperators, cfg: ThetaConfig) -> EnergySample:
@@ -389,8 +407,10 @@ class RunResult:
     """Trajectory summary: energy series, final state, optional error series.
 
     ``cg_iterations`` holds the CG iteration count of every solve, the
-    initial step's first, as one int array, and ``cg_residuals`` the final
-    true residual ||S x - b|| of each, as a float array of the same shape.
+    initial step's first, as one int array; ``cg_residuals`` the final
+    true residual ||S x - b|| of each and ``defect_norms`` the norm ||b|| of
+    its defect, as float arrays of the same shape. ``preconditioner`` is the
+    run's ``StepSolver.choice``.
     The error series hold one entry per level 0..n of the final state, one
     more than ``energies``; on BlowUp that includes the level whose step
     blew up.
@@ -405,6 +425,8 @@ class RunResult:
     operators: MixedOperators = None
     cg_iterations: np.ndarray = None
     cg_residuals: np.ndarray = None
+    defect_norms: np.ndarray = None
+    preconditioner: str = None
 
     @property
     def completed(self):
@@ -457,7 +479,7 @@ def run(
         for probe in probes:
             probe(level, t, U, P)
 
-    iterations, residuals = [state.cg_iterations], [state.cg_residual]
+    iterations, residuals, defect_norms = [state.cg_iterations], [state.cg_residual], [state.defect_norm]
     energies = [discrete_energy(state, ops, cfg)]
     observe(0, state.U_prev, state.P_prev)
     observe(1, state.U_curr, state.P_curr)
@@ -469,6 +491,7 @@ def run(
             state = step(state, stepper)
             iterations.append(state.cg_iterations)
             residuals.append(state.cg_residual)
+            defect_norms.append(state.defect_norm)
             energies.append(discrete_energy(state, ops, cfg))
             observe(state.n, state.U_curr, state.P_curr)
             if _blown_up(state.U_curr):
@@ -477,4 +500,5 @@ def run(
     return RunResult(
         status, energies, state, err_u, err_p, cfg, ops,
         np.array(iterations, dtype=np.int64), np.array(residuals, dtype=np.float64),
+        np.array(defect_norms, dtype=np.float64), stepper.choice,
     )

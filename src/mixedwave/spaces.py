@@ -28,6 +28,14 @@ the diagonal C (``velocity_l2_error``, ``pressure_l2_error``).
 
 The interpolation operators use a 7-point edge rule / 7x7 element rule so
 that smooth non-polynomial fields are projected to machine precision.
+
+Every rule here is a tensor product on the uniform grid, so every data
+callable receives sparse coordinates, as ``np.ogrid`` makes them: x and y
+broadcast against each other (x (1, nx, n, 1) and y (ny, 1, 1, n) on the
+elements, ``ElementQuadrature``), and the callable returns values
+broadcastable to their common shape. No full per-point coordinate array is
+built, and a callable made of ufuncs computes each factor of x or y once per
+distinct coordinate; its values are the same as on full point arrays.
 """
 
 from __future__ import annotations
@@ -66,7 +74,10 @@ from .mesh import (
 # a rule of at least 2 points per axis.
 ASSEMBLY_RULE = 3
 PROJECTION_RULE = 7    # effectively exact for smooth data at desk scale
-PROJECTION_BLOCK = 1024  # elements per call of phi: bounds phi's scratch memory
+# Elements per call of p0 in project_pressure_p_h, in whole element rows (at
+# least one): bounds the full-size arrays p0 builds when it broadcasts its
+# sparse x and y.
+PROJECTION_BLOCK = 1024
 BEST_APPROXIMATION_RTOL = 1e-14  # CG tolerance of A Pi = b_u: its residual enters the error norms
 DIVERGENCE_ROW = np.array([-1.0, 1.0, -1.0, 1.0])  # an element's row of D over (LEFT, RIGHT, BOTTOM, TOP)
 # From this many free velocity dofs on, A, S, D and D^T are edge-grid
@@ -280,6 +291,17 @@ def max_divergence_eigenvalue(mesh: RectMesh, bc: BoundaryPartition) -> float:
     return mu
 
 
+def _points(value, x, y, n_points: int) -> np.ndarray:
+    """A callable's value on the points that x and y broadcast to, as a float64
+    array with one row of ``n_points`` values per element or edge.
+
+    A value already in the full layout, or a constant, is reshaped without a
+    copy; one that varies along some axes only is copied into the full layout.
+    """
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return np.broadcast_to(np.asarray(value, dtype=np.float64), shape).reshape(-1, n_points)
+
+
 @dataclass(frozen=True)
 class ElementQuadrature:
     """Tensor Gauss rule with n points per axis on every element of a mesh.
@@ -287,40 +309,47 @@ class ElementQuadrature:
     Point k of an element sits at reference coordinates (xi[k], eta[k]) with
     xi running slowest, so values at the points reshape to
     (n_elements, n, n) with xi along axis 1 and eta along axis 2.
+
+    The physical coordinates are kept sparse, as ``np.ogrid`` makes them: x
+    is (1, nx, n, 1) and y is (ny, 1, 1, n), and together they broadcast to
+    the (ny, nx, n, n) = (n_elements, n*n) layout of the points. A callable
+    built from ufuncs thus computes each factor of x or y once per distinct
+    coordinate. ``sample`` evaluates a callable on them.
     """
 
     mesh: RectMesh
-    x: np.ndarray        # (n_elements, n*n) physical coordinates
-    y: np.ndarray
+    x: np.ndarray        # (1, nx, n, 1) physical coordinates
+    y: np.ndarray        # (ny, 1, 1, n)
     weights: np.ndarray  # (n*n,), sums to 1
     xi: np.ndarray       # (n*n,) reference coordinates in [0, 1]
     eta: np.ndarray
+
+    def sample(self, fn, *args):
+        """fn(x, y, *args) at every point as an (n_elements, n*n) float64 array,
+        or a tuple of them when fn returns the components of a vector field."""
+        value = fn(self.x, self.y, *args)
+        if isinstance(value, (tuple, list)):
+            return tuple(_points(v, self.x, self.y, self.weights.size) for v in value)
+        return _points(value, self.x, self.y, self.weights.size)
 
 
 def element_quadrature(mesh: RectMesh, n: int = ASSEMBLY_RULE) -> ElementQuadrature:
     """Gauss points and weights of the n-by-n rule on every element."""
     s, w = gauss_rule_1d(n)
-    xi, eta = np.repeat(s, n), np.tile(s, n)
     return ElementQuadrature(
         mesh=mesh,
-        x=mesh.element_x0[:, None] + mesh.hx * xi[None, :],
-        y=mesh.element_y0[:, None] + mesh.hy * eta[None, :],
+        x=(mesh.x0 + np.arange(mesh.nx) * mesh.hx)[None, :, None, None] + (mesh.hx * s)[:, None],
+        y=(mesh.y0 + np.arange(mesh.ny) * mesh.hy)[:, None, None, None] + mesh.hy * s,
         weights=np.repeat(w, n) * np.tile(w, n),
-        xi=xi,
-        eta=eta,
+        xi=np.repeat(s, n),
+        eta=np.tile(s, n),
     )
 
 
-def assemble_load(quad: ElementQuadrature, cls: EdgeClassification, f, t: float) -> np.ndarray:
-    """Load vector (f(.,t), phi_i) over free velocity dofs.
-
-    ``quad`` and ``cls`` belong to the run (``MixedOperators.quadrature`` and
-    ``.classification``), so a call costs one evaluation of f.
-    """
+def integrate_load(quad: ElementQuadrature, cls: EdgeClassification, fx, fy) -> np.ndarray:
+    """Load vector (f, phi_i) over free velocity dofs, integrated by ``quad``
+    from the values fx, fy of f at its points ((n_elements, n*n) arrays)."""
     mesh, w, xi, eta = quad.mesh, quad.weights, quad.xi, quad.eta
-    fx, fy = f(quad.x, quad.y, t)
-    fx = np.broadcast_to(np.asarray(fx, dtype=np.float64), quad.x.shape)
-    fy = np.broadcast_to(np.asarray(fy, dtype=np.float64), quad.x.shape)
     # integral of f . phi over the element, one value per local slot
     contrib = np.empty((mesh.n_elements, 4))
     contrib[:, LEFT] = mesh.hx * (fx @ (w * (1.0 - xi)))
@@ -331,26 +360,38 @@ def assemble_load(quad: ElementQuadrature, cls: EdgeClassification, f, t: float)
     return full[cls.free_edges]
 
 
+def assemble_load(quad: ElementQuadrature, cls: EdgeClassification, f, *args) -> np.ndarray:
+    """Load vector (f(., ., *args), phi_i) over free velocity dofs.
+
+    ``quad`` and ``cls`` belong to the run (``MixedOperators.quadrature`` and
+    ``.classification``), so a call costs one evaluation of f, on the
+    sparse coordinates of ``quad``. A body force takes f(x, y, t), a
+    spatial profile f(x, y).
+    """
+    return integrate_load(quad, cls, *quad.sample(f, *args))
+
+
 def edge_fluxes(mesh: RectMesh, z) -> np.ndarray:
     """Integrated normal flux of a vector field through every edge.
 
     The flux is taken along the global normal (+x vertical, +y horizontal),
-    integrated with the 7-point Gauss rule per edge.
+    integrated with the 7-point Gauss rule per edge. z is evaluated on
+    sparse coordinates: x (1, nx + 1, 7) and y (ny, 1, 7) for the vertical
+    edges, x (1, nx, 7) and y (ny + 1, 1, 7) for the horizontal ones.
     """
-    xi, w = gauss_rule_1d(PROJECTION_RULE)
+    s, w = gauss_rule_1d(PROJECTION_RULE)
+    on_edge = np.zeros_like(s)
     out = np.empty(mesh.n_edges)
 
-    iv, jv = np.meshgrid(np.arange(mesh.nx + 1), np.arange(mesh.ny), indexing="xy")
-    xv = (mesh.x0 + iv.ravel() * mesh.hx)[:, None] + np.zeros_like(xi)[None, :]
-    yv = (mesh.y0 + jv.ravel() * mesh.hy)[:, None] + mesh.hy * xi[None, :]
-    zx, _ = z(xv, yv)
-    out[: mesh.n_vedges] = mesh.hy * (np.broadcast_to(zx, xv.shape) @ w)
+    x = (mesh.x0 + np.arange(mesh.nx + 1) * mesh.hx)[None, :, None] + on_edge
+    y = (mesh.y0 + np.arange(mesh.ny) * mesh.hy)[:, None, None] + mesh.hy * s
+    zx, _ = z(x, y)
+    out[: mesh.n_vedges] = mesh.hy * (_points(zx, x, y, s.size) @ w)
 
-    ih, jh = np.meshgrid(np.arange(mesh.nx), np.arange(mesh.ny + 1), indexing="xy")
-    xh = (mesh.x0 + ih.ravel() * mesh.hx)[:, None] + mesh.hx * xi[None, :]
-    yh = (mesh.y0 + jh.ravel() * mesh.hy)[:, None] + np.zeros_like(xi)[None, :]
-    _, zy = z(xh, yh)
-    out[mesh.n_vedges :] = mesh.hx * (np.broadcast_to(zy, xh.shape) @ w)
+    x = (mesh.x0 + np.arange(mesh.nx) * mesh.hx)[None, :, None] + mesh.hx * s
+    y = (mesh.y0 + np.arange(mesh.ny + 1) * mesh.hy)[:, None, None] + on_edge
+    _, zy = z(x, y)
+    out[mesh.n_vedges :] = mesh.hx * (_points(zy, x, y, s.size) @ w)
     return out
 
 
@@ -368,16 +409,17 @@ def project_velocity_pi_h(mesh: RectMesh, cls: EdgeClassification, z) -> np.ndar
 def project_pressure_p_h(mesh: RectMesh, phi) -> np.ndarray:
     """L2 projection onto piecewise constants: element averages of phi.
 
-    phi is evaluated on blocks of ``PROJECTION_BLOCK`` elements, 49 points
-    each, so the arrays it builds stay small on fine meshes.
+    phi is evaluated on the sparse coordinates of the 7x7 rule
+    (``ElementQuadrature``), one band of whole element rows per call: at
+    most ``PROJECTION_BLOCK`` elements, and at least one row.
     """
     quad = element_quadrature(mesh, PROJECTION_RULE)
+    rows = max(1, PROJECTION_BLOCK // mesh.nx)
     out = np.empty(mesh.n_elements)
-    for start in range(0, mesh.n_elements, PROJECTION_BLOCK):
-        block = slice(start, start + PROJECTION_BLOCK)
-        gx, gy = quad.x[block], quad.y[block]
-        vals = np.broadcast_to(np.asarray(phi(gx, gy), dtype=np.float64), gx.shape)
-        out[block] = vals @ quad.weights
+    for j in range(0, mesh.ny, rows):
+        y = quad.y[j : j + rows]
+        values = _points(phi(quad.x, y), quad.x, y, quad.weights.size)
+        out[j * mesh.nx : (j + rows) * mesh.nx] = values @ quad.weights
     return out
 
 
@@ -391,8 +433,8 @@ def velocity_best_approximation(ops: MixedOperators, profile) -> tuple[np.ndarra
     """
     quad, mesh = ops.quadrature, ops.mesh
     rho = ops.material.rho_per_element
-    sx, sy = (np.broadcast_to(np.asarray(v, dtype=np.float64), quad.x.shape) for v in profile(quad.x, quad.y))
-    load = assemble_load(quad, ops.classification, lambda x, y, t: (rho[:, None] * sx, rho[:, None] * sy), 0.0)
+    sx, sy = quad.sample(profile)
+    load = integrate_load(quad, ops.classification, rho[:, None] * sx, rho[:, None] * sy)
     coeffs = cg_solve(ops.A, load, SolverConfig(BEST_APPROXIMATION_RTOL)).x
     c = np.append(coeffs, 0.0)[ops.classification.free_index[mesh.element_edges]]  # pinned slots read the 0
     vx = c[:, [LEFT, RIGHT]] @ (np.array([1.0 - quad.xi, quad.xi]) / mesh.hy)
@@ -404,7 +446,7 @@ def velocity_best_approximation(ops: MixedOperators, profile) -> tuple[np.ndarra
 def pressure_best_approximation(ops: MixedOperators, profile) -> tuple[np.ndarray, float]:
     """Element averages of s_p on Q and beta_p = || lambda^{-1/2} (s_p - averages) ||^2 on Q."""
     quad, mesh = ops.quadrature, ops.mesh
-    values = np.broadcast_to(np.asarray(profile(quad.x, quad.y), dtype=np.float64), quad.x.shape)
+    values = quad.sample(profile)
     averages = values @ quad.weights
     per_el = (values - averages[:, None]) ** 2 @ quad.weights
     return averages, float(mesh.hx * mesh.hy * np.sum(per_el / ops.material.lambda_per_element))

@@ -41,8 +41,10 @@ SQRT2_PI = math.sqrt(2.0) * math.pi
 class ManufacturedSolution:
     """Closed-form solution of the coupled displacement-pressure system.
 
-    All callbacks are vectorized; vector fields return (x, y) component
-    pairs. The derivative callbacks (u_tt, grad_p, div_u) exist so the
+    All callbacks are vectorized: they take coordinate arrays x and y that
+    broadcast against each other (sparse ones during a run, see
+    ``ProblemSpec``) and return values broadcastable to their common shape;
+    vector fields return (x, y) component pairs. The derivative callbacks (u_tt, grad_p, div_u) exist so the
     defining relations rho*u_tt - grad p = f and p = lambda div u can be
     checked pointwise to machine precision. ``exact`` is the same u and p
     in separable form, which a run records its errors against.

@@ -153,16 +153,28 @@ class TestCommands:
         ])
         assert code == 0
         lines = (tmp_path / "out" / "steps.csv").read_text().splitlines()
-        assert lines[0] == "level,t,cg_iterations,cg_residual,energy,rel_drift,err_u,err_p"
+        assert lines[0] == "level,t,cg_iterations,cg_residual,defect_norm,energy,rel_drift,err_u,err_p"
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[0]) for r in rows] == [0, 1, 2, 3, 4]
-        assert rows[0][2:6] == ["", "", "", ""]  # no solve and no energy sample before level 1
+        assert rows[0][2:7] == ["", "", "", "", ""]  # no solve and no energy sample before level 1
         summary = (tmp_path / "out" / "summary.txt").read_text()
         total = int(re.search(r"cg_iterations total = (\d+)", summary).group(1))
         assert sum(int(r[2]) for r in rows[1:]) == total
-        assert all(float(r[3]) >= 0.0 for r in rows[1:])
+        assert all(0.0 <= float(r[3]) <= cli.RunConfig.tol * float(r[4]) for r in rows[1:])
         energy = (tmp_path / "out" / "energy.csv").read_text().splitlines()[1:]
-        assert [r[4:6] for r in rows[1:]] == [line.split(",")[2:4] for line in energy]
+        assert [r[5:7] for r in rows[1:]] == [line.split(",")[2:4] for line in energy]
+
+    @pytest.mark.parametrize("command", ["run", "energy"])
+    @pytest.mark.parametrize("args, choice", [
+        (["--scheme.theta", "1", "--mesh.nx", "32", "--mesh.ny", "32", "--time.dt", "0.25", "--time.T", "1"],
+         r"multigrid, kappa = 1\.52e\+03 >= 500"),
+        ([], r"jacobi, kappa = 0\.0911 < 500"),  # the default input
+    ])
+    def test_summary_names_the_preconditioner(self, command, args, choice, tmp_path, capsys):
+        assert main([command, *args, "--output.dir", str(tmp_path / "out")]) == 0
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        lines = [line for line in summary if line.startswith("preconditioner = ")]
+        assert len(lines) == 1 and re.fullmatch("preconditioner = " + choice, lines[0])
 
     @pytest.mark.parametrize("command", ["run", "energy"])
     @pytest.mark.parametrize("args", [

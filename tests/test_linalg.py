@@ -178,13 +178,13 @@ class TestSpmv:
 class TestCg:
     def test_identity_converges_in_one_iteration(self):
         b = np.random.default_rng(0).standard_normal(9)
-        x, iters, _ = cg_solve(identity_csr(9), b)
+        x, iters, _, _ = cg_solve(identity_csr(9), b)
         assert iters == 1
         assert np.abs(x - b).max() < 1e-14
 
     def test_zero_rhs(self):
-        x, iters, res = cg_solve(identity_csr(4), np.zeros(4))
-        assert iters == 0 and res == 0.0
+        x, iters, res, norm_b = cg_solve(identity_csr(4), np.zeros(4))
+        assert iters == 0 and res == 0.0 and norm_b == 0.0
         assert np.array_equal(x, np.zeros(4))
 
     def test_step_matrix_solve_matches_dense(self):
@@ -193,8 +193,9 @@ class TestCg:
         S = step_matrix(ops, cfg)
         rng = np.random.default_rng(7)
         b = rng.standard_normal(S.shape[0])
-        x, _, res = cg_solve(S, b, SolverConfig(rel_tolerance=1e-12))
-        assert res <= 1e-12 * np.linalg.norm(b)
+        x, _, res, norm_b = cg_solve(S, b, SolverConfig(rel_tolerance=1e-12))
+        assert norm_b == pytest.approx(np.linalg.norm(b), rel=1e-15)
+        assert res <= 1e-12 * norm_b
         assert np.abs(x - dense_solve(S, b)).max() < 1e-9
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -211,11 +212,12 @@ class TestCg:
         v = np.random.default_rng(3).standard_normal(S.shape[0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning either
-            x, iters, res = cg_solve(S, 1e300 * v)
+            x, iters, res, norm_b = cg_solve(S, 1e300 * v)
         want = 1e300 * dense_solve(S, v)
         assert iters >= 1
         assert np.abs(x - want).max() <= 1e-9 * np.abs(want).max()
         assert res <= 1e-12 * 1e300 * np.linalg.norm(v)
+        assert norm_b == pytest.approx(1e300 * np.linalg.norm(v), rel=1e-14)
 
     def test_indefinite_matrix_raises(self):
         M = csr_from_coo([0, 1], [0, 1], [1.0, -1.0], (2, 2))
@@ -235,7 +237,7 @@ class TestCg:
         S = step_matrix(ops, ThetaConfig.from_dt(0.25, 100 * dt, dt))
         rng = np.random.default_rng(11)
         b = rng.standard_normal(S.shape[0])
-        x, iters, _ = cg_solve(S, b, SolverConfig(rel_tolerance=1e-12))
+        x, iters, _, _ = cg_solve(S, b, SolverConfig(rel_tolerance=1e-12))
         assert iters <= 3 * S.shape[0]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -186,7 +187,9 @@ class TestSelection:
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
         cfg = ThetaConfig.from_steps(1.0, 1.0, 16)  # dt = 2.83 h
         assert grad_div_weight(ops, cfg) == pytest.approx(6.14e3, rel=1e-2)
-        assert isinstance(StepSolver(spec, ops, cfg).preconditioner, VCycle)
+        stepper = StepSolver(spec, ops, cfg)
+        assert isinstance(stepper.preconditioner, VCycle)
+        assert re.fullmatch(r"multigrid, kappa = 6\.1\de\+03 >= 500", stepper.choice)
 
     def test_kappa_below_the_crossover_keeps_jacobi(self):
         spec = hetero_spec(64)
@@ -194,7 +197,9 @@ class TestSelection:
         dt = 0.99 * math.sqrt(MULTIGRID_MIN_KAPPA / grad_div_weight(ops, ThetaConfig.from_steps(1.0, 1.0, 1)))
         cfg = ThetaConfig.from_steps(1.0, 4 * dt, 4)
         assert grad_div_weight(ops, cfg) < MULTIGRID_MIN_KAPPA
-        assert StepSolver(spec, ops, cfg).preconditioner is None
+        stepper = StepSolver(spec, ops, cfg)
+        assert stepper.preconditioner is None
+        assert stepper.choice == "jacobi, kappa = 490 < 500"  # (0.99)^2 of the threshold
 
     @pytest.mark.parametrize("nx", [63, 66])
     def test_grids_that_do_not_coarsen_keep_jacobi(self, nx):
@@ -204,7 +209,9 @@ class TestSelection:
         ops = assemble_operators(mesh, spec.bc, spec.material)
         cfg = ThetaConfig.from_steps(1.0, 1.0, 16)
         assert grad_div_weight(ops, cfg) >= MULTIGRID_MIN_KAPPA
-        assert StepSolver(spec, ops, cfg).preconditioner is None
+        stepper = StepSolver(spec, ops, cfg)
+        assert stepper.preconditioner is None
+        assert re.fullmatch(r"jacobi, kappa = \S+ >= 500, but the grid does not coarsen", stepper.choice)
 
     @pytest.mark.parametrize(
         "nx, theta, steps_per_unit_time",

@@ -385,6 +385,9 @@ class TestRun:
         assert res.cg_residuals.shape == res.cg_iterations.shape == (6,)
         assert np.array_equal(res.cg_residuals, residuals)
         assert np.all(res.cg_residuals <= solver.rel_tolerance * np.array(defect_norms))
+        assert res.defect_norms.dtype == np.float64 and res.defect_norms.shape == (6,)
+        np.testing.assert_allclose(res.defect_norms, defect_norms, rtol=1e-15, atol=0.0)
+        assert np.all(res.cg_residuals <= solver.rel_tolerance * res.defect_norms)
 
     def test_rejects_a_dt_whose_products_overflow_before_assembly(self, monkeypatch):
         def no_assembly(*args):
@@ -498,6 +501,34 @@ class TestErrorRecording:
     def test_recording_without_an_exact_solution_is_rejected(self):
         with pytest.raises(ValueError, match="exact"):
             run(zero_problem(), ThetaConfig.from_steps(0.25, 0.1, 4), record_errors=True)
+
+
+class TestMissingInitialData:
+    def test_none_is_the_zero_field_and_is_never_evaluated(self, monkeypatch):
+        def no_projection(*args):
+            raise AssertionError("a missing datum was evaluated")
+
+        monkeypatch.setattr(scheme, "project_velocity_pi_h", no_projection)
+        monkeypatch.setattr(scheme, "project_pressure_p_h", no_projection)
+        mesh = build_rect_mesh(4, 4)
+        spec = ProblemSpec(mesh=mesh, bc=BoundaryPartition.all_neumann(), material=material_field(mesh, 1.0, 1.0))
+        res = run(spec, ThetaConfig.from_steps(0.25, 0.5, 8))
+        assert res.completed and res.state.n == 8
+        s = res.state
+        assert s.U_prev.shape == s.U_curr.shape == (res.operators.n_velocity,) == (24,)
+        assert s.P_prev.shape == s.P_curr.shape == (16,)
+        assert not any(a.any() for a in (s.U_prev, s.U_curr, s.P_prev, s.P_curr))
+        assert [e.value for e in res.energies] == [0.0] * 8
+        assert not res.cg_iterations.any() and not res.defect_norms.any()
+
+    def test_none_matches_a_callable_that_returns_zero(self):
+        spec = make_problem(mms_standing_wave(), 8)  # v0 is zero
+        cfg = ThetaConfig.from_steps(0.25, 0.25, 16)
+        want = run(spec, cfg)
+        spec.v0 = None
+        got = run(spec, cfg)
+        assert [e.value for e in got.energies] == [e.value for e in want.energies]
+        assert got.error_u == want.error_u and got.error_p == want.error_p
 
 
 class TestLoadSetUp:

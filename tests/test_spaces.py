@@ -4,13 +4,19 @@ import pytest
 from mixedwave.linalg import spmv
 from mixedwave.mesh import BoundaryPartition, build_rect_mesh, edge_classify
 from mixedwave.spaces import (
+    PROJECTION_BLOCK,
+    PROJECTION_RULE,
     assemble_load,
     assemble_operators,
     edge_fluxes,
     element_quadrature,
+    gauss_rule_1d,
+    integrate_load,
     material_field,
+    pressure_best_approximation,
     project_pressure_p_h,
     project_velocity_pi_h,
+    velocity_best_approximation,
 )
 from mixedwave.verify import mms_forced
 
@@ -237,3 +243,163 @@ class TestApproximationOrders:
             errs.append(err)
         assert np.all(np.diff(errs) < 0)
         assert self.fit_slope(hs, errs) >= 0.9
+
+
+# --- sampling on sparse coordinates -----------------------------------------
+# Every data callable gets x and y that broadcast against each other. The
+# oracles below evaluate the same callables on full np.meshgrid coordinates,
+# as one (points, rule) array each, and must agree bit for bit.
+
+SAMPLING_MESHES = [(9, 7), (1, 5), (1100, 2)]  # 1100 wide: one element row per call of p0
+
+
+def sampling_mesh(nx, ny):
+    return build_rect_mesh(nx, ny, (-0.5, 1.5, 0.25, 1.0))
+
+
+def full_element_points(mesh, n):
+    """(n_elements, n*n) coordinates of the n-by-n rule, xi running slowest."""
+    s, _ = gauss_rule_1d(n)
+    i, j = np.meshgrid(np.arange(mesh.nx), np.arange(mesh.ny))
+    x = (mesh.x0 + i.ravel() * mesh.hx)[:, None] + mesh.hx * np.repeat(s, n)
+    y = (mesh.y0 + j.ravel() * mesh.hy)[:, None] + mesh.hy * np.tile(s, n)
+    return x, y
+
+
+def full_edge_fluxes(mesh, z):
+    s, w = gauss_rule_1d(PROJECTION_RULE)
+    i, j = np.meshgrid(np.arange(mesh.nx + 1), np.arange(mesh.ny))
+    x = (mesh.x0 + i.ravel() * mesh.hx)[:, None] + np.zeros_like(s)
+    y = (mesh.y0 + j.ravel() * mesh.hy)[:, None] + mesh.hy * s
+    vertical = mesh.hy * (np.broadcast_to(z(x, y)[0], x.shape) @ w)
+    i, j = np.meshgrid(np.arange(mesh.nx), np.arange(mesh.ny + 1))
+    x = (mesh.x0 + i.ravel() * mesh.hx)[:, None] + mesh.hx * s
+    y = (mesh.y0 + j.ravel() * mesh.hy)[:, None] + np.zeros_like(s)
+    horizontal = mesh.hx * (np.broadcast_to(z(x, y)[1], x.shape) @ w)
+    return np.concatenate([vertical, horizontal])
+
+
+def full_pressure_projection(mesh, phi):
+    """Element averages by the 7x7 rule on full coordinates, reduced in the
+    bands of element rows that ``project_pressure_p_h`` uses."""
+    x, y = full_element_points(mesh, PROJECTION_RULE)
+    values = np.broadcast_to(np.asarray(phi(x, y), dtype=np.float64), x.shape)
+    band = max(1, PROJECTION_BLOCK // mesh.nx) * mesh.nx
+    w = element_quadrature(mesh, PROJECTION_RULE).weights
+    return np.concatenate([values[k : k + band] @ w for k in range(0, mesh.n_elements, band)])
+
+
+def on_full_points(mesh, fn):
+    """fn evaluated on full coordinates of the 3x3 rule, handed out in the
+    (ny, nx, 3, 3) layout whatever the coordinates it is called with."""
+    x, y = full_element_points(mesh, 3)
+    shape = (mesh.ny, mesh.nx, 3, 3)
+
+    def full(_x, _y, *args):
+        value = fn(x, y, *args)
+        if isinstance(value, tuple):
+            return tuple(np.broadcast_to(v, x.shape).reshape(shape) for v in value)
+        return np.broadcast_to(value, x.shape).reshape(shape)
+
+    return full
+
+
+def cell_lookup(mesh):
+    """Scalar field that reads a per-element table by locating each point's
+    element, like a heterogeneous p0 = lambda div u0."""
+    table = np.random.default_rng(2).uniform(0.25, 4.0, mesh.n_elements)
+
+    def phi(x, y):
+        i = np.clip(((x - mesh.x0) // mesh.hx).astype(np.int64), 0, mesh.nx - 1)
+        j = np.clip(((y - mesh.y0) // mesh.hy).astype(np.int64), 0, mesh.ny - 1)
+        return table[j * mesh.nx + i] * np.cos(x - 2.0 * y)
+
+    return phi
+
+
+def modal(x, y):
+    """Sum over modes along a trailing axis, as the benchmark's seeded u0."""
+    k = np.array([1.0, 2.0, 3.0])
+    x, y = np.asarray(x)[..., None], np.asarray(y)[..., None]
+    return (np.sin(k * x + y) * np.cos(k * y)).sum(-1), (np.cos(k * x * y)).sum(-1)
+
+
+def vector_fields(mesh):
+    lookup = cell_lookup(mesh)
+    return {
+        "non-separable": lambda x, y: (np.sin(3 * x + 2 * y) * np.exp(x * y), np.cos(x - y**2)),
+        "lookup": lambda x, y: (lookup(x, y), x * lookup(x, y)),
+        "scalar component": lambda x, y: (np.sin(x * y), 0.0),
+        "constant": lambda x, y: (1.5, -0.5),
+        "modal": modal,
+    }
+
+
+def scalar_fields(mesh):
+    return {
+        "non-separable": lambda x, y: np.exp(np.sin(x * y)) + x / (2.0 + y),
+        "lookup": cell_lookup(mesh),
+        "scalar": lambda x, y: 2.5,
+        "x only": lambda x, y: np.cos(x),
+    }
+
+
+@pytest.mark.parametrize("nx, ny", SAMPLING_MESHES)
+class TestSampling:
+    def test_quadrature_coordinates_are_sparse(self, nx, ny):
+        mesh = sampling_mesh(nx, ny)
+        quad = element_quadrature(mesh)
+        assert quad.x.shape == (1, nx, 3, 1) and quad.y.shape == (ny, 1, 1, 3)
+        x, y = full_element_points(mesh, 3)
+        fx, fy = quad.sample(lambda x, y: (x + 0.0 * y, y + 0.0 * x))
+        assert np.array_equal(fx, x) and np.array_equal(fy, y)
+
+    def test_edge_fluxes(self, nx, ny):
+        mesh = sampling_mesh(nx, ny)
+        for name, z in vector_fields(mesh).items():
+            assert np.array_equal(edge_fluxes(mesh, z), full_edge_fluxes(mesh, z)), name
+
+    def test_pressure_projection(self, nx, ny):
+        mesh = sampling_mesh(nx, ny)
+        for name, phi in scalar_fields(mesh).items():
+            assert np.array_equal(project_pressure_p_h(mesh, phi), full_pressure_projection(mesh, phi)), name
+
+    def test_load(self, nx, ny):
+        mesh = sampling_mesh(nx, ny)
+        quad, cls = element_quadrature(mesh), edge_classify(mesh, ALL_D)
+        for name, z in vector_fields(mesh).items():
+            f = lambda x, y, t: tuple(t * v for v in z(x, y))
+            x, y = full_element_points(mesh, 3)
+            want = integrate_load(quad, cls, *(np.broadcast_to(v, x.shape) for v in f(x, y, 0.7)))
+            assert np.array_equal(assemble_load(quad, cls, f, 0.7), want), name
+
+    def test_best_approximations(self, nx, ny):
+        mesh = sampling_mesh(nx, ny)
+        rho = np.random.default_rng(4).uniform(0.5, 2.0, mesh.n_elements)
+        ops = assemble_operators(mesh, ALL_D, material_field(mesh, lambda x, y: rho, lambda x, y: 1.0 / rho))
+        for name, z in vector_fields(mesh).items():
+            got, want = (velocity_best_approximation(ops, p) for p in (z, on_full_points(mesh, z)))
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1], name
+        for name, phi in scalar_fields(mesh).items():
+            got, want = (pressure_best_approximation(ops, p) for p in (phi, on_full_points(mesh, phi)))
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1], name
+
+
+@pytest.mark.parametrize("nx, ny, calls", [
+    (9, 7, [63]),
+    (1, 5, [5]),
+    (1100, 2, [1100, 1100]),       # wider than PROJECTION_BLOCK: one row per call
+    (100, 25, [1000, 1000, 500]),  # ten whole rows per call
+])
+def test_pressure_projection_calls_p0_per_band_of_rows(nx, ny, calls):
+    mesh = sampling_mesh(nx, ny)
+    seen = []
+
+    def phi(x, y):
+        assert x.shape == (1, nx, PROJECTION_RULE, 1) and y.shape[1:] == (1, 1, PROJECTION_RULE)
+        seen.append(y.shape[0] * nx)
+        return np.sin(x) * y
+
+    project_pressure_p_h(mesh, phi)
+    assert seen == calls
+    assert max(seen) <= max(PROJECTION_BLOCK, nx)
