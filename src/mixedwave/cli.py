@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .linalg import NonConvergence, SolverConfig
-from .multigrid import free_dof_count
+from .mesh import EdgeClassification
 from .scheme import ThetaConfig, check_courant_number, run
 from .verify import (
     BLOWUP,
@@ -284,7 +284,7 @@ def _check_mesh(cfg: RunConfig) -> None:
     stability would measure the relative drift of rounding noise.
     """
     where = f"'mesh.nx' = {cfg.nx}, 'mesh.ny' = {cfg.ny}"
-    no_free_dof = free_dof_count(cfg.nx, cfg.ny, _mms_for(cfg).bc) == 0
+    no_free_dof = EdgeClassification.of(cfg.nx, cfg.ny, _mms_for(cfg).bc).n_free == 0
     if cfg.command in ("estimate-c0", "stability") and no_free_dof:
         raise ValueTypeError(f"{where}: the mesh has no free velocity dof, so C0 is undefined")
     if cfg.command in ("energy", "stability") and min(cfg.nx, cfg.ny) == 1:
@@ -463,7 +463,8 @@ def main(argv=None) -> int:
         report = _DISPATCH[cfg.command](cfg)
         paths = emit_reports(report, cfg.out_dir)
     except (NonConvergence, RuntimeError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = f"'solver.tol' = {fmt(cfg.tol)}: " if isinstance(exc, NonConvergence) else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
     for name, ok, detail in report.verdicts:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

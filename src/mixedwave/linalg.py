@@ -7,9 +7,10 @@ and ``spmv`` applies either:
   ``csr_from_coo``: every operator the package assembles (in ``spaces``) has
   at most 7 entries per row (the step matrix 7, A 3, D 4, D^T 2), so a
   mat-vec is one gather and one row sum over a few slots, with no scatter.
-- Edge-grid stencils (``GridStepMatrix``, ``GridDivergence``): on a uniform
-  grid a free-dof vector is two 2-D arrays of edge values (``EdgeGrid``), and
-  A, A + D^T diag(w) D, D and D^T are a few array-slice multiply-adds with
+- Edge-grid stencils (``GridStepMatrix``, ``GridDivergence``): they take
+  the free-dof layout of ``mesh`` (``EdgeClassification``), under which a
+  free-dof vector is two 2-D arrays of edge values, and apply A,
+  A + D^T diag(w) D, D and D^T as a few array-slice multiply-adds with
   per-element coefficients. They store no entries and gather nothing.
 
 The gather costs more than the arithmetic on large grids and less than the
@@ -32,9 +33,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .mesh import EdgeClassification
+
 
 class NonConvergence(RuntimeError):
-    """CG hit its iteration cap; the system is indefinite or ill-conditioned."""
+    """CG stopped short of its tolerance: the iteration cap, a true residual
+    that stopped decreasing, or a matrix that is not positive definite."""
 
 
 class CsrMatrix:
@@ -75,16 +79,10 @@ class CsrMatrix:
         """
         return self._diagonal
 
-    def entries(self):
-        """(rows, cols, vals) of the stored entries, in row order."""
-        stored = np.arange(self.cols.shape[0]) < self.row_nnz[:, None]
-        rows = np.repeat(np.arange(self.shape[0], dtype=np.int64), self.row_nnz)
-        return rows, self.cols.T[stored], self.vals.T[stored]
-
     def todense(self):
+        """The dense matrix; the padded slots add their value 0."""
         out = np.zeros(self.shape)
-        rows, cols, vals = self.entries()
-        out[rows, cols] = vals
+        np.add.at(out, (np.broadcast_to(np.arange(self.shape[0]), self.cols.shape), self.cols), self.vals)
         return out
 
 
@@ -129,57 +127,20 @@ def csr_from_coo(rows, cols, vals, shape) -> CsrMatrix:
     return CsrMatrix(padded_cols, padded_vals, row_nnz, (n_rows, n_cols))
 
 
-def csr_transpose(M: CsrMatrix) -> CsrMatrix:
-    rows, cols, vals = M.entries()
-    return csr_from_coo(cols, rows, vals, (M.shape[1], M.shape[0]))
+def _divergence(layout: EdgeClassification, V, H) -> np.ndarray:
+    """(ny, nx) element rows of D applied to the free edge grids V, H."""
+    out = np.empty((layout.ny, layout.nx))
+    _difference(out, V, layout.left, layout.right)
+    across = np.empty_like(out)
+    _difference(across.T, H.T, layout.bottom, layout.top)
+    out += across
+    return out
 
 
-class EdgeGrid(NamedTuple):
-    """The free velocity dofs of an nx-by-ny grid as two 2-D arrays.
-
-    Free dofs are numbered row-major, vertical edges first (``mesh``), and a
-    pinned (NEUMANN_U) side drops the first or last column or row of edges,
-    so a free-dof vector reshapes with no copy into the (ny, nx + 1 - left -
-    right) grid of free vertical edges followed by the (ny + 1 - bottom - top,
-    nx) grid of free horizontal edges. Each pinned flag is 0 or 1.
-    """
-
-    nx: int
-    ny: int
-    left: int
-    right: int
-    bottom: int
-    top: int
-
-    @property
-    def shapes(self):
-        """Shapes of the free vertical-edge and horizontal-edge grids."""
-        return (self.ny, self.nx + 1 - self.left - self.right), (self.ny + 1 - self.bottom - self.top, self.nx)
-
-    @property
-    def n_free(self):
-        (a, b), (c, d) = self.shapes
-        return a * b + c * d
-
-    def split(self, x):
-        """Views of a free-dof vector as the vertical-edge and horizontal-edge grids."""
-        vertical, horizontal = self.shapes
-        n = vertical[0] * vertical[1]
-        return x[:n].reshape(vertical), x[n:].reshape(horizontal)
-
-    def divergence(self, V, H) -> np.ndarray:
-        """(ny, nx) element rows of D applied to the edge grids V, H."""
-        out = np.empty((self.ny, self.nx))
-        _difference(out, V, self.left, self.right)
-        across = np.empty_like(out)
-        _difference(across.T, H.T, self.bottom, self.top)
-        out += across
-        return out
-
-    def add_divergence_transpose(self, z, yV, yH):
-        """yV, yH += D^T z, with z the (ny, nx) element values."""
-        _add_difference_transpose(yV, z, self.left, self.right)
-        _add_difference_transpose(yH.T, z.T, self.bottom, self.top)
+def _add_divergence_transpose(layout: EdgeClassification, z, yV, yH):
+    """yV, yH += D^T z, with z the (ny, nx) element values."""
+    _add_difference_transpose(yV, z, layout.left, layout.right)
+    _add_difference_transpose(yH.T, z.T, layout.bottom, layout.top)
 
 
 def _difference(out, X, lo, hi):
@@ -221,7 +182,8 @@ def _edge_sum(cells, lo, hi):
 
 
 class GridStepMatrix:
-    """A + D^T diag(w) D on an ``EdgeGrid``, applied by array slices.
+    """A + D^T diag(w) D on a free-dof layout (``mesh.EdgeClassification``),
+    applied by array slices.
 
     The mass matrix A couples the two x-normal edges of each element through
     the element's 2x2 block [[a, b], [b, a]], ``mass_x`` = (a, b) as two
@@ -237,10 +199,10 @@ class GridStepMatrix:
     the start of the next row non-finite (0 * inf).
     """
 
-    __slots__ = ("grid", "shape", "nnz", "_n_vertical", "_mass", "_bands", "_weight", "_diagonal")
+    __slots__ = ("layout", "shape", "nnz", "_n_vertical", "_mass", "_bands", "_weight", "_diagonal")
 
-    def __init__(self, grid: EdgeGrid, mass_x, mass_y, weight=None):
-        g = grid
+    def __init__(self, layout: EdgeClassification, mass_x, mass_y, weight=None):
+        g = layout
         (ny, nv), (nh, nx) = g.shapes
         # A in flat free-dof order: its diagonal, and bands at offset 1 in the
         # vertical-edge grid (0 between rows) and nx in the horizontal one,
@@ -265,7 +227,7 @@ class GridStepMatrix:
             # every element couples each free x-normal edge with each free y-normal one
             nnz += 2 * (2 * g.nx - g.left - g.right) * (2 * g.ny - g.bottom - g.top)
         diagonal.flags.writeable = False
-        self.grid, self.shape, self.nnz, self._n_vertical = grid, (n, n), nnz, ny * nv
+        self.layout, self.shape, self.nnz, self._n_vertical = layout, (n, n), nnz, ny * nv
         self._weight, self._diagonal = weight, diagonal
 
     def diagonal(self):
@@ -276,12 +238,11 @@ class GridStepMatrix:
         m = self._n_vertical
         y = self._mass * x
         _add_band(y[:m], x[:m], self._bands[0], 1)
-        _add_band(y[m:], x[m:], self._bands[1], self.grid.nx)
+        _add_band(y[m:], x[m:], self._bands[1], self.layout.nx)
         if self._weight is not None:
-            V, H = self.grid.split(x)
-            z = self.grid.divergence(V, H)
+            z = _divergence(self.layout, *self.layout.split(x))
             z *= self._weight
-            self.grid.add_divergence_transpose(z, *self.grid.split(y))
+            _add_divergence_transpose(self.layout, z, *self.layout.split(y))
         return y
 
 
@@ -293,25 +254,26 @@ def _add_band(y, x, band, offset):
 
 
 class GridDivergence:
-    """D (one row per element, one column per free dof) on an ``EdgeGrid``,
-    or D^T when ``transposed``; entries +-1, applied by array slices.
+    """D (one row per element, one column per free dof) on a free-dof
+    layout, or D^T when ``transposed``; entries +-1, applied by array slices.
     ``nnz`` counts the entries the padded-row form stores."""
 
-    __slots__ = ("grid", "transposed", "shape", "nnz")
+    __slots__ = ("layout", "transposed", "shape", "nnz")
 
-    def __init__(self, grid: EdgeGrid, transposed=False):
-        g = grid
+    def __init__(self, layout: EdgeClassification, transposed=False):
+        g = layout
         n_el = g.nx * g.ny
-        self.grid, self.transposed = grid, transposed
+        self.layout, self.transposed = layout, transposed
         self.shape = (g.n_free, n_el) if transposed else (n_el, g.n_free)
         self.nnz = g.ny * (2 * g.nx - g.left - g.right) + g.nx * (2 * g.ny - g.bottom - g.top)
 
     def _apply(self, x):
+        g = self.layout
         if self.transposed:
             y = np.zeros(self.shape[0])
-            self.grid.add_divergence_transpose(x.reshape(self.grid.ny, self.grid.nx), *self.grid.split(y))
+            _add_divergence_transpose(g, x.reshape(g.ny, g.nx), *g.split(y))
             return y
-        return self.grid.divergence(*self.grid.split(x)).ravel()
+        return _divergence(g, *g.split(x)).ravel()
 
 
 def spmv(M, x) -> np.ndarray:
@@ -358,12 +320,15 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
     fixed symmetric positive definite B; by default B is the inverse of M's
     main diagonal (Jacobi). Stops when ||M x - b|| <= rel_tolerance * ||b||,
     with the true residual recomputed at the recursive stopping point so the
-    guarantee is not a victim of residual-recurrence drift. The result holds
+    guarantee is not a victim of residual-recurrence drift (CG restarts from
+    it when it is still too large). The result holds
     x, the iteration count, that true residual and ||b||. A finite b whose
     squared norm overflows is solved as b / max|b|, with x, the residual
     and ||b|| scaled back. Raises ValueError when b is not finite, and NonConvergence
-    when the iteration cap is reached or a nonpositive curvature direction
-    shows up (which means M was not positive definite).
+    when the iteration cap is reached, when a restart's true residual is not
+    below the previous restart's (the tolerance is below what rounding lets
+    CG attain), or when a nonpositive curvature direction shows up (M was
+    not positive definite).
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -401,6 +366,7 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
     step = np.empty(n)
     rz = float(r @ z)
     cap = cfg.iteration_cap(n)
+    restart_residual = math.inf
     for k in range(1, cap + 1):
         Mp = spmv(M, p)
         pMp = float(p @ Mp)
@@ -414,6 +380,12 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
             norm_r = math.sqrt(r @ r)
             if norm_r <= tol:
                 return CgResult(x, k, norm_r, norm_b)
+            if norm_r >= restart_residual:
+                raise NonConvergence(
+                    f"CG stagnated at relative residual {norm_r / norm_b:.3g} in iteration {k}, "
+                    f"above the tolerance {cfg.rel_tolerance:g}: rounding keeps it from going lower"
+                )
+            restart_residual = norm_r
             precondition(r, z)
             p[:] = z
             rz = float(r @ z)

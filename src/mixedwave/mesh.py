@@ -3,13 +3,16 @@
 Velocity degrees of freedom live on edges, so the mesh owns the edge
 indexing scheme: vertical edges (normal +x) come first, then horizontal
 edges (normal +y), each block row-major. Elements are row-major as well.
-Meshes are immutable after construction.
+Meshes are immutable after construction. The free velocity dofs that the
+boundary tags leave have one layout, ``EdgeClassification``, which assembly,
+the stencils of ``linalg`` and the multigrid transfers all read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -113,32 +116,74 @@ def build_rect_mesh(nx: int, ny: int, extents=(0.0, 1.0, 0.0, 1.0)) -> RectMesh:
 
 @dataclass(frozen=True)
 class EdgeClassification:
-    """The free-dof numbering induced by the boundary tags.
+    """The free velocity dofs of an nx-by-ny grid.
 
-    ``free_index[e]`` is the position of edge e among free velocity dofs, or
-    -1 when the edge lies on a NEUMANN_U side (normal velocity pinned to 0).
+    A side flag is 1 when the side is NEUMANN_U, which pins the normal
+    velocity on all its edges to 0, and 0 otherwise. Free dofs keep the edge
+    order (vertical edges first, each block row-major), so a free-dof vector
+    reshapes with no copy (``split``) into the free vertical-edge and
+    horizontal-edge grids. The index arrays are sliced out at first use and
+    cached.
     """
 
-    free_index: np.ndarray
-    free_edges: np.ndarray
+    nx: int
+    ny: int
+    left: int
+    right: int
+    bottom: int
+    top: int
+
+    @classmethod
+    def of(cls, nx: int, ny: int, bc: BoundaryPartition) -> EdgeClassification:
+        """The layout of an nx-by-ny grid tagged by ``bc``, built without a mesh."""
+        pinned = (int(side is BoundaryKind.NEUMANN_U) for side in (bc.left, bc.right, bc.bottom, bc.top))
+        return cls(nx, ny, *pinned)
+
+    @property
+    def shapes(self):
+        """Shapes of the free vertical-edge and horizontal-edge grids."""
+        return (self.ny, self.nx + 1 - self.left - self.right), (self.ny + 1 - self.bottom - self.top, self.nx)
 
     @property
     def n_free(self):
-        return self.free_edges.size
+        (a, b), (c, d) = self.shapes
+        return a * b + c * d
+
+    def split(self, x):
+        """Views of a free-dof vector as the vertical-edge and horizontal-edge grids."""
+        vertical, horizontal = self.shapes
+        n = vertical[0] * vertical[1]
+        return x[:n].reshape(vertical), x[n:].reshape(horizontal)
+
+    @cached_property
+    def index_grids(self):
+        """Free index of every vertical edge, an (ny, nx + 1) array, and of
+        every horizontal edge, (ny + 1, nx); -1 where the edge is pinned."""
+        V = np.full((self.ny, self.nx + 1), -1, dtype=np.int64)
+        H = np.full((self.ny + 1, self.nx), -1, dtype=np.int64)
+        free_V, free_H = self.split(np.arange(self.n_free))
+        V[:, self.left : self.nx + 1 - self.right], H[self.bottom : self.ny + 1 - self.top] = free_V, free_H
+        return V, H
+
+    @cached_property
+    def free_index(self):
+        """``free_index[e]``: the position of global edge e among the free dofs, or -1."""
+        V, H = self.index_grids
+        return np.concatenate([V.ravel(), H.ravel()])
+
+    @cached_property
+    def free_edges(self):
+        """Global ids of the free edges, in free-dof order."""
+        return np.flatnonzero(self.free_index >= 0)
+
+    @cached_property
+    def element_dofs(self):
+        """(n_elements, 4) free indices of each element's edges in LEFT,
+        RIGHT, BOTTOM, TOP order, -1 where pinned: ``free_index[element_edges]``."""
+        V, H = self.index_grids
+        return np.stack([V[:, :-1], V[:, 1:], H[:-1], H[1:]], axis=-1).reshape(-1, 4)
 
 
 def edge_classify(mesh: RectMesh, bc: BoundaryPartition) -> EdgeClassification:
-    """Pin the edges of the NEUMANN_U sides and number the remaining free dofs."""
-    pinned = np.zeros(mesh.n_edges, dtype=bool)
-    neumann = BoundaryKind.NEUMANN_U
-    jv = np.arange(mesh.ny)
-    pinned[mesh.vedge_id(0, jv)] = bc.left is neumann
-    pinned[mesh.vedge_id(mesh.nx, jv)] = bc.right is neumann
-    ih = np.arange(mesh.nx)
-    pinned[mesh.hedge_id(ih, 0)] = bc.bottom is neumann
-    pinned[mesh.hedge_id(ih, mesh.ny)] = bc.top is neumann
-
-    free_index = np.full(mesh.n_edges, -1, dtype=np.int64)
-    free_edges = np.flatnonzero(~pinned)
-    free_index[free_edges] = np.arange(free_edges.size)
-    return EdgeClassification(free_index, free_edges)
+    """The free-dof layout of ``mesh`` under the boundary tags ``bc``."""
+    return EdgeClassification.of(mesh.nx, mesh.ny, bc)

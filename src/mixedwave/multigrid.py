@@ -17,7 +17,9 @@ Jacobi do not reach it. The V-cycle here stays robust in coeff:
 - Transfers: the prolongation P is the RT0 embedding of integrated fluxes:
   each half of a coarse edge carries half its flux, and each fine edge
   inside a coarse element gets a quarter of each of the two parallel coarse
-  edges. Restriction is P^T.
+  edges. Restriction is P^T. Both are built from the free-dof layouts
+  (``mesh.EdgeClassification``) of the two grids alone, by strided slices
+  of their index grids; a coarse grid's layout needs no mesh.
 - Smoother: multiplicative vertex-patch Schwarz (Arnold, Falk & Winther,
   "Preconditioning in H(div) and applications", Math. Comp. 66, 1997;
   "Multigrid in H(div) and H(curl)", Numer. Math. 85, 2000). A patch is the
@@ -38,19 +40,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import CsrMatrix, GridStepMatrix, csr_from_coo, csr_transpose, spmv
-from .mesh import BoundaryKind, BoundaryPartition, EdgeClassification, RectMesh, build_rect_mesh, edge_classify
+from .linalg import CsrMatrix, GridStepMatrix, csr_from_coo, spmv
+from .mesh import BoundaryPartition, EdgeClassification, RectMesh, build_rect_mesh
 from .spaces import MaterialField, MixedOperators, element_blocks, schur_matrix
 
 COARSEST_DOFS = 256  # largest grid solved by a dense inverse
-
-
-def free_dof_count(nx: int, ny: int, bc: BoundaryPartition) -> int:
-    """Free velocity dofs of an nx-by-ny grid: every edge minus the pinned sides."""
-    pinned = BoundaryKind.NEUMANN_U
-    pinned_edges = ny * ((bc.left is pinned) + (bc.right is pinned))
-    pinned_edges += nx * ((bc.bottom is pinned) + (bc.top is pinned))
-    return (nx + 1) * ny + nx * (ny + 1) - pinned_edges
 
 
 def grid_shapes(nx: int, ny: int, bc: BoundaryPartition) -> list:
@@ -61,8 +55,8 @@ def grid_shapes(nx: int, ny: int, bc: BoundaryPartition) -> list:
     while (
         nx % 2 == 0
         and ny % 2 == 0
-        and free_dof_count(nx, ny, bc) > COARSEST_DOFS
-        and free_dof_count(nx // 2, ny // 2, bc) > 0
+        and EdgeClassification.of(nx, ny, bc).n_free > COARSEST_DOFS
+        and EdgeClassification.of(nx // 2, ny // 2, bc).n_free > 0
     ):
         nx, ny = nx // 2, ny // 2
         shapes.append((nx, ny))
@@ -72,7 +66,7 @@ def grid_shapes(nx: int, ny: int, bc: BoundaryPartition) -> list:
 def coarsens(mesh: RectMesh, bc: BoundaryPartition) -> bool:
     """True when the grid halves at least once and ends at a dense-solvable size."""
     shapes = grid_shapes(mesh.nx, mesh.ny, bc)
-    return len(shapes) > 1 and free_dof_count(*shapes[-1], bc) <= COARSEST_DOFS
+    return len(shapes) > 1 and EdgeClassification.of(*shapes[-1], bc).n_free <= COARSEST_DOFS
 
 
 def coarse_material(mesh: RectMesh, material: MaterialField) -> MaterialField:
@@ -88,31 +82,23 @@ def coarse_material(mesh: RectMesh, material: MaterialField) -> MaterialField:
     )
 
 
-def prolongation(fm: RectMesh, fine: EdgeClassification, cm: RectMesh, coarse: EdgeClassification) -> CsrMatrix:
-    """RT0 embedding of the coarse grid cm's fluxes into the fine grid fm, over free dofs."""
-    I, J = (a.ravel() for a in np.meshgrid(np.arange(cm.nx + 1), np.arange(cm.ny + 1), indexing="xy"))
-    rows, cols, vals = [], [], []
-
-    def add(fine_edges, coarse_edges, weight, where):
-        rows.append(fine_edges[where])
-        cols.append(coarse_edges[where])
-        vals.append(np.full(int(where.sum()), weight))
-
-    has_row, has_col = J < cm.ny, I < cm.nx
-    # each half of a coarse edge carries half of its flux
+def transfers(fine: EdgeClassification, coarse: EdgeClassification) -> tuple[CsrMatrix, CsrMatrix]:
+    """The prolongation P, the RT0 embedding of the coarse grid's fluxes into
+    the fine grid's over their free dofs, and the restriction R = P^T."""
+    (Vf, Hf), (Vc, Hc) = fine.index_grids, coarse.index_grids
+    pairs = []  # (fine indices, coarse indices, weight), aligned grids
     for half in (0, 1):
-        add(fm.vedge_id(2 * I, 2 * J + half), cm.vedge_id(I, J), 0.5, has_row)
-        add(fm.hedge_id(2 * I + half, 2 * J), cm.hedge_id(I, J), 0.5, has_col)
-    # the fine edges inside a coarse element average its two parallel edges
-    inside = has_row & has_col
-    for half in (0, 1):
-        for side in (0, 1):
-            add(fm.vedge_id(2 * I + 1, 2 * J + half), cm.vedge_id(I + side, J), 0.25, inside)
-            add(fm.hedge_id(2 * I + half, 2 * J + 1), cm.hedge_id(I, J + side), 0.25, inside)
-    fi = fine.free_index[np.concatenate(rows)]
-    ci = coarse.free_index[np.concatenate(cols)]
-    keep = (fi >= 0) & (ci >= 0)
-    return csr_from_coo(fi[keep], ci[keep], np.concatenate(vals)[keep], (fine.n_free, coarse.n_free))
+        # each half of a coarse edge carries half of its flux
+        pairs += [(Vf[half::2, ::2], Vc, 0.5), (Hf[::2, half::2], Hc, 0.5)]
+        # the fine edges inside a coarse element average its two parallel edges
+        pairs += [(Vf[half::2, 1::2], near, 0.25) for near in (Vc[:, :-1], Vc[:, 1:])]
+        pairs += [(Hf[1::2, half::2], near, 0.25) for near in (Hc[:-1], Hc[1:])]
+    rows, cols = (np.concatenate([pair[k].ravel() for pair in pairs]) for k in (0, 1))
+    vals = np.concatenate([np.full(f.size, weight) for f, _, weight in pairs])
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    shape = (fine.n_free, coarse.n_free)
+    return csr_from_coo(rows, cols, vals, shape), csr_from_coo(cols, rows, vals, shape[::-1])
 
 
 class _Colour(NamedTuple):
@@ -144,20 +130,19 @@ CORNER_SLOTS = np.array([[0, 1, 6, 8], [1, 2, 7, 9], [3, 4, 8, 10], [4, 5, 9, 11
 PATCH_SLOTS = np.array([1, 4, 8, 9])  # edges (i, j - 1), (i, j) vertical, (i - 1, j), (i, j) horizontal
 
 
-def _patch_colours(mesh: RectMesh, cls: EdgeClassification, blocks) -> list:
+def _patch_colours(cls: EdgeClassification, blocks) -> list:
     """The 4 colours (i mod 2, j mod 2) of vertex patches, in visiting order;
     ``blocks`` are the grid's element blocks of S (``spaces.element_blocks``)."""
-    n, nx, ny = cls.n_free, mesh.nx, mesh.ny
+    n, nx, ny = cls.n_free, cls.nx, cls.ny
     I, J = (g.ravel() for g in np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy"))
-    # each corner's element; n_elements stands for one outside the mesh
+    # each corner's element; nx * ny stands for one outside the mesh
     elements = np.column_stack([
-        np.where((0 <= i) & (i < nx) & (0 <= j) & (j < ny), j * nx + i, mesh.n_elements)
+        np.where((0 <= i) & (i < nx) & (0 <= j) & (j < ny), j * nx + i, nx * ny)
         for i, j in ((I + di, J + dj) for di, dj in CORNERS)
     ])
     # element -> dofs of its edges; pinned edges and the outside element's
     # go to the dummy n, which every real dof undercuts in the minimum below
-    dof = np.where(cls.free_index >= 0, cls.free_index, n)
-    edges = np.vstack([dof[mesh.element_edges], np.full(4, n)])
+    edges = np.vstack([np.where(cls.element_dofs >= 0, cls.element_dofs, n), np.full(4, n)])
     around = np.full((I.size, 12), n)
     for corner, slots in zip(elements.T, CORNER_SLOTS):
         around[:, slots] = np.minimum(around[:, slots], edges[corner])
@@ -221,12 +206,10 @@ class VCycle:
         mesh, cls, material = ops.mesh, ops.classification, ops.material
         self.levels = []
         for nx, ny in grid_shapes(mesh.nx, mesh.ny, ops.bc)[1:]:
-            coarse = build_rect_mesh(nx, ny, (mesh.x0, mesh.x1, mesh.y0, mesh.y1))
-            coarse_cls = edge_classify(coarse, ops.bc)
-            P = prolongation(mesh, cls, coarse, coarse_cls)
-            self.levels.append(_Level(S, _patch_colours(mesh, cls, blocks), P, csr_transpose(P)))
+            coarse = EdgeClassification.of(nx, ny, ops.bc)
+            self.levels.append(_Level(S, _patch_colours(cls, blocks), *transfers(cls, coarse)))
             material = coarse_material(mesh, material)
-            mesh, cls = coarse, coarse_cls
+            mesh, cls = build_rect_mesh(nx, ny, (mesh.x0, mesh.x1, mesh.y0, mesh.y1)), coarse
             blocks = element_blocks(mesh, material, coeff)
             S = schur_matrix(mesh, cls, blocks)
         inverse = np.linalg.inv(S.todense())

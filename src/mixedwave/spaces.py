@@ -12,7 +12,10 @@ are one sum of 4x4 element blocks (``element_blocks``, summed by
 data must be integrated (loads, error norms); a run builds it once, as
 ``MixedOperators.quadrature``.
 
-The operators come in one of the two formats of ``linalg``, picked by the
+The free velocity dofs are those of the run's layout,
+``mesh.EdgeClassification``: assembly reads each element's free dofs from
+its ``element_dofs``, and the stencils take the layout itself. The
+operators come in one of the two formats of ``linalg``, picked by the
 number of free velocity dofs: padded rows below ``GRID_MIN_DOFS``, where
 the fancy-index gather is cheap, and edge-grid stencils from there on,
 where it costs more than the arithmetic. A stencil step matrix keeps its
@@ -48,13 +51,11 @@ import numpy as np
 
 from .linalg import (
     CsrMatrix,
-    EdgeGrid,
     GridDivergence,
     GridStepMatrix,
     SolverConfig,
     cg_solve,
     csr_from_coo,
-    csr_transpose,
     spmv,
 )
 from .mesh import (
@@ -62,7 +63,6 @@ from .mesh import (
     RIGHT,
     BOTTOM,
     TOP,
-    BoundaryKind,
     BoundaryPartition,
     EdgeClassification,
     RectMesh,
@@ -186,12 +186,6 @@ def element_blocks(mesh: RectMesh, material: MaterialField, coeff: float) -> np.
     return block
 
 
-def edge_grid(mesh: RectMesh, cls: EdgeClassification) -> EdgeGrid:
-    """The free dofs of ``cls`` as edge grids; a side is pinned as a whole."""
-    corners = [mesh.vedge_id(0, 0), mesh.vedge_id(mesh.nx, 0), mesh.hedge_id(0, 0), mesh.hedge_id(0, mesh.ny)]
-    return EdgeGrid(mesh.nx, mesh.ny, *(int(i < 0) for i in cls.free_index[corners]))
-
-
 def schur_matrix(mesh: RectMesh, cls: EdgeClassification, blocks: np.ndarray) -> CsrMatrix | GridStepMatrix:
     """Sum of the (4, 4, n_elements) element blocks over the free velocity dofs.
 
@@ -210,13 +204,13 @@ def schur_matrix(mesh: RectMesh, cls: EdgeClassification, blocks: np.ndarray) ->
         entry = lambda i, j: blocks[i, j].reshape(mesh.ny, mesh.nx)
         w = entry(LEFT, BOTTOM)
         return GridStepMatrix(
-            edge_grid(mesh, cls),
+            cls,
             (entry(LEFT, LEFT) - w, entry(LEFT, RIGHT) + w),
             (entry(BOTTOM, BOTTOM) - w, entry(BOTTOM, TOP) + w),
             w.copy() if w.any() else None,  # a copy, so that S does not keep the blocks alive
         )
     local_i, local_j = np.nonzero(blocks.any(axis=2))
-    free = cls.free_index[mesh.element_edges.T]  # (4, n_elements)
+    free = cls.element_dofs.T  # (4, n_elements)
     fi, fj = free[local_i], free[local_j]
     keep = (fi >= 0) & (fj >= 0)
     rows, cols, vals = fi[keep], fj[keep], blocks[local_i, local_j][keep]
@@ -242,15 +236,14 @@ def assemble_operators(
     # divergence theorem with integrated-flux dofs: entries exactly +-1
     n_el = mesh.n_elements
     if cls.n_free >= GRID_MIN_DOFS:
-        grid = edge_grid(mesh, cls)
-        D, DT = GridDivergence(grid), GridDivergence(grid, transposed=True)
+        D, DT = GridDivergence(cls), GridDivergence(cls, transposed=True)
     else:
         el = np.repeat(np.arange(n_el), 4)
-        div_cols = cls.free_index[mesh.element_edges.ravel()]
-        div_vals = np.tile(DIVERGENCE_ROW, n_el)
+        div_cols = cls.element_dofs.ravel()
         keep = div_cols >= 0
-        D = csr_from_coo(el[keep], div_cols[keep], div_vals[keep], (n_el, cls.n_free))
-        DT = csr_transpose(D)
+        rows, cols, vals = el[keep], div_cols[keep], np.tile(DIVERGENCE_ROW, n_el)[keep]
+        D = csr_from_coo(rows, cols, vals, (n_el, cls.n_free))
+        DT = csr_from_coo(cols, rows, vals, (cls.n_free, n_el))
 
     return MixedOperators(
         A=A,
@@ -285,10 +278,9 @@ def max_divergence_eigenvalue(mesh: RectMesh, bc: BoundaryPartition) -> float:
     ``_axis_eigenvalue``; exact up to rounding. It is 0 exactly when no
     velocity dof is free.
     """
-    pinned = BoundaryKind.NEUMANN_U
-    mu = _axis_eigenvalue(mesh.nx, mesh.hx, (bc.left is pinned) + (bc.right is pinned))
-    mu += _axis_eigenvalue(mesh.ny, mesh.hy, (bc.bottom is pinned) + (bc.top is pinned))
-    return mu
+    cls = EdgeClassification.of(mesh.nx, mesh.ny, bc)
+    mu = _axis_eigenvalue(mesh.nx, mesh.hx, cls.left + cls.right)
+    return mu + _axis_eigenvalue(mesh.ny, mesh.hy, cls.bottom + cls.top)
 
 
 def _points(value, x, y, n_points: int) -> np.ndarray:
@@ -436,7 +428,7 @@ def velocity_best_approximation(ops: MixedOperators, profile) -> tuple[np.ndarra
     sx, sy = quad.sample(profile)
     load = integrate_load(quad, ops.classification, rho[:, None] * sx, rho[:, None] * sy)
     coeffs = cg_solve(ops.A, load, SolverConfig(BEST_APPROXIMATION_RTOL)).x
-    c = np.append(coeffs, 0.0)[ops.classification.free_index[mesh.element_edges]]  # pinned slots read the 0
+    c = np.append(coeffs, 0.0)[ops.classification.element_dofs]  # pinned slots read the 0
     vx = c[:, [LEFT, RIGHT]] @ (np.array([1.0 - quad.xi, quad.xi]) / mesh.hy)
     vy = c[:, [BOTTOM, TOP]] @ (np.array([1.0 - quad.eta, quad.eta]) / mesh.hx)
     per_el = ((sx - vx) ** 2 + (sy - vy) ** 2) @ quad.weights

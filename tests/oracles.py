@@ -9,8 +9,7 @@ directly instead of eliminating the pressure.
 import numpy as np
 import scipy.linalg
 
-from mixedwave.linalg import csr_transpose
-from mixedwave.mesh import LEFT, RIGHT, BOTTOM, TOP, edge_classify
+from mixedwave.mesh import LEFT, RIGHT, BOTTOM, TOP, BoundaryKind
 from mixedwave.spaces import gauss_rule_1d, material_field
 
 # outward normal per local edge slot
@@ -46,12 +45,29 @@ def dense_solve(M, b):
 
 
 def max_asymmetry(M):
-    """max |M - M^T| entrywise; requires a structurally symmetric pattern."""
-    rows, cols, vals = M.entries()
-    t_rows, t_cols, t_vals = csr_transpose(M).entries()
-    if not (np.array_equal(rows, t_rows) and np.array_equal(cols, t_cols)):
+    """max |M - M^T| entrywise on the dense form; requires a symmetric nonzero pattern."""
+    dense = M.todense()
+    if not np.array_equal(dense != 0, dense.T != 0):
         raise ValueError("sparsity pattern is not symmetric")
-    return float(np.abs(vals - t_vals).max()) if vals.size else 0.0
+    return float(np.abs(dense - dense.T).max(initial=0.0))
+
+
+def reference_edge_classify(mesh, bc):
+    """(free_index, free_edges) from global edge ids: pin every edge of a
+    NEUMANN_U side, then number the remaining edges in id order."""
+    pinned = np.zeros(mesh.n_edges, dtype=bool)
+    neumann = BoundaryKind.NEUMANN_U
+    jv = np.arange(mesh.ny)
+    pinned[mesh.vedge_id(0, jv)] = bc.left is neumann
+    pinned[mesh.vedge_id(mesh.nx, jv)] = bc.right is neumann
+    ih = np.arange(mesh.nx)
+    pinned[mesh.hedge_id(ih, 0)] = bc.bottom is neumann
+    pinned[mesh.hedge_id(ih, mesh.ny)] = bc.top is neumann
+
+    free_index = np.full(mesh.n_edges, -1, dtype=np.int64)
+    free_edges = np.flatnonzero(~pinned)
+    free_index[free_edges] = np.arange(free_edges.size)
+    return free_index, free_edges
 
 
 def dense_operators(mesh, bc, material, rule=3):
@@ -61,7 +77,7 @@ def dense_operators(mesh, bc, material, rule=3):
     Gauss grid; D entries use the divergence theorem, integrating basis
     normal traces along each element side with a Gauss edge rule.
     """
-    cls = edge_classify(mesh, bc)
+    _, free = reference_edge_classify(mesh, bc)
     xi, w = gauss_rule_1d(rule)
     n_edges = mesh.n_edges
     A_full = np.zeros((n_edges, n_edges))
@@ -96,7 +112,6 @@ def dense_operators(mesh, bc, material, rule=3):
                 total += ds * np.sum(w * (vx * nx_ + vy * ny_))
             D_full[el, edges[a]] += total
 
-    free = cls.free_edges
     A = A_full[np.ix_(free, free)]
     D = D_full[:, free]
     # (lambda^{-1} w_T, w_T) by quadrature of the constant indicator
@@ -121,9 +136,8 @@ def velocity_l2_error(mesh, bc, rho_per_element, free_coeffs, exact, rule=3):
     U_h is evaluated in physical coordinates, as the flux-weighted sum of the
     four shape functions of ``rt0_basis_eval``.
     """
-    cls = edge_classify(mesh, bc)
     full = np.zeros(mesh.n_edges)
-    full[cls.free_edges] = free_coeffs
+    full[reference_edge_classify(mesh, bc)[1]] = free_coeffs
     c = full[mesh.element_edges]
     gx, gy, w = _gauss_points(mesh, rule)
     xl, yb = mesh.element_x0[:, None], mesh.element_y0[:, None]

@@ -323,6 +323,18 @@ class TestCommands:
             assert float(cells[5]) == ru[k]
             assert float(cells[6]) == rp[k]
 
+    def test_unreachable_solver_tolerance_fails_fast_naming_it(self, tmp_path, capsys):
+        # the true residual stalls near 6e-15 of the defect from iteration 9 on
+        code = main([
+            "run", "--scheme.theta", "1", "--mesh.nx", "32", "--mesh.ny", "32",
+            "--time.dt", "0.25", "--time.T", "1", "--solver.tol", "5e-15",
+            "--output.dir", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'solver.tol' = 5e-15: CG stagnated at relative residual")
+        assert int(re.search(r"in iteration (\d+)", err).group(1)) <= 20
+
     def test_io_failure_names_the_path(self, tmp_path, capsys):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied")

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+import mixedwave.linalg as linalg
 import mixedwave.spaces as spaces
 from mixedwave.linalg import (
     CsrMatrix,
@@ -11,7 +12,6 @@ from mixedwave.linalg import (
     SolverConfig,
     cg_solve,
     csr_from_coo,
-    csr_transpose,
     spmv,
 )
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
@@ -79,11 +79,6 @@ class TestCsrMatrix:
         assert M.nnz == 2
         assert M.todense()[0, 1] == 5.0
 
-    def test_transpose_round_trip(self):
-        rng = np.random.default_rng(3)
-        M, dense = random_sparse(rng, 15)
-        assert np.array_equal(csr_transpose(M).todense(), dense.T)
-
 
 class TestPaddedRows:
     def test_widths_of_the_package_operators(self):
@@ -96,10 +91,11 @@ class TestPaddedRows:
         M, dense = uneven_csr()
         assert M.cols.shape == M.vals.shape == (3, 4)
         assert np.array_equal(M.row_nnz, [2, 0, 3, 1])
-        rows, cols, vals = M.entries()
-        assert np.array_equal(rows, [0, 0, 2, 2, 2, 3])
+        stored = (np.arange(3)[:, None] < M.row_nnz).T  # (row, slot), row order
+        rows = np.repeat(np.arange(4), M.row_nnz)
+        cols = M.cols.T[stored]
         assert np.array_equal(cols, [1, 3, 0, 2, 4, 4])
-        assert np.array_equal(vals, [2.0, -1.0, 3.0, 4.0, 5.0, -6.0])
+        assert np.array_equal(M.vals.T[stored], [2.0, -1.0, 3.0, 4.0, 5.0, -6.0])
         assert M.nnz == 6
         assert np.array_equal(M.todense(), dense)
         assert np.array_equal(M.cols[:, 1], [0, 0, 0])
@@ -223,6 +219,22 @@ class TestCg:
         M = csr_from_coo([0, 1], [0, 1], [1.0, -1.0], (2, 2))
         with pytest.raises(NonConvergence):
             cg_solve(M, np.ones(2))
+
+    def test_unreachable_tolerance_raises_when_the_residual_stagnates(self, monkeypatch):
+        # eigenvalues 2 and 1e-10: rounding keeps the true residual near 1e-7
+        # of ||b||, far above the tolerance, and a restart gains nothing
+        M = csr_from_coo([0, 0, 1, 1], [0, 1, 0, 1], [1.0, 1.0 - 1e-10, 1.0 - 1e-10, 1.0], (2, 2))
+        calls = []
+        inner = linalg.spmv
+
+        def counted(A, x):
+            calls.append(1)
+            return inner(A, x)
+
+        monkeypatch.setattr(linalg, "spmv", counted)
+        with pytest.raises(NonConvergence, match=r"stagnated at relative residual .* above the tolerance 1e-12"):
+            cg_solve(M, np.array([0.3, 0.7]), SolverConfig(1e-12))
+        assert 0 < len(calls) <= 20
 
     def test_iteration_cap_raises(self):
         ops = operators_on(4)

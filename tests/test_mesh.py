@@ -4,9 +4,17 @@ import pytest
 from mixedwave.mesh import (
     BoundaryKind,
     BoundaryPartition,
+    EdgeClassification,
     build_rect_mesh,
     edge_classify,
 )
+
+from oracles import reference_edge_classify
+
+ALL_PARTITIONS = [
+    BoundaryPartition(*[BoundaryKind.NEUMANN_U if code >> side & 1 else BoundaryKind.DIRICHLET_P for side in range(4)])
+    for code in range(16)
+]
 
 
 def test_unit_square_single_element():
@@ -113,3 +121,30 @@ def test_refinement_halves_spacings_exactly():
     fine = build_rect_mesh(6, 10, (0.0, 0.7, -0.2, 1.1))
     assert fine.hx == coarse.hx / 2
     assert fine.hy == coarse.hy / 2
+
+
+@pytest.mark.parametrize("bc", ALL_PARTITIONS)
+@pytest.mark.parametrize("nx,ny", [(1, 1), (1, 5), (4, 1), (6, 4), (9, 7)])
+def test_layout_matches_the_global_id_reference(nx, ny, bc):
+    mesh = build_rect_mesh(nx, ny)
+    free_index, free_edges = reference_edge_classify(mesh, bc)
+    cls = edge_classify(mesh, bc)
+    assert cls == EdgeClassification.of(nx, ny, bc)
+    assert np.array_equal(cls.free_index, free_index)
+    assert np.array_equal(cls.free_edges, free_edges)
+    assert cls.n_free == free_edges.size
+    assert np.array_equal(cls.element_dofs, free_index[mesh.element_edges])
+    V, H = cls.index_grids
+    assert np.array_equal(np.concatenate([V.ravel(), H.ravel()]), free_index)
+
+
+@pytest.mark.parametrize("bc", ALL_PARTITIONS[::5])
+def test_split_returns_views_of_the_free_dof_vector(bc):
+    cls = EdgeClassification.of(6, 4, bc)
+    x = np.arange(cls.n_free, dtype=np.float64)
+    V, H = cls.split(x)
+    assert (V.shape, H.shape) == cls.shapes
+    assert np.shares_memory(V, x) and np.shares_memory(H, x)
+    V[...] = -1.0
+    H[...] = -2.0
+    assert np.array_equal(x, np.repeat([-1.0, -2.0], [V.size, H.size]))

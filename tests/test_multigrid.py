@@ -10,8 +10,8 @@ import mixedwave.linalg as linalg
 import mixedwave.scheme as scheme
 import mixedwave.spaces as spaces
 from mixedwave.linalg import SolverConfig, cg_solve, spmv
-from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
-from mixedwave.multigrid import VCycle, coarsens, grid_shapes, prolongation
+from mixedwave.mesh import BoundaryKind, BoundaryPartition, EdgeClassification, build_rect_mesh
+from mixedwave.multigrid import VCycle, coarsens, grid_shapes, transfers
 from mixedwave.scheme import (
     MULTIGRID_MIN_KAPPA,
     ProblemSpec,
@@ -66,7 +66,8 @@ class TestHierarchy:
         fine_mesh = build_rect_mesh(6, 4, (0.0, 3.0, -1.0, 1.0))
         fine = assemble_operators(fine_mesh, bc, random_material(fine_mesh, rng))
         coarse = assemble_operators(build_rect_mesh(3, 2, (0.0, 3.0, -1.0, 1.0)), bc, multigrid.coarse_material(fine_mesh, fine.material))
-        P = prolongation(fine_mesh, fine.classification, coarse.mesh, coarse.classification).todense()
+        P, R = (M.todense() for M in transfers(fine.classification, coarse.classification))
+        assert np.array_equal(R, P.T)
         Q = np.zeros((fine_mesh.n_elements, 6))
         for e in range(fine_mesh.n_elements):
             i, j = e % 6, e // 6
@@ -139,7 +140,7 @@ class TestVCycle:
             monkeypatch.setattr(module, "csr_from_coo", counted)
         vcycle = VCycle(ops, S, blocks, 1.0)
         # P, R = P^T and S once per coarse grid (32, 16 and 8 square); no A, D or D^T
-        n = [multigrid.free_dof_count(k, k, MIXED) for k in (64, 32, 16, 8)]
+        n = [EdgeClassification.of(k, k, MIXED).n_free for k in (64, 32, 16, 8)]
         assert len(vcycle.levels) == 3
         assert calls == [shape for f, c in zip(n, n[1:]) for shape in ((f, c), (c, f), (c, c))]
 

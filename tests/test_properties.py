@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 import mixedwave.multigrid as multigrid
 from mixedwave.linalg import SolverConfig
-from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
-from mixedwave.multigrid import free_dof_count
+from mixedwave.mesh import BoundaryKind, BoundaryPartition, EdgeClassification, build_rect_mesh
 from mixedwave.scheme import (
     CompatibilityWarning,
     ProblemSpec,
@@ -54,7 +53,7 @@ def cases(draw, max_cells=12):
     """(spec, cfg, rng): a mesh, a boundary partition, material and a stable step."""
     nx, ny = draw(st.integers(1, max_cells)), draw(st.integers(1, max_cells))
     bc = BoundaryPartition(*draw(st.tuples(*[st.sampled_from(tuple(BoundaryKind))] * 4)))
-    if free_dof_count(nx, ny, bc) == 0:
+    if EdgeClassification.of(nx, ny, bc).n_free == 0:
         bc = BoundaryPartition.all_dirichlet()
     aspect = draw(st.floats(0.25, 4.0))
     mesh = build_rect_mesh(nx, ny, (0.0, 1.0, 0.0, aspect))
