@@ -28,6 +28,7 @@ construction, so CG is the right tool.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -312,6 +313,19 @@ class CgResult(NamedTuple):
     rhs_norm: float  # ||b||, the scale of the stopping test
 
 
+SMALLEST_RHS_NORM = 1e-100  # a smaller ||b|| is rescaled, so CG's dot products start far from underflow
+
+
+def _underflows(M, p) -> bool:
+    """True when p is nonzero and p . Mp is positive once p is scaled to
+    max|p| = 1: a tiny p . Mp then comes from the size of p, not from M."""
+    scale = float(np.abs(p).max())
+    if scale == 0.0:
+        return False
+    unit = p / scale
+    return float(unit @ spmv(M, unit)) > 0.0
+
+
 def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResult:
     """Solve M x = b for symmetric positive definite M.
 
@@ -323,12 +337,14 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
     guarantee is not a victim of residual-recurrence drift (CG restarts from
     it when it is still too large). The result holds
     x, the iteration count, that true residual and ||b||. A finite b whose
-    squared norm overflows is solved as b / max|b|, with x, the residual
-    and ||b|| scaled back. Raises ValueError when b is not finite, and NonConvergence
-    when the iteration cap is reached, when a restart's true residual is not
-    below the previous restart's (the tolerance is below what rounding lets
-    CG attain), or when a nonpositive curvature direction shows up (M was
-    not positive definite).
+    squared norm overflows, or whose norm is below ``SMALLEST_RHS_NORM``, is
+    solved as b / max|b|, with x, the residual and ||b|| scaled back.
+    Raises ValueError when b is not finite, and NonConvergence when the
+    iteration cap is reached, when a restart's true residual is not below
+    the previous restart's or p . Mp of the search direction p underflows
+    (either way the tolerance is below what rounding lets CG attain), or
+    when a nonpositive curvature direction shows up (M was not positive
+    definite).
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -339,16 +355,17 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
     # vdot is b @ b without numpy's floating-point checks, so an overflow
     # returns inf with no warning and the finite case below can rescale
     norm_b = math.sqrt(np.vdot(b, b))
-    if not math.isfinite(norm_b):
+    if not SMALLEST_RHS_NORM <= norm_b < math.inf:
         scale = float(np.abs(b).max())
         if not math.isfinite(scale):
             raise ValueError("cg_solve: the right-hand side is not finite (its norm is NaN or inf)")
-        # finite entries whose squares overflow: solve for b / max|b| instead
+        if scale == 0.0:
+            return CgResult(np.zeros(n), 0, 0.0, 0.0)
+        # finite entries whose squares overflow, or so small that CG's dot
+        # products would underflow: solve for b / max|b| instead
         x, iterations, residual, rhs_norm = cg_solve(M, b / scale, cfg, precondition)
         return CgResult(scale * x, iterations, scale * residual, scale * rhs_norm)
     x = np.zeros(n)
-    if norm_b == 0.0:
-        return CgResult(x, 0, 0.0, 0.0)
     tol = cfg.rel_tolerance * norm_b
     diag = M.diagonal()
     if np.any(diag <= 0):
@@ -370,7 +387,14 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
     for k in range(1, cap + 1):
         Mp = spmv(M, p)
         pMp = float(p @ Mp)
-        if pMp <= 0.0:
+        if pMp < sys.float_info.min:  # nonpositive, or below the normal doubles
+            if _underflows(M, p):
+                # p shrank with the residual, long before the tolerance
+                r = b - spmv(M, x)
+                raise NonConvergence(
+                    f"CG's search direction underflowed at relative residual {math.sqrt(r @ r) / norm_b:.3g} "
+                    f"in iteration {k}, above the tolerance {cfg.rel_tolerance:g}: rounding keeps it from going lower"
+                )
             raise NonConvergence(f"nonpositive curvature at iteration {k}; matrix is not SPD")
         alpha = rz / pMp
         x += np.multiply(alpha, p, out=step)

@@ -23,14 +23,20 @@ Jacobi do not reach it. The V-cycle here stays robust in coeff:
 - Smoother: multiplicative vertex-patch Schwarz (Arnold, Falk & Winther,
   "Preconditioning in H(div) and applications", Math. Comp. 66, 1997;
   "Multigrid in H(div) and H(curl)", Numer. Math. 85, 2000). A patch is the
-  up to 4 free edges meeting at one vertex, solved exactly with a 4x4
-  inverse computed once. Its rows of S are summed from the element blocks
-  (``spaces.element_blocks``) of the 2x2 elements around the vertex, so the
-  smoother never reads the storage of S. The patches are visited in 4
-  colours (i mod 2, j mod 2) of their vertex (i, j): patches of one colour
-  share no element, so S does not couple them and one colour is updated at
-  once. Pre-smoothing visits colours 0..3 and post-smoothing 3..0, so the
-  V-cycle is symmetric positive definite and can precondition CG.
+  up to 4 free edges p meeting at one vertex. Its rows of S are summed from
+  the element blocks (``spaces.element_blocks``) of the 2x2 elements
+  around the vertex, so the smoother never reads the storage of S, and
+  their other columns lie on the 8 remaining edges r of those elements. A
+  patch solve writes the new values x_p = S_pp^{-1} (b_p - S_pr x_r), with
+  S_pp^{-1} and -S_pp^{-1} S_pr computed once per grid; it equals the
+  residual correction x_p += S_pp^{-1} (b - S x)_p, and c = S_pp^{-1} b_p
+  is computed once per visit of a level and serves both sweeps. The
+  patches are visited in 4 colours (i mod 2, j mod 2) of their vertex
+  (i, j): patches of one colour share no element, so S does not couple
+  them and one colour is updated at once. Pre-smoothing starts from x = 0,
+  where the first colour's solves are x_p = c, and visits colours 0..3;
+  post-smoothing visits 3..0, so the V-cycle is symmetric positive
+  definite and can precondition CG.
 """
 
 from __future__ import annotations
@@ -106,20 +112,23 @@ class _Colour(NamedTuple):
 
     Per level the smoother works on z = [x, 0, b, 0], the iterate and the
     right-hand side, each followed by a dummy dof that stays 0 and stands
-    for a missing or pinned edge. A patch's update
+    for a missing or pinned edge. A patch solve sets the patch edges p to
 
-        dx = S_pp^{-1} (b - S x)_p = S_pp^{-1} b_p - S_pp^{-1} S_pc x_c
+        x_p = S_pp^{-1} (b_p - S_pr x_r) = c + W x_r,   c = S_pp^{-1} b_p,
 
-    reads x on the 12 edges c of the 2x2 elements around its vertex, which
-    hold every column of the patch's rows of S. ``cols`` (16, m) indexes z:
-    those 12 edges of x, then the 4 patch edges of b; ``weights``
-    (16, 4, m) holds -S_pp^{-1} S_pc and S_pp^{-1}; ``rows`` (4 * m,) are
-    the patch edges, slot-major. Dummy slots have weight 0.
+    with r the 8 other edges of the 2x2 elements around its vertex, which
+    hold every other column of the patch's rows of S. ``rows`` (4 * m,) are
+    the patch edges, slot-major, indexing x; ``b_rows`` (4, m) the same
+    edges of b in z; ``cols`` (8, m) the edges r of x; ``weights`` (8, 4, m)
+    holds W = -S_pp^{-1} S_pr and ``inverse`` (4, 4, m) S_pp^{-1}. Dummy
+    slots have weight 0.
     """
 
     rows: np.ndarray
+    b_rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
+    inverse: np.ndarray
 
 
 # The 2x2 elements around vertex (i, j) by the offset of their lower-left
@@ -128,6 +137,12 @@ class _Colour(NamedTuple):
 CORNERS = ((-1, -1), (0, -1), (-1, 0), (0, 0))
 CORNER_SLOTS = np.array([[0, 1, 6, 8], [1, 2, 7, 9], [3, 4, 8, 10], [4, 5, 9, 11]])
 PATCH_SLOTS = np.array([1, 4, 8, 9])  # edges (i, j - 1), (i, j) vertical, (i - 1, j), (i, j) horizontal
+OTHER_SLOTS = np.array([0, 2, 3, 5, 6, 7, 10, 11])  # the edges r, every slot not in PATCH_SLOTS
+# Each corner's 2 edges at the vertex: which of its (L, R, B, T) are in
+# PATCH_SLOTS, and their positions there. Literals, not computed at import:
+# np.setdiff1d there imported numpy.ma into every run (1.7 MB resident).
+AT_VERTEX = np.array([[0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0]], dtype=bool)
+PATCH_ROWS = np.array([[0, 2], [0, 3], [1, 2], [1, 3]])
 
 
 def _patch_colours(cls: EdgeClassification, blocks) -> list:
@@ -161,15 +176,13 @@ def _colour(n: int, blocks, elements, patch, around) -> _Colour:
     # S_pc[p, a, c] = S[patch[p, a], around[p, c]]: the sum of the corner
     # blocks' rows of the two edges each corner has at the vertex
     S_pc = np.zeros((patch.shape[0], 4, 12))
-    for corner, slots in zip(elements.T, CORNER_SLOTS):
-        at_vertex = np.isin(slots, PATCH_SLOTS)
-        rows = np.searchsorted(PATCH_SLOTS, slots[at_vertex])
+    for corner, slots, at_vertex, rows in zip(elements.T, CORNER_SLOTS, AT_VERTEX, PATCH_ROWS):
         S_pc[:, rows[:, None], slots] += blocks[at_vertex][:, :, corner].transpose(2, 0, 1)
     S_pc[patch == n] = 0.0  # S has no row or column for a pinned edge
     S_pc.transpose(0, 2, 1)[around == n] = 0.0
 
-    # S_pp, the patch edges' columns of S_pc, gets a unit diagonal at dummy
-    # slots so that it inverts; their rows and columns of the inverse are 0
+    # S_pp gets a unit diagonal at dummy slots so that it inverts; their
+    # rows and columns of the inverse are 0
     local = S_pc[:, :, PATCH_SLOTS]
     local = 0.5 * (local + local.transpose(0, 2, 1))
     p, s = np.nonzero(patch == n)
@@ -178,11 +191,13 @@ def _colour(n: int, blocks, elements, patch, around) -> _Colour:
     inverse = 0.5 * (inverse + inverse.transpose(0, 2, 1))
     inverse[p, s, :] = 0.0
     inverse[p, :, s] = 0.0
-    weights = np.concatenate([-inverse @ S_pc, inverse], axis=2)
+    weights = -inverse @ S_pc[:, :, OTHER_SLOTS]
     return _Colour(
         np.ascontiguousarray(patch.T).ravel(),
-        np.ascontiguousarray(np.hstack([around, patch + n + 1]).T),
+        np.ascontiguousarray(patch.T + n + 1),
+        np.ascontiguousarray(around[:, OTHER_SLOTS].T),
         np.ascontiguousarray(weights.transpose(2, 1, 0)),
+        np.ascontiguousarray(inverse.transpose(2, 1, 0)),
     )
 
 
@@ -225,19 +240,35 @@ class VCycle:
         n = b.size
         z = np.zeros(2 * n + 2)
         z[n + 1 : 2 * n + 1] = b
-        for k, colour in enumerate(level.colours):
-            _smooth(colour, z, first=k == 0)
+        solved = _patch_rhs(level.colours, z)
+        _pre_smooth(level.colours, z, solved)
         x = z[:n]
         residual = b - spmv(level.S, x)
         x += spmv(level.P, self._cycle(depth + 1, spmv(level.R, residual)))
-        for colour in reversed(level.colours):
-            _smooth(colour, z)
+        _post_smooth(level.colours, z, solved)
         return x
 
 
-def _smooth(colour: _Colour, z, first=False):
-    """One colour of patch solves: x[patch] += S_pp^{-1} (b - S x)[patch]."""
-    cols, weights = colour.cols, colour.weights
-    if first:  # x is still zero: only the b part contributes
-        cols, weights = cols[12:], weights[12:]
-    z[colour.rows] += np.einsum("jip,jp->ip", weights, z[cols]).ravel()
+def _patch_rhs(colours, z) -> list:
+    """c = S_pp^{-1} b_p of every patch, one (4, m) array per colour."""
+    return [np.einsum("jip,jp->ip", colour.inverse, z[colour.b_rows]) for colour in colours]
+
+
+def _pre_smooth(colours, z, solved):
+    """Patch solves in colour order from x = 0, where the first colour's are c."""
+    z[colours[0].rows] = solved[0].ravel()
+    for colour, c in zip(colours[1:], solved[1:]):
+        _smooth(colour, z, c)
+
+
+def _post_smooth(colours, z, solved):
+    """Patch solves in reverse colour order, which makes the V-cycle symmetric."""
+    for colour, c in zip(reversed(colours), reversed(solved)):
+        _smooth(colour, z, c)
+
+
+def _smooth(colour: _Colour, z, c):
+    """One colour of patch solves: x_p = S_pp^{-1} (b_p - S_pr x_r) = c + W x_r."""
+    update = np.einsum("jip,jp->ip", colour.weights, z[colour.cols])
+    update += c
+    z[colour.rows] = update.ravel()

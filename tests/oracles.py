@@ -70,6 +70,33 @@ def reference_edge_classify(mesh, bc):
     return free_index, free_edges
 
 
+def reference_vertex_patches(mesh, bc):
+    """The free dofs of the up to 4 edges meeting at each mesh vertex (i, j),
+    one list of patches per colour (i mod 2) + 2 (j mod 2); a vertex with no
+    free edge has no patch."""
+    free_index, _ = reference_edge_classify(mesh, bc)
+    colours = [[], [], [], []]
+    for j in range(mesh.ny + 1):
+        for i in range(mesh.nx + 1):
+            edges = [mesh.vedge_id(i, row) for row in (j - 1, j) if 0 <= row < mesh.ny]
+            edges += [mesh.hedge_id(column, j) for column in (i - 1, i) if 0 <= column < mesh.nx]
+            dofs = free_index[edges]
+            if (dofs >= 0).any():
+                colours[i % 2 + 2 * (j % 2)].append(dofs[dofs >= 0])
+    return colours
+
+
+def reference_patch_sweep(S, colours, b, x):
+    """One multiplicative vertex-patch Schwarz sweep on the dense matrix S:
+    for each colour in the given order and each patch p of it, one at a time,
+    x[p] += inv(S[p, p]) (b - S x)[p]. Returns the new x; ``x`` is not changed."""
+    x = np.array(x, dtype=np.float64)
+    for colour in colours:
+        for p in colour:
+            x[p] += np.linalg.inv(S[np.ix_(p, p)]) @ (b - S @ x)[p]
+    return x
+
+
 def dense_operators(mesh, bc, material, rule=3):
     """Assemble A, Cdiag, D over free dofs by dense per-element quadrature.
 

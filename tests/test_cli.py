@@ -335,6 +335,21 @@ class TestCommands:
         assert err.startswith("error: 'solver.tol' = 5e-15: CG stagnated at relative residual")
         assert int(re.search(r"in iteration (\d+)", err).group(1)) <= 20
 
+    def test_tolerance_below_the_smallest_double_names_it_not_the_matrix(self, tmp_path, capsys):
+        # p . Mp falls below the normal doubles before the residual can reach 1e-300 of the defect
+        code = main([
+            "run", "--scheme.theta", "1", "--mesh.nx", "32", "--mesh.ny", "32",
+            "--time.dt", "0.25", "--time.T", "1", "--solver.tol", "1e-300",
+            "--output.dir", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.match(
+            r"error: 'solver.tol' = 1e-300: CG's search direction underflowed at relative residual \S+ "
+            r"in iteration \d+, above the tolerance 1e-300", err
+        )
+        assert "not SPD" not in err
+
     def test_io_failure_names_the_path(self, tmp_path, capsys):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied")

@@ -215,6 +215,19 @@ class TestCg:
         assert res <= 1e-12 * 1e300 * np.linalg.norm(v)
         assert norm_b == pytest.approx(1e300 * np.linalg.norm(v), rel=1e-14)
 
+    @pytest.mark.parametrize("scale", [1e-155, 1e-170])  # ||b||^2 subnormal, then 0
+    def test_tiny_rhs_is_solved_scaled(self, scale):
+        S = step_matrix(operators_on(4), ThetaConfig.from_dt(0.25, 1.0, 0.01))
+        v = np.random.default_rng(3).standard_normal(S.shape[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no underflow warning either
+            x, iters, res, norm_b = cg_solve(S, scale * v)
+        want = scale * dense_solve(S, v)
+        assert iters >= 1
+        assert np.abs(x - want).max() <= 1e-9 * np.abs(want).max()
+        assert res <= 1e-12 * scale * np.linalg.norm(v)
+        assert norm_b == pytest.approx(scale * np.linalg.norm(v), rel=1e-14)
+
     def test_indefinite_matrix_raises(self):
         M = csr_from_coo([0, 1], [0, 1], [1.0, -1.0], (2, 2))
         with pytest.raises(NonConvergence):
@@ -235,6 +248,23 @@ class TestCg:
         with pytest.raises(NonConvergence, match=r"stagnated at relative residual .* above the tolerance 1e-12"):
             cg_solve(M, np.array([0.3, 0.7]), SolverConfig(1e-12))
         assert 0 < len(calls) <= 20
+
+    @pytest.mark.parametrize("nx, coeff", [(4, 1e-3), (4, 10.0), (6, 0.1)])
+    def test_tolerance_below_the_smallest_double_reports_an_underflow(self, nx, coeff):
+        # p . Mp falls below the normal doubles long before the residual
+        # reaches 1e-300 of ||b||; acting on it would divide by 0 or overflow
+        ops = operators_on(nx)
+        S = schur_matrix(ops.mesh, ops.classification, element_blocks(ops.mesh, ops.material, coeff))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence, match=r"underflowed at relative residual \S+ in iteration \d+, above the tolerance 1e-300"):
+                cg_solve(S, np.ones(S.shape[0]), SolverConfig(1e-300))
+
+    @pytest.mark.parametrize("offdiagonal", [2.0, 1.0])  # indefinite, singular
+    def test_nonpositive_curvature_reports_a_matrix_that_is_not_spd(self, offdiagonal):
+        M = csr_from_coo([0, 0, 1, 1], [0, 1, 0, 1], [1.0, offdiagonal, offdiagonal, 1.0], (2, 2))
+        with pytest.raises(NonConvergence, match=r"nonpositive curvature at iteration 1; matrix is not SPD"):
+            cg_solve(M, np.array([1.0, -1.0]))
 
     def test_iteration_cap_raises(self):
         ops = operators_on(4)

@@ -23,7 +23,13 @@ from mixedwave.scheme import (
 from mixedwave.spaces import MaterialField, assemble_operators, element_blocks, material_field, schur_matrix
 from mixedwave.verify import energy_drift, make_problem, mms_forced, mms_standing_wave
 
-from oracles import dense_solve
+from oracles import (
+    dense_operators,
+    dense_solve,
+    dense_step_matrix,
+    reference_patch_sweep,
+    reference_vertex_patches,
+)
 
 PARTITIONS = [BoundaryPartition(*tags) for tags in itertools.product(tuple(BoundaryKind), repeat=4)]
 MIXED = BoundaryPartition(
@@ -77,6 +83,43 @@ class TestHierarchy:
         K_fine = fine.D.todense().T @ np.diag(1.0 / fine.Cdiag) @ fine.D.todense()
         K_coarse = coarse.D.todense().T @ np.diag(1.0 / coarse.Cdiag) @ coarse.D.todense()
         assert np.abs(P.T @ K_fine @ P - K_coarse).max() <= 1e-13 * np.abs(K_coarse).max()
+
+
+class TestSmoother:
+    def test_slot_maps_match_their_definition(self):
+        assert np.array_equal(multigrid.OTHER_SLOTS, np.setdiff1d(np.arange(12), multigrid.PATCH_SLOTS))
+        at_vertex = np.isin(multigrid.CORNER_SLOTS, multigrid.PATCH_SLOTS)
+        assert np.array_equal(multigrid.AT_VERTEX, at_vertex)
+        rows = [np.searchsorted(multigrid.PATCH_SLOTS, slots[at]) for slots, at in zip(multigrid.CORNER_SLOTS, at_vertex)]
+        assert np.array_equal(multigrid.PATCH_ROWS, rows)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (8, 8)])
+    def test_sweeps_match_dense_patch_solves(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        mesh = build_rect_mesh(*shape, (0.0, 1.5, -0.5, 0.5))
+        for bc in PARTITIONS:
+            material = random_material(mesh, rng)
+            coeff = math.exp(rng.uniform(math.log(1e-3), 0.0))
+            A, Cdiag, D = dense_operators(mesh, bc, material)
+            S = dense_step_matrix(A, D, Cdiag, coeff)
+            colours = multigrid._patch_colours(EdgeClassification.of(*shape, bc), element_blocks(mesh, material, coeff))
+            patches = [colour for colour in reference_vertex_patches(mesh, bc) if colour]
+            assert [colour.rows.size for colour in colours] == [4 * len(colour) for colour in patches]
+            n = S.shape[0]
+            b, x = rng.standard_normal((2, n))
+            # the smoother's buffer z = [x, 0, b, 0]
+            z = np.zeros(2 * n + 2)
+            z[n + 1 : 2 * n + 1] = b
+            solved = multigrid._patch_rhs(colours, z)
+            multigrid._pre_smooth(colours, z, solved)
+            ref = reference_patch_sweep(S, patches, b, np.zeros(n))
+            assert np.abs(z[:n] - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert z[n] == 0.0 and z[-1] == 0.0
+            z[:n] = x
+            multigrid._post_smooth(colours, z, solved)
+            ref = reference_patch_sweep(S, patches[::-1], b, x)
+            assert np.abs(z[:n] - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert z[n] == 0.0
 
 
 class TestVCycle:

@@ -119,7 +119,7 @@ class TestInitialize:
         cfg = ThetaConfig.from_dt(0.0, 1.0, dt)
         state = initialize(StepSolver(spec, ops, cfg))
         U0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.u0)
-        V0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.v0)
+        V0 = project_velocity_pi_h(spec.mesh, ops.classification, lambda x, y: mms.u_t(x, y, 0.0))
         from mixedwave.spaces import project_pressure_p_h
 
         P0 = project_pressure_p_h(spec.mesh, spec.p0)
@@ -521,14 +521,18 @@ class TestMissingInitialData:
         assert [e.value for e in res.energies] == [0.0] * 8
         assert not res.cg_iterations.any() and not res.defect_norms.any()
 
-    def test_none_matches_a_callable_that_returns_zero(self):
-        spec = make_problem(mms_standing_wave(), 8)  # v0 is zero
+    @pytest.mark.parametrize("mms", [mms_standing_wave(), mms_forced(0.0), mms_forced(1.0)], ids=lambda m: m.name)
+    def test_none_matches_a_callable_that_returns_zero(self, mms):
+        spec = make_problem(mms, 8)
+        assert spec.v0 is None  # every mms_forced case starts at rest
         cfg = ThetaConfig.from_steps(0.25, 0.25, 16)
-        want = run(spec, cfg)
-        spec.v0 = None
         got = run(spec, cfg)
+        spec.v0 = lambda x, y: mms.u_t(x, y, 0.0)
+        want = run(spec, cfg)
         assert [e.value for e in got.energies] == [e.value for e in want.energies]
         assert got.error_u == want.error_u and got.error_p == want.error_p
+        assert np.array_equal(got.state.U_curr, want.state.U_curr)
+        assert np.array_equal(got.state.P_curr, want.state.P_curr)
 
 
 class TestLoadSetUp:

@@ -118,6 +118,15 @@ class TestManufacturedSolutions:
             vx, vy = mms.u_t(x, x, t)
             assert np.abs(vx).max() == 0.0 and np.abs(vy).max() == 0.0
 
+    def test_only_solutions_flagged_at_rest_drop_v0(self):
+        x, y = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 7))
+        for mms in (mms_standing_wave(), mms_forced(0.0), mms_forced(1.0), mms_forced(3.5)):
+            assert mms.starts_at_rest and make_problem(mms, 4).v0 is None
+            assert not np.any(mms.u_t(x, y, 0.0))
+        # a hand-built solution keeps its v0, zero or not
+        mms = mms_mixed_sides()
+        assert not mms.starts_at_rest and callable(make_problem(mms, 4).v0)
+
     def test_residual_check_catches_broken_solution(self):
         from dataclasses import replace
 

@@ -7,8 +7,9 @@ preconditioner as a markdown table:
 
 - assembly: ``assemble_operators`` (A, C, D and D^T);
 - step solver: ``StepSolver``, the step matrix S and its V-cycle;
-- projections: the flux interpolants of u0 and v0 and the element averages
-  of p0, as ``initialize`` computes them;
+- projections: the flux interpolants of u0 and v0 (none for the standing
+  wave, which starts at rest) and the element averages of p0, as
+  ``initialize`` computes them;
 - best approx.: ``velocity_best_approximation`` and
   ``pressure_best_approximation``, the once-per-run error projection;
 - first solve: the CG solve of ``initialize``, its Taylor step.
@@ -57,7 +58,8 @@ def phase_times(nx):
 
     def projections():
         project_velocity_pi_h(mesh, cls, spec.u0)
-        project_velocity_pi_h(mesh, cls, spec.v0)
+        if spec.v0 is not None:
+            project_velocity_pi_h(mesh, cls, spec.v0)
         project_pressure_p_h(mesh, spec.p0)
 
     def best_approximations():
