@@ -314,6 +314,7 @@ class CgResult(NamedTuple):
 
 
 SMALLEST_RHS_NORM = 1e-100  # a smaller ||b|| is rescaled, so CG's dot products start far from underflow
+SMALLEST_NORMAL = sys.float_info.min  # a curvature p . Mp below this is nonpositive or has underflowed
 
 
 def _underflows(M, p) -> bool:
@@ -356,7 +357,7 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
     # returns inf with no warning and the finite case below can rescale
     norm_b = math.sqrt(np.vdot(b, b))
     if not SMALLEST_RHS_NORM <= norm_b < math.inf:
-        scale = float(np.abs(b).max())
+        scale = float(np.abs(b).max(initial=0.0))  # 0 for an empty b: no free dof
         if not math.isfinite(scale):
             raise ValueError("cg_solve: the right-hand side is not finite (its norm is NaN or inf)")
         if scale == 0.0:
@@ -387,7 +388,7 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
     for k in range(1, cap + 1):
         Mp = spmv(M, p)
         pMp = float(p @ Mp)
-        if pMp < sys.float_info.min:  # nonpositive, or below the normal doubles
+        if pMp < SMALLEST_NORMAL:
             if _underflows(M, p):
                 # p shrank with the residual, long before the tolerance
                 r = b - spmv(M, x)

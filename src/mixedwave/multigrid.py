@@ -110,22 +110,21 @@ def transfers(fine: EdgeClassification, coarse: EdgeClassification) -> tuple[Csr
 class _Colour(NamedTuple):
     """Vertex patches of one colour, laid out for ``_smooth``.
 
-    Per level the smoother works on z = [x, 0, b, 0], the iterate and the
-    right-hand side, each followed by a dummy dof that stays 0 and stands
-    for a missing or pinned edge. A patch solve sets the patch edges p to
+    Per level the smoother works on z = [x, 0], the iterate followed by a
+    dummy dof that stays 0 and stands for a missing or pinned edge, and
+    reads the right-hand side b, padded the same way. A patch solve sets
+    the patch edges p to
 
         x_p = S_pp^{-1} (b_p - S_pr x_r) = c + W x_r,   c = S_pp^{-1} b_p,
 
     with r the 8 other edges of the 2x2 elements around its vertex, which
     hold every other column of the patch's rows of S. ``rows`` (4 * m,) are
-    the patch edges, slot-major, indexing x; ``b_rows`` (4, m) the same
-    edges of b in z; ``cols`` (8, m) the edges r of x; ``weights`` (8, 4, m)
-    holds W = -S_pp^{-1} S_pr and ``inverse`` (4, 4, m) S_pp^{-1}. Dummy
-    slots have weight 0.
+    the patch edges, slot-major; ``cols`` (8, m) the edges r; ``weights``
+    (8, 4, m) holds W = -S_pp^{-1} S_pr and ``inverse`` (4, 4, m)
+    S_pp^{-1}. Dummy slots have weight 0.
     """
 
     rows: np.ndarray
-    b_rows: np.ndarray
     cols: np.ndarray
     weights: np.ndarray
     inverse: np.ndarray
@@ -194,7 +193,6 @@ def _colour(n: int, blocks, elements, patch, around) -> _Colour:
     weights = -inverse @ S_pc[:, :, OTHER_SLOTS]
     return _Colour(
         np.ascontiguousarray(patch.T).ravel(),
-        np.ascontiguousarray(patch.T + n + 1),
         np.ascontiguousarray(around[:, OTHER_SLOTS].T),
         np.ascontiguousarray(weights.transpose(2, 1, 0)),
         np.ascontiguousarray(inverse.transpose(2, 1, 0)),
@@ -238,9 +236,8 @@ class VCycle:
             return self.coarsest @ b
         level = self.levels[depth]
         n = b.size
-        z = np.zeros(2 * n + 2)
-        z[n + 1 : 2 * n + 1] = b
-        solved = _patch_rhs(level.colours, z)
+        z = np.zeros(n + 1)
+        solved = _patch_rhs(level.colours, np.append(b, 0.0))
         _pre_smooth(level.colours, z, solved)
         x = z[:n]
         residual = b - spmv(level.S, x)
@@ -249,9 +246,10 @@ class VCycle:
         return x
 
 
-def _patch_rhs(colours, z) -> list:
-    """c = S_pp^{-1} b_p of every patch, one (4, m) array per colour."""
-    return [np.einsum("jip,jp->ip", colour.inverse, z[colour.b_rows]) for colour in colours]
+def _patch_rhs(colours, b) -> list:
+    """c = S_pp^{-1} b_p of every patch, one (4, m) array per colour; b ends
+    with the dummy dof's 0."""
+    return [np.einsum("jip,jp->ip", colour.inverse, b[colour.rows].reshape(4, -1)) for colour in colours]
 
 
 def _pre_smooth(colours, z, solved):

@@ -47,9 +47,9 @@ class ManufacturedSolution:
     vector fields return (x, y) component pairs. The derivative callbacks (u_tt, grad_p, div_u) exist so the
     defining relations rho*u_tt - grad p = f and p = lambda div u can be
     checked pointwise to machine precision. ``exact`` is the same u and p
-    in separable form, which a run records its errors against.
-    ``starts_at_rest`` says that u_t(x, y, 0) is identically zero, so a run
-    needs no projection of it.
+    in separable form, which a run records its errors against. Every one
+    starts at rest, u_t(x, y, 0) = 0, so a run needs no initial velocity;
+    ``residual_check`` checks that too.
     """
 
     name: str
@@ -65,7 +65,6 @@ class ManufacturedSolution:
     div_u: Callable
     energy: Optional[float]  # continuous energy, constant when f = 0
     exact: SeparableSolution
-    starts_at_rest: bool = False
 
 
 def _spatial_profile(x, y):
@@ -121,7 +120,6 @@ def mms_forced(omega: float) -> ManufacturedSolution:
         div_u=exact.p,
         energy=None,
         exact=exact,
-        starts_at_rest=True,  # u_t(x, y, 0) = -omega sin(0) * profile
     )
 
 
@@ -144,6 +142,8 @@ def residual_check(mms: ManufacturedSolution, n_samples=50, tol=1e-10, seed=2024
     Checks rho*u_tt - grad p - f = 0 and p - lambda*div u = 0; raises when
     the largest residual exceeds tol or is NaN, otherwise returns it. An
     overflow on the way shows up as that NaN, so numpy does not warn of it.
+    Also raises when u_t(x, y, 0) is not exactly 0 at the samples: a run
+    starts every manufactured solution at rest.
     """
     rng = np.random.default_rng(seed)
     x = rng.uniform(0.0, 1.0, n_samples)
@@ -159,12 +159,14 @@ def residual_check(mms: ManufacturedSolution, n_samples=50, tol=1e-10, seed=2024
     worst = float(np.max(np.concatenate([np.ravel(r1), np.ravel(r2)])))
     if not worst <= tol:
         raise ValueError(f"manufactured solution violates its equations: residual {worst:.3e}")
+    if np.any(mms.u_t(x, y, 0.0)):
+        raise ValueError("manufactured solution does not start at rest: u_t(x, y, 0) is not 0")
     return worst
 
 
 def make_problem(mms: ManufacturedSolution, nx: int, ny: int | None = None) -> ProblemSpec:
     """Discretize a manufactured solution on an nx-by-ny unit-square mesh;
-    v0 is None (zero) for one that starts at rest."""
+    v0 is None (zero), since it starts at rest."""
     mesh = build_rect_mesh(nx, ny if ny is not None else nx)
     return ProblemSpec(
         mesh=mesh,
@@ -172,7 +174,7 @@ def make_problem(mms: ManufacturedSolution, nx: int, ny: int | None = None) -> P
         material=material_field(mesh, mms.rho, mms.lam),
         f=mms.f,
         u0=lambda x, y: mms.u(x, y, 0.0),
-        v0=None if mms.starts_at_rest else lambda x, y: mms.u_t(x, y, 0.0),
+        v0=None,
         p0=lambda x, y: mms.p(x, y, 0.0),
         exact=mms.exact,
     )

@@ -350,6 +350,11 @@ class TestCommands:
         )
         assert "not SPD" not in err
 
+    def test_run_without_free_velocity_dofs(self, tmp_path):
+        # nx = ny = 1 with u.n = 0 on every side pins all 4 edges
+        code = main(["run", "--mesh.nx", "1", "--mesh.ny", "1", "--output.dir", str(tmp_path / "out")])
+        assert code == 0
+
     def test_io_failure_names_the_path(self, tmp_path, capsys):
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("occupied")

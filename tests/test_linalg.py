@@ -183,6 +183,11 @@ class TestCg:
         assert iters == 0 and res == 0.0 and norm_b == 0.0
         assert np.array_equal(x, np.zeros(4))
 
+    def test_empty_system(self):
+        # a grid whose every edge is pinned has no free velocity dof
+        x, iters, res, norm_b = cg_solve(identity_csr(0), np.zeros(0))
+        assert x.shape == (0,) and iters == 0 and res == 0.0 and norm_b == 0.0
+
     def test_step_matrix_solve_matches_dense(self):
         ops = operators_on(4)
         cfg = ThetaConfig.from_dt(0.25, 1.0, 0.01)

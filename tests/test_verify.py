@@ -118,14 +118,20 @@ class TestManufacturedSolutions:
             vx, vy = mms.u_t(x, x, t)
             assert np.abs(vx).max() == 0.0 and np.abs(vy).max() == 0.0
 
-    def test_only_solutions_flagged_at_rest_drop_v0(self):
+    def test_every_solution_starts_at_rest_without_a_v0(self):
         x, y = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 7))
-        for mms in (mms_standing_wave(), mms_forced(0.0), mms_forced(1.0), mms_forced(3.5)):
-            assert mms.starts_at_rest and make_problem(mms, 4).v0 is None
+        for mms in (mms_standing_wave(), mms_forced(0.0), mms_forced(1.0), mms_forced(3.5), mms_mixed_sides()):
             assert not np.any(mms.u_t(x, y, 0.0))
-        # a hand-built solution keeps its v0, zero or not
-        mms = mms_mixed_sides()
-        assert not mms.starts_at_rest and callable(make_problem(mms, 4).v0)
+            assert make_problem(mms, 4).v0 is None
+
+    def test_residual_check_rejects_a_solution_not_at_rest(self):
+        from dataclasses import replace
+
+        # the equations still hold; only the initial velocity is off
+        mms = mms_standing_wave()
+        moving = replace(mms, u_t=lambda x, y, t: mms.u(x, y, t))
+        with pytest.raises(ValueError, match="does not start at rest"):
+            residual_check(moving)
 
     def test_residual_check_catches_broken_solution(self):
         from dataclasses import replace
