@@ -22,7 +22,9 @@ nothing per solve. The solver
 is conjugate gradients, Jacobi-preconditioned by default or with a caller's
 symmetric positive definite preconditioner (the multigrid V-cycle of
 ``multigrid``); the step matrices are symmetric positive definite by
-construction, so CG is the right tool.
+construction, so CG is the right tool. It starts from zero or from a
+caller's x0; ``SolutionProjection`` chooses x0 for a sequence of solves
+with one matrix.
 """
 
 from __future__ import annotations
@@ -327,10 +329,13 @@ def _underflows(M, p) -> bool:
     return float(unit @ spmv(M, unit)) > 0.0
 
 
-def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResult:
+def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None, x0=None) -> CgResult:
     """Solve M x = b for symmetric positive definite M.
 
-    Preconditioned conjugate gradients from a zero start. ``precondition``
+    Preconditioned conjugate gradients from ``x0``, or from zero when it is
+    None; x0 is not modified, and the first residual b - M x0 is a true
+    product. An x0 that already meets the tolerance is returned as a copy
+    after 0 iterations. ``precondition``
     is a callable ``precondition(r, out)`` that writes B r into ``out`` for a
     fixed symmetric positive definite B; by default B is the inverse of M's
     main diagonal (Jacobi). Stops when ||M x - b|| <= rel_tolerance * ||b||,
@@ -339,8 +344,10 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
     it when it is still too large). The result holds
     x, the iteration count, that true residual and ||b||. A finite b whose
     squared norm overflows, or whose norm is below ``SMALLEST_RHS_NORM``, is
-    solved as b / max|b|, with x, the residual and ||b|| scaled back.
-    Raises ValueError when b is not finite, and NonConvergence when the
+    solved as b / max|b| from x0 / max|b|, with x, the residual and ||b||
+    scaled back. Every test stays relative to ||b||, whatever x0 is.
+    Raises ValueError when b or x0 is not finite or x0 has the wrong shape,
+    and NonConvergence when the
     iteration cap is reached, when a restart's true residual is not below
     the previous restart's or p . Mp of the search direction p underflows
     (either way the tolerance is below what rounding lets CG attain), or
@@ -353,6 +360,12 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
     n = M.shape[0]
     if M.shape[0] != M.shape[1] or b.shape != (n,):
         raise ValueError("cg_solve needs a square matrix and a matching vector")
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != (n,):
+            raise ValueError(f"cg_solve: the start x0 has shape {x0.shape}, not ({n},)")
+        if not np.isfinite(x0).all():
+            raise ValueError("cg_solve: the start x0 is not finite")
     # vdot is b @ b without numpy's floating-point checks, so an overflow
     # returns inf with no warning and the finite case below can rescale
     norm_b = math.sqrt(np.vdot(b, b))
@@ -364,9 +377,8 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
             return CgResult(np.zeros(n), 0, 0.0, 0.0)
         # finite entries whose squares overflow, or so small that CG's dot
         # products would underflow: solve for b / max|b| instead
-        x, iterations, residual, rhs_norm = cg_solve(M, b / scale, cfg, precondition)
+        x, iterations, residual, rhs_norm = cg_solve(M, b / scale, cfg, precondition, None if x0 is None else x0 / scale)
         return CgResult(scale * x, iterations, scale * residual, scale * rhs_norm)
-    x = np.zeros(n)
     tol = cfg.rel_tolerance * norm_b
     diag = M.diagonal()
     if np.any(diag <= 0):
@@ -377,7 +389,14 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
         def precondition(r, out):
             np.multiply(r, inv_diag, out=out)
 
-    r = b.copy()
+    if x0 is None:
+        x, r = np.zeros(n), b.copy()
+    else:
+        x = x0.copy()
+        r = b - spmv(M, x)
+        norm_r = math.sqrt(r @ r)
+        if norm_r <= tol:
+            return CgResult(x, 0, norm_r, norm_b)
     z = np.empty(n)
     precondition(r, z)
     p = z.copy()
@@ -424,3 +443,63 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None) -> CgResu
         f"CG did not reach {cfg.rel_tolerance:g} relative residual in {cap} iterations"
     )
 
+
+class SolutionProjection:
+    """CG for a sequence of right-hand sides with one SPD matrix M, each solve
+    started from the projection of its solution onto the earlier ones.
+
+    Fischer's projection (P. F. Fischer, Comput. Methods Appl. Mech. Engrg.
+    163, 1998): keep an M-orthonormal basis q_1..q_m of the earlier
+    solutions. The M-orthogonal projection of x = M^-1 b onto their span is
+    x0 = sum_i (q_i . b) q_i, which needs b, not x, and CG from x0 spends
+    its iterations only on what is new in x. After a solve, x - x0 is x
+    with one classical Gram-Schmidt pass already made (its coefficients
+    q_i . b equal q_i . M x up to the solve's residual); a second pass
+    against a true product M (x - x0) restores M-orthogonality (CGS2), and
+    the result is appended normalised. A full basis of ``capacity`` vectors
+    restarts from the newest solution alone. Nothing is appended when CG
+    made no iteration, or when the new part's M-norm is below ``DEPENDENT``
+    times the solution's, so a rounding-level remainder never becomes a
+    basis vector. Each vector is an array of its own, allocated when it
+    joins: a preallocated (capacity, n) block would hold its full size from
+    the first solve on.
+    """
+
+    DEPENDENT = 1e-8
+
+    def __init__(self, M, capacity: int):
+        if capacity < 1:
+            raise ValueError("capacity must be at least 1")
+        self.M, self.capacity = M, capacity
+        self.basis = []
+
+    def solve(self, b, cfg: SolverConfig | None = None, precondition=None) -> CgResult:
+        """``cg_solve(M, b, cfg, precondition, x0)`` with x0 the projection; the
+        new solution then joins the basis. Returns cg_solve's result."""
+        b = np.asarray(b, dtype=np.float64)
+        coefficients = [float(q @ b) for q in self.basis]
+        x0 = None
+        if self.basis:
+            x0 = coefficients[0] * self.basis[0]
+            for c, q in zip(coefficients[1:], self.basis[1:]):
+                x0 += c * q
+        result = cg_solve(self.M, b, cfg, precondition, x0)
+        if result.iterations:
+            if len(self.basis) == self.capacity:
+                self.basis.clear()
+                x0, coefficients = None, []
+            self._append(result.x if x0 is None else result.x - x0, coefficients)
+        return result
+
+    def _append(self, w, coefficients):
+        """Orthogonalise the new part w of a solution once more and append it;
+        ``coefficients`` are its first pass, the solution's parts along the basis."""
+        Mw = spmv(self.M, w)
+        w_norm2 = float(w @ Mw)
+        second = [float(q @ Mw) for q in self.basis]
+        for c, q in zip(second, self.basis):
+            w -= c * q
+        # ||w||_M^2 after the second pass, from the product before it
+        new2 = w_norm2 - sum(c * c for c in second)
+        if new2 > self.DEPENDENT**2 * (w_norm2 + sum(c * c for c in coefficients)):
+            self.basis.append(w / math.sqrt(new2))

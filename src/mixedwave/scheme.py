@@ -32,6 +32,22 @@ mass term; their ratio is bounded by kappa = theta dt^2 (lambda1 / rho0)
 mu_max, with mu_max the closed-form largest eigenvalue of the divergence
 problem. When kappa reaches ``MULTIGRID_MIN_KAPPA`` and the grid coarsens,
 CG is preconditioned by the multigrid V-cycle instead.
+
+Every solve of a run has the same S; only the defect changes. On the
+multigrid path each solve therefore starts from the S-orthogonal projection
+of its solution onto the span of the run's earlier increments (Fischer's
+projection for successive right-hand sides: P. F. Fischer, Comput. Methods
+Appl. Mech. Engrg. 163, 1998, 193-204; ``linalg.SolutionProjection``), with
+an S-orthonormal basis of up to ``PROJECTION_BASIS`` increments that
+restarts from the newest one when full. CG then spends V-cycles only on
+what is new in each step, so the ``cg_iterations`` column of a run falls
+over the run (on the benchmark's hetero workload from 13 to 5 or 6 over its
+16 solves) and jumps back at each restart. This is not a warm start from
+the previous increment alone, which saved under 0.4 iterations per solve.
+The Jacobi path keeps its zero start: a solve of the standing wave or of
+the CLI studies takes 1 to 5 iterations there (15 in a run that blows up),
+and the projection's two products with S and 4K dot products and vector
+updates per solve, for a basis of K vectors, would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -43,7 +59,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import CgResult, CsrMatrix, GridStepMatrix, SolverConfig, cg_solve, spmv
+from .linalg import CgResult, CsrMatrix, GridStepMatrix, SolutionProjection, SolverConfig, cg_solve, spmv
 from .mesh import BoundaryPartition, RectMesh
 from .multigrid import VCycle, coarsens
 from .spaces import (
@@ -65,6 +81,7 @@ from .spaces import (
 BLOWUP_THRESHOLD = 1e12  # sup-norm guard on velocity coefficients
 MAX_STEPS = 10**7  # longest run ThetaConfig accepts; a larger count means a mistyped dt
 MULTIGRID_MIN_KAPPA = 500.0  # measured crossover of Jacobi-CG and multigrid-CG run times
+PROJECTION_BASIS = 32  # earlier increments a multigrid solve's start is projected on (measured, CHANGES.md)
 # Largest dt^2 lambda1 / (rho0 hx hy), the squared Courant number, that a run
 # accepts. The grad-div term of the step matrix and the defect scale with it;
 # at 1e100 their squares in CG's inner products stay below 1e200, well inside
@@ -250,9 +267,12 @@ class StepSolver:
     Built once per run. ``preconditioner`` is the multigrid ``VCycle`` when
     kappa (``grad_div_weight``) is at least ``MULTIGRID_MIN_KAPPA`` and the
     grid coarsens, and None, which means Jacobi, otherwise. S and the
-    V-cycle's fine smoother then share one set of element blocks.
+    V-cycle's fine smoother then share one set of element blocks, and
+    ``projection`` is the run's ``linalg.SolutionProjection`` of up to
+    ``PROJECTION_BASIS`` increments (None on the Jacobi path).
     ``choice`` names the preconditioner and the reason for it, as in
-    ``multigrid, kappa = 6.1e+03 >= 500``.
+    ``multigrid, kappa = 6.1e+03 >= 500; CG starts from the projection on up
+    to 32 increments``.
     """
 
     def __init__(self, spec: ProblemSpec, ops: MixedOperators, cfg: ThetaConfig,
@@ -266,14 +286,16 @@ class StepSolver:
             f"{'multigrid' if multigrid else 'jacobi'}, "
             f"kappa = {kappa:.3g} {'>=' if large else '<'} {MULTIGRID_MIN_KAPPA:g}"
             + (", but the grid does not coarsen" if large and not multigrid else "")
+            + (f"; CG starts from the projection on up to {PROJECTION_BASIS} increments" if multigrid else "")
         )
         if multigrid:
             coeff = cfg.theta * cfg.dt**2
             blocks = element_blocks(ops.mesh, ops.material, coeff)
             self.S = schur_matrix(ops.mesh, ops.classification, blocks)
             self.preconditioner = VCycle(ops, self.S, blocks, coeff)
+            self.projection = SolutionProjection(self.S, PROJECTION_BASIS)
         else:
-            self.S, self.preconditioner = step_matrix(ops, cfg), None
+            self.S, self.preconditioner, self.projection = step_matrix(ops, cfg), None, None
         self._loads = {}
         self._profile_load = None
 
@@ -299,9 +321,14 @@ class StepSolver:
         """Return guess + delta with S delta = defect, and the CG result.
 
         The caller passes the defect rhs - S guess in closed form, so the
-        absolute accuracy is tied to the increment from ``guess``.
+        absolute accuracy is tied to the increment from ``guess``. On the
+        multigrid path CG starts from the projection of delta onto the
+        earlier increments, and delta joins them.
         """
-        result = cg_solve(self.S, defect, self.solver, self.preconditioner)
+        if self.projection is None:
+            result = cg_solve(self.S, defect, self.solver, self.preconditioner)
+        else:
+            result = self.projection.solve(defect, self.solver, self.preconditioner)
         return guess + result.x, result
 
 

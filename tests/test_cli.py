@@ -167,7 +167,7 @@ class TestCommands:
     @pytest.mark.parametrize("command", ["run", "energy"])
     @pytest.mark.parametrize("args, choice", [
         (["--scheme.theta", "1", "--mesh.nx", "32", "--mesh.ny", "32", "--time.dt", "0.25", "--time.T", "1"],
-         r"multigrid, kappa = 1\.52e\+03 >= 500"),
+         r"multigrid, kappa = 1\.52e\+03 >= 500; CG starts from the projection on up to \d+ increments"),
         ([], r"jacobi, kappa = 0\.0911 < 500"),  # the default input
     ])
     def test_summary_names_the_preconditioner(self, command, args, choice, tmp_path, capsys):

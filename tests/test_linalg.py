@@ -1,3 +1,4 @@
+import math
 import sys
 import warnings
 
@@ -286,6 +287,137 @@ class TestCg:
         b = rng.standard_normal(S.shape[0])
         x, iters, _, _ = cg_solve(S, b, SolverConfig(rel_tolerance=1e-12))
         assert iters <= 3 * S.shape[0]
+
+
+def step_system(nx=4, seed=3):
+    """A step matrix S and a seeded right-hand side."""
+    S = step_matrix(operators_on(nx), ThetaConfig.from_dt(0.25, 1.0, 0.01))
+    return S, np.random.default_rng(seed).standard_normal(S.shape[0])
+
+
+class TestCgStart:
+    def test_x0_is_not_modified(self):
+        S, b = step_system()
+        x0 = np.random.default_rng(5).standard_normal(b.size)
+        kept = x0.copy()
+        x, iters, res, _ = cg_solve(S, b, SolverConfig(1e-12), x0=x0)
+        assert np.array_equal(x0, kept) and x is not x0
+        assert iters >= 1 and res <= 1e-12 * np.linalg.norm(b)
+
+    def test_a_start_within_the_tolerance_returns_after_no_iteration(self):
+        S, b = step_system()
+        x0 = dense_solve(S, b)
+        x, iters, res, norm_b = cg_solve(S, b, SolverConfig(1e-12), x0=x0)
+        assert iters == 0
+        assert np.array_equal(x, x0) and x is not x0
+        assert res == np.linalg.norm(b - spmv(S, x0)) and res <= 1e-12 * norm_b
+        assert norm_b == pytest.approx(np.linalg.norm(b), rel=1e-15)
+
+    def test_the_tolerance_stays_relative_to_b(self):
+        # the start's residual is 1e-9 of ||b||: a test relative to it would
+        # ask for 1e-21 of ||b||, below rounding, and fail
+        S, b = step_system()
+        x = dense_solve(S, b)
+        e = np.random.default_rng(6).standard_normal(b.size)
+        x0 = x + 1e-9 * np.linalg.norm(b) / np.linalg.norm(spmv(S, e)) * e
+        want = np.linalg.norm(b - spmv(S, x0)) / np.linalg.norm(b)
+        assert 0.5e-9 < want < 2e-9
+        _, iters, res, norm_b = cg_solve(S, b, SolverConfig(1e-12), x0=x0)
+        assert iters >= 1
+        assert res <= 1e-12 * norm_b
+        assert norm_b == pytest.approx(np.linalg.norm(b), rel=1e-15)
+
+    @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros((1, 40)), np.zeros(41)])
+    def test_a_start_of_the_wrong_shape_raises_value_error(self, x0):
+        S, b = step_system()
+        assert b.shape == (40,)
+        with pytest.raises(ValueError, match="start x0 has shape"):
+            cg_solve(S, b, x0=x0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_start_that_is_not_finite_raises_value_error(self, bad):
+        S, b = step_system()
+        x0 = np.zeros(b.size)
+        x0[7] = bad
+        with pytest.raises(ValueError, match="start x0 is not finite"):
+            cg_solve(S, b, x0=x0)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-170])  # ||b||^2 overflows, underflows
+    def test_the_rescaled_paths_scale_the_start_too(self, scale):
+        S, v = step_system()
+        x = dense_solve(S, v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = cg_solve(S, scale * v, SolverConfig(1e-12), x0=scale * x)
+        # the start solves the scaled system, so no iteration is needed
+        assert result.iterations == 0
+        assert np.abs(result.x - scale * x).max() <= 1e-15 * scale * np.abs(x).max()
+        assert result.residual <= 1e-12 * scale * np.linalg.norm(v)
+        assert result.rhs_norm == pytest.approx(scale * np.linalg.norm(v), rel=1e-14)
+
+    def test_zero_rhs_returns_zeros_whatever_the_start(self):
+        x, iters, res, norm_b = cg_solve(identity_csr(4), np.zeros(4), x0=np.ones(4))
+        assert np.array_equal(x, np.zeros(4)) and iters == 0 and res == 0.0 and norm_b == 0.0
+
+
+def m_gram(M, vectors):
+    """The Gram matrix q_i . M q_j."""
+    return np.array([[u @ spmv(M, v) for v in vectors] for u in vectors])
+
+
+class TestSolutionProjection:
+    def test_the_start_is_the_m_orthogonal_projection_of_the_solution(self, monkeypatch):
+        S, _ = step_system(6)
+        rng = np.random.default_rng(9)
+        projection = linalg.SolutionProjection(S, 8)
+        for _ in range(4):
+            projection.solve(rng.standard_normal(S.shape[0]), SolverConfig(1e-13))
+        Q = np.column_stack(projection.basis)
+        assert np.abs(m_gram(S, projection.basis) - np.eye(4)).max() <= 1e-12
+        b = rng.standard_normal(S.shape[0])
+        x = dense_solve(S, b)
+        # the M-orthogonal projection minimises ||x - Q c||_M: Q^T S Q c = Q^T S x
+        dense = S.todense()
+        want = Q @ np.linalg.solve(Q.T @ dense @ Q, Q.T @ dense @ x)
+        starts = []
+        inner = linalg.cg_solve
+        monkeypatch.setattr(linalg, "cg_solve", lambda *a: starts.append(a[4]) or inner(*a))
+        result = projection.solve(b, SolverConfig(1e-13))
+        assert np.abs(starts[0] - want).max() <= 1e-10 * np.abs(want).max()
+        assert np.abs(result.x - x).max() <= 1e-10 * np.abs(x).max()
+
+    def test_a_full_basis_restarts_from_the_newest_solution(self):
+        S, _ = step_system(6)
+        rng = np.random.default_rng(10)
+        projection = linalg.SolutionProjection(S, 3)
+        sizes = []
+        for _ in range(7):
+            result = projection.solve(rng.standard_normal(S.shape[0]), SolverConfig(1e-13))
+            sizes.append(len(projection.basis))
+            assert np.abs(m_gram(S, projection.basis) - np.eye(sizes[-1])).max() <= 1e-12
+        assert sizes == [1, 2, 3, 1, 2, 3, 1]
+        # after the restart the one basis vector is the last solution, M-normalised
+        q, x = projection.basis[0], result.x
+        assert np.abs(q - x / math.sqrt(x @ spmv(S, x))).max() <= 1e-12 * np.abs(q).max()
+
+    def test_a_solution_in_the_span_of_the_basis_is_not_appended(self):
+        S, b = step_system(6)
+        projection = linalg.SolutionProjection(S, 4)
+        first = projection.solve(b, SolverConfig(1e-13))
+        for scale in (2.0, -0.5):
+            again = projection.solve(scale * b, SolverConfig(1e-13))
+            assert again.iterations == 0
+            assert np.abs(again.x - scale * first.x).max() <= 1e-12 * np.abs(first.x).max()
+        assert len(projection.basis) == 1
+        # a new part of 1e-10 of the solution takes CG iterations but is not
+        # appended: normalising it would blow its rounding error up
+        nearly = projection.solve(b + 1e-10 * np.random.default_rng(2).standard_normal(b.size), SolverConfig(1e-13))
+        assert nearly.iterations >= 1 and nearly.residual <= 1e-13 * nearly.rhs_norm
+        assert len(projection.basis) == 1
+
+    def test_rejects_an_empty_capacity(self):
+        with pytest.raises(ValueError, match="capacity"):
+            linalg.SolutionProjection(identity_csr(2), 0)
 
 
 class TestSchurMatrix:

@@ -9,16 +9,19 @@ import mixedwave.multigrid as multigrid
 import mixedwave.linalg as linalg
 import mixedwave.scheme as scheme
 import mixedwave.spaces as spaces
-from mixedwave.linalg import SolverConfig, cg_solve, spmv
+from mixedwave.linalg import NonConvergence, SolverConfig, cg_solve, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, EdgeClassification, build_rect_mesh
 from mixedwave.multigrid import VCycle, coarsens, grid_shapes, transfers
 from mixedwave.scheme import (
     MULTIGRID_MIN_KAPPA,
+    PROJECTION_BASIS,
     ProblemSpec,
     StepSolver,
     ThetaConfig,
     grad_div_weight,
+    initialize,
     run,
+    step,
 )
 from mixedwave.spaces import MaterialField, assemble_operators, element_blocks, material_field, schur_matrix
 from mixedwave.verify import energy_drift, make_problem, mms_forced, mms_standing_wave
@@ -232,7 +235,9 @@ class TestSelection:
         assert grad_div_weight(ops, cfg) == pytest.approx(6.14e3, rel=1e-2)
         stepper = StepSolver(spec, ops, cfg)
         assert isinstance(stepper.preconditioner, VCycle)
-        assert re.fullmatch(r"multigrid, kappa = 6\.1\de\+03 >= 500", stepper.choice)
+        assert re.fullmatch(
+            r"multigrid, kappa = 6\.1\de\+03 >= 500; CG starts from the projection on up to \d+ increments", stepper.choice
+        )
 
     def test_kappa_below_the_crossover_keeps_jacobi(self):
         spec = hetero_spec(64)
@@ -296,3 +301,55 @@ class TestMultigridRun:
         assert with_multigrid.cg_iterations.max() < with_jacobi.cg_iterations.max()
         U, U_ref = with_multigrid.state.U_curr, with_jacobi.state.U_curr
         assert np.abs(U - U_ref).max() <= 1e-9 * np.abs(U_ref).max()
+
+
+class TestProjectedStart:
+    """A multigrid run starts each solve from the projection of its defect on
+    the run's earlier increments (``linalg.SolutionProjection``)."""
+
+    K = PROJECTION_BASIS
+
+    def case(self):
+        spec = hetero_spec(32, seed=11)
+        steps = 2 * self.K + 4  # as many solves: the basis fills and restarts twice
+        return spec, ThetaConfig.from_steps(1.0, steps * 2.8 * spec.mesh.h, steps)
+
+    def test_a_run_past_two_restarts_meets_every_tolerance_and_repeats_bit_for_bit(self):
+        spec, cfg = self.case()
+        first, second = run(spec, cfg), run(spec, cfg)
+        assert first.preconditioner.endswith(f"CG starts from the projection on up to {self.K} increments")
+        iterations = first.cg_iterations
+        assert iterations.size == 2 * self.K + 4
+        assert np.all(first.cg_residuals <= SolverConfig().rel_tolerance * first.defect_norms)
+        assert energy_drift(first) <= 1e-10
+        assert iterations[self.K:].mean() < iterations[:2].mean()
+        for name in ("cg_iterations", "cg_residuals", "defect_norms"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+        assert [e.value for e in first.energies] == [e.value for e in second.energies]
+        assert np.array_equal(first.state.U_curr, second.state.U_curr)
+        assert np.array_equal(first.state.P_curr, second.state.P_curr)
+
+    def test_a_tolerance_below_rounding_fails_fast_with_a_full_basis(self):
+        spec, cfg = self.case()
+        ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+        stepper = StepSolver(spec, ops, cfg)
+        state = initialize(stepper)
+        for _ in range(self.K - 1):
+            state = step(state, stepper)
+        assert len(stepper.projection.basis) >= self.K // 2
+        cycles = []
+        inner = stepper.preconditioner
+        stepper.preconditioner = lambda r, out: cycles.append(1) or inner(r, out)
+        stepper.solver = SolverConfig(1e-16)
+        with pytest.raises(NonConvergence, match=r"(stagnated|underflowed) at relative residual"):
+            step(state, stepper)
+        assert len(cycles) <= 40
+        with pytest.raises(NonConvergence, match=r"(stagnated|underflowed) at relative residual"):
+            run(spec, cfg, solver=SolverConfig(1e-16))
+
+    def test_the_jacobi_path_keeps_no_basis(self):
+        spec = hetero_spec(32, seed=11)
+        ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+        stepper = StepSolver(spec, ops, ThetaConfig.from_steps(0.25, 1.0, 1000))
+        assert stepper.preconditioner is None and stepper.projection is None
+        assert "projection" not in stepper.choice
