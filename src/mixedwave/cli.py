@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .linalg import NonConvergence, SolverConfig
+from .linalg import IterationCap, NonConvergence, SolverConfig
 from .mesh import EdgeClassification
 from .scheme import ThetaConfig, check_courant_number, run
 from .verify import (
@@ -463,7 +463,12 @@ def main(argv=None) -> int:
         report = _DISPATCH[cfg.command](cfg)
         paths = emit_reports(report, cfg.out_dir)
     except (NonConvergence, RuntimeError, ValueError, OSError) as exc:
-        where = f"'solver.tol' = {fmt(cfg.tol)}: " if isinstance(exc, NonConvergence) else ""
+        if isinstance(exc, IterationCap):
+            where = f"'solver.max_iter' = {cfg.max_iter}: "
+        elif isinstance(exc, NonConvergence):
+            where = f"'solver.tol' = {fmt(cfg.tol)}: "  # stagnation or underflow: a tolerance below rounding level
+        else:
+            where = ""
         print(f"error: {where}{exc}", file=sys.stderr)
         return 1
     for name, ok, detail in report.verdicts:

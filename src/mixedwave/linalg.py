@@ -15,16 +15,16 @@ and ``spmv`` applies either:
 
 The gather costs more than the arithmetic on large grids and less than the
 slicing overhead on small ones, so ``spaces`` picks the format by the number
-of free dofs (``spaces.GRID_MIN_DOFS``, a measured crossover). Padded rows
-and the stencil step matrices compute their main diagonal once, at
-construction, and hand it out read-only, so the Jacobi preconditioner costs
-nothing per solve. The solver
-is conjugate gradients, Jacobi-preconditioned by default or with a caller's
-symmetric positive definite preconditioner (the multigrid V-cycle of
-``multigrid``); the step matrices are symmetric positive definite by
-construction, so CG is the right tool. It starts from zero or from a
-caller's x0; ``SolutionProjection`` chooses x0 for a sequence of solves
-with one matrix.
+of free dofs (``spaces.GRID_MIN_DOFS`` = 6 000, a measured crossover): every
+32 x 32 grid is on padded rows, and every 64 x 64 or larger grid on
+stencils. Padded rows and the stencil step matrices compute their main
+diagonal once, at construction, and hand it out read-only, so the Jacobi
+preconditioner costs nothing per solve. The solver is conjugate gradients,
+Jacobi-preconditioned by default or with a caller's symmetric positive
+definite preconditioner (the multigrid V-cycle of ``multigrid``); the step
+matrices are symmetric positive definite by construction, so CG is the
+right tool. It starts from zero or from a caller's x0;
+``SolutionProjection`` chooses x0 for a sequence of solves with one matrix.
 """
 
 from __future__ import annotations
@@ -40,8 +40,13 @@ from .mesh import EdgeClassification
 
 
 class NonConvergence(RuntimeError):
-    """CG stopped short of its tolerance: the iteration cap, a true residual
-    that stopped decreasing, or a matrix that is not positive definite."""
+    """CG stopped short of its tolerance: the iteration cap (``IterationCap``),
+    a true residual that stopped decreasing, or a matrix that is not
+    positive definite."""
+
+
+class IterationCap(NonConvergence):
+    """CG used up ``SolverConfig.iteration_cap`` iterations short of its tolerance."""
 
 
 class CsrMatrix:
@@ -439,8 +444,8 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None, x0=None) 
         p *= rz_next / rz
         p += z
         rz = rz_next
-    raise NonConvergence(
-        f"CG did not reach {cfg.rel_tolerance:g} relative residual in {cap} iterations"
+    raise IterationCap(
+        f"CG did not reach {cfg.rel_tolerance:g} relative residual in {cap} iteration{'s' if cap != 1 else ''}"
     )
 
 

@@ -26,11 +26,16 @@ Jacobi do not reach it. The V-cycle here stays robust in coeff:
   up to 4 free edges p meeting at one vertex. Its rows of S are summed from
   the element blocks (``spaces.element_blocks``) of the 2x2 elements
   around the vertex, so the smoother never reads the storage of S, and
-  their other columns lie on the 8 remaining edges r of those elements. A
-  patch solve writes the new values x_p = S_pp^{-1} (b_p - S_pr x_r), with
-  S_pp^{-1} and -S_pp^{-1} S_pr computed once per grid; it equals the
-  residual correction x_p += S_pp^{-1} (b - S x)_p, and c = S_pp^{-1} b_p
-  is computed once per visit of a level and serves both sweeps. The
+  their other columns lie on the 8 remaining edges r of those elements.
+  The vertices of one colour (below) form a strided sub-grid, so with the
+  free-dof index grids and the element blocks padded by one ring (the dummy
+  dof for an edge outside the grid, a zero block for an element outside
+  it), each of a colour's 4 corner blocks and 12 edge slots is one strided
+  slice (``_patch_colours``). A patch solve writes the new values
+  x_p = S_pp^{-1} (b_p - S_pr x_r), with S_pp^{-1} and -S_pp^{-1} S_pr
+  computed once per grid; it equals the residual correction
+  x_p += S_pp^{-1} (b - S x)_p, and c = S_pp^{-1} b_p is computed once per
+  visit of a level and serves both sweeps. The
   patches are visited in 4 colours (i mod 2, j mod 2) of their vertex
   (i, j): patches of one colour share no element, so S does not couple
   them and one colour is updated at once. Pre-smoothing starts from x = 0,
@@ -130,10 +135,10 @@ class _Colour(NamedTuple):
     inverse: np.ndarray
 
 
-# The 2x2 elements around vertex (i, j) by the offset of their lower-left
-# corner, and the slot in ``around`` of each one's edges (L, R, B, T):
-# vertical edge (i + a, j + b) is slot 3b + a + 4, horizontal 2b + a + 9.
-CORNERS = ((-1, -1), (0, -1), (-1, 0), (0, 0))
+# The 12 edges of the 2x2 elements around vertex (i, j) by slot: vertical
+# edge (i + a, j + b) is slot 3b + a + 4, horizontal edge (i + a, j + b)
+# slot 2b + a + 9. The edges (L, R, B, T) of each corner element, by the
+# offset of its lower-left corner (-1, -1), (0, -1), (-1, 0), (0, 0):
 CORNER_SLOTS = np.array([[0, 1, 6, 8], [1, 2, 7, 9], [3, 4, 8, 10], [4, 5, 9, 11]])
 PATCH_SLOTS = np.array([1, 4, 8, 9])  # edges (i, j - 1), (i, j) vertical, (i - 1, j), (i, j) horizontal
 OTHER_SLOTS = np.array([0, 2, 3, 5, 6, 7, 10, 11])  # the edges r, every slot not in PATCH_SLOTS
@@ -146,45 +151,64 @@ PATCH_ROWS = np.array([[0, 2], [0, 3], [1, 2], [1, 3]])
 
 def _patch_colours(cls: EdgeClassification, blocks) -> list:
     """The 4 colours (i mod 2, j mod 2) of vertex patches, in visiting order;
-    ``blocks`` are the grid's element blocks of S (``spaces.element_blocks``)."""
+    ``blocks`` are the grid's element blocks of S (``spaces.element_blocks``).
+
+    The index grids and the blocks are padded by one ring: the dummy dof n
+    for edges outside the grid (pinned edges map to it too) and zero blocks
+    for elements outside it. Vertex (i, j) then finds vertical edge
+    (i + a, j + b) at V[j + b + 1, i + a + 1], horizontal edge (i + a, j + b)
+    at H[j + b + 1, i + a + 1] and its corner element (i + c - 1, j + r - 1)
+    at [..., j + r, i + c] of the padded blocks; over the vertices of one
+    colour, each of these is a strided slice."""
     n, nx, ny = cls.n_free, cls.nx, cls.ny
-    I, J = (g.ravel() for g in np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy"))
-    # each corner's element; nx * ny stands for one outside the mesh
-    elements = np.column_stack([
-        np.where((0 <= i) & (i < nx) & (0 <= j) & (j < ny), j * nx + i, nx * ny)
-        for i, j in ((I + di, J + dj) for di, dj in CORNERS)
-    ])
-    # element -> dofs of its edges; pinned edges and the outside element's
-    # go to the dummy n, which every real dof undercuts in the minimum below
-    edges = np.vstack([np.where(cls.element_dofs >= 0, cls.element_dofs, n), np.full(4, n)])
-    around = np.full((I.size, 12), n)
-    for corner, slots in zip(elements.T, CORNER_SLOTS):
-        around[:, slots] = np.minimum(around[:, slots], edges[corner])
-    patch = around[:, PATCH_SLOTS]
-    colour = np.where((patch < n).any(axis=1), I % 2 + 2 * (J % 2), -1)
-    blocks = np.concatenate([blocks, np.zeros((4, 4, 1))], axis=2)  # the outside element's
-    return [
-        _colour(n, blocks, elements[sel], patch[sel], around[sel])
-        for sel in (colour == k for k in range(4))
-        if sel.any()
-    ]
+    V, H = (_padded(np.where(grid >= 0, grid, n), n) for grid in cls.index_grids)
+    padded = _padded(blocks.reshape(4, 4, ny, nx), 0.0)
+    colours = []
+    for j0, i0 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        mj, mi = (ny - j0) // 2 + 1, (nx - i0) // 2 + 1  # rows and columns of the colour's vertices
+
+        def at(grid, r, c):
+            return grid[..., j0 + r : j0 + r + 2 * mj : 2, i0 + c : i0 + c + 2 * mi : 2]
+
+        slots = [at(V, r, c) for r in range(2) for c in range(3)] + [at(H, r, c) for r in range(3) for c in range(2)]
+        around = np.stack(slots).reshape(12, -1)
+        has_patch = (around[PATCH_SLOTS] < n).any(axis=0)
+        if has_patch.any():
+            corners = [at(padded, r, c) for r in range(2) for c in range(2)]
+            colours.append(_colour(n, corners, around, has_patch))
+    return colours
 
 
-def _colour(n: int, blocks, elements, patch, around) -> _Colour:
-    """Smoother data of the patches with corner elements ``elements``, over n free dofs."""
-    # S_pc[p, a, c] = S[patch[p, a], around[p, c]]: the sum of the corner
-    # blocks' rows of the two edges each corner has at the vertex
-    S_pc = np.zeros((patch.shape[0], 4, 12))
-    for corner, slots, at_vertex, rows in zip(elements.T, CORNER_SLOTS, AT_VERTEX, PATCH_ROWS):
-        S_pc[:, rows[:, None], slots] += blocks[at_vertex][:, :, corner].transpose(2, 0, 1)
-    S_pc[patch == n] = 0.0  # S has no row or column for a pinned edge
-    S_pc.transpose(0, 2, 1)[around == n] = 0.0
+def _padded(grid, fill):
+    """``grid`` with one ring of ``fill`` around its last two axes."""
+    out = np.full(grid.shape[:-2] + (grid.shape[-2] + 2, grid.shape[-1] + 2), fill, dtype=grid.dtype)
+    out[..., 1:-1, 1:-1] = grid
+    return out
+
+
+def _colour(n: int, corners, around, has_patch) -> _Colour:
+    """Smoother data of one colour's patches over n free dofs. ``corners``
+    are the (4, 4, mj, mi) blocks of the corner elements of the colour's
+    mj x mi vertices, ``around`` the (12, mj * mi) dofs of the edges in
+    their slots, and ``has_patch`` marks the vertices with a free patch
+    edge, the m patches."""
+    # S_pc[p, a, c] = S[patch[a, p], around[c, p]]: the sum of the corner
+    # blocks' rows of the two edges each corner has at the vertex, summed
+    # slot-major and then turned patch-major, (m, 4, 12), in one copy
+    S_pc = np.zeros((4, 12) + corners[0].shape[2:])
+    for block, slots, at_vertex, rows in zip(corners, CORNER_SLOTS, AT_VERTEX, PATCH_ROWS):
+        S_pc[rows[:, None], slots] += block[at_vertex]
+    S_pc = S_pc.reshape(4, 12, -1).transpose(2, 0, 1)[has_patch]
+    around = around[:, has_patch]
+    patch = around[PATCH_SLOTS]
+    S_pc[patch.T == n] = 0.0  # S has no row or column for a pinned edge
+    S_pc.transpose(0, 2, 1)[around.T == n] = 0.0
 
     # S_pp gets a unit diagonal at dummy slots so that it inverts; their
     # rows and columns of the inverse are 0
     local = S_pc[:, :, PATCH_SLOTS]
     local = 0.5 * (local + local.transpose(0, 2, 1))
-    p, s = np.nonzero(patch == n)
+    s, p = np.nonzero(patch == n)
     local[p, s, s] = 1.0
     inverse = np.linalg.inv(local)
     inverse = 0.5 * (inverse + inverse.transpose(0, 2, 1))
@@ -192,8 +216,8 @@ def _colour(n: int, blocks, elements, patch, around) -> _Colour:
     inverse[p, :, s] = 0.0
     weights = -inverse @ S_pc[:, :, OTHER_SLOTS]
     return _Colour(
-        np.ascontiguousarray(patch.T).ravel(),
-        np.ascontiguousarray(around[:, OTHER_SLOTS].T),
+        patch.ravel(),
+        around[OTHER_SLOTS],
         np.ascontiguousarray(weights.transpose(2, 1, 0)),
         np.ascontiguousarray(inverse.transpose(2, 1, 0)),
     )

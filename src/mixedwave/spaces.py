@@ -16,9 +16,12 @@ The free velocity dofs are those of the run's layout,
 ``mesh.EdgeClassification``: assembly reads each element's free dofs from
 its ``element_dofs``, and the stencils take the layout itself. The
 operators come in one of the two formats of ``linalg``, picked by the
-number of free velocity dofs: padded rows below ``GRID_MIN_DOFS``, where
-the fancy-index gather is cheap, and edge-grid stencils from there on,
-where it costs more than the arithmetic. A stencil step matrix keeps its
+number of free velocity dofs: padded rows below ``GRID_MIN_DOFS`` (6 000),
+where the fancy-index gather is cheap, and edge-grid stencils from there
+on, where it costs more than the arithmetic. Every 32 x 32 grid (at most
+2 112 free dofs) is on padded rows, and so are the coarse levels of a
+64 x 64 grid's V-cycle; every 64 x 64 grid (at least 8 064) and every
+larger one is on stencils. A stencil step matrix keeps its
 coefficients, taken from the element blocks, per element and per edge; no
 padded rows are built for it.
 
@@ -81,12 +84,17 @@ PROJECTION_BLOCK = 1024
 BEST_APPROXIMATION_RTOL = 1e-14  # CG tolerance of A Pi = b_u: its residual enters the error norms
 DIVERGENCE_ROW = np.array([-1.0, 1.0, -1.0, 1.0])  # an element's row of D over (LEFT, RIGHT, BOTTOM, TOP)
 # From this many free velocity dofs on, A, S, D and D^T are edge-grid
-# stencils instead of padded rows. One stencil apply of S took 0.96-1.05 of
-# the padded-row time at nx 48 (4.5k-4.7k free dofs), 0.71-1.01 at nx 64
-# (8.1k-8.3k) and 0.47-0.55 at nx 80 (12.6k-13.0k) over three boundary kinds
-# and three runs of ``tools/operator_sweep.py`` (table in ROADMAP.md), so the
-# switch sits where the stencil won in every run.
-GRID_MIN_DOFS = 10_000
+# stencils instead of padded rows. Over three runs of
+# ``tools/operator_sweep.py`` and three boundary kinds, one stencil apply of
+# S took 1.47-1.71 of the padded-row time at nx 32 (2.0k-2.1k free dofs),
+# 0.94-1.11 at nx 48 (4.5k-4.7k), 0.78-0.95 at nx 56 (6.2k-6.4k) and
+# 0.64-0.86 at nx 64 (8.1k-8.3k). At nx 56 A took 0.63-0.78 and D
+# 0.61-0.86; D^T, applied once a step against S once per CG iteration, took
+# 0.71-1.15 there and 0.66-1.05 at nx 64. The switch sits below nx 56, the
+# smallest size where the stencil S won every run, so every 64 x 64 grid
+# is on stencils, and every 32 x 32 grid, with the V-cycle's coarse levels
+# under a 64 x 64 grid, on padded rows.
+GRID_MIN_DOFS = 6_000
 
 
 @lru_cache(maxsize=None)

@@ -260,3 +260,63 @@ def reference_initial_defect(A, D, S, U0, V0, P0, F0, F1, theta, dt):
         + theta * dt**2 * (F1 - F0)
     )
     return rhs - S @ guess, np.linalg.norm(A @ guess)
+
+
+# The 2x2 elements around vertex (i, j) by the offset of their lower-left
+# corner, and the slot of each one's edges (L, R, B, T) among the 12 edges
+# of those elements: vertical edge (i + a, j + b) is slot 3b + a + 4,
+# horizontal (i + a, j + b) slot 2b + a + 9.
+_CORNERS = ((-1, -1), (0, -1), (-1, 0), (0, 0))
+_CORNER_SLOTS = np.array([[0, 1, 6, 8], [1, 2, 7, 9], [3, 4, 8, 10], [4, 5, 9, 11]])
+_PATCH_SLOTS = np.array([1, 4, 8, 9])
+_OTHER_SLOTS = np.array([0, 2, 3, 5, 6, 7, 10, 11])
+
+
+def reference_patch_colours(cls, blocks):
+    """The vertex-patch colours of ``multigrid._patch_colours`` as
+    (rows, cols, weights, inverse) tuples, built vertex by vertex: a
+    meshgrid of every vertex, the gather of its 4 corner elements (one
+    outside the mesh has a zero block) and of their edges, the minimum
+    over the corners that share an edge, and a fancy-indexed sum of the
+    corner blocks into the patch rows S_pc."""
+    n, nx, ny = cls.n_free, cls.nx, cls.ny
+    I, J = (g.ravel() for g in np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy"))
+    elements = np.column_stack([
+        np.where((0 <= i) & (i < nx) & (0 <= j) & (j < ny), j * nx + i, nx * ny)
+        for i, j in ((I + di, J + dj) for di, dj in _CORNERS)
+    ])
+    edges = np.vstack([np.where(cls.element_dofs >= 0, cls.element_dofs, n), np.full(4, n)])
+    around = np.full((I.size, 12), n)
+    for corner, slots in zip(elements.T, _CORNER_SLOTS):
+        around[:, slots] = np.minimum(around[:, slots], edges[corner])
+    patch = around[:, _PATCH_SLOTS]
+    colour = np.where((patch < n).any(axis=1), I % 2 + 2 * (J % 2), -1)
+    blocks = np.concatenate([blocks, np.zeros((4, 4, 1))], axis=2)
+    colours = []
+    for sel in (colour == k for k in range(4)):
+        if not sel.any():
+            continue
+        corners, patch_k, around_k = elements[sel], patch[sel], around[sel]
+        S_pc = np.zeros((patch_k.shape[0], 4, 12))
+        for corner, slots in zip(corners.T, _CORNER_SLOTS):
+            at_vertex = np.isin(slots, _PATCH_SLOTS)
+            rows = np.searchsorted(_PATCH_SLOTS, slots[at_vertex])
+            S_pc[:, rows[:, None], slots] += blocks[at_vertex][:, :, corner].transpose(2, 0, 1)
+        S_pc[patch_k == n] = 0.0
+        S_pc.transpose(0, 2, 1)[around_k == n] = 0.0
+        local = S_pc[:, :, _PATCH_SLOTS]
+        local = 0.5 * (local + local.transpose(0, 2, 1))
+        p, s = np.nonzero(patch_k == n)
+        local[p, s, s] = 1.0
+        inverse = np.linalg.inv(local)
+        inverse = 0.5 * (inverse + inverse.transpose(0, 2, 1))
+        inverse[p, s, :] = 0.0
+        inverse[p, :, s] = 0.0
+        weights = -inverse @ S_pc[:, :, _OTHER_SLOTS]
+        colours.append((
+            np.ascontiguousarray(patch_k.T).ravel(),
+            np.ascontiguousarray(around_k[:, _OTHER_SLOTS].T),
+            np.ascontiguousarray(weights.transpose(2, 1, 0)),
+            np.ascontiguousarray(inverse.transpose(2, 1, 0)),
+        ))
+    return colours

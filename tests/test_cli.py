@@ -335,6 +335,13 @@ class TestCommands:
         assert err.startswith("error: 'solver.tol' = 5e-15: CG stagnated at relative residual")
         assert int(re.search(r"in iteration (\d+)", err).group(1)) <= 20
 
+    @pytest.mark.parametrize("cap, iterations", [("1", "1 iteration"), ("2", "2 iterations")])
+    def test_iteration_cap_names_max_iter_not_the_tolerance(self, tmp_path, capsys, cap, iterations):
+        code = main(["run", "--mesh.nx", "8", "--solver.max_iter", cap, "--output.dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: 'solver.max_iter' = {cap}: CG did not reach 1e-12 relative residual in {iterations}\n"
+
     def test_tolerance_below_the_smallest_double_names_it_not_the_matrix(self, tmp_path, capsys):
         # p . Mp falls below the normal doubles before the residual can reach 1e-300 of the defect
         code = main([

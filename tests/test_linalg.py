@@ -9,6 +9,7 @@ import mixedwave.linalg as linalg
 import mixedwave.spaces as spaces
 from mixedwave.linalg import (
     CsrMatrix,
+    IterationCap,
     NonConvergence,
     SolverConfig,
     cg_solve,
@@ -274,7 +275,7 @@ class TestCg:
 
     def test_iteration_cap_raises(self):
         ops = operators_on(4)
-        with pytest.raises(NonConvergence):
+        with pytest.raises(IterationCap, match=r"in 1 iteration$"):
             cg_solve(ops.A, np.ones(ops.A.shape[0]), SolverConfig(1e-12, max_iterations=1))
 
     @pytest.mark.parametrize("nx,dt", [(16, 0.01), (64, 0.005), (64, None)])
@@ -520,9 +521,11 @@ class TestEdgeGridOperators:
         self.assert_same_operators(padded, grid)
 
     def test_format_follows_the_free_dof_count(self):
-        for nx, grid in ((64, False), (128, True)):
-            ops = operators_on(nx)  # all sides DIRICHLET_P: every edge is free
-            S = step_matrix(ops, ThetaConfig.from_dt(0.25, 1.0, 1 / 128))
-            assert (ops.n_velocity >= GRID_MIN_DOFS) == grid
-            for M in (ops.A, ops.D, ops.DT, S):
-                assert isinstance(M, CsrMatrix) != grid
+        # every 32 x 32 grid is on padded rows and every 64 x 64 grid on stencils, whatever its sides
+        for bc in ALL_PARTITIONS:
+            for nx, grid in ((32, False), (64, True)):
+                ops = operators_on(nx, bc)
+                S = step_matrix(ops, ThetaConfig.from_dt(0.25, 1.0, 1 / 128))
+                assert (ops.n_velocity >= GRID_MIN_DOFS) == grid
+                for M in (ops.A, ops.D, ops.DT, S):
+                    assert isinstance(M, CsrMatrix) != grid

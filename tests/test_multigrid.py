@@ -9,7 +9,7 @@ import mixedwave.multigrid as multigrid
 import mixedwave.linalg as linalg
 import mixedwave.scheme as scheme
 import mixedwave.spaces as spaces
-from mixedwave.linalg import NonConvergence, SolverConfig, cg_solve, spmv
+from mixedwave.linalg import CsrMatrix, GridStepMatrix, NonConvergence, SolverConfig, cg_solve, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, EdgeClassification, build_rect_mesh
 from mixedwave.multigrid import VCycle, coarsens, grid_shapes, transfers
 from mixedwave.scheme import (
@@ -30,6 +30,7 @@ from oracles import (
     dense_operators,
     dense_solve,
     dense_step_matrix,
+    reference_patch_colours,
     reference_patch_sweep,
     reference_vertex_patches,
 )
@@ -95,6 +96,21 @@ class TestSmoother:
         assert np.array_equal(multigrid.AT_VERTEX, at_vertex)
         rows = [np.searchsorted(multigrid.PATCH_SLOTS, slots[at]) for slots, at in zip(multigrid.CORNER_SLOTS, at_vertex)]
         assert np.array_equal(multigrid.PATCH_ROWS, rows)
+
+    @pytest.mark.parametrize("shape", [(32, 32), (64, 32), (12, 4), (2, 2)])
+    def test_strided_colours_match_the_corner_gather(self, shape):
+        rng = np.random.default_rng(shape[0] + 100 * shape[1])
+        mesh = build_rect_mesh(*shape)
+        for bc in PARTITIONS:
+            coeff = math.exp(rng.uniform(math.log(1e-3), 0.0))
+            blocks = element_blocks(mesh, random_material(mesh, rng), coeff)
+            cls = EdgeClassification.of(*shape, bc)
+            colours, reference = multigrid._patch_colours(cls, blocks), reference_patch_colours(cls, blocks)
+            assert len(colours) == len(reference)
+            for colour, expected in zip(colours, reference):
+                for got, want in zip(colour, expected):
+                    assert got.dtype == want.dtype and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()  # bit for bit: -0.0 is not 0.0 here
 
     @pytest.mark.parametrize("shape", [(6, 4), (8, 8)])
     def test_sweeps_match_dense_patch_solves(self, shape):
@@ -291,6 +307,21 @@ class TestMultigridRun:
         ops, state = result.operators, result.state
         DU = spmv(ops.D, state.U_curr)
         assert np.abs(ops.Cdiag * state.P_curr - DU).max() <= 1e-10 * np.abs(DU).max()
+
+    def test_both_operator_formats_take_the_same_iterations(self, monkeypatch):
+        spec = hetero_spec(64)
+        n = EdgeClassification.of(64, 64, spec.bc).n_free
+        cfg = ThetaConfig.from_steps(1.0, 8 * 2.8 * spec.mesh.h, 8)
+        results = []
+        for switch in (n + 1, n):  # the fine grid on padded rows, then on stencils
+            monkeypatch.setattr(spaces, "GRID_MIN_DOFS", switch)
+            results.append(run(spec, cfg))
+        padded, grid = results
+        assert isinstance(padded.operators.A, CsrMatrix) and isinstance(grid.operators.A, GridStepMatrix)
+        assert np.array_equal(padded.cg_iterations, grid.cg_iterations)
+        for result in results:
+            assert result.completed
+            assert energy_drift(result) <= 1e-10
 
     def test_forced_run_matches_jacobi_run(self, monkeypatch):
         spec = make_problem(mms_forced(3.0), 32)

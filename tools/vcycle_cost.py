@@ -6,10 +6,14 @@ lambda log-uniform in [1/4, 4] per element (seeded), DIRICHLET_P left and
 right, NEUMANN_U bottom and top. Prints as a markdown table the median time
 of one ``spmv`` of S, of one V-cycle and of the ``StepSolver`` build (S, its
 element blocks and the V-cycle hierarchy), the last two also in units of
-the spmv(S) timed in the same round. Two columns count CG iterations per
-solve at the default tolerance. The first is the mean over V-cycle-
-preconditioned solves for seeded random right-hand sides, each from a zero
-start: it measures the V-cycle alone. The second is the mean over a
+the spmv(S) timed in the same round. Three columns split the V-cycle's part
+of the build: the smoother colours of every level
+(``multigrid._patch_colours``), the transfers P and R of every level
+(``multigrid.transfers``), and the rest, the coarse grids' element blocks
+and step matrices and the coarsest grid's dense inverse. Two columns count
+CG iterations per solve at the default tolerance. The first is the mean
+over V-cycle-preconditioned solves for seeded random right-hand sides, each
+from a zero start: it measures the V-cycle alone. The second is the mean over a
 ``STEPS``-step run of the same configuration from smooth compatible initial
 data, where each solve starts from the projection on the run's earlier
 increments (``scheme.PROJECTION_BASIS``), so its count falls over the run.
@@ -21,13 +25,16 @@ Run from the root of a source checkout:
 
 from __future__ import annotations
 
+import contextlib
 import math
 import statistics
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
+from mixedwave import multigrid, scheme
 from mixedwave.linalg import cg_solve, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.multigrid import VCycle
@@ -51,6 +58,30 @@ def mean_time(fn, calls):
     return (time.perf_counter() - start) / calls
 
 
+def timed_build(spec, ops, cfg):
+    """Seconds of one ``StepSolver`` build and of three parts of its V-cycle:
+    the smoother colours, the transfers, and the rest of the hierarchy."""
+    spent = dict.fromkeys(("colours", "transfers", "vcycle"), 0.0)
+
+    def timed(part, fn):
+        def call(*args):
+            start = time.perf_counter()
+            try:
+                return fn(*args)
+            finally:
+                spent[part] += time.perf_counter() - start
+
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for part, module, name in (("colours", multigrid, "_patch_colours"), ("transfers", multigrid, "transfers"), ("vcycle", scheme, "VCycle")):
+            stack.enter_context(mock.patch.object(module, name, timed(part, getattr(module, name))))
+        start = time.perf_counter()
+        StepSolver(spec, ops, cfg)
+        build = time.perf_counter() - start
+    return build, spent["colours"], spent["transfers"], spent["vcycle"] - spent["colours"] - spent["transfers"]
+
+
 def initial_data(mesh, lam):
     """Smooth u0 with u_y = 0 on the NEUMANN_U bottom and top, and
     p0 = lambda div u0 per element, so that C P0 = D U0 holds."""
@@ -70,10 +101,11 @@ def initial_data(mesh, lam):
 
 def costs(nx):
     """On an nx-by-nx grid: medians over ROUNDS of the seconds of spmv(S),
-    one V-cycle and the step-solver build, and of the last two over the
-    spmv(S) of their own round, which a drift in the host's speed between
-    rounds leaves alone; then the mean CG iterations per solve for random
-    right-hand sides and over a STEPS-step run."""
+    one V-cycle, the step-solver build and its three V-cycle parts
+    (``timed_build``), and of the V-cycle and the build over the spmv(S) of
+    their own round, which a drift in the host's speed between rounds leaves
+    alone; then the mean CG iterations per solve for random right-hand
+    sides and over a STEPS-step run."""
     rng = np.random.default_rng(nx)
     mesh = build_rect_mesh(nx, nx)
     lo, hi = BOUNDS
@@ -93,8 +125,8 @@ def costs(nx):
     for _ in range(ROUNDS):
         apply_s = mean_time(lambda: spmv(S, b), calls)
         cycle_s = mean_time(lambda: vcycle(b, out), max(1, calls // 10))
-        build_s = mean_time(lambda: StepSolver(spec, ops, cfg), 1)
-        rounds.append((apply_s, cycle_s, build_s, cycle_s / apply_s, build_s / apply_s))
+        build_s, *parts = timed_build(spec, ops, cfg)
+        rounds.append((apply_s, cycle_s, build_s, *parts, cycle_s / apply_s, build_s / apply_s))
     iterations = [cg_solve(S, rng.standard_normal(b.size), stepper.solver, vcycle).iterations for _ in range(SOLVES)]
     in_run = run(spec, ThetaConfig.from_steps(1.0, STEPS * cfg.dt, STEPS)).cg_iterations
     return [statistics.median(column) for column in zip(*rounds)] + [statistics.mean(iterations), in_run.mean()]
@@ -102,15 +134,16 @@ def costs(nx):
 
 def main(sizes):
     print(
-        "| nx | spmv(S) ms | V-cycle ms | build ms | V-cycle / spmv | build / spmv "
-        f"| CG iterations per solve, random b | CG iterations per solve, {STEPS}-step run |"
+        "| nx | spmv(S) ms | V-cycle ms | build ms | colours ms | transfers ms | coarse grids ms "
+        f"| V-cycle / spmv | build / spmv | CG iterations per solve, random b | CG iterations per solve, {STEPS}-step run |"
     )
-    print("|---:|---:|---:|---:|---:|---:|---:|---:|")
+    print("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
     for nx in sizes:
-        apply_s, cycle_s, build_s, cycle_spmv, build_spmv, iterations, in_run = costs(nx)
+        apply_s, cycle_s, build_s, colours_s, transfers_s, coarse_s, cycle_spmv, build_spmv, iterations, in_run = costs(nx)
         print(
-            f"| {nx} | {1e3 * apply_s:.3f} | {1e3 * cycle_s:.2f} | {1e3 * build_s:.1f} "
-            f"| {cycle_spmv:.1f} | {build_spmv:.0f} | {iterations:.1f} | {in_run:.1f} |"
+            f"| {nx} | {1e3 * apply_s:.3f} | {1e3 * cycle_s:.2f} | {1e3 * build_s:.1f} | {1e3 * colours_s:.1f} "
+            f"| {1e3 * transfers_s:.1f} | {1e3 * coarse_s:.1f} | {cycle_spmv:.1f} | {build_spmv:.0f} "
+            f"| {iterations:.1f} | {in_run:.1f} |"
         )
 
 
