@@ -11,7 +11,8 @@ and ``spmv`` applies either:
   the free-dof layout of ``mesh`` (``EdgeClassification``), under which a
   free-dof vector is two 2-D arrays of edge values, and apply A,
   A + D^T diag(w) D, D and D^T as a few array-slice multiply-adds with
-  per-element coefficients. They store no entries and gather nothing.
+  per-element coefficients; the layout sums those onto the edges for the
+  diagonal. They store no entries and gather nothing.
 
 The gather costs more than the arithmetic on large grids and less than the
 slicing overhead on small ones, so ``spaces`` picks the format by the number
@@ -179,16 +180,6 @@ def _add_difference_transpose(y, z, lo, hi):
         y[..., -1] += z[..., -1]
 
 
-def _edge_sum(cells, lo, hi):
-    """Per free edge, the sum of ``cells`` over the (up to two) cells it
-    bounds, along the last axis and in the memory order of ``cells``."""
-    n = cells.shape[-1]
-    out = np.zeros(cells.shape[:-1] + (n + 1,), order="C" if cells.flags.c_contiguous else "F")
-    out[..., :-1] += cells
-    out[..., 1:] += cells
-    return out[..., lo : n + 1 - hi]
-
-
 class GridStepMatrix:
     """A + D^T diag(w) D on a free-dof layout (``mesh.EdgeClassification``),
     applied by array slices.
@@ -198,7 +189,10 @@ class GridStepMatrix:
     (ny, nx) arrays, and its two y-normal edges through ``mass_y``. The
     weight w (ny, nx) scales each element's divergence; None means A alone.
     ``nnz`` counts the entries the padded-row form of the same operator
-    stores. The main diagonal is computed once, here, and is read-only.
+    stores. A's diagonal, the a of the (up to two) elements an edge bounds,
+    and the main diagonal, which adds their w, are summed onto the free
+    edges by the layout (``EdgeClassification.edge_sum``) once, here; the
+    main diagonal is read-only.
 
     A's couplings are applied as two bands of the flat free-dof vector, with
     zeros where a band crosses from one row of vertical edges to the next:
@@ -220,18 +214,12 @@ class GridStepMatrix:
         band_x = np.zeros((ny, nv))
         band_x[:, :-1] = along_x
         self._bands = (band_x.ravel()[:-1], along_y.ravel())
-        self._mass = np.concatenate([
-            _edge_sum(mass_x[0], g.left, g.right).ravel(),
-            _edge_sum(mass_y[0].T, g.bottom, g.top).T.ravel(),
-        ])
+        self._mass = g.edge_sum(mass_x[0], mass_x[0], mass_y[0], mass_y[0])
         n = self._mass.size
         nnz = n + 2 * along_x.size + 2 * along_y.size
         diagonal = self._mass
         if weight is not None:
-            diagonal = diagonal + np.concatenate([
-                _edge_sum(weight, g.left, g.right).ravel(),
-                _edge_sum(weight.T, g.bottom, g.top).T.ravel(),
-            ])
+            diagonal = diagonal + g.edge_sum(weight, weight, weight, weight)
             # every element couples each free x-normal edge with each free y-normal one
             nnz += 2 * (2 * g.nx - g.left - g.right) * (2 * g.ny - g.bottom - g.top)
         diagonal.flags.writeable = False

@@ -1,11 +1,12 @@
-"""Structured rectangular meshes with global edge numbering.
+"""Structured rectangular meshes and the one numbering of their edges.
 
-Velocity degrees of freedom live on edges, so the mesh owns the edge
-indexing scheme: vertical edges (normal +x) come first, then horizontal
-edges (normal +y), each block row-major. Elements are row-major as well.
-Meshes are immutable after construction. The free velocity dofs that the
-boundary tags leave have one layout, ``EdgeClassification``, which assembly,
-the stencils of ``linalg`` and the multigrid transfers all read.
+A ``RectMesh`` is geometry only: the box, the element counts and sizes.
+Elements are row-major. Velocity degrees of freedom live on edges, and the
+only edge numbering is that of the free dofs the boundary tags leave,
+``EdgeClassification``: vertical edges (normal +x) first, then horizontal
+edges (normal +y), each block row-major, pinned edges left out. Assembly,
+loads, the flux interpolant, the stencils of ``linalg`` and the multigrid
+transfers all read it. Meshes are immutable after construction.
 """
 
 from __future__ import annotations
@@ -69,37 +70,12 @@ class RectMesh:
         self.h = float(np.hypot(self.hx, self.hy))
 
         self.n_elements = self.nx * self.ny
-        self.n_vedges = (self.nx + 1) * self.ny
-        self.n_hedges = self.nx * (self.ny + 1)
-        self.n_edges = self.n_vedges + self.n_hedges
-
-        ii, jj = np.meshgrid(np.arange(self.nx), np.arange(self.ny), indexing="xy")
-        ii = ii.ravel()  # element column index, row-major over rows j
-        jj = jj.ravel()
-        # per-element global edge ids in local slot order (L, R, B, T)
-        self.element_edges = np.column_stack(
-            [
-                self.vedge_id(ii, jj),
-                self.vedge_id(ii + 1, jj),
-                self.hedge_id(ii, jj),
-                self.hedge_id(ii, jj + 1),
-            ]
-        )
-        self.element_x0 = self.x0 + ii * self.hx
-        self.element_y0 = self.y0 + jj * self.hy
-
-    # --- numbering -------------------------------------------------------
-
-    def vedge_id(self, i, j):
-        """Vertical edge at x = x0 + i*hx spanning row j. Normal +x."""
-        return j * (self.nx + 1) + i
-
-    def hedge_id(self, i, j):
-        """Horizontal edge at y = y0 + j*hy spanning column i. Normal +y."""
-        return self.n_vedges + j * self.nx + i
 
     def centroids(self):
-        return self.element_x0 + 0.5 * self.hx, self.element_y0 + 0.5 * self.hy
+        """Element centres as two (n_elements,) arrays, elements row-major."""
+        x = self.x0 + np.arange(self.nx) * self.hx + 0.5 * self.hx
+        y = self.y0 + np.arange(self.ny) * self.hy + 0.5 * self.hy
+        return np.tile(x, self.ny), np.repeat(y, self.nx)
 
     def __repr__(self):
         return (
@@ -166,22 +142,32 @@ class EdgeClassification:
         return V, H
 
     @cached_property
-    def free_index(self):
-        """``free_index[e]``: the position of global edge e among the free dofs, or -1."""
-        V, H = self.index_grids
-        return np.concatenate([V.ravel(), H.ravel()])
-
-    @cached_property
-    def free_edges(self):
-        """Global ids of the free edges, in free-dof order."""
-        return np.flatnonzero(self.free_index >= 0)
-
-    @cached_property
     def element_dofs(self):
         """(n_elements, 4) free indices of each element's edges in LEFT,
-        RIGHT, BOTTOM, TOP order, -1 where pinned: ``free_index[element_edges]``."""
+        RIGHT, BOTTOM, TOP order, -1 where pinned."""
         V, H = self.index_grids
         return np.stack([V[:, :-1], V[:, 1:], H[:-1], H[1:]], axis=-1).reshape(-1, 4)
+
+    def gather(self, V, H):
+        """The free-dof vector of values given on every vertical edge, an
+        (ny, nx + 1) array, and on every horizontal edge, (ny + 1, nx)."""
+        return np.concatenate([
+            V[:, self.left : self.nx + 1 - self.right].ravel(),
+            H[self.bottom : self.ny + 1 - self.top].ravel(),
+        ])
+
+    def edge_sum(self, left, right, bottom, top):
+        """Per free dof, the sum of the (ny, nx) element values ``left``,
+        ``right``, ``bottom`` and ``top`` over the (up to two) elements the
+        edge bounds, each element adding its value for the slot the edge
+        fills there."""
+        V = np.zeros((self.ny, self.nx + 1))
+        V[:, :-1] += left
+        V[:, 1:] += right
+        H = np.zeros((self.ny + 1, self.nx))
+        H[:-1] += bottom
+        H[1:] += top
+        return self.gather(V, H)
 
 
 def edge_classify(mesh: RectMesh, bc: BoundaryPartition) -> EdgeClassification:

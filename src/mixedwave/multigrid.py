@@ -7,7 +7,8 @@ Jacobi do not reach it. The V-cycle here stays robust in coeff:
 
 - Hierarchy: halve nx and ny while both are even and the grid still has
   more than ``COARSEST_DOFS`` free dofs; the coarsest grid is solved with a
-  dense inverse.
+  dense inverse of S, summed straight from its element blocks
+  (``_dense_sum``) whatever format the other grids' S take.
 - Coarse operators: a coarse grid builds only its element blocks and their
   sum, the step matrix (``spaces.schur_matrix``), with rho and lambda
   averaged over the 4 children of each coarse element. For the RT0
@@ -243,13 +244,14 @@ class VCycle:
         mesh, cls, material = ops.mesh, ops.classification, ops.material
         self.levels = []
         for nx, ny in grid_shapes(mesh.nx, mesh.ny, ops.bc)[1:]:
+            if self.levels:  # a coarse grid's S, summed once it is a level: the coarsest needs none
+                S = schur_matrix(mesh, cls, blocks)
             coarse = EdgeClassification.of(nx, ny, ops.bc)
             self.levels.append(_Level(S, _patch_colours(cls, blocks), *transfers(cls, coarse)))
             material = coarse_material(mesh, material)
             mesh, cls = build_rect_mesh(nx, ny, (mesh.x0, mesh.x1, mesh.y0, mesh.y1)), coarse
             blocks = element_blocks(mesh, material, coeff)
-            S = schur_matrix(mesh, cls, blocks)
-        inverse = np.linalg.inv(S.todense())
+        inverse = np.linalg.inv(_dense_sum(cls, blocks))
         self.coarsest = 0.5 * (inverse + inverse.T)
 
     def __call__(self, r, out):
@@ -268,6 +270,16 @@ class VCycle:
         x += spmv(level.P, self._cycle(depth + 1, spmv(level.R, residual)))
         _post_smooth(level.colours, z, solved)
         return x
+
+
+def _dense_sum(cls: EdgeClassification, blocks) -> np.ndarray:
+    """The dense sum of the (4, 4, n_elements) element blocks over the free
+    dofs of ``cls``; pinned slots add to a dummy row and column, dropped."""
+    n = cls.n_free
+    dofs = np.where(cls.element_dofs >= 0, cls.element_dofs, n)
+    S = np.zeros((n + 1, n + 1))
+    np.add.at(S, (dofs[:, :, None], dofs[:, None, :]), blocks.transpose(2, 0, 1))
+    return S[:n, :n]
 
 
 def _patch_rhs(colours, b) -> list:

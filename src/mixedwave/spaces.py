@@ -13,8 +13,10 @@ data must be integrated (loads, error norms); a run builds it once, as
 ``MixedOperators.quadrature``.
 
 The free velocity dofs are those of the run's layout,
-``mesh.EdgeClassification``: assembly reads each element's free dofs from
-its ``element_dofs``, and the stencils take the layout itself. The
+``mesh.EdgeClassification``, the only edge numbering: assembly reads each
+element's free dofs from its ``element_dofs``, the loads sum their element
+integrals onto the edges with its ``edge_sum``, the flux interpolant takes
+its free edges with ``gather``, and the stencils take the layout itself. The
 operators come in one of the two formats of ``linalg``, picked by the
 number of free velocity dofs: padded rows below ``GRID_MIN_DOFS`` (6 000),
 where the fancy-index gather is cheap, and edge-grid stencils from there
@@ -126,8 +128,9 @@ class MaterialField:
                 raise ValueError(f"material bound violation: {name} leaves [{lo}, {hi}]")
 
 
-def material_field(mesh: RectMesh, rho, lam, rho_bounds=None, lambda_bounds=None) -> MaterialField:
-    """Sample rho and lambda per element (callbacks at centroids, scalars broadcast)."""
+def material_field(mesh: RectMesh, rho, lam) -> MaterialField:
+    """Sample rho and lambda per element (callbacks at centroids, scalars
+    broadcast); the bounds are the sampled extremes."""
     cx, cy = mesh.centroids()
 
     def per_element(value):
@@ -137,9 +140,7 @@ def material_field(mesh: RectMesh, rho, lam, rho_bounds=None, lambda_bounds=None
 
     rho_e = per_element(rho)
     lam_e = per_element(lam)
-    rb = rho_bounds if rho_bounds is not None else (rho_e.min(), rho_e.max())
-    lb = lambda_bounds if lambda_bounds is not None else (lam_e.min(), lam_e.max())
-    return MaterialField(rho_e, lam_e, float(rb[0]), float(rb[1]), float(lb[0]), float(lb[1]))
+    return MaterialField(rho_e, lam_e, float(rho_e.min()), float(rho_e.max()), float(lam_e.min()), float(lam_e.max()))
 
 
 @dataclass(frozen=True)
@@ -348,16 +349,19 @@ def element_quadrature(mesh: RectMesh, n: int = ASSEMBLY_RULE) -> ElementQuadrat
 
 def integrate_load(quad: ElementQuadrature, cls: EdgeClassification, fx, fy) -> np.ndarray:
     """Load vector (f, phi_i) over free velocity dofs, integrated by ``quad``
-    from the values fx, fy of f at its points ((n_elements, n*n) arrays)."""
+    from the values fx, fy of f at its points ((n_elements, n*n) arrays).
+
+    Each element integrates f . phi for each of its 4 edge slots, and each
+    free edge sums its (up to two) elements' values (``cls.edge_sum``).
+    """
     mesh, w, xi, eta = quad.mesh, quad.weights, quad.xi, quad.eta
-    # integral of f . phi over the element, one value per local slot
-    contrib = np.empty((mesh.n_elements, 4))
-    contrib[:, LEFT] = mesh.hx * (fx @ (w * (1.0 - xi)))
-    contrib[:, RIGHT] = mesh.hx * (fx @ (w * xi))
-    contrib[:, BOTTOM] = mesh.hy * (fy @ (w * (1.0 - eta)))
-    contrib[:, TOP] = mesh.hy * (fy @ (w * eta))
-    full = np.bincount(mesh.element_edges.ravel(), contrib.ravel(), minlength=mesh.n_edges)
-    return full[cls.free_edges]
+    per_element = lambda values, weights, h: (h * (values @ weights)).reshape(mesh.ny, mesh.nx)
+    return cls.edge_sum(
+        per_element(fx, w * (1.0 - xi), mesh.hx),
+        per_element(fx, w * xi, mesh.hx),
+        per_element(fy, w * (1.0 - eta), mesh.hy),
+        per_element(fy, w * eta, mesh.hy),
+    )
 
 
 def assemble_load(quad: ElementQuadrature, cls: EdgeClassification, f, *args) -> np.ndarray:
@@ -371,8 +375,10 @@ def assemble_load(quad: ElementQuadrature, cls: EdgeClassification, f, *args) ->
     return integrate_load(quad, cls, *quad.sample(f, *args))
 
 
-def edge_fluxes(mesh: RectMesh, z) -> np.ndarray:
-    """Integrated normal flux of a vector field through every edge.
+def edge_fluxes(mesh: RectMesh, z) -> tuple[np.ndarray, np.ndarray]:
+    """Integrated normal flux of a vector field through every edge: the
+    (ny, nx + 1) grid of vertical edges and the (ny + 1, nx) grid of
+    horizontal ones, pinned edges included.
 
     The flux is taken along the global normal (+x vertical, +y horizontal),
     integrated with the 7-point Gauss rule per edge. z is evaluated on
@@ -381,29 +387,29 @@ def edge_fluxes(mesh: RectMesh, z) -> np.ndarray:
     """
     s, w = gauss_rule_1d(PROJECTION_RULE)
     on_edge = np.zeros_like(s)
-    out = np.empty(mesh.n_edges)
 
     x = (mesh.x0 + np.arange(mesh.nx + 1) * mesh.hx)[None, :, None] + on_edge
     y = (mesh.y0 + np.arange(mesh.ny) * mesh.hy)[:, None, None] + mesh.hy * s
     zx, _ = z(x, y)
-    out[: mesh.n_vedges] = mesh.hy * (_points(zx, x, y, s.size) @ w)
+    vertical = mesh.hy * (_points(zx, x, y, s.size) @ w)
 
     x = (mesh.x0 + np.arange(mesh.nx) * mesh.hx)[None, :, None] + mesh.hx * s
     y = (mesh.y0 + np.arange(mesh.ny + 1) * mesh.hy)[:, None, None] + on_edge
     _, zy = z(x, y)
-    out[mesh.n_vedges :] = mesh.hx * (_points(zy, x, y, s.size) @ w)
-    return out
+    horizontal = mesh.hx * (_points(zy, x, y, s.size) @ w)
+    return vertical.reshape(mesh.ny, mesh.nx + 1), horizontal.reshape(mesh.ny + 1, mesh.nx)
 
 
 def project_velocity_pi_h(mesh: RectMesh, cls: EdgeClassification, z) -> np.ndarray:
-    """Flux interpolant of z onto the velocity space, restricted to free dofs.
+    """Flux interpolant of z onto the velocity space: the fluxes of
+    ``edge_fluxes`` on the free edges, gathered by ``cls.gather``.
 
     ``cls`` is the run's edge classification (``MixedOperators.classification``).
     The interpolant's defining property is that its element-wise divergence
     averages match those of z, which keeps the initial pressure-velocity
     compatibility defect at zero.
     """
-    return edge_fluxes(mesh, z)[cls.free_edges]
+    return cls.gather(*edge_fluxes(mesh, z))
 
 
 def project_pressure_p_h(mesh: RectMesh, phi) -> np.ndarray:

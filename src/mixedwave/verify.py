@@ -35,6 +35,10 @@ STABLE = "Stable"
 DRIFT = "Drift"  # completed but the energy drifted beyond tolerance
 
 SQRT2_PI = math.sqrt(2.0) * math.pi
+RESIDUAL_SAMPLES = 50  # random space-time points of residual_check
+RESIDUAL_TOL = 1e-10   # largest residual residual_check accepts
+RESIDUAL_SEED = 20240711
+STABLE_DRIFT = 1e-8    # largest energy drift stability_sweep reports as Stable
 
 
 @dataclass(frozen=True)
@@ -136,19 +140,19 @@ def mms_standing_wave() -> ManufacturedSolution:
     return replace(mms_forced(SQRT2_PI), name="standing-wave", f=None, energy=0.5 * np.pi**4)
 
 
-def residual_check(mms: ManufacturedSolution, n_samples=50, tol=1e-10, seed=20240711) -> float:
-    """Verify the defining relations at random space-time samples.
+def residual_check(mms: ManufacturedSolution) -> float:
+    """Verify the defining relations at ``RESIDUAL_SAMPLES`` random space-time samples.
 
     Checks rho*u_tt - grad p - f = 0 and p - lambda*div u = 0; raises when
-    the largest residual exceeds tol or is NaN, otherwise returns it. An
+    the largest residual exceeds ``RESIDUAL_TOL`` or is NaN, otherwise returns it. An
     overflow on the way shows up as that NaN, so numpy does not warn of it.
     Also raises when u_t(x, y, 0) is not exactly 0 at the samples: a run
     starts every manufactured solution at rest.
     """
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, n_samples)
-    y = rng.uniform(0.0, 1.0, n_samples)
-    t = rng.uniform(0.0, 2.0, n_samples)
+    rng = np.random.default_rng(RESIDUAL_SEED)
+    x = rng.uniform(0.0, 1.0, RESIDUAL_SAMPLES)
+    y = rng.uniform(0.0, 1.0, RESIDUAL_SAMPLES)
+    t = rng.uniform(0.0, 2.0, RESIDUAL_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):
         ax, ay = mms.u_tt(x, y, t)
         gx, gy = mms.grad_p(x, y, t)
@@ -157,7 +161,7 @@ def residual_check(mms: ManufacturedSolution, n_samples=50, tol=1e-10, seed=2024
         r2 = np.abs(mms.p(x, y, t) - mms.lam * mms.div_u(x, y, t))
     # np.max propagates NaN; the negated test rejects it
     worst = float(np.max(np.concatenate([np.ravel(r1), np.ravel(r2)])))
-    if not worst <= tol:
+    if not worst <= RESIDUAL_TOL:
         raise ValueError(f"manufactured solution violates its equations: residual {worst:.3e}")
     if np.any(mms.u_t(x, y, 0.0)):
         raise ValueError("manufactured solution does not start at rest: u_t(x, y, 0) is not 0")
@@ -276,7 +280,7 @@ def convergence_levels(theta: float, mesh_sizes, dt_rule, final_time: float) -> 
     """
     levels = []
     for nx in sorted(int(n) for n in mesh_sizes):
-        h = float(np.hypot(1.0 / nx, 1.0 / nx))  # RectMesh.h of make_problem's mesh, built without it
+        h = build_rect_mesh(nx, nx).h  # the mesh of make_problem
         n = max(1, math.ceil(final_time / dt_rule(h) - 1e-12))
         levels.append((nx, ThetaConfig.from_steps(theta, final_time, n)))
     return levels
@@ -394,7 +398,6 @@ def stability_sweep(
     nx: int,
     ny: int | None = None,
     num_steps: int = 500,
-    drift_tol: float = 1e-8,
     solver: SolverConfig | None = None,
 ) -> list:
     """Probe the stability boundary: run at multiples of the predicted dt_max.
@@ -421,7 +424,7 @@ def stability_sweep(
             drift = math.inf
         else:
             drift = energy_drift(result)
-            status = STABLE if drift <= drift_tol else DRIFT
+            status = STABLE if drift <= STABLE_DRIFT else DRIFT
         return StabilityRow(
             theta, m, cfg.dt, cfg.dt / dtmax, status,
             result.energies[-1].value, drift,

@@ -4,6 +4,12 @@ Everything here is assembled dense, by pointwise quadrature over shape
 function values, never by the closed-form element integrals the production
 code uses. The time step oracle solves the coupled two-field block system
 directly instead of eliminating the pressure.
+
+The oracles number the edges of a mesh on their own, by global ids the
+package does not have: vertical edge (i, j), at x = x0 + i hx spanning row
+j, is j (nx + 1) + i, and horizontal edge (i, j), at y = y0 + j hy spanning
+column i, follows all vertical ones at (nx + 1) ny + j nx + i. They reach
+the package's free dofs only through ``reference_edge_classify``.
 """
 
 import numpy as np
@@ -16,6 +22,38 @@ from mixedwave.spaces import gauss_rule_1d, material_field
 _OUTWARD = {LEFT: (-1.0, 0.0), RIGHT: (1.0, 0.0), BOTTOM: (0.0, -1.0), TOP: (0.0, 1.0)}
 
 
+def n_edges(mesh):
+    return (mesh.nx + 1) * mesh.ny + mesh.nx * (mesh.ny + 1)
+
+
+def vedge_id(mesh, i, j):
+    """Vertical edge at x = x0 + i*hx spanning row j. Normal +x."""
+    return j * (mesh.nx + 1) + i
+
+
+def hedge_id(mesh, i, j):
+    """Horizontal edge at y = y0 + j*hy spanning column i. Normal +y."""
+    return (mesh.nx + 1) * mesh.ny + j * mesh.nx + i
+
+
+def _element_grid(mesh):
+    """Column i and row j of every element, elements row-major."""
+    i, j = np.meshgrid(np.arange(mesh.nx), np.arange(mesh.ny), indexing="xy")
+    return i.ravel(), j.ravel()
+
+
+def element_edges(mesh):
+    """(n_elements, 4) global ids of each element's edges in LEFT, RIGHT, BOTTOM, TOP order."""
+    i, j = _element_grid(mesh)
+    return np.column_stack([vedge_id(mesh, i, j), vedge_id(mesh, i + 1, j), hedge_id(mesh, i, j), hedge_id(mesh, i, j + 1)])
+
+
+def element_corners(mesh):
+    """Lower-left corner (x0 + i*hx, y0 + j*hy) of every element, two (n_elements,) arrays."""
+    i, j = _element_grid(mesh)
+    return mesh.x0 + i * mesh.hx, mesh.y0 + j * mesh.hy
+
+
 def rt0_basis_eval(mesh, element, local_edge, x, y):
     """RT0 shape function of one element edge, evaluated at points inside it.
 
@@ -26,8 +64,8 @@ def rt0_basis_eval(mesh, element, local_edge, x, y):
         raise ValueError(f"invalid local edge index {local_edge}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    xl = mesh.element_x0[element]
-    yb = mesh.element_y0[element]
+    corner_x, corner_y = element_corners(mesh)
+    xl, yb = corner_x[element], corner_y[element]
     area = mesh.hx * mesh.hy
     zero = np.zeros(np.broadcast(x, y).shape)
     if local_edge == LEFT:
@@ -55,16 +93,16 @@ def max_asymmetry(M):
 def reference_edge_classify(mesh, bc):
     """(free_index, free_edges) from global edge ids: pin every edge of a
     NEUMANN_U side, then number the remaining edges in id order."""
-    pinned = np.zeros(mesh.n_edges, dtype=bool)
+    pinned = np.zeros(n_edges(mesh), dtype=bool)
     neumann = BoundaryKind.NEUMANN_U
     jv = np.arange(mesh.ny)
-    pinned[mesh.vedge_id(0, jv)] = bc.left is neumann
-    pinned[mesh.vedge_id(mesh.nx, jv)] = bc.right is neumann
+    pinned[vedge_id(mesh, 0, jv)] = bc.left is neumann
+    pinned[vedge_id(mesh, mesh.nx, jv)] = bc.right is neumann
     ih = np.arange(mesh.nx)
-    pinned[mesh.hedge_id(ih, 0)] = bc.bottom is neumann
-    pinned[mesh.hedge_id(ih, mesh.ny)] = bc.top is neumann
+    pinned[hedge_id(mesh, ih, 0)] = bc.bottom is neumann
+    pinned[hedge_id(mesh, ih, mesh.ny)] = bc.top is neumann
 
-    free_index = np.full(mesh.n_edges, -1, dtype=np.int64)
+    free_index = np.full(n_edges(mesh), -1, dtype=np.int64)
     free_edges = np.flatnonzero(~pinned)
     free_index[free_edges] = np.arange(free_edges.size)
     return free_index, free_edges
@@ -78,8 +116,8 @@ def reference_vertex_patches(mesh, bc):
     colours = [[], [], [], []]
     for j in range(mesh.ny + 1):
         for i in range(mesh.nx + 1):
-            edges = [mesh.vedge_id(i, row) for row in (j - 1, j) if 0 <= row < mesh.ny]
-            edges += [mesh.hedge_id(column, j) for column in (i - 1, i) if 0 <= column < mesh.nx]
+            edges = [vedge_id(mesh, i, row) for row in (j - 1, j) if 0 <= row < mesh.ny]
+            edges += [hedge_id(mesh, column, j) for column in (i - 1, i) if 0 <= column < mesh.nx]
             dofs = free_index[edges]
             if (dofs >= 0).any():
                 colours[i % 2 + 2 * (j % 2)].append(dofs[dofs >= 0])
@@ -106,17 +144,18 @@ def dense_operators(mesh, bc, material, rule=3):
     """
     _, free = reference_edge_classify(mesh, bc)
     xi, w = gauss_rule_1d(rule)
-    n_edges = mesh.n_edges
-    A_full = np.zeros((n_edges, n_edges))
-    D_full = np.zeros((mesh.n_elements, n_edges))
+    A_full = np.zeros((n_edges(mesh), n_edges(mesh)))
+    D_full = np.zeros((mesh.n_elements, n_edges(mesh)))
     area = mesh.hx * mesh.hy
+    corner_x, corner_y = element_corners(mesh)
+    all_edges = element_edges(mesh)
 
     for el in range(mesh.n_elements):
-        xg = mesh.element_x0[el] + mesh.hx * np.repeat(xi, rule)
-        yg = mesh.element_y0[el] + mesh.hy * np.tile(xi, rule)
+        xg = corner_x[el] + mesh.hx * np.repeat(xi, rule)
+        yg = corner_y[el] + mesh.hy * np.tile(xi, rule)
         wg = np.repeat(w, rule) * np.tile(w, rule)
         basis = [rt0_basis_eval(mesh, el, a, xg, yg) for a in range(4)]
-        edges = mesh.element_edges[el]
+        edges = all_edges[el]
         rho = material.rho_per_element[el]
         for a in range(4):
             for b in range(4):
@@ -127,12 +166,12 @@ def dense_operators(mesh, bc, material, rule=3):
             total = 0.0
             for side in range(4):
                 if side in (LEFT, RIGHT):
-                    xs = np.full(rule, mesh.element_x0[el] + (mesh.hx if side == RIGHT else 0.0))
-                    ys = mesh.element_y0[el] + mesh.hy * xi
+                    xs = np.full(rule, corner_x[el] + (mesh.hx if side == RIGHT else 0.0))
+                    ys = corner_y[el] + mesh.hy * xi
                     ds = mesh.hy
                 else:
-                    xs = mesh.element_x0[el] + mesh.hx * xi
-                    ys = np.full(rule, mesh.element_y0[el] + (mesh.hy if side == TOP else 0.0))
+                    xs = corner_x[el] + mesh.hx * xi
+                    ys = np.full(rule, corner_y[el] + (mesh.hy if side == TOP else 0.0))
                     ds = mesh.hx
                 vx, vy = rt0_basis_eval(mesh, el, a, xs, ys)
                 nx_, ny_ = _OUTWARD[side]
@@ -152,8 +191,9 @@ def dense_operators(mesh, bc, material, rule=3):
 def _gauss_points(mesh, rule):
     """Physical Gauss points (n_elements, rule^2) and their weights, summing to 1."""
     xi, w = gauss_rule_1d(rule)
-    gx = mesh.element_x0[:, None] + mesh.hx * np.repeat(xi, rule)[None, :]
-    gy = mesh.element_y0[:, None] + mesh.hy * np.tile(xi, rule)[None, :]
+    corner_x, corner_y = element_corners(mesh)
+    gx = corner_x[:, None] + mesh.hx * np.repeat(xi, rule)[None, :]
+    gy = corner_y[:, None] + mesh.hy * np.tile(xi, rule)[None, :]
     return gx, gy, np.repeat(w, rule) * np.tile(w, rule)
 
 
@@ -163,17 +203,77 @@ def velocity_l2_error(mesh, bc, rho_per_element, free_coeffs, exact, rule=3):
     U_h is evaluated in physical coordinates, as the flux-weighted sum of the
     four shape functions of ``rt0_basis_eval``.
     """
-    full = np.zeros(mesh.n_edges)
+    full = np.zeros(n_edges(mesh))
     full[reference_edge_classify(mesh, bc)[1]] = free_coeffs
-    c = full[mesh.element_edges]
+    c = full[element_edges(mesh)]
     gx, gy, w = _gauss_points(mesh, rule)
-    xl, yb = mesh.element_x0[:, None], mesh.element_y0[:, None]
+    xl, yb = (corner[:, None] for corner in element_corners(mesh))
     area = mesh.hx * mesh.hy
     vx = (c[:, [LEFT]] * (xl + mesh.hx - gx) + c[:, [RIGHT]] * (gx - xl)) / area
     vy = (c[:, [BOTTOM]] * (yb + mesh.hy - gy) + c[:, [TOP]] * (gy - yb)) / area
     ux, uy = (np.broadcast_to(v, gx.shape) for v in exact(gx, gy))
     per_el = ((ux - vx) ** 2 + (uy - vy) ** 2) @ w
     return float(np.sqrt(area * np.sum(rho_per_element * per_el)))
+
+
+def global_edge_fluxes(mesh, z, rule):
+    """Integrated flux of z along the global normal through every edge, in
+    global id order, by the rule-point Gauss rule on full per-edge coordinates."""
+    s, w = gauss_rule_1d(rule)
+    i, j = np.meshgrid(np.arange(mesh.nx + 1), np.arange(mesh.ny))
+    x = (mesh.x0 + i.ravel() * mesh.hx)[:, None] + np.zeros_like(s)
+    y = (mesh.y0 + j.ravel() * mesh.hy)[:, None] + mesh.hy * s
+    vertical = mesh.hy * (np.broadcast_to(z(x, y)[0], x.shape) @ w)
+    i, j = np.meshgrid(np.arange(mesh.nx), np.arange(mesh.ny + 1))
+    x = (mesh.x0 + i.ravel() * mesh.hx)[:, None] + mesh.hx * s
+    y = (mesh.y0 + j.ravel() * mesh.hy)[:, None] + np.zeros_like(s)
+    horizontal = mesh.hx * (np.broadcast_to(z(x, y)[1], x.shape) @ w)
+    return np.concatenate([vertical, horizontal])
+
+
+# The free-dof layout sums at most two terms onto an edge, so each sum below,
+# by global ids, must match it bit for bit.
+
+def reference_integrate_load(quad, bc, fx, fy):
+    """``spaces.integrate_load`` by global ids: each element's integral of
+    f . phi per edge slot, summed onto every edge by np.bincount, and then
+    the free edges taken out."""
+    mesh, w, xi, eta = quad.mesh, quad.weights, quad.xi, quad.eta
+    contrib = np.empty((mesh.n_elements, 4))
+    contrib[:, LEFT] = mesh.hx * (fx @ (w * (1.0 - xi)))
+    contrib[:, RIGHT] = mesh.hx * (fx @ (w * xi))
+    contrib[:, BOTTOM] = mesh.hy * (fy @ (w * (1.0 - eta)))
+    contrib[:, TOP] = mesh.hy * (fy @ (w * eta))
+    full = np.bincount(element_edges(mesh).ravel(), contrib.ravel(), minlength=n_edges(mesh))
+    return full[reference_edge_classify(mesh, bc)[1]]
+
+
+def _cell_edge_sum(cells, lo, hi):
+    """Per free edge, the sum of ``cells`` over the (up to two) cells it
+    bounds, along the last axis and in the memory order of ``cells``."""
+    n = cells.shape[-1]
+    out = np.zeros(cells.shape[:-1] + (n + 1,), order="C" if cells.flags.c_contiguous else "F")
+    out[..., :-1] += cells
+    out[..., 1:] += cells
+    return out[..., lo : n + 1 - hi]
+
+
+def reference_stencil_diagonal(cls, blocks):
+    """Main diagonal of the stencil step matrix that ``spaces.schur_matrix``
+    makes of the (4, 4, n_elements) element blocks: per element the mass
+    entries block[L, L] - w and block[B, B] - w with w = block[L, B], and
+    w again where it is nonzero, each summed along its axis onto the edges."""
+    entry = lambda i, j: blocks[i, j].reshape(cls.ny, cls.nx)
+    w = entry(LEFT, BOTTOM)
+
+    def on_edges(along_x, along_y):
+        return np.concatenate([
+            _cell_edge_sum(along_x, cls.left, cls.right).ravel(),
+            _cell_edge_sum(along_y.T, cls.bottom, cls.top).T.ravel(),
+        ])
+
+    diagonal = on_edges(entry(LEFT, LEFT) - w, entry(BOTTOM, BOTTOM) - w)
+    return diagonal + on_edges(w, w) if w.any() else diagonal
 
 
 def pressure_l2_error(mesh, lambda_per_element, pressure_coeffs, exact, rule=3):

@@ -9,6 +9,7 @@ import mixedwave.linalg as linalg
 import mixedwave.spaces as spaces
 from mixedwave.linalg import (
     CsrMatrix,
+    GridStepMatrix,
     IterationCap,
     NonConvergence,
     SolverConfig,
@@ -16,10 +17,10 @@ from mixedwave.linalg import (
     csr_from_coo,
     spmv,
 )
-from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
+from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh, edge_classify
 from mixedwave.spaces import GRID_MIN_DOFS, assemble_operators, element_blocks, material_field, schur_matrix
 from mixedwave.scheme import ThetaConfig, step_matrix
-from oracles import dense_operators, dense_solve, dense_step_matrix, max_asymmetry
+from oracles import dense_operators, dense_solve, dense_step_matrix, max_asymmetry, reference_stencil_diagonal
 
 DIR, NEU = BoundaryKind.DIRICHLET_P, BoundaryKind.NEUMANN_U
 ALL_PARTITIONS = [
@@ -519,6 +520,20 @@ class TestEdgeGridOperators:
         padded, grid = self.both_formats(nx, ny, bc, monkeypatch, seed=5)
         assert grid[0].shape[0] >= GRID_MIN_DOFS
         self.assert_same_operators(padded, grid)
+
+    @pytest.mark.parametrize("bc", ALL_PARTITIONS)
+    @pytest.mark.parametrize("nx,ny", [(9, 7), (1, 5), (4, 1)])
+    def test_diagonal_is_the_global_edge_sum_bit_for_bit(self, nx, ny, bc, monkeypatch):
+        monkeypatch.setattr(spaces, "GRID_MIN_DOFS", 0)
+        mesh = build_rect_mesh(nx, ny)
+        rho, lam = np.exp(np.random.default_rng(nx * ny).uniform(-1.4, 1.4, (2, mesh.n_elements)))
+        material = material_field(mesh, lambda x, y: rho, lambda x, y: lam)
+        cls = edge_classify(mesh, bc)
+        for coeff in self.COEFFS:
+            blocks = element_blocks(mesh, material, coeff)
+            S = schur_matrix(mesh, cls, blocks)
+            assert isinstance(S, GridStepMatrix)
+            assert S.diagonal().tobytes() == reference_stencil_diagonal(cls, blocks).tobytes()
 
     def test_format_follows_the_free_dof_count(self):
         # every 32 x 32 grid is on padded rows and every 64 x 64 grid on stencils, whatever its sides

@@ -200,10 +200,23 @@ class TestVCycle:
         for module in (linalg, spaces, multigrid):
             monkeypatch.setattr(module, "csr_from_coo", counted)
         vcycle = VCycle(ops, S, blocks, 1.0)
-        # P, R = P^T and S once per coarse grid (32, 16 and 8 square); no A, D or D^T
+        # P and R = P^T per coarse grid (32, 16 and 8 square), S for each but
+        # the coarsest, whose dense S is summed from its blocks; no A, D or D^T
         n = [EdgeClassification.of(k, k, MIXED).n_free for k in (64, 32, 16, 8)]
         assert len(vcycle.levels) == 3
-        assert calls == [shape for f, c in zip(n, n[1:]) for shape in ((f, c), (c, f), (c, c))]
+        transfer_shapes = [((f, c), (c, f)) for f, c in zip(n, n[1:])]
+        assert calls == [*transfer_shapes[0], (n[1], n[1]), *transfer_shapes[1], (n[2], n[2]), *transfer_shapes[2]]
+
+    @pytest.mark.parametrize("shape", [(8, 8), (6, 4), (1, 5)])
+    def test_coarsest_dense_sum_is_the_padded_step_matrix_bit_for_bit(self, shape):
+        rng = np.random.default_rng(shape[0] + shape[1])
+        mesh = build_rect_mesh(*shape)
+        for bc in PARTITIONS:
+            cls = EdgeClassification.of(*shape, bc)
+            blocks = element_blocks(mesh, random_material(mesh, rng), 0.37)
+            S = schur_matrix(mesh, cls, blocks)
+            assert isinstance(S, CsrMatrix)
+            assert multigrid._dense_sum(cls, blocks).tobytes() == S.todense().tobytes()
 
     def test_each_grid_computes_its_element_blocks_once(self, monkeypatch):
         calls = []
@@ -313,12 +326,15 @@ class TestMultigridRun:
         n = EdgeClassification.of(64, 64, spec.bc).n_free
         cfg = ThetaConfig.from_steps(1.0, 8 * 2.8 * spec.mesh.h, 8)
         results = []
-        for switch in (n + 1, n):  # the fine grid on padded rows, then on stencils
+        # the fine grid on padded rows, then on stencils, then every grid on
+        # stencils down to the coarsest, whose dense S comes from its blocks
+        for switch in (n + 1, n, 0):
             monkeypatch.setattr(spaces, "GRID_MIN_DOFS", switch)
             results.append(run(spec, cfg))
-        padded, grid = results
+        padded, grid, all_grid = results
         assert isinstance(padded.operators.A, CsrMatrix) and isinstance(grid.operators.A, GridStepMatrix)
         assert np.array_equal(padded.cg_iterations, grid.cg_iterations)
+        assert np.array_equal(padded.cg_iterations, all_grid.cg_iterations)
         for result in results:
             assert result.completed
             assert energy_drift(result) <= 1e-10

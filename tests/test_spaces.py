@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mixedwave.linalg import spmv
-from mixedwave.mesh import BoundaryPartition, build_rect_mesh, edge_classify
+from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh, edge_classify
 from mixedwave.spaces import (
+    MaterialField,
     PROJECTION_BLOCK,
     PROJECTION_RULE,
     assemble_load,
@@ -20,9 +21,25 @@ from mixedwave.spaces import (
 )
 from mixedwave.verify import mms_forced
 
-from oracles import dense_operators, max_asymmetry, pressure_l2_error, rt0_basis_eval, velocity_l2_error
+from oracles import (
+    dense_operators,
+    element_corners,
+    element_edges,
+    global_edge_fluxes,
+    max_asymmetry,
+    n_edges,
+    pressure_l2_error,
+    reference_edge_classify,
+    reference_integrate_load,
+    rt0_basis_eval,
+    velocity_l2_error,
+)
 
 ALL_D = BoundaryPartition.all_dirichlet()
+ALL_PARTITIONS = [
+    BoundaryPartition(*[BoundaryKind.NEUMANN_U if code >> side & 1 else BoundaryKind.DIRICHLET_P for side in range(4)])
+    for code in range(16)
+]
 
 
 def unit_ops(nx, ny=None, bc=ALL_D, rho=1.0, lam=1.0):
@@ -89,11 +106,11 @@ class TestAssembly:
 
     def test_divergence_column_sums(self):
         ops = unit_ops(3, 4)
-        cls = ops.classification
+        free_index, _ = reference_edge_classify(ops.mesh, ops.bc)
         dense = ops.D.todense()
         sums = dense.sum(axis=0)
-        elements_per_edge = np.bincount(ops.mesh.element_edges.ravel(), minlength=ops.mesh.n_edges)
-        for e, fi in enumerate(cls.free_index):
+        elements_per_edge = np.bincount(element_edges(ops.mesh).ravel(), minlength=n_edges(ops.mesh))
+        for e, fi in enumerate(free_index):
             if fi < 0:
                 continue
             if elements_per_edge[e] == 2:  # interior edge
@@ -105,7 +122,7 @@ class TestAssembly:
     def test_material_bound_violation(self):
         mesh = build_rect_mesh(2, 2)
         with pytest.raises(ValueError, match="material bound"):
-            material_field(mesh, 1.0, 1.0, rho_bounds=(2.0, 3.0))
+            MaterialField(np.ones(mesh.n_elements), np.ones(mesh.n_elements), 2.0, 3.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             material_field(mesh, -1.0, 1.0)
 
@@ -163,8 +180,8 @@ class TestVelocityProjection:
 
 def commuting_residual(mesh, z, div_z):
     """max_T |(div Pi_h z, w_T) - (div z, w_T)| with the exact side via fine quadrature."""
-    fluxes = edge_fluxes(mesh, z)
-    ee = mesh.element_edges
+    fluxes = np.concatenate([grid.ravel() for grid in edge_fluxes(mesh, z)])  # in global id order
+    ee = element_edges(mesh)
     lhs = -fluxes[ee[:, 0]] + fluxes[ee[:, 1]] - fluxes[ee[:, 2]] + fluxes[ee[:, 3]]
     rhs = project_pressure_p_h(mesh, div_z) * mesh.hx * mesh.hy
     return float(np.abs(lhs - rhs).max())
@@ -204,8 +221,9 @@ class TestPressureProjection:
     def test_trig_matches_analytic_averages(self):
         mesh = build_rect_mesh(4, 4)
         got = project_pressure_p_h(mesh, lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
+        corner_x, corner_y = element_corners(mesh)
         for el in range(mesh.n_elements):
-            a, c = mesh.element_x0[el], mesh.element_y0[el]
+            a, c = corner_x[el], corner_y[el]
             b, d = a + mesh.hx, c + mesh.hy
             exact = (
                 (np.sin(np.pi * b) - np.sin(np.pi * a))
@@ -264,19 +282,6 @@ def full_element_points(mesh, n):
     x = (mesh.x0 + i.ravel() * mesh.hx)[:, None] + mesh.hx * np.repeat(s, n)
     y = (mesh.y0 + j.ravel() * mesh.hy)[:, None] + mesh.hy * np.tile(s, n)
     return x, y
-
-
-def full_edge_fluxes(mesh, z):
-    s, w = gauss_rule_1d(PROJECTION_RULE)
-    i, j = np.meshgrid(np.arange(mesh.nx + 1), np.arange(mesh.ny))
-    x = (mesh.x0 + i.ravel() * mesh.hx)[:, None] + np.zeros_like(s)
-    y = (mesh.y0 + j.ravel() * mesh.hy)[:, None] + mesh.hy * s
-    vertical = mesh.hy * (np.broadcast_to(z(x, y)[0], x.shape) @ w)
-    i, j = np.meshgrid(np.arange(mesh.nx), np.arange(mesh.ny + 1))
-    x = (mesh.x0 + i.ravel() * mesh.hx)[:, None] + mesh.hx * s
-    y = (mesh.y0 + j.ravel() * mesh.hy)[:, None] + np.zeros_like(s)
-    horizontal = mesh.hx * (np.broadcast_to(z(x, y)[1], x.shape) @ w)
-    return np.concatenate([vertical, horizontal])
 
 
 def full_pressure_projection(mesh, phi):
@@ -357,7 +362,10 @@ class TestSampling:
     def test_edge_fluxes(self, nx, ny):
         mesh = sampling_mesh(nx, ny)
         for name, z in vector_fields(mesh).items():
-            assert np.array_equal(edge_fluxes(mesh, z), full_edge_fluxes(mesh, z)), name
+            V, H = edge_fluxes(mesh, z)
+            assert V.shape == (ny, nx + 1) and H.shape == (ny + 1, nx)
+            want = global_edge_fluxes(mesh, z, PROJECTION_RULE)
+            assert np.array_equal(np.concatenate([V.ravel(), H.ravel()]), want), name
 
     def test_pressure_projection(self, nx, ny):
         mesh = sampling_mesh(nx, ny)
@@ -383,6 +391,28 @@ class TestSampling:
         for name, phi in scalar_fields(mesh).items():
             got, want = (pressure_best_approximation(ops, p) for p in (phi, on_full_points(mesh, phi)))
             assert np.array_equal(got[0], want[0]) and got[1] == want[1], name
+
+
+@pytest.mark.parametrize("bc", ALL_PARTITIONS)
+@pytest.mark.parametrize("nx, ny", [(9, 7), (1, 5), (4, 1)])
+class TestGlobalIdReferences:
+    """The load and the flux interpolant, taken from the free-dof layout,
+    equal the sums and gathers over global edge ids bit for bit."""
+
+    def test_load(self, nx, ny, bc):
+        mesh = sampling_mesh(nx, ny)
+        quad = element_quadrature(mesh)
+        fx, fy = np.random.default_rng(nx + ny).standard_normal((2, mesh.n_elements, quad.weights.size))
+        got = integrate_load(quad, edge_classify(mesh, bc), fx, fy)
+        assert got.tobytes() == reference_integrate_load(quad, bc, fx, fy).tobytes()
+
+    def test_flux_interpolant(self, nx, ny, bc):
+        mesh = sampling_mesh(nx, ny)
+        cls = edge_classify(mesh, bc)
+        _, free_edges = reference_edge_classify(mesh, bc)
+        for name, z in vector_fields(mesh).items():
+            want = global_edge_fluxes(mesh, z, PROJECTION_RULE)[free_edges]
+            assert project_velocity_pi_h(mesh, cls, z).tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("nx, ny, calls", [
