@@ -3,10 +3,14 @@
 Everything at desk scale is float64 numpy. Operators come in two formats,
 and ``spmv`` applies either:
 
-- Padded rows (ELLPACK, ``CsrMatrix``), built from COO triplets by
-  ``csr_from_coo``: every operator the package assembles (in ``spaces``) has
-  at most 7 entries per row (the step matrix 7, A 3, D 4, D^T 2), so a
-  mat-vec is one gather and one row sum over a few slots, with no scatter.
+- Padded rows (ELLPACK, ``CsrMatrix``): every operator the package
+  assembles (in ``spaces`` and ``multigrid``) has at most 7 entries per row
+  (the step matrix 7, A 3, D 4, D^T 2, the restriction 6, the prolongation
+  2), so a mat-vec is one gather and one row sum over a few slots, with no
+  scatter. On the uniform grid every row's pattern is known in advance, so
+  the package lays each row out from its candidate columns, strided slices
+  of the free-dof index grids, with ``csr_from_candidates``; no sort is
+  needed. COO triplets, duplicates summed, convert to the same format.
 - Edge-grid stencils (``GridStepMatrix``, ``GridDivergence``): they take
   the free-dof layout of ``mesh`` (``EdgeClassification``), under which a
   free-dof vector is two 2-D arrays of edge values, and apply A,
@@ -53,12 +57,13 @@ class IterationCap(NonConvergence):
 class CsrMatrix:
     """Sparse matrix stored as padded rows (ELLPACK); the name is historical.
 
-    Build one with ``csr_from_coo``. Every operator this package builds has
-    at most 7 entries per row, so the rows are stored padded to the widest
-    one: ``cols`` and ``vals`` are (width, n_rows) arrays in which slot k of
-    row i holds column ``cols[k, i]`` and value ``vals[k, i]``. Slot-major
-    order keeps each slot contiguous, which is the fastest order for the
-    numpy product in ``spmv``. Row i stores ``row_nnz[i]`` entries in its
+    Build one from each row's candidate columns (``csr_from_candidates``)
+    or from COO triplets. Every operator this package builds has at most 7
+    entries per row, so the rows are stored padded to the widest one:
+    ``cols`` and ``vals`` are (width, n_rows) arrays in which slot k of row
+    i holds column ``cols[k, i]`` and value ``vals[k, i]``. Slot-major order
+    keeps each slot contiguous, which is the fastest order for the numpy
+    product in ``spmv``. Row i stores ``row_nnz[i]`` entries in its
     first slots, columns strictly increasing. A shorter row is padded with
     its first stored column and value 0, so padding neither reads outside
     the row's own columns nor changes a sum; an empty row is padded with
@@ -87,12 +92,6 @@ class CsrMatrix:
         Computed once at construction; every call returns the same array.
         """
         return self._diagonal
-
-    def todense(self):
-        """The dense matrix; the padded slots add their value 0."""
-        out = np.zeros(self.shape)
-        np.add.at(out, (np.broadcast_to(np.arange(self.shape[0]), self.cols.shape), self.cols), self.vals)
-        return out
 
 
 def csr_from_coo(rows, cols, vals, shape) -> CsrMatrix:
@@ -136,6 +135,46 @@ def csr_from_coo(rows, cols, vals, shape) -> CsrMatrix:
     return CsrMatrix(padded_cols, padded_vals, row_nnz, (n_rows, n_cols))
 
 
+def csr_from_candidates(blocks, n_cols) -> CsrMatrix:
+    """Padded rows from each row's candidate columns.
+
+    The rows come in consecutive blocks, each a pair (shape, candidates):
+    the shape of the block's grid of rows, taken in C order, and one pair
+    (columns, values) per candidate slot. ``columns`` is an integer array of
+    that shape, the slot's column in every row of the block, -1 where the
+    candidate is absent, and ``values`` an array of that shape, or a scalar.
+    In each row the present candidates come in strictly increasing column
+    order; a block with fewer candidates than the widest lacks its last
+    ones. Each row's absent candidates move to its end, where the row is
+    padded as ``CsrMatrix`` lays down, and slots that no row fills are cut.
+    """
+    k = max((len(candidates) for _, candidates in blocks), default=0)
+    sizes = [math.prod(shape) for shape, _ in blocks]
+    cols = np.empty((k, sum(sizes)), dtype=np.int64)
+    vals = np.empty(cols.shape)
+    start = 0
+    for (shape, candidates), size in zip(blocks, sizes):
+        block_cols, block_vals = (a[:, start : start + size].reshape((k, *shape)) for a in (cols, vals))
+        for slot, (columns, values) in enumerate(candidates):
+            block_cols[slot], block_vals[slot] = columns, values
+        block_cols[len(candidates) :] = -1
+        start += size
+    present = cols >= 0
+    row_nnz = present.sum(axis=0)
+    # only a row with an absent candidate before a present one moves; on a
+    # grid such rows lie along the boundary, so they are few
+    moved = np.flatnonzero((present[1:] > present[:-1]).any(axis=0))
+    if moved.size:
+        order = np.argsort(~present[:, moved], axis=0, kind="stable")
+        for a in (cols, vals, present):
+            a[:, moved] = a[order, moved]
+    width = int(row_nnz.max(initial=0))
+    present = present[:width]
+    cols = np.where(present, cols[:width], np.maximum(cols[:1], 0))  # an empty row pads with column 0
+    vals = np.where(present, vals[:width], 0.0)
+    return CsrMatrix(cols, vals, row_nnz, (cols.shape[1], int(n_cols)))
+
+
 def _divergence(layout: EdgeClassification, V, H) -> np.ndarray:
     """(ny, nx) element rows of D applied to the free edge grids V, H."""
     out = np.empty((layout.ny, layout.nx))
@@ -150,6 +189,16 @@ def _add_divergence_transpose(layout: EdgeClassification, z, yV, yH):
     """yV, yH += D^T z, with z the (ny, nx) element values."""
     _add_difference_transpose(yV, z, layout.left, layout.right)
     _add_difference_transpose(yH.T, z.T, layout.bottom, layout.top)
+
+
+def _divergence_transpose(layout: EdgeClassification, z, yV, yH):
+    """yV, yH = D^T z, each entry written once and bit for bit the sum that
+    ``_add_divergence_transpose`` makes onto zeros."""
+    # adding to 0.0 turns a -0.0 difference into 0.0; adding 0.0 to z first
+    # does the same, since a - b is -0.0 only for a = -0.0 and b = 0.0
+    z = z + 0.0
+    _difference_transpose(yV, z, layout.left, layout.right)
+    _difference_transpose(yH.T, z.T, layout.bottom, layout.top)
 
 
 def _difference(out, X, lo, hi):
@@ -178,6 +227,16 @@ def _add_difference_transpose(y, z, lo, hi):
         y[..., 0] -= z[..., 0]
     if not hi:
         y[..., -1] += z[..., -1]
+
+
+def _difference_transpose(y, z, lo, hi):
+    """y = the transpose of ``_difference`` applied to z, which holds no -0.0."""
+    n = z.shape[-1]
+    np.subtract(z[..., :-1], z[..., 1:], out=y[..., 1 - lo : n - lo])
+    if not lo:
+        np.subtract(0.0, z[..., 0], out=y[..., 0])  # not -z: 0.0 - 0.0 is 0.0, -(0.0) is -0.0
+    if not hi:
+        y[..., -1] = z[..., -1]
 
 
 class GridStepMatrix:
@@ -266,8 +325,8 @@ class GridDivergence:
     def _apply(self, x):
         g = self.layout
         if self.transposed:
-            y = np.zeros(self.shape[0])
-            _add_divergence_transpose(g, x.reshape(g.ny, g.nx), *g.split(y))
+            y = np.empty(self.shape[0])
+            _divergence_transpose(g, x.reshape(g.ny, g.nx), *g.split(y))
             return y
         return _divergence(g, *g.split(x)).ravel()
 

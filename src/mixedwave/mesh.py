@@ -142,6 +142,17 @@ class EdgeClassification:
         return V, H
 
     @cached_property
+    def padded_index_grids(self):
+        """``index_grids`` with one ring of -1 around each: vertical edge
+        (j, i) at [j + 1, i + 1] of an (ny + 2, nx + 3) array, horizontal
+        edge (j, i) at [j + 1, i + 1] of an (ny + 3, nx + 2) one. On a grid
+        of elements padded alike, element (j, i) at [j + 1, i + 1], the
+        edges of the element at [r, c] are then at [r, c] (LEFT) and
+        [r, c + 1] (RIGHT) of the first and at [r, c] (BOTTOM) and
+        [r + 1, c] (TOP) of the second, for every element of the ring too."""
+        return tuple(padded(grid, -1) for grid in self.index_grids)
+
+    @cached_property
     def element_dofs(self):
         """(n_elements, 4) free indices of each element's edges in LEFT,
         RIGHT, BOTTOM, TOP order, -1 where pinned."""
@@ -168,6 +179,13 @@ class EdgeClassification:
         H[:-1] += bottom
         H[1:] += top
         return self.gather(V, H)
+
+
+def padded(grid, fill):
+    """``grid`` with one ring of ``fill`` around its last two axes."""
+    out = np.full(grid.shape[:-2] + (grid.shape[-2] + 2, grid.shape[-1] + 2), fill, dtype=grid.dtype)
+    out[..., 1:-1, 1:-1] = grid
+    return out
 
 
 def edge_classify(mesh: RectMesh, bc: BoundaryPartition) -> EdgeClassification:

@@ -52,8 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import CsrMatrix, GridStepMatrix, csr_from_coo, spmv
-from .mesh import BoundaryPartition, EdgeClassification, RectMesh, build_rect_mesh
+from .linalg import CsrMatrix, GridStepMatrix, csr_from_candidates, spmv
+from .mesh import BoundaryPartition, EdgeClassification, RectMesh, build_rect_mesh, padded
 from .spaces import MaterialField, MixedOperators, element_blocks, schur_matrix
 
 COARSEST_DOFS = 256  # largest grid solved by a dense inverse
@@ -96,21 +96,51 @@ def coarse_material(mesh: RectMesh, material: MaterialField) -> MaterialField:
 
 def transfers(fine: EdgeClassification, coarse: EdgeClassification) -> tuple[CsrMatrix, CsrMatrix]:
     """The prolongation P, the RT0 embedding of the coarse grid's fluxes into
-    the fine grid's over their free dofs, and the restriction R = P^T."""
-    (Vf, Hf), (Vc, Hc) = fine.index_grids, coarse.index_grids
-    pairs = []  # (fine indices, coarse indices, weight), aligned grids
+    the fine grid's over their free dofs, and the restriction R = P^T.
+
+    Each half of a coarse edge carries half of its flux, and each fine edge
+    inside a coarse element a quarter of each of the element's two coarse
+    edges parallel to it. So a row of P (a fine edge) has its coarse edge,
+    or those two, and a row of R (a coarse edge) the 2 fine halves and the
+    4 fine edges parallel to it in its (up to two) elements. Both are laid
+    out from strided slices of the index grids.
+    """
+    (Vc, Hc), (Vf, Hf) = coarse.index_grids, fine.padded_index_grids
+    # P: the (up to 2) coarse candidates of every fine edge, on the full fine grids
+    PV = np.full((2, fine.ny, fine.nx + 1), -1, dtype=np.int64)
+    PH = np.full((2, fine.ny + 1, fine.nx), -1, dtype=np.int64)
     for half in (0, 1):
-        # each half of a coarse edge carries half of its flux
-        pairs += [(Vf[half::2, ::2], Vc, 0.5), (Hf[::2, half::2], Hc, 0.5)]
-        # the fine edges inside a coarse element average its two parallel edges
-        pairs += [(Vf[half::2, 1::2], near, 0.25) for near in (Vc[:, :-1], Vc[:, 1:])]
-        pairs += [(Hf[1::2, half::2], near, 0.25) for near in (Hc[:-1], Hc[1:])]
-    rows, cols = (np.concatenate([pair[k].ravel() for pair in pairs]) for k in (0, 1))
-    vals = np.concatenate([np.full(f.size, weight) for f, _, weight in pairs])
-    keep = (rows >= 0) & (cols >= 0)
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    shape = (fine.n_free, coarse.n_free)
-    return csr_from_coo(rows, cols, vals, shape), csr_from_coo(cols, rows, vals, shape[::-1])
+        PV[0, half::2, ::2], PV[0, half::2, 1::2], PV[1, half::2, 1::2] = Vc, Vc[:, :-1], Vc[:, 1:]
+        PH[0, ::2, half::2], PH[0, 1::2, half::2], PH[1, 1::2, half::2] = Hc, Hc[:-1], Hc[1:]
+    weights_V, weights_H = np.full((2, 1, fine.nx + 1), 0.25), np.full((2, fine.ny + 1, 1), 0.25)
+    weights_V[0, :, ::2] = weights_H[0, ::2] = 0.5
+    free_V = (slice(None), slice(fine.left, fine.nx + 1 - fine.right))
+    free_H = (slice(fine.bottom, fine.ny + 1 - fine.top), slice(None))
+    P = csr_from_candidates(
+        [
+            (fine.shapes[0], [(PV[s][free_V], weights_V[s][free_V]) for s in (0, 1)]),
+            (fine.shapes[1], [(PH[s][free_H], weights_H[s][free_H]) for s in (0, 1)]),
+        ],
+        coarse.n_free,
+    )
+    # R: coarse vertical edge (j, i) reads fine vertical edges (2j + r, 2i + c),
+    # r in (0, 1) and c in (-1, 0, 1), at [2j + r + 1, 2i + c + 1] of the
+    # padded grid, and coarse horizontal edge (j, i) fine horizontal edges
+    # (2j + r, 2i + c), r in (-1, 0, 1) and c in (0, 1): in increasing order
+    (ny, nv), (nh, nx) = coarse.shapes
+    j0, i0 = 1 + 2 * coarse.bottom, 1 + 2 * coarse.left
+
+    def every_other(grid, r, c, rows, cols):
+        return grid[r : r + 2 * rows : 2, c : c + 2 * cols : 2]
+
+    R = csr_from_candidates(
+        [
+            ((ny, nv), [(every_other(Vf, 1 + r, i0 + c, ny, nv), 0.5 if c == 0 else 0.25) for r in (0, 1) for c in (-1, 0, 1)]),
+            ((nh, nx), [(every_other(Hf, j0 + r, 1 + c, nh, nx), 0.5 if r == 0 else 0.25) for r in (-1, 0, 1) for c in (0, 1)]),
+        ],
+        fine.n_free,
+    )
+    return P, R
 
 
 class _Colour(NamedTuple):
@@ -162,8 +192,8 @@ def _patch_colours(cls: EdgeClassification, blocks) -> list:
     at [..., j + r, i + c] of the padded blocks; over the vertices of one
     colour, each of these is a strided slice."""
     n, nx, ny = cls.n_free, cls.nx, cls.ny
-    V, H = (_padded(np.where(grid >= 0, grid, n), n) for grid in cls.index_grids)
-    padded = _padded(blocks.reshape(4, 4, ny, nx), 0.0)
+    V, H = (np.where(grid >= 0, grid, n) for grid in cls.padded_index_grids)
+    ring = padded(blocks.reshape(4, 4, ny, nx), 0.0)
     colours = []
     for j0, i0 in ((0, 0), (0, 1), (1, 0), (1, 1)):
         mj, mi = (ny - j0) // 2 + 1, (nx - i0) // 2 + 1  # rows and columns of the colour's vertices
@@ -175,16 +205,9 @@ def _patch_colours(cls: EdgeClassification, blocks) -> list:
         around = np.stack(slots).reshape(12, -1)
         has_patch = (around[PATCH_SLOTS] < n).any(axis=0)
         if has_patch.any():
-            corners = [at(padded, r, c) for r in range(2) for c in range(2)]
+            corners = [at(ring, r, c) for r in range(2) for c in range(2)]
             colours.append(_colour(n, corners, around, has_patch))
     return colours
-
-
-def _padded(grid, fill):
-    """``grid`` with one ring of ``fill`` around its last two axes."""
-    out = np.full(grid.shape[:-2] + (grid.shape[-2] + 2, grid.shape[-1] + 2), fill, dtype=grid.dtype)
-    out[..., 1:-1, 1:-1] = grid
-    return out
 
 
 def _colour(n: int, corners, around, has_patch) -> _Colour:

@@ -13,17 +13,17 @@ data must be integrated (loads, error norms); a run builds it once, as
 ``MixedOperators.quadrature``.
 
 The free velocity dofs are those of the run's layout,
-``mesh.EdgeClassification``, the only edge numbering: assembly reads each
-element's free dofs from its ``element_dofs``, the loads sum their element
-integrals onto the edges with its ``edge_sum``, the flux interpolant takes
-its free edges with ``gather``, and the stencils take the layout itself. The
-operators come in one of the two formats of ``linalg``, picked by the
-number of free velocity dofs: padded rows below ``GRID_MIN_DOFS`` (6 000),
-where the fancy-index gather is cheap, and edge-grid stencils from there
-on, where it costs more than the arithmetic. Every 32 x 32 grid (at most
-2 112 free dofs) is on padded rows, and so are the coarse levels of a
-64 x 64 grid's V-cycle; every 64 x 64 grid (at least 8 064) and every
-larger one is on stencils. A stencil step matrix keeps its
+``mesh.EdgeClassification``, the only edge numbering: padded-row assembly
+lays each row out from strided slices of its ``padded_index_grids``, the
+loads sum their element integrals onto the edges with its ``edge_sum``, the
+flux interpolant takes its free edges with ``gather``, and the stencils take
+the layout itself. The operators come in one of the two formats of
+``linalg``, picked by the number of free velocity dofs: padded rows below
+``GRID_MIN_DOFS`` (6 000), where the fancy-index gather is cheap, and
+edge-grid stencils from there on, where it costs more than the arithmetic.
+Every 32 x 32 grid (at most 2 112 free dofs) is on padded rows, and so are
+the coarse levels of a 64 x 64 grid's V-cycle; every 64 x 64 grid (at least
+8 064) and every larger one is on stencils. A stencil step matrix keeps its
 coefficients, taken from the element blocks, per element and per edge; no
 padded rows are built for it.
 
@@ -60,7 +60,7 @@ from .linalg import (
     GridStepMatrix,
     SolverConfig,
     cg_solve,
-    csr_from_coo,
+    csr_from_candidates,
     spmv,
 )
 from .mesh import (
@@ -72,6 +72,7 @@ from .mesh import (
     EdgeClassification,
     RectMesh,
     edge_classify,
+    padded,
 )
 
 # Exact for all RT0/P0 products with constant coefficients. The error norms
@@ -195,6 +196,36 @@ def element_blocks(mesh: RectMesh, material: MaterialField, coeff: float) -> np.
     return block
 
 
+# The candidate columns of a free edge's row of the step matrix, in
+# increasing order: (side, slot) is edge ``slot`` of the element on that
+# side of the row's edge (0 before it, 1 after it along the edge's normal),
+# and None the edge itself, where both elements add. Vertical edges, then
+# horizontal ones.
+ROW_CANDIDATES = (
+    ((0, LEFT), None, (1, RIGHT), (0, BOTTOM), (1, BOTTOM), (0, TOP), (1, TOP)),
+    ((0, LEFT), (0, RIGHT), (1, LEFT), (1, RIGHT), (0, BOTTOM), None, (1, TOP)),
+)
+
+
+def _edge_elements(cls: EdgeClassification):
+    """Per family of free edges, vertical then horizontal: the slices of a
+    grid of elements padded by one ring (``mesh.padded``) that hold the
+    element before each edge of the family (left of a vertical edge, below a
+    horizontal one) and the element after it, as (rows, columns), in the
+    free-dof order; and the slot the edge fills in each of the two."""
+    nx, ny, every_row, every_column = cls.nx, cls.ny, slice(1, cls.ny + 1), slice(1, cls.nx + 1)
+    return (
+        (
+            ((every_row, slice(cls.left, nx + 1 - cls.right)), (every_row, slice(cls.left + 1, nx + 2 - cls.right))),
+            (RIGHT, LEFT),
+        ),
+        (
+            ((slice(cls.bottom, ny + 1 - cls.top), every_column), (slice(cls.bottom + 1, ny + 2 - cls.top), every_column)),
+            (TOP, BOTTOM),
+        ),
+    )
+
+
 def schur_matrix(mesh: RectMesh, cls: EdgeClassification, blocks: np.ndarray) -> CsrMatrix | GridStepMatrix:
     """Sum of the (4, 4, n_elements) element blocks over the free velocity dofs.
 
@@ -207,7 +238,9 @@ def schur_matrix(mesh: RectMesh, cls: EdgeClassification, blocks: np.ndarray) ->
     From ``GRID_MIN_DOFS`` free dofs on the sum is a ``GridStepMatrix``, which
     keeps per element the weight w = block[L, B] of its divergence and its
     mass entries block[L, L] - w, block[L, R] + w (and B, T alike); below, it
-    is padded rows.
+    is padded rows, laid out from the index grids (``ROW_CANDIDATES``): each
+    entry is one block entry, or two on the diagonal, and a sum of two
+    floats does not depend on their order.
     """
     if cls.n_free >= GRID_MIN_DOFS:
         entry = lambda i, j: blocks[i, j].reshape(mesh.ny, mesh.nx)
@@ -218,15 +251,24 @@ def schur_matrix(mesh: RectMesh, cls: EdgeClassification, blocks: np.ndarray) ->
             (entry(BOTTOM, BOTTOM) - w, entry(BOTTOM, TOP) + w),
             w.copy() if w.any() else None,  # a copy, so that S does not keep the blocks alive
         )
-    local_i, local_j = np.nonzero(blocks.any(axis=2))
-    free = cls.element_dofs.T  # (4, n_elements)
-    fi, fj = free[local_i], free[local_j]
-    keep = (fi >= 0) & (fj >= 0)
-    rows, cols, vals = fi[keep], fj[keep], blocks[local_i, local_j][keep]
-    # freed before csr_from_coo sorts copies, a lower peak; blocks too when
-    # the caller passed them as a temporary
-    del blocks, free, fi, fj, keep
-    return csr_from_coo(rows, cols, vals, (cls.n_free, cls.n_free))
+    V, H = cls.padded_index_grids
+    ring = padded(blocks.reshape(4, 4, cls.ny, cls.nx), 0.0)
+    stored = blocks.any(axis=2).tolist()
+    row_blocks = []
+    for shape, (sides, own), candidates in zip(cls.shapes, _edge_elements(cls), ROW_CANDIDATES):
+        edges = [(V[r, c], V[r, c.start + 1 : c.stop + 1], H[r, c], H[r.start + 1 : r.stop + 1, c]) for r, c in sides]
+        values = [ring[slot, :, r, c] for slot, (r, c) in zip(own, sides)]
+        kept = []
+        for candidate in candidates:
+            if candidate is None:  # the edge itself
+                if stored[own[0]][own[0]] or stored[own[1]][own[1]]:
+                    kept.append((edges[0][own[0]], values[0][own[0]] + values[1][own[1]]))
+                continue
+            side, slot = candidate
+            if stored[own[side]][slot]:
+                kept.append((edges[side][slot], values[side][slot]))
+        row_blocks.append((shape, kept))
+    return csr_from_candidates(row_blocks, cls.n_free)
 
 
 def assemble_operators(
@@ -236,8 +278,8 @@ def assemble_operators(
 ) -> MixedOperators:
     """Assemble A, C, D with NEUMANN_U edge dofs eliminated.
 
-    A, D and D^T are padded rows below ``GRID_MIN_DOFS`` free dofs and
-    edge-grid stencils from there on.
+    A, D and D^T are padded rows below ``GRID_MIN_DOFS`` free dofs, laid out
+    from the index grids, and edge-grid stencils from there on.
     """
     cls = edge_classify(mesh, bc)
     A = schur_matrix(mesh, cls, element_blocks(mesh, material, 0.0))
@@ -247,12 +289,18 @@ def assemble_operators(
     if cls.n_free >= GRID_MIN_DOFS:
         D, DT = GridDivergence(cls), GridDivergence(cls, transposed=True)
     else:
-        el = np.repeat(np.arange(n_el), 4)
-        div_cols = cls.element_dofs.ravel()
-        keep = div_cols >= 0
-        rows, cols, vals = el[keep], div_cols[keep], np.tile(DIVERGENCE_ROW, n_el)[keep]
-        D = csr_from_coo(rows, cols, vals, (n_el, cls.n_free))
-        DT = csr_from_coo(cols, rows, vals, (cls.n_free, n_el))
+        # an element's row: its LEFT, RIGHT, BOTTOM and TOP edges, in increasing order
+        V, H = cls.index_grids
+        D = csr_from_candidates([((mesh.ny, mesh.nx), list(zip([V[:, :-1], V[:, 1:], H[:-1], H[1:]], DIVERGENCE_ROW)))], cls.n_free)
+        # an edge's row: the element before it and the element after it
+        elements = padded(np.arange(n_el).reshape(mesh.ny, mesh.nx), -1)
+        DT = csr_from_candidates(
+            [
+                (shape, [(elements[side], DIVERGENCE_ROW[slot]) for side, slot in zip(sides, own)])
+                for shape, (sides, own) in zip(cls.shapes, _edge_elements(cls))
+            ],
+            n_el,
+        )
 
     return MixedOperators(
         A=A,

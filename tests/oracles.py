@@ -15,8 +15,9 @@ the package's free dofs only through ``reference_edge_classify``.
 import numpy as np
 import scipy.linalg
 
+from mixedwave.linalg import csr_from_coo
 from mixedwave.mesh import LEFT, RIGHT, BOTTOM, TOP, BoundaryKind
-from mixedwave.spaces import gauss_rule_1d, material_field
+from mixedwave.spaces import DIVERGENCE_ROW, gauss_rule_1d, material_field
 
 # outward normal per local edge slot
 _OUTWARD = {LEFT: (-1.0, 0.0), RIGHT: (1.0, 0.0), BOTTOM: (0.0, -1.0), TOP: (0.0, 1.0)}
@@ -77,17 +78,25 @@ def rt0_basis_eval(mesh, element, local_edge, x, y):
     return zero, (y - yb) / area
 
 
+def todense(M):
+    """The dense form of a padded-row matrix (``linalg.CsrMatrix``); the
+    padded slots add their value 0."""
+    out = np.zeros(M.shape)
+    np.add.at(out, (np.broadcast_to(np.arange(M.shape[0]), M.cols.shape), M.cols), M.vals)
+    return out
+
+
 def dense_solve(M, b):
     """Dense factorization of a sparse package matrix; O(n^3)."""
-    return np.linalg.solve(M.todense(), np.asarray(b, dtype=np.float64))
+    return np.linalg.solve(todense(M), np.asarray(b, dtype=np.float64))
 
 
 def max_asymmetry(M):
     """max |M - M^T| entrywise on the dense form; requires a symmetric nonzero pattern."""
-    dense = M.todense()
-    if not np.array_equal(dense != 0, dense.T != 0):
+    full = todense(M)
+    if not np.array_equal(full != 0, full.T != 0):
         raise ValueError("sparsity pattern is not symmetric")
-    return float(np.abs(dense - dense.T).max(initial=0.0))
+    return float(np.abs(full - full.T).max(initial=0.0))
 
 
 def reference_edge_classify(mesh, bc):
@@ -248,6 +257,15 @@ def reference_integrate_load(quad, bc, fx, fy):
     return full[reference_edge_classify(mesh, bc)[1]]
 
 
+def reference_divergence_transpose(mesh, bc, z):
+    """D^T z by global ids: each element adds its ``DIVERGENCE_ROW`` entries
+    times its z onto its edges by np.bincount, which sums onto 0.0, and then
+    the free edges are taken out."""
+    weights = (np.asarray(z)[:, None] * DIVERGENCE_ROW).ravel()
+    full = np.bincount(element_edges(mesh).ravel(), weights, minlength=n_edges(mesh))
+    return full[reference_edge_classify(mesh, bc)[1]]
+
+
 def _cell_edge_sum(cells, lo, hi):
     """Per free edge, the sum of ``cells`` over the (up to two) cells it
     bounds, along the last axis and in the memory order of ``cells``."""
@@ -326,7 +344,7 @@ def random_consistent_state(ops, rng):
     """Two consecutive levels whose pressures satisfy the divergence constraint."""
     U_prev = rng.standard_normal(ops.n_velocity)
     U_curr = rng.standard_normal(ops.n_velocity)
-    D = ops.D.todense()
+    D = todense(ops.D)
     return U_prev, U_curr, (D @ U_prev) / ops.Cdiag, (D @ U_curr) / ops.Cdiag
 
 
@@ -420,3 +438,76 @@ def reference_patch_colours(cls, blocks):
             np.ascontiguousarray(inverse.transpose(2, 1, 0)),
         ))
     return colours
+
+
+# The padded-row operators by COO triplets: each free row's entries summed by
+# ``linalg.csr_from_coo``, with the free dofs of ``reference_edge_classify``.
+
+def assert_same_rows(got, want):
+    """Two padded-row matrices hold the same bytes: shape, and the dtype and
+    contents of ``cols``, ``vals`` and ``row_nnz``."""
+    assert got.shape == want.shape
+    for name in ("cols", "vals", "row_nnz"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def reference_element_dofs(mesh, bc):
+    """(n_elements, 4) free dofs of each element's edges in LEFT, RIGHT,
+    BOTTOM, TOP order, -1 where pinned."""
+    return reference_edge_classify(mesh, bc)[0][element_edges(mesh)]
+
+
+def reference_schur_matrix(mesh, bc, blocks):
+    """The padded rows of ``spaces.schur_matrix``: every local pair (i, j)
+    that is nonzero in some block adds block[i, j] of each element at its
+    free dofs, and csr_from_coo sums the triplets."""
+    local_i, local_j = np.nonzero(blocks.any(axis=2))
+    free = reference_element_dofs(mesh, bc).T
+    fi, fj = free[local_i], free[local_j]
+    keep = (fi >= 0) & (fj >= 0)
+    n = reference_edge_classify(mesh, bc)[1].size
+    return csr_from_coo(fi[keep], fj[keep], blocks[local_i, local_j][keep], (n, n))
+
+
+def reference_divergence(mesh, bc):
+    """D and D^T of ``spaces.assemble_operators`` as padded rows, from the
+    triplets (element, free dof of its edge, ``DIVERGENCE_ROW`` entry)."""
+    free = reference_element_dofs(mesh, bc).ravel()
+    n = reference_edge_classify(mesh, bc)[1].size
+    elements = np.repeat(np.arange(mesh.n_elements), 4)
+    keep = free >= 0
+    rows, cols, vals = elements[keep], free[keep], np.tile(DIVERGENCE_ROW, mesh.n_elements)[keep]
+    return csr_from_coo(rows, cols, vals, (mesh.n_elements, n)), csr_from_coo(cols, rows, vals, (n, mesh.n_elements))
+
+
+def reference_transfers(fine, coarse, bc):
+    """P and R = P^T of ``multigrid.transfers`` between two meshes, fine edge
+    by fine edge: a vertical edge (i, j) at even i is half of coarse edge
+    (i / 2, j // 2), weight 1/2, and at odd i lies inside a coarse element,
+    a quarter of each of its edges (i // 2, j // 2) and (i // 2 + 1, j // 2);
+    horizontal edges alike with the roles of i and j swapped."""
+    rows, cols, vals = [], [], []
+    for j in range(fine.ny):
+        for i in range(fine.nx + 1):
+            coarse_edges = [(i // 2, j // 2)] if i % 2 == 0 else [(i // 2, j // 2), (i // 2 + 1, j // 2)]
+            for ci, cj in coarse_edges:
+                rows.append(vedge_id(fine, i, j))
+                cols.append(vedge_id(coarse, ci, cj))
+                vals.append(0.5 if i % 2 == 0 else 0.25)
+    for j in range(fine.ny + 1):
+        for i in range(fine.nx):
+            coarse_edges = [(i // 2, j // 2)] if j % 2 == 0 else [(i // 2, j // 2), (i // 2, j // 2 + 1)]
+            for ci, cj in coarse_edges:
+                rows.append(hedge_id(fine, i, j))
+                cols.append(hedge_id(coarse, ci, cj))
+                vals.append(0.5 if j % 2 == 0 else 0.25)
+    (fine_index, fine_free), (coarse_index, coarse_free) = (reference_edge_classify(m, bc) for m in (fine, coarse))
+    rows, cols, vals = fine_index[rows], coarse_index[cols], np.array(vals)
+    keep = (rows >= 0) & (cols >= 0)
+    shape = (fine_free.size, coarse_free.size)
+    return (
+        csr_from_coo(rows[keep], cols[keep], vals[keep], shape),
+        csr_from_coo(cols[keep], rows[keep], vals[keep], shape[::-1]),
+    )

@@ -46,6 +46,7 @@ from oracles import (
     dense_step_matrix,
     dense_theta_step,
     random_consistent_state,
+    todense,
 )
 
 SOLVER = SolverConfig(rel_tolerance=1e-12)
@@ -167,15 +168,15 @@ def test_criterion_8_oracle_equivalence():
         material = material_field(mesh, 1.3, 0.8)
         ops = assemble_operators(mesh, bc, material)
         A_ref, C_ref, D_ref = dense_operators(mesh, bc, material)
-        worst = max(worst, np.abs(ops.A.todense() - A_ref).max())
+        worst = max(worst, np.abs(todense(ops.A) - A_ref).max())
         worst = max(worst, np.abs(ops.Cdiag - C_ref).max())
-        worst = max(worst, np.abs(ops.D.todense() - D_ref).max())
+        worst = max(worst, np.abs(todense(ops.D) - D_ref).max())
 
         theta, dt = 0.25, 0.05
         cfg = ThetaConfig(theta, dt, 10, 10 * dt)
         S = step_matrix(ops, cfg)
         S_ref = dense_step_matrix(A_ref, D_ref, C_ref, theta * dt**2)
-        worst = max(worst, np.abs(S.todense() - S_ref).max())
+        worst = max(worst, np.abs(todense(S) - S_ref).max())
 
         rng = np.random.default_rng(17)
         U_prev, U_curr, P_prev, P_curr = random_consistent_state(ops, rng)

@@ -9,18 +9,29 @@ import mixedwave.linalg as linalg
 import mixedwave.spaces as spaces
 from mixedwave.linalg import (
     CsrMatrix,
+    GridDivergence,
     GridStepMatrix,
     IterationCap,
     NonConvergence,
     SolverConfig,
     cg_solve,
+    csr_from_candidates,
     csr_from_coo,
     spmv,
 )
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh, edge_classify
 from mixedwave.spaces import GRID_MIN_DOFS, assemble_operators, element_blocks, material_field, schur_matrix
 from mixedwave.scheme import ThetaConfig, step_matrix
-from oracles import dense_operators, dense_solve, dense_step_matrix, max_asymmetry, reference_stencil_diagonal
+from oracles import (
+    assert_same_rows,
+    dense_operators,
+    dense_solve,
+    dense_step_matrix,
+    max_asymmetry,
+    reference_divergence_transpose,
+    reference_stencil_diagonal,
+    todense,
+)
 
 DIR, NEU = BoundaryKind.DIRICHLET_P, BoundaryKind.NEUMANN_U
 ALL_PARTITIONS = [
@@ -80,7 +91,7 @@ class TestCsrMatrix:
     def test_coo_coalesces_duplicates(self):
         M = csr_from_coo([0, 0, 1], [1, 1, 0], [2.0, 3.0, 4.0], (2, 2))
         assert M.nnz == 2
-        assert M.todense()[0, 1] == 5.0
+        assert todense(M)[0, 1] == 5.0
 
 
 class TestPaddedRows:
@@ -89,6 +100,19 @@ class TestPaddedRows:
         S = step_matrix(ops, ThetaConfig.from_steps(1.0, 1.0, 4))
         widths = [M.cols.shape[0] for M in (S, ops.A, ops.D, ops.DT)]
         assert widths == [7, 3, 4, 2]
+
+    def test_candidates_give_the_rows_of_their_triplets(self):
+        # two blocks of rows, the second with one candidate fewer; absent
+        # candidates first, in the middle and last, an empty row, scalar values
+        M = csr_from_candidates(
+            [
+                ((2,), [([-1, 0], [9.0, 1.0]), ([2, -1], [2.0, 9.0]), ([4, 3], 3.0)]),
+                ((3,), [([-1, 1, -1], 5.0), ([-1, 4, 0], [9.0, 7.0, 8.0])]),
+            ],
+            5,
+        )
+        rows, cols, vals = [0, 0, 1, 1, 3, 3, 4], [2, 4, 0, 3, 1, 4, 0], [2.0, 3.0, 1.0, 3.0, 5.0, 7.0, 8.0]
+        assert_same_rows(M, csr_from_coo(rows, cols, vals, (5, 5)))
 
     def test_uneven_rows_round_trip_and_pad_with_own_columns(self):
         M, dense = uneven_csr()
@@ -100,7 +124,7 @@ class TestPaddedRows:
         assert np.array_equal(cols, [1, 3, 0, 2, 4, 4])
         assert np.array_equal(M.vals.T[stored], [2.0, -1.0, 3.0, 4.0, 5.0, -6.0])
         assert M.nnz == 6
-        assert np.array_equal(M.todense(), dense)
+        assert np.array_equal(todense(M), dense)
         assert np.array_equal(M.cols[:, 1], [0, 0, 0])
         for i in (0, 2, 3):
             assert set(M.cols[:, i]) == set(cols[rows == i])
@@ -128,7 +152,7 @@ class TestPaddedRows:
     def test_inf_in_step_matrix_product(self):
         ops = hetero_operators(ALL_PARTITIONS[5])
         S = step_matrix(ops, ThetaConfig.from_steps(0.25, 1.0, 4))
-        dense = S.todense()
+        dense = todense(S)
         for col in (0, S.shape[1] // 2, S.shape[1] - 1):
             x = np.ones(S.shape[1])
             x[col] = np.inf
@@ -141,14 +165,14 @@ class TestPaddedRows:
         rng = np.random.default_rng(2)
         for M in (ops.A, ops.D, ops.DT, S):
             x = rng.standard_normal(M.shape[1])
-            assert np.abs(spmv(M, x) - M.todense() @ x).max() < 1e-13
+            assert np.abs(spmv(M, x) - todense(M) @ x).max() < 1e-13
 
     def test_diagonal_is_cached_read_only_and_exact(self):
         ops = hetero_operators(ALL_PARTITIONS[9])
         S = step_matrix(ops, ThetaConfig.from_steps(1.0, 1.0, 4))
         for M in (S, ops.A, ops.D, ops.DT, uneven_csr()[0]):
             d = M.diagonal()
-            assert np.array_equal(d, np.diag(M.todense()))
+            assert np.array_equal(d, np.diag(todense(M)))
             assert M.diagonal() is d
             with pytest.raises(ValueError):
                 d[0] = 1.0
@@ -379,7 +403,7 @@ class TestSolutionProjection:
         b = rng.standard_normal(S.shape[0])
         x = dense_solve(S, b)
         # the M-orthogonal projection minimises ||x - Q c||_M: Q^T S Q c = Q^T S x
-        dense = S.todense()
+        dense = todense(S)
         want = Q @ np.linalg.solve(Q.T @ dense @ Q, Q.T @ dense @ x)
         starts = []
         inner = linalg.cg_solve
@@ -433,19 +457,19 @@ class TestSchurMatrix:
         A_ref, C_ref, D_ref = dense_operators(ops.mesh, bc, ops.material)
         A = schur_matrix(ops.mesh, ops.classification, element_blocks(ops.mesh, ops.material, 0.0))
         assert A.cols.shape[0] == 3  # only the mass pattern: L-R and B-T pairs
-        assert np.abs(A.todense() - A_ref).max() <= 1e-14 * np.abs(A_ref).max()
+        assert np.abs(todense(A) - A_ref).max() <= 1e-14 * np.abs(A_ref).max()
         for coeff in (2.5e-5, 0.37):
             S = schur_matrix(ops.mesh, ops.classification, element_blocks(ops.mesh, ops.material, coeff))
             dense = dense_step_matrix(A_ref, D_ref, C_ref, coeff)
-            assert np.abs(S.todense() - dense).max() <= 1e-14 * np.abs(dense).max()
+            assert np.abs(todense(S) - dense).max() <= 1e-14 * np.abs(dense).max()
 
     def test_matches_dense_triple_product(self):
         ops = operators_on(2)
         coeff = 2.5e-5
         S = schur_matrix(ops.mesh, ops.classification, element_blocks(ops.mesh, ops.material, coeff))
-        D = ops.D.todense()
-        dense = ops.A.todense() + coeff * D.T @ np.diag(1.0 / ops.Cdiag) @ D
-        assert np.abs(S.todense() - dense).max() < 1e-14
+        D = todense(ops.D)
+        dense = todense(ops.A) + coeff * D.T @ np.diag(1.0 / ops.Cdiag) @ D
+        assert np.abs(todense(S) - dense).max() < 1e-14
 
     def test_symmetry(self):
         ops = operators_on(5, bc=BoundaryPartition.all_neumann())
@@ -458,8 +482,8 @@ class TestSchurMatrix:
         assert set(ops.D.row_nnz) == {2, 3, 4}
         coeff = 0.37
         S = schur_matrix(ops.mesh, ops.classification, element_blocks(ops.mesh, ops.material, coeff))
-        dense = dense_step_matrix(ops.A.todense(), ops.D.todense(), ops.Cdiag, coeff)
-        assert np.abs(S.todense() - dense).max() < 1e-12
+        dense = dense_step_matrix(todense(ops.A), todense(ops.D), ops.Cdiag, coeff)
+        assert np.abs(todense(S) - dense).max() < 1e-12
 
 
 def test_solver_config_rejects_nonpositive_tolerance():
@@ -534,6 +558,19 @@ class TestEdgeGridOperators:
             S = schur_matrix(mesh, cls, blocks)
             assert isinstance(S, GridStepMatrix)
             assert S.diagonal().tobytes() == reference_stencil_diagonal(cls, blocks).tobytes()
+
+    @pytest.mark.parametrize("bc", ALL_PARTITIONS)
+    @pytest.mark.parametrize("nx,ny", [(9, 7), (1, 5), (4, 1), (1, 1)])
+    def test_transposed_divergence_is_the_sum_onto_zeros_bit_for_bit(self, nx, ny, bc, monkeypatch):
+        # signed zeros: the sum onto 0.0 gives 0.0 where -z or (-0.0) - 0.0 gives -0.0
+        monkeypatch.setattr(spaces, "GRID_MIN_DOFS", 0)
+        mesh = build_rect_mesh(nx, ny)
+        DT = assemble_operators(mesh, bc, material_field(mesh, 1.0, 1.0)).DT
+        assert isinstance(DT, GridDivergence) and DT.transposed
+        rng = np.random.default_rng(nx + 7 * ny)
+        for _ in range(10):
+            z = rng.choice([0.0, -0.0, 1.5, -0.25, 3.0], size=mesh.n_elements)
+            assert spmv(DT, z).tobytes() == reference_divergence_transpose(mesh, bc, z).tobytes()
 
     def test_format_follows_the_free_dof_count(self):
         # every 32 x 32 grid is on padded rows and every 64 x 64 grid on stencils, whatever its sides

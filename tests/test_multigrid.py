@@ -27,12 +27,15 @@ from mixedwave.spaces import MaterialField, assemble_operators, element_blocks, 
 from mixedwave.verify import energy_drift, make_problem, mms_forced, mms_standing_wave
 
 from oracles import (
+    assert_same_rows,
     dense_operators,
     dense_solve,
     dense_step_matrix,
     reference_patch_colours,
     reference_patch_sweep,
+    reference_transfers,
     reference_vertex_patches,
+    todense,
 )
 
 PARTITIONS = [BoundaryPartition(*tags) for tags in itertools.product(tuple(BoundaryKind), repeat=4)]
@@ -76,17 +79,27 @@ class TestHierarchy:
         fine_mesh = build_rect_mesh(6, 4, (0.0, 3.0, -1.0, 1.0))
         fine = assemble_operators(fine_mesh, bc, random_material(fine_mesh, rng))
         coarse = assemble_operators(build_rect_mesh(3, 2, (0.0, 3.0, -1.0, 1.0)), bc, multigrid.coarse_material(fine_mesh, fine.material))
-        P, R = (M.todense() for M in transfers(fine.classification, coarse.classification))
+        P, R = (todense(M) for M in transfers(fine.classification, coarse.classification))
         assert np.array_equal(R, P.T)
         Q = np.zeros((fine_mesh.n_elements, 6))
         for e in range(fine_mesh.n_elements):
             i, j = e % 6, e // 6
             Q[e, (j // 2) * 3 + i // 2] = 1.0
-        assert np.array_equal(fine.D.todense() @ P, 0.25 * Q @ coarse.D.todense())
+        assert np.array_equal(todense(fine.D) @ P, 0.25 * Q @ todense(coarse.D))
         # averaged lambda makes the coarse grad-div term the Galerkin product
-        K_fine = fine.D.todense().T @ np.diag(1.0 / fine.Cdiag) @ fine.D.todense()
-        K_coarse = coarse.D.todense().T @ np.diag(1.0 / coarse.Cdiag) @ coarse.D.todense()
+        K_fine = todense(fine.D).T @ np.diag(1.0 / fine.Cdiag) @ todense(fine.D)
+        K_coarse = todense(coarse.D).T @ np.diag(1.0 / coarse.Cdiag) @ todense(coarse.D)
         assert np.abs(P.T @ K_fine @ P - K_coarse).max() <= 1e-13 * np.abs(K_coarse).max()
+
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (12, 4), (32, 32), (64, 32)])
+    def test_transfers_match_the_coo_oracle_bit_for_bit(self, nx, ny):
+        fine, coarse = build_rect_mesh(nx, ny), build_rect_mesh(nx // 2, ny // 2)
+        for bc in PARTITIONS:
+            P, R = transfers(EdgeClassification.of(nx, ny, bc), EdgeClassification.of(nx // 2, ny // 2, bc))
+            want_P, want_R = reference_transfers(fine, coarse, bc)
+            assert_same_rows(P, want_P)
+            assert_same_rows(R, want_R)
 
 
 class TestSmoother:
@@ -191,14 +204,15 @@ class TestVCycle:
         blocks = element_blocks(ops.mesh, ops.material, 1.0)
         S = schur_matrix(ops.mesh, ops.classification, blocks)
         calls = []
-        inner = linalg.csr_from_coo
+        inner = linalg.csr_from_candidates
 
-        def counted(*args):
-            calls.append(args[3])
-            return inner(*args)
+        def counted(blocks, n_cols):
+            matrix = inner(blocks, n_cols)
+            calls.append(matrix.shape)
+            return matrix
 
         for module in (linalg, spaces, multigrid):
-            monkeypatch.setattr(module, "csr_from_coo", counted)
+            monkeypatch.setattr(module, "csr_from_candidates", counted)
         vcycle = VCycle(ops, S, blocks, 1.0)
         # P and R = P^T per coarse grid (32, 16 and 8 square), S for each but
         # the coarsest, whose dense S is summed from its blocks; no A, D or D^T
@@ -216,7 +230,7 @@ class TestVCycle:
             blocks = element_blocks(mesh, random_material(mesh, rng), 0.37)
             S = schur_matrix(mesh, cls, blocks)
             assert isinstance(S, CsrMatrix)
-            assert multigrid._dense_sum(cls, blocks).tobytes() == S.todense().tobytes()
+            assert multigrid._dense_sum(cls, blocks).tobytes() == todense(S).tobytes()
 
     def test_each_grid_computes_its_element_blocks_once(self, monkeypatch):
         calls = []

@@ -33,7 +33,7 @@ from mixedwave.scheme import (
 from mixedwave.spaces import MaterialField, assemble_operators
 from mixedwave.verify import cfl_max_dt, estimate_inverse_constant, make_problem, mms_forced
 
-from oracles import dense_theta_step, random_consistent_state
+from oracles import dense_theta_step, random_consistent_state, todense
 from test_verify import assert_same
 
 TOL = 1e-12         # the solver default, for the energy drift
@@ -82,7 +82,7 @@ def small_coarsest_grid():
 def test_step_matrix_is_spd(case):
     spec, cfg, _ = case
     ops = assemble_operators(spec.mesh, spec.bc, spec.material)
-    S = step_matrix(ops, cfg).todense()
+    S = todense(step_matrix(ops, cfg))
     assert np.abs(S - S.T).max() <= 1e-14 * np.abs(S).max()
     assert np.linalg.eigvalsh(S).min() > 0
 
@@ -110,7 +110,7 @@ def test_one_step_matches_the_dense_oracle(case):
     U_prev, U_curr, P_prev, P_curr = random_consistent_state(ops, rng)
     out = step(SchemeState(1, U_prev, U_curr, P_prev, P_curr), StepSolver(spec, ops, cfg, SolverConfig(ORACLE_TOL)))
     U_ref, P_ref = dense_theta_step(
-        ops.A.todense(), ops.Cdiag, ops.D.todense(),
+        todense(ops.A), ops.Cdiag, todense(ops.D),
         U_prev, U_curr, P_prev, P_curr, cfg.theta, cfg.dt, np.zeros(ops.n_velocity),
     )
     assert np.abs(out.U_curr - U_ref).max() <= 1e-10 * max(1.0, np.abs(U_ref).max())

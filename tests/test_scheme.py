@@ -46,7 +46,7 @@ from mixedwave.verify import (
 )
 
 import oracles
-from oracles import dense_theta_step, random_consistent_state
+from oracles import dense_theta_step, random_consistent_state, todense
 
 ZERO_V = lambda x, y: (0.0 * x, 0.0 * y)
 ZERO_S = lambda x, y: 0.0 * x
@@ -198,7 +198,7 @@ class TestStep:
         out = step(SchemeState(1, U_prev, U_curr, P_prev, P_curr),
                    StepSolver(spec, ops, cfg, SolverConfig(1e-13)))
         U_ref, P_ref = dense_theta_step(
-            ops.A.todense(), ops.Cdiag, ops.D.todense(),
+            todense(ops.A), ops.Cdiag, todense(ops.D),
             U_prev, U_curr, P_prev, P_curr, cfg.theta, cfg.dt,
             np.zeros(ops.n_velocity),
         )
@@ -222,7 +222,7 @@ class TestStep:
         loads = [assemble_load(ops.quadrature, ops.classification, spec.f, k * dt) for k in (n - 1, n, n + 1)]
         F_theta = theta * loads[2] + (1 - 2 * theta) * loads[1] + theta * loads[0]
         U_ref, P_ref = dense_theta_step(
-            ops.A.todense(), ops.Cdiag, ops.D.todense(),
+            todense(ops.A), ops.Cdiag, todense(ops.D),
             U_prev, U_curr, P_prev, P_curr, theta, dt, F_theta,
         )
         assert np.abs(out.U_curr - U_ref).max() < 1e-10
@@ -236,8 +236,8 @@ class TestStep:
 
         spec = make_problem(mms_standing_wave(), 8)
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
-        Ad = ops.A.todense()
-        K = ops.D.todense().T @ np.diag(1.0 / ops.Cdiag) @ ops.D.todense()
+        Ad = todense(ops.A)
+        K = todense(ops.D).T @ np.diag(1.0 / ops.Cdiag) @ todense(ops.D)
         mu, V = scipy.linalg.eigh(K, Ad)
         U0 = project_velocity_pi_h(spec.mesh, ops.classification, spec.u0)
         c = V.T @ (Ad @ U0)
@@ -658,7 +658,7 @@ class TestClosedFormDefect:
             F_prev, F_curr, F_next = self.loads(spec, ops, dt, (n - 1, n, n + 1))
             F_theta = theta * F_next + (1 - 2 * theta) * F_curr + theta * F_prev
         want, scale = oracles.reference_step_defect(
-            ops.A.todense(), ops.D.todense(), stepper.S.todense(),
+            todense(ops.A), todense(ops.D), todense(stepper.S),
             U_prev, U_curr, P_prev, P_curr, theta, dt, F_theta,
         )
         assert len(defects) == 1
@@ -681,7 +681,7 @@ class TestClosedFormDefect:
         P0 = project_pressure_p_h(spec.mesh, spec.p0)
         F0, F1 = self.loads(spec, ops, dt, (0, 1)) if spec.f is not None else (np.zeros(ops.n_velocity),) * 2
         want, scale = oracles.reference_initial_defect(
-            ops.A.todense(), ops.D.todense(), stepper.S.todense(), U0, V0, P0, F0, F1, theta, dt,
+            todense(ops.A), todense(ops.D), todense(stepper.S), U0, V0, P0, F0, F1, theta, dt,
         )
         assert len(defects) == 1
         assert np.linalg.norm(defects[0] - want) <= self.RTOL * scale

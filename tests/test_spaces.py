@@ -4,12 +4,14 @@ import pytest
 from mixedwave.linalg import spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh, edge_classify
 from mixedwave.spaces import (
+    GRID_MIN_DOFS,
     MaterialField,
     PROJECTION_BLOCK,
     PROJECTION_RULE,
     assemble_load,
     assemble_operators,
     edge_fluxes,
+    element_blocks,
     element_quadrature,
     gauss_rule_1d,
     integrate_load,
@@ -17,11 +19,13 @@ from mixedwave.spaces import (
     pressure_best_approximation,
     project_pressure_p_h,
     project_velocity_pi_h,
+    schur_matrix,
     velocity_best_approximation,
 )
 from mixedwave.verify import mms_forced
 
 from oracles import (
+    assert_same_rows,
     dense_operators,
     element_corners,
     element_edges,
@@ -29,9 +33,12 @@ from oracles import (
     max_asymmetry,
     n_edges,
     pressure_l2_error,
+    reference_divergence,
     reference_edge_classify,
     reference_integrate_load,
+    reference_schur_matrix,
     rt0_basis_eval,
+    todense,
     velocity_l2_error,
 )
 
@@ -78,7 +85,7 @@ class TestAssembly:
     def test_single_element_divergence_row(self):
         ops = unit_ops(1)
         # columns ordered left, right, bottom, top by the global numbering
-        assert np.array_equal(ops.D.todense(), [[-1.0, 1.0, -1.0, 1.0]])
+        assert np.array_equal(todense(ops.D), [[-1.0, 1.0, -1.0, 1.0]])
         assert np.array_equal(ops.Cdiag, [1.0])
 
     def test_pressure_mass_scales_with_lambda(self):
@@ -88,9 +95,9 @@ class TestAssembly:
     def test_velocity_mass_matches_quadrature_oracle(self):
         ops = unit_ops(2)
         A_ref, C_ref, D_ref = dense_operators(ops.mesh, ops.bc, ops.material)
-        assert np.abs(ops.A.todense() - A_ref).max() < 1e-12
+        assert np.abs(todense(ops.A) - A_ref).max() < 1e-12
         assert np.abs(ops.Cdiag - C_ref).max() < 1e-12
-        assert np.abs(ops.D.todense() - D_ref).max() < 1e-12
+        assert np.abs(todense(ops.D) - D_ref).max() < 1e-12
 
     def test_symmetry_and_positive_definiteness(self):
         ops = unit_ops(4, bc=BoundaryPartition.all_neumann(), rho=2.5)
@@ -107,7 +114,7 @@ class TestAssembly:
     def test_divergence_column_sums(self):
         ops = unit_ops(3, 4)
         free_index, _ = reference_edge_classify(ops.mesh, ops.bc)
-        dense = ops.D.todense()
+        dense = todense(ops.D)
         sums = dense.sum(axis=0)
         elements_per_edge = np.bincount(element_edges(ops.mesh).ravel(), minlength=n_edges(ops.mesh))
         for e, fi in enumerate(free_index):
@@ -413,6 +420,26 @@ class TestGlobalIdReferences:
         for name, z in vector_fields(mesh).items():
             want = global_edge_fluxes(mesh, z, PROJECTION_RULE)[free_edges]
             assert project_velocity_pi_h(mesh, cls, z).tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 3), (3, 1), (2, 2), (5, 7), (12, 4), (32, 32), (64, 32)])
+def test_padded_rows_match_the_coo_oracle_bit_for_bit(nx, ny):
+    """A, the step matrix at coeff 0 and 0.37, D and D^T, laid out from the
+    index grids, equal the COO triplets summed by csr_from_coo."""
+    mesh = build_rect_mesh(nx, ny)
+    rng = np.random.default_rng(nx * ny)
+    for bc in ALL_PARTITIONS:
+        rho, lam = rng.uniform(0.25, 4.0, (2, mesh.n_elements))
+        material = MaterialField(rho, lam, 0.25, 4.0, 0.25, 4.0)
+        ops = assemble_operators(mesh, bc, material)
+        assert ops.n_velocity < GRID_MIN_DOFS
+        assert_same_rows(ops.A, reference_schur_matrix(mesh, bc, element_blocks(mesh, material, 0.0)))
+        for coeff in (0.0, 0.37):
+            blocks = element_blocks(mesh, material, coeff)
+            assert_same_rows(schur_matrix(mesh, ops.classification, blocks), reference_schur_matrix(mesh, bc, blocks))
+        D, DT = reference_divergence(mesh, bc)
+        assert_same_rows(ops.D, D)
+        assert_same_rows(ops.DT, DT)
 
 
 @pytest.mark.parametrize("nx, ny, calls", [

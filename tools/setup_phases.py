@@ -35,7 +35,7 @@ from mixedwave.spaces import (
 )
 from mixedwave.verify import make_problem, mms_standing_wave
 
-SIZES = (64, 128, 256)
+SIZES = (32, 64, 128, 256)
 ROUNDS = 5
 PHASES = ("assembly", "step solver", "projections", "best approx.", "first solve")
 
