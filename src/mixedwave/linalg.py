@@ -22,14 +22,17 @@ The gather costs more than the arithmetic on large grids and less than the
 slicing overhead on small ones, so ``spaces`` picks the format by the number
 of free dofs (``spaces.GRID_MIN_DOFS`` = 6 000, a measured crossover): every
 32 x 32 grid is on padded rows, and every 64 x 64 or larger grid on
-stencils. Padded rows and the stencil step matrices compute their main
-diagonal once, at construction, and hand it out read-only, so the Jacobi
-preconditioner costs nothing per solve. The solver is conjugate gradients,
-Jacobi-preconditioned by default or with a caller's symmetric positive
-definite preconditioner (the multigrid V-cycle of ``multigrid``); the step
-matrices are symmetric positive definite by construction, so CG is the
-right tool. It starts from zero or from a caller's x0;
-``SolutionProjection`` chooses x0 for a sequence of solves with one matrix.
+stencils. Both hand out their main diagonal read-only: the stencil step
+matrices compute it at construction, padded rows on the first request,
+since the rectangular D, D^T and transfers never need one. The solver is
+conjugate gradients, preconditioned by ``Jacobi`` or by a caller's
+symmetric positive definite preconditioner (the multigrid V-cycle of
+``multigrid``); the step matrices are symmetric positive definite by
+construction, so CG is the right tool. A ``Jacobi`` checks the diagonal
+and stores its reciprocal once, so a run that builds one for its step
+matrix pays nothing per solve for it; ``cg_solve`` builds one per call by
+default. CG starts from zero or from a caller's x0; ``SolutionProjection``
+chooses x0 for a sequence of solves with one matrix.
 """
 
 from __future__ import annotations
@@ -67,20 +70,18 @@ class CsrMatrix:
     first slots, columns strictly increasing. A shorter row is padded with
     its first stored column and value 0, so padding neither reads outside
     the row's own columns nor changes a sum; an empty row is padded with
-    column 0. The arrays and the main diagonal, computed once here, are
-    read-only, so instances are immutable and safe to share between
-    concurrent readers.
+    column 0. The arrays are read-only, and so is the main diagonal, which
+    only square operators need: it is computed on the first ``diagonal()``
+    call. Instances are therefore immutable and safe to share between
+    concurrent readers (two first calls at once compute equal arrays).
     """
 
     __slots__ = ("cols", "vals", "row_nnz", "nnz", "shape", "_empty_rows", "_diagonal")
 
     def __init__(self, cols, vals, row_nnz, shape):
-        k = min(shape)
-        on_diagonal = cols[:, :k] == np.arange(k)
-        diagonal = np.where(on_diagonal, vals[:, :k], 0.0).sum(axis=0)
-        for a in (cols, vals, row_nnz, diagonal):
+        for a in (cols, vals, row_nnz):
             a.flags.writeable = False
-        self.cols, self.vals, self.row_nnz, self._diagonal = cols, vals, row_nnz, diagonal
+        self.cols, self.vals, self.row_nnz, self._diagonal = cols, vals, row_nnz, None
         self.nnz = int(row_nnz.sum())
         self.shape = shape
         empty = np.flatnonzero(row_nnz == 0)
@@ -89,8 +90,14 @@ class CsrMatrix:
     def diagonal(self):
         """Main diagonal as a read-only dense vector (zeros where structurally absent).
 
-        Computed once at construction; every call returns the same array.
+        Computed on the first call; every later call returns the same array.
         """
+        if self._diagonal is None:
+            k = min(self.shape)
+            on_diagonal = self.cols[:, :k] == np.arange(k)
+            diagonal = np.where(on_diagonal, self.vals[:, :k], 0.0).sum(axis=0)
+            diagonal.flags.writeable = False
+            self._diagonal = diagonal
         return self._diagonal
 
 
@@ -353,8 +360,8 @@ class SolverConfig:
     max_iterations: int = 0
 
     def __post_init__(self):
-        if self.rel_tolerance <= 0:
-            raise ValueError("rel_tolerance must be positive")
+        if not 0 < self.rel_tolerance < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"rel_tolerance must be positive and finite, got {self.rel_tolerance}")
 
     def iteration_cap(self, n):
         return self.max_iterations if self.max_iterations > 0 else 10 * max(n, 1)
@@ -381,6 +388,32 @@ def _underflows(M, p) -> bool:
     return float(unit @ spmv(M, unit)) > 0.0
 
 
+def _check_diagonal(diagonal):
+    if np.any(diagonal <= 0):
+        raise NonConvergence("nonpositive diagonal entry; matrix is not SPD")
+
+
+class Jacobi:
+    """Jacobi preconditioner of a square matrix M: ``precondition(r, out)``
+    writes r / diag(M) into ``out``.
+
+    The diagonal is checked and its reciprocal stored once, here, so a run
+    that solves with one M many times builds one. Raises NonConvergence when
+    a diagonal entry is nonpositive (M is not positive definite).
+    ``cg_solve`` skips its own diagonal check for a Jacobi of the same M.
+    """
+
+    __slots__ = ("matrix", "_inverse")
+
+    def __init__(self, M):
+        diagonal = M.diagonal()
+        _check_diagonal(diagonal)
+        self.matrix, self._inverse = M, 1.0 / diagonal
+
+    def __call__(self, r, out):
+        np.multiply(r, self._inverse, out=out)
+
+
 def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None, x0=None) -> CgResult:
     """Solve M x = b for symmetric positive definite M.
 
@@ -390,10 +423,13 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None, x0=None) 
     after 0 iterations. ``precondition``
     is a callable ``precondition(r, out)`` that writes B r into ``out`` for a
     fixed symmetric positive definite B; by default B is the inverse of M's
-    main diagonal (Jacobi). Stops when ||M x - b|| <= rel_tolerance * ||b||,
-    with the true residual recomputed at the recursive stopping point so the
-    guarantee is not a victim of residual-recurrence drift (CG restarts from
-    it when it is still too large). The result holds
+    main diagonal, built as ``Jacobi(M)`` on each call. Any preconditioner
+    but a ``Jacobi`` built for this M has M's diagonal checked on each call
+    as well: a nonpositive entry raises NonConvergence. Stops when
+    ||M x - b|| <= rel_tolerance * ||b||, with the true residual recomputed
+    at the recursive stopping point so the guarantee is not a victim of
+    residual-recurrence drift (CG restarts from it when it is still too
+    large). The result holds
     x, the iteration count, that true residual and ||b||. A finite b whose
     squared norm overflows, or whose norm is below ``SMALLEST_RHS_NORM``, is
     solved as b / max|b| from x0 / max|b|, with x, the residual and ||b||
@@ -432,15 +468,10 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None, x0=None) 
         x, iterations, residual, rhs_norm = cg_solve(M, b / scale, cfg, precondition, None if x0 is None else x0 / scale)
         return CgResult(scale * x, iterations, scale * residual, scale * rhs_norm)
     tol = cfg.rel_tolerance * norm_b
-    diag = M.diagonal()
-    if np.any(diag <= 0):
-        raise NonConvergence("nonpositive diagonal entry; matrix is not SPD")
     if precondition is None:
-        inv_diag = 1.0 / diag
-
-        def precondition(r, out):
-            np.multiply(r, inv_diag, out=out)
-
+        precondition = Jacobi(M)
+    elif not (isinstance(precondition, Jacobi) and precondition.matrix is M):
+        _check_diagonal(M.diagonal())
     if x0 is None:
         x, r = np.zeros(n), b.copy()
     else:

@@ -332,6 +332,18 @@ def dense_theta_step(A, Cdiag, D, U_prev, U_curr, P_prev, P_curr, theta, dt, F_t
     return sol[:n_u], sol[n_u:]
 
 
+def reference_discrete_energy(state, A, Cdiag, theta, dt):
+    """The scheme's energy between the state's two levels from the difference
+    quotients, as first written: 11 array passes and a product with the dense A.
+
+    E = 1/2 [ udot' A udot + dt^2 (theta - 1/4) pdot' C pdot + pbar' C pbar ]
+    """
+    udot = (state.U_curr - state.U_prev) / dt
+    pdot = (state.P_curr - state.P_prev) / dt
+    pbar = 0.5 * (state.P_curr + state.P_prev)
+    return 0.5 * (udot @ (A @ udot) + dt**2 * (theta - 0.25) * (pdot * Cdiag) @ pdot + (pbar * Cdiag) @ pbar)
+
+
 def dense_inverse_constant(mesh, bc):
     """C0 from a dense generalized eigensolve over the free dofs."""
     A, Cdiag, D = dense_operators(mesh, bc, material_field(mesh, 1.0, 1.0))

@@ -12,6 +12,7 @@ from mixedwave.linalg import (
     GridDivergence,
     GridStepMatrix,
     IterationCap,
+    Jacobi,
     NonConvergence,
     SolverConfig,
     cg_solve,
@@ -298,6 +299,31 @@ class TestCg:
         with pytest.raises(NonConvergence, match=r"nonpositive curvature at iteration 1; matrix is not SPD"):
             cg_solve(M, np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("diagonal", [[1.0, 0.0, 2.0], [1.0, 2.0, -1.0]])
+    def test_jacobi_rejects_a_nonpositive_diagonal_when_built(self, diagonal):
+        M = csr_from_coo(np.arange(3), np.arange(3), diagonal, (3, 3))
+        with pytest.raises(NonConvergence, match=r"^nonpositive diagonal entry; matrix is not SPD$"):
+            Jacobi(M)
+        with pytest.raises(NonConvergence, match=r"^nonpositive diagonal entry; matrix is not SPD$"):
+            cg_solve(M, np.ones(3))
+
+    @pytest.mark.parametrize("precondition", [Jacobi(identity_csr(3)), lambda r, out: np.copyto(out, r)])
+    def test_any_preconditioner_but_a_jacobi_of_the_matrix_keeps_the_diagonal_check(self, precondition):
+        # a Jacobi of another, positive definite matrix, or any other callable,
+        # must not let diag(1, -1, 1) through
+        M = csr_from_coo(np.arange(3), np.arange(3), [1.0, -1.0, 1.0], (3, 3))
+        with pytest.raises(NonConvergence, match=r"^nonpositive diagonal entry; matrix is not SPD$"):
+            cg_solve(M, np.ones(3), precondition=precondition)
+
+    def test_a_jacobi_of_the_matrix_solves_as_the_default(self):
+        S, b = step_system()
+        jacobi = Jacobi(S)
+        want = cg_solve(S, b)
+        for _ in range(2):  # one Jacobi serves any number of solves
+            got = cg_solve(S, b, precondition=jacobi)
+            assert got.x.tobytes() == want.x.tobytes()
+            assert got[1:] == want[1:]
+
     def test_iteration_cap_raises(self):
         ops = operators_on(4)
         with pytest.raises(IterationCap, match=r"in 1 iteration$"):
@@ -487,8 +513,11 @@ class TestSchurMatrix:
 
 
 def test_solver_config_rejects_nonpositive_tolerance():
-    with pytest.raises(ValueError):
-        SolverConfig(rel_tolerance=0.0)
+    # NaN made cg_solve report a tolerance of nan, and inf returned the
+    # first iterate as converged
+    for tolerance in (0.0, -1e-12, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rel_tolerance must be positive and finite"):
+            SolverConfig(rel_tolerance=tolerance)
 
 
 def absolute(M: CsrMatrix) -> CsrMatrix:

@@ -9,7 +9,7 @@ import mixedwave.multigrid as multigrid
 import mixedwave.linalg as linalg
 import mixedwave.scheme as scheme
 import mixedwave.spaces as spaces
-from mixedwave.linalg import CsrMatrix, GridStepMatrix, NonConvergence, SolverConfig, cg_solve, spmv
+from mixedwave.linalg import CsrMatrix, GridStepMatrix, Jacobi, NonConvergence, SolverConfig, cg_solve, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, EdgeClassification, build_rect_mesh
 from mixedwave.multigrid import VCycle, coarsens, grid_shapes, transfers
 from mixedwave.scheme import (
@@ -289,7 +289,7 @@ class TestSelection:
         cfg = ThetaConfig.from_steps(1.0, 4 * dt, 4)
         assert grad_div_weight(ops, cfg) < MULTIGRID_MIN_KAPPA
         stepper = StepSolver(spec, ops, cfg)
-        assert stepper.preconditioner is None
+        assert isinstance(stepper.preconditioner, Jacobi)
         assert stepper.choice == "jacobi, kappa = 490 < 500"  # (0.99)^2 of the threshold
 
     @pytest.mark.parametrize("nx", [63, 66])
@@ -301,7 +301,7 @@ class TestSelection:
         cfg = ThetaConfig.from_steps(1.0, 1.0, 16)
         assert grad_div_weight(ops, cfg) >= MULTIGRID_MIN_KAPPA
         stepper = StepSolver(spec, ops, cfg)
-        assert stepper.preconditioner is None
+        assert isinstance(stepper.preconditioner, Jacobi)
         assert re.fullmatch(r"jacobi, kappa = \S+ >= 500, but the grid does not coarsen", stepper.choice)
 
     @pytest.mark.parametrize(
@@ -319,7 +319,7 @@ class TestSelection:
         steps = steps_per_unit_time or math.ceil(4.0 / spec.mesh.h)
         cfg = ThetaConfig.from_steps(theta, 1.0, steps)
         assert grad_div_weight(ops, cfg) < 1.0
-        assert StepSolver(spec, ops, cfg).preconditioner is None
+        assert isinstance(StepSolver(spec, ops, cfg).preconditioner, Jacobi)
 
 
 class TestMultigridRun:
@@ -412,5 +412,5 @@ class TestProjectedStart:
         spec = hetero_spec(32, seed=11)
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
         stepper = StepSolver(spec, ops, ThetaConfig.from_steps(0.25, 1.0, 1000))
-        assert stepper.preconditioner is None and stepper.projection is None
+        assert isinstance(stepper.preconditioner, Jacobi) and stepper.projection is None
         assert "projection" not in stepper.choice

@@ -7,7 +7,7 @@ import pytest
 
 import mixedwave.scheme as scheme
 import mixedwave.spaces as spaces
-from mixedwave.linalg import CsrMatrix, GridDivergence, GridStepMatrix, NonConvergence, SolverConfig, cg_solve, spmv
+from mixedwave.linalg import CsrMatrix, GridDivergence, GridStepMatrix, Jacobi, NonConvergence, SolverConfig, cg_solve, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.scheme import (
     BLOWUP,
@@ -286,6 +286,24 @@ class TestDiscreteEnergy:
         sample = discrete_energy(state, ops, cfg)
         assert sample.value == pytest.approx(np.pi**4 / 2, rel=0.02)
         assert sample.t_half == pytest.approx(cfg.dt / 2)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.1, 0.25, 1.0])
+    @pytest.mark.parametrize("code", range(16))
+    def test_matches_the_difference_quotient_form(self, theta, code):
+        sides = [BoundaryKind.NEUMANN_U if code >> side & 1 else BoundaryKind.DIRICHLET_P for side in range(4)]
+        mesh = build_rect_mesh(5, 4)
+        ops = assemble_operators(mesh, BoundaryPartition(*sides), random_material(mesh, code))
+        dt = 0.05
+        cfg = ThetaConfig.from_steps(theta, 10 * dt, 10)
+        # the form is defined for any two levels; these make the velocity and
+        # level-sum terms of one size and the pressure-difference term about
+        # a tenth of them, so no term hides below the tolerance
+        rng = np.random.default_rng(code)
+        U_prev, V, P_prev, dP = (rng.standard_normal(n) for n in (ops.n_velocity, ops.n_velocity, ops.n_pressure, ops.n_pressure))
+        state = SchemeState(3, U_prev, U_prev + 0.2 * dt * V, P_prev, P_prev + 0.5 * dP)
+        got = discrete_energy(state, ops, cfg).value
+        want = oracles.reference_discrete_energy(state, todense(ops.A), ops.Cdiag, theta, dt)
+        assert abs(got - want) <= 1e-14 * abs(want)
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, 0.25, 1.0])
     def test_half_step_pressure_identity(self, theta):
@@ -784,7 +802,7 @@ class TestRunSolverConfig:
     def test_every_solve_needs_more_than_one_jacobi_iteration(self):
         spec, ops, cfg = self.case()
         stepper = StepSolver(spec, ops, cfg)
-        assert stepper.preconditioner is None
+        assert isinstance(stepper.preconditioner, Jacobi)
         state = initialize(stepper)
         assert state.cg_iterations > 1
         assert step(state, stepper).cg_iterations > 1
@@ -803,3 +821,32 @@ class TestRunSolverConfig:
         state = initialize(StepSolver(spec, ops, cfg))
         with pytest.raises(NonConvergence):
             step(state, StepSolver(spec, ops, cfg, self.CAPPED))
+
+
+class TestJacobiPath:
+    """The run's one ``Jacobi`` of S solves as ``cg_solve``'s per-call default does."""
+
+    @pytest.mark.parametrize("theta", [0.0, 0.25])
+    @pytest.mark.parametrize("nx, layout", [(32, CsrMatrix), (64, GridStepMatrix)])  # padded rows, stencils
+    def test_run_is_bit_identical_to_a_jacobi_built_per_solve(self, theta, nx, layout, monkeypatch):
+        spec = make_problem(mms_standing_wave(), nx)
+        c0 = estimate_inverse_constant(spec.mesh, spec.bc)
+        dt = 0.9 * cfl_max_dt(0.0, spec.mesh.h, c0, 1.0, 1.0)
+        cfg = ThetaConfig.from_steps(theta, 12 * dt, 12)
+        stepper = StepSolver(spec, assemble_operators(spec.mesh, spec.bc, spec.material), cfg)
+        assert isinstance(stepper.preconditioner, Jacobi) and isinstance(stepper.S, layout)
+        got = run(spec, cfg, record_errors=False)
+
+        def per_call(self, defect, guess):
+            result = cg_solve(self.S, defect, self.solver)
+            return guess + result.x, result
+
+        monkeypatch.setattr(StepSolver, "solve", per_call)
+        want = run(spec, cfg, record_errors=False)
+        assert got.completed and want.completed
+        assert got.cg_iterations.sum() > 0
+        for name in ("cg_iterations", "cg_residuals", "defect_norms"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for name in ("U_prev", "U_curr", "P_prev", "P_curr"):
+            assert getattr(got.state, name).tobytes() == getattr(want.state, name).tobytes()
+        assert got.energies == want.energies

@@ -1,17 +1,19 @@
-"""Print one sha256 per case, over the outputs a refactoring must keep bit for bit.
+"""Print one sha256 per case and field, over the outputs a refactoring must keep bit for bit.
 
-Cases:
+Each line is ``<sha256>  <case> <field>``, so a change that moves only some
+outputs, say the energies' last bits, shows which. Cases:
 
 - ``standing-wave-128``: the benchmark's standing-wave workload, the
-  manufactured standing wave at nx 128, theta = 1/4, 40 steps. Hashed: the
-  energies, the error series, the CG iterations, residuals and defect norms
-  of every solve, and the final U and P.
+  manufactured standing wave at nx 128, theta = 1/4, 40 steps. Fields: the
+  run's status, the energies, the final U and P, the CG iterations,
+  residuals and defect norms of every solve, and the velocity and pressure
+  error series.
 - ``hetero-<seed>`` for seeds 1-3: the benchmark's large-step workload,
   seeded heterogeneous material, mixed sides, theta = 1 at dt = 2.8 h. The
-  same outputs, without errors (it records none).
+  same fields, without errors (it records none).
 - ``report <command>``: the report files of each ``mixedwave`` command that
-  CI runs from the README, their bytes with the output directory replaced
-  by ``<out>``.
+  CI runs from the README, one field per file, its bytes with the output
+  directory replaced by ``<out>``.
 
 The workloads come from ``bench/workloads.py``, which this script only
 imports. The hashes depend on the numpy and BLAS build, so compare them
@@ -53,45 +55,52 @@ README_COMMANDS = (
 )
 
 
-def run_digest(workload) -> str:
-    """sha256 of one run of a benchmark workload's problem."""
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def array_bytes(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+
+
+def run_digests(workload) -> list:
+    """(field, sha256) pairs of one run of a benchmark workload's problem."""
     result = run(workload.spec, workload.cfg)
-    digest = hashlib.sha256(result.status.encode())
-    arrays = [
-        [(s.n, s.t_half, s.value) for s in result.energies],
-        result.error_u or [],
-        result.error_p or [],
-        result.cg_iterations,
-        result.cg_residuals,
-        result.defect_norms,
-        result.state.U_curr,
-        result.state.P_curr,
+    fields = [
+        ("status", result.status.encode()),
+        ("energies", array_bytes([(s.n, s.t_half, s.value) for s in result.energies])),
+        ("U", array_bytes(result.state.U_curr)),
+        ("P", array_bytes(result.state.P_curr)),
+        ("cg_iterations", array_bytes(result.cg_iterations)),
+        ("cg_residuals", array_bytes(result.cg_residuals)),
+        ("defect_norms", array_bytes(result.defect_norms)),
     ]
-    for a in arrays:
-        digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-    return digest.hexdigest()
+    if result.error_u is not None:
+        fields += [("error_u", array_bytes(result.error_u)), ("error_p", array_bytes(result.error_p))]
+    return [(name, sha256(data)) for name, data in fields]
 
 
-def report_digest(command: str) -> str:
-    """sha256 of the report files one CLI command writes; raises on a nonzero exit."""
+def report_digests(command: str) -> list:
+    """(file name, sha256) pairs of the report files one CLI command writes;
+    raises on a nonzero exit."""
     with tempfile.TemporaryDirectory() as out:
         with contextlib.redirect_stdout(io.StringIO()):
             code = mixedwave.cli.main(command.split() + ["--output.dir", out])
         if code != 0:
             raise SystemExit(f"'mixedwave {command}' exited with {code}")
-        digest = hashlib.sha256()
-        for path in sorted(Path(out).iterdir()):
-            digest.update(path.name.encode() + b"\0")
-            digest.update(path.read_bytes().replace(out.encode(), b"<out>"))
-        return digest.hexdigest()
+        return [
+            (path.name, sha256(path.read_bytes().replace(out.encode(), b"<out>")))
+            for path in sorted(Path(out).iterdir())
+        ]
 
 
 def main() -> int:
-    cases = [("standing-wave-128", lambda: run_digest(StandingWave(seed=0)))]
-    cases += [(f"hetero-{seed}", lambda seed=seed: run_digest(HeteroLargeStep(seed))) for seed in HETERO_SEEDS]
-    cases += [(f"report {command}", lambda command=command: report_digest(command)) for command in README_COMMANDS]
-    for name, digest in cases:
-        print(f"{digest()}  {name}", flush=True)
+    cases = [("standing-wave-128", lambda: run_digests(StandingWave(seed=0)))]
+    cases += [(f"hetero-{seed}", lambda seed=seed: run_digests(HeteroLargeStep(seed))) for seed in HETERO_SEEDS]
+    cases += [(f"report {command}", lambda command=command: report_digests(command)) for command in README_COMMANDS]
+    for case, digests in cases:
+        for field, digest in digests():
+            print(f"{digest}  {case} {field}", flush=True)
     return 0
 
 

@@ -1,0 +1,96 @@
+"""Time the phases of a run's steps.
+
+For each case, builds the manufactured standing wave and its ``StepSolver``,
+takes the first step with ``initialize``, advances ``STEPS`` - 1 more levels
+and prints the median time per step of each phase, with the preconditioner
+and the mean CG iterations per solve, as a markdown table:
+
+- defect: -dt^2 D^T P[n] (the standing wave has no force);
+- solve: ``StepSolver.solve``, the CG solve for the increment from the
+  guess 2 U[n] - U[n-1], the guess included;
+- pressure: the recovery P[n+1] = C^-1 D U[n+1];
+- energy: ``discrete_energy``, one sample.
+
+The phases are those of ``scheme.step``, spelled out so that each can be
+timed. The last state is checked bit for bit against ``scheme.run`` of the
+same problem, so the tool fails when the two part.
+
+Cases: theta = 0 at nx 32 with dt = 0.9 of the CFL bound, a stable run of
+the ``stability`` study, and theta = 1/4 at nx 128 with dt = 1 / (4 nx),
+about 0.18 h, the standing wave of the README and the benchmark. Given grid
+sizes, both thetas run at each.
+
+Run from the root of a source checkout:
+
+    PYTHONPATH=src python3 tools/step_phases.py [nx ...]
+"""
+
+from __future__ import annotations
+
+import statistics
+import sys
+import time
+
+import numpy as np
+
+from mixedwave.linalg import spmv
+from mixedwave.scheme import SchemeState, StepSolver, ThetaConfig, discrete_energy, initialize, run
+from mixedwave.spaces import assemble_operators
+from mixedwave.verify import cfl_max_dt, estimate_inverse_constant, make_problem, mms_standing_wave
+
+CASES = ((0.0, 32), (0.25, 128))
+STEPS = 200
+CFL_FRACTION = 0.9  # of the explicit bound, one of the stability study's stable multipliers
+PHASES = ("defect", "solve", "pressure", "energy")
+
+
+def phase_times(theta, nx):
+    """Median seconds per step of each of ``PHASES``, the run's
+    preconditioner and its mean CG iterations per solve."""
+    spec = make_problem(mms_standing_wave(), nx)
+    mesh, material = spec.mesh, spec.material
+    if theta < 0.25:
+        c0 = estimate_inverse_constant(mesh, spec.bc)
+        dt = CFL_FRACTION * cfl_max_dt(theta, mesh.h, c0, material.rho0, material.lambda1)
+    else:
+        dt = 1.0 / (4 * nx)
+    cfg = ThetaConfig.from_steps(theta, STEPS * dt, STEPS)
+    ops = assemble_operators(mesh, spec.bc, material)
+    stepper = StepSolver(spec, ops, cfg)
+    state = initialize(stepper)
+    iterations, times = [], []
+    for _ in range(STEPS - 1):
+        start = time.perf_counter()
+        defect = spmv(ops.DT, state.P_curr)
+        defect *= -dt**2
+        defected = time.perf_counter()
+        U_next, result = stepper.solve(defect, 2.0 * state.U_curr - state.U_prev)
+        solved = time.perf_counter()
+        P_next = spmv(ops.D, U_next) / ops.Cdiag
+        recovered = time.perf_counter()
+        state = SchemeState(
+            state.n + 1, state.U_curr, U_next, state.P_curr, P_next, result.iterations, result.residual, result.rhs_norm
+        )
+        discrete_energy(state, ops, cfg)
+        sampled = time.perf_counter()
+        times.append((defected - start, solved - defected, recovered - solved, sampled - recovered))
+        iterations.append(result.iterations)
+    final = run(spec, cfg, record_errors=False).state
+    if not all(np.array_equal(a, b) for a, b in ((state.U_curr, final.U_curr), (state.P_curr, final.P_curr))):
+        raise SystemExit(f"theta {theta:g}, nx {nx}: the timed steps do not reproduce scheme.run")
+    medians = [statistics.median(column) for column in zip(*times)]
+    return medians, stepper.choice.split(",")[0], statistics.mean(iterations)
+
+
+def main(cases):
+    print("| theta | nx | " + " | ".join(f"{name} us" for name in PHASES) + " | sum us | preconditioner | CG iterations |")
+    print("|---:|---:|" + "---:|" * (len(PHASES) + 1) + "---|---:|")
+    for theta, nx in cases:
+        medians, choice, iterations = phase_times(theta, nx)
+        cells = [f"{1e6 * s:.1f}" for s in medians] + [f"{1e6 * sum(medians):.1f}"]
+        print(f"| {theta:g} | {nx} | " + " | ".join(cells) + f" | {choice} | {iterations:.2f} |")
+
+
+if __name__ == "__main__":
+    sizes = [int(a) for a in sys.argv[1:]]
+    main([(theta, nx) for nx in sizes for theta in (0.0, 0.25)] if sizes else CASES)
