@@ -14,7 +14,6 @@ from .linalg import (
     NonConvergence,
     SolverConfig,
     cg_solve,
-    csr_from_coo,
     spmv,
 )
 from .mesh import (
@@ -31,6 +30,7 @@ from .scheme import (
     EnergySample,
     ProblemSpec,
     RunResult,
+    RunSetup,
     SchemeState,
     SeparableForce,
     SeparableSolution,
@@ -38,6 +38,7 @@ from .scheme import (
     ThetaConfig,
     discrete_energy,
     initialize,
+    prepare,
     run,
     step,
     step_matrix,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .linalg import IterationCap, NonConvergence, SolverConfig
 from .mesh import EdgeClassification
-from .scheme import ThetaConfig, check_courant_number, run
+from .scheme import BLOWUP_THRESHOLD, ThetaConfig, check_courant_number, run
 from .verify import (
     BLOWUP,
     STABLE,
@@ -387,11 +387,14 @@ def cmd_stability(cfg: RunConfig) -> StudyReport:
     detail = "; ".join(problems) if problems else ", ".join(
         f"m={r.multiplier:g}:{r.status}" for r in rows
     )
+    # a BlowUp row's final_energy is nan; the note says where the run stopped
+    notes = [f"m={r.multiplier:g}: BlowUp at level {r.blowup_level} of {SWEEP_STEPS} "
+             f"(max |U| above {BLOWUP_THRESHOLD:g})" for r in rows if r.status == BLOWUP]
     return StudyReport(
         cfg,
         [("stability boundary", not problems, detail)],
         {"stability.csv": (["theta", "dt", "dt_over_dtmax", "status", "final_energy"], table_rows)},
-        [],
+        notes,
     )
 
 

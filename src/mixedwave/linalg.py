@@ -10,7 +10,7 @@ and ``spmv`` applies either:
   scatter. On the uniform grid every row's pattern is known in advance, so
   the package lays each row out from its candidate columns, strided slices
   of the free-dof index grids, with ``csr_from_candidates``; no sort is
-  needed. COO triplets, duplicates summed, convert to the same format.
+  needed.
 - Edge-grid stencils (``GridStepMatrix``, ``GridDivergence``): they take
   the free-dof layout of ``mesh`` (``EdgeClassification``), under which a
   free-dof vector is two 2-D arrays of edge values, and apply A,
@@ -60,8 +60,8 @@ class IterationCap(NonConvergence):
 class CsrMatrix:
     """Sparse matrix stored as padded rows (ELLPACK); the name is historical.
 
-    Build one from each row's candidate columns (``csr_from_candidates``)
-    or from COO triplets. Every operator this package builds has at most 7
+    Build one from each row's candidate columns (``csr_from_candidates``).
+    Every operator this package builds has at most 7
     entries per row, so the rows are stored padded to the widest one:
     ``cols`` and ``vals`` are (width, n_rows) arrays in which slot k of row
     i holds column ``cols[k, i]`` and value ``vals[k, i]``. Slot-major order
@@ -99,47 +99,6 @@ class CsrMatrix:
             diagonal.flags.writeable = False
             self._diagonal = diagonal
         return self._diagonal
-
-
-def csr_from_coo(rows, cols, vals, shape) -> CsrMatrix:
-    """Coalesce COO triplets (duplicates summed) into padded rows.
-
-    Raises ValueError when the three arrays differ in length or an index
-    lies outside ``shape``.
-    """
-    n_rows, n_cols = int(shape[0]), int(shape[1])
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.float64)
-    if not rows.shape == cols.shape == vals.shape == (rows.size,):
-        raise ValueError("rows, cols and vals must be 1-D arrays of equal length")
-    if rows.size:
-        if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
-            raise ValueError(f"COO index outside the {n_rows}x{n_cols} matrix")
-        # one int64 key per entry, row-major; a stable sort keeps duplicates
-        # in input order, so their sum does not depend on the sort
-        key = rows * n_cols + cols
-        order = np.argsort(key, kind="stable")
-        key, vals = key[order], vals[order]
-        new_group = np.ones(key.size, dtype=bool)
-        new_group[1:] = key[1:] != key[:-1]
-        group = np.cumsum(new_group) - 1
-        vals = np.bincount(group, weights=vals)
-        rows, cols = rows[order][new_group], cols[order][new_group]
-    # sorted and coalesced: each row's columns increase strictly, and an
-    # entry's slot is its index minus the index of its row's first entry
-    row_nnz = np.bincount(rows, minlength=n_rows)
-    first = np.cumsum(row_nnz) - row_nnz
-    width = int(row_nnz.max()) if n_rows else 0
-    nonempty = row_nnz > 0
-    pad = np.zeros(n_rows, dtype=np.int64)
-    pad[nonempty] = cols[first[nonempty]]
-    padded_cols = np.repeat(pad[None, :], width, axis=0)
-    padded_vals = np.zeros((width, n_rows))
-    slot = np.arange(rows.size, dtype=np.int64) - first[rows]
-    padded_cols[slot, rows] = cols
-    padded_vals[slot, rows] = vals
-    return CsrMatrix(padded_cols, padded_vals, row_nnz, (n_rows, n_cols))
 
 
 def csr_from_candidates(blocks, n_cols) -> CsrMatrix:

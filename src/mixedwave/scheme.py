@@ -27,6 +27,9 @@ the same SPD operator, so stepping never touches a saddle-point system.
 
 A run builds one ``StepSolver``, the context of ``initialize`` and ``step``:
 the operator with its preconditioner, the CG settings and the force's loads.
+What does not depend on dt, the assembled operators and the projected
+initial data, is a ``RunSetup``, which runs of one spec at several dt can
+share (``run``).
 Jacobi-CG needs more iterations the more the grad-div term outweighs the
 mass term; their ratio is bounded by kappa = theta dt^2 (lambda1 / rho0)
 mu_max, with mu_max the closed-form largest eigenvalue of the divergence
@@ -338,26 +341,34 @@ class StepSolver:
         return guess + result.x, result
 
 
-def initialize(stepper: StepSolver) -> SchemeState:
-    """Project initial data and take the Taylor first step; returns the state at n=1.
+@dataclass(frozen=True)
+class RunSetup:
+    """What a run builds independent of dt: the operators and the projected initial data.
 
-    U0 is the flux interpolant of u0 and P0 the element-average projection of
-    p0, and a datum left as None projects to zero without an evaluation; U1
-    solves
-
-        (A + theta*dt^2 D^T C^{-1} D) U1 = A U0 + dt A V0
-            + (theta - 1/2) dt^2 D^T P0 + dt^2/2 F0 + theta*dt^2 (F1 - F0)
-
-    after eliminating P1 through the divergence constraint. With the guess
-    G = U0 + dt V0 the A terms cancel, so CG solves for U1 - G with the defect
-
-        dt^2 [F0/2 + theta (F1 - F0) - D^T ((1/2 - theta) P0 + theta C^{-1} D G)],
-
-    which assumes nothing about P0. Warns when the
-    initial data are incompatible (C P0 != D U0), which would otherwise leave
-    an alternating-sign defect in the pressure recursion.
+    U0 is the flux interpolant of u0, V0 that of v0 and P0 the element-average
+    projection of p0; a datum left as None projects to zero without an
+    evaluation. The three arrays are read-only, so runs can share them.
+    ``prepare`` builds a set-up; ``run`` returns the one it used in
+    ``RunResult.setup`` and takes it back for another run of the same
+    ``spec`` object at another dt or theta. A set-up holds no step matrix,
+    preconditioner or solve: those depend on dt and stay per run.
     """
-    spec, ops, cfg = stepper.spec, stepper.ops, stepper.cfg
+
+    spec: ProblemSpec
+    operators: MixedOperators
+    U0: np.ndarray
+    V0: np.ndarray
+    P0: np.ndarray
+
+
+def prepare(spec: ProblemSpec, ops: MixedOperators) -> RunSetup:
+    """Project the initial data of ``spec`` for its assembled operators ``ops``.
+
+    Warns when the initial data are incompatible (C P0 != D U0), which would
+    otherwise leave an alternating-sign defect in the pressure recursion.
+    This is the only place the check runs, so runs that share a set-up warn
+    once.
+    """
     mesh, cls = ops.mesh, ops.classification
     U0 = np.zeros(ops.n_velocity) if spec.u0 is None else project_velocity_pi_h(mesh, cls, spec.u0)
     V0 = np.zeros(ops.n_velocity) if spec.v0 is None else project_velocity_pi_h(mesh, cls, spec.v0)
@@ -372,6 +383,31 @@ def initialize(stepper: StepSolver) -> SchemeState:
             CompatibilityWarning,
             stacklevel=2,
         )
+    for field in (U0, V0, P0):
+        field.flags.writeable = False
+    return RunSetup(spec, ops, U0, V0, P0)
+
+
+def initialize(stepper: StepSolver, setup: RunSetup | None = None) -> SchemeState:
+    """Take the Taylor first step from the initial data; returns the state at n=1.
+
+    The initial data come from ``setup``, or from ``prepare`` on the step
+    solver's spec and operators when it is None. U1 solves
+
+        (A + theta*dt^2 D^T C^{-1} D) U1 = A U0 + dt A V0
+            + (theta - 1/2) dt^2 D^T P0 + dt^2/2 F0 + theta*dt^2 (F1 - F0)
+
+    after eliminating P1 through the divergence constraint. With the guess
+    G = U0 + dt V0 the A terms cancel, so CG solves for U1 - G with the defect
+
+        dt^2 [F0/2 + theta (F1 - F0) - D^T ((1/2 - theta) P0 + theta C^{-1} D G)],
+
+    which assumes nothing about P0.
+    """
+    spec, ops, cfg = stepper.spec, stepper.ops, stepper.cfg
+    if setup is None:
+        setup = prepare(spec, ops)
+    U0, V0, P0 = setup.U0, setup.V0, setup.P0
 
     dt, theta = cfg.dt, cfg.theta
     guess = U0 + dt * V0
@@ -448,7 +484,8 @@ class RunResult:
     initial step's first, as one int array; ``cg_residuals`` the final
     true residual ||S x - b|| of each and ``defect_norms`` the norm ||b|| of
     its defect, as float arrays of the same shape. ``preconditioner`` is the
-    run's ``StepSolver.choice``.
+    run's ``StepSolver.choice``. ``setup`` is the run's ``RunSetup``, which
+    another run of the same spec can take.
     The error series hold one entry per level 0..n of the final state, one
     more than ``energies``; on BlowUp that includes the level whose step
     blew up.
@@ -460,11 +497,15 @@ class RunResult:
     error_u: Optional[list] = None   # per level 0..state.n
     error_p: Optional[list] = None
     config: ThetaConfig = None
-    operators: MixedOperators = None
+    setup: RunSetup = None
     cg_iterations: np.ndarray = None
     cg_residuals: np.ndarray = None
     defect_norms: np.ndarray = None
     preconditioner: str = None
+
+    @property
+    def operators(self) -> MixedOperators:
+        return self.setup.operators
 
     @property
     def completed(self):
@@ -482,6 +523,7 @@ def run(
     probes=(),
     solver: SolverConfig | None = None,
     record_errors: bool | None = None,
+    setup: RunSetup | None = None,
 ) -> RunResult:
     """Initialize, march N-1 steps, record the energy at every half level.
 
@@ -491,19 +533,33 @@ def run(
     it are recorded per level: its spatial profiles are evaluated and
     projected once per run, and each level costs one product with A
     (``spaces`` module docstring).
+
+    ``setup`` is the dt-independent part of the run, the operators and the
+    projected initial data: None builds it (``assemble_operators`` and
+    ``prepare``), and the result returns it as ``RunResult.setup``. A study
+    that runs one spec at several dt or theta passes the first run's set-up
+    to the later ones, which then assemble and project nothing and check
+    compatibility no more; their outputs are bit-identical to runs that
+    build their own. The step matrix, its preconditioner and every solve
+    stay per run. Raises ValueError for a set-up built for another spec
+    object.
     """
+    if setup is not None and setup.spec is not spec:
+        raise ValueError("setup was built for another ProblemSpec; only runs of one spec share a set-up")
     if record_errors is None:
         record_errors = spec.exact is not None
     if record_errors and spec.exact is None:
         raise ValueError("record_errors needs an exact solution (spec.exact)")
     check_courant_number(spec, cfg)
-    ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+    ops = assemble_operators(spec.mesh, spec.bc, spec.material) if setup is None else setup.operators
     stepper = StepSolver(spec, ops, cfg, solver)
+    if setup is None:
+        setup = prepare(spec, ops)
     err_u = [] if record_errors else None
     err_p = [] if record_errors else None
     exact = spec.exact
 
-    state = initialize(stepper)
+    state = initialize(stepper, setup)
     if record_errors:
         Pi_u, beta_u = velocity_best_approximation(ops, exact.velocity_profile)
         mean_p, beta_p = pressure_best_approximation(ops, exact.pressure_profile)
@@ -536,7 +592,7 @@ def run(
                 status = BLOWUP
                 break
     return RunResult(
-        status, energies, state, err_u, err_p, cfg, ops,
+        status, energies, state, err_u, err_p, cfg, setup,
         np.array(iterations, dtype=np.int64), np.array(residuals, dtype=np.float64),
         np.array(defect_norms, dtype=np.float64), stepper.choice,
     )

@@ -334,6 +334,10 @@ def temporal_study(
     exact-solution comparison would be swamped by the O(h) spatial term.
     Errors are discrete weighted L2 norms of the coefficient differences,
     maximized over the coarse run's levels.
+
+    The reference run builds the operators and the projected initial data
+    (``scheme.RunSetup``) in its own ``run`` call; the coarse runs take them
+    from its result, so only their step matrices and solves are new.
     """
     residual_check(mms)
     divisors = sorted(int(d) for d in divisors)
@@ -368,7 +372,7 @@ def temporal_study(
             worst_p = max(worst_p, math.sqrt((dp * Cdiag) @ dp))
 
         res = run(spec, ThetaConfig.from_steps(theta, final_time, d),
-                  probes=(compare,), solver=solver, record_errors=False)
+                  probes=(compare,), solver=solver, record_errors=False, setup=ref.setup)
         if not res.completed:
             raise RuntimeError(f"temporal run blew up at divisor {d}")
         rows.append((final_time / d, worst_u, worst_p))
@@ -387,8 +391,9 @@ class StabilityRow:
     dt: float
     dt_over_dtmax: float  # 0 when the bound is infinite
     status: str           # Stable / BlowUp / Drift
-    final_energy: float
+    final_energy: float   # nan on BlowUp, where the indefinite energy is rounding noise
     drift: float
+    blowup_level: Optional[int] = None  # the level whose step blew up, on BlowUp
 
 
 def stability_sweep(
@@ -407,28 +412,34 @@ def stability_sweep(
     multipliers slightly above 1 may complete without blowing up; such runs
     are reported as Drift or even Stable rather than being forced into a
     verdict.
+
+    A BlowUp row reports no final energy (nan): past
+    ``scheme.BLOWUP_THRESHOLD`` the indefinite energy of theta < 1/4 cancels
+    to rounding noise. It names the level whose step blew up instead.
+
+    The first run builds the operators and the projected initial data
+    (``scheme.RunSetup``) in its own ``run`` call; the later runs take them
+    from its result, so only their step matrices and solves are new.
     """
     if mms.f is not None:
         raise ValueError("stability sweep expects a force-free manufactured solution")
     residual_check(mms)
     spec = make_problem(mms, nx, ny)
     C0 = estimate_inverse_constant(spec.mesh, spec.bc)
+    setup = None
 
     def one(theta, m):
+        nonlocal setup
         dtmax = cfl_max_dt(theta, spec.mesh.h, C0, mms.rho, mms.lam)
         dt = m * dtmax if math.isfinite(dtmax) else m * 10.0 * spec.mesh.h
         cfg = ThetaConfig.from_steps(theta, dt * num_steps, num_steps)
-        result = run(spec, cfg, solver=solver, record_errors=False)
+        result = run(spec, cfg, solver=solver, record_errors=False, setup=setup)
+        setup = result.setup
         if result.status == BLOWUP:
-            status = BLOWUP
-            drift = math.inf
-        else:
-            drift = energy_drift(result)
-            status = STABLE if drift <= STABLE_DRIFT else DRIFT
-        return StabilityRow(
-            theta, m, cfg.dt, cfg.dt / dtmax, status,
-            result.energies[-1].value, drift,
-        )
+            return StabilityRow(theta, m, cfg.dt, cfg.dt / dtmax, BLOWUP, math.nan, math.inf, result.state.n)
+        drift = energy_drift(result)
+        status = STABLE if drift <= STABLE_DRIFT else DRIFT
+        return StabilityRow(theta, m, cfg.dt, cfg.dt / dtmax, status, result.energies[-1].value, drift)
 
     out = [one(t, m) for t in thetas for m in multipliers]
     return sorted(out, key=lambda r: (r.theta, r.multiplier))

@@ -15,7 +15,7 @@ the package's free dofs only through ``reference_edge_classify``.
 import numpy as np
 import scipy.linalg
 
-from mixedwave.linalg import csr_from_coo
+from mixedwave.linalg import CsrMatrix
 from mixedwave.mesh import LEFT, RIGHT, BOTTOM, TOP, BoundaryKind
 from mixedwave.spaces import DIVERGENCE_ROW, gauss_rule_1d, material_field
 
@@ -453,7 +453,48 @@ def reference_patch_colours(cls, blocks):
 
 
 # The padded-row operators by COO triplets: each free row's entries summed by
-# ``linalg.csr_from_coo``, with the free dofs of ``reference_edge_classify``.
+# ``csr_from_coo``, with the free dofs of ``reference_edge_classify``.
+
+def csr_from_coo(rows, cols, vals, shape) -> CsrMatrix:
+    """Coalesce COO triplets (duplicates summed) into padded rows.
+
+    Raises ValueError when the three arrays differ in length or an index
+    lies outside ``shape``.
+    """
+    n_rows, n_cols = int(shape[0]), int(shape[1])
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    vals = np.asarray(vals, dtype=np.float64)
+    if not rows.shape == cols.shape == vals.shape == (rows.size,):
+        raise ValueError("rows, cols and vals must be 1-D arrays of equal length")
+    if rows.size:
+        if rows.min() < 0 or rows.max() >= n_rows or cols.min() < 0 or cols.max() >= n_cols:
+            raise ValueError(f"COO index outside the {n_rows}x{n_cols} matrix")
+        # one int64 key per entry, row-major; a stable sort keeps duplicates
+        # in input order, so their sum does not depend on the sort
+        key = rows * n_cols + cols
+        order = np.argsort(key, kind="stable")
+        key, vals = key[order], vals[order]
+        new_group = np.ones(key.size, dtype=bool)
+        new_group[1:] = key[1:] != key[:-1]
+        group = np.cumsum(new_group) - 1
+        vals = np.bincount(group, weights=vals)
+        rows, cols = rows[order][new_group], cols[order][new_group]
+    # sorted and coalesced: each row's columns increase strictly, and an
+    # entry's slot is its index minus the index of its row's first entry
+    row_nnz = np.bincount(rows, minlength=n_rows)
+    first = np.cumsum(row_nnz) - row_nnz
+    width = int(row_nnz.max()) if n_rows else 0
+    nonempty = row_nnz > 0
+    pad = np.zeros(n_rows, dtype=np.int64)
+    pad[nonempty] = cols[first[nonempty]]
+    padded_cols = np.repeat(pad[None, :], width, axis=0)
+    padded_vals = np.zeros((width, n_rows))
+    slot = np.arange(rows.size, dtype=np.int64) - first[rows]
+    padded_cols[slot, rows] = cols
+    padded_vals[slot, rows] = vals
+    return CsrMatrix(padded_cols, padded_vals, row_nnz, (n_rows, n_cols))
+
 
 def assert_same_rows(got, want):
     """Two padded-row matrices hold the same bytes: shape, and the dtype and

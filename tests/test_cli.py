@@ -301,6 +301,22 @@ class TestCommands:
         assert ratios == pytest.approx([0.5, 0.9, 0.99, 1.5])
         statuses = [r[3] for r in rows]
         assert statuses[:3] == ["Stable"] * 3 and statuses[3] == "BlowUp"
+        # a blown-up run's energy is rounding noise, so it is not reported
+        energies = [float(r[4]) for r in rows]
+        assert all(math.isfinite(e) for e in energies[:3]) and rows[3][4] == "nan"
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert "m=1.5: BlowUp at level 280 of 500 (max |U| above 1e+12)" in summary.splitlines()
+
+    def test_stability_at_theta_one_quarter_is_stable_at_every_multiplier(self, tmp_path):
+        code = main([
+            "stability", "--scheme.theta", "0.25", "--mesh.nx", "16", "--mesh.ny", "16",
+            "--output.dir", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        rows = [line.split(",") for line in (tmp_path / "out" / "stability.csv").read_text().splitlines()[1:]]
+        assert [r[3] for r in rows] == ["Stable"] * 4
+        assert all(math.isfinite(float(r[4])) for r in rows)
+        assert "BlowUp at level" not in (tmp_path / "out" / "summary.txt").read_text()
 
     def test_converge_blank_first_rate_and_recomputable(self, tmp_path):
         code = main([

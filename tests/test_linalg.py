@@ -17,7 +17,6 @@ from mixedwave.linalg import (
     SolverConfig,
     cg_solve,
     csr_from_candidates,
-    csr_from_coo,
     spmv,
 )
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh, edge_classify
@@ -25,6 +24,7 @@ from mixedwave.spaces import GRID_MIN_DOFS, assemble_operators, element_blocks, 
 from mixedwave.scheme import ThetaConfig, step_matrix
 from oracles import (
     assert_same_rows,
+    csr_from_coo,
     dense_operators,
     dense_solve,
     dense_step_matrix,

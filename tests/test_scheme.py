@@ -15,6 +15,7 @@ from mixedwave.scheme import (
     MAX_STEPS,
     CompatibilityWarning,
     ProblemSpec,
+    RunSetup,
     SchemeState,
     SeparableForce,
     SeparableSolution,
@@ -22,6 +23,7 @@ from mixedwave.scheme import (
     ThetaConfig,
     discrete_energy,
     initialize,
+    prepare,
     run,
     step,
     step_matrix,
@@ -850,3 +852,111 @@ class TestJacobiPath:
         for name in ("U_prev", "U_curr", "P_prev", "P_curr"):
             assert getattr(got.state, name).tobytes() == getattr(want.state, name).tobytes()
         assert got.energies == want.energies
+
+
+class TestRunSetup:
+    """The dt-independent set-up a run returns and another run of the same spec takes."""
+
+    def spec(self, nx=8):
+        return make_problem(mms_standing_wave(), nx)
+
+    def test_a_run_returns_the_set_up_it_built(self):
+        spec = self.spec()
+        res = run(spec, ThetaConfig.from_steps(0.25, 0.25, 8))
+        assert isinstance(res.setup, RunSetup) and res.setup.spec is spec
+        assert res.operators is res.setup.operators
+        assert res.state.n == 8 and res.setup.U0.shape == (res.operators.n_velocity,)
+
+    def test_a_run_given_a_set_up_keeps_it(self):
+        spec = self.spec()
+        setup = prepare(spec, assemble_operators(spec.mesh, spec.bc, spec.material))
+        res = run(spec, ThetaConfig.from_steps(0.25, 0.25, 8), setup=setup)
+        assert res.setup is setup
+
+    @pytest.mark.parametrize("other", ["equal spec", "replaced spec", "other mesh"])
+    def test_a_set_up_of_another_spec_is_rejected(self, other):
+        spec = self.spec()
+        setup = run(spec, ThetaConfig.from_steps(0.25, 0.25, 8)).setup
+        foreign = {
+            "equal spec": lambda: self.spec(),
+            "replaced spec": lambda: replace(spec),
+            "other mesh": lambda: self.spec(4),
+        }[other]()
+        with pytest.raises(ValueError, match="another ProblemSpec"):
+            run(foreign, ThetaConfig.from_steps(0.25, 0.25, 8), setup=setup)
+
+    def test_the_initial_data_are_read_only(self):
+        spec = self.spec()
+        setup = prepare(spec, assemble_operators(spec.mesh, spec.bc, spec.material))
+        for field in (setup.U0, setup.V0, setup.P0):
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0] = 1.0
+
+    @pytest.mark.parametrize("theta, dt", [(0.0, 0.02), (0.25, 0.05), (1.0, 0.5)])
+    def test_a_shared_set_up_gives_the_bytes_of_a_fresh_one(self, theta, dt):
+        # the 1.0 case at nx 16 takes the multigrid path
+        spec = self.spec(16)
+        setup = run(spec, ThetaConfig.from_steps(0.5, 0.2, 4)).setup
+        cfg = ThetaConfig.from_steps(theta, 12 * dt, 12)
+        shared, fresh = run(spec, cfg, setup=setup), run(spec, cfg)
+        assert shared.preconditioner == fresh.preconditioner
+        for a, b in [
+            (shared.state.U_curr, fresh.state.U_curr), (shared.state.P_curr, fresh.state.P_curr),
+            (shared.cg_iterations, fresh.cg_iterations), (shared.cg_residuals, fresh.cg_residuals),
+            ([e.value for e in shared.energies], [e.value for e in fresh.energies]),
+            (shared.error_u, fresh.error_u), (shared.error_p, fresh.error_p),
+        ]:
+            assert np.array_equal(a, b)
+
+    def test_incompatible_data_warn_once_per_set_up(self):
+        spec = zero_problem()
+        spec.u0 = lambda x, y: (x, 0.0 * y)   # div u0 = 1
+        spec.p0 = ZERO_S                      # but p0 = 0
+        with pytest.warns(CompatibilityWarning):
+            setup = run(spec, ThetaConfig.from_steps(0.25, 0.1, 4)).setup
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CompatibilityWarning)
+            run(spec, ThetaConfig.from_steps(1.0, 0.4, 4), setup=setup)
+
+
+class TestClosedFormTrajectory:
+    """The standing wave is one discrete eigenmode, K U0 = mu_h A U0 with
+    K = D^T C^{-1} D, so from V0 = 0 the scheme's trajectory has a closed form.
+
+    The Taylor start gives U1 = c U0 with x = dt^2 mu_h and
+    c = (1 - (1/2 - theta) x) / (1 + theta x), and the three-level recursion
+    then gives U^n = cos(n phi) U0 with cos(phi) = c. On the unit square with
+    every side NEUMANN_U the mode's eigenvalue is the sum over both axes of
+    (6 / h^2) (1 - cos(pi h)) / (2 + cos(pi h)).
+    """
+
+    STEPS = 200
+
+    @staticmethod
+    def dts(theta, nx):
+        if theta < 0.25:
+            spec = make_problem(mms_standing_wave(), nx)
+            dt_max = cfl_max_dt(theta, spec.mesh.h, estimate_inverse_constant(spec.mesh, spec.bc), 1.0, 1.0)
+            return [0.5 * dt_max, 0.99 * dt_max]
+        return [0.5 / nx, 4.0 / nx]
+
+    @pytest.mark.parametrize("nx", [8, 32])
+    @pytest.mark.parametrize("theta", [0.0, 1 / 12, 0.25, 1.0])
+    def test_the_trajectory_is_cos_n_phi_times_the_initial_data(self, theta, nx):
+        h = 1.0 / nx
+        mu_h = 2 * (6 / h**2) * (1 - math.cos(math.pi * h)) / (2 + math.cos(math.pi * h))
+        spec = make_problem(mms_standing_wave(), nx)
+        for dt in self.dts(theta, nx):
+            levels = []
+            res = run(spec, ThetaConfig.from_steps(theta, self.STEPS * dt, self.STEPS),
+                      probes=(lambda n, t, U, P: levels.append(U.copy()),), record_errors=False)
+            assert res.completed and len(levels) == self.STEPS + 1
+            U0 = levels[0]
+            AU0 = spmv(res.operators.A, U0)
+            a = np.array([U @ AU0 for U in levels]) / (U0 @ AU0)
+            x = dt**2 * mu_h
+            c = (1 - (0.5 - theta) * x) / (1 + theta * x)
+            assert abs(c) <= 1.0  # inside the sharp bound dt^2 (1/4 - theta) mu <= 1
+            expected = np.cos(np.arange(self.STEPS + 1) * math.acos(c))
+            assert np.abs(a - expected).max() <= 1e-12

@@ -9,6 +9,7 @@ import pytest
 import sympy
 
 import mixedwave.multigrid as multigrid
+import mixedwave.scheme as scheme
 import mixedwave.verify as verify
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, RectMesh, build_rect_mesh
 from mixedwave.scheme import SeparableSolution, ThetaConfig, run
@@ -476,6 +477,85 @@ class TestStabilitySweep:
         )
         keys = [(r.theta, r.multiplier) for r in rows]
         assert keys == sorted(keys)
+
+
+class TestSharedSetUp:
+    """The studies build one set-up in their first run and share it with the later ones."""
+
+    @staticmethod
+    def independent(monkeypatch):
+        """Make every run of a study build its own set-up."""
+        inner = verify.run
+
+        def fresh(*args, setup=None, **kwargs):
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "run", fresh)
+
+    @staticmethod
+    def recording(monkeypatch):
+        """Count the set-up work done by each run of a study: per run, the calls
+        of assemble_operators and of the two projections during it, and
+        whether it was given a set-up."""
+        counts = {"assemble": 0, "project": 0}
+        per_run = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scheme, "assemble_operators", counting("assemble", scheme.assemble_operators))
+        monkeypatch.setattr(scheme, "project_velocity_pi_h", counting("project", scheme.project_velocity_pi_h))
+        monkeypatch.setattr(scheme, "project_pressure_p_h", counting("project", scheme.project_pressure_p_h))
+        inner = verify.run
+
+        def observed(*args, **kwargs):
+            before = dict(counts)
+            result = inner(*args, **kwargs)
+            per_run.append((kwargs.get("setup") is not None, counts["assemble"] - before["assemble"],
+                            counts["project"] - before["project"]))
+            return result
+
+        monkeypatch.setattr(verify, "run", observed)
+        return per_run
+
+    def sweep(self):
+        # nx 12 at theta = 0 blows up at 1.5 dt_max, so a BlowUp row is compared too
+        return stability_sweep(mms_standing_wave(), [0.0, 0.25], (0.5, 0.99, 1.5), 12, num_steps=500)
+
+    def temporal(self):
+        return temporal_study(mms_standing_wave(), 0.25, 8, 0.25, divisors=(2, 4, 8), ref_divisor=32)
+
+    def test_sweep_rows_are_those_of_independent_runs(self, monkeypatch):
+        shared = self.sweep()
+        assert BLOWUP in {r.status for r in shared}
+        self.independent(monkeypatch)
+        # repr prints every float round-trip exactly, nan included
+        assert repr(shared) == repr(self.sweep())
+
+    def test_temporal_table_is_that_of_independent_runs(self, monkeypatch):
+        shared = self.temporal()
+        self.independent(monkeypatch)
+        assert repr(shared) == repr(self.temporal())
+
+    @pytest.mark.parametrize("study", ["stability", "temporal"])
+    def test_later_runs_assemble_and_project_nothing(self, study, monkeypatch):
+        per_run = self.recording(monkeypatch)
+        self.sweep() if study == "stability" else self.temporal()
+        # the standing wave has u0 and p0; v0 is None and projects to zero
+        assert per_run[0] == (False, 1, 2)
+        assert per_run[1:] == [(True, 0, 0)] * (len(per_run) - 1)
+        assert len(per_run) == (6 if study == "stability" else 4)
+
+    def test_blowup_rows_report_no_energy(self):
+        rows = {r.multiplier: r for r in self.sweep() if r.theta == 0.0}
+        assert rows[1.5].status == BLOWUP and math.isnan(rows[1.5].final_energy)
+        assert 1 < rows[1.5].blowup_level < 500
+        for m in (0.5, 0.99):
+            assert rows[m].status == STABLE and math.isfinite(rows[m].final_energy)
+            assert rows[m].blowup_level is None
 
 
 def assert_same(before, after):
