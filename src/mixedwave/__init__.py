@@ -10,6 +10,7 @@ second-order-in-time convergence against manufactured solutions.
 from .linalg import (
     CgResult,
     CsrMatrix,
+    InputError,
     IterationCap,
     NonConvergence,
     SolverConfig,

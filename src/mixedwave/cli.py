@@ -5,7 +5,15 @@ Usage:  mixedwave <command> [--config FILE] [--key value ...]
 Commands: run (single simulation), energy (conservation study), stability
 (CFL sweep), converge (spatial refinement study), estimate-c0 (inverse
 constant and CFL bound). Command-line --key value pairs override file
-values. Exit codes: 0 all verdicts pass, 1 a study failed, 2 usage error.
+values. Exit codes: 0 all verdicts pass, 1 a study failed or ran out of
+memory, 2 usage error.
+
+Usage errors come from two places. Each key's caster rejects a value no
+command can take (not a number, theta outside [0, 1], a forced case that
+fails its residual check). The library rejects inputs no run can take (a dt
+that does not divide T, too many steps, overflowing products, a mesh the
+study cannot use), before the first run, with an InputError that names its
+parameter; PARAMETER_KEYS maps it to the keys the message names.
 """
 
 from __future__ import annotations
@@ -15,14 +23,13 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .linalg import IterationCap, NonConvergence, SolverConfig
-from .mesh import EdgeClassification
-from .scheme import BLOWUP_THRESHOLD, ThetaConfig, check_courant_number, run
+from .linalg import InputError, IterationCap, NonConvergence, SolverConfig
+from .scheme import BLOWUP_THRESHOLD, ThetaConfig, run
 from .verify import (
     BLOWUP,
     STABLE,
     cfl_max_dt,
-    convergence_levels,
+    check_mesh_width,
     convergence_study,
     energy_drift,
     error_linf_l2,
@@ -121,6 +128,15 @@ KEY_SPECS = {
     "solver.tol": ("tol", _positive_float),
     "solver.max_iter": ("max_iter", _nonnegative_int),
     "output.dir": ("out_dir", str),
+}
+
+# library parameter named by an InputError -> the keys that set it
+PARAMETER_KEYS = {
+    "theta": ("scheme.theta",),
+    "dt": ("time.dt",),
+    "final_time": ("time.T",),
+    "f": ("problem.case",),
+    "mesh": ("mesh.nx", "mesh.ny"),
 }
 
 
@@ -248,50 +264,9 @@ def _solver(cfg: RunConfig) -> SolverConfig:
     return SolverConfig(rel_tolerance=cfg.tol, max_iterations=cfg.max_iter)
 
 
-def _time_config(cfg: RunConfig) -> ThetaConfig:
-    try:
-        return ThetaConfig.from_dt(cfg.theta, cfg.T, cfg.dt)
-    except ValueError as exc:
-        raise ValueTypeError(f"'time.dt' = {fmt(cfg.dt)}: {exc}") from None
-
-
-def _check_time_step(cfg: RunConfig) -> None:
-    """Reject a dt that does not divide T or whose products would overflow."""
-    time_cfg = _time_config(cfg)
-    try:
-        check_courant_number(make_problem(_mms_for(cfg), cfg.nx, cfg.ny), time_cfg)
-    except ValueError as exc:
-        raise ValueTypeError(f"'time.dt' = {fmt(cfg.dt)}: {exc}") from None
-
-
-def _converge_plan(cfg: RunConfig) -> tuple:
-    """(theta, mesh sizes, dt rule, final time) of converge: nx doubled 3 times, dt = h/4."""
-    return cfg.theta, [cfg.nx, 2 * cfg.nx, 4 * cfg.nx, 8 * cfg.nx], lambda h: h / 4.0, cfg.T
-
-
-def _check_converge_levels(cfg: RunConfig) -> None:
-    try:
-        convergence_levels(*_converge_plan(cfg))
-    except ValueError as exc:
-        raise ValueTypeError(f"'time.T' = {fmt(cfg.T)}: {exc}") from None
-
-
-def _check_mesh(cfg: RunConfig) -> None:
-    """Reject a mesh the study cannot use.
-
-    estimate-c0 and stability need a free velocity dof for C0. On a mesh one
-    element wide the manufactured data project to zero, so energy and
-    stability would measure the relative drift of rounding noise.
-    """
-    where = f"'mesh.nx' = {cfg.nx}, 'mesh.ny' = {cfg.ny}"
-    no_free_dof = EdgeClassification.of(cfg.nx, cfg.ny, _mms_for(cfg).bc).n_free == 0
-    if cfg.command in ("estimate-c0", "stability") and no_free_dof:
-        raise ValueTypeError(f"{where}: the mesh has no free velocity dof, so C0 is undefined")
-    if cfg.command in ("energy", "stability") and min(cfg.nx, cfg.ny) == 1:
-        raise ValueTypeError(
-            f"{where}: on a mesh one element wide the manufactured data project to zero, "
-            "so the energy drift is rounding noise"
-        )
+def _where(cfg: RunConfig, parameter: str) -> str:
+    """The keys behind a library parameter with their values, e.g. 'time.dt' = 0.5."""
+    return ", ".join(f"'{key}' = {fmt(getattr(cfg, KEY_SPECS[key][0]))}" for key in PARAMETER_KEYS[parameter])
 
 
 def _energy_table(result):
@@ -339,7 +314,8 @@ def _solver_notes(result) -> list:
 
 def cmd_run(cfg: RunConfig) -> StudyReport:
     mms = _mms_for(cfg)  # _parse_case has residual-checked a forced case
-    result = run(make_problem(mms, cfg.nx, cfg.ny), _time_config(cfg), solver=_solver(cfg))
+    time_cfg = ThetaConfig.from_dt(cfg.theta, cfg.T, cfg.dt)  # checked before the mesh is built
+    result = run(make_problem(mms, cfg.nx, cfg.ny), time_cfg, solver=_solver(cfg))
     notes = [f"status = {result.status}", *_solver_notes(result)]
     if result.error_u is not None:
         eu, ep = error_linf_l2(result)
@@ -354,8 +330,10 @@ def cmd_run(cfg: RunConfig) -> StudyReport:
 
 
 def cmd_energy(cfg: RunConfig) -> StudyReport:
+    check_mesh_width(cfg.nx, cfg.ny)
     mms = _mms_for(cfg)
-    result = run(make_problem(mms, cfg.nx, cfg.ny), _time_config(cfg), solver=_solver(cfg))
+    time_cfg = ThetaConfig.from_dt(cfg.theta, cfg.T, cfg.dt)  # checked before the mesh is built
+    result = run(make_problem(mms, cfg.nx, cfg.ny), time_cfg, solver=_solver(cfg))
     drift = energy_drift(result) if result.completed else math.inf
     ok = result.completed and drift <= ENERGY_DRIFT_PASS
     return StudyReport(
@@ -400,7 +378,9 @@ def cmd_stability(cfg: RunConfig) -> StudyReport:
 
 def cmd_converge(cfg: RunConfig) -> StudyReport:
     mms = _mms_for(cfg)
-    table = convergence_study(mms, *_converge_plan(cfg), solver=_solver(cfg))
+    # nx doubled 3 times, dt = h/4
+    mesh_sizes = [cfg.nx, 2 * cfg.nx, 4 * cfg.nx, 8 * cfg.nx]
+    table = convergence_study(mms, cfg.theta, mesh_sizes, lambda h: h / 4.0, cfg.T, solver=_solver(cfg))
     rows = [[r.nx, r.h, r.dt, r.err_u, r.err_p, r.rate_u, r.rate_p] for r in table.rows]
     ru, rp = table.finest_rates
     lo, hi = RATE_WINDOW
@@ -441,6 +421,12 @@ _DISPATCH = {
 }
 
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    print("usage: mixedwave <command> [--config FILE] [--key value ...]", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in ("-h", "--help"):
@@ -450,21 +436,19 @@ def main(argv=None) -> int:
         command, config_path, overrides = parse_args(argv)
         text = Path(config_path).read_text(encoding="utf-8") if config_path else ""
         cfg = parse_config(text, overrides, command)
-        if cfg.command in ("run", "energy"):
-            _check_time_step(cfg)  # reject before any work starts
-        elif cfg.command == "converge":
-            _check_converge_levels(cfg)  # every level's step count, before the first run
-        _check_mesh(cfg)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("usage: mixedwave <command> [--config FILE] [--key value ...]", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         report = _DISPATCH[cfg.command](cfg)
-        paths = emit_reports(report, cfg.out_dir)
+        emit_reports(report, cfg.out_dir)
+    except InputError as exc:  # the library raises these before any run starts
+        return _usage_error(f"{_where(cfg, exc.parameter)}: {exc}")
+    except MemoryError:
+        print(f"error: {_where(cfg, 'mesh')}: out of memory; the mesh is too large", file=sys.stderr)
+        return 1
     except (NonConvergence, RuntimeError, ValueError, OSError) as exc:
         if isinstance(exc, IterationCap):
             where = f"'solver.max_iter' = {cfg.max_iter}: "

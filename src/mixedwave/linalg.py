@@ -57,6 +57,19 @@ class IterationCap(NonConvergence):
     """CG used up ``SolverConfig.iteration_cap`` iterations short of its tolerance."""
 
 
+class InputError(ValueError):
+    """An input no run can take, found before any work starts.
+
+    ``parameter`` names the library argument at fault (``"theta"``, ``"dt"``,
+    ``"final_time"``, ``"f"`` or ``"mesh"``), so a front end can report the
+    setting it came from.
+    """
+
+    def __init__(self, parameter: str, message: str):
+        super().__init__(message)
+        self.parameter = parameter
+
+
 class CsrMatrix:
     """Sparse matrix stored as padded rows (ELLPACK); the name is historical.
 

@@ -65,7 +65,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import CgResult, CsrMatrix, GridStepMatrix, Jacobi, SolutionProjection, SolverConfig, cg_solve, spmv
+from .linalg import (
+    CgResult,
+    CsrMatrix,
+    GridStepMatrix,
+    InputError,
+    Jacobi,
+    SolutionProjection,
+    SolverConfig,
+    cg_solve,
+    spmv,
+)
 from .mesh import BoundaryPartition, RectMesh
 from .multigrid import VCycle, coarsens
 from .spaces import (
@@ -107,7 +117,8 @@ class ThetaConfig:
     """Time discretization: theta in [0,1], N steps of size dt up to T = N*dt.
 
     Rejects a dt whose square overflows (the step matrix scales by dt^2) and
-    more than ``MAX_STEPS`` steps, so such inputs fail before any work.
+    more than ``MAX_STEPS`` steps, so such inputs fail before any work. Every
+    rejection is an ``InputError`` naming ``"theta"`` or ``"dt"``.
     """
 
     theta: float
@@ -117,18 +128,18 @@ class ThetaConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
+            raise InputError("theta", f"theta must lie in [0, 1], got {self.theta}")
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise InputError("dt", "dt must be positive")
         if not math.isfinite(self.dt * self.dt):
-            raise ValueError(f"dt^2 is not finite (dt = {self.dt})")
+            raise InputError("dt", f"dt^2 is not finite (dt = {self.dt})")
         if self.num_steps < 1:
-            raise ValueError("need at least one step")
+            raise InputError("dt", "need at least one step")
         if self.num_steps > MAX_STEPS:
-            raise ValueError(f"{self.num_steps} steps exceed the cap of {MAX_STEPS}")
+            raise InputError("dt", f"{self.num_steps} steps exceed the cap of {MAX_STEPS}")
         if abs(self.num_steps * self.dt - self.final_time) > 1e-12 * abs(self.final_time):
-            raise ValueError(
-                f"final_time must equal num_steps*dt: {self.final_time} vs {self.num_steps * self.dt}"
+            raise InputError(
+                "dt", f"final_time must equal num_steps*dt: {self.final_time} vs {self.num_steps * self.dt}"
             )
 
     @staticmethod
@@ -139,7 +150,9 @@ class ThetaConfig:
     def from_dt(theta, final_time, dt) -> "ThetaConfig":
         steps = final_time / dt
         if not math.isfinite(steps):
-            raise ValueError(f"final_time / dt is not finite ({final_time} / {dt})")
+            raise InputError("dt", f"final_time / dt is not finite ({final_time} / {dt})")
+        if steps > MAX_STEPS + 0.5:  # checked before rounding, so a huge count prints as 1e+300
+            raise InputError("dt", f"{steps:.3g} steps exceed the cap of {MAX_STEPS}")
         return ThetaConfig(theta, dt, max(1, round(steps)), final_time)
 
 
@@ -232,7 +245,7 @@ class EnergySample:
 
 
 def check_courant_number(spec: ProblemSpec, cfg: ThetaConfig) -> None:
-    """Raise ValueError when dt^2 lambda1 / (rho0 hx hy) exceeds ``MAX_COURANT_SQUARED``.
+    """Raise ``InputError("dt", ...)`` when dt^2 lambda1 / (rho0 hx hy) exceeds ``MAX_COURANT_SQUARED``.
 
     ``run`` checks this before any assembly, so a dt whose products would
     overflow fails at once instead of as a non-finite CG right-hand side.
@@ -240,7 +253,8 @@ def check_courant_number(spec: ProblemSpec, cfg: ThetaConfig) -> None:
     mesh, m = spec.mesh, spec.material
     courant_squared = cfg.dt**2 * m.lambda1 / (m.rho0 * mesh.hx * mesh.hy)
     if not courant_squared <= MAX_COURANT_SQUARED:
-        raise ValueError(
+        raise InputError(
+            "dt",
             f"dt^2 lambda1 / (rho0 hx hy) = {courant_squared:.3g} exceeds {MAX_COURANT_SQUARED:g} "
             f"(dt = {cfg.dt:g}); its products would leave the float range"
         )

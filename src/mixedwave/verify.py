@@ -18,8 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import SolverConfig, spmv
-from .mesh import BoundaryPartition, RectMesh, build_rect_mesh
+from .linalg import InputError, SolverConfig, spmv
+from .mesh import BoundaryPartition, EdgeClassification, RectMesh, build_rect_mesh
 from .scheme import (
     BLOWUP,
     ProblemSpec,
@@ -27,6 +27,7 @@ from .scheme import (
     SeparableForce,
     SeparableSolution,
     ThetaConfig,
+    check_courant_number,
     run,
 )
 from .spaces import material_field, max_divergence_eigenvalue
@@ -194,8 +195,22 @@ def estimate_inverse_constant(mesh: RectMesh, bc: BoundaryPartition) -> float:
     """
     mu = max_divergence_eigenvalue(mesh, bc)
     if mu == 0.0:
-        raise ValueError("mesh has no free velocity dofs; C0 is undefined")
+        raise InputError("mesh", "mesh has no free velocity dofs; C0 is undefined")
     return mesh.h * math.sqrt(mu)
+
+
+def check_mesh_width(nx: int, ny: int) -> None:
+    """Raise ``InputError("mesh", ...)`` for a mesh one element wide.
+
+    There the manufactured data project to zero, so a relative energy drift
+    would measure rounding noise.
+    """
+    if min(nx, ny) == 1:
+        raise InputError(
+            "mesh",
+            "on a mesh one element wide the manufactured data project to zero, "
+            "so the energy drift is rounding noise",
+        )
 
 
 def cfl_max_dt(theta: float, h: float, C0: float, rho0: float, lambda1: float) -> float:
@@ -276,13 +291,23 @@ def convergence_levels(theta: float, mesh_sizes, dt_rule, final_time: float) -> 
 
     ``dt_rule`` maps h to a target step; the actual step is final_time / N
     with N rounded up so the horizon is hit exactly. Raises ThetaConfig's
-    ValueError for a level that cannot run, before any level has run.
+    ``InputError`` for a level that cannot run, before any level has run; one
+    about the step names ``"final_time"``, from which the step is derived.
+    Repeated sizes raise ValueError: two levels of one h have no rate.
     """
+    sizes = sorted(int(n) for n in mesh_sizes)
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"mesh sizes must be distinct, got {sizes}")
     levels = []
-    for nx in sorted(int(n) for n in mesh_sizes):
+    for nx in sizes:
         h = build_rect_mesh(nx, nx).h  # the mesh of make_problem
         n = max(1, math.ceil(final_time / dt_rule(h) - 1e-12))
-        levels.append((nx, ThetaConfig.from_steps(theta, final_time, n)))
+        try:
+            levels.append((nx, ThetaConfig.from_steps(theta, final_time, n)))
+        except InputError as exc:
+            if exc.parameter != "dt":
+                raise
+            raise InputError("final_time", str(exc)) from None
     return levels
 
 
@@ -296,24 +321,27 @@ def convergence_study(
 ) -> ConvergenceTable:
     """Spatial refinement study against the exact solution.
 
-    Levels as in ``convergence_levels``, all checked before the first run;
-    rows are ordered by decreasing h and rates are slopes between consecutive rows.
+    Levels as in ``convergence_levels``, all checked, their Courant numbers
+    included, before the first run; rows are ordered by decreasing h and
+    rates are slopes between consecutive rows.
     """
     residual_check(mms)
-    levels = convergence_levels(theta, mesh_sizes, dt_rule, final_time)
+    levels = [(make_problem(mms, nx), cfg) for nx, cfg in
+              convergence_levels(theta, mesh_sizes, dt_rule, final_time)]
+    for spec, cfg in levels:
+        check_courant_number(spec, cfg)
 
-    def level(nx, cfg):
-        spec = make_problem(mms, nx)
+    def level(spec, cfg):
         result = run(spec, cfg, solver=solver)
         if not result.completed:
-            raise RuntimeError(f"convergence run blew up at nx={nx}")
+            raise RuntimeError(f"convergence run blew up at nx={spec.mesh.nx}")
         err_u, err_p = error_linf_l2(result)
         return spec.mesh.h, cfg.dt, err_u, err_p
 
-    results = [level(nx, cfg) for nx, cfg in levels]
+    results = [level(spec, cfg) for spec, cfg in levels]
     hs = [r[0] for r in results]
     return _build_table(
-        [nx for nx, _ in levels], hs, [r[1] for r in results],
+        [spec.mesh.nx for spec, _ in levels], hs, [r[1] for r in results],
         [r[2] for r in results], [r[3] for r in results], spacings=hs,
     )
 
@@ -337,30 +365,38 @@ def temporal_study(
 
     The reference run builds the operators and the projected initial data
     (``scheme.RunSetup``) in its own ``run`` call; the coarse runs take them
-    from its result, so only their step matrices and solves are new.
+    from its result, so only their step matrices and solves are new. Every
+    run's time step is checked before the first run, as is the mesh: with no
+    free velocity dof every error is zero and has no rate.
     """
     residual_check(mms)
+    if EdgeClassification.of(nx, nx, mms.bc).n_free == 0:
+        raise InputError("mesh", "mesh has no free velocity dofs; the time error is zero")
     divisors = sorted(int(d) for d in divisors)
+    if len(set(divisors)) < len(divisors):
+        raise ValueError(f"divisors must be distinct, got {divisors}")  # two runs of one dt have no rate
     stride = ref_divisor // divisors[-1]
-    for d in divisors:
-        if ref_divisor % d != 0 or (ref_divisor // d) % stride != 0:
+    for d in divisors:  # a divisor of the reference's own step has no error to measure
+        if d >= ref_divisor or ref_divisor % d != 0 or (ref_divisor // d) % stride != 0:
             raise ValueError(f"divisor {d} incompatible with reference {ref_divisor}")
 
     spec = make_problem(mms, nx)
+    ref_cfg, *configs = [ThetaConfig.from_steps(theta, final_time, n) for n in (ref_divisor, *divisors)]
+    for cfg in (ref_cfg, *configs):
+        check_courant_number(spec, cfg)
     snapshots = {}
 
     def keep(level, t, U, P):
         if level % stride == 0:
             snapshots[level] = (U.copy(), P.copy())
 
-    ref = run(spec, ThetaConfig.from_steps(theta, final_time, ref_divisor),
-              probes=(keep,), solver=solver, record_errors=False)
+    ref = run(spec, ref_cfg, probes=(keep,), solver=solver, record_errors=False)
     if not ref.completed:
         raise RuntimeError("reference run blew up")
     A, Cdiag = ref.operators.A, ref.operators.Cdiag
 
     rows = []
-    for d in divisors:
+    for d, cfg in zip(divisors, configs):
         ratio = ref_divisor // d
         worst_u, worst_p = 0.0, 0.0
 
@@ -371,8 +407,7 @@ def temporal_study(
             worst_u = max(worst_u, math.sqrt(du @ spmv(A, du)))
             worst_p = max(worst_p, math.sqrt((dp * Cdiag) @ dp))
 
-        res = run(spec, ThetaConfig.from_steps(theta, final_time, d),
-                  probes=(compare,), solver=solver, record_errors=False, setup=ref.setup)
+        res = run(spec, cfg, probes=(compare,), solver=solver, record_errors=False, setup=ref.setup)
         if not res.completed:
             raise RuntimeError(f"temporal run blew up at divisor {d}")
         rows.append((final_time / d, worst_u, worst_p))
@@ -420,26 +455,37 @@ def stability_sweep(
     The first run builds the operators and the projected initial data
     (``scheme.RunSetup``) in its own ``run`` call; the later runs take them
     from its result, so only their step matrices and solves are new.
+
+    Every input is checked before the first run. A forced solution raises
+    ``InputError("f", ...)``; a mesh with no free velocity dof or one
+    element wide (``check_mesh_width``) raises ``InputError("mesh", ...)``;
+    each run's ``ThetaConfig`` and Courant number are checked up front.
     """
     if mms.f is not None:
-        raise ValueError("stability sweep expects a force-free manufactured solution")
+        raise InputError("f", "stability sweep expects a force-free manufactured solution")
     residual_check(mms)
     spec = make_problem(mms, nx, ny)
     C0 = estimate_inverse_constant(spec.mesh, spec.bc)
+    check_mesh_width(spec.mesh.nx, spec.mesh.ny)
+    plan = []  # (multiplier, dt_max, ThetaConfig) of each run, in run order
+    for theta in thetas:
+        dtmax = cfl_max_dt(theta, spec.mesh.h, C0, mms.rho, mms.lam)
+        for m in multipliers:
+            dt = m * dtmax if math.isfinite(dtmax) else m * 10.0 * spec.mesh.h
+            cfg = ThetaConfig.from_steps(theta, dt * num_steps, num_steps)
+            check_courant_number(spec, cfg)
+            plan.append((m, dtmax, cfg))
     setup = None
 
-    def one(theta, m):
+    def one(m, dtmax, cfg):
         nonlocal setup
-        dtmax = cfl_max_dt(theta, spec.mesh.h, C0, mms.rho, mms.lam)
-        dt = m * dtmax if math.isfinite(dtmax) else m * 10.0 * spec.mesh.h
-        cfg = ThetaConfig.from_steps(theta, dt * num_steps, num_steps)
         result = run(spec, cfg, solver=solver, record_errors=False, setup=setup)
         setup = result.setup
         if result.status == BLOWUP:
-            return StabilityRow(theta, m, cfg.dt, cfg.dt / dtmax, BLOWUP, math.nan, math.inf, result.state.n)
+            return StabilityRow(cfg.theta, m, cfg.dt, cfg.dt / dtmax, BLOWUP, math.nan, math.inf, result.state.n)
         drift = energy_drift(result)
         status = STABLE if drift <= STABLE_DRIFT else DRIFT
-        return StabilityRow(theta, m, cfg.dt, cfg.dt / dtmax, status, result.energies[-1].value, drift)
+        return StabilityRow(cfg.theta, m, cfg.dt, cfg.dt / dtmax, status, result.energies[-1].value, drift)
 
-    out = [one(t, m) for t in thetas for m in multipliers]
+    out = [one(*p) for p in plan]
     return sorted(out, key=lambda r: (r.theta, r.multiplier))

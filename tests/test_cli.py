@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mixedwave.cli as cli
+import mixedwave.scheme as scheme
 import mixedwave.verify as verify
 
 from mixedwave.cli import (
@@ -27,6 +28,40 @@ from mixedwave.cli import (
     parse_config,
 )
 from mixedwave.verify import observed_rates
+
+
+COURANT = "its products would leave the float range"
+MESH = ["mesh.nx", "mesh.ny"]
+# (command, argv, keys, cause): inputs valid key by key that no run can take.
+# The library finds each before the first run and names its parameter.
+USAGE_ERRORS = [
+    pytest.param(command, argv, keys, cause, id=f"{command}-{label}")
+    for label, commands, argv, keys, cause in [
+        ("dt-does-not-divide-T", ["run", "energy"], ["--time.dt", "0.3", "--time.T", "1.0"], ["time.dt"],
+         "final_time must equal num_steps*dt"),
+        ("dt-squared-overflows", ["run"], ["--time.dt", "1e200", "--time.T", "1e200"], ["time.dt"],
+         "dt^2 is not finite"),
+        ("steps-above-the-cap", ["run"], ["--time.dt", "1e-300", "--time.T", "1.0"], ["time.dt"],
+         ": 1e+300 steps exceed the cap of 10000000\n"),
+        # dt^2 lambda1 / (rho0 hx hy): 4.1e303 at nx 64, and 6.4e307 at nx 8
+        ("courant-overflows", ["run", "energy"],
+         ["--time.dt", "1e150", "--time.T", "1e150", "--mesh.nx", "64", "--mesh.ny", "64"], ["time.dt"], COURANT),
+        ("courant-overflows-theta-1", ["run", "energy"],
+         ["--scheme.theta", "1", "--time.dt", "1e153", "--time.T", "1e153", "--mesh.nx", "8", "--mesh.ny", "8"],
+         ["time.dt"], COURANT),
+        # nx 8, 16 and 32 could run; nx 64 needs 18.1 M steps, above the cap
+        ("level-above-the-cap", ["converge"], ["--mesh.nx", "8", "--time.T", "1e5"], ["time.T"],
+         "18101934 steps exceed the cap"),
+        ("no-free-dof", ["estimate-c0", "stability"], ["--mesh.nx", "1", "--mesh.ny", "1"], MESH,
+         "no free velocity dof"),
+        ("one-element-wide", ["energy", "stability"], ["--mesh.nx", "1", "--mesh.ny", "8"], MESH,
+         "one element wide"),
+        ("one-element-high", ["stability"], ["--mesh.nx", "8", "--mesh.ny", "1"], MESH, "one element wide"),
+        ("forced-case", ["stability"], ["--problem.case", "forced:1", "--mesh.nx", "8", "--mesh.ny", "8"],
+         ["problem.case"], "force-free"),
+    ]
+    for command in commands
+]
 
 
 class TestParsing:
@@ -176,44 +211,44 @@ class TestCommands:
         lines = [line for line in summary if line.startswith("preconditioner = ")]
         assert len(lines) == 1 and re.fullmatch("preconditioner = " + choice, lines[0])
 
-    @pytest.mark.parametrize("command", ["run", "energy"])
-    @pytest.mark.parametrize("args", [
-        ["--time.dt", "1e150", "--time.T", "1e150", "--mesh.nx", "64", "--mesh.ny", "64"],
-        ["--scheme.theta", "1", "--time.dt", "1e153", "--time.T", "1e153", "--mesh.nx", "8", "--mesh.ny", "8"],
-    ])
-    def test_a_dt_whose_products_overflow_is_a_usage_error(self, command, args, tmp_path, capsys):
-        out = tmp_path / "out"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main([command, *args, "--output.dir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "'time.dt'" in err and "Warning" not in err
-        assert not out.exists()
-
-    def test_usage_error_exit_code(self, tmp_path, capsys, monkeypatch):
+    def test_usage_error_exit_code(self):
         assert main([]) == 2
         assert main(["energy", "--scheme.thetta", "0.2"]) == 2
         assert main(["energy", "--config", "/nonexistent/path.cfg"]) == 2
-        assert main(["energy", "--time.dt", "0.3", "--time.T", "1.0"]) == 2
-        capsys.readouterr()
 
-        # meshes a study cannot use: no free velocity dof, or one element wide
+    @pytest.mark.parametrize("command, argv, keys, cause", USAGE_ERRORS)
+    def test_cross_key_usage_errors_name_their_keys_before_any_run(
+        self, command, argv, keys, cause, tmp_path, capsys, monkeypatch
+    ):
         def no_run(*args, **kwargs):
             raise AssertionError("a run started")
 
-        monkeypatch.setattr(cli, "run", no_run)
+        def run_until_assembly(*args, **kwargs):
+            monkeypatch.setattr(scheme, "assemble_operators", no_run)
+            return scheme.run(*args, **kwargs)
+
+        # run owns the Courant check, which needs the mesh; it raises before assembly
+        monkeypatch.setattr(cli, "run", run_until_assembly if cause == COURANT else no_run)
         monkeypatch.setattr(verify, "run", no_run)
-        out = str(tmp_path / "out")
-        for command, nx, ny, cause in [
-            ("estimate-c0", 1, 1, "no free velocity dof"),
-            ("stability", 1, 1, "no free velocity dof"),
-            ("energy", 1, 8, "one element wide"),
-            ("stability", 1, 8, "one element wide"),
-            ("stability", 8, 1, "one element wide"),
-        ]:
-            assert main([command, "--mesh.nx", str(nx), "--mesh.ny", str(ny), "--output.dir", out]) == 2
-            err = capsys.readouterr().err
-            assert "'mesh.nx'" in err and "'mesh.ny'" in err and cause in err
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, *argv, "--output.dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(f"'{key}'" in err for key in keys) and cause in err
+        assert "Warning" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, module", [("run", cli), ("stability", verify)])
+    def test_out_of_memory_names_the_mesh_without_a_traceback(self, command, module, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(module, "make_problem", out_of_memory)
+        argv = [command, "--mesh.nx", "1000000", "--mesh.ny", "1000000", "--output.dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: 'mesh.nx' = 1000000, 'mesh.ny' = 1000000: out of memory; the mesh is too large\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("omega", ["nan", "inf", "-inf", "1e200", "1e154"])
@@ -232,29 +267,6 @@ class TestCommands:
         code = main(["run", f"--{key}", value, "--output.dir", str(tmp_path / "out")])
         assert code == 2
         assert f"'{key}'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("dt, T", [("1e200", "1e200"), ("1e-300", "1.0")])
-    def test_time_inputs_that_cannot_run_are_usage_errors(self, dt, T, tmp_path, capsys, monkeypatch):
-        # dt^2 overflows, or T / dt is about 1e300 steps
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started")
-
-        monkeypatch.setattr(cli, "run", no_run)
-        code = main(["run", "--time.dt", dt, "--time.T", T, "--output.dir", str(tmp_path / "out")])
-        assert code == 2
-        assert "'time.dt'" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_converge_levels_that_cannot_run_are_usage_errors(self, tmp_path, capsys, monkeypatch):
-        # nx 8, 16 and 32 could run; nx 64 needs 18.1 M steps, above the cap
-        def no_run(*args, **kwargs):
-            raise AssertionError("a run started")
-
-        monkeypatch.setattr(verify, "run", no_run)
-        code = main(["converge", "--mesh.nx", "8", "--time.T", "1e5", "--output.dir", str(tmp_path / "out")])
-        assert code == 2
-        assert "'time.T'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_blown_up_level_has_its_errors(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Property tests of the invariants over random meshes, sides, material and steps.
+"""Property tests of the invariants over random meshes, sides, material and steps,
+and of the studies' input checks over random small calls.
 
 Meshes are small (nx, ny in 1..12) so the dense oracles stay cheap. The
 coarsest multigrid grid is lowered to 16 dofs here, so that large steps on
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import mixedwave.multigrid as multigrid
+import mixedwave.verify as verify
 from mixedwave.linalg import SolverConfig
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, EdgeClassification, build_rect_mesh
 from mixedwave.scheme import (
@@ -31,7 +33,16 @@ from mixedwave.scheme import (
     step_matrix,
 )
 from mixedwave.spaces import MaterialField, assemble_operators
-from mixedwave.verify import cfl_max_dt, estimate_inverse_constant, make_problem, mms_forced
+from mixedwave.verify import (
+    cfl_max_dt,
+    convergence_study,
+    estimate_inverse_constant,
+    make_problem,
+    mms_forced,
+    mms_standing_wave,
+    stability_sweep,
+    temporal_study,
+)
 
 from oracles import dense_theta_step, random_consistent_state, todense
 from test_verify import assert_same
@@ -146,3 +157,80 @@ def test_assemble_operators_leaves_its_inputs_unchanged(case):
     before = copy.deepcopy(spec)
     assemble_operators(spec.mesh, spec.bc, spec.material)
     assert_same(before, spec)
+
+
+def quarter_h(h):
+    return h / 4
+
+
+@st.composite
+def study_calls(draw):
+    """(study, args, kwargs): one small call of a study, at most 4 x 4 elements
+    and 10 steps per run, with no fault or one fault the study must reject. A
+    faulty entry of a list goes at a random place, so valid runs may come
+    before it."""
+    study = draw(st.sampled_from(["stability", "convergence", "temporal"]))
+
+    def with_entry(values, bad):
+        values = list(values)
+        values.insert(draw(st.integers(0, len(values))), bad)
+        return values
+
+    if study == "stability":
+        fault = draw(st.sampled_from([None, None, None, "theta", "forced", "mesh", "multiplier"]))
+        mms = mms_forced(1.0) if fault == "forced" else mms_standing_wave()
+        thetas = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 1.0]), min_size=1, max_size=2))
+        multipliers = draw(st.lists(st.sampled_from([0.5, 0.99, 1.5]), min_size=1, max_size=2))
+        nx, ny = draw(st.integers(2, 4)), draw(st.none() | st.integers(2, 4))
+        if fault == "theta":
+            thetas = with_entry(thetas, draw(st.sampled_from([-0.1, 1.5])))
+        elif fault == "mesh":
+            nx, ny = draw(st.sampled_from([(1, 1), (1, None), (1, 3), (3, 1)]))
+        elif fault == "multiplier":
+            multipliers = with_entry(multipliers, draw(st.sampled_from([-1.0, 0.0, 1e60])))  # 1e60: Courant number
+        return stability_sweep, (mms, thetas, multipliers, nx), {"ny": ny, "num_steps": draw(st.integers(1, 10))}
+    theta = draw(st.sampled_from([0.25, 1.0] + ([0.0] if study == "convergence" else [])))
+    if study == "convergence":
+        fault = draw(st.sampled_from([None, None, None, "theta", "cap", "repeat"]))
+        mms = draw(st.sampled_from([mms_standing_wave, lambda: mms_forced(1.0)]))()
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+        final_time = draw(st.sampled_from([0.25, 0.5]))  # at most 8 steps at nx 4
+        if fault == "theta":
+            theta = draw(st.sampled_from([-0.1, 1.5]))
+        elif fault == "cap":
+            final_time = 1e7  # at least 4e7 steps
+        elif fault == "repeat":
+            sizes = with_entry(sizes, draw(st.sampled_from(sizes)))
+        return convergence_study, (mms, theta, sizes, quarter_h, final_time), {}
+    fault = draw(st.sampled_from([None, None, None, "theta", "mesh", "divisor", "repeat"]))
+    nx = 1 if fault == "mesh" else draw(st.integers(2, 4))
+    divisors = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=3, unique=True))
+    if fault == "theta":
+        theta = draw(st.sampled_from([-0.1, 1.5]))
+    elif fault == "divisor":
+        divisors = with_entry(divisors, draw(st.sampled_from([3, 8])))  # 3 does not divide 8; 8 is the reference
+    elif fault == "repeat":
+        divisors = with_entry(divisors, draw(st.sampled_from(divisors)))
+    return temporal_study, (mms_standing_wave(), theta, nx, 0.25), {"divisors": divisors, "ref_divisor": 8}
+
+
+@SETTINGS
+@given(study_calls())
+def test_studies_fail_before_their_first_run_and_leave_their_inputs_alone(call):
+    study, args, kwargs = call
+    before = copy.deepcopy((args, kwargs))
+    runs = []
+
+    def counted_run(spec, cfg, *run_args, **run_kwargs):
+        assert cfg.num_steps <= 10  # the draws are small
+        runs.append(None)
+        return run(spec, cfg, *run_args, **run_kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "run", counted_run)
+        try:
+            study(*args, **kwargs)
+        except ValueError:
+            assert runs == []
+    for was, now in zip((*before[0], before[1]), (*args, kwargs)):
+        assert_same(was, now)

@@ -104,6 +104,15 @@ class TestThetaConfig:
         with pytest.raises(ValueError, match="exceed the cap"):
             ThetaConfig.from_dt(0.25, 1.0, 1e-300)  # about 1e300 steps
 
+    def test_from_dt_prints_a_huge_step_count_in_three_digits(self):
+        # T / dt is compared with the cap before rounding, not printed as a 301-digit integer
+        assert ThetaConfig.from_dt(0.25, 1.0, 1e-7).num_steps == MAX_STEPS
+        with pytest.raises(ValueError) as caught:
+            ThetaConfig.from_dt(0.25, 1.0, 1e-300)
+        assert str(caught.value) == f"1e+300 steps exceed the cap of {MAX_STEPS}"
+        with pytest.raises(ValueError, match="exceed the cap"):
+            ThetaConfig.from_dt(0.25, 1.0, 1e-7 / (1 + 1e-7))  # one step above the cap
+
 
 class TestInitialize:
     def test_zero_data_stays_zero(self):

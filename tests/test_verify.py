@@ -11,14 +11,17 @@ import sympy
 import mixedwave.multigrid as multigrid
 import mixedwave.scheme as scheme
 import mixedwave.verify as verify
+from mixedwave.linalg import InputError
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, RectMesh, build_rect_mesh
-from mixedwave.scheme import SeparableSolution, ThetaConfig, run
+from mixedwave.scheme import SeparableSolution, ThetaConfig, check_courant_number, run
 from mixedwave.spaces import assemble_operators, material_field, project_pressure_p_h, project_velocity_pi_h
 from mixedwave.verify import (
     BLOWUP,
     DRIFT,
     STABLE,
     cfl_max_dt,
+    check_mesh_width,
+    convergence_levels,
     convergence_study,
     energy_drift,
     error_linf_l2,
@@ -620,3 +623,72 @@ class TestInputsAreLeftAlone:
         else:
             temporal_study(mms, 0.25, 4, 0.1, divisors=(2, 4), ref_divisor=8)
         assert_same(before, mms)
+
+
+QUARTER_H = lambda h: h / 4  # noqa: E731
+
+
+class TestInputErrors:
+    """Each input check raises an InputError, a ValueError that names the
+    parameter at fault; the studies raise theirs before their first run."""
+
+    @pytest.mark.parametrize("parameter, call", [
+        pytest.param("theta", lambda: ThetaConfig(1.5, 0.1, 10, 1.0), id="theta-range"),
+        pytest.param("theta", lambda: convergence_levels(-0.1, [8], QUARTER_H, 1.0), id="levels-theta"),
+        pytest.param("dt", lambda: ThetaConfig(0.25, -0.1, 10, -1.0), id="dt-negative"),
+        pytest.param("dt", lambda: ThetaConfig(0.25, 0.1, 0, 0.0), id="no-step"),
+        pytest.param("dt", lambda: ThetaConfig(0.25, 0.1, 10, 1.5), id="horizon"),
+        pytest.param("dt", lambda: ThetaConfig.from_dt(0.25, 1.0, 0.3), id="not-a-divisor"),
+        pytest.param("dt", lambda: ThetaConfig.from_dt(0.25, 1.0, 1e-300), id="steps-cap"),
+        pytest.param("dt", lambda: ThetaConfig.from_dt(0.25, 1.0, 1e-320), id="steps-not-finite"),
+        pytest.param("dt", lambda: ThetaConfig.from_dt(0.25, 1e200, 1e200), id="dt-squared"),
+        pytest.param("dt", lambda: check_courant_number(make_problem(mms_standing_wave(), 8),
+                                                        ThetaConfig.from_dt(0.25, 1e50, 1e50)), id="courant"),
+        # nx 64 needs 18.1 M steps; converge derives dt from T
+        pytest.param("final_time", lambda: convergence_levels(0.25, [8, 64], QUARTER_H, 1e5), id="levels-cap"),
+        pytest.param("final_time", lambda: convergence_study(mms_standing_wave(), 0.25, [8, 64], QUARTER_H, 1e5),
+                     id="convergence-cap"),
+        pytest.param("f", lambda: stability_sweep(mms_forced(1.0), [0.0], (0.9,), 4), id="sweep-forced"),
+        pytest.param("mesh", lambda: estimate_inverse_constant(build_rect_mesh(1, 1), BoundaryPartition.all_neumann()),
+                     id="no-free-dof"),
+        pytest.param("mesh", lambda: stability_sweep(mms_standing_wave(), [0.0], (0.5,), 1, 1), id="sweep-no-free-dof"),
+        pytest.param("mesh", lambda: stability_sweep(mms_standing_wave(), [0.0], (0.5,), 1, 8), id="sweep-1-wide"),
+        pytest.param("mesh", lambda: stability_sweep(mms_standing_wave(), [0.0], (0.5,), 8, 1), id="sweep-1-high"),
+        pytest.param("mesh", lambda: check_mesh_width(5, 1), id="mesh-width"),
+        pytest.param("mesh", lambda: temporal_study(mms_standing_wave(), 0.25, 1, 0.25, divisors=(1, 2), ref_divisor=8),
+                     id="temporal-no-free-dof"),
+        # the second run's Courant number overflows: found before the first run
+        pytest.param("dt", lambda: stability_sweep(mms_standing_wave(), [0.0], (0.5, 1e60), 8), id="sweep-courant"),
+        # dt^2 lambda1 / (rho0 hx hy) = dt^2 nx^2 at dt = T = 1e50: 1e100 at nx 1, 4e100 at nx 2
+        pytest.param("dt", lambda: convergence_study(mms_standing_wave(), 0.25, [1, 2], lambda h: 1e50, 1e50),
+                     id="convergence-courant"),
+        # 6.25e98 for the reference run at nx 2, 4e100 for the one coarse run
+        pytest.param("dt", lambda: temporal_study(mms_standing_wave(), 0.25, 2, 1e50, divisors=(1,), ref_divisor=8),
+                     id="temporal-courant"),
+    ])
+    def test_names_its_parameter_before_any_run(self, parameter, call, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(verify, "run", no_run)
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert isinstance(caught.value, InputError)
+        assert caught.value.parameter == parameter
+
+    @pytest.mark.parametrize("call, message", [
+        # two levels or runs of one step have no rate between them
+        (lambda: convergence_study(mms_standing_wave(), 0.25, [2, 4, 2], QUARTER_H, 0.25), "must be distinct"),
+        (lambda: temporal_study(mms_standing_wave(), 0.25, 2, 0.25, divisors=(2, 1, 2), ref_divisor=8),
+         "must be distinct"),
+        # the reference's own step has no error against it
+        (lambda: temporal_study(mms_standing_wave(), 0.25, 2, 0.25, divisors=(1, 8), ref_divisor=8),
+         "divisor 8 incompatible"),
+    ])
+    def test_studies_reject_inputs_without_a_rate_before_any_run(self, call, message, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(verify, "run", no_run)
+        with pytest.raises(ValueError, match=message):
+            call()
