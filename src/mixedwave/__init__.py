@@ -54,6 +54,7 @@ from .spaces import (
     project_pressure_p_h,
     project_velocity_pi_h,
     schur_matrix,
+    stiffness_bound,
 )
 from .verify import (
     ConvergenceTable,

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .linalg import InputError, IterationCap, NonConvergence, SolverConfig
 from .scheme import BLOWUP_THRESHOLD, ThetaConfig, run
+from .spaces import stiffness_bound
 from .verify import (
     BLOWUP,
     STABLE,
@@ -37,6 +38,7 @@ from .verify import (
     make_problem,
     mms_forced,
     mms_standing_wave,
+    relative_drifts,
     residual_check,
     stability_sweep,
 )
@@ -270,11 +272,8 @@ def _where(cfg: RunConfig, parameter: str) -> str:
 
 
 def _energy_table(result):
-    rows = []
-    e0 = result.energies[0].value
-    scale = abs(e0) if e0 != 0.0 else 1.0
-    for s in result.energies:
-        rows.append([s.n, s.t_half, s.value, abs(s.value - e0) / scale])
+    drifts = relative_drifts(result.energies)
+    rows = [[s.n, s.t_half, s.value, drift] for s, drift in zip(result.energies, drifts)]
     return ["step", "t_half", "energy", "rel_drift"], rows
 
 
@@ -398,7 +397,7 @@ def cmd_estimate_c0(cfg: RunConfig) -> StudyReport:
     mms = _mms_for(cfg)
     spec = make_problem(mms, cfg.nx, cfg.ny)
     C0 = estimate_inverse_constant(spec.mesh, spec.bc)
-    dtmax = cfl_max_dt(cfg.theta, spec.mesh.h, C0, mms.rho, mms.lam)
+    dtmax = cfl_max_dt(cfg.theta, stiffness_bound(spec.mesh, spec.bc, spec.material))
     notes = [
         f"C0 = {fmt(C0)}",
         f"h = {fmt(spec.mesh.h)}",

@@ -31,13 +31,13 @@ What does not depend on dt, the assembled operators and the projected
 initial data, is a ``RunSetup``, which runs of one spec at several dt can
 share (``run``).
 Jacobi-CG needs more iterations the more the grad-div term outweighs the
-mass term; their ratio is bounded by kappa = theta dt^2 (lambda1 / rho0)
-mu_max, with mu_max the closed-form largest eigenvalue of the divergence
-problem. Below ``MULTIGRID_MIN_KAPPA`` every solve of the run is
-preconditioned by one ``linalg.Jacobi`` of S, built with the step solver, so
-no solve checks the diagonal or divides by it again. When kappa reaches
-that threshold and the grid coarsens, CG is preconditioned by the
-multigrid V-cycle instead.
+mass term; their ratio is bounded by kappa = theta dt^2 mu_max, with
+mu_max the closed-form bound of ``spaces.stiffness_bound`` on the largest
+eigenvalue of the divergence problem. Below ``MULTIGRID_MIN_KAPPA`` every
+solve of the run is preconditioned by one ``linalg.Jacobi`` of S, built
+with the step solver, so no solve checks the diagonal or divides by it
+again. When kappa reaches that threshold and the grid coarsens, CG is
+preconditioned by the multigrid V-cycle instead.
 
 Every solve of a run has the same S; only the defect changes. On the
 multigrid path each solve therefore starts from the S-orthogonal projection
@@ -84,12 +84,12 @@ from .spaces import (
     assemble_load,
     assemble_operators,
     element_blocks,
-    max_divergence_eigenvalue,
     pressure_best_approximation,
     pressure_l2_error,
     project_pressure_p_h,
     project_velocity_pi_h,
     schur_matrix,
+    stiffness_bound,
     velocity_best_approximation,
     velocity_l2_error,
 )
@@ -144,16 +144,30 @@ class ThetaConfig:
 
     @staticmethod
     def from_steps(theta, final_time, num_steps) -> "ThetaConfig":
+        if num_steps < 1:  # before the division
+            raise InputError("dt", "need at least one step")
         return ThetaConfig(theta, final_time / num_steps, num_steps, final_time)
 
     @staticmethod
     def from_dt(theta, final_time, dt) -> "ThetaConfig":
-        steps = final_time / dt
-        if not math.isfinite(steps):
-            raise InputError("dt", f"final_time / dt is not finite ({final_time} / {dt})")
-        if steps > MAX_STEPS + 0.5:  # checked before rounding, so a huge count prints as 1e+300
-            raise InputError("dt", f"{steps:.3g} steps exceed the cap of {MAX_STEPS}")
-        return ThetaConfig(theta, dt, max(1, round(steps)), final_time)
+        return ThetaConfig(theta, dt, max(1, round(step_ratio(final_time, dt))), final_time)
+
+
+def step_ratio(final_time: float, dt: float) -> float:
+    """final_time / dt, the step count before rounding.
+
+    Raises ``InputError("dt", ...)`` when dt is not positive or the ratio is
+    not finite or above ``MAX_STEPS``. The cap is checked before rounding, so
+    a huge count prints as 1e+300 rather than with all its digits.
+    """
+    if not dt > 0:
+        raise InputError("dt", "dt must be positive")
+    steps = final_time / dt
+    if not math.isfinite(steps):
+        raise InputError("dt", f"final_time / dt is not finite ({final_time} / {dt})")
+    if steps > MAX_STEPS + 0.5:
+        raise InputError("dt", f"{steps:.3g} steps exceed the cap of {MAX_STEPS}")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -269,15 +283,14 @@ def step_matrix(ops: MixedOperators, cfg: ThetaConfig) -> CsrMatrix | GridStepMa
 
 
 def grad_div_weight(ops: MixedOperators, cfg: ThetaConfig) -> float:
-    """kappa = theta dt^2 (lambda1 / rho0) mu_max.
+    """kappa = theta dt^2 mu_max, with mu_max bounded by ``spaces.stiffness_bound``.
 
     An upper bound on the Rayleigh quotient of the grad-div term
     theta dt^2 D^T C^{-1} D against the mass matrix A, so the step matrix
     is the mass matrix plus a term up to kappa times larger. Jacobi-CG needs
     more iterations as kappa grows; multigrid does not.
     """
-    m = ops.material
-    return cfg.theta * cfg.dt**2 * (m.lambda1 / m.rho0) * max_divergence_eigenvalue(ops.mesh, ops.bc)
+    return cfg.theta * cfg.dt**2 * stiffness_bound(ops.mesh, ops.bc, ops.material)
 
 
 class StepSolver:

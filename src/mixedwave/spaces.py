@@ -340,6 +340,19 @@ def max_divergence_eigenvalue(mesh: RectMesh, bc: BoundaryPartition) -> float:
     return mu + _axis_eigenvalue(mesh.ny, mesh.hy, cls.bottom + cls.top)
 
 
+def stiffness_bound(mesh: RectMesh, bc: BoundaryPartition, material: MaterialField) -> float:
+    """Upper bound on mu_max, the largest mu of (D^T C^{-1} D) v = mu A v over the free dofs.
+
+    (lambda1 / rho0) times the unit-material ``max_divergence_eigenvalue``:
+    the Rayleigh quotient of D^T C^{-1} D grows at most by lambda1 and that
+    of A shrinks at most by rho0. Equal to mu_max for uniform material, and
+    0 exactly when no velocity dof is free. The step's stability bound
+    (``verify.cfl_max_dt``) and the multigrid switch
+    (``scheme.grad_div_weight``) both read it.
+    """
+    return (material.lambda1 / material.rho0) * max_divergence_eigenvalue(mesh, bc)
+
+
 def _points(value, x, y, n_points: int) -> np.ndarray:
     """A callable's value on the points that x and y broadcast to, as a float64
     array with one row of ``n_points`` values per element or edge.

@@ -5,9 +5,11 @@ with zero normal velocity on the whole boundary. It exercises energy
 conservation and both error norms at once, and its continuous energy has the
 closed form pi^4 / 2.
 
-The inverse-inequality constant C0 behind the CFL bound is exact and closed
-form: on a uniform rectangle grid the RT0/P0 generalized eigenproblem splits
-into one 1-D problem per axis.
+The CFL bound reads one number, the closed-form bound on mu_max of
+``spaces.stiffness_bound``: on a uniform rectangle grid the RT0/P0
+generalized eigenproblem splits into one 1-D problem per axis. The
+inverse-inequality constant C0 = h sqrt(mu_max) for unit material is
+reported from the same closed form.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from .scheme import (
     ThetaConfig,
     check_courant_number,
     run,
+    step_ratio,
 )
-from .spaces import material_field, max_divergence_eigenvalue
+from .spaces import material_field, max_divergence_eigenvalue, stiffness_bound
 
 STABLE = "Stable"
 DRIFT = "Drift"  # completed but the energy drifted beyond tolerance
@@ -192,6 +195,8 @@ def estimate_inverse_constant(mesh: RectMesh, bc: BoundaryPartition) -> float:
     eigenvalue of (D^T M_p^{-1} D) v = mu M_u v over the free velocity dofs
     with unit material, in the closed form of
     ``spaces.max_divergence_eigenvalue``; the result is exact up to rounding.
+    It is the constant the ``estimate-c0`` command reports; the stability
+    bound itself reads ``spaces.stiffness_bound``.
     """
     mu = max_divergence_eigenvalue(mesh, bc)
     if mu == 0.0:
@@ -213,18 +218,19 @@ def check_mesh_width(nx: int, ny: int) -> None:
         )
 
 
-def cfl_max_dt(theta: float, h: float, C0: float, rho0: float, lambda1: float) -> float:
-    """Largest stable time step: dt^2 (1/4 - theta) C0^2 lambda1 / (h^2 rho0) <= 1.
+def cfl_max_dt(theta: float, mu: float) -> float:
+    """Largest stable time step: dt^2 (1/4 - theta) mu <= 1, so 1 / sqrt((1/4 - theta) mu).
 
+    mu bounds mu_max from above, as ``spaces.stiffness_bound`` does.
     Infinite for theta >= 1/4 (unconditional stability).
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    if min(h, C0, rho0, lambda1) <= 0:
-        raise ValueError("h, C0, rho0, lambda1 must be positive")
+    if not mu > 0:
+        raise ValueError(f"mu must be positive, got {mu}")
     if theta >= 0.25:
         return math.inf
-    return (h / C0) * math.sqrt(rho0 / lambda1) / math.sqrt(0.25 - theta)
+    return 1.0 / math.sqrt((0.25 - theta) * mu)
 
 
 def error_linf_l2(result: RunResult):
@@ -234,11 +240,17 @@ def error_linf_l2(result: RunResult):
     return max(result.error_u), max(result.error_p)
 
 
+def relative_drifts(energies) -> list:
+    """|E - E0| / |E0| of every energy sample against the first, E0;
+    |E - E0| when E0 = 0."""
+    e0 = energies[0].value
+    scale = abs(e0) if e0 != 0.0 else 1.0
+    return [abs(s.value - e0) / scale for s in energies]
+
+
 def energy_drift(result: RunResult) -> float:
     """Largest relative deviation of the energy series from its first sample."""
-    e0 = result.energies[0].value
-    scale = abs(e0) if e0 != 0.0 else 1.0
-    return max(abs(s.value - e0) / scale for s in result.energies)
+    return max(relative_drifts(result.energies))
 
 
 @dataclass(frozen=True)
@@ -301,8 +313,8 @@ def convergence_levels(theta: float, mesh_sizes, dt_rule, final_time: float) -> 
     levels = []
     for nx in sizes:
         h = build_rect_mesh(nx, nx).h  # the mesh of make_problem
-        n = max(1, math.ceil(final_time / dt_rule(h) - 1e-12))
         try:
+            n = max(1, math.ceil(step_ratio(final_time, dt_rule(h)) - 1e-12))
             levels.append((nx, ThetaConfig.from_steps(theta, final_time, n)))
         except InputError as exc:
             if exc.parameter != "dt":
@@ -373,6 +385,8 @@ def temporal_study(
     if EdgeClassification.of(nx, nx, mms.bc).n_free == 0:
         raise InputError("mesh", "mesh has no free velocity dofs; the time error is zero")
     divisors = sorted(int(d) for d in divisors)
+    if not divisors or divisors[0] < 1:
+        raise ValueError(f"divisors must be positive integers, at least one, got {divisors}")
     if len(set(divisors)) < len(divisors):
         raise ValueError(f"divisors must be distinct, got {divisors}")  # two runs of one dt have no rate
     stride = ref_divisor // divisors[-1]
@@ -442,10 +456,12 @@ def stability_sweep(
 ) -> list:
     """Probe the stability boundary: run at multiples of the predicted dt_max.
 
-    For theta >= 1/4 the bound is infinite and the step is multiplier*10*h
-    instead. The predicted bound is sufficient, not sharp from below, so
-    multipliers slightly above 1 may complete without blowing up; such runs
-    are reported as Drift or even Stable rather than being forced into a
+    dt_max is ``cfl_max_dt`` of the ``spaces.stiffness_bound`` of the
+    discretized problem's mesh, sides and material. For theta >= 1/4 the
+    bound is infinite and the step is multiplier*10*h instead. The
+    predicted bound is sufficient, not sharp from below, so multipliers
+    slightly above 1 may complete without blowing up; such runs are
+    reported as Drift or even Stable rather than being forced into a
     verdict.
 
     A BlowUp row reports no final energy (nan): past
@@ -465,11 +481,13 @@ def stability_sweep(
         raise InputError("f", "stability sweep expects a force-free manufactured solution")
     residual_check(mms)
     spec = make_problem(mms, nx, ny)
-    C0 = estimate_inverse_constant(spec.mesh, spec.bc)
+    mu = stiffness_bound(spec.mesh, spec.bc, spec.material)
+    if mu == 0.0:
+        raise InputError("mesh", "mesh has no free velocity dofs; dt_max is undefined")
     check_mesh_width(spec.mesh.nx, spec.mesh.ny)
     plan = []  # (multiplier, dt_max, ThetaConfig) of each run, in run order
     for theta in thetas:
-        dtmax = cfl_max_dt(theta, spec.mesh.h, C0, mms.rho, mms.lam)
+        dtmax = cfl_max_dt(theta, mu)
         for m in multipliers:
             dt = m * dtmax if math.isfinite(dtmax) else m * 10.0 * spec.mesh.h
             cfg = ThetaConfig.from_steps(theta, dt * num_steps, num_steps)

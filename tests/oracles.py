@@ -344,12 +344,16 @@ def reference_discrete_energy(state, A, Cdiag, theta, dt):
     return 0.5 * (udot @ (A @ udot) + dt**2 * (theta - 0.25) * (pdot * Cdiag) @ pdot + (pbar * Cdiag) @ pbar)
 
 
-def dense_inverse_constant(mesh, bc):
-    """C0 from a dense generalized eigensolve over the free dofs."""
-    A, Cdiag, D = dense_operators(mesh, bc, material_field(mesh, 1.0, 1.0))
+def dense_max_eigenvalue(mesh, bc, material):
+    """Largest mu of (D^T C^{-1} D) v = mu A v over the free dofs, by a dense generalized eigensolve."""
+    A, Cdiag, D = dense_operators(mesh, bc, material)
     K = D.T @ np.diag(1.0 / Cdiag) @ D
-    mu = scipy.linalg.eigh(K, A, eigvals_only=True).max()
-    return mesh.h * float(np.sqrt(mu))
+    return scipy.linalg.eigh(K, A, eigvals_only=True).max()
+
+
+def dense_inverse_constant(mesh, bc):
+    """C0 from a dense generalized eigensolve over the free dofs, unit material."""
+    return mesh.h * float(np.sqrt(dense_max_eigenvalue(mesh, bc, material_field(mesh, 1.0, 1.0))))
 
 
 def random_consistent_state(ops, rng):

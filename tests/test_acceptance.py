@@ -26,7 +26,7 @@ from mixedwave.scheme import (
     step,
     step_matrix,
 )
-from mixedwave.spaces import assemble_operators, material_field
+from mixedwave.spaces import assemble_operators, material_field, stiffness_bound
 from mixedwave.verify import (
     DRIFT,
     STABLE,
@@ -62,17 +62,12 @@ def mms():
     return mms_standing_wave()
 
 
-@pytest.fixture(scope="module")
-def c0_16(mms):
+def test_criterion_1_energy_conservation(mms):
     spec = make_problem(mms, 16)
-    return estimate_inverse_constant(spec.mesh, spec.bc)
-
-
-def test_criterion_1_energy_conservation(mms, c0_16):
-    spec = make_problem(mms, 16)
+    mu = stiffness_bound(spec.mesh, spec.bc, spec.material)
     cases = [(theta, ThetaConfig.from_dt(theta, 1.0, 1 / 128)) for theta in (0.25, 0.5, 1.0)]
     for theta in (0.0, 0.125):
-        dt_max = cfl_max_dt(theta, spec.mesh.h, c0_16, mms.rho, mms.lam)
+        dt_max = cfl_max_dt(theta, mu)
         n = math.ceil(1.0 / (0.9 * dt_max))
         cases.append((theta, ThetaConfig.from_steps(theta, 1.0, n)))
     drifts = {}

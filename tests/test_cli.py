@@ -5,6 +5,7 @@ import os
 import re
 import tempfile
 import time
+import types
 import warnings
 
 import numpy as np
@@ -29,6 +30,8 @@ from mixedwave.cli import (
 )
 from mixedwave.verify import observed_rates
 
+from test_verify import ENERGY_SERIES, energy_samples
+
 
 COURANT = "its products would leave the float range"
 MESH = ["mesh.nx", "mesh.ny"]
@@ -51,7 +54,10 @@ USAGE_ERRORS = [
          ["time.dt"], COURANT),
         # nx 8, 16 and 32 could run; nx 64 needs 18.1 M steps, above the cap
         ("level-above-the-cap", ["converge"], ["--mesh.nx", "8", "--time.T", "1e5"], ["time.T"],
-         "18101934 steps exceed the cap"),
+         ": 1.81e+07 steps exceed the cap of 10000000\n"),
+        # the step count is compared with the cap before rounding, so it prints short
+        ("horizon-far-above-the-cap", ["converge"], ["--time.T", "1e300"], ["time.T"],
+         ": 4.53e+301 steps exceed the cap of 10000000\n"),
         ("no-free-dof", ["estimate-c0", "stability"], ["--mesh.nx", "1", "--mesh.ny", "1"], MESH,
          "no free velocity dof"),
         ("one-element-wide", ["energy", "stability"], ["--mesh.nx", "1", "--mesh.ny", "8"], MESH,
@@ -158,6 +164,11 @@ class TestCommands:
         # 20 solves: the initial step and 19 steps
         total, largest = re.search(r"cg_iterations total = (\d+), max = (\d+)", summary).groups()
         assert 20 <= int(total) <= 20 * int(largest)
+
+    @pytest.mark.parametrize("values, drifts", ENERGY_SERIES)
+    def test_energy_table_drift_column_is_relative_to_the_first_sample(self, values, drifts):
+        header, rows = cli._energy_table(types.SimpleNamespace(energies=energy_samples(values)))
+        assert header[3] == "rel_drift" and [row[3] for row in rows] == drifts
 
     def test_energy_study_fails_beyond_cfl(self, tmp_path):
         # dt far above the explicit stability bound: blow-up, exit code 1

@@ -32,11 +32,10 @@ from mixedwave.scheme import (
     step,
     step_matrix,
 )
-from mixedwave.spaces import MaterialField, assemble_operators
+from mixedwave.spaces import MaterialField, assemble_operators, stiffness_bound
 from mixedwave.verify import (
     cfl_max_dt,
     convergence_study,
-    estimate_inverse_constant,
     make_problem,
     mms_forced,
     mms_standing_wave,
@@ -73,8 +72,7 @@ def cases(draw, max_cells=12):
     material = MaterialField(rho, lam, 0.25, 4.0, 0.25, 4.0)
     theta = draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)) | st.floats(0.0, 1.0))
     if theta < 0.25:
-        C0 = estimate_inverse_constant(mesh, bc)
-        dt = draw(st.floats(0.1, 0.9)) * cfl_max_dt(theta, mesh.h, C0, 0.25, 4.0)
+        dt = draw(st.floats(0.1, 0.9)) * cfl_max_dt(theta, stiffness_bound(mesh, bc, material))
     else:
         dt = draw(st.floats(0.05, 10.0)) * mesh.h
     spec = ProblemSpec(mesh=mesh, bc=bc, material=material)

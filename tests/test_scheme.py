@@ -35,11 +35,11 @@ from mixedwave.spaces import (
     material_field,
     project_pressure_p_h,
     project_velocity_pi_h,
+    stiffness_bound,
 )
 from mixedwave.verify import (
     cfl_max_dt,
     energy_drift,
-    estimate_inverse_constant,
     make_problem,
     mms_forced,
     mms_standing_wave,
@@ -360,8 +360,7 @@ class TestRun:
         # before step 400 (observed: level 172)
         mms = mms_standing_wave()
         spec = make_problem(mms, 16)
-        C0 = estimate_inverse_constant(spec.mesh, spec.bc)
-        dt = 1.5 * cfl_max_dt(0.0, spec.mesh.h, C0, 1.0, 1.0)
+        dt = 1.5 * cfl_max_dt(0.0, stiffness_bound(spec.mesh, spec.bc, spec.material))
         res = run(spec, ThetaConfig(0.0, dt, 500, 500 * dt), record_errors=False)
         assert res.status == BLOWUP
         assert res.state.n < 400
@@ -841,8 +840,7 @@ class TestJacobiPath:
     @pytest.mark.parametrize("nx, layout", [(32, CsrMatrix), (64, GridStepMatrix)])  # padded rows, stencils
     def test_run_is_bit_identical_to_a_jacobi_built_per_solve(self, theta, nx, layout, monkeypatch):
         spec = make_problem(mms_standing_wave(), nx)
-        c0 = estimate_inverse_constant(spec.mesh, spec.bc)
-        dt = 0.9 * cfl_max_dt(0.0, spec.mesh.h, c0, 1.0, 1.0)
+        dt = 0.9 * cfl_max_dt(0.0, stiffness_bound(spec.mesh, spec.bc, spec.material))
         cfg = ThetaConfig.from_steps(theta, 12 * dt, 12)
         stepper = StepSolver(spec, assemble_operators(spec.mesh, spec.bc, spec.material), cfg)
         assert isinstance(stepper.preconditioner, Jacobi) and isinstance(stepper.S, layout)
@@ -946,7 +944,7 @@ class TestClosedFormTrajectory:
     def dts(theta, nx):
         if theta < 0.25:
             spec = make_problem(mms_standing_wave(), nx)
-            dt_max = cfl_max_dt(theta, spec.mesh.h, estimate_inverse_constant(spec.mesh, spec.bc), 1.0, 1.0)
+            dt_max = cfl_max_dt(theta, stiffness_bound(spec.mesh, spec.bc, spec.material))
             return [0.5 * dt_max, 0.99 * dt_max]
         return [0.5 / nx, 4.0 / nx]
 

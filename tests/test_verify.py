@@ -13,8 +13,15 @@ import mixedwave.scheme as scheme
 import mixedwave.verify as verify
 from mixedwave.linalg import InputError
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, RectMesh, build_rect_mesh
-from mixedwave.scheme import SeparableSolution, ThetaConfig, check_courant_number, run
-from mixedwave.spaces import assemble_operators, material_field, project_pressure_p_h, project_velocity_pi_h
+from mixedwave.scheme import EnergySample, SeparableSolution, ThetaConfig, check_courant_number, run
+from mixedwave.spaces import (
+    MaterialField,
+    assemble_operators,
+    material_field,
+    project_pressure_p_h,
+    project_velocity_pi_h,
+    stiffness_bound,
+)
 from mixedwave.verify import (
     BLOWUP,
     DRIFT,
@@ -30,12 +37,13 @@ from mixedwave.verify import (
     mms_forced,
     mms_standing_wave,
     observed_rates,
+    relative_drifts,
     residual_check,
     stability_sweep,
     temporal_study,
 )
 
-from oracles import dense_inverse_constant
+from oracles import dense_inverse_constant, dense_max_eigenvalue
 
 
 class TestManufacturedSolutions:
@@ -176,16 +184,38 @@ ALL_PARTITIONS = [
 ]
 
 
+def log_uniform_material(mesh, seed=20240711, bounds=(0.25, 4.0)):
+    """Seeded rho and lambda per element, log-uniform in bounds; the field's
+    bounds are the sampled extremes, as ``material_field`` sets them."""
+    rng = np.random.default_rng(seed)
+    rho, lam = np.exp(rng.uniform(*np.log(bounds), (2, mesh.n_elements)))
+    return MaterialField(rho, lam, rho.min(), rho.max(), lam.min(), lam.max())
+
+
+MATERIALS = {
+    "unit": lambda mesh: material_field(mesh, 1.0, 1.0),
+    "uniform": lambda mesh: material_field(mesh, 4.0, 0.25),
+    "log-uniform": log_uniform_material,
+}
+
+
 class TestInverseConstant:
+    @pytest.mark.parametrize("material", MATERIALS)
     @pytest.mark.parametrize("bc", ALL_PARTITIONS)
     @pytest.mark.parametrize(
         "nx,ny,extents", [(3, 5, (0.0, 1.0, 0.0, 1.0)), (5, 2, (-1.0, 2.0, 0.0, 0.5))]
     )
-    def test_closed_form_matches_dense_on_every_partition(self, nx, ny, extents, bc):
+    def test_closed_form_matches_dense_on_every_partition(self, nx, ny, extents, bc, material):
+        """The stiffness bound equals mu_max for uniform material and bounds it otherwise."""
         mesh = build_rect_mesh(nx, ny, extents)
-        assert estimate_inverse_constant(mesh, bc) == pytest.approx(
-            dense_inverse_constant(mesh, bc), rel=1e-12, abs=0.0
-        )
+        field = MATERIALS[material](mesh)
+        bound, dense = stiffness_bound(mesh, bc, field), dense_max_eigenvalue(mesh, bc, field)
+        if material == "log-uniform":
+            assert bound >= dense
+        else:  # compared as C0 = h sqrt(mu)
+            assert mesh.h * math.sqrt(bound) == pytest.approx(mesh.h * math.sqrt(dense), rel=1e-12, abs=0.0)
+        if material == "unit":
+            assert estimate_inverse_constant(mesh, bc) == mesh.h * math.sqrt(bound)
 
     @pytest.mark.parametrize("nx", [2, 4])
     def test_matches_dense_eigensolve(self, nx):
@@ -219,21 +249,56 @@ class TestInverseConstant:
             estimate_inverse_constant(mesh, BoundaryPartition.all_neumann())
 
 
+def bound_from_c0(h, C0, rho0, lambda1):
+    """mu = C0^2 lambda1 / (h^2 rho0): the bound of material bounds rho0, lambda1
+    on a mesh whose unit-material inverse constant is C0."""
+    return C0**2 * lambda1 / (h**2 * rho0)
+
+
 class TestCflBound:
+    MU = bound_from_c0(0.1, 2.0, 1.0, 1.0)  # 400
+
     def test_infinite_at_and_above_quarter(self):
-        assert cfl_max_dt(0.25, 0.1, 2.0, 1.0, 1.0) == math.inf
-        assert cfl_max_dt(1.0, 0.1, 2.0, 1.0, 1.0) == math.inf
+        assert cfl_max_dt(0.25, self.MU) == math.inf
+        assert cfl_max_dt(1.0, self.MU) == math.inf
 
     def test_explicit_value(self):
-        assert cfl_max_dt(0.0, 0.1, 2.0, 1.0, 1.0) == pytest.approx(0.1)
+        assert cfl_max_dt(0.0, self.MU) == pytest.approx(0.1)
 
     def test_density_scaling(self):
-        base = cfl_max_dt(0.0, 0.1, 2.0, 1.0, 1.0)
-        assert cfl_max_dt(0.0, 0.1, 2.0, 2.0, 1.0) == pytest.approx(math.sqrt(2) * base)
+        base = cfl_max_dt(0.0, self.MU)
+        assert cfl_max_dt(0.0, bound_from_c0(0.1, 2.0, 2.0, 1.0)) == pytest.approx(math.sqrt(2) * base)
 
     def test_monotone_in_theta(self):
-        vals = [cfl_max_dt(th, 0.1, 2.0, 1.0, 1.0) for th in (0.0, 0.1, 0.2, 0.24)]
+        vals = [cfl_max_dt(th, self.MU) for th in (0.0, 0.1, 0.2, 0.24)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan])
+    def test_rejects_a_bound_that_is_not_positive(self, mu):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            cfl_max_dt(0.0, mu)
+
+    def test_no_free_dof_has_a_zero_bound(self):
+        mesh = build_rect_mesh(1, 1)
+        assert stiffness_bound(mesh, BoundaryPartition.all_neumann(), material_field(mesh, 1.0, 1.0)) == 0.0
+
+
+ENERGY_SERIES = [  # energies, their drifts against the first
+    ((2.0, 3.0, 1.0), [0.0, 0.5, 0.5]),
+    ((0.0, -0.25, 0.5), [0.0, 0.25, 0.5]),  # E0 = 0: the deviation itself
+]
+
+
+def energy_samples(values):
+    return [EnergySample(n, n + 0.5, v) for n, v in enumerate(values)]
+
+
+class TestEnergyDrift:
+    @pytest.mark.parametrize("values, drifts", ENERGY_SERIES)
+    def test_drifts_are_relative_to_the_first_sample(self, values, drifts):
+        samples = energy_samples(values)
+        assert relative_drifts(samples) == drifts
+        assert energy_drift(types.SimpleNamespace(energies=samples)) == max(drifts)
 
 
 class TestErrorNorms:
@@ -368,9 +433,7 @@ class TestHeterogeneousMaterial:
 
     def test_energy_conserved_under_material_scaled_cfl(self):
         spec = self.build_spec()
-        C0 = estimate_inverse_constant(spec.mesh, spec.bc)
-        mat = spec.material
-        dt = 0.9 * cfl_max_dt(0.0, spec.mesh.h, C0, mat.rho0, mat.lambda1)
+        dt = 0.9 * cfl_max_dt(0.0, stiffness_bound(spec.mesh, spec.bc, spec.material))
         res = run(spec, ThetaConfig(0.0, dt, 300, 300 * dt), record_errors=False)
         assert res.completed
         assert energy_drift(res) <= 1e-10
@@ -642,13 +705,19 @@ class TestInputErrors:
         pytest.param("dt", lambda: ThetaConfig.from_dt(0.25, 1.0, 1e-300), id="steps-cap"),
         pytest.param("dt", lambda: ThetaConfig.from_dt(0.25, 1.0, 1e-320), id="steps-not-finite"),
         pytest.param("dt", lambda: ThetaConfig.from_dt(0.25, 1e200, 1e200), id="dt-squared"),
+        pytest.param("dt", lambda: ThetaConfig.from_dt(0.25, 1.0, 0.0), id="from-dt-zero"),
+        pytest.param("dt", lambda: ThetaConfig.from_steps(0.25, 1.0, 0), id="from-steps-zero"),
         pytest.param("dt", lambda: check_courant_number(make_problem(mms_standing_wave(), 8),
                                                         ThetaConfig.from_dt(0.25, 1e50, 1e50)), id="courant"),
         # nx 64 needs 18.1 M steps; converge derives dt from T
         pytest.param("final_time", lambda: convergence_levels(0.25, [8, 64], QUARTER_H, 1e5), id="levels-cap"),
         pytest.param("final_time", lambda: convergence_study(mms_standing_wave(), 0.25, [8, 64], QUARTER_H, 1e5),
                      id="convergence-cap"),
+        pytest.param("final_time", lambda: convergence_study(mms_standing_wave(), 0.25, [2, 4], QUARTER_H, math.inf),
+                     id="convergence-infinite-horizon"),
         pytest.param("f", lambda: stability_sweep(mms_forced(1.0), [0.0], (0.9,), 4), id="sweep-forced"),
+        pytest.param("dt", lambda: stability_sweep(mms_standing_wave(), [0.0], (0.5,), 4, num_steps=0),
+                     id="sweep-no-step"),
         pytest.param("mesh", lambda: estimate_inverse_constant(build_rect_mesh(1, 1), BoundaryPartition.all_neumann()),
                      id="no-free-dof"),
         pytest.param("mesh", lambda: stability_sweep(mms_standing_wave(), [0.0], (0.5,), 1, 1), id="sweep-no-free-dof"),
@@ -684,6 +753,9 @@ class TestInputErrors:
         # the reference's own step has no error against it
         (lambda: temporal_study(mms_standing_wave(), 0.25, 2, 0.25, divisors=(1, 8), ref_divisor=8),
          "divisor 8 incompatible"),
+        # a zero divisor has no step
+        (lambda: temporal_study(mms_standing_wave(), 0.25, 2, 0.25, divisors=(0, 2), ref_divisor=8),
+         "divisors must be positive"),
     ])
     def test_studies_reject_inputs_without_a_rate_before_any_run(self, call, message, monkeypatch):
         def no_run(*args, **kwargs):

@@ -12,8 +12,9 @@ outputs, say the energies' last bits, shows which. Cases:
   seeded heterogeneous material, mixed sides, theta = 1 at dt = 2.8 h. The
   same fields, without errors (it records none).
 - ``report <command>``: the report files of each ``mixedwave`` command that
-  CI runs from the README, one field per file, its bytes with the output
-  directory replaced by ``<out>``.
+  CI runs from the README, then of each command of the benchmark's
+  cli-studies workload that the README list lacks, one field per file, its
+  bytes with the output directory replaced by ``<out>``.
 
 The workloads come from ``bench/workloads.py``, which this script only
 imports. The hashes depend on the numpy and BLAS build, so compare them
@@ -41,7 +42,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import mixedwave.cli  # noqa: E402
 from mixedwave.scheme import run  # noqa: E402
-from workloads import HeteroLargeStep, StandingWave  # noqa: E402
+from workloads import CliStudies, HeteroLargeStep, StandingWave  # noqa: E402
 
 HETERO_SEEDS = (1, 2, 3)
 # the mixedwave commands of the CI step that runs the README examples
@@ -53,6 +54,7 @@ README_COMMANDS = (
     "converge --mesh.nx 8 --problem.case forced:1",
     "energy --mesh.nx 128 --mesh.ny 128 --time.dt 0.001953125 --time.T 0.0625",
     "run --scheme.theta 1 --mesh.nx 128 --mesh.ny 128 --time.dt 0.0625 --time.T 0.25",
+    "estimate-c0 --scheme.theta 0 --mesh.nx 64 --mesh.ny 64",
 )
 
 
@@ -95,10 +97,18 @@ def report_digests(command: str) -> list:
         ]
 
 
+def cli_studies_commands() -> list:
+    """The commands of the cli-studies workload that ``README_COMMANDS`` lacks."""
+    with tempfile.TemporaryDirectory() as scratch:  # the workload's reports would go there; it runs none here
+        argvs = CliStudies(seed=0, scratch=scratch).argv.values()
+    return [command for command in map(" ".join, argvs) if command not in README_COMMANDS]
+
+
 def main() -> int:
+    commands = [*README_COMMANDS, *cli_studies_commands()]
     cases = [("standing-wave-128", lambda: run_digests(StandingWave(seed=0)))]
     cases += [(f"hetero-{seed}", lambda seed=seed: run_digests(HeteroLargeStep(seed))) for seed in HETERO_SEEDS]
-    cases += [(f"report {command}", lambda command=command: report_digests(command)) for command in README_COMMANDS]
+    cases += [(f"report {command}", lambda command=command: report_digests(command)) for command in commands]
     for case, digests in cases:
         for field, digest in digests():
             print(f"{digest}  {case} {field}", flush=True)

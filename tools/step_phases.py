@@ -35,8 +35,8 @@ import numpy as np
 
 from mixedwave.linalg import spmv
 from mixedwave.scheme import SchemeState, StepSolver, ThetaConfig, discrete_energy, initialize, run
-from mixedwave.spaces import assemble_operators
-from mixedwave.verify import cfl_max_dt, estimate_inverse_constant, make_problem, mms_standing_wave
+from mixedwave.spaces import assemble_operators, stiffness_bound
+from mixedwave.verify import cfl_max_dt, make_problem, mms_standing_wave
 
 CASES = ((0.0, 32), (0.25, 128))
 STEPS = 200
@@ -50,8 +50,7 @@ def phase_times(theta, nx):
     spec = make_problem(mms_standing_wave(), nx)
     mesh, material = spec.mesh, spec.material
     if theta < 0.25:
-        c0 = estimate_inverse_constant(mesh, spec.bc)
-        dt = CFL_FRACTION * cfl_max_dt(theta, mesh.h, c0, material.rho0, material.lambda1)
+        dt = CFL_FRACTION * cfl_max_dt(theta, stiffness_bound(mesh, spec.bc, material))
     else:
         dt = 1.0 / (4 * nx)
     cfg = ThetaConfig.from_steps(theta, STEPS * dt, STEPS)
