@@ -334,6 +334,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.rel_tolerance < math.inf:  # NaN fails both comparisons
             raise ValueError(f"rel_tolerance must be positive and finite, got {self.rel_tolerance}")
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
 
     def iteration_cap(self, n):
         return self.max_iterations if self.max_iterations > 0 else 10 * max(n, 1)

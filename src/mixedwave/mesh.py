@@ -59,6 +59,8 @@ class RectMesh:
     def __init__(self, nx, ny, x0, x1, y0, y1):
         if nx < 1 or ny < 1:
             raise ValueError("element counts must be positive")
+        if not np.isfinite([x0, x1, y0, y1]).all():
+            raise ValueError(f"domain extents must be finite, got ({x0}, {x1}, {y0}, {y1})")
         if not (x1 > x0 and y1 > y0):
             raise ValueError("degenerate domain extents")
         self.nx = int(nx)
@@ -67,6 +69,8 @@ class RectMesh:
         self.y0, self.y1 = float(y0), float(y1)
         self.hx = (self.x1 - self.x0) / self.nx
         self.hy = (self.y1 - self.y0) / self.ny
+        if not all(0 < size < np.inf and np.isfinite(1.0 / size) for size in (self.hx, self.hy)):  # assembly divides by both
+            raise ValueError(f"element sizes hx = {self.hx:g}, hy = {self.hy:g} and their reciprocals must be finite")
         self.h = float(np.hypot(self.hx, self.hy))
 
         self.n_elements = self.nx * self.ny

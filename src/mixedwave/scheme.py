@@ -25,8 +25,9 @@ one D^T product, and it carries no cancellation of two large products.
 The first step comes from a Taylor expansion of the initial state and uses
 the same SPD operator, so stepping never touches a saddle-point system.
 
-A run builds one ``StepSolver``, the context of ``initialize`` and ``step``:
-the operator with its preconditioner, the CG settings and the force's loads.
+A run of a ``ThetaConfig`` (theta, dt, N) builds one ``StepSolver``, the
+context of ``initialize`` and ``step``: the operator with its preconditioner,
+the CG settings, the force's loads and the record of every solve (``solves``).
 What does not depend on dt, the assembled operators and the projected
 initial data, is a ``RunSetup``, which runs of one spec at several dt can
 share (``run``).
@@ -66,7 +67,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .linalg import (
-    CgResult,
     CsrMatrix,
     GridStepMatrix,
     InputError,
@@ -114,7 +114,7 @@ class CompatibilityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ThetaConfig:
-    """Time discretization: theta in [0,1], N steps of size dt up to T = N*dt.
+    """Time discretization: theta in [0,1] and N steps of size dt, up to T = N*dt.
 
     Rejects a dt whose square overflows (the step matrix scales by dt^2) and
     more than ``MAX_STEPS`` steps, so such inputs fail before any work. Every
@@ -124,7 +124,6 @@ class ThetaConfig:
     theta: float
     dt: float
     num_steps: int
-    final_time: float
 
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
@@ -137,20 +136,20 @@ class ThetaConfig:
             raise InputError("dt", "need at least one step")
         if self.num_steps > MAX_STEPS:
             raise InputError("dt", f"{self.num_steps} steps exceed the cap of {MAX_STEPS}")
-        if abs(self.num_steps * self.dt - self.final_time) > 1e-12 * abs(self.final_time):
-            raise InputError(
-                "dt", f"final_time must equal num_steps*dt: {self.final_time} vs {self.num_steps * self.dt}"
-            )
 
     @staticmethod
     def from_steps(theta, final_time, num_steps) -> "ThetaConfig":
         if num_steps < 1:  # before the division
             raise InputError("dt", "need at least one step")
-        return ThetaConfig(theta, final_time / num_steps, num_steps, final_time)
+        return ThetaConfig(theta, final_time / num_steps, num_steps)
 
     @staticmethod
     def from_dt(theta, final_time, dt) -> "ThetaConfig":
-        return ThetaConfig(theta, dt, max(1, round(step_ratio(final_time, dt))), final_time)
+        """Steps of dt up to final_time, which N dt must hit to 1e-12 relative."""
+        cfg = ThetaConfig(theta, dt, max(1, round(step_ratio(final_time, dt))))
+        if abs(cfg.num_steps * dt - final_time) > 1e-12 * abs(final_time):
+            raise InputError("dt", f"final_time must equal num_steps*dt: {final_time} vs {cfg.num_steps * dt}")
+        return cfg
 
 
 def step_ratio(final_time: float, dt: float) -> float:
@@ -234,21 +233,14 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SchemeState:
-    """Rolling pair of time levels (n-1, n) for both fields.
-
-    ``cg_iterations``, ``cg_residual`` and ``defect_norm`` are the CG
-    iterations, the final true residual ||S x - b|| and the defect norm ||b||
-    of the solve that produced U_curr (0 for a state built by hand).
-    """
+    """Rolling pair of time levels (n-1, n) for both fields; the solves that
+    made them are recorded in ``StepSolver.solves``."""
 
     n: int
     U_prev: np.ndarray
     U_curr: np.ndarray
     P_prev: np.ndarray
     P_curr: np.ndarray
-    cg_iterations: int = 0
-    cg_residual: float = 0.0
-    defect_norm: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -307,7 +299,8 @@ class StepSolver:
     ``projection`` is None.
     ``choice`` names the preconditioner and the reason for it, as in
     ``multigrid, kappa = 6.1e+03 >= 500; CG starts from the projection on up
-    to 32 increments``.
+    to 32 increments``. ``solves`` holds (CG iterations, true residual
+    ||S x - b||, defect norm ||b||) of every solve, the Taylor step's first.
     """
 
     def __init__(self, spec: ProblemSpec, ops: MixedOperators, cfg: ThetaConfig,
@@ -334,6 +327,7 @@ class StepSolver:
             self.preconditioner, self.projection = Jacobi(self.S), None
         self._loads = {}
         self._profile_load = None
+        self.solves = []
 
     def load(self, n: int) -> np.ndarray:
         """Load vector of the body force at level n, on the run's quadrature.
@@ -353,19 +347,20 @@ class StepSolver:
                 del self._loads[stale]
         return self._loads[n]
 
-    def solve(self, defect, guess) -> tuple[np.ndarray, CgResult]:
-        """Return guess + delta with S delta = defect, and the CG result.
+    def solve(self, defect, guess) -> np.ndarray:
+        """Return guess + delta with S delta = defect.
 
         The caller passes the defect rhs - S guess in closed form, so the
         absolute accuracy is tied to the increment from ``guess``. On the
         multigrid path CG starts from the projection of delta onto the
-        earlier increments, and delta joins them.
+        earlier increments, and delta joins them. The solve joins ``solves``.
         """
         if self.projection is None:
             result = cg_solve(self.S, defect, self.solver, self.preconditioner)
         else:
             result = self.projection.solve(defect, self.solver, self.preconditioner)
-        return guess + result.x, result
+        self.solves.append((result.iterations, result.residual, result.rhs_norm))
+        return guess + result.x
 
 
 @dataclass(frozen=True)
@@ -443,9 +438,9 @@ def initialize(stepper: StepSolver, setup: RunSetup | None = None) -> SchemeStat
     if spec.f is not None:
         F0, F1 = stepper.load(0), stepper.load(1)
         defect += dt**2 * ((0.5 - theta) * F0 + theta * F1)
-    U1, result = stepper.solve(defect, guess)
+    U1 = stepper.solve(defect, guess)
     P1 = spmv(ops.D, U1) / ops.Cdiag
-    return SchemeState(1, U0, U1, P0, P1, result.iterations, result.residual, result.rhs_norm)
+    return SchemeState(1, U0, U1, P0, P1)
 
 
 def step(state: SchemeState, stepper: StepSolver) -> SchemeState:
@@ -469,11 +464,9 @@ def step(state: SchemeState, stepper: StepSolver) -> SchemeState:
         )
         defect += dt**2 * F_theta
     guess = 2.0 * state.U_curr - state.U_prev
-    U_next, result = stepper.solve(defect, guess)
+    U_next = stepper.solve(defect, guess)
     P_next = spmv(ops.D, U_next) / ops.Cdiag
-    return SchemeState(
-        n + 1, state.U_curr, U_next, state.P_curr, P_next, result.iterations, result.residual, result.rhs_norm,
-    )
+    return SchemeState(n + 1, state.U_curr, U_next, state.P_curr, P_next)
 
 
 def discrete_energy(state: SchemeState, ops: MixedOperators, cfg: ThetaConfig) -> EnergySample:
@@ -507,11 +500,10 @@ def discrete_energy(state: SchemeState, ops: MixedOperators, cfg: ThetaConfig) -
 class RunResult:
     """Trajectory summary: energy series, final state, optional error series.
 
-    ``cg_iterations`` holds the CG iteration count of every solve, the
-    initial step's first, as one int array; ``cg_residuals`` the final
-    true residual ||S x - b|| of each and ``defect_norms`` the norm ||b|| of
-    its defect, as float arrays of the same shape. ``preconditioner`` is the
-    run's ``StepSolver.choice``. ``setup`` is the run's ``RunSetup``, which
+    ``cg_iterations`` (int), ``cg_residuals`` and ``defect_norms`` (float)
+    are the columns of the run's ``StepSolver.solves``, one entry per solve,
+    the initial step's first. ``preconditioner`` is the run's
+    ``StepSolver.choice``. ``setup`` is the run's ``RunSetup``, which
     another run of the same spec can take.
     The error series hold one entry per level 0..n of the final state, one
     more than ``energies``; on BlowUp that includes the level whose step
@@ -600,7 +592,6 @@ def run(
         for probe in probes:
             probe(level, t, U, P)
 
-    iterations, residuals, defect_norms = [state.cg_iterations], [state.cg_residual], [state.defect_norm]
     energies = [discrete_energy(state, ops, cfg)]
     observe(0, state.U_prev, state.P_prev)
     observe(1, state.U_curr, state.P_curr)
@@ -610,14 +601,12 @@ def run(
     else:
         for _ in range(cfg.num_steps - 1):
             state = step(state, stepper)
-            iterations.append(state.cg_iterations)
-            residuals.append(state.cg_residual)
-            defect_norms.append(state.defect_norm)
             energies.append(discrete_energy(state, ops, cfg))
             observe(state.n, state.U_curr, state.P_curr)
             if _blown_up(state.U_curr):
                 status = BLOWUP
                 break
+    iterations, residuals, defect_norms = zip(*stepper.solves)
     return RunResult(
         status, energies, state, err_u, err_p, cfg, setup,
         np.array(iterations, dtype=np.int64), np.array(residuals, dtype=np.float64),

@@ -109,7 +109,7 @@ def gauss_rule_1d(n: int):
 
 @dataclass(frozen=True)
 class MaterialField:
-    """Element-wise constant density and stiffness with global bounds."""
+    """Element-wise constant density and stiffness: two finite 1-D arrays of one length, in finite bounds."""
 
     rho_per_element: np.ndarray
     lambda_per_element: np.ndarray
@@ -119,12 +119,16 @@ class MaterialField:
     lambda1: float
 
     def __post_init__(self):
+        if np.ndim(self.rho_per_element) != 1 or np.shape(self.lambda_per_element) != np.shape(self.rho_per_element):
+            raise ValueError("rho and lambda must be two 1-D arrays of one length")
         for lo, hi, field, name in (
             (self.rho0, self.rho1, self.rho_per_element, "rho"),
             (self.lambda0, self.lambda1, self.lambda_per_element, "lambda"),
         ):
-            if not (0 < lo <= hi):
-                raise ValueError(f"{name} bounds must satisfy 0 < lower <= upper")
+            if not (0 < lo <= hi < math.inf):  # NaN fails every comparison
+                raise ValueError(f"{name} bounds must be finite and satisfy 0 < lower <= upper, got [{lo}, {hi}]")
+            if not np.isfinite(field).all():
+                raise ValueError(f"{name} has a non-finite entry")
             if field.size and (field.min() < lo or field.max() > hi):
                 raise ValueError(f"material bound violation: {name} leaves [{lo}, {hi}]")
 
@@ -161,12 +165,13 @@ class MixedOperators:
     Cdiag: np.ndarray
     D: CsrMatrix | GridDivergence
     DT: CsrMatrix | GridDivergence
-    n_velocity: int
-    n_pressure: int
     mesh: RectMesh
     bc: BoundaryPartition
     classification: EdgeClassification
     material: MaterialField
+
+    n_velocity = property(lambda self: self.classification.n_free)  # free velocity dofs
+    n_pressure = property(lambda self: self.mesh.n_elements)  # pressure dofs, one per element
 
     @cached_property
     def quadrature(self) -> ElementQuadrature:
@@ -307,8 +312,6 @@ def assemble_operators(
         Cdiag=mesh.hx * mesh.hy / material.lambda_per_element,
         D=D,
         DT=DT,
-        n_velocity=cls.n_free,
-        n_pressure=n_el,
         mesh=mesh,
         bc=bc,
         classification=cls,

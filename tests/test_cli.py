@@ -412,16 +412,23 @@ class TestCommands:
         assert code == 1
         assert "not_a_dir" in capsys.readouterr().err
 
-    def test_identical_config_gives_bit_identical_csv(self, tmp_path):
-        args = [
-            "energy", "--mesh.nx", "4", "--mesh.ny", "4",
-            "--time.dt", "0.05", "--time.T", "0.25",
-        ]
-        assert main(args + ["--output.dir", str(tmp_path / "a")]) == 0
-        assert main(args + ["--output.dir", str(tmp_path / "b")]) == 0
-        a = (tmp_path / "a" / "energy.csv").read_bytes()
-        b = (tmp_path / "b" / "energy.csv").read_bytes()
-        assert a == b
+    @pytest.mark.parametrize("args", [
+        pytest.param(["energy", "--mesh.nx", "4", "--mesh.ny", "4", "--time.dt", "0.05", "--time.T", "0.25"],
+                     id="energy"),
+        pytest.param(["run", "--scheme.theta", "1", "--mesh.nx", "32", "--mesh.ny", "32",
+                      "--time.dt", "0.25", "--time.T", "1"], id="multigrid-run"),
+    ])
+    def test_identical_config_gives_bit_identical_csv(self, args, tmp_path):
+        # every report file, summary.txt without its output.dir line: the
+        # second run carries over no solve record of the first
+        reports = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(args + ["--output.dir", str(out)]) == 0
+            files = {path.name: path.read_bytes() for path in out.iterdir()}
+            files["summary.txt"] = files["summary.txt"].replace(f"output.dir = {out}\n".encode(), b"")
+            reports.append(files)
+        assert sorted(reports[0]) == ["energy.csv", "steps.csv", "summary.txt"]
+        assert reports[0] == reports[1]
 
 
 # Valid values start only short work: nx <= 8 and at most 20 steps for run

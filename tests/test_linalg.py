@@ -520,6 +520,17 @@ def test_solver_config_rejects_nonpositive_tolerance():
             SolverConfig(rel_tolerance=tolerance)
 
 
+@pytest.mark.parametrize("cap", [2.5, math.nan, 5.0, True, "5"])
+def test_solver_config_rejects_a_non_integer_iteration_cap(cap):
+    # 2.5 failed at the first solve with a TypeError, and nan became the default cap
+    with pytest.raises(ValueError, match="max_iterations must be an integer"):
+        SolverConfig(max_iterations=cap)
+
+
+def test_solver_config_takes_python_and_numpy_integers():
+    assert SolverConfig(max_iterations=5).iteration_cap(100) == SolverConfig(max_iterations=np.int64(5)).iteration_cap(100) == 5
+
+
 def absolute(M: CsrMatrix) -> CsrMatrix:
     """|M| entrywise, for rounding bounds |M| |x|."""
     return CsrMatrix(M.cols, np.abs(M.vals), M.row_nnz, M.shape)

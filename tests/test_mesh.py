@@ -59,12 +59,26 @@ def test_stretched_domain():
     assert mesh.n_elements == 6
 
 
+# An infinite extent failed later as "matrix is not SPD", and a subnormal one as
+# an InputError that blamed dt.
 @pytest.mark.parametrize(
-    "nx,ny,extents",
-    [(0, 1, (0, 1, 0, 1)), (1, 0, (0, 1, 0, 1)), (1, 1, (1, 1, 0, 1)), (1, 1, (0, 1, 2, 1))],
+    "nx,ny,extents,match",
+    [
+        (0, 1, (0, 1, 0, 1), "element counts"),
+        (1, 0, (0, 1, 0, 1), "element counts"),
+        (1, 1, (1, 1, 0, 1), "degenerate"),
+        (1, 1, (0, 1, 2, 1), "degenerate"),
+        (4, 4, (0, np.inf, 0, 1), "extents must be finite"),
+        (4, 4, (0, 1, -np.inf, 1), "extents must be finite"),
+        (4, 4, (0, 1, 0, np.nan), "extents must be finite"),
+        (4, 4, (-1e308, 1e308, 0, 1), "hx = inf"),
+        (4, 4, (0, 1e-320, 0, 1), "reciprocals must be finite"),
+        (4, 4, (0, 1, 0, 1e-310), "reciprocals must be finite"),
+        (4, 4, (0, 5e-324, 0, 1), "hx = 0"),
+    ],
 )
-def test_rejects_bad_inputs(nx, ny, extents):
-    with pytest.raises(ValueError):
+def test_rejects_bad_inputs(nx, ny, extents, match):
+    with pytest.raises(ValueError, match=match):
         build_rect_mesh(nx, ny, extents)
 
 

@@ -72,11 +72,7 @@ class TestThetaConfig:
     def test_rejects_theta_outside_unit_interval(self):
         for theta in (-0.1, 1.5):
             with pytest.raises(ValueError):
-                ThetaConfig(theta, 0.1, 10, 1.0)
-
-    def test_rejects_inconsistent_horizon(self):
-        with pytest.raises(ValueError):
-            ThetaConfig(0.25, 0.1, 10, 1.5)
+                ThetaConfig(theta, 0.1, 10)
 
     def test_from_dt_rounds_to_integer_steps(self):
         cfg = ThetaConfig.from_dt(0.25, 1.0, 1 / 128)
@@ -98,9 +94,9 @@ class TestThetaConfig:
             ThetaConfig.from_dt(0.25, 1e200, 1e200)
 
     def test_rejects_more_steps_than_the_cap(self):
-        assert ThetaConfig(0.25, 1e-7, MAX_STEPS, MAX_STEPS * 1e-7).num_steps == MAX_STEPS
+        assert ThetaConfig(0.25, 1e-7, MAX_STEPS).num_steps == MAX_STEPS
         with pytest.raises(ValueError, match="exceed the cap"):
-            ThetaConfig(0.25, 1e-7, MAX_STEPS + 1, (MAX_STEPS + 1) * 1e-7)
+            ThetaConfig(0.25, 1e-7, MAX_STEPS + 1)
         with pytest.raises(ValueError, match="exceed the cap"):
             ThetaConfig.from_dt(0.25, 1.0, 1e-300)  # about 1e300 steps
 
@@ -224,7 +220,7 @@ class TestStep:
         spec.f = lambda x, y, t: (np.sin(3 * t) * (1 + x), np.cos(2 * t) * y**2)
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
         theta, dt = 0.3, 0.07
-        cfg = ThetaConfig(theta, dt, 10, 10 * dt)
+        cfg = ThetaConfig(theta, dt, 10)
         rng = np.random.default_rng(6)
         U_prev, U_curr, P_prev, P_curr = random_consistent_state(ops, rng)
         n = 3  # step from level 3 to 4: loads at t2, t3, t4
@@ -361,7 +357,7 @@ class TestRun:
         mms = mms_standing_wave()
         spec = make_problem(mms, 16)
         dt = 1.5 * cfl_max_dt(0.0, stiffness_bound(spec.mesh, spec.bc, spec.material))
-        res = run(spec, ThetaConfig(0.0, dt, 500, 500 * dt), record_errors=False)
+        res = run(spec, ThetaConfig(0.0, dt, 500), record_errors=False)
         assert res.status == BLOWUP
         assert res.state.n < 400
         assert res.cg_iterations.shape == (res.state.n,)  # every solve up to the blow-up
@@ -380,7 +376,7 @@ class TestRun:
     def test_unconditional_stability_with_large_steps(self):
         spec = make_problem(mms_standing_wave(), 8)
         dt = 10.0 * spec.mesh.h
-        res = run(spec, ThetaConfig(0.5, dt, 200, 200 * dt), record_errors=False)
+        res = run(spec, ThetaConfig(0.5, dt, 200), record_errors=False)
         assert res.status == COMPLETED
         assert energy_drift(res) <= 1e-8
 
@@ -390,6 +386,19 @@ class TestRun:
         assert res.cg_iterations.dtype == np.int64
         assert res.cg_iterations.shape == (64,)  # the initial step and 63 steps
         assert res.cg_iterations.min() >= 1
+
+    def test_the_step_solver_keeps_the_record_the_run_reports(self):
+        # StepSolver.solves is the one copy: a run's three columns are its columns
+        spec = make_problem(mms_standing_wave(), 8)
+        cfg = ThetaConfig.from_steps(0.25, 0.5, 4)
+        stepper = StepSolver(spec, assemble_operators(spec.mesh, spec.bc, spec.material), cfg)
+        state = initialize(stepper)
+        assert len(stepper.solves) == 1  # the Taylor step's
+        for _ in range(cfg.num_steps - 1):
+            state = step(state, stepper)
+        res = run(spec, cfg)
+        assert list(zip(res.cg_iterations, res.cg_residuals, res.defect_norms)) == stepper.solves
+        assert len(stepper.solves) == cfg.num_steps and np.array_equal(state.U_curr, res.state.U_curr)
 
     @pytest.mark.parametrize("nx", [16, 128])  # below and above spaces.GRID_MIN_DOFS
     def test_records_the_residual_of_every_solve(self, nx, monkeypatch):
@@ -674,7 +683,7 @@ class TestClosedFormDefect:
     def test_step_defect_matches_the_full_right_hand_side(self, theta, force):
         spec, ops = self.problem(force, seed=3)
         dt = 0.6 * spec.mesh.h
-        cfg = ThetaConfig(theta, dt, 10, 10 * dt)
+        cfg = ThetaConfig(theta, dt, 10)
         stepper = StepSolver(spec, ops, cfg)
         defects = recording_solves(stepper)
         U_prev, U_curr, P_prev, P_curr = random_consistent_state(ops, np.random.default_rng(5))
@@ -699,7 +708,7 @@ class TestClosedFormDefect:
         # must not assume C P0 = D U0
         spec, ops = self.problem(force, seed=4)
         dt = 0.6 * spec.mesh.h
-        cfg = ThetaConfig(theta, dt, 10, 10 * dt)
+        cfg = ThetaConfig(theta, dt, 10)
         stepper = StepSolver(spec, ops, cfg)
         defects = recording_solves(stepper)
         with pytest.warns(CompatibilityWarning):
@@ -758,7 +767,7 @@ class TestSeparableForce:
         spec.bc = mixed_sides()
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
         dt = 0.05
-        stepper = StepSolver(spec, ops, ThetaConfig(0.0, dt, 12, 12 * dt))
+        stepper = StepSolver(spec, ops, ThetaConfig(0.0, dt, 12))
         general = lambda x, y, t: spec.f(x, y, t)
         for n in range(12):
             want = assemble_load(ops.quadrature, ops.classification, general, n * dt)
@@ -813,9 +822,8 @@ class TestRunSolverConfig:
         spec, ops, cfg = self.case()
         stepper = StepSolver(spec, ops, cfg)
         assert isinstance(stepper.preconditioner, Jacobi)
-        state = initialize(stepper)
-        assert state.cg_iterations > 1
-        assert step(state, stepper).cg_iterations > 1
+        step(initialize(stepper), stepper)
+        assert len(stepper.solves) == 2 and min(iterations for iterations, _, _ in stepper.solves) > 1
 
     def test_run_raises(self):
         spec, _, cfg = self.case()
@@ -846,11 +854,8 @@ class TestJacobiPath:
         assert isinstance(stepper.preconditioner, Jacobi) and isinstance(stepper.S, layout)
         got = run(spec, cfg, record_errors=False)
 
-        def per_call(self, defect, guess):
-            result = cg_solve(self.S, defect, self.solver)
-            return guess + result.x, result
-
-        monkeypatch.setattr(StepSolver, "solve", per_call)
+        # cg_solve builds a Jacobi of S per call when it is given no preconditioner
+        monkeypatch.setattr(scheme, "cg_solve", lambda S, defect, solver, preconditioner: cg_solve(S, defect, solver))
         want = run(spec, cfg, record_errors=False)
         assert got.completed and want.completed
         assert got.cg_iterations.sum() > 0

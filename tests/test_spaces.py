@@ -133,6 +133,26 @@ class TestAssembly:
         with pytest.raises(ValueError):
             material_field(mesh, -1.0, 1.0)
 
+    # One NaN rho on an 8 x 8 grid ran into the CG iteration cap, and a length-1
+    # lambda beside 16 rho was broadcast as a uniform lambda.
+    ONES = np.ones(16)
+    NAN_AT_3 = np.where(np.arange(16) == 3, np.nan, 1.0)
+
+    @pytest.mark.parametrize("rho, lam, bounds, match", [
+        pytest.param(NAN_AT_3, ONES, (1.0, 1.0, 1.0, 1.0), "rho has a non-finite entry", id="nan-rho"),
+        pytest.param(ONES, np.where(ONES > 0, np.inf, 0.0), (1.0, 1.0, 1.0, 1.0), "lambda has a non-finite",
+                     id="inf-lambda"),
+        pytest.param(ONES, ONES, (1.0, np.inf, 1.0, 1.0), "rho bounds must be finite", id="inf-rho-bound"),
+        pytest.param(ONES, ONES, (1.0, 1.0, np.nan, 1.0), "lambda bounds must be finite", id="nan-lambda-bound"),
+        pytest.param(ONES, np.ones(1), (1.0, 1.0, 1.0, 1.0), "one length", id="length-1-lambda"),
+        pytest.param(np.ones(15), ONES, (1.0, 1.0, 1.0, 1.0), "one length", id="short-rho"),
+        pytest.param(np.ones((4, 4)), np.ones((4, 4)), (1.0, 1.0, 1.0, 1.0), "1-D", id="2-d"),
+        pytest.param(1.0, 1.0, (1.0, 1.0, 1.0, 1.0), "1-D", id="scalars"),
+    ])
+    def test_rejects_non_finite_or_mismatched_per_element_values(self, rho, lam, bounds, match):
+        with pytest.raises(ValueError, match=match):
+            MaterialField(rho, lam, *bounds)
+
 
 def load(mesh, bc, f, t):
     return assemble_load(element_quadrature(mesh), edge_classify(mesh, bc), f, t)
