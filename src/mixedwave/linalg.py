@@ -287,6 +287,65 @@ def _add_band(y, x, band, offset):
     y[:k] += band * x[offset:]
 
 
+def tridiagonal_inverses(diagonal, off) -> np.ndarray:
+    """Dense inverses of a batch of symmetric positive definite tridiagonal matrices.
+
+    ``diagonal`` is (m, n), one matrix's diagonal a row, and ``off`` (m, n - 1)
+    its entries next to the diagonal; the result is (m, n, n). Each matrix is
+    factored T = L D L^T, L unit lower bidiagonal, and the sweeps of L^{-1},
+    D^{-1} and L^{-T} are applied to the identity, all m matrices at once:
+    3n row operations on (m, n) arrays, against a factorization per matrix
+    for ``np.linalg.inv``.
+    """
+    m, n = diagonal.shape
+    d = np.array(diagonal, dtype=np.float64)
+    factor = np.zeros((m, n))  # factor[:, k], the entry of L below its diagonal in row k
+    for k in range(1, n):
+        factor[:, k] = off[:, k - 1] / d[:, k - 1]
+        d[:, k] -= factor[:, k] * off[:, k - 1]
+    inverse = np.zeros((m, n, n))
+    inverse[:, range(n), range(n)] = 1.0
+    for k in range(1, n):
+        inverse[:, k] -= factor[:, k, None] * inverse[:, k - 1]
+    inverse /= d[:, :, None]
+    for k in range(n - 2, -1, -1):
+        inverse[:, k] -= factor[:, k + 1, None] * inverse[:, k + 1]
+    return inverse
+
+
+class LineSolve:
+    """Exact solves with the mass matrix A on a free-dof layout
+    (``mesh.EdgeClassification``), by the dense inverses of its lines.
+
+    ``mass_x`` and ``mass_y`` are A's element couplings as in
+    ``GridStepMatrix``. A couples only the two x-normal edges of an element
+    and its two y-normal edges, so it is block diagonal: one tridiagonal SPD
+    block per row of vertical edges and one per column of horizontal edges.
+    The dense inverse of every block is built once, here, by
+    ``tridiagonal_inverses``; a solve is one batched ``np.matmul`` per edge
+    family, with no iteration and no tolerance. The inverses take
+    (ny nv^2 + nx nh^2) floats for lines of nv and nh edges, so the caller
+    bounds the line length (``spaces.LINE_SOLVE_MAX_EDGES``).
+    """
+
+    __slots__ = ("layout", "vertical", "horizontal")
+
+    def __init__(self, layout: EdgeClassification, mass_x, mass_y):
+        g = layout
+        vertical, horizontal = g.split(g.edge_sum(mass_x[0], mass_x[0], mass_y[0], mass_y[0]))
+        self.layout = layout
+        self.vertical = tridiagonal_inverses(vertical, mass_x[1][:, g.left : g.nx - g.right])
+        self.horizontal = tridiagonal_inverses(horizontal.T, mass_y[1][g.bottom : g.ny - g.top].T)
+
+    def solve(self, b) -> np.ndarray:
+        """A^{-1} b for a free-dof vector b."""
+        x = np.empty(b.shape)
+        (bV, bH), (xV, xH) = self.layout.split(b), self.layout.split(x)
+        np.matmul(self.vertical, bV[..., None], out=xV[..., None])
+        np.matmul(self.horizontal, bH.T[..., None], out=xH.T[..., None])  # a line is a column of H
+        return x
+
+
 class GridDivergence:
     """D (one row per element, one column per free dof) on a free-dof
     layout, or D^T when ``transposed``; entries +-1, applied by array slices.

@@ -57,6 +57,9 @@ class RectMesh:
     """
 
     def __init__(self, nx, ny, x0, x1, y0, y1):
+        for name, count in (("nx", nx), ("ny", ny)):
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"element count {name} must be an integer, got {count!r}")
         if nx < 1 or ny < 1:
             raise ValueError("element counts must be positive")
         if not np.isfinite([x0, x1, y0, y1]).all():

@@ -31,6 +31,13 @@ the CG settings, the force's loads and the record of every solve (``solves``).
 What does not depend on dt, the assembled operators and the projected
 initial data, is a ``RunSetup``, which runs of one spec at several dt can
 share (``run``).
+At theta = 0 the step matrix is the mass matrix A, which is block diagonal
+along grid lines (``linalg.LineSolve``). Up to ``spaces.LINE_SOLVE_MAX_EDGES``
+edges a line, every solve of such a run applies the dense inverses of A's
+lines, which the operators build once (``MixedOperators.line_solve``), and
+runs no CG: it records 0 iterations and the true residual of one product
+with A, and the CG settings do not apply to it. Longer lines, and every
+theta > 0, keep CG.
 Jacobi-CG needs more iterations the more the grad-div term outweighs the
 mass term; their ratio is bounded by kappa = theta dt^2 mu_max, with
 mu_max the closed-form bound of ``spaces.stiffness_bound`` on the largest
@@ -79,11 +86,13 @@ from .linalg import (
 from .mesh import BoundaryPartition, RectMesh
 from .multigrid import VCycle, coarsens
 from .spaces import (
+    LINE_SOLVE_MAX_EDGES,
     MaterialField,
     MixedOperators,
     assemble_load,
     assemble_operators,
     element_blocks,
+    longest_line,
     pressure_best_approximation,
     pressure_l2_error,
     project_pressure_p_h,
@@ -116,8 +125,9 @@ class CompatibilityWarning(UserWarning):
 class ThetaConfig:
     """Time discretization: theta in [0,1] and N steps of size dt, up to T = N*dt.
 
-    Rejects a dt whose square overflows (the step matrix scales by dt^2) and
-    more than ``MAX_STEPS`` steps, so such inputs fail before any work. Every
+    Rejects a dt whose square overflows (the step matrix scales by dt^2), a
+    step count that is not an integer (a bool included) and more than
+    ``MAX_STEPS`` steps, so such inputs fail before any work. Every
     rejection is an ``InputError`` naming ``"theta"`` or ``"dt"``.
     """
 
@@ -132,6 +142,8 @@ class ThetaConfig:
             raise InputError("dt", "dt must be positive")
         if not math.isfinite(self.dt * self.dt):
             raise InputError("dt", f"dt^2 is not finite (dt = {self.dt})")
+        if isinstance(self.num_steps, bool) or not isinstance(self.num_steps, (int, np.integer)):
+            raise InputError("dt", f"the step count must be an integer, got {self.num_steps!r}")
         if self.num_steps < 1:
             raise InputError("dt", "need at least one step")
         if self.num_steps > MAX_STEPS:
@@ -289,7 +301,12 @@ class StepSolver:
     """What every solve of a run shares: the step matrix S, its preconditioner,
     the CG settings (``SolverConfig()`` when None) and the body-force loads.
 
-    Built once per run. ``preconditioner`` is the multigrid ``VCycle`` when
+    Built once per run. At theta = 0, when A's lines have at most
+    ``spaces.LINE_SOLVE_MAX_EDGES`` edges, ``line_solve`` is the operators'
+    ``linalg.LineSolve``, S is A, and there is no preconditioner and no
+    projection: ``choice`` reads ``line solve, A's lines of at most 31
+    edges <= 37; exact, no CG``. Otherwise ``line_solve`` is None and CG
+    solves. ``preconditioner`` is the multigrid ``VCycle`` when
     kappa (``grad_div_weight``) is at least ``MULTIGRID_MIN_KAPPA`` and the
     grid coarsens; S and the V-cycle's fine smoother then share one set of
     element blocks, and ``projection`` is the run's
@@ -300,13 +317,25 @@ class StepSolver:
     ``choice`` names the preconditioner and the reason for it, as in
     ``multigrid, kappa = 6.1e+03 >= 500; CG starts from the projection on up
     to 32 increments``. ``solves`` holds (CG iterations, true residual
-    ||S x - b||, defect norm ||b||) of every solve, the Taylor step's first.
+    ||S x - b||, defect norm ||b||) of every solve, the Taylor step's first;
+    a line solve's iterations are 0.
     """
 
     def __init__(self, spec: ProblemSpec, ops: MixedOperators, cfg: ThetaConfig,
                  solver: SolverConfig | None = None):
         self.spec, self.ops, self.cfg = spec, ops, cfg
         self.solver = SolverConfig() if solver is None else solver
+        self.line_solve = ops.line_solve if cfg.theta == 0.0 else None
+        self._loads = {}
+        self._profile_load = None
+        self.solves = []
+        if self.line_solve is not None:
+            self.S, self.preconditioner, self.projection = ops.A, None, None
+            self.choice = (
+                f"line solve, A's lines of at most {longest_line(ops.classification)} edges "
+                f"<= {LINE_SOLVE_MAX_EDGES}; exact, no CG"
+            )
+            return
         kappa = grad_div_weight(ops, cfg)
         large = kappa >= MULTIGRID_MIN_KAPPA
         multigrid = large and coarsens(ops.mesh, ops.bc)
@@ -325,9 +354,6 @@ class StepSolver:
         else:
             self.S = step_matrix(ops, cfg)
             self.preconditioner, self.projection = Jacobi(self.S), None
-        self._loads = {}
-        self._profile_load = None
-        self.solves = []
 
     def load(self, n: int) -> np.ndarray:
         """Load vector of the body force at level n, on the run's quadrature.
@@ -353,8 +379,14 @@ class StepSolver:
         The caller passes the defect rhs - S guess in closed form, so the
         absolute accuracy is tied to the increment from ``guess``. On the
         multigrid path CG starts from the projection of delta onto the
-        earlier increments, and delta joins them. The solve joins ``solves``.
+        earlier increments, and delta joins them. The line solve makes one
+        product with A for its true residual. The solve joins ``solves``.
         """
+        if self.line_solve is not None:
+            x = self.line_solve.solve(defect)
+            r = defect - spmv(self.S, x)
+            self.solves.append((0, math.sqrt(r @ r), math.sqrt(defect @ defect)))
+            return guess + x
         if self.projection is None:
             result = cg_solve(self.S, defect, self.solver, self.preconditioner)
         else:

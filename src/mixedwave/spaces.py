@@ -58,6 +58,7 @@ from .linalg import (
     CsrMatrix,
     GridDivergence,
     GridStepMatrix,
+    LineSolve,
     SolverConfig,
     cg_solve,
     csr_from_candidates,
@@ -98,6 +99,18 @@ DIVERGENCE_ROW = np.array([-1.0, 1.0, -1.0, 1.0])  # an element's row of D over 
 # is on stencils, and every 32 x 32 grid, with the V-cycle's coarse levels
 # under a 64 x 64 grid, on padded rows.
 GRID_MIN_DOFS = 6_000
+# Longest line (free edges in a row of vertical edges or a column of
+# horizontal ones) for which A is solved by the dense inverses of its lines
+# (``MixedOperators.line_solve``): their storage and build grow as the line
+# length cubed, a solve as its square. The line solve with its residual
+# product took no longer than a Jacobi-CG solve of the theta = 0 standing
+# wave (1.03 iterations) up to lines of 37 edges (nx 38), and 1.1x as long
+# at 39 (nx 40), in ``tools/step_phases.py``, three alternated rounds:
+# 38.0-38.4 against 41.4-42.0 us at nx 32, 51.4-52.6 against 51.8-53.6 us
+# at nx 38, 60.1-61.2 against 55.1-56.5 us at nx 40. On data that are not
+# one eigenmode, the tool's hetero case, CG takes 21.5 iterations, and the
+# line solve took 42.6-73.8 against 524-544 us at nx 32.
+LINE_SOLVE_MAX_EDGES = 37
 
 
 @lru_cache(maxsize=None)
@@ -178,6 +191,29 @@ class MixedOperators:
         """The 3x3 Gauss rule on every element, built at first use; a run's
         loads and error norms share it."""
         return element_quadrature(self.mesh)
+
+    @cached_property
+    def line_solve(self) -> LineSolve | None:
+        """Exact solves with A by the dense inverses of its lines
+        (``linalg.LineSolve``), built from the element blocks at first use;
+        None when a line has more than ``LINE_SOLVE_MAX_EDGES`` edges. They
+        do not depend on dt, so every run that shares the operators shares
+        them."""
+        if longest_line(self.classification) > LINE_SOLVE_MAX_EDGES:
+            return None
+        blocks = element_blocks(self.mesh, self.material, 0.0)
+        entry = lambda i, j: blocks[i, j].reshape(self.mesh.ny, self.mesh.nx)
+        return LineSolve(
+            self.classification,
+            (entry(LEFT, LEFT), entry(LEFT, RIGHT)),
+            (entry(BOTTOM, BOTTOM), entry(BOTTOM, TOP)),
+        )
+
+
+def longest_line(cls: EdgeClassification) -> int:
+    """Free edges in the longest row of vertical edges or column of horizontal ones."""
+    (_, row), (column, _) = cls.shapes
+    return max(row, column)
 
 
 def element_blocks(mesh: RectMesh, material: MaterialField, coeff: float) -> np.ndarray:
@@ -319,15 +355,31 @@ def assemble_operators(
     )
 
 
-def _axis_eigenvalue(n: int, s: float, pinned_ends: int) -> float:
-    """Largest eigenvalue mu of (v', w') = mu (v, w) along one axis.
+def _axis_angle(n: int, pinned_ends: int) -> float:
+    """Angle t of the top mode of (v', w') = mu (v, w) along one axis.
 
     v, w range over the 1-D RT0 space, continuous piecewise-linear functions
-    on n cells of size s, that vanish at the pinned (NEUMANN_U) ends;
-    pinned_ends is 0, 1 or 2.
+    on n cells, that vanish at the pinned (NEUMANN_U) ends; pinned_ends is
+    0, 1 or 2. The mode's nodal values are cos(k t), k = 0..n, or sin(k t)
+    when the first end is pinned (``_axis_mode``).
     """
-    c = (-1.0, math.cos((n - 0.5) * math.pi / n), math.cos((n - 1) * math.pi / n))[pinned_ends]
+    return (math.pi, (n - 0.5) * math.pi / n, (n - 1) * math.pi / n)[pinned_ends]
+
+
+def _axis_eigenvalue(n: int, s: float, pinned_ends: int) -> float:
+    """Largest eigenvalue mu of (v', w') = mu (v, w) along one axis, for cells of size s."""
+    c = math.cos(_axis_angle(n, pinned_ends))
     return 6.0 / s**2 * (1.0 - c) / (2.0 + c)
+
+
+def _axis_mode(n: int, first_pinned: int, pinned_ends: int) -> np.ndarray:
+    """The n cell differences v[k + 1] - v[k] of the top mode v of
+    ``_axis_angle``; all ones when both ends of a one-cell axis are pinned,
+    where the axis has no free dof and any value is a mode."""
+    if n == 1 and pinned_ends == 2:
+        return np.ones(1)
+    k = np.arange(n + 1) * _axis_angle(n, pinned_ends)
+    return np.diff(np.sin(k) if first_pinned else np.cos(k))
 
 
 def max_divergence_eigenvalue(mesh: RectMesh, bc: BoundaryPartition) -> float:
@@ -341,6 +393,27 @@ def max_divergence_eigenvalue(mesh: RectMesh, bc: BoundaryPartition) -> float:
     cls = EdgeClassification.of(mesh.nx, mesh.ny, bc)
     mu = _axis_eigenvalue(mesh.nx, mesh.hx, cls.left + cls.right)
     return mu + _axis_eigenvalue(mesh.ny, mesh.hy, cls.bottom + cls.top)
+
+
+def max_divergence_mode(ops: MixedOperators) -> np.ndarray:
+    """A velocity eigenvector at mu_max of (D^T C^{-1} D) v = mu A v, for constant material.
+
+    The eigenproblem separates by axis (``max_divergence_eigenvalue``): with
+    w_x, w_y the cell differences of the top 1-D modes (``_axis_mode``), the
+    pressure P = w_y (x) w_x, element (j, i) holding w_y[j] w_x[i], solves
+    D A^{-1} D^T P = mu_max C P, and v = A^{-1} D^T P. A is solved by
+    ``ops.line_solve``, or by CG to ``BEST_APPROXIMATION_RTOL`` above its
+    line limit. For element-wise material v is no eigenvector.
+    """
+    cls = ops.classification
+    P = np.outer(
+        _axis_mode(cls.ny, cls.bottom, cls.bottom + cls.top),
+        _axis_mode(cls.nx, cls.left, cls.left + cls.right),
+    )
+    b = spmv(ops.DT, P.ravel())
+    if ops.line_solve is not None:
+        return ops.line_solve.solve(b)
+    return cg_solve(ops.A, b, SolverConfig(BEST_APPROXIMATION_RTOL)).x
 
 
 def stiffness_bound(mesh: RectMesh, bc: BoundaryPartition, material: MaterialField) -> float:

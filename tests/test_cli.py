@@ -328,7 +328,7 @@ class TestCommands:
         energies = [float(r[4]) for r in rows]
         assert all(math.isfinite(e) for e in energies[:3]) and rows[3][4] == "nan"
         summary = (tmp_path / "out" / "summary.txt").read_text()
-        assert "m=1.5: BlowUp at level 280 of 500 (max |U| above 1e+12)" in summary.splitlines()
+        assert "m=1.5: BlowUp at level 28 of 500 (max |U| above 1e+12)" in summary.splitlines()
 
     def test_stability_at_theta_one_quarter_is_stable_at_every_multiplier(self, tmp_path):
         code = main([

@@ -512,6 +512,20 @@ class TestSchurMatrix:
         assert np.abs(todense(S) - dense).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 31])
+def test_tridiagonal_inverses_match_numpy(n):
+    rng = np.random.default_rng(n)
+    diagonal = rng.uniform(2.0, 3.0, (4, n))
+    off = rng.uniform(-1.0, 1.0, (4, max(n - 1, 0)))  # |off| < 1: diagonally dominant, so SPD
+    dense = np.zeros((4, n, n))
+    k = np.arange(n)
+    dense[:, k, k] = diagonal
+    dense[:, k[1:], k[:-1]] = dense[:, k[:-1], k[1:]] = off
+    got = linalg.tridiagonal_inverses(diagonal, off)
+    assert got.shape == (4, n, n)
+    assert np.abs(got - np.linalg.inv(dense)).max(initial=0.0) <= 1e-15
+
+
 def test_solver_config_rejects_nonpositive_tolerance():
     # NaN made cg_solve report a tolerance of nan, and inf returned the
     # first iterate as converged

@@ -75,11 +75,21 @@ def test_stretched_domain():
         (4, 4, (0, 1e-320, 0, 1), "reciprocals must be finite"),
         (4, 4, (0, 1, 0, 1e-310), "reciprocals must be finite"),
         (4, 4, (0, 5e-324, 0, 1), "hx = 0"),
+        # a count that is not an integer was truncated: 2.5 built 2 elements, True 1
+        (2.5, 4, (0, 1, 0, 1), "nx must be an integer"),
+        (True, 4, (0, 1, 0, 1), "nx must be an integer"),
+        (4, 3.0, (0, 1, 0, 1), "ny must be an integer"),
+        (4, np.nan, (0, 1, 0, 1), "ny must be an integer"),
     ],
 )
 def test_rejects_bad_inputs(nx, ny, extents, match):
     with pytest.raises(ValueError, match=match):
         build_rect_mesh(nx, ny, extents)
+
+
+def test_takes_python_and_numpy_integer_counts():
+    mesh = build_rect_mesh(np.int64(3), 2)
+    assert (mesh.nx, mesh.ny, mesh.n_elements) == (3, 2, 6)
 
 
 def test_all_neumann_single_element_has_no_free_dofs():

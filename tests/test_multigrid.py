@@ -308,7 +308,7 @@ class TestSelection:
         "nx, theta, steps_per_unit_time",
         [
             (128, 0.25, 512),   # the standing-wave benchmark, dt = 0.18 h
-            (32, 0.0, 100),     # the explicit stability sweep: kappa = 0
+            (48, 0.0, 100),     # the explicit scheme above the line-solve limit: kappa = 0
             (8, 0.25, None),    # converge at dt = h/4, its coarsest and finest grids
             (64, 0.25, None),
         ],

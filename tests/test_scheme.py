@@ -74,6 +74,10 @@ class TestThetaConfig:
             with pytest.raises(ValueError):
                 ThetaConfig(theta, 0.1, 10)
 
+    def test_takes_python_and_numpy_integer_step_counts(self):
+        assert ThetaConfig(0.25, 0.1, np.int64(3)).num_steps == 3
+        assert ThetaConfig.from_steps(0.25, 1.0, np.int32(4)).dt == 0.25
+
     def test_from_dt_rounds_to_integer_steps(self):
         cfg = ThetaConfig.from_dt(0.25, 1.0, 1 / 128)
         assert cfg.num_steps == 128
@@ -844,8 +848,11 @@ class TestRunSolverConfig:
 class TestJacobiPath:
     """The run's one ``Jacobi`` of S solves as ``cg_solve``'s per-call default does."""
 
-    @pytest.mark.parametrize("theta", [0.0, 0.25])
-    @pytest.mark.parametrize("nx, layout", [(32, CsrMatrix), (64, GridStepMatrix)])  # padded rows, stencils
+    # padded rows and stencils; theta = 0 takes the line solve up to lines of
+    # LINE_SOLVE_MAX_EDGES edges, so its padded-row grid is 48 x 48
+    @pytest.mark.parametrize("theta, nx, layout", [
+        (0.0, 48, CsrMatrix), (0.0, 64, GridStepMatrix), (0.25, 32, CsrMatrix), (0.25, 64, GridStepMatrix),
+    ])
     def test_run_is_bit_identical_to_a_jacobi_built_per_solve(self, theta, nx, layout, monkeypatch):
         spec = make_problem(mms_standing_wave(), nx)
         dt = 0.9 * cfl_max_dt(0.0, stiffness_bound(spec.mesh, spec.bc, spec.material))
@@ -972,3 +979,51 @@ class TestClosedFormTrajectory:
             assert abs(c) <= 1.0  # inside the sharp bound dt^2 (1/4 - theta) mu <= 1
             expected = np.cos(np.arange(self.STEPS + 1) * math.acos(c))
             assert np.abs(a - expected).max() <= 1e-12
+
+
+class TestLineSolvePath:
+    """theta = 0 with lines of at most ``spaces.LINE_SOLVE_MAX_EDGES`` edges:
+    every solve is a line solve of A, which runs no CG."""
+
+    @staticmethod
+    def case(nx=8, steps=40):
+        """The standing wave's data on heterogeneous rho; lambda = 1 keeps them compatible."""
+        spec = make_problem(mms_standing_wave(), nx)
+        rho = np.exp(np.random.default_rng(0).uniform(-1.4, 1.4, spec.mesh.n_elements))
+        spec.material = material_field(spec.mesh, lambda x, y: rho, 1.0)
+        dt = 0.5 * cfl_max_dt(0.0, stiffness_bound(spec.mesh, spec.bc, spec.material))
+        return spec, ThetaConfig.from_steps(0.0, steps * dt, steps)
+
+    def test_runs_no_cg_and_records_the_true_residual(self, monkeypatch):
+        spec, cfg = self.case()
+
+        def no_cg(*args, **kwargs):
+            raise AssertionError("CG ran")
+
+        monkeypatch.setattr(scheme, "cg_solve", no_cg)
+        result = run(spec, cfg, record_errors=False)
+        assert result.completed
+        assert result.preconditioner.startswith("line solve, A's lines of at most 7 edges <= ")
+        assert result.cg_iterations.tolist() == [0] * cfg.num_steps
+        assert (result.cg_residuals <= 1e-14 * result.defect_norms).all()
+        assert result.cg_residuals.max() > 0.0  # a product with A, not a zero written in
+        assert energy_drift(result) <= 1e-12
+
+    def test_matches_a_tight_jacobi_cg_run(self, monkeypatch):
+        spec, cfg = self.case()
+        exact = run(spec, cfg, record_errors=False)
+        monkeypatch.setattr(spaces, "LINE_SOLVE_MAX_EDGES", 0)
+        iterative = run(spec, cfg, record_errors=False, solver=SolverConfig(1e-13))
+        assert iterative.preconditioner.startswith("jacobi") and iterative.cg_iterations.min() > 1
+        for got, want in ((exact.state.U_curr, iterative.state.U_curr), (exact.state.P_curr, iterative.state.P_curr)):
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+        np.testing.assert_allclose([s.value for s in exact.energies], [s.value for s in iterative.energies],
+                                   rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("theta", [1e-3, 0.25])
+    def test_theta_above_zero_keeps_cg(self, theta):
+        spec, cfg = self.case()
+        ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+        stepper = StepSolver(spec, ops, replace(cfg, theta=theta))
+        assert ops.line_solve is not None and stepper.line_solve is None
+        assert isinstance(stepper.preconditioner, Jacobi)

@@ -5,6 +5,7 @@ from mixedwave.linalg import spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh, edge_classify
 from mixedwave.spaces import (
     GRID_MIN_DOFS,
+    LINE_SOLVE_MAX_EDGES,
     MaterialField,
     PROJECTION_BLOCK,
     PROJECTION_RULE,
@@ -15,6 +16,7 @@ from mixedwave.spaces import (
     element_quadrature,
     gauss_rule_1d,
     integrate_load,
+    longest_line,
     material_field,
     pressure_best_approximation,
     project_pressure_p_h,
@@ -156,6 +158,43 @@ class TestAssembly:
 
 def load(mesh, bc, f, t):
     return assemble_load(element_quadrature(mesh), edge_classify(mesh, bc), f, t)
+
+
+class TestLineSolve:
+    """``MixedOperators.line_solve``: A solved by the dense inverses of its lines."""
+
+    @staticmethod
+    def random_material(mesh, rng):
+        rho, lam = np.exp(rng.uniform(np.log(0.25), np.log(4.0), (2, mesh.n_elements)))
+        return MaterialField(rho, lam, 0.25, 4.0, 0.25, 4.0)
+
+    # the last two are the widest and the tallest grids whose lines all fit the limit
+    @pytest.mark.parametrize("nx, ny", [
+        (1, 1), (1, 5), (5, 1), (12, 4), (32, 32), (LINE_SOLVE_MAX_EDGES - 1, 6), (6, LINE_SOLVE_MAX_EDGES - 1),
+    ])
+    def test_solves_exactly_on_every_partition(self, nx, ny):
+        mesh = build_rect_mesh(nx, ny)
+        rng = np.random.default_rng(100 * nx + ny)
+        material = self.random_material(mesh, rng)
+        for bc in ALL_PARTITIONS:
+            ops = assemble_operators(mesh, bc, material)
+            assert ops.line_solve is not None and ops.line_solve is ops.line_solve  # built once
+            b = rng.standard_normal(ops.n_velocity)
+            x = ops.line_solve.solve(b)
+            assert np.linalg.norm(b - spmv(ops.A, x)) <= 1e-14 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("nx, ny, bc, longest", [
+        # a row of vertical edges holds nx + 1 edges less the pinned ends, a column of horizontal ones ny + 1
+        (LINE_SOLVE_MAX_EDGES - 1, 4, ALL_D, LINE_SOLVE_MAX_EDGES),
+        (LINE_SOLVE_MAX_EDGES, 4, ALL_D, LINE_SOLVE_MAX_EDGES + 1),
+        (LINE_SOLVE_MAX_EDGES, 4, BoundaryPartition(left=BoundaryKind.NEUMANN_U), LINE_SOLVE_MAX_EDGES),
+        (4, LINE_SOLVE_MAX_EDGES, ALL_D, LINE_SOLVE_MAX_EDGES + 1),
+        (LINE_SOLVE_MAX_EDGES + 1, 4, BoundaryPartition.all_neumann(), LINE_SOLVE_MAX_EDGES),
+    ])
+    def test_only_lines_up_to_the_limit_are_inverted(self, nx, ny, bc, longest):
+        ops = unit_ops(nx, ny, bc)
+        assert longest_line(ops.classification) == longest
+        assert (ops.line_solve is None) == (longest > LINE_SOLVE_MAX_EDGES)
 
 
 class TestLoad:

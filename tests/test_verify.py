@@ -11,13 +11,16 @@ import sympy
 import mixedwave.multigrid as multigrid
 import mixedwave.scheme as scheme
 import mixedwave.verify as verify
-from mixedwave.linalg import InputError
+import mixedwave.spaces as spaces
+from mixedwave.linalg import InputError, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, RectMesh, build_rect_mesh
 from mixedwave.scheme import EnergySample, SeparableSolution, ThetaConfig, check_courant_number, run
 from mixedwave.spaces import (
     MaterialField,
     assemble_operators,
     material_field,
+    max_divergence_eigenvalue,
+    max_divergence_mode,
     project_pressure_p_h,
     project_velocity_pi_h,
     stiffness_bound,
@@ -43,7 +46,7 @@ from mixedwave.verify import (
     temporal_study,
 )
 
-from oracles import dense_inverse_constant, dense_max_eigenvalue
+from oracles import dense_inverse_constant, dense_max_eigenvalue, dense_operators
 
 
 class TestManufacturedSolutions:
@@ -537,6 +540,52 @@ class TestStabilitySweep:
         with pytest.raises(ValueError):
             stability_sweep(mms_forced(1.0), [0.0], (0.9,), 4)
 
+    # Without the seeded mode, theta = 0 read Stable or Drift at 1.5 dt_max on
+    # these sizes: the standing wave holds the mu_max mode at rounding level only
+    @pytest.mark.parametrize("thetas, nx", [
+        *[([0.0], nx) for nx in (5, 6, 7, 8, 11, 13, 15, 18)],
+        *[([1 / 12, 0.2], nx) for nx in (8, 16)],
+    ])
+    def test_the_seeded_mode_decides_the_boundary(self, thetas, nx):
+        rows = stability_sweep(mms_standing_wave(), thetas, (0.99, 1.5), nx)
+        want = [(theta, m, status) for theta in thetas for m, status in ((0.99, STABLE), (1.5, BLOWUP))]
+        assert [(r.theta, r.multiplier, r.status) for r in rows] == want
+        # The seed s = SEED_SIZE max|U0| of the mode at mu_max evolves as s T_n(c), with T_n the
+        # Chebyshev polynomial and c = (1 - (1/2 - theta) x) / (1 + theta x), x = dt^2 mu_max
+        # (the closed form of TestClosedFormTrajectory), so max|U| passes BLOWUP_THRESHOLD at
+        # the first n with s cosh(n arccosh|c|) above it
+        spec = make_problem(mms_standing_wave(), nx)
+        seed = verify.SEED_SIZE * np.abs(scheme.prepare(spec, assemble_operators(spec.mesh, spec.bc, spec.material)).U0).max()
+        for r in rows[1::2]:
+            x = r.multiplier**2 / (0.25 - r.theta)
+            c = (1.0 - (0.5 - r.theta) * x) / (1.0 + r.theta * x)
+            predicted = math.ceil(math.acosh(scheme.BLOWUP_THRESHOLD / seed) / math.acosh(abs(c)))
+            assert abs(r.blowup_level - predicted) <= 1
+
+    def test_the_seed_is_compatible_and_small(self):
+        spec = make_problem(mms_standing_wave(), 8)
+        seeded = verify.stability_setup(spec)
+        plain = scheme.prepare(spec, seeded.operators)
+        ops = seeded.operators
+        assert np.array_equal(seeded.P0, spmv(ops.D, seeded.U0) / ops.Cdiag)
+        change = np.abs(seeded.U0 - plain.U0).max()
+        assert change == pytest.approx(verify.SEED_SIZE * np.abs(plain.U0).max(), rel=1e-5)
+        assert np.array_equal(seeded.V0, plain.V0)
+        for field in (seeded.U0, seeded.P0):
+            assert not field.flags.writeable
+
+    def test_the_runs_share_one_set_of_line_inverses(self, monkeypatch):
+        built = []
+        inner = spaces.LineSolve
+
+        def counting(*args):
+            built.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(spaces, "LineSolve", counting)
+        stability_sweep(mms_standing_wave(), [0.0], (0.5, 0.99, 1.5), 8, num_steps=50)
+        assert len(built) == 1
+
     def test_rows_sorted(self):
         rows = stability_sweep(
             mms_standing_wave(), [0.5, 0.25], (0.5, 0.9), 4, num_steps=20
@@ -545,23 +594,42 @@ class TestStabilitySweep:
         assert keys == sorted(keys)
 
 
+class TestMaxDivergenceMode:
+    """``spaces.max_divergence_mode`` against the dense oracle operators."""
+
+    # (40, 3) has lines longer than LINE_SOLVE_MAX_EDGES, so A is solved by CG there
+    @pytest.mark.parametrize("nx, ny", [(5, 4), (1, 5), (6, 1), (40, 3)])
+    @pytest.mark.parametrize("bc", ALL_PARTITIONS)
+    def test_is_an_eigenvector_at_mu_max(self, nx, ny, bc):
+        mesh = build_rect_mesh(nx, ny)
+        material = material_field(mesh, 1.0, 1.0)
+        A, Cdiag, D = dense_operators(mesh, bc, material)
+        U = max_divergence_mode(assemble_operators(mesh, bc, material))
+        mu = max_divergence_eigenvalue(mesh, bc)
+        KU = D.T @ ((D @ U) / Cdiag)
+        assert np.linalg.norm(KU - mu * (A @ U)) <= 1e-10 * np.linalg.norm(KU)
+        assert np.abs(U).max() > 0
+
+
 class TestSharedSetUp:
-    """The studies build one set-up in their first run and share it with the later ones."""
+    """The studies build one set-up and share it between their runs: the
+    temporal study in its first run, the stability sweep before its runs."""
 
     @staticmethod
-    def independent(monkeypatch):
-        """Make every run of a study build its own set-up."""
+    def independent(monkeypatch, own_setup):
+        """Make every run of a study take a set-up of its own, ``own_setup(spec)``;
+        None makes the run build it."""
         inner = verify.run
 
-        def fresh(*args, setup=None, **kwargs):
-            return inner(*args, **kwargs)
+        def fresh(spec, *args, setup=None, **kwargs):
+            return inner(spec, *args, setup=own_setup(spec), **kwargs)
 
         monkeypatch.setattr(verify, "run", fresh)
 
     @staticmethod
     def recording(monkeypatch):
-        """Count the set-up work done by each run of a study: per run, the calls
-        of assemble_operators and of the two projections during it, and
+        """Count the set-up work of a study: the calls of assemble_operators and
+        of the two projections in all, and per run, those made during it and
         whether it was given a set-up."""
         counts = {"assemble": 0, "project": 0}
         per_run = []
@@ -573,6 +641,7 @@ class TestSharedSetUp:
             return wrapper
 
         monkeypatch.setattr(scheme, "assemble_operators", counting("assemble", scheme.assemble_operators))
+        monkeypatch.setattr(verify, "assemble_operators", counting("assemble", verify.assemble_operators))
         monkeypatch.setattr(scheme, "project_velocity_pi_h", counting("project", scheme.project_velocity_pi_h))
         monkeypatch.setattr(scheme, "project_pressure_p_h", counting("project", scheme.project_pressure_p_h))
         inner = verify.run
@@ -585,7 +654,7 @@ class TestSharedSetUp:
             return result
 
         monkeypatch.setattr(verify, "run", observed)
-        return per_run
+        return counts, per_run
 
     def sweep(self):
         # nx 12 at theta = 0 blows up at 1.5 dt_max, so a BlowUp row is compared too
@@ -597,22 +666,23 @@ class TestSharedSetUp:
     def test_sweep_rows_are_those_of_independent_runs(self, monkeypatch):
         shared = self.sweep()
         assert BLOWUP in {r.status for r in shared}
-        self.independent(monkeypatch)
+        self.independent(monkeypatch, verify.stability_setup)
         # repr prints every float round-trip exactly, nan included
         assert repr(shared) == repr(self.sweep())
 
     def test_temporal_table_is_that_of_independent_runs(self, monkeypatch):
         shared = self.temporal()
-        self.independent(monkeypatch)
+        self.independent(monkeypatch, lambda spec: None)
         assert repr(shared) == repr(self.temporal())
 
     @pytest.mark.parametrize("study", ["stability", "temporal"])
     def test_later_runs_assemble_and_project_nothing(self, study, monkeypatch):
-        per_run = self.recording(monkeypatch)
+        counts, per_run = self.recording(monkeypatch)
         self.sweep() if study == "stability" else self.temporal()
         # the standing wave has u0 and p0; v0 is None and projects to zero
-        assert per_run[0] == (False, 1, 2)
-        assert per_run[1:] == [(True, 0, 0)] * (len(per_run) - 1)
+        assert counts == {"assemble": 1, "project": 2}
+        first = (True, 0, 0) if study == "stability" else (False, 1, 2)  # the sweep seeds its set-up before its runs
+        assert per_run == [first] + [(True, 0, 0)] * (len(per_run) - 1)
         assert len(per_run) == (6 if study == "stability" else 4)
 
     def test_blowup_rows_report_no_energy(self):
@@ -700,6 +770,10 @@ class TestInputErrors:
         pytest.param("theta", lambda: convergence_levels(-0.1, [8], QUARTER_H, 1.0), id="levels-theta"),
         pytest.param("dt", lambda: ThetaConfig(0.25, -0.1, 10), id="dt-negative"),
         pytest.param("dt", lambda: ThetaConfig(0.25, 0.1, 0), id="no-step"),
+        pytest.param("dt", lambda: ThetaConfig(0.25, 0.1, 2.5), id="steps-fraction"),
+        pytest.param("dt", lambda: ThetaConfig(0.25, 0.1, math.nan), id="steps-nan"),
+        pytest.param("dt", lambda: ThetaConfig(0.25, 0.1, True), id="steps-bool"),
+        pytest.param("dt", lambda: ThetaConfig.from_steps(0.25, 1.0, 2.5), id="from-steps-fraction"),
         pytest.param("dt", lambda: ThetaConfig.from_dt(0.25, 1.5, 0.4), id="horizon"),  # 4 steps reach 1.6
         pytest.param("dt", lambda: ThetaConfig.from_dt(0.25, 1.0, 0.3), id="not-a-divisor"),
         pytest.param("dt", lambda: ThetaConfig.from_dt(0.25, 1.0, 1e-300), id="steps-cap"),
@@ -718,6 +792,8 @@ class TestInputErrors:
         pytest.param("f", lambda: stability_sweep(mms_forced(1.0), [0.0], (0.9,), 4), id="sweep-forced"),
         pytest.param("dt", lambda: stability_sweep(mms_standing_wave(), [0.0], (0.5,), 4, num_steps=0),
                      id="sweep-no-step"),
+        pytest.param("dt", lambda: stability_sweep(mms_standing_wave(), [0.0], (0.5,), 4, num_steps=2.5),
+                     id="sweep-steps-fraction"),
         pytest.param("mesh", lambda: estimate_inverse_constant(build_rect_mesh(1, 1), BoundaryPartition.all_neumann()),
                      id="no-free-dof"),
         pytest.param("mesh", lambda: stability_sweep(mms_standing_wave(), [0.0], (0.5,), 1, 1), id="sweep-no-free-dof"),

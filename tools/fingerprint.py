@@ -49,6 +49,7 @@ HETERO_SEEDS = (1, 2, 3)
 README_COMMANDS = (
     "energy --mesh.nx 16 --mesh.ny 16 --time.dt 0.0078125 --time.T 1.0",
     "stability --scheme.theta 0 --mesh.nx 16 --mesh.ny 16",
+    "stability --scheme.theta 0 --mesh.nx 8 --mesh.ny 8",
     "stability --scheme.theta 0.25 --mesh.nx 16 --mesh.ny 16",
     "run --scheme.theta 1 --mesh.nx 32 --mesh.ny 32 --time.dt 0.25 --time.T 1",
     "converge --mesh.nx 8 --problem.case forced:1",

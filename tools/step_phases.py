@@ -1,13 +1,14 @@
 """Time the phases of a run's steps.
 
-For each case, builds the manufactured standing wave and its ``StepSolver``,
-takes the first step with ``initialize``, advances ``STEPS`` - 1 more levels
-and prints the median time per step of each phase, with the preconditioner
-and the mean CG iterations per solve, as a markdown table:
+For each case, builds its problem and ``StepSolver``, takes the first step
+with ``initialize``, advances ``STEPS`` - 1 more levels and prints the
+median time per step of each phase, with the preconditioner and the mean CG
+iterations per solve, as a markdown table:
 
-- defect: -dt^2 D^T P[n] (the standing wave has no force);
-- solve: ``StepSolver.solve``, the CG solve for the increment from the
-  guess 2 U[n] - U[n-1], the guess included;
+- defect: -dt^2 D^T P[n] (neither problem has a force);
+- solve: ``StepSolver.solve``, the solve for the increment from the guess
+  2 U[n] - U[n-1], the guess included: CG, or at theta = 0 the line solve
+  and its residual product, which takes 0 iterations;
 - pressure: the recovery P[n+1] = C^-1 D U[n+1];
 - energy: ``discrete_energy``, one sample.
 
@@ -15,10 +16,15 @@ The phases are those of ``scheme.step``, spelled out so that each can be
 timed. The last state is checked bit for bit against ``scheme.run`` of the
 same problem, so the tool fails when the two part.
 
-Cases: theta = 0 at nx 32 with dt = 0.9 of the CFL bound, a stable run of
-the ``stability`` study, and theta = 1/4 at nx 128 with dt = 1 / (4 nx),
-about 0.18 h, the standing wave of the README and the benchmark. Given grid
-sizes, both thetas run at each.
+Cases on the manufactured standing wave: theta = 0 at nx 32 with dt = 0.9
+of the CFL bound, a stable run of the ``stability`` study, and theta = 1/4
+at nx 128 with dt = 1 / (4 nx), about 0.18 h, the standing wave of the
+README and the benchmark. The standing wave is one discrete eigenmode, so
+CG takes 1 or 2 iterations on it; the ``hetero`` case, at theta = 0 and nx
+32, is not: rho and lambda are seeded log-uniform in [1/4, 4] per element,
+the left and right sides DIRICHLET_P and the bottom and top NEUMANN_U, dt =
+0.05 / nx, and the run starts from U0 = P0 = 0 with the standing wave's
+velocity profile as V0. Given grid sizes, each of the three runs at each.
 
 Run from the root of a source checkout:
 
@@ -34,27 +40,50 @@ import time
 import numpy as np
 
 from mixedwave.linalg import spmv
-from mixedwave.scheme import SchemeState, StepSolver, ThetaConfig, discrete_energy, initialize, run
-from mixedwave.spaces import assemble_operators, stiffness_bound
+from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
+from mixedwave.scheme import ProblemSpec, SchemeState, StepSolver, ThetaConfig, discrete_energy, initialize, run
+from mixedwave.spaces import MaterialField, assemble_operators, stiffness_bound
 from mixedwave.verify import cfl_max_dt, make_problem, mms_standing_wave
 
-CASES = ((0.0, 32), (0.25, 128))
+STANDING, HETERO = "standing wave", "hetero"
+CASES = ((STANDING, 0.0, 32), (STANDING, 0.25, 128), (HETERO, 0.0, 32))
 STEPS = 200
 CFL_FRACTION = 0.9  # of the explicit bound, one of the stability study's stable multipliers
+HETERO_BOUNDS = (0.25, 4.0)
+HETERO_SEED = 1
 PHASES = ("defect", "solve", "pressure", "energy")
 
 
-def phase_times(theta, nx):
+def hetero_problem(nx):
+    """The ``hetero`` case's problem on an nx-by-nx grid and its time step."""
+    mesh = build_rect_mesh(nx, nx)
+    lo, hi = HETERO_BOUNDS
+    rng = np.random.default_rng(HETERO_SEED)
+    rho, lam = np.exp(rng.uniform(np.log(lo), np.log(hi), (2, mesh.n_elements)))
+    dirichlet, neumann = BoundaryKind.DIRICHLET_P, BoundaryKind.NEUMANN_U
+    spec = ProblemSpec(
+        mesh=mesh,
+        bc=BoundaryPartition(left=dirichlet, right=dirichlet, bottom=neumann, top=neumann),
+        material=MaterialField(rho, lam, lo, hi, lo, hi),
+        v0=mms_standing_wave().exact.velocity_profile,
+    )
+    return spec, 0.05 / nx
+
+
+def phase_times(case, theta, nx):
     """Median seconds per step of each of ``PHASES``, the run's
     preconditioner and its mean CG iterations per solve."""
-    spec = make_problem(mms_standing_wave(), nx)
-    mesh, material = spec.mesh, spec.material
-    if theta < 0.25:
-        dt = CFL_FRACTION * cfl_max_dt(theta, stiffness_bound(mesh, spec.bc, material))
+    if case == HETERO:
+        spec, dt = hetero_problem(nx)
     else:
-        dt = 1.0 / (4 * nx)
+        spec = make_problem(mms_standing_wave(), nx)
+        if theta < 0.25:
+            dt = CFL_FRACTION * cfl_max_dt(theta, stiffness_bound(spec.mesh, spec.bc, spec.material))
+        else:
+            dt = 1.0 / (4 * nx)
     cfg = ThetaConfig.from_steps(theta, STEPS * dt, STEPS)
-    ops = assemble_operators(mesh, spec.bc, material)
+    dt = cfg.dt  # (STEPS dt) / STEPS, which can differ from dt in its last bit, as at nx 48
+    ops = assemble_operators(spec.mesh, spec.bc, spec.material)
     stepper = StepSolver(spec, ops, cfg)
     state = initialize(stepper)
     times = []
@@ -73,21 +102,21 @@ def phase_times(theta, nx):
         times.append((defected - start, solved - defected, recovered - solved, sampled - recovered))
     final = run(spec, cfg, record_errors=False).state
     if not all(np.array_equal(a, b) for a, b in ((state.U_curr, final.U_curr), (state.P_curr, final.P_curr))):
-        raise SystemExit(f"theta {theta:g}, nx {nx}: the timed steps do not reproduce scheme.run")
+        raise SystemExit(f"{case}, theta {theta:g}, nx {nx}: the timed steps do not reproduce scheme.run")
     medians = [statistics.median(column) for column in zip(*times)]
     iterations = [solve[0] for solve in stepper.solves[1:]]  # the timed steps' solves, not the Taylor step's
     return medians, stepper.choice.split(",")[0], statistics.mean(iterations)
 
 
 def main(cases):
-    print("| theta | nx | " + " | ".join(f"{name} us" for name in PHASES) + " | sum us | preconditioner | CG iterations |")
-    print("|---:|---:|" + "---:|" * (len(PHASES) + 1) + "---|---:|")
-    for theta, nx in cases:
-        medians, choice, iterations = phase_times(theta, nx)
+    print("| case | theta | nx | " + " | ".join(f"{name} us" for name in PHASES) + " | sum us | preconditioner | CG iterations |")
+    print("|---|---:|---:|" + "---:|" * (len(PHASES) + 1) + "---|---:|")
+    for case, theta, nx in cases:
+        medians, choice, iterations = phase_times(case, theta, nx)
         cells = [f"{1e6 * s:.1f}" for s in medians] + [f"{1e6 * sum(medians):.1f}"]
-        print(f"| {theta:g} | {nx} | " + " | ".join(cells) + f" | {choice} | {iterations:.2f} |")
+        print(f"| {case} | {theta:g} | {nx} | " + " | ".join(cells) + f" | {choice} | {iterations:.2f} |")
 
 
 if __name__ == "__main__":
     sizes = [int(a) for a in sys.argv[1:]]
-    main([(theta, nx) for nx in sizes for theta in (0.0, 0.25)] if sizes else CASES)
+    main([case for nx in sizes for case in ((STANDING, 0.0, nx), (STANDING, 0.25, nx), (HETERO, 0.0, nx))] if sizes else CASES)
