@@ -325,7 +325,7 @@ class LineSolve:
     ``tridiagonal_inverses``; a solve is one batched ``np.matmul`` per edge
     family, with no iteration and no tolerance. The inverses take
     (ny nv^2 + nx nh^2) floats for lines of nv and nh edges, so the caller
-    bounds the line length (``spaces.LINE_SOLVE_MAX_EDGES``).
+    bounds them (``spaces.LINE_SOLVE_MAX_BYTES``).
     """
 
     __slots__ = ("layout", "vertical", "horizontal")

@@ -32,11 +32,11 @@ What does not depend on dt, the assembled operators and the projected
 initial data, is a ``RunSetup``, which runs of one spec at several dt can
 share (``run``).
 At theta = 0 the step matrix is the mass matrix A, which is block diagonal
-along grid lines (``linalg.LineSolve``). Up to ``spaces.LINE_SOLVE_MAX_EDGES``
-edges a line, every solve of such a run applies the dense inverses of A's
-lines, which the operators build once (``MixedOperators.line_solve``), and
+along grid lines (``linalg.LineSolve``). While the dense inverses of A's
+lines fit ``spaces.LINE_SOLVE_MAX_BYTES``, every solve of such a run applies
+them, as the operators build them once (``MixedOperators.line_solve``), and
 runs no CG: it records 0 iterations and the true residual of one product
-with A, and the CG settings do not apply to it. Longer lines, and every
+with A, and the CG settings do not apply to it. Larger grids, and every
 theta > 0, keep CG.
 Jacobi-CG needs more iterations the more the grad-div term outweighs the
 mass term; their ratio is bounded by kappa = theta dt^2 mu_max, with
@@ -86,13 +86,13 @@ from .linalg import (
 from .mesh import BoundaryPartition, RectMesh
 from .multigrid import VCycle, coarsens
 from .spaces import (
-    LINE_SOLVE_MAX_EDGES,
+    LINE_SOLVE_MAX_BYTES,
     MaterialField,
     MixedOperators,
     assemble_load,
     assemble_operators,
     element_blocks,
-    longest_line,
+    line_inverse_bytes,
     pressure_best_approximation,
     pressure_l2_error,
     project_pressure_p_h,
@@ -301,11 +301,11 @@ class StepSolver:
     """What every solve of a run shares: the step matrix S, its preconditioner,
     the CG settings (``SolverConfig()`` when None) and the body-force loads.
 
-    Built once per run. At theta = 0, when A's lines have at most
-    ``spaces.LINE_SOLVE_MAX_EDGES`` edges, ``line_solve`` is the operators'
+    Built once per run. At theta = 0, when the dense inverses of A's lines
+    fit ``spaces.LINE_SOLVE_MAX_BYTES``, ``line_solve`` is the operators'
     ``linalg.LineSolve``, S is A, and there is no preconditioner and no
-    projection: ``choice`` reads ``line solve, A's lines of at most 31
-    edges <= 37; exact, no CG``. Otherwise ``line_solve`` is None and CG
+    projection: ``choice`` reads ``line solve, A's line inverses take
+    0.47 MiB <= 64; exact, no CG``. Otherwise ``line_solve`` is None and CG
     solves. ``preconditioner`` is the multigrid ``VCycle`` when
     kappa (``grad_div_weight``) is at least ``MULTIGRID_MIN_KAPPA`` and the
     grid coarsens; S and the V-cycle's fine smoother then share one set of
@@ -332,8 +332,8 @@ class StepSolver:
         if self.line_solve is not None:
             self.S, self.preconditioner, self.projection = ops.A, None, None
             self.choice = (
-                f"line solve, A's lines of at most {longest_line(ops.classification)} edges "
-                f"<= {LINE_SOLVE_MAX_EDGES}; exact, no CG"
+                f"line solve, A's line inverses take {line_inverse_bytes(ops.classification) / 2**20:.2f} "
+                f"MiB <= {LINE_SOLVE_MAX_BYTES / 2**20:g}; exact, no CG"
             )
             return
         kappa = grad_div_weight(ops, cfg)

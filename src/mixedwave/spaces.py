@@ -99,18 +99,19 @@ DIVERGENCE_ROW = np.array([-1.0, 1.0, -1.0, 1.0])  # an element's row of D over 
 # is on stencils, and every 32 x 32 grid, with the V-cycle's coarse levels
 # under a 64 x 64 grid, on padded rows.
 GRID_MIN_DOFS = 6_000
-# Longest line (free edges in a row of vertical edges or a column of
-# horizontal ones) for which A is solved by the dense inverses of its lines
-# (``MixedOperators.line_solve``): their storage and build grow as the line
-# length cubed, a solve as its square. The line solve with its residual
-# product took no longer than a Jacobi-CG solve of the theta = 0 standing
-# wave (1.03 iterations) up to lines of 37 edges (nx 38), and 1.1x as long
-# at 39 (nx 40), in ``tools/step_phases.py``, three alternated rounds:
-# 38.0-38.4 against 41.4-42.0 us at nx 32, 51.4-52.6 against 51.8-53.6 us
-# at nx 38, 60.1-61.2 against 55.1-56.5 us at nx 40. On data that are not
-# one eigenmode, the tool's hetero case, CG takes 21.5 iterations, and the
-# line solve took 42.6-73.8 against 524-544 us at nx 32.
-LINE_SOLVE_MAX_EDGES = 37
+# Bound on the memory of the dense inverses of A's lines
+# (``MixedOperators.line_solve``, ``line_inverse_bytes``): 8 L^2 bytes per
+# line of L edges, about 16 L^3 on an L x L grid. Above it theta = 0 keeps
+# Jacobi-CG. The bound is set by memory, not speed: 64 MiB admits every
+# grid of up to 160 x 160 elements, whatever its sides (34.1 MB at
+# 128 x 128). Speed picks no single winner. In ``tools/step_phases.py``,
+# two alternated rounds, the line solve with its residual product took
+# 80-86 against 622-998 us for Jacobi-CG (21.5 iterations) at nx 32, and
+# 2.15-2.26 against 9.07-9.39 ms (22) at nx 128, on the hetero case; on the
+# standing wave, one eigenmode, where CG takes 1.03-1.74 iterations, it
+# took 72-74 against 55-88 us at nx 32 and 2.10-2.26 against 1.03 ms at
+# nx 128.
+LINE_SOLVE_MAX_BYTES = 64 * 2**20
 
 
 @lru_cache(maxsize=None)
@@ -196,10 +197,10 @@ class MixedOperators:
     def line_solve(self) -> LineSolve | None:
         """Exact solves with A by the dense inverses of its lines
         (``linalg.LineSolve``), built from the element blocks at first use;
-        None when a line has more than ``LINE_SOLVE_MAX_EDGES`` edges. They
+        None when they would take more than ``LINE_SOLVE_MAX_BYTES``. They
         do not depend on dt, so every run that shares the operators shares
         them."""
-        if longest_line(self.classification) > LINE_SOLVE_MAX_EDGES:
+        if line_inverse_bytes(self.classification) > LINE_SOLVE_MAX_BYTES:
             return None
         blocks = element_blocks(self.mesh, self.material, 0.0)
         entry = lambda i, j: blocks[i, j].reshape(self.mesh.ny, self.mesh.nx)
@@ -210,10 +211,11 @@ class MixedOperators:
         )
 
 
-def longest_line(cls: EdgeClassification) -> int:
-    """Free edges in the longest row of vertical edges or column of horizontal ones."""
-    (_, row), (column, _) = cls.shapes
-    return max(row, column)
+def line_inverse_bytes(cls: EdgeClassification) -> int:
+    """Bytes of the dense inverses of A's lines: L^2 floats for each row of
+    vertical edges and each column of horizontal ones with L free edges."""
+    (rows, row), (column, columns) = cls.shapes
+    return 8 * (rows * row**2 + columns * column**2)
 
 
 def element_blocks(mesh: RectMesh, material: MaterialField, coeff: float) -> np.ndarray:
@@ -401,19 +403,16 @@ def max_divergence_mode(ops: MixedOperators) -> np.ndarray:
     The eigenproblem separates by axis (``max_divergence_eigenvalue``): with
     w_x, w_y the cell differences of the top 1-D modes (``_axis_mode``), the
     pressure P = w_y (x) w_x, element (j, i) holding w_y[j] w_x[i], solves
-    D A^{-1} D^T P = mu_max C P, and v = A^{-1} D^T P. A is solved by
-    ``ops.line_solve``, or by CG to ``BEST_APPROXIMATION_RTOL`` above its
-    line limit. For element-wise material v is no eigenvector.
+    D A^{-1} D^T P = mu_max C P, and v = A^{-1} D^T P, with A solved by CG
+    to ``BEST_APPROXIMATION_RTOL``. For element-wise material v is no
+    eigenvector.
     """
     cls = ops.classification
     P = np.outer(
         _axis_mode(cls.ny, cls.bottom, cls.bottom + cls.top),
         _axis_mode(cls.nx, cls.left, cls.left + cls.right),
     )
-    b = spmv(ops.DT, P.ravel())
-    if ops.line_solve is not None:
-        return ops.line_solve.solve(b)
-    return cg_solve(ops.A, b, SolverConfig(BEST_APPROXIMATION_RTOL)).x
+    return cg_solve(ops.A, spmv(ops.DT, P.ravel()), SolverConfig(BEST_APPROXIMATION_RTOL)).x
 
 
 def stiffness_bound(mesh: RectMesh, bc: BoundaryPartition, material: MaterialField) -> float:

@@ -848,12 +848,10 @@ class TestRunSolverConfig:
 class TestJacobiPath:
     """The run's one ``Jacobi`` of S solves as ``cg_solve``'s per-call default does."""
 
-    # padded rows and stencils; theta = 0 takes the line solve up to lines of
-    # LINE_SOLVE_MAX_EDGES edges, so its padded-row grid is 48 x 48
-    @pytest.mark.parametrize("theta, nx, layout", [
-        (0.0, 48, CsrMatrix), (0.0, 64, GridStepMatrix), (0.25, 32, CsrMatrix), (0.25, 64, GridStepMatrix),
-    ])
+    @pytest.mark.parametrize("theta", [0.0, 0.25])
+    @pytest.mark.parametrize("nx, layout", [(32, CsrMatrix), (64, GridStepMatrix)])  # padded rows, stencils
     def test_run_is_bit_identical_to_a_jacobi_built_per_solve(self, theta, nx, layout, monkeypatch):
+        monkeypatch.setattr(spaces, "LINE_SOLVE_MAX_BYTES", 0)  # theta = 0 on a grid above the line solve's bound
         spec = make_problem(mms_standing_wave(), nx)
         dt = 0.9 * cfl_max_dt(0.0, stiffness_bound(spec.mesh, spec.bc, spec.material))
         cfg = ThetaConfig.from_steps(theta, 12 * dt, 12)
@@ -982,7 +980,7 @@ class TestClosedFormTrajectory:
 
 
 class TestLineSolvePath:
-    """theta = 0 with lines of at most ``spaces.LINE_SOLVE_MAX_EDGES`` edges:
+    """theta = 0 with A's line inverses within ``spaces.LINE_SOLVE_MAX_BYTES``:
     every solve is a line solve of A, which runs no CG."""
 
     @staticmethod
@@ -1003,7 +1001,7 @@ class TestLineSolvePath:
         monkeypatch.setattr(scheme, "cg_solve", no_cg)
         result = run(spec, cfg, record_errors=False)
         assert result.completed
-        assert result.preconditioner.startswith("line solve, A's lines of at most 7 edges <= ")
+        assert result.preconditioner == "line solve, A's line inverses take 0.01 MiB <= 64; exact, no CG"
         assert result.cg_iterations.tolist() == [0] * cfg.num_steps
         assert (result.cg_residuals <= 1e-14 * result.defect_norms).all()
         assert result.cg_residuals.max() > 0.0  # a product with A, not a zero written in
@@ -1012,7 +1010,7 @@ class TestLineSolvePath:
     def test_matches_a_tight_jacobi_cg_run(self, monkeypatch):
         spec, cfg = self.case()
         exact = run(spec, cfg, record_errors=False)
-        monkeypatch.setattr(spaces, "LINE_SOLVE_MAX_EDGES", 0)
+        monkeypatch.setattr(spaces, "LINE_SOLVE_MAX_BYTES", 0)
         iterative = run(spec, cfg, record_errors=False, solver=SolverConfig(1e-13))
         assert iterative.preconditioner.startswith("jacobi") and iterative.cg_iterations.min() > 1
         for got, want in ((exact.state.U_curr, iterative.state.U_curr), (exact.state.P_curr, iterative.state.P_curr)):

@@ -5,7 +5,7 @@ from mixedwave.linalg import spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh, edge_classify
 from mixedwave.spaces import (
     GRID_MIN_DOFS,
-    LINE_SOLVE_MAX_EDGES,
+    LINE_SOLVE_MAX_BYTES,
     MaterialField,
     PROJECTION_BLOCK,
     PROJECTION_RULE,
@@ -16,7 +16,7 @@ from mixedwave.spaces import (
     element_quadrature,
     gauss_rule_1d,
     integrate_load,
-    longest_line,
+    line_inverse_bytes,
     material_field,
     pressure_best_approximation,
     project_pressure_p_h,
@@ -168,10 +168,8 @@ class TestLineSolve:
         rho, lam = np.exp(rng.uniform(np.log(0.25), np.log(4.0), (2, mesh.n_elements)))
         return MaterialField(rho, lam, 0.25, 4.0, 0.25, 4.0)
 
-    # the last two are the widest and the tallest grids whose lines all fit the limit
-    @pytest.mark.parametrize("nx, ny", [
-        (1, 1), (1, 5), (5, 1), (12, 4), (32, 32), (LINE_SOLVE_MAX_EDGES - 1, 6), (6, LINE_SOLVE_MAX_EDGES - 1),
-    ])
+    # the last is the widest one-row grid whose line inverses fit LINE_SOLVE_MAX_BYTES on every partition
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (12, 4), (32, 32), (64, 32), (2893, 1)])
     def test_solves_exactly_on_every_partition(self, nx, ny):
         mesh = build_rect_mesh(nx, ny)
         rng = np.random.default_rng(100 * nx + ny)
@@ -183,18 +181,19 @@ class TestLineSolve:
             x = ops.line_solve.solve(b)
             assert np.linalg.norm(b - spmv(ops.A, x)) <= 1e-14 * np.linalg.norm(b)
 
-    @pytest.mark.parametrize("nx, ny, bc, longest", [
-        # a row of vertical edges holds nx + 1 edges less the pinned ends, a column of horizontal ones ny + 1
-        (LINE_SOLVE_MAX_EDGES - 1, 4, ALL_D, LINE_SOLVE_MAX_EDGES),
-        (LINE_SOLVE_MAX_EDGES, 4, ALL_D, LINE_SOLVE_MAX_EDGES + 1),
-        (LINE_SOLVE_MAX_EDGES, 4, BoundaryPartition(left=BoundaryKind.NEUMANN_U), LINE_SOLVE_MAX_EDGES),
-        (4, LINE_SOLVE_MAX_EDGES, ALL_D, LINE_SOLVE_MAX_EDGES + 1),
-        (LINE_SOLVE_MAX_EDGES + 1, 4, BoundaryPartition.all_neumann(), LINE_SOLVE_MAX_EDGES),
+    # a row of vertical edges holds nx + 1 edges less the pinned ends, a
+    # column of horizontal ones ny + 1; a line of L edges takes L^2 floats
+    @pytest.mark.parametrize("nx, ny, bc, nbytes", [
+        (4, 3, ALL_D, 8 * (3 * 5**2 + 4 * 4**2)),
+        (4, 3, BoundaryPartition.all_neumann(), 8 * (3 * 3**2 + 4 * 2**2)),
+        (4, 3, BoundaryPartition(left=BoundaryKind.NEUMANN_U, top=BoundaryKind.NEUMANN_U), 8 * (3 * 4**2 + 4 * 3**2)),
+        (2893, 1, ALL_D, 8 * (2894**2 + 2893 * 2**2)),
+        (2894, 1, ALL_D, 8 * (2895**2 + 2894 * 2**2)),  # the first one-row grid above the bound
     ])
-    def test_only_lines_up_to_the_limit_are_inverted(self, nx, ny, bc, longest):
+    def test_inverts_lines_only_within_the_memory_bound(self, nx, ny, bc, nbytes):
         ops = unit_ops(nx, ny, bc)
-        assert longest_line(ops.classification) == longest
-        assert (ops.line_solve is None) == (longest > LINE_SOLVE_MAX_EDGES)
+        assert line_inverse_bytes(ops.classification) == nbytes
+        assert (ops.line_solve is None) == (nbytes > LINE_SOLVE_MAX_BYTES) == (nx == 2894)
 
 
 class TestLoad:

@@ -597,8 +597,7 @@ class TestStabilitySweep:
 class TestMaxDivergenceMode:
     """``spaces.max_divergence_mode`` against the dense oracle operators."""
 
-    # (40, 3) has lines longer than LINE_SOLVE_MAX_EDGES, so A is solved by CG there
-    @pytest.mark.parametrize("nx, ny", [(5, 4), (1, 5), (6, 1), (40, 3)])
+    @pytest.mark.parametrize("nx, ny", [(5, 4), (1, 5), (6, 1)])
     @pytest.mark.parametrize("bc", ALL_PARTITIONS)
     def test_is_an_eigenvector_at_mu_max(self, nx, ny, bc):
         mesh = build_rect_mesh(nx, ny)
