@@ -32,7 +32,11 @@ construction, so CG is the right tool. A ``Jacobi`` checks the diagonal
 and stores its reciprocal once, so a run that builds one for its step
 matrix pays nothing per solve for it; ``cg_solve`` builds one per call by
 default. CG starts from zero or from a caller's x0; ``SolutionProjection``
-chooses x0 for a sequence of solves with one matrix.
+chooses x0 for a sequence of solves with one matrix. CG checks the true
+residual b - M x at its stop with one more product, except after a single
+iteration from zero, where a bound on the rounding of the one product it
+made, from M's ``abs_row_sum_bound()``, certifies the recursive residual
+instead (``cg_solve``): such a solve makes one product with M.
 """
 
 from __future__ import annotations
@@ -85,16 +89,17 @@ class CsrMatrix:
     the row's own columns nor changes a sum; an empty row is padded with
     column 0. The arrays are read-only, and so is the main diagonal, which
     only square operators need: it is computed on the first ``diagonal()``
-    call. Instances are therefore immutable and safe to share between
-    concurrent readers (two first calls at once compute equal arrays).
+    call, as is the largest absolute row sum (``abs_row_sum_bound()``) that
+    only CG needs. Instances are therefore immutable and safe to share
+    between concurrent readers (two first calls at once compute equal values).
     """
 
-    __slots__ = ("cols", "vals", "row_nnz", "nnz", "shape", "_empty_rows", "_diagonal")
+    __slots__ = ("cols", "vals", "row_nnz", "nnz", "shape", "_empty_rows", "_diagonal", "_abs_row_sum")
 
     def __init__(self, cols, vals, row_nnz, shape):
         for a in (cols, vals, row_nnz):
             a.flags.writeable = False
-        self.cols, self.vals, self.row_nnz, self._diagonal = cols, vals, row_nnz, None
+        self.cols, self.vals, self.row_nnz, self._diagonal, self._abs_row_sum = cols, vals, row_nnz, None, None
         self.nnz = int(row_nnz.sum())
         self.shape = shape
         empty = np.flatnonzero(row_nnz == 0)
@@ -112,6 +117,17 @@ class CsrMatrix:
             diagonal.flags.writeable = False
             self._diagonal = diagonal
         return self._diagonal
+
+    def abs_row_sum_bound(self) -> float:
+        """The largest sum of |stored entries| over a row, ||M||_inf, exactly.
+
+        ``cg_solve`` bounds the rounding of ``spmv(M, p)`` by it: the terms a
+        row of the product adds are its stored entries times entries of p.
+        Computed on the first call; every later call returns the same float.
+        """
+        if self._abs_row_sum is None:
+            self._abs_row_sum = float(np.abs(self.vals).sum(axis=0).max(initial=0.0))
+        return self._abs_row_sum
 
 
 def csr_from_candidates(blocks, n_cols) -> CsrMatrix:
@@ -230,7 +246,8 @@ class GridStepMatrix:
     stores. A's diagonal, the a of the (up to two) elements an edge bounds,
     and the main diagonal, which adds their w, are summed onto the free
     edges by the layout (``EdgeClassification.edge_sum``) once, here; the
-    main diagonal is read-only.
+    main diagonal is read-only. The bound on the absolute row sums that only
+    CG needs (``abs_row_sum_bound()``) is computed on its first request.
 
     A's couplings are applied as two bands of the flat free-dof vector, with
     zeros where a band crosses from one row of vertical edges to the next:
@@ -239,7 +256,7 @@ class GridStepMatrix:
     the start of the next row non-finite (0 * inf).
     """
 
-    __slots__ = ("layout", "shape", "nnz", "_n_vertical", "_mass", "_bands", "_weight", "_diagonal")
+    __slots__ = ("layout", "shape", "nnz", "_n_vertical", "_mass", "_bands", "_weight", "_diagonal", "_abs_row_sum")
 
     def __init__(self, layout: EdgeClassification, mass_x, mass_y, weight=None):
         g = layout
@@ -262,11 +279,34 @@ class GridStepMatrix:
             nnz += 2 * (2 * g.nx - g.left - g.right) * (2 * g.ny - g.bottom - g.top)
         diagonal.flags.writeable = False
         self.layout, self.shape, self.nnz, self._n_vertical = layout, (n, n), nnz, ny * nv
-        self._weight, self._diagonal = weight, diagonal
+        self._weight, self._diagonal, self._abs_row_sum = weight, diagonal, None
 
     def diagonal(self):
         """Main diagonal as a read-only dense vector; every call returns the same array."""
         return self._diagonal
+
+    def abs_row_sum_bound(self) -> float:
+        """An upper bound on the largest row sum of |A| + |D^T| diag(|w|) |D|,
+        the terms a row of ``spmv`` adds, so also on ||M||_inf.
+
+        ``cg_solve`` bounds the rounding of ``spmv(M, p)`` by it. Row i of
+        |D^T| diag(|w|) |D| sums, over the (up to two) elements the edge
+        bounds, |w| of the element times its free edges; 4 stands in for
+        that count. Computed on the first call; every later call returns the
+        same float.
+        """
+        if self._abs_row_sum is None:
+            m = self._n_vertical
+            sums = np.abs(self._mass)
+            for y, band, offset in ((sums[:m], self._bands[0], 1), (sums[m:], self._bands[1], self.layout.nx)):
+                band = np.abs(band)  # the row sums of |B| for the B of _add_band
+                y[offset:] += band
+                y[: band.size] += band
+            if self._weight is not None:
+                w = 4.0 * np.abs(self._weight)
+                sums += self.layout.edge_sum(w, w, w, w)
+            self._abs_row_sum = float(sums.max(initial=0.0))
+        return self._abs_row_sum
 
     def _apply(self, x):
         m = self._n_vertical
@@ -403,12 +443,13 @@ class SolverConfig:
 class CgResult(NamedTuple):
     x: np.ndarray
     iterations: int
-    residual: float  # the final true residual ||M x - b||
+    residual: float  # ||M x - b|| recomputed at the stop, or the recursive r_1 of a certified one-iteration stop
     rhs_norm: float  # ||b||, the scale of the stopping test
 
 
 SMALLEST_RHS_NORM = 1e-100  # a smaller ||b|| is rescaled, so CG's dot products start far from underflow
 SMALLEST_NORMAL = sys.float_info.min  # a curvature p . Mp below this is nonpositive or has underflowed
+PRODUCT_ROUNDING = 16 * sys.float_info.epsilon  # gamma of the one-iteration stop, derived in ``cg_solve``
 
 
 def _underflows(M, p) -> bool:
@@ -459,11 +500,33 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None, x0=None) 
     main diagonal, built as ``Jacobi(M)`` on each call. Any preconditioner
     but a ``Jacobi`` built for this M has M's diagonal checked on each call
     as well: a nonpositive entry raises NonConvergence. Stops when
-    ||M x - b|| <= rel_tolerance * ||b||, with the true residual recomputed
-    at the recursive stopping point so the guarantee is not a victim of
-    residual-recurrence drift (CG restarts from it when it is still too
-    large). The result holds
-    x, the iteration count, that true residual and ||b||. A finite b whose
+    ||M x - b|| <= tol = rel_tolerance * ||b||, with the true residual
+    recomputed at the recursive stopping point so the guarantee is not a
+    victim of residual-recurrence drift (CG restarts from it when it is
+    still too large).
+
+    One stop skips that second product with M: a solve from zero whose
+    recursive residual r_1 = b - alpha M p meets the tolerance after
+    iteration 1. Then x = alpha p, and r_1 has no drift to carry: it
+    differs from b - M x only by the rounding of the product M p and of
+    forming x and r_1. Each term of a row of ``spmv`` is rounded at most
+    7 times (one product and up to 6 additions over the 7 slots of padded
+    rows; the stencils of ``GridStepMatrix`` round a term at most 5
+    times), so |fl(M p) - M p| <= gamma_7 |M| |p| with gamma_7 ~ 7u, u =
+    eps / 2, and |M| bounded entrywise by the nonnegative symmetric matrix
+    behind ``M.abs_row_sum_bound()``, whose 2-norm is at most its
+    inf-norm. Forming x = alpha p and r_1 = b - alpha M p adds u each, so
+
+        ||b - M x|| <= ||r_1|| + 9u ||M||_abs ||x||
+
+    to first order, with ||M||_abs = ``M.abs_row_sum_bound()``.
+    ``PRODUCT_ROUNDING`` = 16 eps = 32u takes 9u with more than 3x room for
+    the rounding of the norms in the test. When ||r_1|| +
+    ``PRODUCT_ROUNDING`` ||M||_abs ||x|| <= tol, the solve returns after
+    one product with M and reports ||r_1||; every other stop recomputes.
+    See Greenbaum, SIAM J. Matrix Anal. Appl. 18 (1997), and van der Vorst
+    & Ye, SIAM J. Sci. Comput. 22 (2000). The result holds x, the
+    iteration count, the residual of the stop and ||b||. A finite b whose
     squared norm overflows, or whose norm is below ``SMALLEST_RHS_NORM``, is
     solved as b / max|b| from x0 / max|b|, with x, the residual and ||b||
     scaled back. Every test stays relative to ||b||, whatever x0 is.
@@ -535,7 +598,10 @@ def cg_solve(M, b, cfg: SolverConfig | None = None, precondition=None, x0=None) 
         alpha = rz / pMp
         x += np.multiply(alpha, p, out=step)
         r -= np.multiply(alpha, Mp, out=Mp)
-        if math.sqrt(r @ r) <= tol:
+        norm_r = math.sqrt(r @ r)
+        if norm_r <= tol:
+            if k == 1 and x0 is None and norm_r + PRODUCT_ROUNDING * M.abs_row_sum_bound() * math.sqrt(x @ x) <= tol:
+                return CgResult(x, 1, norm_r, norm_b)
             r = b - spmv(M, x)
             norm_r = math.sqrt(r @ r)
             if norm_r <= tol:

@@ -62,6 +62,9 @@ The Jacobi path keeps its zero start: a solve of the standing wave or of
 the CLI studies takes 1 to 5 iterations there (15 in a run that blows up),
 and the projection's two products with S and 4K dot products and vector
 updates per solve, for a basis of K vectors, would cost more than it saves.
+A solve from zero that stops after one iteration, as every solve of the
+README standing wave over its first 40 steps at nx 128 does, also makes
+only one product with S (``linalg.cg_solve``).
 """
 
 from __future__ import annotations
@@ -83,7 +86,7 @@ from .linalg import (
     cg_solve,
     spmv,
 )
-from .mesh import BoundaryPartition, RectMesh
+from .mesh import BoundaryPartition, EdgeClassification, RectMesh
 from .multigrid import VCycle, coarsens
 from .spaces import (
     LINE_SOLVE_MAX_BYTES,
@@ -105,6 +108,11 @@ from .spaces import (
 
 BLOWUP_THRESHOLD = 1e12  # sup-norm guard on velocity coefficients
 MAX_STEPS = 10**7  # longest run ThetaConfig accepts; a larger count means a mistyped dt
+# Largest steps x free velocity dofs a run accepts. A step cost about 50 ns
+# per free dof on the benchmark's Jacobi workload and 1.0-1.4 us on its
+# multigrid one (CHANGES.md), so a run at the cap takes 10 minutes to 4
+# hours; 10^7 steps on a 256 x 256 grid (1.3e12) would take days.
+MAX_STEP_DOFS = 10**10
 MULTIGRID_MIN_KAPPA = 500.0  # measured crossover of Jacobi-CG and multigrid-CG run times
 PROJECTION_BASIS = 32  # earlier increments a multigrid solve's start is projected on (measured, CHANGES.md)
 # Largest dt^2 lambda1 / (rho0 hx hy), the squared Courant number, that a run
@@ -262,13 +270,24 @@ class EnergySample:
     value: float
 
 
-def check_courant_number(spec: ProblemSpec, cfg: ThetaConfig) -> None:
-    """Raise ``InputError("dt", ...)`` when dt^2 lambda1 / (rho0 hx hy) exceeds ``MAX_COURANT_SQUARED``.
+def check_run_input(spec: ProblemSpec, cfg: ThetaConfig) -> None:
+    """Raise ``InputError("dt", ...)`` when dt^2 lambda1 / (rho0 hx hy) exceeds
+    ``MAX_COURANT_SQUARED`` or the steps times the free velocity dofs exceed
+    ``MAX_STEP_DOFS``.
 
-    ``run`` checks this before any assembly, so a dt whose products would
-    overflow fails at once instead of as a non-finite CG right-hand side.
+    ``run`` checks this before any assembly, and the studies before their
+    first run, so a dt whose products would overflow fails at once instead
+    of as a non-finite CG right-hand side, and a run that could not finish
+    fails before it starts.
     """
     mesh, m = spec.mesh, spec.material
+    dofs = EdgeClassification.of(mesh.nx, mesh.ny, spec.bc).n_free
+    if cfg.num_steps * dofs > MAX_STEP_DOFS:
+        raise InputError(
+            "dt",
+            f"{cfg.num_steps} steps x {dofs} free velocity dofs = {cfg.num_steps * dofs:.3g} "
+            f"exceed the cap of {MAX_STEP_DOFS:.0e} (dt = {cfg.dt:g})"
+        )
     courant_squared = cfg.dt**2 * m.lambda1 / (m.rho0 * mesh.hx * mesh.hy)
     if not courant_squared <= MAX_COURANT_SQUARED:
         raise InputError(
@@ -316,9 +335,13 @@ class StepSolver:
     ``projection`` is None.
     ``choice`` names the preconditioner and the reason for it, as in
     ``multigrid, kappa = 6.1e+03 >= 500; CG starts from the projection on up
-    to 32 increments``. ``solves`` holds (CG iterations, true residual
-    ||S x - b||, defect norm ||b||) of every solve, the Taylor step's first;
-    a line solve's iterations are 0.
+    to 32 increments``. ``solves`` holds (CG iterations, residual, defect
+    norm ||b||) of every solve, the Taylor step's first; a line solve's
+    iterations are 0. The residual is the true ||S x - b|| of one more
+    product with S, except for a CG solve that stops after one iteration
+    from zero: that one reports the recursive residual r_1, which
+    ``linalg.cg_solve`` certifies by a bound on the rounding of its one
+    product, so it makes no second product.
     """
 
     def __init__(self, spec: ProblemSpec, ops: MixedOperators, cfg: ThetaConfig,
@@ -534,8 +557,10 @@ class RunResult:
 
     ``cg_iterations`` (int), ``cg_residuals`` and ``defect_norms`` (float)
     are the columns of the run's ``StepSolver.solves``, one entry per solve,
-    the initial step's first. ``preconditioner`` is the run's
-    ``StepSolver.choice``. ``setup`` is the run's ``RunSetup``, which
+    the initial step's first: a residual is the true ||S x - b||, or for a
+    CG solve that stopped after one iteration from zero, the recursive
+    residual r_1 that ``linalg.cg_solve`` certifies by a rounding bound.
+    ``preconditioner`` is the run's ``StepSolver.choice``. ``setup`` is the run's ``RunSetup``, which
     another run of the same spec can take.
     The error series hold one entry per level 0..n of the final state, one
     more than ``energies``; on BlowUp that includes the level whose step
@@ -601,7 +626,7 @@ def run(
         record_errors = spec.exact is not None
     if record_errors and spec.exact is None:
         raise ValueError("record_errors needs an exact solution (spec.exact)")
-    check_courant_number(spec, cfg)
+    check_run_input(spec, cfg)
     ops = assemble_operators(spec.mesh, spec.bc, spec.material) if setup is None else setup.operators
     stepper = StepSolver(spec, ops, cfg, solver)
     if setup is None:

@@ -30,7 +30,7 @@ from .scheme import (
     SeparableForce,
     SeparableSolution,
     ThetaConfig,
-    check_courant_number,
+    check_run_input,
     prepare,
     run,
     step_ratio,
@@ -343,14 +343,18 @@ def convergence_study(
     """Spatial refinement study against the exact solution.
 
     Levels as in ``convergence_levels``, all checked, their Courant numbers
-    included, before the first run; rows are ordered by decreasing h and
-    rates are slopes between consecutive rows.
+    and sizes (``scheme.check_run_input``) included, before the first run;
+    a level that fails raises ``InputError("final_time", ...)``. Rows are
+    ordered by decreasing h and rates are slopes between consecutive rows.
     """
     residual_check(mms)
     levels = [(make_problem(mms, nx), cfg) for nx, cfg in
               convergence_levels(theta, mesh_sizes, dt_rule, final_time)]
     for spec, cfg in levels:
-        check_courant_number(spec, cfg)
+        try:
+            check_run_input(spec, cfg)
+        except InputError as exc:  # the study derives dt from final_time
+            raise InputError("final_time", str(exc)) from None
 
     def level(spec, cfg):
         result = run(spec, cfg, solver=solver)
@@ -406,7 +410,7 @@ def temporal_study(
     spec = make_problem(mms, nx)
     ref_cfg, *configs = [ThetaConfig.from_steps(theta, final_time, n) for n in (ref_divisor, *divisors)]
     for cfg in (ref_cfg, *configs):
-        check_courant_number(spec, cfg)
+        check_run_input(spec, cfg)
     snapshots = {}
 
     def keep(level, t, U, P):
@@ -505,7 +509,7 @@ def stability_sweep(
         for m in multipliers:
             dt = m * dtmax if math.isfinite(dtmax) else m * 10.0 * spec.mesh.h
             cfg = ThetaConfig.from_steps(theta, dt * num_steps, num_steps)
-            check_courant_number(spec, cfg)
+            check_run_input(spec, cfg)
             plan.append((m, dtmax, cfg))
     setup = stability_setup(spec)
 

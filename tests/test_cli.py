@@ -34,6 +34,7 @@ from test_verify import ENERGY_SERIES, energy_samples
 
 
 COURANT = "its products would leave the float range"
+STEP_DOFS = "free velocity dofs = 1.31e+11 exceed the cap of 1e+10"
 MESH = ["mesh.nx", "mesh.ny"]
 # (command, argv, keys, cause): inputs valid key by key that no run can take.
 # The library finds each before the first run and names its parameter.
@@ -52,9 +53,15 @@ USAGE_ERRORS = [
         ("courant-overflows-theta-1", ["run", "energy"],
          ["--scheme.theta", "1", "--time.dt", "1e153", "--time.T", "1e153", "--mesh.nx", "8", "--mesh.ny", "8"],
          ["time.dt"], COURANT),
+        # 10^6 steps on a 256 x 256 grid: run checks steps x free dofs before assembly
+        ("step-dofs-above-the-cap", ["run", "energy"],
+         ["--time.dt", "1e-6", "--time.T", "1", "--mesh.nx", "256", "--mesh.ny", "256"], ["time.dt"], STEP_DOFS),
         # nx 8, 16 and 32 could run; nx 64 needs 18.1 M steps, above the cap
         ("level-above-the-cap", ["converge"], ["--mesh.nx", "8", "--time.T", "1e5"], ["time.T"],
          ": 1.81e+07 steps exceed the cap of 10000000\n"),
+        # nx 64 needs 1.81 M steps x 8064 free dofs, above the cap on their product
+        ("level-above-the-step-dofs-cap", ["converge"], ["--mesh.nx", "8", "--time.T", "1e4"], ["time.T"],
+         "free velocity dofs = 1.46e+10 exceed the cap of 1e+10"),
         # the step count is compared with the cap before rounding, so it prints short
         ("horizon-far-above-the-cap", ["converge"], ["--time.T", "1e300"], ["time.T"],
          ": 4.53e+301 steps exceed the cap of 10000000\n"),
@@ -238,8 +245,8 @@ class TestCommands:
             monkeypatch.setattr(scheme, "assemble_operators", no_run)
             return scheme.run(*args, **kwargs)
 
-        # run owns the Courant check, which needs the mesh; it raises before assembly
-        monkeypatch.setattr(cli, "run", run_until_assembly if cause == COURANT else no_run)
+        # run owns the Courant and size checks, which need the mesh; they raise before assembly
+        monkeypatch.setattr(cli, "run", run_until_assembly if cause in (COURANT, STEP_DOFS) else no_run)
         monkeypatch.setattr(verify, "run", no_run)
         out = tmp_path / "out"
         with warnings.catch_warnings():

@@ -282,6 +282,16 @@ class TestCg:
             cg_solve(M, np.array([0.3, 0.7]), SolverConfig(1e-12))
         assert 0 < len(calls) <= 20
 
+    def test_a_one_iteration_stop_needs_the_rounding_bound(self):
+        # b lies along the eigenvector of 1e-10, and so does the rounding of
+        # M b: the recursive r_1 is about 0, yet b - M x is 6.4e-7 of ||b||.
+        # The bound, 16 eps ||M||_abs ||x|| = 7e-5 ||b||, does not certify r_1,
+        # so CG recomputes, restarts and stagnates
+        c = 1.0 - 1e-10
+        M = csr_from_coo([0, 0, 1, 1], [0, 1, 0, 1], [1.0, c, c, 1.0], (2, 2))
+        with pytest.raises(NonConvergence, match=r"stagnated at relative residual .* in iteration 2, above the tolerance 1e-12"):
+            cg_solve(M, np.array([0.3, -0.3]), SolverConfig(1e-12))
+
     @pytest.mark.parametrize("nx, coeff", [(4, 1e-3), (4, 10.0), (6, 0.1)])
     def test_tolerance_below_the_smallest_double_reports_an_underflow(self, nx, coeff):
         # p . Mp falls below the normal doubles long before the residual
@@ -625,6 +635,25 @@ class TestEdgeGridOperators:
         for _ in range(10):
             z = rng.choice([0.0, -0.0, 1.5, -0.25, 3.0], size=mesh.n_elements)
             assert spmv(DT, z).tobytes() == reference_divergence_transpose(mesh, bc, z).tobytes()
+
+    @pytest.mark.parametrize("bc", ALL_PARTITIONS)
+    @pytest.mark.parametrize("nx,ny", [(5, 4), (12, 8)])
+    def test_abs_row_sum_bound_covers_the_terms_of_the_apply(self, nx, ny, bc, monkeypatch):
+        # padded rows add their stored entries of S = A + D^T W D times x, the
+        # stencils the entries of A and of D^T W D apart: oracle |S| and |A| + |D^T| W |D|
+        padded, grid = self.both_formats(nx, ny, bc, monkeypatch, seed=nx + ny)
+        mesh = build_rect_mesh(nx, ny)
+        rho, lam = np.exp(np.random.default_rng(nx + ny).uniform(-1.4, 1.4, (2, mesh.n_elements)))
+        A, Cdiag, D = dense_operators(mesh, bc, material_field(mesh, lambda x, y: rho, lambda x, y: lam))
+        for coeff, P, G in zip(self.COEFFS, padded[3:], grid[3:]):
+            terms = np.abs(A) + np.abs(D).T @ np.diag(coeff / Cdiag) @ np.abs(D)
+            stored = np.abs(dense_step_matrix(A, D, Cdiag, coeff))
+            assert isinstance(G, GridStepMatrix)
+            assert G.abs_row_sum_bound() >= terms.sum(axis=1).max() * (1 - 1e-14)
+            assert P.abs_row_sum_bound() == pytest.approx(np.abs(todense(P)).sum(axis=1).max(), rel=1e-15)
+            assert P.abs_row_sum_bound() >= stored.sum(axis=1).max() * (1 - 1e-14)
+            for M in (P, G):
+                assert M.abs_row_sum_bound() is M.abs_row_sum_bound()  # computed once
 
     def test_format_follows_the_free_dof_count(self):
         # every 32 x 32 grid is on padded rows and every 64 x 64 grid on stencils, whatever its sides

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mixedwave.linalg as linalg
 import mixedwave.scheme as scheme
 import mixedwave.spaces as spaces
 from mixedwave.linalg import CsrMatrix, GridDivergence, GridStepMatrix, Jacobi, NonConvergence, SolverConfig, cg_solve, spmv
@@ -1025,3 +1026,52 @@ class TestLineSolvePath:
         stepper = StepSolver(spec, ops, replace(cfg, theta=theta))
         assert ops.line_solve is not None and stepper.line_solve is None
         assert isinstance(stepper.preconditioner, Jacobi)
+
+
+class TestOneIterationStop:
+    """A CG solve from zero that meets the tolerance after one iteration makes
+    one product with S: a bound on the rounding of that product certifies the
+    recursive residual (``linalg.cg_solve``). Every other stop recomputes it."""
+
+    def test_one_iteration_makes_one_product_with_s_and_two_make_three(self, monkeypatch):
+        # the README standing wave at dt = h: its Jacobi solves take 1 iteration, then 2
+        spec = make_problem(mms_standing_wave(), 8)
+        products = []
+        inner = linalg.spmv
+
+        def counted(M, x):
+            products[-1] += 1
+            return inner(M, x)
+
+        def counting_cg(S, b, solver, precondition):
+            products.append(0)
+            return cg_solve(S, b, solver, precondition)
+
+        monkeypatch.setattr(linalg, "spmv", counted)  # cg_solve's products, each with S
+        monkeypatch.setattr(scheme, "cg_solve", counting_cg)
+        result = run(spec, ThetaConfig(0.25, spec.mesh.h, 6), record_errors=False)
+        assert result.preconditioner.startswith("jacobi")
+        solves = list(zip(result.cg_iterations.tolist(), products))
+        assert (1, 1) in solves and (2, 3) in solves
+        assert all(count == (1 if iterations == 1 else iterations + 1) for iterations, count in solves)
+
+    @pytest.mark.parametrize("nx", [4, 8, 16, 31, 64, 128])
+    def test_every_one_iteration_solve_meets_the_tolerance(self, nx, monkeypatch):
+        spec = make_problem(mms_standing_wave(), nx)
+        solves = []
+
+        def recording_cg(M, b, cfg=None, precondition=None, x0=None):
+            result = cg_solve(M, b, cfg, precondition, x0)
+            solves.append((M, b, cfg, result))
+            return result
+
+        monkeypatch.setattr(scheme, "cg_solve", recording_cg)
+        monkeypatch.setattr(linalg, "cg_solve", recording_cg)  # the multigrid path's, through SolutionProjection
+        setup = None
+        for theta in (1 / 12, 0.25, 1.0):
+            for multiple in (0.18, 2.8, 30.0):
+                setup = run(spec, ThetaConfig(theta, multiple * spec.mesh.h, 8), record_errors=False, setup=setup).setup
+        one = [(M, b, cfg, result) for M, b, cfg, result in solves if result.iterations == 1]
+        assert one
+        for M, b, cfg, result in one:
+            assert np.linalg.norm(b - spmv(M, result.x)) <= cfg.rel_tolerance * np.linalg.norm(b)

@@ -14,7 +14,7 @@ import mixedwave.verify as verify
 import mixedwave.spaces as spaces
 from mixedwave.linalg import InputError, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, RectMesh, build_rect_mesh
-from mixedwave.scheme import EnergySample, SeparableSolution, ThetaConfig, check_courant_number, run
+from mixedwave.scheme import EnergySample, SeparableSolution, ThetaConfig, check_run_input, run
 from mixedwave.spaces import (
     MaterialField,
     assemble_operators,
@@ -780,12 +780,18 @@ class TestInputErrors:
         pytest.param("dt", lambda: ThetaConfig.from_dt(0.25, 1e200, 1e200), id="dt-squared"),
         pytest.param("dt", lambda: ThetaConfig.from_dt(0.25, 1.0, 0.0), id="from-dt-zero"),
         pytest.param("dt", lambda: ThetaConfig.from_steps(0.25, 1.0, 0), id="from-steps-zero"),
-        pytest.param("dt", lambda: check_courant_number(make_problem(mms_standing_wave(), 8),
-                                                        ThetaConfig.from_dt(0.25, 1e50, 1e50)), id="courant"),
+        pytest.param("dt", lambda: check_run_input(make_problem(mms_standing_wave(), 8),
+                                                   ThetaConfig.from_dt(0.25, 1e50, 1e50)), id="courant"),
+        # 10^6 steps x 130 560 free dofs = 1.31e11
+        pytest.param("dt", lambda: check_run_input(make_problem(mms_standing_wave(), 256), ThetaConfig(0.25, 1e-6, 10**6)),
+                     id="step-dofs-cap"),
         # nx 64 needs 18.1 M steps; converge derives dt from T
         pytest.param("final_time", lambda: convergence_levels(0.25, [8, 64], QUARTER_H, 1e5), id="levels-cap"),
         pytest.param("final_time", lambda: convergence_study(mms_standing_wave(), 0.25, [8, 64], QUARTER_H, 1e5),
                      id="convergence-cap"),
+        # nx 64 takes 1.81 M steps, below the step cap, x 8064 free dofs = 1.46e10
+        pytest.param("final_time", lambda: convergence_study(mms_standing_wave(), 0.25, [8, 64], QUARTER_H, 1e4),
+                     id="convergence-step-dofs-cap"),
         pytest.param("final_time", lambda: convergence_study(mms_standing_wave(), 0.25, [2, 4], QUARTER_H, math.inf),
                      id="convergence-infinite-horizon"),
         pytest.param("f", lambda: stability_sweep(mms_forced(1.0), [0.0], (0.9,), 4), id="sweep-forced"),
@@ -804,7 +810,8 @@ class TestInputErrors:
         # the second run's Courant number overflows: found before the first run
         pytest.param("dt", lambda: stability_sweep(mms_standing_wave(), [0.0], (0.5, 1e60), 8), id="sweep-courant"),
         # dt^2 lambda1 / (rho0 hx hy) = dt^2 nx^2 at dt = T = 1e50: 1e100 at nx 1, 4e100 at nx 2
-        pytest.param("dt", lambda: convergence_study(mms_standing_wave(), 0.25, [1, 2], lambda h: 1e50, 1e50),
+        # convergence_study takes no dt: it derives the step from final_time
+        pytest.param("final_time", lambda: convergence_study(mms_standing_wave(), 0.25, [1, 2], lambda h: 1e50, 1e50),
                      id="convergence-courant"),
         # 6.25e98 for the reference run at nx 2, 4e100 for the one coarse run
         pytest.param("dt", lambda: temporal_study(mms_standing_wave(), 0.25, 2, 1e50, divisors=(1,), ref_divisor=8),

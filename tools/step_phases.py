@@ -2,8 +2,9 @@
 
 For each case, builds its problem and ``StepSolver``, takes the first step
 with ``initialize``, advances ``STEPS`` - 1 more levels and prints the
-median time per step of each phase, with the preconditioner and the mean CG
-iterations per solve, as a markdown table:
+median time per step of each phase, with the preconditioner, the mean CG
+iterations per solve and the mean products with the step matrix S per
+solve, as a markdown table:
 
 - defect: -dt^2 D^T P[n] (neither problem has a force);
 - solve: ``StepSolver.solve``, the solve for the increment from the guess
@@ -14,17 +15,24 @@ iterations per solve, as a markdown table:
 
 The phases are those of ``scheme.step``, spelled out so that each can be
 timed. The last state is checked bit for bit against ``scheme.run`` of the
-same problem, so the tool fails when the two part.
+same problem, so the tool fails when the two part. That run, untimed, also
+counts the products with S made inside each ``StepSolver.solve`` (CG's,
+the V-cycle's and the line solve's residual), by wrapping ``spmv`` in the
+modules that call it; the Taylor step's solve is left out, as it is from
+the iterations.
 
 Cases on the manufactured standing wave: theta = 0 at nx 32 with dt = 0.9
 of the CFL bound, a stable run of the ``stability`` study, and theta = 1/4
 at nx 128 with dt = 1 / (4 nx), about 0.18 h, the standing wave of the
 README and the benchmark. The standing wave is one discrete eigenmode, so
-CG takes 1 or 2 iterations on it; the ``hetero`` case, at theta = 0 and nx
-32, is not: rho and lambda are seeded log-uniform in [1/4, 4] per element,
-the left and right sides DIRICHLET_P and the bottom and top NEUMANN_U, dt =
-0.05 / nx, and the run starts from U0 = P0 = 0 with the standing wave's
-velocity profile as V0. Given grid sizes, each of the three runs at each.
+CG takes 1 iteration on it, and one product with S, until rounding brings
+in other modes: at nx 128 that is after about 100 of the 200 steps, and
+the mean is 1.68 iterations and 2.17 products per solve. The ``hetero``
+case, at theta = 0 and nx 32, is not one eigenmode: rho and lambda are
+seeded log-uniform in [1/4, 4] per element, the left and right sides
+DIRICHLET_P and the bottom and top NEUMANN_U, dt = 0.05 / nx, and the run
+starts from U0 = P0 = 0 with the standing wave's velocity profile as V0.
+Given grid sizes, each of the three runs at each.
 
 Run from the root of a source checkout:
 
@@ -33,12 +41,17 @@ Run from the root of a source checkout:
 
 from __future__ import annotations
 
+import contextlib
 import statistics
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
+import mixedwave.linalg
+import mixedwave.multigrid
+import mixedwave.scheme
 from mixedwave.linalg import spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.scheme import ProblemSpec, SchemeState, StepSolver, ThetaConfig, discrete_energy, initialize, run
@@ -70,9 +83,31 @@ def hetero_problem(nx):
     return spec, 0.05 / nx
 
 
+def counted_run(spec, cfg):
+    """``scheme.run`` without error recording, and the products with S that
+    each of its ``StepSolver.solve`` calls made."""
+    products = []
+    solve = StepSolver.solve
+
+    def counting_solve(stepper, defect, guess):
+        products.append(0)
+
+        def counted(M, x):
+            products[-1] += M is stepper.S
+            return spmv(M, x)
+
+        with contextlib.ExitStack() as patches:
+            for module in (mixedwave.linalg, mixedwave.multigrid, mixedwave.scheme):
+                patches.enter_context(mock.patch.object(module, "spmv", counted))
+            return solve(stepper, defect, guess)
+
+    with mock.patch.object(StepSolver, "solve", counting_solve):
+        return run(spec, cfg, record_errors=False), products
+
+
 def phase_times(case, theta, nx):
     """Median seconds per step of each of ``PHASES``, the run's
-    preconditioner and its mean CG iterations per solve."""
+    preconditioner, and its mean CG iterations and products with S per solve."""
     if case == HETERO:
         spec, dt = hetero_problem(nx)
     else:
@@ -100,21 +135,23 @@ def phase_times(case, theta, nx):
         discrete_energy(state, ops, cfg)
         sampled = time.perf_counter()
         times.append((defected - start, solved - defected, recovered - solved, sampled - recovered))
-    final = run(spec, cfg, record_errors=False).state
+    result, products = counted_run(spec, cfg)
+    final = result.state
     if not all(np.array_equal(a, b) for a, b in ((state.U_curr, final.U_curr), (state.P_curr, final.P_curr))):
         raise SystemExit(f"{case}, theta {theta:g}, nx {nx}: the timed steps do not reproduce scheme.run")
     medians = [statistics.median(column) for column in zip(*times)]
     iterations = [solve[0] for solve in stepper.solves[1:]]  # the timed steps' solves, not the Taylor step's
-    return medians, stepper.choice.split(",")[0], statistics.mean(iterations)
+    return medians, stepper.choice.split(",")[0], statistics.mean(iterations), statistics.mean(products[1:])
 
 
 def main(cases):
-    print("| case | theta | nx | " + " | ".join(f"{name} us" for name in PHASES) + " | sum us | preconditioner | CG iterations |")
-    print("|---|---:|---:|" + "---:|" * (len(PHASES) + 1) + "---|---:|")
+    print("| case | theta | nx | " + " | ".join(f"{name} us" for name in PHASES)
+          + " | sum us | preconditioner | CG iterations | S products per solve |")
+    print("|---|---:|---:|" + "---:|" * (len(PHASES) + 1) + "---|---:|---:|")
     for case, theta, nx in cases:
-        medians, choice, iterations = phase_times(case, theta, nx)
+        medians, choice, iterations, products = phase_times(case, theta, nx)
         cells = [f"{1e6 * s:.1f}" for s in medians] + [f"{1e6 * sum(medians):.1f}"]
-        print(f"| {case} | {theta:g} | {nx} | " + " | ".join(cells) + f" | {choice} | {iterations:.2f} |")
+        print(f"| {case} | {theta:g} | {nx} | " + " | ".join(cells) + f" | {choice} | {iterations:.2f} | {products:.2f} |")
 
 
 if __name__ == "__main__":
