@@ -361,11 +361,17 @@ class LineSolve:
     ``GridStepMatrix``. A couples only the two x-normal edges of an element
     and its two y-normal edges, so it is block diagonal: one tridiagonal SPD
     block per row of vertical edges and one per column of horizontal edges.
-    The dense inverse of every block is built once, here, by
-    ``tridiagonal_inverses``; a solve is one batched ``np.matmul`` per edge
-    family, with no iteration and no tolerance. The inverses take
-    (ny nv^2 + nx nh^2) floats for lines of nv and nh edges, so the caller
-    bounds them (``spaces.LINE_SOLVE_MAX_BYTES``).
+    The inverses are built once, here, by ``tridiagonal_inverses``, and a
+    solve applies them with no iteration and no tolerance. An edge family
+    whose lines all have bitwise the same block, as every family on uniform
+    material and the columns on material layered in y, holds one (L, L)
+    inverse, of its first line, and a solve applies it to all the family's
+    lines as one matrix product; ``vertical`` or ``horizontal`` is then 2-D
+    and its entry of ``shared`` True. Any other family holds one inverse per
+    line, (lines, L, L), applied by one batched ``np.matmul``. Per-line
+    inverses take (ny nv^2 + nx nh^2) floats for lines of nv and nh edges,
+    so the caller bounds that worst case (``spaces.LINE_SOLVE_MAX_BYTES``);
+    ``nbytes`` is what is held.
     """
 
     __slots__ = ("layout", "vertical", "horizontal")
@@ -374,16 +380,33 @@ class LineSolve:
         g = layout
         vertical, horizontal = g.split(g.edge_sum(mass_x[0], mass_x[0], mass_y[0], mass_y[0]))
         self.layout = layout
-        self.vertical = tridiagonal_inverses(vertical, mass_x[1][:, g.left : g.nx - g.right])
-        self.horizontal = tridiagonal_inverses(horizontal.T, mass_y[1][g.bottom : g.ny - g.top].T)
+        self.vertical = _line_inverses(vertical, mass_x[1][:, g.left : g.nx - g.right])
+        self.horizontal = _line_inverses(horizontal.T, mass_y[1][g.bottom : g.ny - g.top].T)
+
+    shared = property(lambda self: (self.vertical.ndim == 2, self.horizontal.ndim == 2))  # (vertical, horizontal)
+    nbytes = property(lambda self: self.vertical.nbytes + self.horizontal.nbytes)
 
     def solve(self, b) -> np.ndarray:
         """A^{-1} b for a free-dof vector b."""
         x = np.empty(b.shape)
         (bV, bH), (xV, xH) = self.layout.split(b), self.layout.split(x)
-        np.matmul(self.vertical, bV[..., None], out=xV[..., None])
-        np.matmul(self.horizontal, bH.T[..., None], out=xH.T[..., None])  # a line is a column of H
+        if self.vertical.ndim == 2:
+            np.matmul(bV, self.vertical.T, out=xV)  # a line is a row of V
+        else:
+            np.matmul(self.vertical, bV[..., None], out=xV[..., None])
+        if self.horizontal.ndim == 2:
+            np.matmul(self.horizontal, bH, out=xH)  # a line is a column of H
+        else:
+            np.matmul(self.horizontal, bH.T[..., None], out=xH.T[..., None])
         return x
+
+
+def _line_inverses(diagonal, off) -> np.ndarray:
+    """``tridiagonal_inverses`` of one edge family's lines, or the (L, L)
+    inverse of its first line alone when every line has the same block."""
+    if (diagonal == diagonal[0]).all() and (off == off[0]).all():
+        return tridiagonal_inverses(diagonal[:1], off[:1])[0]
+    return tridiagonal_inverses(diagonal, off)
 
 
 class GridDivergence:

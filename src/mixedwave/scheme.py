@@ -33,11 +33,13 @@ initial data, is a ``RunSetup``, which runs of one spec at several dt can
 share (``run``).
 At theta = 0 the step matrix is the mass matrix A, which is block diagonal
 along grid lines (``linalg.LineSolve``). While the dense inverses of A's
-lines fit ``spaces.LINE_SOLVE_MAX_BYTES``, every solve of such a run applies
-them, as the operators build them once (``MixedOperators.line_solve``), and
-runs no CG: it records 0 iterations and the true residual of one product
-with A, and the CG settings do not apply to it. Larger grids, and every
-theta > 0, keep CG.
+lines, one per line, would fit ``spaces.LINE_SOLVE_MAX_BYTES``, every solve
+of such a run applies them, as the operators build them once
+(``MixedOperators.line_solve``), and runs no CG: it records 0 iterations
+and the true residual of one product with A, and the CG settings do not
+apply to it. On uniform material all lines of an edge family share one
+inverse, and a solve is one matrix product per family. Larger grids, and
+every theta > 0, keep CG.
 Jacobi-CG needs more iterations the more the grad-div term outweighs the
 mass term; their ratio is bounded by kappa = theta dt^2 mu_max, with
 mu_max the closed-form bound of ``spaces.stiffness_bound`` on the largest
@@ -316,18 +318,36 @@ def grad_div_weight(ops: MixedOperators, cfg: ThetaConfig) -> float:
     return cfg.theta * cfg.dt**2 * stiffness_bound(ops.mesh, ops.bc, ops.material)
 
 
+def _held(shared) -> str:
+    """Which inverses a ``linalg.LineSolve`` holds, from its ``shared`` flags."""
+    if shared[0] == shared[1]:
+        return "shared" if shared[0] else "per-line"
+    return " and ".join(f"{'shared' if one else 'per-line'} {family}" for one, family in zip(shared, ("vertical", "horizontal")))
+
+
+def _binary_size(nbytes: int) -> str:
+    """nbytes in B, KiB or MiB, the largest unit it reaches."""
+    for unit, scale in (("MiB", 2**20), ("KiB", 2**10)):
+        if nbytes >= scale:
+            return f"{nbytes / scale:.1f} {unit}"
+    return f"{nbytes} B"
+
+
 class StepSolver:
     """What every solve of a run shares: the step matrix S, its preconditioner,
     the CG settings (``SolverConfig()`` when None) and the body-force loads.
 
-    Built once per run. At theta = 0, when the dense inverses of A's lines
-    fit ``spaces.LINE_SOLVE_MAX_BYTES``, ``line_solve`` is the operators'
-    ``linalg.LineSolve``, S is A, and there is no preconditioner and no
-    projection: ``choice`` reads ``line solve, A's line inverses take
-    0.47 MiB <= 64; exact, no CG``. Otherwise ``line_solve`` is None and CG
-    solves. ``preconditioner`` is the multigrid ``VCycle`` when
-    kappa (``grad_div_weight``) is at least ``MULTIGRID_MIN_KAPPA`` and the
-    grid coarsens; S and the V-cycle's fine smoother then share one set of
+    Built once per run. At theta = 0, when the dense inverses of A's lines,
+    one per line, would fit ``spaces.LINE_SOLVE_MAX_BYTES``, ``line_solve``
+    is the operators' ``linalg.LineSolve``, S is A, and there is no
+    preconditioner and no projection. ``choice`` then names whether each
+    edge family holds one shared inverse or one per line, the bytes held and
+    the per-line bytes that the bound is checked on, as in ``line solve,
+    shared inverses of A's lines hold 15.0 KiB (per-line 480.5 KiB <= 64.0
+    MiB); exact, no CG`` for the standing wave at nx 32. Otherwise
+    ``line_solve`` is None and CG solves. ``preconditioner`` is the
+    multigrid ``VCycle`` when kappa (``grad_div_weight``) is at least
+    ``MULTIGRID_MIN_KAPPA`` and the grid coarsens; S and the V-cycle's fine smoother then share one set of
     element blocks, and ``projection`` is the run's
     ``linalg.SolutionProjection`` of up to ``PROJECTION_BASIS`` increments.
     Otherwise it is ``linalg.Jacobi(S)``, which checks S's diagonal and
@@ -355,8 +375,9 @@ class StepSolver:
         if self.line_solve is not None:
             self.S, self.preconditioner, self.projection = ops.A, None, None
             self.choice = (
-                f"line solve, A's line inverses take {line_inverse_bytes(ops.classification) / 2**20:.2f} "
-                f"MiB <= {LINE_SOLVE_MAX_BYTES / 2**20:g}; exact, no CG"
+                f"line solve, {_held(self.line_solve.shared)} inverses of A's lines hold "
+                f"{_binary_size(self.line_solve.nbytes)} (per-line {_binary_size(line_inverse_bytes(ops.classification))}"
+                f" <= {_binary_size(LINE_SOLVE_MAX_BYTES)}); exact, no CG"
             )
             return
         kappa = grad_div_weight(ops, cfg)

@@ -104,13 +104,17 @@ GRID_MIN_DOFS = 6_000
 # line of L edges, about 16 L^3 on an L x L grid. Above it theta = 0 keeps
 # Jacobi-CG. The bound is set by memory, not speed: 64 MiB admits every
 # grid of up to 160 x 160 elements, whatever its sides (34.1 MB at
-# 128 x 128). Speed picks no single winner. In ``tools/step_phases.py``,
-# two alternated rounds, the line solve with its residual product took
-# 80-86 against 622-998 us for Jacobi-CG (21.5 iterations) at nx 32, and
-# 2.15-2.26 against 9.07-9.39 ms (22) at nx 128, on the hetero case; on the
-# standing wave, one eigenmode, where CG takes 1.03-1.74 iterations, it
-# took 72-74 against 55-88 us at nx 32 and 2.10-2.26 against 1.03 ms at
-# nx 128.
+# 128 x 128). It is checked on one inverse per line, the worst case, even
+# where an edge family's lines share one inverse (``linalg.LineSolve``), as
+# on uniform material, so the solver a grid gets does not depend on its
+# material. In ``tools/step_phases.py``, two alternated rounds, the line
+# solve with its residual product took, against Jacobi-CG: on the hetero
+# case, per-line inverses, 38-42 against 509-782 us (21.5 iterations) at
+# nx 32 and 1.76-1.78 against 6.71-6.74 ms (22) at nx 128; on the
+# standing wave, one eigenmode on uniform material, shared inverses, where
+# CG takes 1.03-1.74 iterations, 27-47 against 32-51 us at nx 32 and
+# 325-372 against 759-949 us at nx 128. On a uniform grid above 160 x 160,
+# a shared inverse would fit, but its product costs O(L^3) per solve.
 LINE_SOLVE_MAX_BYTES = 64 * 2**20
 
 
@@ -197,9 +201,10 @@ class MixedOperators:
     def line_solve(self) -> LineSolve | None:
         """Exact solves with A by the dense inverses of its lines
         (``linalg.LineSolve``), built from the element blocks at first use;
-        None when they would take more than ``LINE_SOLVE_MAX_BYTES``. They
-        do not depend on dt, so every run that shares the operators shares
-        them."""
+        None when one inverse per line would take more than
+        ``LINE_SOLVE_MAX_BYTES``, even where the lines of an edge family
+        share one inverse, as on uniform material. They do not depend on dt,
+        so every run that shares the operators shares them."""
         if line_inverse_bytes(self.classification) > LINE_SOLVE_MAX_BYTES:
             return None
         blocks = element_blocks(self.mesh, self.material, 0.0)

@@ -8,6 +8,7 @@ import pytest
 import mixedwave.linalg as linalg
 import mixedwave.scheme as scheme
 import mixedwave.spaces as spaces
+from mixedwave.cli import SWEEP_MULTIPLIERS, SWEEP_STEPS
 from mixedwave.linalg import CsrMatrix, GridDivergence, GridStepMatrix, Jacobi, NonConvergence, SolverConfig, cg_solve, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh
 from mixedwave.scheme import (
@@ -39,6 +40,7 @@ from mixedwave.spaces import (
     stiffness_bound,
 )
 from mixedwave.verify import (
+    STABLE,
     cfl_max_dt,
     energy_drift,
     make_problem,
@@ -985,16 +987,27 @@ class TestLineSolvePath:
     every solve is a line solve of A, which runs no CG."""
 
     @staticmethod
-    def case(nx=8, steps=40):
-        """The standing wave's data on heterogeneous rho; lambda = 1 keeps them compatible."""
+    def case(nx=8, steps=40, rho="random"):
+        """The standing wave's data, with rho seeded per element (``random``),
+        per element row (``layered``) or 1 (``uniform``); lambda = 1 keeps
+        them compatible."""
         spec = make_problem(mms_standing_wave(), nx)
-        rho = np.exp(np.random.default_rng(0).uniform(-1.4, 1.4, spec.mesh.n_elements))
-        spec.material = material_field(spec.mesh, lambda x, y: rho, 1.0)
+        if rho != "uniform":
+            rng = np.random.default_rng(0)
+            rows = spec.mesh.ny if rho == "layered" else spec.mesh.n_elements
+            values = np.repeat(np.exp(rng.uniform(-1.4, 1.4, rows)), spec.mesh.n_elements // rows)
+            spec.material = material_field(spec.mesh, lambda x, y: values, 1.0)
         dt = 0.5 * cfl_max_dt(0.0, stiffness_bound(spec.mesh, spec.bc, spec.material))
         return spec, ThetaConfig.from_steps(0.0, steps * dt, steps)
 
-    def test_runs_no_cg_and_records_the_true_residual(self, monkeypatch):
-        spec, cfg = self.case()
+    # 8 x 8 elements, every side pinned: 8 rows of 7 vertical edges and 8 columns of 7 horizontal ones
+    @pytest.mark.parametrize("rho, held", [
+        ("random", "per-line inverses of A's lines hold 6.1 KiB"),  # 8 (7^2 + 7^2) floats
+        ("layered", "per-line vertical and shared horizontal inverses of A's lines hold 3.4 KiB"),  # 9 7^2
+        ("uniform", "shared inverses of A's lines hold 784 B"),  # 7^2 + 7^2
+    ])
+    def test_runs_no_cg_and_records_the_true_residual(self, rho, held, monkeypatch):
+        spec, cfg = self.case(rho=rho)
 
         def no_cg(*args, **kwargs):
             raise AssertionError("CG ran")
@@ -1002,7 +1015,7 @@ class TestLineSolvePath:
         monkeypatch.setattr(scheme, "cg_solve", no_cg)
         result = run(spec, cfg, record_errors=False)
         assert result.completed
-        assert result.preconditioner == "line solve, A's line inverses take 0.01 MiB <= 64; exact, no CG"
+        assert result.preconditioner == f"line solve, {held} (per-line 6.1 KiB <= 64.0 MiB); exact, no CG"
         assert result.cg_iterations.tolist() == [0] * cfg.num_steps
         assert (result.cg_residuals <= 1e-14 * result.defect_norms).all()
         assert result.cg_residuals.max() > 0.0  # a product with A, not a zero written in
@@ -1018,6 +1031,26 @@ class TestLineSolvePath:
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         np.testing.assert_allclose([s.value for s in exact.energies], [s.value for s in iterative.energies],
                                    rtol=1e-11, atol=0.0)
+
+    def test_shared_inverses_move_the_stability_sweep_at_rounding_level_only(self, monkeypatch):
+        # the CLI's theta = 0 sweep on uniform material, with each family's one
+        # shared inverse and then with one inverse per line forced
+        held = []
+        line_inverses = linalg._line_inverses
+
+        def sweep(build):
+            monkeypatch.setattr(linalg, "_line_inverses", lambda diagonal, off: held.append(build(diagonal, off)) or held[-1])
+            return stability_sweep(mms_standing_wave(), [0.0], SWEEP_MULTIPLIERS, 32, num_steps=SWEEP_STEPS)
+
+        shared = sweep(line_inverses)
+        assert [a.ndim for a in held] == [2, 2]  # one build of the sweep's operators
+        held.clear()
+        per_line = sweep(linalg.tridiagonal_inverses)
+        assert [a.ndim for a in held] == [3, 3]
+        assert {r.status for r in shared} == {STABLE, BLOWUP}
+        assert [(r.status, r.blowup_level) for r in shared] == [(r.status, r.blowup_level) for r in per_line]
+        np.testing.assert_allclose([r.final_energy for r in shared], [r.final_energy for r in per_line],
+                                   rtol=1e-13, atol=0.0)  # nan on both sides for a BlowUp row
 
     @pytest.mark.parametrize("theta", [1e-3, 0.25])
     def test_theta_above_zero_keeps_cg(self, theta):

@@ -164,22 +164,45 @@ class TestLineSolve:
     """``MixedOperators.line_solve``: A solved by the dense inverses of its lines."""
 
     @staticmethod
-    def random_material(mesh, rng):
-        rho, lam = np.exp(rng.uniform(np.log(0.25), np.log(4.0), (2, mesh.n_elements)))
+    def material(kind, mesh, rng):
+        """rho and lambda log-uniform in [1/4, 4]: per element (``random``),
+        per element row (``layered``, so every column of horizontal edges
+        has the same block and the rows of vertical edges do not), or one
+        value for all (``uniform``)."""
+        shape = {"uniform": (2, 1, 1), "layered": (2, mesh.ny, 1), "random": (2, mesh.ny, mesh.nx)}[kind]
+        rho, lam = np.exp(rng.uniform(np.log(0.25), np.log(4.0), shape))
+        rho, lam = (np.broadcast_to(a, (mesh.ny, mesh.nx)).ravel() for a in (rho, lam))
         return MaterialField(rho, lam, 0.25, 4.0, 0.25, 4.0)
 
     # the last is the widest one-row grid whose line inverses fit LINE_SOLVE_MAX_BYTES on every partition
     @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (12, 4), (32, 32), (64, 32), (2893, 1)])
-    def test_solves_exactly_on_every_partition(self, nx, ny):
+    @pytest.mark.parametrize("kind", ["uniform", "layered", "random"])
+    def test_solves_exactly_on_every_partition(self, kind, nx, ny):
         mesh = build_rect_mesh(nx, ny)
         rng = np.random.default_rng(100 * nx + ny)
-        material = self.random_material(mesh, rng)
+        material = self.material(kind, mesh, rng)
         for bc in ALL_PARTITIONS:
             ops = assemble_operators(mesh, bc, material)
             assert ops.line_solve is not None and ops.line_solve is ops.line_solve  # built once
+            # whatever the material, a family of one line, or of lines with no free edge, shares its inverse
+            (_, row), (column, _) = ops.classification.shapes
+            shared = (kind == "uniform" or ny == 1 or row == 0, kind != "random" or nx == 1 or column == 0)
+            assert ops.line_solve.shared == shared  # (rows of vertical edges, columns of horizontal ones)
             b = rng.standard_normal(ops.n_velocity)
             x = ops.line_solve.solve(b)
             assert np.linalg.norm(b - spmv(ops.A, x)) <= 1e-14 * np.linalg.norm(b)
+
+    def test_a_family_shares_only_when_the_off_diagonals_match_too(self):
+        # rows of rho (1, 2, 1) and (2, 1, 2) with every side pinned: both rows of
+        # vertical edges have the diagonal 3 (1, 1) hx / (3 hy) but the off-diagonals
+        # 2 and 1 hx / (6 hy); each column of horizontal edges is one edge of diagonal 3
+        mesh = build_rect_mesh(3, 2)
+        rho = np.array([1.0, 2.0, 1.0, 2.0, 1.0, 2.0])
+        ops = assemble_operators(mesh, BoundaryPartition.all_neumann(), MaterialField(rho, rho, 1.0, 2.0, 1.0, 2.0))
+        assert ops.line_solve.shared == (False, True)
+        b = np.random.default_rng(0).standard_normal(ops.n_velocity)
+        x = ops.line_solve.solve(b)
+        assert np.linalg.norm(b - spmv(ops.A, x)) <= 1e-14 * np.linalg.norm(b)
 
     # a row of vertical edges holds nx + 1 edges less the pinned ends, a
     # column of horizontal ones ny + 1; a line of L edges takes L^2 floats
