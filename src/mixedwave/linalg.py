@@ -327,51 +327,61 @@ def _add_band(y, x, band, offset):
     y[:k] += band * x[offset:]
 
 
-def tridiagonal_inverses(diagonal, off) -> np.ndarray:
-    """Dense inverses of a batch of symmetric positive definite tridiagonal matrices.
+def ldl_factors(diagonal, off) -> np.ndarray:
+    """LDL^T factors of a batch of symmetric positive definite tridiagonal matrices.
 
-    ``diagonal`` is (m, n), one matrix's diagonal a row, and ``off`` (m, n - 1)
-    its entries next to the diagonal; the result is (m, n, n). Each matrix is
-    factored T = L D L^T, L unit lower bidiagonal, and the sweeps of L^{-1},
-    D^{-1} and L^{-T} are applied to the identity, all m matrices at once:
-    3n row operations on (m, n) arrays, against a factorization per matrix
-    for ``np.linalg.inv``.
+    ``diagonal`` is (n, m), one matrix's diagonal a column, and ``off``
+    (n - 1, m) its entries next to the diagonal. Each matrix is factored
+    T = L D L^T, L unit lower bidiagonal, all m at once. The result is
+    (2, n, m): the entries of L below its diagonal, row k's in row k (row 0
+    is 0), and D's diagonal; ``ldl_solve`` applies them.
     """
-    m, n = diagonal.shape
-    d = np.array(diagonal, dtype=np.float64)
-    factor = np.zeros((m, n))  # factor[:, k], the entry of L below its diagonal in row k
+    n, m = diagonal.shape
+    factors = np.zeros((2, n, m))
+    factor, d = factors
+    d[...] = diagonal
     for k in range(1, n):
-        factor[:, k] = off[:, k - 1] / d[:, k - 1]
-        d[:, k] -= factor[:, k] * off[:, k - 1]
-    inverse = np.zeros((m, n, n))
-    inverse[:, range(n), range(n)] = 1.0
-    for k in range(1, n):
-        inverse[:, k] -= factor[:, k, None] * inverse[:, k - 1]
-    inverse /= d[:, :, None]
-    for k in range(n - 2, -1, -1):
-        inverse[:, k] -= factor[:, k + 1, None] * inverse[:, k + 1]
-    return inverse
+        factor[k] = off[k - 1] / d[k - 1]
+        d[k] -= factor[k] * off[k - 1]
+    return factors
+
+
+def ldl_solve(factors, x) -> np.ndarray:
+    """Overwrite x with T^{-1} x for the matrices of ``ldl_factors``, and return it.
+
+    x is (n, ...): the sweeps of L^{-1}, D^{-1} and L^{-T} run along its
+    first axis, 2n - 2 row updates and one division, on every column at
+    once; its other axes broadcast against the factors' m.
+    """
+    factor, d = factors
+    # zip hands out the row views, faster than indexing x[k] each time
+    for f, previous, row in zip(factor[1:], x, x[1:]):
+        row -= f * previous
+    x /= d
+    for f, following, row in zip(factor[:0:-1], x[::-1], x[-2::-1]):
+        row -= f * following
+    return x
 
 
 class LineSolve:
     """Exact solves with the mass matrix A on a free-dof layout
-    (``mesh.EdgeClassification``), by the dense inverses of its lines.
+    (``mesh.EdgeClassification``), by the LDL^T factors of its lines.
 
     ``mass_x`` and ``mass_y`` are A's element couplings as in
     ``GridStepMatrix``. A couples only the two x-normal edges of an element
     and its two y-normal edges, so it is block diagonal: one tridiagonal SPD
     block per row of vertical edges and one per column of horizontal edges.
-    The inverses are built once, here, by ``tridiagonal_inverses``, and a
-    solve applies them with no iteration and no tolerance. An edge family
-    whose lines all have bitwise the same block, as every family on uniform
-    material and the columns on material layered in y, holds one (L, L)
-    inverse, of its first line, and a solve applies it to all the family's
-    lines as one matrix product; ``vertical`` or ``horizontal`` is then 2-D
-    and its entry of ``shared`` True. Any other family holds one inverse per
-    line, (lines, L, L), applied by one batched ``np.matmul``. Per-line
-    inverses take (ny nv^2 + nx nh^2) floats for lines of nv and nh edges,
-    so the caller bounds that worst case (``spaces.LINE_SOLVE_MAX_BYTES``);
-    ``nbytes`` is what is held.
+    Each edge family is factored once, here, by ``ldl_factors``, and a solve
+    runs no iteration and has no tolerance. An edge family whose lines all
+    have bitwise the same block, as every family on uniform material and
+    the columns on material layered in y, holds one (L, L) inverse, the
+    sweeps of its first line applied to the identity, if that takes no more
+    memory than the factors would; a solve then applies it to all the
+    family's lines as one matrix product, ``vertical`` or ``horizontal`` is
+    2-D and its entry of ``shared`` True. Any other family holds the
+    (2, L, lines) factors of its lines, and a solve is one forward and one
+    backward sweep over all of them at once (``ldl_solve``). So ``nbytes``,
+    what is held, is at most 16 bytes per free edge.
     """
 
     __slots__ = ("layout", "vertical", "horizontal")
@@ -380,8 +390,9 @@ class LineSolve:
         g = layout
         vertical, horizontal = g.split(g.edge_sum(mass_x[0], mass_x[0], mass_y[0], mass_y[0]))
         self.layout = layout
-        self.vertical = _line_inverses(vertical, mass_x[1][:, g.left : g.nx - g.right])
-        self.horizontal = _line_inverses(horizontal.T, mass_y[1][g.bottom : g.ny - g.top].T)
+        # each family with one line a column, as ldl_factors takes it
+        self.vertical = _line_solver(vertical.T, mass_x[1][:, g.left : g.nx - g.right].T)
+        self.horizontal = _line_solver(horizontal, mass_y[1][g.bottom : g.ny - g.top])
 
     shared = property(lambda self: (self.vertical.ndim == 2, self.horizontal.ndim == 2))  # (vertical, horizontal)
     nbytes = property(lambda self: self.vertical.nbytes + self.horizontal.nbytes)
@@ -393,20 +404,25 @@ class LineSolve:
         if self.vertical.ndim == 2:
             np.matmul(bV, self.vertical.T, out=xV)  # a line is a row of V
         else:
-            np.matmul(self.vertical, bV[..., None], out=xV[..., None])
+            xV[...] = bV
+            ldl_solve(self.vertical, xV.T)
         if self.horizontal.ndim == 2:
             np.matmul(self.horizontal, bH, out=xH)  # a line is a column of H
         else:
-            np.matmul(self.horizontal, bH.T[..., None], out=xH.T[..., None])
+            xH[...] = bH
+            ldl_solve(self.horizontal, xH)
         return x
 
 
-def _line_inverses(diagonal, off) -> np.ndarray:
-    """``tridiagonal_inverses`` of one edge family's lines, or the (L, L)
-    inverse of its first line alone when every line has the same block."""
-    if (diagonal == diagonal[0]).all() and (off == off[0]).all():
-        return tridiagonal_inverses(diagonal[:1], off[:1])[0]
-    return tridiagonal_inverses(diagonal, off)
+def _line_solver(diagonal, off) -> np.ndarray:
+    """``ldl_factors`` of one edge family's lines, or the (L, L) inverse of
+    its first line alone when every line has the same block and the inverse
+    takes no more memory than the factors, L^2 <= 2 L lines floats, as on
+    every square grid."""
+    n, lines = diagonal.shape
+    if n <= 2 * lines and (diagonal == diagonal[:, :1]).all() and (off == off[:, :1]).all():
+        return ldl_solve(ldl_factors(diagonal[:, :1], off[:, :1]), np.eye(n))
+    return ldl_factors(diagonal, off)
 
 
 class GridDivergence:

@@ -32,14 +32,14 @@ What does not depend on dt, the assembled operators and the projected
 initial data, is a ``RunSetup``, which runs of one spec at several dt can
 share (``run``).
 At theta = 0 the step matrix is the mass matrix A, which is block diagonal
-along grid lines (``linalg.LineSolve``). While the dense inverses of A's
-lines, one per line, would fit ``spaces.LINE_SOLVE_MAX_BYTES``, every solve
-of such a run applies them, as the operators build them once
-(``MixedOperators.line_solve``), and runs no CG: it records 0 iterations
-and the true residual of one product with A, and the CG settings do not
-apply to it. On uniform material all lines of an edge family share one
-inverse, and a solve is one matrix product per family. Larger grids, and
-every theta > 0, keep CG.
+along grid lines (``linalg.LineSolve``). Every solve of such a run, at
+every grid size, is then exact: the operators factor A's lines once
+(``MixedOperators.line_solve``), and a solve is one forward and one
+backward sweep over the lines of each edge family, or one matrix product
+with a family's shared inverse where all its lines have the same block,
+as on uniform material. It runs no CG: it records 0 iterations and the
+true residual of one product with A, and the CG settings do not apply to
+it. Every theta > 0 keeps CG.
 Jacobi-CG needs more iterations the more the grad-div term outweighs the
 mass term; their ratio is bounded by kappa = theta dt^2 mu_max, with
 mu_max the closed-form bound of ``spaces.stiffness_bound`` on the largest
@@ -91,13 +91,11 @@ from .linalg import (
 from .mesh import BoundaryPartition, EdgeClassification, RectMesh
 from .multigrid import VCycle, coarsens
 from .spaces import (
-    LINE_SOLVE_MAX_BYTES,
     MaterialField,
     MixedOperators,
     assemble_load,
     assemble_operators,
     element_blocks,
-    line_inverse_bytes,
     pressure_best_approximation,
     pressure_l2_error,
     project_pressure_p_h,
@@ -319,10 +317,11 @@ def grad_div_weight(ops: MixedOperators, cfg: ThetaConfig) -> float:
 
 
 def _held(shared) -> str:
-    """Which inverses a ``linalg.LineSolve`` holds, from its ``shared`` flags."""
+    """What a ``linalg.LineSolve`` holds, from its ``shared`` flags."""
     if shared[0] == shared[1]:
-        return "shared" if shared[0] else "per-line"
-    return " and ".join(f"{'shared' if one else 'per-line'} {family}" for one, family in zip(shared, ("vertical", "horizontal")))
+        return "shared inverses" if shared[0] else "LDL^T factors"
+    kinds = ("a shared inverse" if one else "LDL^T factors" for one in shared)
+    return " and ".join(f"{kind} ({family})" for kind, family in zip(kinds, ("vertical", "horizontal")))
 
 
 def _binary_size(nbytes: int) -> str:
@@ -337,15 +336,13 @@ class StepSolver:
     """What every solve of a run shares: the step matrix S, its preconditioner,
     the CG settings (``SolverConfig()`` when None) and the body-force loads.
 
-    Built once per run. At theta = 0, when the dense inverses of A's lines,
-    one per line, would fit ``spaces.LINE_SOLVE_MAX_BYTES``, ``line_solve``
-    is the operators' ``linalg.LineSolve``, S is A, and there is no
-    preconditioner and no projection. ``choice`` then names whether each
-    edge family holds one shared inverse or one per line, the bytes held and
-    the per-line bytes that the bound is checked on, as in ``line solve,
-    shared inverses of A's lines hold 15.0 KiB (per-line 480.5 KiB <= 64.0
-    MiB); exact, no CG`` for the standing wave at nx 32. Otherwise
-    ``line_solve`` is None and CG solves. ``preconditioner`` is the
+    Built once per run. At theta = 0 ``line_solve`` is the operators'
+    ``linalg.LineSolve``, S is A, and there is no preconditioner and no
+    projection. ``choice`` then names, per edge family, the LDL^T factors
+    of its lines or one shared inverse, and the bytes held, as in ``line
+    solve, shared inverses of A's lines hold 15.0 KiB; exact, no CG`` for
+    the standing wave at nx 32. At theta > 0 ``line_solve`` is None and CG
+    solves. ``preconditioner`` is the
     multigrid ``VCycle`` when kappa (``grad_div_weight``) is at least
     ``MULTIGRID_MIN_KAPPA`` and the grid coarsens; S and the V-cycle's fine smoother then share one set of
     element blocks, and ``projection`` is the run's
@@ -375,9 +372,8 @@ class StepSolver:
         if self.line_solve is not None:
             self.S, self.preconditioner, self.projection = ops.A, None, None
             self.choice = (
-                f"line solve, {_held(self.line_solve.shared)} inverses of A's lines hold "
-                f"{_binary_size(self.line_solve.nbytes)} (per-line {_binary_size(line_inverse_bytes(ops.classification))}"
-                f" <= {_binary_size(LINE_SOLVE_MAX_BYTES)}); exact, no CG"
+                f"line solve, {_held(self.line_solve.shared)} of A's lines hold "
+                f"{_binary_size(self.line_solve.nbytes)}; exact, no CG"
             )
             return
         kappa = grad_div_weight(ops, cfg)

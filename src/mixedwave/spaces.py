@@ -99,23 +99,6 @@ DIVERGENCE_ROW = np.array([-1.0, 1.0, -1.0, 1.0])  # an element's row of D over 
 # is on stencils, and every 32 x 32 grid, with the V-cycle's coarse levels
 # under a 64 x 64 grid, on padded rows.
 GRID_MIN_DOFS = 6_000
-# Bound on the memory of the dense inverses of A's lines
-# (``MixedOperators.line_solve``, ``line_inverse_bytes``): 8 L^2 bytes per
-# line of L edges, about 16 L^3 on an L x L grid. Above it theta = 0 keeps
-# Jacobi-CG. The bound is set by memory, not speed: 64 MiB admits every
-# grid of up to 160 x 160 elements, whatever its sides (34.1 MB at
-# 128 x 128). It is checked on one inverse per line, the worst case, even
-# where an edge family's lines share one inverse (``linalg.LineSolve``), as
-# on uniform material, so the solver a grid gets does not depend on its
-# material. In ``tools/step_phases.py``, two alternated rounds, the line
-# solve with its residual product took, against Jacobi-CG: on the hetero
-# case, per-line inverses, 38-42 against 509-782 us (21.5 iterations) at
-# nx 32 and 1.76-1.78 against 6.71-6.74 ms (22) at nx 128; on the
-# standing wave, one eigenmode on uniform material, shared inverses, where
-# CG takes 1.03-1.74 iterations, 27-47 against 32-51 us at nx 32 and
-# 325-372 against 759-949 us at nx 128. On a uniform grid above 160 x 160,
-# a shared inverse would fit, but its product costs O(L^3) per solve.
-LINE_SOLVE_MAX_BYTES = 64 * 2**20
 
 
 @lru_cache(maxsize=None)
@@ -198,15 +181,12 @@ class MixedOperators:
         return element_quadrature(self.mesh)
 
     @cached_property
-    def line_solve(self) -> LineSolve | None:
-        """Exact solves with A by the dense inverses of its lines
-        (``linalg.LineSolve``), built from the element blocks at first use;
-        None when one inverse per line would take more than
-        ``LINE_SOLVE_MAX_BYTES``, even where the lines of an edge family
-        share one inverse, as on uniform material. They do not depend on dt,
-        so every run that shares the operators shares them."""
-        if line_inverse_bytes(self.classification) > LINE_SOLVE_MAX_BYTES:
-            return None
+    def line_solve(self) -> LineSolve:
+        """Exact solves with A by the LDL^T factors of its lines, or one
+        shared inverse per edge family whose lines have the same block
+        (``linalg.LineSolve``), built from the element blocks at first use.
+        They do not depend on dt, so every run that shares the operators
+        shares them."""
         blocks = element_blocks(self.mesh, self.material, 0.0)
         entry = lambda i, j: blocks[i, j].reshape(self.mesh.ny, self.mesh.nx)
         return LineSolve(
@@ -214,13 +194,6 @@ class MixedOperators:
             (entry(LEFT, LEFT), entry(LEFT, RIGHT)),
             (entry(BOTTOM, BOTTOM), entry(BOTTOM, TOP)),
         )
-
-
-def line_inverse_bytes(cls: EdgeClassification) -> int:
-    """Bytes of the dense inverses of A's lines: L^2 floats for each row of
-    vertical edges and each column of horizontal ones with L free edges."""
-    (rows, row), (column, columns) = cls.shapes
-    return 8 * (rows * row**2 + columns * column**2)
 
 
 def element_blocks(mesh: RectMesh, material: MaterialField, coeff: float) -> np.ndarray:
@@ -582,6 +555,10 @@ def velocity_best_approximation(ops: MixedOperators, profile) -> tuple[np.ndarra
     rho = ops.material.rho_per_element
     sx, sy = quad.sample(profile)
     load = integrate_load(quad, ops.classification, rho[:, None] * sx, rho[:, None] * sy)
+    # CG, not ops.line_solve: on the standing wave and the forced case, the
+    # profiles of every benchmark and CLI run, CG stops after 1 iteration,
+    # 0.40 ms at nx 128 against 2.3 ms to build and apply the line solve
+    # (one BLAS thread), which would add about 9 % to such a run's set-up.
     coeffs = cg_solve(ops.A, load, SolverConfig(BEST_APPROXIMATION_RTOL)).x
     c = np.append(coeffs, 0.0)[ops.classification.element_dofs]  # pinned slots read the 0
     vx = c[:, [LEFT, RIGHT]] @ (np.array([1.0 - quad.xi, quad.xi]) / mesh.hy)

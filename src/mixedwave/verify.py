@@ -487,7 +487,7 @@ def stability_sweep(
     ``stability_setup`` builds the operators and the seeded initial data
     (``scheme.RunSetup``) once, after the checks and before the first run,
     and every run takes them, so only their step matrices and solves are
-    new; at theta = 0 the runs share the line inverses of A too
+    new; at theta = 0 the runs share the line solve of A too
     (``MixedOperators.line_solve``).
 
     Every input is checked before the first run. A forced solution raises

@@ -91,6 +91,26 @@ def dense_solve(M, b):
     return np.linalg.solve(todense(M), np.asarray(b, dtype=np.float64))
 
 
+def reference_tridiagonal_inverse(diagonal, off):
+    """Dense inverse of one symmetric positive definite tridiagonal matrix,
+    ``diagonal`` (n,) and ``off`` (n - 1,), by the sweeps of its LDL^T
+    factors applied to the identity, in the order of operations the shared
+    inverses of ``linalg.LineSolve`` must keep bit for bit."""
+    n = len(diagonal)
+    d = np.array(diagonal, dtype=np.float64)
+    factor = np.zeros(n)  # factor[k], the entry of L below its diagonal in row k
+    for k in range(1, n):
+        factor[k] = off[k - 1] / d[k - 1]
+        d[k] -= factor[k] * off[k - 1]
+    inverse = np.eye(n)
+    for k in range(1, n):
+        inverse[k] -= factor[k] * inverse[k - 1]
+    inverse /= d[:, None]
+    for k in range(n - 2, -1, -1):
+        inverse[k] -= factor[k + 1] * inverse[k + 1]
+    return inverse
+
+
 def max_asymmetry(M):
     """max |M - M^T| entrywise on the dense form; requires a symmetric nonzero pattern."""
     full = todense(M)

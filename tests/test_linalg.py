@@ -31,6 +31,7 @@ from oracles import (
     max_asymmetry,
     reference_divergence_transpose,
     reference_stencil_diagonal,
+    reference_tridiagonal_inverse,
     todense,
 )
 
@@ -523,17 +524,23 @@ class TestSchurMatrix:
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 31])
-def test_tridiagonal_inverses_match_numpy(n):
+def test_ldl_sweeps_match_numpy(n):
     rng = np.random.default_rng(n)
-    diagonal = rng.uniform(2.0, 3.0, (4, n))
-    off = rng.uniform(-1.0, 1.0, (4, max(n - 1, 0)))  # |off| < 1: diagonally dominant, so SPD
+    diagonal = rng.uniform(2.0, 3.0, (n, 4))  # four matrices, one a column
+    off = rng.uniform(-1.0, 1.0, (max(n - 1, 0), 4))  # |off| < 1: diagonally dominant, so SPD
     dense = np.zeros((4, n, n))
     k = np.arange(n)
-    dense[:, k, k] = diagonal
-    dense[:, k[1:], k[:-1]] = dense[:, k[:-1], k[1:]] = off
-    got = linalg.tridiagonal_inverses(diagonal, off)
-    assert got.shape == (4, n, n)
-    assert np.abs(got - np.linalg.inv(dense)).max(initial=0.0) <= 1e-15
+    dense[:, k, k] = diagonal.T
+    dense[:, k[1:], k[:-1]] = dense[:, k[:-1], k[1:]] = off.T
+    b = rng.uniform(-1.0, 1.0, (n, 4))
+    got = linalg.ldl_solve(linalg.ldl_factors(diagonal, off), b.copy())
+    want = np.linalg.solve(dense, b.T[..., None])[..., 0].T
+    assert got.shape == (n, 4)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-15
+    # n + 1 equal lines share one inverse, bit for bit the sweeps of one line applied to the identity
+    shared = linalg._line_solver(np.repeat(diagonal[:, :1], n + 1, axis=1), np.repeat(off[:, :1], n + 1, axis=1))
+    inverse = reference_tridiagonal_inverse(diagonal[:, 0], off[:, 0])
+    assert shared.shape == (n, n) and shared.tobytes() == inverse.tobytes()
 
 
 def test_solver_config_rejects_nonpositive_tolerance():

@@ -308,13 +308,11 @@ class TestSelection:
         "nx, theta, steps_per_unit_time",
         [
             (128, 0.25, 512),   # the standing-wave benchmark, dt = 0.18 h
-            (32, 0.0, 100),     # the explicit stability sweep: kappa = 0
             (8, 0.25, None),    # converge at dt = h/4, its coarsest and finest grids
             (64, 0.25, None),
         ],
     )
-    def test_small_steps_keep_jacobi(self, nx, theta, steps_per_unit_time, monkeypatch):
-        monkeypatch.setattr(spaces, "LINE_SOLVE_MAX_BYTES", 0)  # theta = 0 as on a grid above the line solve's bound
+    def test_small_steps_keep_jacobi(self, nx, theta, steps_per_unit_time):
         spec = make_problem(mms_standing_wave(), nx)
         ops = assemble_operators(spec.mesh, spec.bc, spec.material)
         steps = steps_per_unit_time or math.ceil(4.0 / spec.mesh.h)

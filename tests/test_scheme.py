@@ -851,10 +851,9 @@ class TestRunSolverConfig:
 class TestJacobiPath:
     """The run's one ``Jacobi`` of S solves as ``cg_solve``'s per-call default does."""
 
-    @pytest.mark.parametrize("theta", [0.0, 0.25])
+    @pytest.mark.parametrize("theta", [0.25])
     @pytest.mark.parametrize("nx, layout", [(32, CsrMatrix), (64, GridStepMatrix)])  # padded rows, stencils
     def test_run_is_bit_identical_to_a_jacobi_built_per_solve(self, theta, nx, layout, monkeypatch):
-        monkeypatch.setattr(spaces, "LINE_SOLVE_MAX_BYTES", 0)  # theta = 0 on a grid above the line solve's bound
         spec = make_problem(mms_standing_wave(), nx)
         dt = 0.9 * cfl_max_dt(0.0, stiffness_bound(spec.mesh, spec.bc, spec.material))
         cfg = ThetaConfig.from_steps(theta, 12 * dt, 12)
@@ -983,15 +982,17 @@ class TestClosedFormTrajectory:
 
 
 class TestLineSolvePath:
-    """theta = 0 with A's line inverses within ``spaces.LINE_SOLVE_MAX_BYTES``:
-    every solve is a line solve of A, which runs no CG."""
+    """theta = 0 at any grid size: every solve is a line solve of A, which
+    runs no CG."""
 
     @staticmethod
-    def case(nx=8, steps=40, rho="random"):
+    def case(nx=8, steps=40, rho="random", bc=None):
         """The standing wave's data, with rho seeded per element (``random``),
         per element row (``layered``) or 1 (``uniform``); lambda = 1 keeps
-        them compatible."""
+        them compatible, as does any ``bc`` in place of NEUMANN_U on every side."""
         spec = make_problem(mms_standing_wave(), nx)
+        if bc is not None:
+            spec.bc = bc
         if rho != "uniform":
             rng = np.random.default_rng(0)
             rows = spec.mesh.ny if rho == "layered" else spec.mesh.n_elements
@@ -1000,33 +1001,54 @@ class TestLineSolvePath:
         dt = 0.5 * cfl_max_dt(0.0, stiffness_bound(spec.mesh, spec.bc, spec.material))
         return spec, ThetaConfig.from_steps(0.0, steps * dt, steps)
 
+    @staticmethod
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG ran")
+
     # 8 x 8 elements, every side pinned: 8 rows of 7 vertical edges and 8 columns of 7 horizontal ones
     @pytest.mark.parametrize("rho, held", [
-        ("random", "per-line inverses of A's lines hold 6.1 KiB"),  # 8 (7^2 + 7^2) floats
-        ("layered", "per-line vertical and shared horizontal inverses of A's lines hold 3.4 KiB"),  # 9 7^2
+        ("random", "LDL^T factors of A's lines hold 1.8 KiB"),  # 2 (8 7 + 8 7) floats
+        ("layered", "LDL^T factors (vertical) and a shared inverse (horizontal) of A's lines hold 1.3 KiB"),  # 2 8 7 + 7^2
         ("uniform", "shared inverses of A's lines hold 784 B"),  # 7^2 + 7^2
     ])
     def test_runs_no_cg_and_records_the_true_residual(self, rho, held, monkeypatch):
         spec, cfg = self.case(rho=rho)
-
-        def no_cg(*args, **kwargs):
-            raise AssertionError("CG ran")
-
-        monkeypatch.setattr(scheme, "cg_solve", no_cg)
+        monkeypatch.setattr(scheme, "cg_solve", self.no_cg)
         result = run(spec, cfg, record_errors=False)
         assert result.completed
-        assert result.preconditioner == f"line solve, {held} (per-line 6.1 KiB <= 64.0 MiB); exact, no CG"
+        assert result.preconditioner == f"line solve, {held}; exact, no CG"
         assert result.cg_iterations.tolist() == [0] * cfg.num_steps
         assert (result.cg_residuals <= 1e-14 * result.defect_norms).all()
         assert result.cg_residuals.max() > 0.0  # a product with A, not a zero written in
         assert energy_drift(result) <= 1e-12
 
+    # above 160 x 160, where one dense inverse per line would take over 64 MiB
+    @pytest.mark.parametrize("nx, rho, bc", [
+        (200, "random", BoundaryPartition(bottom=BoundaryKind.NEUMANN_U, top=BoundaryKind.NEUMANN_U)),
+        (256, "uniform", None),
+    ])
+    def test_large_grids_run_no_cg(self, nx, rho, bc, monkeypatch):
+        spec, cfg = self.case(nx, steps=4, rho=rho, bc=bc)
+        monkeypatch.setattr(scheme, "cg_solve", self.no_cg)
+        result = run(spec, cfg, record_errors=False)
+        assert result.completed
+        assert result.cg_iterations.tolist() == [0] * cfg.num_steps
+        assert (result.cg_residuals <= 1e-14 * result.defect_norms).all()
+
     def test_matches_a_tight_jacobi_cg_run(self, monkeypatch):
         spec, cfg = self.case()
         exact = run(spec, cfg, record_errors=False)
-        monkeypatch.setattr(spaces, "LINE_SOLVE_MAX_BYTES", 0)
-        iterative = run(spec, cfg, record_errors=False, solver=SolverConfig(1e-13))
-        assert iterative.preconditioner.startswith("jacobi") and iterative.cg_iterations.min() > 1
+        iterations = []
+
+        def jacobi_cg(stepper, defect, guess):
+            result = cg_solve(stepper.ops.A, defect, SolverConfig(1e-13))
+            iterations.append(result.iterations)
+            stepper.solves.append((result.iterations, result.residual, result.rhs_norm))
+            return guess + result.x
+
+        monkeypatch.setattr(StepSolver, "solve", jacobi_cg)
+        iterative = run(spec, cfg, record_errors=False)
+        assert len(iterations) == cfg.num_steps and min(iterations) > 1
         for got, want in ((exact.state.U_curr, iterative.state.U_curr), (exact.state.P_curr, iterative.state.P_curr)):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
         np.testing.assert_allclose([s.value for s in exact.energies], [s.value for s in iterative.energies],
@@ -1034,22 +1056,22 @@ class TestLineSolvePath:
 
     def test_shared_inverses_move_the_stability_sweep_at_rounding_level_only(self, monkeypatch):
         # the CLI's theta = 0 sweep on uniform material, with each family's one
-        # shared inverse and then with one inverse per line forced
+        # shared inverse and then with the sweeps over its lines' factors forced
         held = []
-        line_inverses = linalg._line_inverses
+        line_solver = linalg._line_solver
 
         def sweep(build):
-            monkeypatch.setattr(linalg, "_line_inverses", lambda diagonal, off: held.append(build(diagonal, off)) or held[-1])
+            monkeypatch.setattr(linalg, "_line_solver", lambda diagonal, off: held.append(build(diagonal, off)) or held[-1])
             return stability_sweep(mms_standing_wave(), [0.0], SWEEP_MULTIPLIERS, 32, num_steps=SWEEP_STEPS)
 
-        shared = sweep(line_inverses)
+        shared = sweep(line_solver)
         assert [a.ndim for a in held] == [2, 2]  # one build of the sweep's operators
         held.clear()
-        per_line = sweep(linalg.tridiagonal_inverses)
+        swept = sweep(linalg.ldl_factors)
         assert [a.ndim for a in held] == [3, 3]
         assert {r.status for r in shared} == {STABLE, BLOWUP}
-        assert [(r.status, r.blowup_level) for r in shared] == [(r.status, r.blowup_level) for r in per_line]
-        np.testing.assert_allclose([r.final_energy for r in shared], [r.final_energy for r in per_line],
+        assert [(r.status, r.blowup_level) for r in shared] == [(r.status, r.blowup_level) for r in swept]
+        np.testing.assert_allclose([r.final_energy for r in shared], [r.final_energy for r in swept],
                                    rtol=1e-13, atol=0.0)  # nan on both sides for a BlowUp row
 
     @pytest.mark.parametrize("theta", [1e-3, 0.25])

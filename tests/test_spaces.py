@@ -5,7 +5,6 @@ from mixedwave.linalg import spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh, edge_classify
 from mixedwave.spaces import (
     GRID_MIN_DOFS,
-    LINE_SOLVE_MAX_BYTES,
     MaterialField,
     PROJECTION_BLOCK,
     PROJECTION_RULE,
@@ -16,7 +15,6 @@ from mixedwave.spaces import (
     element_quadrature,
     gauss_rule_1d,
     integrate_load,
-    line_inverse_bytes,
     material_field,
     pressure_best_approximation,
     project_pressure_p_h,
@@ -161,7 +159,8 @@ def load(mesh, bc, f, t):
 
 
 class TestLineSolve:
-    """``MixedOperators.line_solve``: A solved by the dense inverses of its lines."""
+    """``MixedOperators.line_solve``: A solved by the LDL^T factors of its
+    lines, or by one inverse per edge family whose lines have the same block."""
 
     @staticmethod
     def material(kind, mesh, rng):
@@ -174,8 +173,8 @@ class TestLineSolve:
         rho, lam = (np.broadcast_to(a, (mesh.ny, mesh.nx)).ravel() for a in (rho, lam))
         return MaterialField(rho, lam, 0.25, 4.0, 0.25, 4.0)
 
-    # the last is the widest one-row grid whose line inverses fit LINE_SOLVE_MAX_BYTES on every partition
-    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (12, 4), (32, 32), (64, 32), (2893, 1)])
+    # the last two are above 160 x 160, where one dense inverse per line would take over 64 MiB
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (12, 4), (32, 32), (64, 32), (2894, 1), (170, 165)])
     @pytest.mark.parametrize("kind", ["uniform", "layered", "random"])
     def test_solves_exactly_on_every_partition(self, kind, nx, ny):
         mesh = build_rect_mesh(nx, ny)
@@ -183,11 +182,14 @@ class TestLineSolve:
         material = self.material(kind, mesh, rng)
         for bc in ALL_PARTITIONS:
             ops = assemble_operators(mesh, bc, material)
-            assert ops.line_solve is not None and ops.line_solve is ops.line_solve  # built once
-            # whatever the material, a family of one line, or of lines with no free edge, shares its inverse
-            (_, row), (column, _) = ops.classification.shapes
-            shared = (kind == "uniform" or ny == 1 or row == 0, kind != "random" or nx == 1 or column == 0)
+            assert ops.line_solve is ops.line_solve  # built once
+            # whatever the material, a family of one line, or of lines with no free edge, has one block;
+            # it shares an inverse of L^2 floats only when its factors, 2 L per line, are no smaller
+            (rows, row), (column, columns) = ops.classification.shapes
+            same = (kind == "uniform" or ny == 1 or row == 0, kind != "random" or nx == 1 or column == 0)
+            shared = (same[0] and row <= 2 * rows, same[1] and column <= 2 * columns)
             assert ops.line_solve.shared == shared  # (rows of vertical edges, columns of horizontal ones)
+            assert ops.line_solve.nbytes <= 16 * ops.n_velocity
             b = rng.standard_normal(ops.n_velocity)
             x = ops.line_solve.solve(b)
             assert np.linalg.norm(b - spmv(ops.A, x)) <= 1e-14 * np.linalg.norm(b)
@@ -203,20 +205,6 @@ class TestLineSolve:
         b = np.random.default_rng(0).standard_normal(ops.n_velocity)
         x = ops.line_solve.solve(b)
         assert np.linalg.norm(b - spmv(ops.A, x)) <= 1e-14 * np.linalg.norm(b)
-
-    # a row of vertical edges holds nx + 1 edges less the pinned ends, a
-    # column of horizontal ones ny + 1; a line of L edges takes L^2 floats
-    @pytest.mark.parametrize("nx, ny, bc, nbytes", [
-        (4, 3, ALL_D, 8 * (3 * 5**2 + 4 * 4**2)),
-        (4, 3, BoundaryPartition.all_neumann(), 8 * (3 * 3**2 + 4 * 2**2)),
-        (4, 3, BoundaryPartition(left=BoundaryKind.NEUMANN_U, top=BoundaryKind.NEUMANN_U), 8 * (3 * 4**2 + 4 * 3**2)),
-        (2893, 1, ALL_D, 8 * (2894**2 + 2893 * 2**2)),
-        (2894, 1, ALL_D, 8 * (2895**2 + 2894 * 2**2)),  # the first one-row grid above the bound
-    ])
-    def test_inverts_lines_only_within_the_memory_bound(self, nx, ny, bc, nbytes):
-        ops = unit_ops(nx, ny, bc)
-        assert line_inverse_bytes(ops.classification) == nbytes
-        assert (ops.line_solve is None) == (nbytes > LINE_SOLVE_MAX_BYTES) == (nx == 2894)
 
 
 class TestLoad:

@@ -6,11 +6,11 @@ built), and prints the median time of each set-up phase and the run's
 preconditioner as a markdown table:
 
 - assembly: ``assemble_operators`` (A, C, D and D^T);
-- line inverses: the first access of ``MixedOperators.line_solve``, the
-  inverses of A's lines that theta = 0 runs build (this run, at theta = 1,
-  does not use them); on the standing wave's uniform material each edge
-  family holds one shared inverse, and above ``LINE_SOLVE_MAX_BYTES`` (nx
-  256) the access returns None without building any;
+- line solve: the first access of ``MixedOperators.line_solve``, the
+  exact solve of A that theta = 0 runs build (this run, at theta = 1, does
+  not use it); on the standing wave's uniform material each edge family
+  holds one shared inverse, the LDL^T sweeps of one line applied to the
+  identity;
 - step solver: ``StepSolver``, the step matrix S and its V-cycle;
 - projections: the flux interpolants of u0 and v0 (none for the standing
   wave, which starts at rest) and the element averages of p0, as
@@ -42,7 +42,7 @@ from mixedwave.verify import make_problem, mms_standing_wave
 
 SIZES = (32, 64, 128, 256)
 ROUNDS = 5
-PHASES = ("assembly", "line inverses", "step solver", "projections", "best approx.", "first solve")
+PHASES = ("assembly", "line solve", "step solver", "projections", "best approx.", "first solve")
 
 
 def timed(fn, *args):
@@ -58,7 +58,7 @@ def phase_times(nx):
     spec = make_problem(mms_standing_wave(), nx)
     cfg = ThetaConfig.from_steps(1.0, 1.0, max(1, nx // 8))
     ops, assembly = timed(assemble_operators, spec.mesh, spec.bc, spec.material)
-    _, inverses = timed(lambda: ops.line_solve)
+    _, line_solve = timed(lambda: ops.line_solve)
     stepper, build = timed(StepSolver, spec, ops, cfg)
     mesh, cls = ops.mesh, ops.classification
 
@@ -84,7 +84,7 @@ def phase_times(nx):
 
     stepper.solve = timed_solve  # initialize calls it once, for U1
     initialize(stepper)
-    return (assembly, inverses, build, project, best, solves[0]), stepper.choice
+    return (assembly, line_solve, build, project, best, solves[0]), stepper.choice
 
 
 def main(sizes):

@@ -32,7 +32,10 @@ case, at theta = 0 and nx 32, is not one eigenmode: rho and lambda are
 seeded log-uniform in [1/4, 4] per element, the left and right sides
 DIRICHLET_P and the bottom and top NEUMANN_U, dt = 0.05 / nx, and the run
 starts from U0 = P0 = 0 with the standing wave's velocity profile as V0.
-Given grid sizes, each of the three runs at each.
+At theta = 0 every solve is ``linalg.LineSolve``'s, at every grid size:
+one matrix product per edge family with its shared inverse on the
+standing wave's uniform material, and the LDL^T sweeps over the lines on
+the hetero case's. Given grid sizes, each of the three runs at each.
 
 Run from the root of a source checkout:
 
