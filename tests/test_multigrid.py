@@ -320,6 +320,29 @@ class TestSelection:
         assert grad_div_weight(ops, cfg) < 1.0
         assert isinstance(StepSolver(spec, ops, cfg).preconditioner, Jacobi)
 
+    @pytest.mark.parametrize(
+        "nx, steps_per_unit_time",
+        [
+            (32, 100),  # the explicit stability sweep's steps
+            (64, 4),    # steps at which theta = 1 takes multigrid
+        ],
+    )
+    def test_explicit_steps_take_the_line_solve(self, nx, steps_per_unit_time, monkeypatch):
+        # theta = 0 builds no step matrix and no preconditioner, whatever the step: S is A
+        def built(*args, **kwargs):
+            raise AssertionError("a step matrix or a preconditioner was built")
+
+        for name in ("step_matrix", "schur_matrix", "Jacobi", "VCycle", "SolutionProjection"):
+            monkeypatch.setattr(scheme, name, built)
+        spec = hetero_spec(nx)
+        ops = assemble_operators(spec.mesh, spec.bc, spec.material)
+        implicit = ThetaConfig.from_steps(1.0, 1.0, steps_per_unit_time)
+        assert (grad_div_weight(ops, implicit) >= MULTIGRID_MIN_KAPPA) == (steps_per_unit_time == 4)
+        stepper = StepSolver(spec, ops, ThetaConfig.from_steps(0.0, 1.0, steps_per_unit_time))
+        assert stepper.line_solve is ops.line_solve and stepper.S is ops.A
+        assert stepper.preconditioner is None and stepper.projection is None
+        assert re.fullmatch(r"line solve, LDL\^T factors of A's lines hold \S+ \S+; exact, no CG", stepper.choice)
+
 
 class TestMultigridRun:
     def test_large_step_run_conserves_energy_and_constraint(self):

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1034,6 +1035,31 @@ class TestLineSolvePath:
         assert result.completed
         assert result.cg_iterations.tolist() == [0] * cfg.num_steps
         assert (result.cg_residuals <= 1e-14 * result.defect_norms).all()
+
+    @pytest.mark.parametrize("nx, rho", [(32, "random"), (64, "layered")])
+    def test_run_is_bit_identical_to_a_line_solve_built_per_solve(self, nx, rho, monkeypatch):
+        # the factors and inverses a run keeps are left as built by its solves
+        spec, cfg = self.case(nx, steps=12, rho=rho)
+        got = run(spec, cfg, record_errors=False)
+        build, init, builds = spaces.MixedOperators.line_solve.func, StepSolver.__init__, []
+
+        def fresh(b, ops):
+            builds.append(build(ops))
+            return builds[-1].solve(b)
+
+        def init_fresh_per_solve(stepper, *args, **kwargs):
+            init(stepper, *args, **kwargs)
+            stepper.line_solve = SimpleNamespace(solve=lambda b: fresh(b, stepper.ops))
+
+        monkeypatch.setattr(StepSolver, "__init__", init_fresh_per_solve)
+        want = run(spec, cfg, record_errors=False)
+        assert got.completed and want.completed and len(builds) == cfg.num_steps
+        assert builds[0].shared == {"random": (False, False), "layered": (False, True)}[rho]
+        for name in ("cg_iterations", "cg_residuals", "defect_norms"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        for name in ("U_prev", "U_curr", "P_prev", "P_curr"):
+            assert getattr(got.state, name).tobytes() == getattr(want.state, name).tobytes()
+        assert got.energies == want.energies
 
     def test_matches_a_tight_jacobi_cg_run(self, monkeypatch):
         spec, cfg = self.case()
