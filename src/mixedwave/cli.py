@@ -277,17 +277,16 @@ def _energy_table(result):
     return ["step", "t_half", "energy", "rel_drift"], rows
 
 
-def _steps_table(result):
+def _steps_table(result, energy_rows):
     """One row per level: the CG iterations, final residual and defect norm
     of the solve that produced it, the energy sample that step completed
-    (between levels n-1 and n), its relative drift, and the errors when the
-    run recorded them. Level 0 has no solve and no energy sample, so those
-    cells are blank."""
+    (between levels n-1 and n, a row of ``_energy_table``), its relative
+    drift, and the errors when the run recorded them. Level 0 has no solve
+    and no energy sample, so those cells are blank."""
     header = ["level", "t", "cg_iterations", "cg_residual", "defect_norm", "energy", "rel_drift"]
     errors = result.error_u is not None
     if errors:
         header += ["err_u", "err_p"]
-    _, energy_rows = _energy_table(result)
     rows = []
     for level in range(len(result.cg_iterations) + 1):
         row = [level, level * result.config.dt, None, None, None, None, None]
@@ -303,44 +302,44 @@ def _steps_table(result):
     return header, rows
 
 
-def _solver_notes(result) -> list:
-    iterations = result.cg_iterations
-    return [
-        f"cg_iterations total = {int(iterations.sum())}, max = {int(iterations.max())}",
-        f"preconditioner = {result.preconditioner}",
-    ]
-
-
-def cmd_run(cfg: RunConfig) -> StudyReport:
+def _run_case(cfg: RunConfig):
+    """Run the configured case once: the ``RunResult``, its ``energy.csv``
+    and ``steps.csv`` tables, and the status and solver notes that ``run``
+    and ``energy`` both report."""
     mms = _mms_for(cfg)  # _parse_case has residual-checked a forced case
     time_cfg = ThetaConfig.from_dt(cfg.theta, cfg.T, cfg.dt)  # checked before the mesh is built
     result = run(make_problem(mms, cfg.nx, cfg.ny), time_cfg, solver=_solver(cfg))
-    notes = [f"status = {result.status}", *_solver_notes(result)]
+    energy = _energy_table(result)
+    tables = {"energy.csv": energy, "steps.csv": _steps_table(result, energy[1])}
+    iterations = result.cg_iterations
+    notes = [
+        f"status = {result.status}",
+        f"cg_iterations total = {int(iterations.sum())}, max = {int(iterations.max())}",
+        f"preconditioner = {result.preconditioner}",
+    ]
+    return result, tables, notes
+
+
+def cmd_run(cfg: RunConfig) -> StudyReport:
+    result, tables, notes = _run_case(cfg)
     if result.error_u is not None:
         eu, ep = error_linf_l2(result)
         notes.append(f"err_u_linf_l2 = {fmt(eu)}")
         notes.append(f"err_p_linf_l2 = {fmt(ep)}")
-    return StudyReport(
-        cfg,
-        [("simulation completed", result.completed, f"status {result.status}")],
-        {"energy.csv": _energy_table(result), "steps.csv": _steps_table(result)},
-        notes,
-    )
+    return StudyReport(cfg, [("simulation completed", result.completed, f"status {result.status}")], tables, notes)
 
 
 def cmd_energy(cfg: RunConfig) -> StudyReport:
     check_mesh_width(cfg.nx, cfg.ny)
-    mms = _mms_for(cfg)
-    time_cfg = ThetaConfig.from_dt(cfg.theta, cfg.T, cfg.dt)  # checked before the mesh is built
-    result = run(make_problem(mms, cfg.nx, cfg.ny), time_cfg, solver=_solver(cfg))
+    result, tables, notes = _run_case(cfg)
     drift = energy_drift(result) if result.completed else math.inf
     ok = result.completed and drift <= ENERGY_DRIFT_PASS
     return StudyReport(
         cfg,
         [("energy conservation", ok,
           f"max relative drift {fmt(drift)} (tolerance {fmt(ENERGY_DRIFT_PASS)})")],
-        {"energy.csv": _energy_table(result), "steps.csv": _steps_table(result)},
-        [f"status = {result.status}", *_solver_notes(result)],
+        tables,
+        notes,
     )
 
 

@@ -352,14 +352,19 @@ def _axis_eigenvalue(n: int, s: float, pinned_ends: int) -> float:
     return 6.0 / s**2 * (1.0 - c) / (2.0 + c)
 
 
+def _axis_nodes(n: int, first_pinned: int, pinned_ends: int) -> np.ndarray:
+    """The n + 1 nodal values v[k] of the top mode v of ``_axis_angle``."""
+    k = np.arange(n + 1) * _axis_angle(n, pinned_ends)
+    return np.sin(k) if first_pinned else np.cos(k)
+
+
 def _axis_mode(n: int, first_pinned: int, pinned_ends: int) -> np.ndarray:
     """The n cell differences v[k + 1] - v[k] of the top mode v of
     ``_axis_angle``; all ones when both ends of a one-cell axis are pinned,
     where the axis has no free dof and any value is a mode."""
     if n == 1 and pinned_ends == 2:
         return np.ones(1)
-    k = np.arange(n + 1) * _axis_angle(n, pinned_ends)
-    return np.diff(np.sin(k) if first_pinned else np.cos(k))
+    return np.diff(_axis_nodes(n, first_pinned, pinned_ends))
 
 
 def max_divergence_eigenvalue(mesh: RectMesh, bc: BoundaryPartition) -> float:
@@ -381,16 +386,25 @@ def max_divergence_mode(ops: MixedOperators) -> np.ndarray:
     The eigenproblem separates by axis (``max_divergence_eigenvalue``): with
     w_x, w_y the cell differences of the top 1-D modes (``_axis_mode``), the
     pressure P = w_y (x) w_x, element (j, i) holding w_y[j] w_x[i], solves
-    D A^{-1} D^T P = mu_max C P, and v = A^{-1} D^T P, with A solved by CG
-    to ``BEST_APPROXIMATION_RTOL``. For element-wise material v is no
-    eigenvector.
+    D A^{-1} D^T P = mu_max C P, and v = A^{-1} D^T P in closed form, with no
+    solve. With n_x, n_y the modes' nodal values (``_axis_nodes``) and mu_x,
+    mu_y their eigenvalues (``_axis_eigenvalue``), v is
+
+        (hx hy / rho) mu_x (w_y (x) n_x) on the vertical edges,
+        (hx hy / rho) mu_y (n_y (x) w_x) on the horizontal edges,
+
+    taken on the free edges. This holds for constant material, with rho read
+    from ``rho0``; for element-wise material v is no eigenvector.
     """
-    cls = ops.classification
-    P = np.outer(
-        _axis_mode(cls.ny, cls.bottom, cls.bottom + cls.top),
-        _axis_mode(cls.nx, cls.left, cls.left + cls.right),
+    cls, mesh = ops.classification, ops.mesh
+    x_ends, y_ends = cls.left + cls.right, cls.bottom + cls.top
+    n_x, w_x = _axis_nodes(cls.nx, cls.left, x_ends), _axis_mode(cls.nx, cls.left, x_ends)
+    n_y, w_y = _axis_nodes(cls.ny, cls.bottom, y_ends), _axis_mode(cls.ny, cls.bottom, y_ends)
+    scale = mesh.hx * mesh.hy / ops.material.rho0
+    return cls.gather(
+        (scale * _axis_eigenvalue(cls.nx, mesh.hx, x_ends)) * np.outer(w_y, n_x),
+        (scale * _axis_eigenvalue(cls.ny, mesh.hy, y_ends)) * np.outer(n_y, w_x),
     )
-    return cg_solve(ops.A, spmv(ops.DT, P.ravel()), SolverConfig(BEST_APPROXIMATION_RTOL)).x
 
 
 def stiffness_bound(mesh: RectMesh, bc: BoundaryPartition, material: MaterialField) -> float:
@@ -557,8 +571,10 @@ def velocity_best_approximation(ops: MixedOperators, profile) -> tuple[np.ndarra
     load = integrate_load(quad, ops.classification, rho[:, None] * sx, rho[:, None] * sy)
     # CG, not ops.line_solve: on the standing wave and the forced case, the
     # profiles of every benchmark and CLI run, CG stops after 1 iteration,
-    # 0.40 ms at nx 128 against 2.3 ms to build and apply the line solve
-    # (one BLAS thread), which would add about 9 % to such a run's set-up.
+    # 0.28 ms at nx 128 against 1.5 ms to build the line solve. Routed through
+    # the line solve, the benchmark's setup_s rose 9.8 % on standing-wave-128
+    # (0.02297 -> 0.02523 s) and 15.6 % on cli-studies (0.01611 -> 0.01862 s),
+    # higher in all 6 alternated pairs of each.
     coeffs = cg_solve(ops.A, load, SolverConfig(BEST_APPROXIMATION_RTOL)).x
     c = np.append(coeffs, 0.0)[ops.classification.element_dofs]  # pinned slots read the 0
     vx = c[:, [LEFT, RIGHT]] @ (np.array([1.0 - quad.xi, quad.xi]) / mesh.hy)

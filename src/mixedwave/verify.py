@@ -531,9 +531,12 @@ def stability_setup(spec: ProblemSpec) -> RunSetup:
 
     U0 gains ``SEED_SIZE`` max|U0| of ``spaces.max_divergence_mode``, the
     mode that grows first beyond dt_max, scaled to max|mode| = 1, and P0 is
-    C^{-1} D U0 of the sum, so the data stay compatible. Without the seed a
-    smooth U0, such as the standing wave, which is one discrete eigenmode,
-    holds that mode only at rounding level, and whether it grows past
+    C^{-1} D U0 of the sum, so the data stay compatible. The mode is a
+    closed form that makes no solve; it holds for constant material, which
+    is all a sweep passes, since the material of a manufactured solution is
+    constant. Without the seed a smooth U0, such as the standing wave,
+    which is one discrete eigenmode, holds that mode only at rounding
+    level, and whether it grows past
     ``scheme.BLOWUP_THRESHOLD`` within a sweep's steps depends on rounding.
     For constant material the mode is an exact eigenvector, so a theta > 0
     run below dt_max keeps to 2 CG iterations per solve, where a random

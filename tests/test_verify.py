@@ -19,7 +19,6 @@ from mixedwave.spaces import (
     MaterialField,
     assemble_operators,
     material_field,
-    max_divergence_eigenvalue,
     max_divergence_mode,
     project_pressure_p_h,
     project_velocity_pi_h,
@@ -597,14 +596,23 @@ class TestStabilitySweep:
 class TestMaxDivergenceMode:
     """``spaces.max_divergence_mode`` against the dense oracle operators."""
 
-    @pytest.mark.parametrize("nx, ny", [(5, 4), (1, 5), (6, 1)])
+    BOX = (0.0, 1.3, 0.0, 0.7)
+
+    @pytest.mark.parametrize("nx, ny, extents, rho, lam", [
+        pytest.param(5, 4, (0.0, 1.0, 0.0, 1.0), 1.0, 1.0, id="5-4"),
+        pytest.param(1, 5, (0.0, 1.0, 0.0, 1.0), 1.0, 1.0, id="1-5"),
+        pytest.param(6, 1, (0.0, 1.0, 0.0, 1.0), 1.0, 1.0, id="6-1"),
+        pytest.param(5, 7, BOX, 2.5, 0.6, id="5-7-box"),
+        pytest.param(1, 4, BOX, 2.5, 0.6, id="1-4-box"),
+        pytest.param(10, 6, BOX, 2.5, 0.6, id="10-6-box"),
+    ])
     @pytest.mark.parametrize("bc", ALL_PARTITIONS)
-    def test_is_an_eigenvector_at_mu_max(self, nx, ny, bc):
-        mesh = build_rect_mesh(nx, ny)
-        material = material_field(mesh, 1.0, 1.0)
+    def test_is_an_eigenvector_at_mu_max(self, nx, ny, extents, rho, lam, bc):
+        mesh = build_rect_mesh(nx, ny, extents)
+        material = material_field(mesh, rho, lam)
         A, Cdiag, D = dense_operators(mesh, bc, material)
         U = max_divergence_mode(assemble_operators(mesh, bc, material))
-        mu = max_divergence_eigenvalue(mesh, bc)
+        mu = stiffness_bound(mesh, bc, material)  # mu_max itself, for constant material
         KU = D.T @ ((D @ U) / Cdiag)
         assert np.linalg.norm(KU - mu * (A @ U)) <= 1e-10 * np.linalg.norm(KU)
         assert np.abs(U).max() > 0
