@@ -8,7 +8,9 @@ Jacobi do not reach it. The V-cycle here stays robust in coeff:
 - Hierarchy: halve nx and ny while both are even and the grid still has
   more than ``COARSEST_DOFS`` free dofs; the coarsest grid is solved with a
   dense inverse of S, summed straight from its element blocks
-  (``_dense_sum``) whatever format the other grids' S take.
+  (``_dense_sum``) whatever format the other grids' S take, and inverted by
+  block sweeps whose BLAS calls are all too small to start threads
+  (``_dense_inverse``).
 - Coarse operators: a coarse grid builds only its element blocks and their
   sum, the step matrix (``spaces.schur_matrix``), with rho and lambda
   averaged over the 4 children of each coarse element. For the RT0
@@ -28,13 +30,19 @@ Jacobi do not reach it. The V-cycle here stays robust in coeff:
   the element blocks (``spaces.element_blocks``) of the 2x2 elements
   around the vertex, so the smoother never reads the storage of S, and
   their other columns lie on the 8 remaining edges r of those elements.
-  The vertices of one colour (below) form a strided sub-grid, so with the
-  free-dof index grids and the element blocks padded by one ring (the dummy
-  dof for an edge outside the grid, a zero block for an element outside
-  it), each of a colour's 4 corner blocks and 12 edge slots is one strided
-  slice (``_patch_colours``). A patch solve writes the new values
-  x_p = S_pp^{-1} (b_p - S_pr x_r), with S_pp^{-1} and -S_pp^{-1} S_pr
-  computed once per grid; it equals the residual correction
+  With the free-dof index grids and the element blocks padded by one ring
+  (the dummy dof for an edge outside the grid, a zero block for an element
+  outside it), each of the 4 corner blocks and 12 edge slots of every
+  vertex is one slice, so a grid's patch data come from one pass over all
+  its vertices (``_patch_colours``): S_pp^{-1} by a closed-form 4x4
+  Cholesky factorisation evaluated elementwise over the vertices
+  (``spd_inverse``), with no LAPACK call per patch, and -S_pp^{-1} S_pr
+  from the corner blocks, where each edge r lies in one corner element and
+  so meets only that element's 2 patch edges. The result is split into the
+  colours (below), strided sub-grids of the vertices, at the end. A patch
+  solve writes the new values x_p = S_pp^{-1} (b_p - S_pr x_r), with
+  S_pp^{-1} and -S_pp^{-1} S_pr computed once per grid; it equals the
+  residual correction
   x_p += S_pp^{-1} (b - S x)_p, and c = S_pp^{-1} b_p is computed once per
   visit of a level and serves both sweeps. The
   patches are visited in 4 colours (i mod 2, j mod 2) of their vertex
@@ -53,7 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import CsrMatrix, GridStepMatrix, csr_from_candidates, spmv
-from .mesh import BoundaryPartition, EdgeClassification, RectMesh, build_rect_mesh, padded
+from .mesh import BOTTOM, LEFT, RIGHT, TOP, BoundaryPartition, EdgeClassification, RectMesh, build_rect_mesh
 from .spaces import MaterialField, MixedOperators, element_blocks, schur_matrix
 
 COARSEST_DOFS = 256  # largest grid solved by a dense inverse
@@ -157,7 +165,12 @@ class _Colour(NamedTuple):
     hold every other column of the patch's rows of S. ``rows`` (4 * m,) are
     the patch edges, slot-major; ``cols`` (8, m) the edges r; ``weights``
     (8, 4, m) holds W = -S_pp^{-1} S_pr and ``inverse`` (4, 4, m)
-    S_pp^{-1}. Dummy slots have weight 0.
+    S_pp^{-1}. Dummy slots have weight 0 and rows and columns of 0 in
+    ``inverse``. ``_patch_colours`` builds the 4 colours of a grid in one
+    pass over all its vertices: S_pp^{-1} by ``spd_inverse``, a closed-form
+    4x4 Cholesky factorisation applied to every vertex at once, and W from
+    the corner blocks, where each edge r has only the 2 patch edges of its
+    one corner element as neighbours.
     """
 
     rows: np.ndarray
@@ -173,78 +186,147 @@ class _Colour(NamedTuple):
 CORNER_SLOTS = np.array([[0, 1, 6, 8], [1, 2, 7, 9], [3, 4, 8, 10], [4, 5, 9, 11]])
 PATCH_SLOTS = np.array([1, 4, 8, 9])  # edges (i, j - 1), (i, j) vertical, (i - 1, j), (i, j) horizontal
 OTHER_SLOTS = np.array([0, 2, 3, 5, 6, 7, 10, 11])  # the edges r, every slot not in PATCH_SLOTS
-# Each corner's 2 edges at the vertex: which of its (L, R, B, T) are in
-# PATCH_SLOTS, and their positions there. Literals, not computed at import:
-# np.setdiff1d there imported numpy.ma into every run (1.7 MB resident).
+# Each corner's 2 edges at the vertex, their positions in PATCH_SLOTS, and
+# its 2 other edges, their positions in OTHER_SLOTS; each edge r lies in
+# one corner only. Literals, not computed at import: np.setdiff1d there
+# imported numpy.ma into every run (1.7 MB resident).
 AT_VERTEX = np.array([[0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0]], dtype=bool)
 PATCH_ROWS = np.array([[0, 2], [0, 3], [1, 2], [1, 3]])
+OTHER_ROWS = np.array([[0, 4], [1, 5], [2, 6], [3, 7]])
+
+
+def spd_inverse(M: np.ndarray) -> np.ndarray:
+    """Inverses of a batch of symmetric positive definite k x k matrices,
+    laid out entry-major: ``M[i, j]`` holds entry (i, j) of every matrix.
+
+    A closed-form Cholesky factorisation M = L L^T, its inverse U = L^{-1}
+    by forward substitution and M^{-1} = U^T U, each entry one expression
+    in the entries before it, applied elementwise to the whole batch: no
+    LAPACK call, and no loop over the matrices. Only the lower triangle of
+    M is read, and the result is exactly symmetric.
+    """
+    k = M.shape[0]
+    L, U = {}, {}
+    for j in range(k):  # column j of L, its diagonal as U[j, j] = 1 / L[j, j]
+        for i in range(j, k):
+            s = M[i, j]
+            for p in range(j):
+                s = s - L[i, p] * L[j, p]
+            if i == j:
+                U[j, j] = 1.0 / np.sqrt(s)
+            else:
+                L[i, j] = s * U[j, j]
+    for j in range(k):  # U[i, j] = -U[i, i] * sum_p L[i, p] U[p, j], p = j .. i - 1
+        for i in range(j + 1, k):
+            s = L[i, j] * U[j, j]
+            for p in range(j + 1, i):
+                s = s + L[i, p] * U[p, j]
+            U[i, j] = -s * U[i, i]
+    inverse = np.empty_like(M)
+    for i in range(k):  # (U^T U)[i, j] = sum_p U[p, i] U[p, j], p = max(i, j) .. k - 1
+        for j in range(i, k):
+            s = U[j, i] * U[j, j]
+            for p in range(j + 1, k):
+                s = s + U[p, i] * U[p, j]
+            inverse[i, j] = inverse[j, i] = s
+    return inverse
 
 
 def _patch_colours(cls: EdgeClassification, blocks) -> list:
     """The 4 colours (i mod 2, j mod 2) of vertex patches, in visiting order;
     ``blocks`` are the grid's element blocks of S (``spaces.element_blocks``).
 
-    The index grids and the blocks are padded by one ring: the dummy dof n
-    for edges outside the grid (pinned edges map to it too) and zero blocks
-    for elements outside it. Vertex (i, j) then finds vertical edge
-    (i + a, j + b) at V[j + b + 1, i + a + 1], horizontal edge (i + a, j + b)
-    at H[j + b + 1, i + a + 1] and its corner element (i + c - 1, j + r - 1)
-    at [..., j + r, i + c] of the padded blocks; over the vertices of one
-    colour, each of these is a strided slice."""
+    The index grids are padded by one ring, with the dummy dof n for edges
+    outside the grid (pinned edges map to it too), and by one more column of
+    n on the right. Vertex (i, j) then finds vertical edge (i + a, j + b) at
+    V[j + b + 1, i + a + 1] and horizontal edge (i + a, j + b) at
+    H[j + b + 1, i + a + 1]. The vertices are laid out in ny + 1 rows of
+    nx + 2, the last of a row a padding vertex whose edges are all dummy,
+    so that over all of them each slot is a slice, and so is each corner
+    block (``_patch_solves``). The patch data are computed for every vertex
+    at once and split into the colours, strided sub-grids of the vertices
+    with a patch, at the end: W first, whose all-vertex array is freed
+    before S_pp^{-1} is split, so that the build holds little more than its
+    result."""
     n, nx, ny = cls.n_free, cls.nx, cls.ny
-    V, H = (np.where(grid >= 0, grid, n) for grid in cls.padded_index_grids)
-    ring = padded(blocks.reshape(4, 4, ny, nx), 0.0)
-    colours = []
-    for j0, i0 in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        mj, mi = (ny - j0) // 2 + 1, (nx - i0) // 2 + 1  # rows and columns of the colour's vertices
 
-        def at(grid, r, c):
-            return grid[..., j0 + r : j0 + r + 2 * mj : 2, i0 + c : i0 + c + 2 * mi : 2]
+    def with_dummies(grid):  # -1 to n, and a column of n on the right
+        out = np.full((grid.shape[0], grid.shape[1] + 1), n)
+        np.copyto(out[:, :-1], grid, where=grid >= 0)
+        return out
 
-        slots = [at(V, r, c) for r in range(2) for c in range(3)] + [at(H, r, c) for r in range(3) for c in range(2)]
-        around = np.stack(slots).reshape(12, -1)
-        has_patch = (around[PATCH_SLOTS] < n).any(axis=0)
-        if has_patch.any():
-            corners = [at(ring, r, c) for r in range(2) for c in range(2)]
-            colours.append(_colour(n, corners, around, has_patch))
-    return colours
+    V, H = map(with_dummies, cls.padded_index_grids)
+
+    def at(grid, r, c):
+        return grid[r : r + ny + 1, c : c + nx + 2]
+
+    slots = [at(V, r, c) for r in range(2) for c in range(3)] + [at(H, r, c) for r in range(3) for c in range(2)]
+    patch, other = (np.stack([slots[s] for s in which]).reshape(len(which), -1) for which in (PATCH_SLOTS, OTHER_SLOTS))
+    colour = np.add.outer(2 * (np.arange(ny + 1) % 2), np.arange(nx + 2) % 2).ravel()
+    has_patch = (patch < n).any(axis=0)
+    vertices = [np.flatnonzero(has_patch & (colour == k)) for k in range(4)]
+    vertices = [chosen for chosen in vertices if chosen.size]
+
+    def split(data):
+        return [np.take(data, chosen, axis=-1) for chosen in vertices]
+
+    inverse, weights = _patch_solves(cls, blocks, patch == n, other == n)
+    weights = split(weights)
+    inverse = split(inverse)
+    return [_Colour(rows.ravel(), *data) for rows, *data in zip(split(patch), split(other), weights, inverse)]
 
 
-def _colour(n: int, corners, around, has_patch) -> _Colour:
-    """Smoother data of one colour's patches over n free dofs. ``corners``
-    are the (4, 4, mj, mi) blocks of the corner elements of the colour's
-    mj x mi vertices, ``around`` the (12, mj * mi) dofs of the edges in
-    their slots, and ``has_patch`` marks the vertices with a free patch
-    edge, the m patches."""
-    # S_pc[p, a, c] = S[patch[a, p], around[c, p]]: the sum of the corner
-    # blocks' rows of the two edges each corner has at the vertex, summed
-    # slot-major and then turned patch-major, (m, 4, 12), in one copy
-    S_pc = np.zeros((4, 12) + corners[0].shape[2:])
-    for block, slots, at_vertex, rows in zip(corners, CORNER_SLOTS, AT_VERTEX, PATCH_ROWS):
-        S_pc[rows[:, None], slots] += block[at_vertex]
-    S_pc = S_pc.reshape(4, 12, -1).transpose(2, 0, 1)[has_patch]
-    around = around[:, has_patch]
-    patch = around[PATCH_SLOTS]
-    S_pc[patch.T == n] = 0.0  # S has no row or column for a pinned edge
-    S_pc.transpose(0, 2, 1)[around.T == n] = 0.0
+def _patch_solves(cls: EdgeClassification, blocks, dummy_patch, dummy_other):
+    """S_pp^{-1} (4, 4, m) and W = -S_pp^{-1} S_pr (8, 4, m) of the patches
+    of the m = (ny + 1) (nx + 2) vertices of ``_patch_colours``, with rows
+    and columns of 0 at the dummy slots ``dummy_patch`` (4, m) and
+    ``dummy_other`` (8, m).
 
-    # S_pp gets a unit diagonal at dummy slots so that it inverts; their
-    # rows and columns of the inverse are 0
-    local = S_pc[:, :, PATCH_SLOTS]
-    local = 0.5 * (local + local.transpose(0, 2, 1))
-    s, p = np.nonzero(patch == n)
-    local[p, s, s] = 1.0
-    inverse = np.linalg.inv(local)
-    inverse = 0.5 * (inverse + inverse.transpose(0, 2, 1))
-    inverse[p, s, :] = 0.0
-    inverse[p, :, s] = 0.0
-    weights = -inverse @ S_pc[:, :, OTHER_SLOTS]
-    return _Colour(
-        patch.ravel(),
-        around[OTHER_SLOTS],
-        np.ascontiguousarray(weights.transpose(2, 1, 0)),
-        np.ascontiguousarray(inverse.transpose(2, 1, 0)),
-    )
+    The blocks are padded by one ring of zero blocks for the elements outside
+    the grid, rows of nx + 2 elements, and the rows and columns of pinned
+    edges, the edges of a NEUMANN_U side, are zeroed in them, since S has
+    none. Flattened, with one spare zero block at the end, they hold the
+    corner element (i + c - 1, j + r - 1) of every vertex (i, j) in the
+    slice that starts at r (nx + 2) + c."""
+    nx, ny = cls.nx, cls.ny
+    width, m = nx + 2, (ny + 1) * (nx + 2)
+    ring = np.zeros((4, 4, (ny + 2) * width + 1))
+    inside = ring[..., :-1].reshape(4, 4, ny + 2, width)[..., 1:-1, 1:-1]
+    inside[...] = blocks.reshape(4, 4, ny, nx)
+    sides = ((LEFT, cls.left, np.s_[..., 0]), (RIGHT, cls.right, np.s_[..., -1]),
+             (BOTTOM, cls.bottom, np.s_[..., 0, :]), (TOP, cls.top, np.s_[..., -1, :]))
+    for edge, pinned, elements in sides:
+        if pinned:
+            inside[edge][elements] = inside[:, edge][elements] = 0.0
+    corners = [ring[..., r * width + c : r * width + c + m] for r in range(2) for c in range(2)]
+    # The lower triangle of S_pp: the corner blocks' entries between their 2
+    # edges at the vertex, summed in corner order; a unit diagonal at dummy
+    # slots so that it inverts
+    S_pp = np.zeros((4, 4, m))
+    for block, at_vertex, (p, q) in zip(corners, AT_VERTEX, PATCH_ROWS):
+        e_p, e_q = np.flatnonzero(at_vertex)
+        S_pp[p, p] += block[e_p, e_p]
+        S_pp[q, p] += block[e_q, e_p]
+        S_pp[q, q] += block[e_q, e_q]
+    slot, vertex = np.nonzero(dummy_patch)
+    S_pp[slot, slot, vertex] = 1.0
+    inverse = spd_inverse(S_pp)
+    del S_pp
+    inverse[slot, :, vertex] = inverse[:, slot, vertex] = 0.0
+    # W[r] = -(S_pp^{-1}[:, p] S[p, r] + S_pp^{-1}[:, q] S[q, r]), p < q the
+    # patch rows of the one corner that holds edge r
+    weights = np.empty((8, 4, m))
+    for block, at_vertex, (p, q), others in zip(corners, AT_VERTEX, PATCH_ROWS, OTHER_ROWS):
+        e_p, e_q = np.flatnonzero(at_vertex)
+        for e_r, r in zip(np.flatnonzero(~at_vertex), others):
+            w = weights[r]
+            np.multiply(inverse[:, p], block[e_p, e_r], out=w)
+            w += inverse[:, q] * block[e_q, e_r]
+            np.negative(w, out=w)
+    weights[:, slot, vertex] = 0.0
+    r, vertex = np.nonzero(dummy_other)
+    weights[r, :, vertex] = 0.0
+    return inverse, weights
 
 
 class _Level(NamedTuple):
@@ -274,8 +356,7 @@ class VCycle:
             material = coarse_material(mesh, material)
             mesh, cls = build_rect_mesh(nx, ny, (mesh.x0, mesh.x1, mesh.y0, mesh.y1)), coarse
             blocks = element_blocks(mesh, material, coeff)
-        inverse = np.linalg.inv(_dense_sum(cls, blocks))
-        self.coarsest = 0.5 * (inverse + inverse.T)
+        self.coarsest = _dense_inverse(_dense_sum(cls, blocks))
 
     def __call__(self, r, out):
         out[:] = self._cycle(0, r)
@@ -303,6 +384,36 @@ def _dense_sum(cls: EdgeClassification, blocks) -> np.ndarray:
     S = np.zeros((n + 1, n + 1))
     np.add.at(S, (dofs[:, :, None], dofs[:, None, :]), blocks.transpose(2, 0, 1))
     return S[:n, :n]
+
+
+def _dense_inverse(S: np.ndarray) -> np.ndarray:
+    """S^{-1}, symmetrised, of a dense SPD S, written over S by block
+    Gauss-Jordan sweeps with pivot blocks of 32 rows; no copy of S is made.
+
+    Every LAPACK and BLAS call stays below the sizes at which OpenBLAS
+    starts threads: the LU of a 32 x 32 pivot and products of at most
+    32 x 32 x n, the rank-32 update as 32-row bands of them. So the cost
+    does not depend on the BLAS thread count. One ``np.linalg.inv`` of the
+    whole S threads from about n = 100 on: on a busy 2-vCPU host it took
+    85-150 ms for the 112 x 112 S of a 16 x 16 grid's coarsest level with
+    OpenBLAS's default threads, against 0.4-0.6 ms with one.
+    """
+    n = S.shape[0]
+    for k in range(0, n, 32):
+        K = slice(k, k + 32)
+        pivot = np.linalg.inv(S[K, K])
+        row = pivot @ S[K]
+        column = S[:, K].copy()
+        for b in range(0, n, 32):
+            S[b : b + 32] -= column[b : b + 32] @ row
+        S[K] = row
+        S[:, K] = -column @ pivot
+        S[K, K] = pivot
+    for b in range(0, n, 32):  # S = (S + S^T) / 2, a band at a time
+        mean = 0.5 * (S[b : b + 32, b:] + S[b:, b : b + 32].T)
+        S[b : b + 32, b:] = mean
+        S[b:, b : b + 32] = mean.T
+    return S
 
 
 def _patch_rhs(colours, b) -> list:

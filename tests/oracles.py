@@ -17,6 +17,7 @@ import scipy.linalg
 
 from mixedwave.linalg import CsrMatrix
 from mixedwave.mesh import LEFT, RIGHT, BOTTOM, TOP, BoundaryKind
+from mixedwave.multigrid import spd_inverse
 from mixedwave.spaces import DIVERGENCE_ROW, gauss_rule_1d, material_field
 
 # outward normal per local edge slot
@@ -432,7 +433,9 @@ def reference_patch_colours(cls, blocks):
     meshgrid of every vertex, the gather of its 4 corner elements (one
     outside the mesh has a zero block) and of their edges, the minimum
     over the corners that share an edge, and a fancy-indexed sum of the
-    corner blocks into the patch rows S_pc."""
+    corner blocks into the patch rows S_pc. The patch inverses are the
+    library's ``spd_inverse`` of the gathered S_pp, which
+    ``tests/test_multigrid.py`` checks on its own."""
     n, nx, ny = cls.n_free, cls.nx, cls.ny
     I, J = (g.ravel() for g in np.meshgrid(np.arange(nx + 1), np.arange(ny + 1), indexing="xy"))
     elements = np.column_stack([
@@ -462,11 +465,16 @@ def reference_patch_colours(cls, blocks):
         local = 0.5 * (local + local.transpose(0, 2, 1))
         p, s = np.nonzero(patch_k == n)
         local[p, s, s] = 1.0
-        inverse = np.linalg.inv(local)
+        inverse = spd_inverse(local.transpose(1, 2, 0)).transpose(2, 0, 1)
         inverse = 0.5 * (inverse + inverse.transpose(0, 2, 1))
         inverse[p, s, :] = 0.0
         inverse[p, :, s] = 0.0
-        weights = -inverse @ S_pc[:, :, _OTHER_SLOTS]
+        # W = -S_pp^{-1} S_pr, each entry summed over k = 0..3 in order, and 0
+        # in the rows and columns of dummy slots
+        terms = inverse[:, :, :, None] * S_pc[:, None, :, _OTHER_SLOTS]
+        weights = -(terms[:, :, 0] + terms[:, :, 1] + terms[:, :, 2] + terms[:, :, 3])
+        weights[p, s, :] = 0.0
+        weights.transpose(0, 2, 1)[around_k[:, _OTHER_SLOTS] == n] = 0.0
         colours.append((
             np.ascontiguousarray(patch_k.T).ravel(),
             np.ascontiguousarray(around_k[:, _OTHER_SLOTS].T),

@@ -49,6 +49,15 @@ def random_material(mesh, rng, lo=0.25, hi=4.0):
     return MaterialField(rho, lam, lo, hi, lo, hi)
 
 
+def assert_spd_inverse(M, inverse, identity):
+    """``inverse`` (m, k, k) is bitwise symmetric and inverts the SPD M
+    (m, k, k) up to ``identity`` within 16 eps cond(M) in the 2-norm, the
+    rounding of a Cholesky-based inverse."""
+    assert inverse.tobytes() == np.ascontiguousarray(inverse.transpose(0, 2, 1)).tobytes()
+    residual = np.linalg.norm(M @ inverse - identity, 2, axis=(1, 2))
+    assert (residual <= 16 * np.finfo(float).eps * np.linalg.cond(M)).all()
+
+
 def vcycle_matrix(vcycle, n):
     out = np.empty(n)
     columns = []
@@ -109,8 +118,47 @@ class TestSmoother:
         assert np.array_equal(multigrid.AT_VERTEX, at_vertex)
         rows = [np.searchsorted(multigrid.PATCH_SLOTS, slots[at]) for slots, at in zip(multigrid.CORNER_SLOTS, at_vertex)]
         assert np.array_equal(multigrid.PATCH_ROWS, rows)
+        others = [np.searchsorted(multigrid.OTHER_SLOTS, slots[~at]) for slots, at in zip(multigrid.CORNER_SLOTS, at_vertex)]
+        assert np.array_equal(multigrid.OTHER_ROWS, others)
+        # each edge r lies in one corner only
+        assert np.array_equal(np.sort(multigrid.OTHER_ROWS.ravel()), np.arange(8))
 
-    @pytest.mark.parametrize("shape", [(32, 32), (64, 32), (12, 4), (2, 2)])
+    @pytest.mark.parametrize("log_cond", [0, 5, 10])
+    def test_spd_inverse_of_random_batches(self, log_cond):
+        rng = np.random.default_rng(log_cond)
+        Q, _ = np.linalg.qr(rng.standard_normal((500, 4, 4)))
+        spectra = np.logspace(0, -log_cond, 4)[rng.permuted(np.tile(np.arange(4), (500, 1)), axis=1)]
+        M = (Q * (spectra * np.exp(rng.uniform(-5.0, 5.0, (500, 1))))[:, None, :]) @ Q.transpose(0, 2, 1)
+        M = 0.5 * (M + M.transpose(0, 2, 1))
+        inverse = multigrid.spd_inverse(M.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert_spd_inverse(M, inverse, np.eye(4))
+
+    @pytest.mark.parametrize("shape", [(6, 4), (8, 8)])
+    def test_patch_inverses_on_every_partition(self, shape):
+        # S_pp read from the dense S, with the unit diagonal at dummy slots
+        # that spd_inverse sees, against the colours' inverses, whose dummy
+        # rows and columns are 0
+        rng = np.random.default_rng(shape[0] + shape[1])
+        mesh = build_rect_mesh(*shape, (0.0, 1.5, -0.5, 0.5))
+        for bc in PARTITIONS:
+            material = random_material(mesh, rng)
+            coeff = math.exp(rng.uniform(math.log(1e-3), 0.0))
+            A, Cdiag, D = dense_operators(mesh, bc, material)
+            S = dense_step_matrix(A, D, Cdiag, coeff)
+            n = S.shape[0]
+            padded_S = np.zeros((n + 1, n + 1))
+            padded_S[:n, :n] = S
+            for colour in multigrid._patch_colours(EdgeClassification.of(*shape, bc), element_blocks(mesh, material, coeff)):
+                patch = colour.rows.reshape(4, -1).T
+                dummy = patch == n
+                S_pp = padded_S[patch[:, :, None], patch[:, None, :]] + dummy[:, :, None] * np.eye(4)
+                inverse = colour.inverse.transpose(2, 1, 0)
+                for rows in (inverse[dummy], inverse.transpose(0, 2, 1)[dummy]):
+                    assert not rows.view(np.uint64).any()  # exact +0.0
+                assert_spd_inverse(S_pp, inverse, np.eye(4) * ~dummy[:, None, :])
+                assert_spd_inverse(S_pp, multigrid.spd_inverse(S_pp.transpose(1, 2, 0)).transpose(2, 0, 1), np.eye(4))
+
+    @pytest.mark.parametrize("shape", [(32, 32), (64, 32), (12, 4), (2, 2), (2, 8), (8, 2), (10, 6)])
     def test_strided_colours_match_the_corner_gather(self, shape):
         rng = np.random.default_rng(shape[0] + 100 * shape[1])
         mesh = build_rect_mesh(*shape)
@@ -231,6 +279,18 @@ class TestVCycle:
             S = schur_matrix(mesh, cls, blocks)
             assert isinstance(S, CsrMatrix)
             assert multigrid._dense_sum(cls, blocks).tobytes() == todense(S).tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 8), (6, 4), (1, 5), (12, 6)])
+    def test_coarsest_inverse_by_block_sweeps(self, shape):
+        # sizes below, at and above the 32 x 32 pivot blocks
+        rng = np.random.default_rng(shape[0] * shape[1])
+        mesh = build_rect_mesh(*shape)
+        for bc in PARTITIONS:
+            cls = EdgeClassification.of(*shape, bc)
+            S = multigrid._dense_sum(cls, element_blocks(mesh, random_material(mesh, rng), 0.37))
+            inverse = multigrid._dense_inverse(S.copy())
+            assert inverse.shape == S.shape
+            assert_spd_inverse(S[None], inverse[None], np.eye(S.shape[0]))
 
     def test_each_grid_computes_its_element_blocks_once(self, monkeypatch):
         calls = []

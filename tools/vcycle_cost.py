@@ -10,7 +10,12 @@ the spmv(S) timed in the same round. Three columns split the V-cycle's part
 of the build: the smoother colours of every level
 (``multigrid._patch_colours``), the transfers P and R of every level
 (``multigrid.transfers``), and the rest, the coarse grids' element blocks
-and step matrices and the coarsest grid's dense inverse. Two columns count
+and step matrices and the coarsest grid's dense inverse. Two columns trace
+memory with ``tracemalloc``, in a build of its own outside the timed
+rounds: the build's transient peak, the most it held above what was
+allocated before it, and the bytes the ``VCycle`` holds once built (its
+levels' smoothers, transfers and coarse step matrices, and the coarsest
+inverse; the fine S is the step solver's). Two columns count
 CG iterations per solve at the default tolerance. The first is the mean
 over V-cycle-preconditioned solves for seeded random right-hand sides, each
 from a zero start: it measures the V-cycle alone. The second is the mean over a
@@ -30,6 +35,7 @@ import math
 import statistics
 import sys
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -82,6 +88,29 @@ def timed_build(spec, ops, cfg):
     return build, spent["colours"], spent["transfers"], spent["vcycle"] - spent["colours"] - spent["transfers"]
 
 
+def traced_build(spec, ops, cfg):
+    """Bytes of the transient peak of one ``StepSolver`` build, above what
+    was traced before it, and of what its ``VCycle`` holds once built."""
+    held = {}
+
+    def vcycle(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        built = VCycle(*args)
+        held["vcycle"] = tracemalloc.get_traced_memory()[0] - before
+        return built
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(scheme, "VCycle", vcycle):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            StepSolver(spec, ops, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - start, held["vcycle"]
+
+
 def initial_data(mesh, lam):
     """Smooth u0 with u_y = 0 on the NEUMANN_U bottom and top, and
     p0 = lambda div u0 per element, so that C P0 = D U0 holds."""
@@ -104,8 +133,9 @@ def costs(nx):
     one V-cycle, the step-solver build and its three V-cycle parts
     (``timed_build``), and of the V-cycle and the build over the spmv(S) of
     their own round, which a drift in the host's speed between rounds leaves
-    alone; then the mean CG iterations per solve for random right-hand
-    sides and over a STEPS-step run."""
+    alone; then the build's traced peak and the V-cycle's held bytes
+    (``traced_build``), and the mean CG iterations per solve for random
+    right-hand sides and over a STEPS-step run."""
     rng = np.random.default_rng(nx)
     mesh = build_rect_mesh(nx, nx)
     lo, hi = BOUNDS
@@ -127,23 +157,25 @@ def costs(nx):
         cycle_s = mean_time(lambda: vcycle(b, out), max(1, calls // 10))
         build_s, *parts = timed_build(spec, ops, cfg)
         rounds.append((apply_s, cycle_s, build_s, *parts, cycle_s / apply_s, build_s / apply_s))
+    peak, held = traced_build(spec, ops, cfg)
     iterations = [cg_solve(S, rng.standard_normal(b.size), stepper.solver, vcycle).iterations for _ in range(SOLVES)]
     in_run = run(spec, ThetaConfig.from_steps(1.0, STEPS * cfg.dt, STEPS)).cg_iterations
-    return [statistics.median(column) for column in zip(*rounds)] + [statistics.mean(iterations), in_run.mean()]
+    return [statistics.median(column) for column in zip(*rounds)] + [peak, held, statistics.mean(iterations), in_run.mean()]
 
 
 def main(sizes):
     print(
         "| nx | spmv(S) ms | V-cycle ms | build ms | colours ms | transfers ms | coarse grids ms "
-        f"| V-cycle / spmv | build / spmv | CG iterations per solve, random b | CG iterations per solve, {STEPS}-step run |"
+        "| V-cycle / spmv | build / spmv | build peak MB | V-cycle holds MB "
+        f"| CG iterations per solve, random b | CG iterations per solve, {STEPS}-step run |"
     )
-    print("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
+    print("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
     for nx in sizes:
-        apply_s, cycle_s, build_s, colours_s, transfers_s, coarse_s, cycle_spmv, build_spmv, iterations, in_run = costs(nx)
+        apply_s, cycle_s, build_s, colours_s, transfers_s, coarse_s, cycle_spmv, build_spmv, peak, held, iterations, in_run = costs(nx)
         print(
             f"| {nx} | {1e3 * apply_s:.3f} | {1e3 * cycle_s:.2f} | {1e3 * build_s:.1f} | {1e3 * colours_s:.1f} "
             f"| {1e3 * transfers_s:.1f} | {1e3 * coarse_s:.1f} | {cycle_spmv:.1f} | {build_spmv:.0f} "
-            f"| {iterations:.1f} | {in_run:.1f} |"
+            f"| {peak / 1e6:.2f} | {held / 1e6:.2f} | {iterations:.1f} | {in_run:.1f} |"
         )
 
 
