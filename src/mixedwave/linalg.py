@@ -78,20 +78,20 @@ class CsrMatrix:
     """Sparse matrix stored as padded rows (ELLPACK); the name is historical.
 
     Build one from each row's candidate columns (``csr_from_candidates``).
-    Every operator this package builds has at most 7
-    entries per row, so the rows are stored padded to the widest one:
+    Every operator this package builds has at most 7 entries per row, so
+    the rows are stored padded to one width:
     ``cols`` and ``vals`` are (width, n_rows) arrays in which slot k of row
     i holds column ``cols[k, i]`` and value ``vals[k, i]``. Slot-major order
     keeps each slot contiguous, which is the fastest order for the numpy
-    product in ``spmv``. Row i stores ``row_nnz[i]`` entries in its
-    first slots, columns strictly increasing. A shorter row is padded with
-    its first stored column and value 0, so padding neither reads outside
-    the row's own columns nor changes a sum; an empty row is padded with
-    column 0. The arrays are read-only, and so is the main diagonal, which
-    only square operators need: it is computed on the first ``diagonal()``
-    call, as is the largest absolute row sum (``abs_row_sum_bound()``) that
-    only CG needs. Instances are therefore immutable and safe to share
-    between concurrent readers (two first calls at once compute equal values).
+    product in ``spmv``. Row i stores ``row_nnz[i]`` entries; a slot it
+    does not fill holds one of the row's own columns and value 0, so
+    padding neither reads outside the row's own columns nor changes a sum,
+    and an empty row pads with column 0. The arrays are read-only, and so
+    is the main diagonal, which only square operators need: it is computed
+    on the first ``diagonal()`` call, as is the largest absolute row sum
+    (``abs_row_sum_bound()``) that only CG needs. Instances are therefore
+    immutable and safe to share between concurrent readers (two first calls
+    at once compute equal values).
     """
 
     __slots__ = ("cols", "vals", "row_nnz", "nnz", "shape", "_empty_rows", "_diagonal", "_abs_row_sum")
@@ -138,10 +138,13 @@ def csr_from_candidates(blocks, n_cols) -> CsrMatrix:
     (columns, values) per candidate slot. ``columns`` is an integer array of
     that shape, the slot's column in every row of the block, -1 where the
     candidate is absent, and ``values`` an array of that shape, or a scalar.
-    In each row the present candidates come in strictly increasing column
-    order; a block with fewer candidates than the widest lacks its last
-    ones. Each row's absent candidates move to its end, where the row is
-    padded as ``CsrMatrix`` lays down, and slots that no row fills are cut.
+    A block with fewer candidates than the widest lacks its last ones. An
+    absent candidate keeps its slot, padded with the row's largest column
+    (column 0 in an empty row) and value 0, as ``CsrMatrix`` lays down, so
+    the present entries keep their candidate order and no row is sorted. A
+    matrix without columns stores no slot. The padding's place changes no
+    product of several rows, bit for bit; numpy sums a matrix of one row
+    with several accumulators, so there it can move the last bit.
     """
     k = max((len(candidates) for _, candidates in blocks), default=0)
     sizes = [math.prod(shape) for shape, _ in blocks]
@@ -154,19 +157,12 @@ def csr_from_candidates(blocks, n_cols) -> CsrMatrix:
             block_cols[slot], block_vals[slot] = columns, values
         block_cols[len(candidates) :] = -1
         start += size
-    present = cols >= 0
-    row_nnz = present.sum(axis=0)
-    # only a row with an absent candidate before a present one moves; on a
-    # grid such rows lie along the boundary, so they are few
-    moved = np.flatnonzero((present[1:] > present[:-1]).any(axis=0))
-    if moved.size:
-        order = np.argsort(~present[:, moved], axis=0, kind="stable")
-        for a in (cols, vals, present):
-            a[:, moved] = a[order, moved]
-    width = int(row_nnz.max(initial=0))
-    present = present[:width]
-    cols = np.where(present, cols[:width], np.maximum(cols[:1], 0))  # an empty row pads with column 0
-    vals = np.where(present, vals[:width], 0.0)
+    absent = cols < 0
+    row_nnz = k - absent.sum(axis=0)
+    np.copyto(cols, cols.max(axis=0, initial=0), where=absent)
+    np.copyto(vals, 0.0, where=absent)
+    if not n_cols:  # every row is empty, and there is no column 0 to pad with
+        cols, vals = cols[:0], vals[:0]
     return CsrMatrix(cols, vals, row_nnz, (cols.shape[1], int(n_cols)))
 
 
@@ -374,14 +370,13 @@ class LineSolve:
     Each edge family is factored once, here, by ``ldl_factors``, and a solve
     runs no iteration and has no tolerance. An edge family whose lines all
     have bitwise the same block, as every family on uniform material and
-    the columns on material layered in y, holds one (L, L) inverse, the
-    sweeps of its first line applied to the identity, if that takes no more
-    memory than the factors would; a solve then applies it to all the
-    family's lines as one matrix product, ``vertical`` or ``horizontal`` is
-    2-D and its entry of ``shared`` True. Any other family holds the
-    (2, L, lines) factors of its lines, and a solve is one forward and one
-    backward sweep over all of them at once (``ldl_solve``). So ``nbytes``,
-    what is held, is at most 16 bytes per free edge.
+    the columns on material layered in y, and are at most
+    ``SHARED_INVERSE_MAX_LINE`` edges long holds one (L, L) inverse, the
+    sweeps of its first line applied to the identity; a solve then applies
+    it to all the family's lines as one matrix product, ``vertical`` or
+    ``horizontal`` is 2-D and its entry of ``shared`` True. Any other family
+    holds the (2, L, lines) factors of its lines, and a solve is one forward
+    and one backward sweep over all of them at once (``ldl_solve``).
     """
 
     __slots__ = ("layout", "vertical", "horizontal")
@@ -395,7 +390,6 @@ class LineSolve:
         self.horizontal = _line_solver(horizontal, mass_y[1][g.bottom : g.ny - g.top])
 
     shared = property(lambda self: (self.vertical.ndim == 2, self.horizontal.ndim == 2))  # (vertical, horizontal)
-    nbytes = property(lambda self: self.vertical.nbytes + self.horizontal.nbytes)
 
     def solve(self, b) -> np.ndarray:
         """A^{-1} b for a free-dof vector b."""
@@ -414,13 +408,19 @@ class LineSolve:
         return x
 
 
+# The longest line whose shared inverse a solve applies: the product costs
+# O(L^2) per line against the sweeps' O(L), and with one BLAS thread it beat
+# them in every timed round up to this L (uniform square grids, every side
+# NEUMANN_U, so L = nx - 1); the inverse then holds under 1 MB.
+SHARED_INVERSE_MAX_LINE = 285
+
+
 def _line_solver(diagonal, off) -> np.ndarray:
     """``ldl_factors`` of one edge family's lines, or the (L, L) inverse of
-    its first line alone when every line has the same block and the inverse
-    takes no more memory than the factors, L^2 <= 2 L lines floats, as on
-    every square grid."""
-    n, lines = diagonal.shape
-    if n <= 2 * lines and (diagonal == diagonal[:, :1]).all() and (off == off[:, :1]).all():
+    its first line alone when every line has the same block and L is at
+    most ``SHARED_INVERSE_MAX_LINE``."""
+    n = diagonal.shape[0]
+    if n <= SHARED_INVERSE_MAX_LINE and (diagonal == diagonal[:, :1]).all() and (off == off[:, :1]).all():
         return ldl_solve(ldl_factors(diagonal[:, :1], off[:, :1]), np.eye(n))
     return ldl_factors(diagonal, off)
 

@@ -324,14 +324,6 @@ def _held(shared) -> str:
     return " and ".join(f"{kind} ({family})" for kind, family in zip(kinds, ("vertical", "horizontal")))
 
 
-def _binary_size(nbytes: int) -> str:
-    """nbytes in B, KiB or MiB, the largest unit it reaches."""
-    for unit, scale in (("MiB", 2**20), ("KiB", 2**10)):
-        if nbytes >= scale:
-            return f"{nbytes / scale:.1f} {unit}"
-    return f"{nbytes} B"
-
-
 class StepSolver:
     """What every solve of a run shares: the step matrix S, its preconditioner,
     the CG settings (``SolverConfig()`` when None) and the body-force loads.
@@ -339,12 +331,12 @@ class StepSolver:
     Built once per run. At theta = 0 ``line_solve`` is the operators'
     ``linalg.LineSolve``, S is A, and there is no preconditioner and no
     projection. ``choice`` then names, per edge family, the LDL^T factors
-    of its lines or one shared inverse, and the bytes held, as in ``line
-    solve, shared inverses of A's lines hold 15.0 KiB; exact, no CG`` for
-    the standing wave at nx 32. At theta > 0 ``line_solve`` is None and CG
-    solves. ``preconditioner`` is the
-    multigrid ``VCycle`` when kappa (``grad_div_weight``) is at least
-    ``MULTIGRID_MIN_KAPPA`` and the grid coarsens; S and the V-cycle's fine smoother then share one set of
+    of its lines or one shared inverse, as in ``line solve, shared inverses
+    of A's lines; exact, no CG`` for the standing wave at nx 32. At
+    theta > 0 ``line_solve`` is None, S is built from its element blocks
+    once, and CG solves. ``preconditioner`` is the multigrid ``VCycle`` when
+    kappa (``grad_div_weight``) is at least ``MULTIGRID_MIN_KAPPA`` and the
+    grid coarsens; S and the V-cycle's fine smoother then share those
     element blocks, and ``projection`` is the run's
     ``linalg.SolutionProjection`` of up to ``PROJECTION_BASIS`` increments.
     Otherwise it is ``linalg.Jacobi(S)``, which checks S's diagonal and
@@ -371,10 +363,7 @@ class StepSolver:
         self.solves = []
         if self.line_solve is not None:
             self.S, self.preconditioner, self.projection = ops.A, None, None
-            self.choice = (
-                f"line solve, {_held(self.line_solve.shared)} of A's lines hold "
-                f"{_binary_size(self.line_solve.nbytes)}; exact, no CG"
-            )
+            self.choice = f"line solve, {_held(self.line_solve.shared)} of A's lines; exact, no CG"
             return
         kappa = grad_div_weight(ops, cfg)
         large = kappa >= MULTIGRID_MIN_KAPPA
@@ -385,14 +374,13 @@ class StepSolver:
             + (", but the grid does not coarsen" if large and not multigrid else "")
             + (f"; CG starts from the projection on up to {PROJECTION_BASIS} increments" if multigrid else "")
         )
+        coeff = cfg.theta * cfg.dt**2
+        blocks = element_blocks(ops.mesh, ops.material, coeff)
+        self.S = schur_matrix(ops.mesh, ops.classification, blocks)
         if multigrid:
-            coeff = cfg.theta * cfg.dt**2
-            blocks = element_blocks(ops.mesh, ops.material, coeff)
-            self.S = schur_matrix(ops.mesh, ops.classification, blocks)
             self.preconditioner = VCycle(ops, self.S, blocks, coeff)
             self.projection = SolutionProjection(self.S, PROJECTION_BASIS)
         else:
-            self.S = step_matrix(ops, cfg)
             self.preconditioner, self.projection = Jacobi(self.S), None
 
     def load(self, n: int) -> np.ndarray:

@@ -15,7 +15,7 @@ the package's free dofs only through ``reference_edge_classify``.
 import numpy as np
 import scipy.linalg
 
-from mixedwave.linalg import CsrMatrix
+from mixedwave.linalg import CsrMatrix, spmv
 from mixedwave.mesh import LEFT, RIGHT, BOTTOM, TOP, BoundaryKind
 from mixedwave.multigrid import spd_inverse
 from mixedwave.spaces import DIVERGENCE_ROW, gauss_rule_1d, material_field
@@ -529,13 +529,30 @@ def csr_from_coo(rows, cols, vals, shape) -> CsrMatrix:
 
 
 def assert_same_rows(got, want):
-    """Two padded-row matrices hold the same bytes: shape, and the dtype and
-    contents of ``cols``, ``vals`` and ``row_nnz``."""
+    """Two padded-row matrices store the same rows, whatever slot each entry
+    takes: their shape, ``row_nnz`` (dtype and bytes) and ``nnz``, and bit
+    for bit their dense forms, main diagonals, ``abs_row_sum_bound()`` and
+    products with three seeded random vectors.
+
+    The product of a matrix of one row is the exception. numpy's einsum
+    sums many rows slot by slot, so padding zeros between the entries leave
+    the sum alone, but it sums a single contiguous row with several
+    accumulators, whose grouping of the entries depends on where the
+    padding sits. Such a product is held to the rounding bound of a sum of
+    7 terms instead."""
     assert got.shape == want.shape
-    for name in ("cols", "vals", "row_nnz"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
-        assert a.tobytes() == b.tobytes(), name
+    assert (got.row_nnz.dtype, got.row_nnz.tobytes()) == (want.row_nnz.dtype, want.row_nnz.tobytes())
+    assert got.nnz == want.nnz
+    dense = todense(want)
+    assert todense(got).tobytes() == dense.tobytes()
+    assert got.diagonal().tobytes() == want.diagonal().tobytes()
+    assert got.abs_row_sum_bound() == want.abs_row_sum_bound()
+    for x in np.random.default_rng(got.shape[1]).standard_normal((3, got.shape[1])):
+        y, z = spmv(got, x), spmv(want, x)
+        if got.shape[0] == 1:
+            assert np.abs(y - z).max() <= 16 * np.finfo(float).eps * (np.abs(dense) @ np.abs(x)).max()
+        else:
+            assert y.tobytes() == z.tobytes()
 
 
 def reference_element_dofs(mesh, bc):

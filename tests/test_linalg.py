@@ -30,6 +30,7 @@ from oracles import (
     dense_step_matrix,
     max_asymmetry,
     reference_divergence_transpose,
+    reference_schur_matrix,
     reference_stencil_diagonal,
     reference_tridiagonal_inverse,
     todense,
@@ -115,6 +116,29 @@ class TestPaddedRows:
         )
         rows, cols, vals = [0, 0, 1, 1, 3, 3, 4], [2, 4, 0, 3, 1, 4, 0], [2.0, 3.0, 1.0, 3.0, 5.0, 7.0, 8.0]
         assert_same_rows(M, csr_from_coo(rows, cols, vals, (5, 5)))
+
+    def test_absent_candidates_pad_in_place_with_own_columns(self):
+        # every side DIRICHLET_P: row 0 is the first vertical edge on the left
+        # side, so the element before it, its first candidate, is absent
+        mesh = build_rect_mesh(4, 3)
+        bc = BoundaryPartition.all_dirichlet()
+        rho, lam = np.random.default_rng(3).uniform(0.25, 4.0, (2, mesh.n_elements))
+        blocks = element_blocks(mesh, material_field(mesh, lambda x, y: rho, lambda x, y: lam), 0.37)
+        S = schur_matrix(mesh, edge_classify(mesh, bc), blocks)
+        dense = todense(reference_schur_matrix(mesh, bc, blocks))
+        assert S.vals[0, 0] == 0.0
+        for i in range(S.shape[0]):
+            own = np.flatnonzero(dense[i])
+            stored = S.vals[:, i] != 0.0  # no entry of this S is 0
+            assert S.row_nnz[i] == stored.sum() == own.size
+            # present entries in candidate order, which is increasing column order
+            assert S.cols[stored, i].tolist() == own.tolist()
+            assert S.vals[stored, i].tobytes() == dense[i, own].tobytes()
+            # padding reads one of the row's own columns
+            assert set(S.cols[~stored, i].tolist()) <= set(own.tolist())
+        x = np.full(S.shape[1], np.nan)
+        x[np.flatnonzero(dense[0])] = 1.0
+        assert np.isfinite(spmv(S, x)[0])
 
     def test_uneven_rows_round_trip_and_pad_with_own_columns(self):
         M, dense = uneven_csr()

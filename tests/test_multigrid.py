@@ -401,7 +401,7 @@ class TestSelection:
         stepper = StepSolver(spec, ops, ThetaConfig.from_steps(0.0, 1.0, steps_per_unit_time))
         assert stepper.line_solve is ops.line_solve and stepper.S is ops.A
         assert stepper.preconditioner is None and stepper.projection is None
-        assert re.fullmatch(r"line solve, LDL\^T factors of A's lines hold \S+ \S+; exact, no CG", stepper.choice)
+        assert stepper.choice == "line solve, LDL^T factors of A's lines; exact, no CG"
 
 
 class TestMultigridRun:

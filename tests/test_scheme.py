@@ -1008,9 +1008,9 @@ class TestLineSolvePath:
 
     # 8 x 8 elements, every side pinned: 8 rows of 7 vertical edges and 8 columns of 7 horizontal ones
     @pytest.mark.parametrize("rho, held", [
-        ("random", "LDL^T factors of A's lines hold 1.8 KiB"),  # 2 (8 7 + 8 7) floats
-        ("layered", "LDL^T factors (vertical) and a shared inverse (horizontal) of A's lines hold 1.3 KiB"),  # 2 8 7 + 7^2
-        ("uniform", "shared inverses of A's lines hold 784 B"),  # 7^2 + 7^2
+        ("random", "LDL^T factors of A's lines"),
+        ("layered", "LDL^T factors (vertical) and a shared inverse (horizontal) of A's lines"),
+        ("uniform", "shared inverses of A's lines"),
     ])
     def test_runs_no_cg_and_records_the_true_residual(self, rho, held, monkeypatch):
         spec, cfg = self.case(rho=rho)
@@ -1023,16 +1023,19 @@ class TestLineSolvePath:
         assert result.cg_residuals.max() > 0.0  # a product with A, not a zero written in
         assert energy_drift(result) <= 1e-12
 
-    # above 160 x 160, where one dense inverse per line would take over 64 MiB
-    @pytest.mark.parametrize("nx, rho, bc", [
-        (200, "random", BoundaryPartition(bottom=BoundaryKind.NEUMANN_U, top=BoundaryKind.NEUMANN_U)),
-        (256, "uniform", None),
+    # large grids by each storage: the sweeps over random lines, one shared inverse of uniform lines
+    # up to linalg.SHARED_INVERSE_MAX_LINE edges (nx 256), and the sweeps over uniform lines beyond it
+    @pytest.mark.parametrize("nx, rho, bc, shared", [
+        (200, "random", BoundaryPartition(bottom=BoundaryKind.NEUMANN_U, top=BoundaryKind.NEUMANN_U), (False, False)),
+        (256, "uniform", None, (True, True)),
+        (384, "uniform", None, (False, False)),
     ])
-    def test_large_grids_run_no_cg(self, nx, rho, bc, monkeypatch):
+    def test_large_grids_run_no_cg(self, nx, rho, bc, shared, monkeypatch):
         spec, cfg = self.case(nx, steps=4, rho=rho, bc=bc)
         monkeypatch.setattr(scheme, "cg_solve", self.no_cg)
         result = run(spec, cfg, record_errors=False)
         assert result.completed
+        assert result.setup.operators.line_solve.shared == shared
         assert result.cg_iterations.tolist() == [0] * cfg.num_steps
         assert (result.cg_residuals <= 1e-14 * result.defect_norms).all()
 

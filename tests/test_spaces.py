@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixedwave.linalg import spmv
+from mixedwave.linalg import SHARED_INVERSE_MAX_LINE, spmv
 from mixedwave.mesh import BoundaryKind, BoundaryPartition, build_rect_mesh, edge_classify
 from mixedwave.spaces import (
     GRID_MIN_DOFS,
@@ -173,9 +173,16 @@ class TestLineSolve:
         rho, lam = (np.broadcast_to(a, (mesh.ny, mesh.nx)).ravel() for a in (rho, lam))
         return MaterialField(rho, lam, 0.25, 4.0, 0.25, 4.0)
 
-    # the last two are above 160 x 160, where one dense inverse per line would take over 64 MiB
-    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (12, 4), (32, 32), (64, 32), (2894, 1), (170, 165)])
-    @pytest.mark.parametrize("kind", ["uniform", "layered", "random"])
+    BOUND = SHARED_INVERSE_MAX_LINE
+    # (40, 4): rows of vertical edges longer than twice their count, which share on uniform material;
+    # (2894, 1): one row longer than the bound; (B, B) and (B + 1, B + 1), uniform: over the sixteen
+    # partitions the lines are B - 1 to B + 2 edges long, so some share at L = B and none at B + 1
+    @pytest.mark.parametrize("kind, nx, ny", [
+        *((kind, nx, ny) for kind in ("uniform", "layered", "random")
+          for nx, ny in [(1, 1), (1, 5), (5, 1), (12, 4), (40, 4), (32, 32), (64, 32), (2894, 1), (170, 165)]),
+        ("uniform", BOUND, BOUND),
+        ("uniform", BOUND + 1, BOUND + 1),
+    ])
     def test_solves_exactly_on_every_partition(self, kind, nx, ny):
         mesh = build_rect_mesh(nx, ny)
         rng = np.random.default_rng(100 * nx + ny)
@@ -184,12 +191,11 @@ class TestLineSolve:
             ops = assemble_operators(mesh, bc, material)
             assert ops.line_solve is ops.line_solve  # built once
             # whatever the material, a family of one line, or of lines with no free edge, has one block;
-            # it shares an inverse of L^2 floats only when its factors, 2 L per line, are no smaller
+            # it shares one inverse when its lines are at most SHARED_INVERSE_MAX_LINE edges long
             (rows, row), (column, columns) = ops.classification.shapes
             same = (kind == "uniform" or ny == 1 or row == 0, kind != "random" or nx == 1 or column == 0)
-            shared = (same[0] and row <= 2 * rows, same[1] and column <= 2 * columns)
+            shared = (same[0] and row <= self.BOUND, same[1] and column <= self.BOUND)
             assert ops.line_solve.shared == shared  # (rows of vertical edges, columns of horizontal ones)
-            assert ops.line_solve.nbytes <= 16 * ops.n_velocity
             b = rng.standard_normal(ops.n_velocity)
             x = ops.line_solve.solve(b)
             assert np.linalg.norm(b - spmv(ops.A, x)) <= 1e-14 * np.linalg.norm(b)

@@ -5,12 +5,14 @@ hetero workload: theta = 1, dt = 4 / nx (2.83 h on the unit square), rho and
 lambda log-uniform in [1/4, 4] per element (seeded), DIRICHLET_P left and
 right, NEUMANN_U bottom and top. Prints as a markdown table the median time
 of one ``spmv`` of S, of one V-cycle and of the ``StepSolver`` build (S, its
-element blocks and the V-cycle hierarchy), the last two also in units of
-the spmv(S) timed in the same round. Three columns split the V-cycle's part
-of the build: the smoother colours of every level
+element blocks and the V-cycle hierarchy). Three parts split the V-cycle's
+share of the build: the smoother colours of every level
 (``multigrid._patch_colours``), the transfers P and R of every level
 (``multigrid.transfers``), and the rest, the coarse grids' element blocks
-and step matrices and the coarsest grid's dense inverse. Two columns trace
+and step matrices and the coarsest grid's dense inverse. The V-cycle, the
+build and its three parts are printed in ms and again in units of the
+spmv(S) timed in the same round, which a drift in the host's speed between
+rounds, or between two runs of this script, leaves alone. Two columns trace
 memory with ``tracemalloc``, in a build of its own outside the timed
 rounds: the build's transient peak, the most it held above what was
 allocated before it, and the bytes the ``VCycle`` holds once built (its
@@ -131,9 +133,8 @@ def initial_data(mesh, lam):
 def costs(nx):
     """On an nx-by-nx grid: medians over ROUNDS of the seconds of spmv(S),
     one V-cycle, the step-solver build and its three V-cycle parts
-    (``timed_build``), and of the V-cycle and the build over the spmv(S) of
-    their own round, which a drift in the host's speed between rounds leaves
-    alone; then the build's traced peak and the V-cycle's held bytes
+    (``timed_build``), and of the last four over the spmv(S) of their own
+    round; then the build's traced peak and the V-cycle's held bytes
     (``traced_build``), and the mean CG iterations per solve for random
     right-hand sides and over a STEPS-step run."""
     rng = np.random.default_rng(nx)
@@ -156,7 +157,7 @@ def costs(nx):
         apply_s = mean_time(lambda: spmv(S, b), calls)
         cycle_s = mean_time(lambda: vcycle(b, out), max(1, calls // 10))
         build_s, *parts = timed_build(spec, ops, cfg)
-        rounds.append((apply_s, cycle_s, build_s, *parts, cycle_s / apply_s, build_s / apply_s))
+        rounds.append((apply_s, cycle_s, build_s, *parts, *(t / apply_s for t in (cycle_s, build_s, *parts))))
     peak, held = traced_build(spec, ops, cfg)
     iterations = [cg_solve(S, rng.standard_normal(b.size), stepper.solver, vcycle).iterations for _ in range(SOLVES)]
     in_run = run(spec, ThetaConfig.from_steps(1.0, STEPS * cfg.dt, STEPS)).cg_iterations
@@ -166,16 +167,18 @@ def costs(nx):
 def main(sizes):
     print(
         "| nx | spmv(S) ms | V-cycle ms | build ms | colours ms | transfers ms | coarse grids ms "
-        "| V-cycle / spmv | build / spmv | build peak MB | V-cycle holds MB "
+        "| V-cycle / spmv | build / spmv | colours / spmv | transfers / spmv | coarse grids / spmv "
+        "| build peak MB | V-cycle holds MB "
         f"| CG iterations per solve, random b | CG iterations per solve, {STEPS}-step run |"
     )
-    print("|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|")
+    print("|---:" * 16 + "|")
     for nx in sizes:
-        apply_s, cycle_s, build_s, colours_s, transfers_s, coarse_s, cycle_spmv, build_spmv, peak, held, iterations, in_run = costs(nx)
+        apply_s, cycle_s, build_s, colours_s, transfers_s, coarse_s, cycle_spmv, build_spmv, *parts_spmv, peak, held, iterations, in_run = costs(nx)
         print(
             f"| {nx} | {1e3 * apply_s:.3f} | {1e3 * cycle_s:.2f} | {1e3 * build_s:.1f} | {1e3 * colours_s:.1f} "
             f"| {1e3 * transfers_s:.1f} | {1e3 * coarse_s:.1f} | {cycle_spmv:.1f} | {build_spmv:.0f} "
-            f"| {peak / 1e6:.2f} | {held / 1e6:.2f} | {iterations:.1f} | {in_run:.1f} |"
+            + "".join(f"| {ratio:.1f} " for ratio in parts_spmv)
+            + f"| {peak / 1e6:.2f} | {held / 1e6:.2f} | {iterations:.1f} | {in_run:.1f} |"
         )
 
 
