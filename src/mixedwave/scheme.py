@@ -36,8 +36,8 @@ along grid lines (``linalg.LineSolve``). Every solve of such a run, at
 every grid size, is then exact: the operators factor A's lines once
 (``MixedOperators.line_solve``), and a solve is one forward and one
 backward sweep over the lines of each edge family, or one matrix product
-with a family's shared inverse where all its lines have the same block,
-as on uniform material. It runs no CG: it records 0 iterations and the
+with a family's shared inverse where all its lines have the same block
+and are short, as on uniform material. It runs no CG: it records 0 iterations and the
 true residual of one product with A, and the CG settings do not apply to
 it. Every theta > 0 keeps CG.
 Jacobi-CG needs more iterations the more the grad-div term outweighs the

@@ -183,7 +183,7 @@ class MixedOperators:
     @cached_property
     def line_solve(self) -> LineSolve:
         """Exact solves with A by the LDL^T factors of its lines, or one
-        shared inverse per edge family whose lines have the same block
+        shared inverse per edge family whose short lines have the same block
         (``linalg.LineSolve``), built from the element blocks at first use.
         They do not depend on dt, so every run that shares the operators
         shares them."""

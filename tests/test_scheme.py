@@ -1025,17 +1025,18 @@ class TestLineSolvePath:
 
     # large grids by each storage: the sweeps over random lines, one shared inverse of uniform lines
     # up to linalg.SHARED_INVERSE_MAX_LINE edges (nx 256), and the sweeps over uniform lines beyond it
-    @pytest.mark.parametrize("nx, rho, bc, shared", [
-        (200, "random", BoundaryPartition(bottom=BoundaryKind.NEUMANN_U, top=BoundaryKind.NEUMANN_U), (False, False)),
-        (256, "uniform", None, (True, True)),
-        (384, "uniform", None, (False, False)),
+    @pytest.mark.parametrize("nx, rho, bc", [
+        (200, "random", BoundaryPartition(bottom=BoundaryKind.NEUMANN_U, top=BoundaryKind.NEUMANN_U)),
+        (256, "uniform", None),
+        (384, "uniform", None),
     ])
-    def test_large_grids_run_no_cg(self, nx, rho, bc, shared, monkeypatch):
+    def test_large_grids_run_no_cg(self, nx, rho, bc, monkeypatch):
         spec, cfg = self.case(nx, steps=4, rho=rho, bc=bc)
         monkeypatch.setattr(scheme, "cg_solve", self.no_cg)
         result = run(spec, cfg, record_errors=False)
         assert result.completed
-        assert result.setup.operators.line_solve.shared == shared
+        shared = rho == "uniform" and nx - 1 <= linalg.SHARED_INVERSE_MAX_LINE  # every side NEUMANN_U: L = nx - 1
+        assert result.setup.operators.line_solve.shared == (shared, shared)
         assert result.cg_iterations.tolist() == [0] * cfg.num_steps
         assert (result.cg_residuals <= 1e-14 * result.defect_norms).all()
 

@@ -175,8 +175,8 @@ class TestLineSolve:
 
     BOUND = SHARED_INVERSE_MAX_LINE
     # (40, 4): rows of vertical edges longer than twice their count, which share on uniform material;
-    # (2894, 1): one row longer than the bound; (B, B) and (B + 1, B + 1), uniform: over the sixteen
-    # partitions the lines are B - 1 to B + 2 edges long, so some share at L = B and none at B + 1
+    # (2894, 1): one row longer than BOUND; (BOUND, BOUND) and (BOUND + 1, BOUND + 1), uniform: over the
+    # sixteen partitions their lines are BOUND - 1 to BOUND + 2 edges long, on both sides of the bound
     @pytest.mark.parametrize("kind, nx, ny", [
         *((kind, nx, ny) for kind in ("uniform", "layered", "random")
           for nx, ny in [(1, 1), (1, 5), (5, 1), (12, 4), (40, 4), (32, 32), (64, 32), (2894, 1), (170, 165)]),
