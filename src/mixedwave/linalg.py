@@ -142,9 +142,10 @@ def csr_from_candidates(blocks, n_cols) -> CsrMatrix:
     absent candidate keeps its slot, padded with the row's largest column
     (column 0 in an empty row) and value 0, as ``CsrMatrix`` lays down, so
     the present entries keep their candidate order and no row is sorted. A
-    matrix without columns stores no slot. The padding's place changes no
-    product of several rows, bit for bit; numpy sums a matrix of one row
-    with several accumulators, so there it can move the last bit.
+    slot that no row fills is dropped. numpy sums many rows slot by slot,
+    where padding changes no bit, but a single row with several
+    accumulators, whose grouping padding would change; so a matrix of one
+    row stores just its entries, and one without columns stores no slot.
     """
     k = max((len(candidates) for _, candidates in blocks), default=0)
     sizes = [math.prod(shape) for shape, _ in blocks]
@@ -161,8 +162,9 @@ def csr_from_candidates(blocks, n_cols) -> CsrMatrix:
     row_nnz = k - absent.sum(axis=0)
     np.copyto(cols, cols.max(axis=0, initial=0), where=absent)
     np.copyto(vals, 0.0, where=absent)
-    if not n_cols:  # every row is empty, and there is no column 0 to pad with
-        cols, vals = cols[:0], vals[:0]
+    filled = ~absent.all(axis=1)
+    if not filled.all():
+        cols, vals = cols[filled], vals[filled]
     return CsrMatrix(cols, vals, row_nnz, (cols.shape[1], int(n_cols)))
 
 
@@ -410,8 +412,11 @@ class LineSolve:
 
 # The longest line whose shared inverse a solve applies: the product costs
 # O(L^2) per line against the sweeps' O(L), and with one BLAS thread it beat
-# them in every timed round up to this L (uniform square grids, every side
-# NEUMANN_U, so L = nx - 1); the inverse then holds under 1 MB.
+# them in every timed round up to this L on uniform square grids (every side
+# NEUMANN_U, so L = nx - 1 and as many lines); the inverse then holds under
+# 1 MB. The sweeps' per-step overhead is shared by a family's lines, so the
+# crossover falls as they grow: with 4 L lines the product won up to L = 223
+# and lost at 285 (README, "line solve").
 SHARED_INVERSE_MAX_LINE = 285
 
 

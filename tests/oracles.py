@@ -544,14 +544,7 @@ def assert_same_rows(got, want):
     """Two padded-row matrices store the same rows, whatever slot each entry
     takes: their shape, ``row_nnz`` (dtype and bytes) and ``nnz``, and bit
     for bit their dense forms (``nonzero_entries``), main diagonals,
-    ``abs_row_sum_bound()`` and products with three seeded random vectors.
-
-    The product of a matrix of one row is the exception. numpy's einsum
-    sums many rows slot by slot, so padding zeros between the entries leave
-    the sum alone, but it sums a single contiguous row with several
-    accumulators, whose grouping of the entries depends on where the
-    padding sits. Such a product is held to 16 eps |M| |x| instead, above
-    twice the rounding bound of a sum of up to 7 terms, 7 (eps / 2) |M| |x|."""
+    ``abs_row_sum_bound()`` and products with three seeded random vectors."""
     assert got.shape == want.shape
     assert (got.row_nnz.dtype, got.row_nnz.tobytes()) == (want.row_nnz.dtype, want.row_nnz.tobytes())
     assert got.nnz == want.nnz
@@ -560,11 +553,7 @@ def assert_same_rows(got, want):
     assert got.diagonal().tobytes() == want.diagonal().tobytes()
     assert got.abs_row_sum_bound() == want.abs_row_sum_bound()
     for x in np.random.default_rng(got.shape[1]).standard_normal((3, got.shape[1])):
-        y, z = spmv(got, x), spmv(want, x)
-        if got.shape[0] == 1:
-            assert np.abs(y - z).max() <= 16 * np.finfo(float).eps * (np.abs(want.vals) * np.abs(x[want.cols])).sum()
-        else:
-            assert y.tobytes() == z.tobytes()
+        assert spmv(got, x).tobytes() == spmv(want, x).tobytes()
 
 
 def reference_element_dofs(mesh, bc):
